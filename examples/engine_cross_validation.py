@@ -9,7 +9,7 @@ tell the same story. This example:
 2. fits the statistical model's curve form to those measurements,
 3. shows the address-level isolation experiment (alone / shared /
    partitioned) whose shape the interval engine reproduces at scale,
-4. cross-validates the three cache backends and the profiled MRC: the
+4. cross-validates the two cache backends and the profiled MRC: the
    flat-array kernel must be bit-identical to the object model on a
    partitioned co-run, and the single-pass way profile must agree with
    per-mask re-simulation and fit the same interval-model curve.
@@ -91,8 +91,8 @@ def isolation_at_address_level():
     )
 
 
-def _co_run_signature(backend, fast_loop=True):
-    engine = TraceEngine(prefetchers_on=False, backend=backend, fast_loop=fast_loop)
+def _co_run_signature(backend):
+    engine = TraceEngine(prefetchers_on=False, backend=backend)
     engine.hierarchy.set_way_mask(0, WayMask.contiguous(9, 0))
     engine.hierarchy.set_way_mask(2, WayMask.contiguous(3, 9))
     stats = engine.run(
@@ -131,10 +131,8 @@ def backend_cross_validation():
     failures = []
 
     # Bit-identity of the cache backends on a partitioned co-run.
-    reference = _co_run_signature("object")
-    for backend, fast_loop in (("seed", False), ("kernel", True)):
-        if _co_run_signature(backend, fast_loop) != reference:
-            failures.append(f"{backend} backend diverges from the object model")
+    if _co_run_signature("kernel") != _co_run_signature("object"):
+        failures.append("kernel backend diverges from the object model")
 
     # The single-pass profile against per-mask replay, and both against
     # the interval engine's fitted curve form.
@@ -175,7 +173,7 @@ def backend_cross_validation():
         )
     )
     status = "OK" if not failures else "; ".join(failures)
-    print(f"   kernel == object == seed on a partitioned co-run: "
+    print(f"   kernel == object on a partitioned co-run: "
           f"{'yes' if not any('backend' in f for f in failures) else 'NO'}")
     print(f"   cross-validation: {status}")
     return failures

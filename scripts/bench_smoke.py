@@ -16,17 +16,7 @@ contract: memo-on results equal memo-off results exactly, and the fast
 arms agree with the seed arm to ~1e-9 relative. The summary lands in
 ``BENCH_engine.json`` (tier-2 checked by benchmarks/test_bench_smoke.py).
 
-It then benchmarks the address-level trace path into ``BENCH_trace.json``:
-
-- ``co_run``    — a zipf foreground + streaming background co-run under
-                  the paper's 9/3 partition, object-model seed path
-                  (original per-access protocol) vs the flat-array kernel
-                  backend's fused walk, verified bit-identical;
-- ``way_sweep`` — misses under every allocation 1..12, brute-force
-                  per-mask re-simulation vs one stack-distance profiling
-                  pass (UMON), verified hit-for-hit equal.
-
-And it benchmarks the compiled trace packs into ``BENCH_tracepack.json``:
+It then benchmarks the compiled trace packs into ``BENCH_tracepack.json``:
 the same co-run on the PR 2 kernel fast loop vs ``run_packed`` over warm
 packs, the 12-allocation way sweep by per-mask re-simulation vs one
 vectorized pack profile, and a cold-compile-then-disk-hit check of the
@@ -34,8 +24,8 @@ on-disk pack cache — all bit-identity / counter verified.
 
 Finally it benchmarks the N-domain epoch replay into ``BENCH_dynamic.json``:
 
-- ``static_4dom``   — a 4-domain partitioned co-run, native multiwalk
-                      kernel vs the Python heap scheduler over the same
+- ``static_4dom``   — a 4-domain partitioned co-run, native epoch kernel
+                      vs the pure-Python epoch driver over the same
                       packs, full-signature bit-identity enforced;
 - ``dynamic_2dom``  — a trace-driven dynamically partitioned run (the
                       controller reallocates ways between epochs without
@@ -180,7 +170,7 @@ def run(repeats=3, workers=4):
     }, memo_delta
 
 
-# -- address-level trace benchmark (BENCH_trace.json) -------------------------
+# -- compiled trace packs (BENCH_tracepack.json) ------------------------------
 
 
 def _co_run_workloads(fg_accesses, bg_accesses):
@@ -229,85 +219,14 @@ def _engine_signature(engine, stats):
     )
 
 
-def _partitioned_engine(backend, fast_loop):
+def _partitioned_engine():
     from repro.cache.llc import WayMask
     from repro.sim.trace_engine import TraceEngine
 
-    engine = TraceEngine(
-        prefetchers_on=False, backend=backend, fast_loop=fast_loop
-    )
+    engine = TraceEngine(prefetchers_on=False, backend="kernel")
     engine.hierarchy.set_way_mask(0, WayMask.contiguous(9, 0))
     engine.hierarchy.set_way_mask(2, WayMask.contiguous(3, 9))
     return engine
-
-
-def _time_co_run(backend, fast_loop, repeats, total_accesses):
-    """Best wall time plus a full bit-identity signature of the run."""
-    best = signature = None
-    for _ in range(repeats):
-        engine = _partitioned_engine(backend, fast_loop)
-        workloads = _co_run_workloads(total_accesses // 3, total_accesses // 4)
-        start = time.perf_counter()
-        stats = engine.run(workloads, total_accesses=total_accesses)
-        elapsed = time.perf_counter() - start
-        best = elapsed if best is None else min(best, elapsed)
-        signature = _engine_signature(engine, stats)
-    return best, signature
-
-
-def run_trace(repeats=3, co_accesses=120_000, sweep_accesses=60_000):
-    """Benchmark the trace path; returns the BENCH_trace.json payload."""
-    from repro.cache.profile import LLC_NUM_WAYS, WaySweep, brute_force_hits
-    from repro.util.units import MB
-    from repro.workloads.trace import ZipfTrace
-
-    # -- co-run: seed object model (original protocol) vs fused kernel ----
-    seed_t, seed_sig = _time_co_run("seed", False, repeats, co_accesses)
-    kernel_t, kernel_sig = _time_co_run("kernel", True, repeats, co_accesses)
-    if seed_sig != kernel_sig:
-        raise SystemExit("FAIL: kernel co-run is not bit-identical to the seed path")
-
-    # -- way sweep: per-mask re-simulation vs one profiling pass ----------
-    def factory():
-        return ZipfTrace(sweep_accesses, 4 * MB, alpha=0.9, seed=3)
-
-    ways = list(range(1, LLC_NUM_WAYS + 1))
-    start = time.perf_counter()
-    brute = [brute_force_hits(factory, w, backend="seed") for w in ways]
-    brute_t = time.perf_counter() - start
-    profile_t = curve = None
-    for _ in range(repeats):
-        start = time.perf_counter()
-        curve = WaySweep().run_single(factory)
-        elapsed = time.perf_counter() - start
-        profile_t = elapsed if profile_t is None else min(profile_t, elapsed)
-    profiled = [curve.hits(w) for w in ways]
-    if profiled != brute:
-        raise SystemExit("FAIL: profiled way curve diverges from re-simulation")
-
-    return {
-        "benchmark": "trace_kernel",
-        "repeats": repeats,
-        "co_run": {
-            "total_accesses": co_accesses,
-            "wall_s": {"seed": round(seed_t, 4), "kernel": round(kernel_t, 4)},
-            "speedup": round(seed_t / kernel_t, 2),
-            "identical": True,
-        },
-        "way_sweep": {
-            "accesses": sweep_accesses,
-            "allocations": len(ways),
-            "wall_s": {
-                "brute_force": round(brute_t, 4),
-                "profile": round(profile_t, 4),
-            },
-            "speedup": round(brute_t / profile_t, 2),
-            "identical": True,
-        },
-    }
-
-
-# -- compiled trace packs (BENCH_tracepack.json) ------------------------------
 
 
 def run_tracepack(repeats=3, co_accesses=120_000, sweep_accesses=60_000):
@@ -331,7 +250,7 @@ def run_tracepack(repeats=3, co_accesses=120_000, sweep_accesses=60_000):
     import shutil
     import tempfile
 
-    from repro.cache.native import pair_walk_fn
+    from repro.cache.native import epoch_batch_fn
     from repro.cache.profile import LLC_NUM_WAYS, WaySweep, brute_force_hits
     from repro.util.units import MB
     from repro.workloads import tracepack
@@ -341,24 +260,24 @@ def run_tracepack(repeats=3, co_accesses=120_000, sweep_accesses=60_000):
     workloads = _co_run_workloads(co_accesses // 3, co_accesses // 4)
     packs = [tracepack.get_pack(w.trace_factory()) for w in workloads]
 
-    # One untimed pass per arm absorbs one-time costs (the native pair
+    # One untimed pass per arm absorbs one-time costs (the native epoch
     # kernel's compile/load, the permutation/PLRU table memos) so the
     # first timed repeat is not charged for them.
-    _partitioned_engine("kernel", True).run(workloads, total_accesses=6_000)
-    _partitioned_engine("kernel", True).run_packed(
+    _partitioned_engine().run(workloads, total_accesses=6_000)
+    _partitioned_engine().run_packed(
         workloads, total_accesses=6_000, packs=packs
     )
 
     run_t = pack_t = run_sig = pack_sig = None
     for _ in range(repeats):
-        engine = _partitioned_engine("kernel", True)
+        engine = _partitioned_engine()
         start = time.perf_counter()
         stats = engine.run(workloads, total_accesses=co_accesses)
         elapsed = time.perf_counter() - start
         run_t = elapsed if run_t is None else min(run_t, elapsed)
         run_sig = _engine_signature(engine, stats)
 
-        engine = _partitioned_engine("kernel", True)
+        engine = _partitioned_engine()
         start = time.perf_counter()
         stats = engine.run_packed(
             workloads, total_accesses=co_accesses, packs=packs
@@ -419,7 +338,7 @@ def run_tracepack(repeats=3, co_accesses=120_000, sweep_accesses=60_000):
     return {
         "benchmark": "tracepack",
         "repeats": repeats,
-        "native_kernel": pair_walk_fn() is not None,
+        "native_kernel": epoch_batch_fn() is not None,
         "co_run": {
             "total_accesses": co_accesses,
             "wall_s": {"kernel": round(run_t, 4), "pack": round(pack_t, 4)},
@@ -581,12 +500,12 @@ def _time_dynamic(workloads, packs, epoch_accesses, total_accesses):
 def run_dynamic(repeats=3, static_accesses=240_000, dyn_accesses=200_000,
                 dyn_epoch=4_000):
     """Benchmark the N-domain epoch replay; BENCH_dynamic.json payload."""
-    from repro.cache.native import multi_walk_fn
+    from repro.cache.native import epoch_batch_fn
     from repro.workloads import tracepack
 
-    native_kernel = multi_walk_fn() is not None
+    native_kernel = epoch_batch_fn() is not None
 
-    # -- 4-domain static co-run: native multiwalk vs Python heap ----------
+    # -- 4-domain static co-run: native epoch kernel vs Python driver -----
     workloads = _four_domain_workloads(static_accesses // 4)
     packs = [tracepack.get_pack(w.trace_factory()) for w in workloads]
     # Untimed passes absorb the one-time kernel compile/load and table
@@ -594,19 +513,27 @@ def run_dynamic(repeats=3, static_accesses=240_000, dyn_accesses=200_000,
     _time_static_packed(workloads, packs, 6_000)
     _without_native(lambda: _time_static_packed(workloads, packs, 6_000))
 
-    multi_t = heap_t = multi_sig = heap_sig = None
+    static_native_t = static_python_t = None
+    static_native_sig = static_python_sig = None
     for _ in range(repeats):
         elapsed, sig = _time_static_packed(workloads, packs, static_accesses)
-        multi_t = elapsed if multi_t is None else min(multi_t, elapsed)
-        multi_sig = sig
+        static_native_t = (
+            elapsed if static_native_t is None
+            else min(static_native_t, elapsed)
+        )
+        static_native_sig = sig
         elapsed, sig = _without_native(
             lambda: _time_static_packed(workloads, packs, static_accesses)
         )
-        heap_t = elapsed if heap_t is None else min(heap_t, elapsed)
-        heap_sig = sig
-    if multi_sig != heap_sig:
+        static_python_t = (
+            elapsed if static_python_t is None
+            else min(static_python_t, elapsed)
+        )
+        static_python_sig = sig
+    if static_native_sig != static_python_sig:
         raise SystemExit(
-            "FAIL: 4-domain multiwalk run is not bit-identical to the heap path"
+            "FAIL: 4-domain native run is not bit-identical to the Python "
+            "epoch driver"
         )
 
     # -- 2-domain dynamic run: native epoch kernel vs Python driver -------
@@ -649,10 +576,10 @@ def run_dynamic(repeats=3, static_accesses=240_000, dyn_accesses=200_000,
             "domains": 4,
             "total_accesses": static_accesses,
             "wall_s": {
-                "heap": round(heap_t, 4),
-                "multiwalk": round(multi_t, 4),
+                "python": round(static_python_t, 4),
+                "native": round(static_native_t, 4),
             },
-            "speedup": round(heap_t / multi_t, 2),
+            "speedup": round(static_python_t / static_native_t, 2),
             "identical": True,
         },
         "dynamic_2dom": {
@@ -1397,8 +1324,8 @@ def run_cluster(repeats=3, cells=4, accesses=30_000):
     }
 
 
-ARMS = ("engine", "trace", "tracepack", "dynamic", "policy", "batch",
-        "dynbatch", "campaign", "gridsolve", "cluster")
+ARMS = ("engine", "tracepack", "dynamic", "policy", "batch", "dynbatch",
+        "campaign", "gridsolve", "cluster")
 
 
 def main(argv=None):
@@ -1406,9 +1333,6 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
         "--output", default=os.path.join(root, "BENCH_engine.json")
-    )
-    parser.add_argument(
-        "--trace-output", default=os.path.join(root, "BENCH_trace.json")
     )
     parser.add_argument(
         "--tracepack-output", default=os.path.join(root, "BENCH_tracepack.json")
@@ -1463,15 +1387,6 @@ def main(argv=None):
             notes.append(
                 f"engine drift {summary['max_rel_drift_vs_seed']:.1e}"
             )
-        if "trace" in wanted:
-            trace_summary = run_trace(
-                repeats=1, co_accesses=36_000, sweep_accesses=20_000
-            )
-            notes.append(
-                f"trace co-run {trace_summary['co_run']['speedup']}x and "
-                f"way sweep {trace_summary['way_sweep']['speedup']}x, "
-                "bit-identical"
-            )
         if "tracepack" in wanted:
             pack_summary = run_tracepack(
                 repeats=1, co_accesses=36_000, sweep_accesses=20_000
@@ -1487,7 +1402,7 @@ def main(argv=None):
                 dyn_epoch=3_000,
             )
             notes.append(
-                f"4-domain multiwalk and dynamic epoch replay bit-identical "
+                f"4-domain static and dynamic epoch replay bit-identical "
                 f"(native={dynamic_summary['native_kernel']}, "
                 f"{dynamic_summary['dynamic_2dom']['reallocations']} "
                 "reallocations byte-equal)"
@@ -1554,8 +1469,6 @@ def main(argv=None):
     if "engine" in wanted:
         summary, counters = run(repeats=args.repeats, workers=args.workers)
         outputs.append((args.output, summary))
-    if "trace" in wanted:
-        outputs.append((args.trace_output, run_trace(repeats=args.repeats)))
     if "tracepack" in wanted:
         outputs.append(
             (args.tracepack_output, run_tracepack(repeats=args.repeats))

@@ -27,7 +27,6 @@ class CacheLevel:
         line_size=64,
         replacement="lru",
         indexing="mod",
-        tag_index=True,
     ):
         if capacity_bytes % (num_ways * line_size):
             raise ConfigurationError(
@@ -51,11 +50,8 @@ class CacheLevel:
             _REPLACEMENT[replacement](num_ways) for _ in range(self.num_sets)
         ]
         # tag -> way per set, kept in sync on fill/invalidate, turning the
-        # O(ways) presence scan into one dict probe. ``tag_index=False``
-        # preserves the original linear-scan path for benchmarking.
-        self._tag_index = (
-            [dict() for _ in range(self.num_sets)] if tag_index else None
-        )
+        # O(ways) presence scan into one dict probe.
+        self._tag_index = [dict() for _ in range(self.num_sets)]
         self.stats = CacheStats()
 
     # -- lookup ----------------------------------------------------------
@@ -66,12 +62,7 @@ class CacheLevel:
     def find(self, line_number):
         """Return (set_index, way) if the line is present, else (set, None)."""
         set_idx = self.set_index(line_number)
-        if self._tag_index is not None:
-            return set_idx, self._tag_index[set_idx].get(line_number)
-        for way, cl in enumerate(self._sets[set_idx]):
-            if cl.valid and cl.tag == line_number:
-                return set_idx, way
-        return set_idx, None
+        return set_idx, self._tag_index[set_idx].get(line_number)
 
     def contains(self, line_number):
         return self.find(line_number)[1] is not None
@@ -136,8 +127,7 @@ class CacheLevel:
             self.stats.evictions += 1
             if victim.dirty:
                 self.stats.writebacks += 1
-            if self._tag_index is not None:
-                self._tag_index[set_idx].pop(victim.tag, None)
+            self._tag_index[set_idx].pop(victim.tag, None)
 
         cl = cache_set[victim_way]
         cl.tag = line_number
@@ -146,8 +136,7 @@ class CacheLevel:
         cl.sharers = (1 << sharer) if sharer is not None else 0
         cl.prefetched = prefetch
         cl.touched_after_prefetch = False
-        if self._tag_index is not None:
-            self._tag_index[set_idx][line_number] = victim_way
+        self._tag_index[set_idx][line_number] = victim_way
         self.stats.fills += 1
         if prefetch:
             self.stats.prefetch_fills += 1
@@ -181,8 +170,7 @@ class CacheLevel:
         cl = self._sets[set_idx][way]
         was_dirty = cl.dirty
         cl.reset()
-        if self._tag_index is not None:
-            self._tag_index[set_idx].pop(line_number, None)
+        self._tag_index[set_idx].pop(line_number, None)
         self.stats.back_invalidations += 1
         return was_dirty
 

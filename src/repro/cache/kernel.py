@@ -29,7 +29,7 @@ from repro.cache.cache import CacheLevel, _INDEXING
 from repro.cache.stats import CacheStats
 from repro.util.errors import ConfigurationError, ValidationError
 
-BACKENDS = ("object", "seed", "kernel")
+BACKENDS = ("object", "kernel")
 
 _INDEX_MEMO_CAP = 1 << 20  # bound the hashed-index memo on huge footprints
 
@@ -775,7 +775,7 @@ def _plru_touch_table(num_ways, set_masks, clear_invs, leaves):
 
 
 def _pack_walk_supported(hierarchy, core):
-    """Shared guards for both pack-walk variants (same as the fused walk)."""
+    """The fused walk's level arrangement, which the epoch drivers share."""
     l1 = hierarchy.l1[core]
     l2 = hierarchy.l2[core]
     llc = hierarchy.llc.storage
@@ -810,53 +810,6 @@ def _lean_walk_eligible(hierarchy, core):
     return True
 
 
-def build_pack_walk(hierarchy, core, think_cycles=0, lean=False):
-    """A fused walk specialized for compiled-pack replay.
-
-    Same state transitions as :func:`build_fused_walk` (bit-identical
-    caches and stats totals), restructured for the tightest per-access
-    cost on long replays:
-
-    - the LLC set index comes precomputed from the pack's geometry
-      column (``walk(line, llc_set, ...)``) — no hashing on the hot path;
-    - the walk returns the access's whole virtual-time delta
-      (``latency + think_cycles``) as a closure constant and counts hit
-      levels internally, so the scheduler loop is three ops per access;
-    - level counters accumulate in closure-local integers and land in
-      the :class:`CacheStats` objects on ``flush()`` (all stat mutations
-      are commutative increments, so rare direct updates from fallback
-      helpers and cross-core invalidations interleave safely);
-    - PLRU victims and touches are table lookups (full tables for the
-      8-way L2, a lazy per-mask memo for the way-masked LLC), and the
-      partition mask is captured at build time (masks never change
-      mid-run);
-    - back-invalidation visits only the victim's sharer bits, with a
-      fast path for the overwhelmingly common self-owned victim.
-
-    With ``lean=True`` (read-only replay, see :func:`_lean_walk_eligible`)
-    the walk also drops every dirty/prefetch/inner-sharer update and
-    drives L1 recency through the 40320-state LRU permutation FSM; the
-    signature narrows to ``walk(line, llc_set)``. Returns ``None`` when
-    unsupported, else ``(walk, flush, report)`` where ``report()`` gives
-    the ``(l1_hits, l2_hits, llc_hits, llc_misses)`` level counts and
-    ``flush()`` must run when the replay ends (the engine uses a
-    ``finally``).
-    """
-    if not _pack_walk_supported(hierarchy, core):
-        return None
-    if lean:
-        if not _lean_walk_eligible(hierarchy, core):
-            return None
-        return _build_lean_pack_walk(hierarchy, core, think_cycles)
-    return _build_general_pack_walk(hierarchy, core, think_cycles)
-
-
-def _capture_llc(hierarchy, core):
-    llc_part = hierarchy.llc
-    llc = llc_part.storage
-    return llc, llc_part._mask_bits[core], tuple(llc_part._mask_ways[core])
-
-
 # Way-masked PLRU victims depend only on (tree geometry, mask, bits), so
 # the lazy bits -> victim memo is shared process-wide per mask and stays
 # warm across engine instances and repeated replays.
@@ -868,19 +821,6 @@ def _llc_victim_memo(leaves, num_ways, mask_bits):
     memo = _LLC_VICTIM_MEMOS.get(key)
     if memo is None:
         memo = _LLC_VICTIM_MEMOS[key] = {}
-    return memo
-
-
-# The pair loop memoizes the whole eviction outcome per PLRU state:
-# bits -> (post-touch bits << 4) | victim, again shared per mask.
-_LLC_FILL_MEMOS = {}
-
-
-def _llc_fill_memo(leaves, num_ways, mask_bits):
-    key = (leaves, num_ways, mask_bits)
-    memo = _LLC_FILL_MEMOS.get(key)
-    if memo is None:
-        memo = _LLC_FILL_MEMOS[key] = {}
     return memo
 
 
@@ -925,9 +865,33 @@ def _flush_level_deltas(stats, hits, misses, evictions, writebacks, core):
 
 
 def _build_lean_pack_walk(hierarchy, core, think_cycles):
+    """One core's read-only pack-replay walk, the Python epoch driver's
+    per-access step.
+
+    Same state transitions as :func:`build_fused_walk` (bit-identical
+    caches and stats totals), restructured for long replays:
+
+    - the LLC set index comes precomputed from the pack's geometry
+      column (``walk(line, llc_set)``) — no hashing on the hot path;
+    - the walk returns the access's whole virtual-time delta
+      (``latency + think_cycles``) and counts hit levels in closure
+      locals, which land in the :class:`CacheStats` objects on
+      ``flush()`` (all stat mutations are commutative increments);
+    - every dirty/prefetch/inner-sharer update is dropped (see
+      :func:`_lean_walk_eligible`), L1 recency runs on the 40320-state
+      LRU permutation FSM, L2 PLRU victims and touches are table
+      lookups, and the LLC partition mask is captured at build time;
+    - back-invalidation visits only the victim's sharer bits, with a
+      fast path for the common self-owned victim.
+
+    Returns ``(walk, flush, report)`` where ``report()`` gives the
+    ``(l1_hits, l2_hits, llc_hits, llc_misses)`` level counts and
+    ``flush()`` must run when the replay ends or the masks change.
+    """
     l1 = hierarchy.l1[core]
     l2 = hierarchy.l2[core]
-    llc, mbits, mask_ways_core = _capture_llc(hierarchy, core)
+    llc = hierarchy.llc.storage
+    mbits = hierarchy.llc._mask_bits[core]
 
     h = hierarchy
     cores_range = range(h.num_cores)
@@ -1143,458 +1107,6 @@ def _build_lean_pack_walk(hierarchy, core, think_cycles):
     return walk, flush, report
 
 
-def build_lean_pair_walk(hierarchy, cores, thinks):
-    """Fused two-domain lean replay: scheduler and both walks in one frame.
-
-    The per-walk lean closure still pays a Python call, closure-cell
-    loads, and scheduler dispatch on every access. For the dominant
-    two-workload co-run this builder fuses the ``(vtime, slot)``
-    scheduler and both cores' lean walks into a single module-level
-    loop (:func:`_lean_pair_loop`) whose entire working state — tables,
-    arrays, counters, virtual times — lives in function locals, cutting
-    the per-access interpreter overhead well below the closure path.
-    State transitions are copied line-for-line from
-    :func:`_build_lean_pack_walk`, so replays stay bit-identical.
-
-    Returns ``None`` when any precondition fails (profiler attached,
-    unsupported geometry, non-lean state), else ``(loop, finish)``:
-    ``loop(lines0, sets0, lines1, sets1, n0, n1, rep0, rep1, total)``
-    runs the whole replay and returns the raw counter tuple, and
-    ``finish(result)`` deposits stat deltas, rewrites the L1 stamp
-    arrays from the recency FSMs, and returns
-    ``((per-core level counts), (vtime0, vtime1))``.
-    """
-    if hierarchy.llc_profiler is not None:
-        return None
-    for core in cores:
-        if not _pack_walk_supported(hierarchy, core):
-            return None
-        if not _lean_walk_eligible(hierarchy, core):
-            return None
-
-    h = hierarchy
-    llc = h.llc.storage
-    l1_touch, l1_fill_of, l1_perms, l1_perm_index = _lru8_tables()
-    _, l2_touch_of, l2_fill_of = _plru8_fill_tables(h.l2[cores[0]])
-    inner_l1 = [lvl._lookup for lvl in h.l1]
-    inner_l2 = [lvl._lookup for lvl in h.l2]
-    l1_inval = [lvl.invalidate for lvl in h.l1]
-    l2_inval = [lvl.invalidate for lvl in h.l2]
-    shared = (
-        llc._lookup, llc._tags, llc._sharers, llc._valid, llc._plru,
-        llc._plru_set, llc._plru_clear_inv, llc._plru_left,
-        llc._plru_right, llc._leaves, llc.num_ways,
-        l1_touch, l1_fill_of, l2_touch_of, l2_fill_of,
-        inner_l1, inner_l2, l1_inval, l2_inval, range(h.num_cores),
-    )
-
-    core_state = []
-    l1_states = []
-    for core, think in zip(cores, thinks):
-        l1 = h.l1[core]
-        l2 = h.l2[core]
-        _, mbits, _ = _capture_llc(h, core)
-        l1_stamp = l1._stamp
-        l1_state = [0] * l1.num_sets
-        for s in range(l1.num_sets):
-            seg = l1_stamp[s << 3:(s << 3) + 8]
-            order = sorted(range(8), key=seg.__getitem__, reverse=True)
-            l1_state[s] = l1_perm_index[tuple(order)]
-        l1_states.append(l1_state)
-        core_state.append((
-            4 + think, 12 + think, 30 + think, 200 + think,
-            1 << core, mbits,
-            _llc_fill_memo(llc._leaves, llc.num_ways, mbits),
-            l1._mod_mask, l1._lookup, l1._tags, l1_state, l1._valid,
-            l2._mod_mask, l2._lookup, l2._tags, l2._plru, l2._valid,
-            l1.invalidate, l2.invalidate,
-        ))
-
-    def loop(lines0, sets0, lines1, sets1, n0, n1, rep0, rep1, total):
-        return _lean_pair_loop(
-            shared, core_state[0], core_state[1], lines0, sets0,
-            lines1, sets1, n0, n1, rep0, rep1, total,
-        )
-
-    def finish(res):
-        (t0, t1,
-         h1a, h2a, h3a, m3a, e1a, e2a, e3a,
-         h1b, h2b, h3b, m3b, e1b, e2b, e3b) = res
-        llc_stats = llc.stats
-        counts = ((h1a, h2a, h3a, m3a), (h1b, h2b, h3b, m3b))
-        evs = ((e1a, e2a, e3a), (e1b, e2b, e3b))
-        for i, core in enumerate(cores):
-            h1, h2, h3, m3 = counts[i]
-            e1, e2, e3 = evs[i]
-            m2 = h3 + m3
-            m1 = h2 + m2
-            _flush_level_deltas(h.l1[core].stats, h1, m1, e1, 0, core)
-            _flush_level_deltas(h.l2[core].stats, h2, m2, e2, 0, core)
-            _flush_level_deltas(llc_stats, h3, m3, e3, 0, core)
-            l1 = h.l1[core]
-            l1_stamp = l1._stamp
-            l1_state = l1_states[i]
-            clock = l1._clock
-            top = clock + 7
-            for s in range(len(l1_state)):
-                perm = l1_perms[l1_state[s]]
-                base = s << 3
-                for rank in range(8):
-                    l1_stamp[base + perm[rank]] = top - rank
-            l1._clock = clock + 8
-        return counts, (t0, t1)
-
-    return loop, finish
-
-
-def _lean_pair_loop(shared, ca, cb, l0, s0, l1c, s1c, n0, n1, rep0, rep1,
-                    total):
-    """Whole-replay fused loop for two lean domains (see builder above).
-
-    Everything the per-access code touches is a function local; the
-    bodies for core A and core B are mechanical mirrors of each other
-    and of the lean walk's transitions.
-    """
-    (llc_lookup, llc_tags, llc_sharers, llc_valid, llc_plru,
-     llc_pset, llc_pclr, llc_left, llc_right, llc_leaves, llc_W,
-     l1_touch, l1_fill_of, l2_touch_of, l2_fill_of,
-     inner_l1, inner_l2, l1_inval, l2_inval, cores_range) = shared
-    (lt0a, lt1a, lt2a, lt3a, cba, mba, vma,
-     a1_mod, a1_lookup, a1_tags, a1_state, a1_valid,
-     a2_mod, a2_lookup, a2_tags, a2_plru, a2_valid,
-     a1_invown, a2_invown) = ca
-    (lt0b, lt1b, lt2b, lt3b, cbb, mbb, vmb,
-     b1_mod, b1_lookup, b1_tags, b1_state, b1_valid,
-     b2_mod, b2_lookup, b2_tags, b2_plru, b2_valid,
-     b1_invown, b2_invown) = cb
-    vma_get = vma.get
-    vmb_get = vmb.get
-
-    h1a = h2a = h3a = m3a = e1a = e2a = e3a = 0
-    h1b = h2b = h3b = m3b = e1b = e2b = e3b = 0
-    t0 = t1 = 0
-    i0 = i1 = 0
-    base0 = base1 = 0
-    live0 = n0 > 0
-    live1 = n1 > 0
-    issued = 0
-    while issued < total and (live0 or live1):
-        retired = False
-        for _ in range(total - issued):
-            if live0 and (not live1 or t0 <= t1):
-                if i0 == n0:
-                    if not rep0:
-                        live0 = False
-                        retired = True
-                        break
-                    i0 = 0
-                    base0 += n0
-                line = l0[i0]
-                s3 = s0[i0]
-                i0 += 1
-                # ---- core A access (mirrors the lean walk) --------------
-                s1 = line & a1_mod
-                look1 = a1_lookup[s1]
-                if line in look1:
-                    h1a += 1
-                    a1_state[s1] = l1_touch[
-                        (a1_state[s1] << 3) + look1[line]
-                    ]
-                    t0 += lt0a
-                    continue
-                s2 = line & a2_mod
-                look2 = a2_lookup[s2]
-                if line in look2:
-                    h2a += 1
-                    a2_plru[s2] = l2_touch_of[
-                        (a2_plru[s2] << 3) + look2[line]
-                    ]
-                    t0 += lt1a
-                else:
-                    look3 = llc_lookup[s3]
-                    if line in look3:
-                        way = look3[line]
-                        h3a += 1
-                        llc_plru[s3] = (
-                            llc_plru[s3] | llc_pset[way]
-                        ) & llc_pclr[way]
-                        llc_sharers[s3 * llc_W + way] |= cba
-                        t0 += lt2a
-                    else:
-                        m3a += 1
-                        valid3 = llc_valid[s3]
-                        inv = ~valid3 & mba
-                        if inv:
-                            vbit = inv & -inv
-                            victim = vbit.bit_length() - 1
-                            llc_valid[s3] = valid3 | vbit
-                            base = s3 * llc_W + victim
-                            llc_tags[base] = line
-                            llc_sharers[base] = cba
-                            look3[line] = victim
-                            llc_plru[s3] = (
-                                llc_plru[s3] | llc_pset[victim]
-                            ) & llc_pclr[victim]
-                        else:
-                            bits = llc_plru[s3]
-                            fill3 = vma_get(bits)
-                            if fill3 is None:
-                                node = 1
-                                while node < llc_leaves:
-                                    go_right = (bits >> node) & 1
-                                    if go_right:
-                                        if not mba & llc_right[node]:
-                                            go_right = 0
-                                    elif not mba & llc_left[node]:
-                                        go_right = 1
-                                    node = (
-                                        2 * node + 1 if go_right else 2 * node
-                                    )
-                                victim = node - llc_leaves
-                                fill3 = (
-                                    ((bits | llc_pset[victim])
-                                     & llc_pclr[victim]) << 4
-                                ) | victim
-                                vma[bits] = fill3
-                            victim = fill3 & 15
-                            base = s3 * llc_W + victim
-                            old_tag = llc_tags[base]
-                            old_sharers = llc_sharers[base]
-                            e3a += 1
-                            del look3[old_tag]
-                            if old_sharers == cba:
-                                if old_tag in a1_lookup[old_tag & a1_mod]:
-                                    a1_invown(old_tag)
-                                if old_tag in a2_lookup[old_tag & a2_mod]:
-                                    a2_invown(old_tag)
-                            elif old_sharers:
-                                sh = old_sharers
-                                while sh:
-                                    low = sh & -sh
-                                    c = low.bit_length() - 1
-                                    sh ^= low
-                                    if old_tag in inner_l1[c][
-                                        old_tag & a1_mod
-                                    ]:
-                                        l1_inval[c](old_tag)
-                                    if old_tag in inner_l2[c][
-                                        old_tag & a2_mod
-                                    ]:
-                                        l2_inval[c](old_tag)
-                            else:
-                                for c in cores_range:
-                                    if old_tag in inner_l1[c][
-                                        old_tag & a1_mod
-                                    ]:
-                                        l1_inval[c](old_tag)
-                                    if old_tag in inner_l2[c][
-                                        old_tag & a2_mod
-                                    ]:
-                                        l2_inval[c](old_tag)
-                            llc_tags[base] = line
-                            llc_sharers[base] = cba
-                            look3[line] = victim
-                            llc_plru[s3] = fill3 >> 4
-                        t0 += lt3a
-                    valid2 = a2_valid[s2]
-                    if valid2 == 255:
-                        packed = l2_fill_of[a2_plru[s2]]
-                        victim = packed & 7
-                        a2_plru[s2] = packed >> 3
-                        base = (s2 << 3) + victim
-                        e2a += 1
-                        del look2[a2_tags[base]]
-                    else:
-                        vbit = ~valid2 & 255
-                        vbit &= -vbit
-                        victim = vbit.bit_length() - 1
-                        a2_valid[s2] = valid2 | vbit
-                        base = (s2 << 3) + victim
-                        a2_plru[s2] = l2_touch_of[
-                            (a2_plru[s2] << 3) + victim
-                        ]
-                    a2_tags[base] = line
-                    look2[line] = victim
-                valid1 = a1_valid[s1]
-                st = a1_state[s1]
-                if valid1 == 255:
-                    packed = l1_fill_of[st]
-                    victim = packed & 7
-                    a1_state[s1] = packed >> 3
-                    base = (s1 << 3) + victim
-                    e1a += 1
-                    del look1[a1_tags[base]]
-                else:
-                    vbit = ~valid1 & 255
-                    vbit &= -vbit
-                    victim = vbit.bit_length() - 1
-                    a1_valid[s1] = valid1 | vbit
-                    base = (s1 << 3) + victim
-                    a1_state[s1] = l1_touch[(st << 3) + victim]
-                a1_tags[base] = line
-                look1[line] = victim
-            elif live1:
-                if i1 == n1:
-                    if not rep1:
-                        live1 = False
-                        retired = True
-                        break
-                    i1 = 0
-                    base1 += n1
-                line = l1c[i1]
-                s3 = s1c[i1]
-                i1 += 1
-                # ---- core B access (mirror of core A) -------------------
-                s1 = line & b1_mod
-                look1 = b1_lookup[s1]
-                if line in look1:
-                    h1b += 1
-                    b1_state[s1] = l1_touch[
-                        (b1_state[s1] << 3) + look1[line]
-                    ]
-                    t1 += lt0b
-                    continue
-                s2 = line & b2_mod
-                look2 = b2_lookup[s2]
-                if line in look2:
-                    h2b += 1
-                    b2_plru[s2] = l2_touch_of[
-                        (b2_plru[s2] << 3) + look2[line]
-                    ]
-                    t1 += lt1b
-                else:
-                    look3 = llc_lookup[s3]
-                    if line in look3:
-                        way = look3[line]
-                        h3b += 1
-                        llc_plru[s3] = (
-                            llc_plru[s3] | llc_pset[way]
-                        ) & llc_pclr[way]
-                        llc_sharers[s3 * llc_W + way] |= cbb
-                        t1 += lt2b
-                    else:
-                        m3b += 1
-                        valid3 = llc_valid[s3]
-                        inv = ~valid3 & mbb
-                        if inv:
-                            vbit = inv & -inv
-                            victim = vbit.bit_length() - 1
-                            llc_valid[s3] = valid3 | vbit
-                            base = s3 * llc_W + victim
-                            llc_tags[base] = line
-                            llc_sharers[base] = cbb
-                            look3[line] = victim
-                            llc_plru[s3] = (
-                                llc_plru[s3] | llc_pset[victim]
-                            ) & llc_pclr[victim]
-                        else:
-                            bits = llc_plru[s3]
-                            fill3 = vmb_get(bits)
-                            if fill3 is None:
-                                node = 1
-                                while node < llc_leaves:
-                                    go_right = (bits >> node) & 1
-                                    if go_right:
-                                        if not mbb & llc_right[node]:
-                                            go_right = 0
-                                    elif not mbb & llc_left[node]:
-                                        go_right = 1
-                                    node = (
-                                        2 * node + 1 if go_right else 2 * node
-                                    )
-                                victim = node - llc_leaves
-                                fill3 = (
-                                    ((bits | llc_pset[victim])
-                                     & llc_pclr[victim]) << 4
-                                ) | victim
-                                vmb[bits] = fill3
-                            victim = fill3 & 15
-                            base = s3 * llc_W + victim
-                            old_tag = llc_tags[base]
-                            old_sharers = llc_sharers[base]
-                            e3b += 1
-                            del look3[old_tag]
-                            if old_sharers == cbb:
-                                if old_tag in b1_lookup[old_tag & b1_mod]:
-                                    b1_invown(old_tag)
-                                if old_tag in b2_lookup[old_tag & b2_mod]:
-                                    b2_invown(old_tag)
-                            elif old_sharers:
-                                sh = old_sharers
-                                while sh:
-                                    low = sh & -sh
-                                    c = low.bit_length() - 1
-                                    sh ^= low
-                                    if old_tag in inner_l1[c][
-                                        old_tag & b1_mod
-                                    ]:
-                                        l1_inval[c](old_tag)
-                                    if old_tag in inner_l2[c][
-                                        old_tag & b2_mod
-                                    ]:
-                                        l2_inval[c](old_tag)
-                            else:
-                                for c in cores_range:
-                                    if old_tag in inner_l1[c][
-                                        old_tag & b1_mod
-                                    ]:
-                                        l1_inval[c](old_tag)
-                                    if old_tag in inner_l2[c][
-                                        old_tag & b2_mod
-                                    ]:
-                                        l2_inval[c](old_tag)
-                            llc_tags[base] = line
-                            llc_sharers[base] = cbb
-                            look3[line] = victim
-                            llc_plru[s3] = fill3 >> 4
-                        t1 += lt3b
-                    valid2 = b2_valid[s2]
-                    if valid2 == 255:
-                        packed = l2_fill_of[b2_plru[s2]]
-                        victim = packed & 7
-                        b2_plru[s2] = packed >> 3
-                        base = (s2 << 3) + victim
-                        e2b += 1
-                        del look2[b2_tags[base]]
-                    else:
-                        vbit = ~valid2 & 255
-                        vbit &= -vbit
-                        victim = vbit.bit_length() - 1
-                        b2_valid[s2] = valid2 | vbit
-                        base = (s2 << 3) + victim
-                        b2_plru[s2] = l2_touch_of[
-                            (b2_plru[s2] << 3) + victim
-                        ]
-                    b2_tags[base] = line
-                    look2[line] = victim
-                valid1 = b1_valid[s1]
-                st = b1_state[s1]
-                if valid1 == 255:
-                    packed = l1_fill_of[st]
-                    victim = packed & 7
-                    b1_state[s1] = packed >> 3
-                    base = (s1 << 3) + victim
-                    e1b += 1
-                    del look1[b1_tags[base]]
-                else:
-                    vbit = ~valid1 & 255
-                    vbit &= -vbit
-                    victim = vbit.bit_length() - 1
-                    b1_valid[s1] = valid1 | vbit
-                    base = (s1 << 3) + victim
-                    b1_state[s1] = l1_touch[(st << 3) + victim]
-                b1_tags[base] = line
-                look1[line] = victim
-            else:
-                break
-        if not retired:
-            break
-        issued = base0 + i0 + base1 + i1
-    return (t0, t1,
-            h1a, h2a, h3a, m3a, e1a, e2a, e3a,
-            h1b, h2b, h3b, m3b, e1b, e2b, e3b)
-
-
 # numpy mirrors of the recency tables for the native kernel, built once
 # per process (keyed like their list-of-int counterparts).
 _NP_TABLES = {}
@@ -1673,185 +1185,6 @@ def _rebuild_lookup(lookup, tags, valid, num_ways):
         pos += num_ways
 
 
-def build_native_pair_walk(hierarchy, cores, thinks):
-    """Native (compiled) variant of :func:`build_lean_pair_walk`.
-
-    Snapshots every cache level into flat int64 arrays, hands them with
-    the pack's raw int64 columns to the C loop in ``pairwalk.c``, and
-    writes the mutated state (tags, valid bits, sharers, recency,
-    lookup dicts, stats deltas) back on ``finish()``. Bit-identical to
-    the Python loops by construction — the C code is a port of
-    :func:`_lean_pair_loop` over the same tables.
-
-    Returns ``None`` whenever the Python pair loop would (profiler,
-    geometry, non-lean state), when no compiled kernel is available
-    (no compiler, ``REPRO_NATIVE=0``), or when any core's inner levels
-    deviate from the uniform mod-indexed 8-way shape the flat layout
-    assumes.
-    """
-    if hierarchy.llc_profiler is not None:
-        return None
-    for core in cores:
-        if not _pack_walk_supported(hierarchy, core):
-            return None
-        if not _lean_walk_eligible(hierarchy, core):
-            return None
-
-    h = hierarchy
-    llc = h.llc.storage
-    if llc.num_ways > 62:
-        return None
-    l1_mod = h.l1[cores[0]]._mod_mask
-    l2_mod = h.l2[cores[0]]._mod_mask
-    for c in range(h.num_cores):
-        l1 = h.l1[c]
-        l2 = h.l2[c]
-        if not isinstance(l1, KernelCacheLevel) or not isinstance(
-            l2, KernelCacheLevel
-        ):
-            return None
-        if l1.num_ways != 8 or l2.num_ways != 8:
-            return None
-        if l1._mod_mask != l1_mod or l2._mod_mask != l2_mod:
-            return None
-
-    from repro.cache import native
-
-    fn = native.pair_walk_fn()
-    if fn is None:
-        return None
-
-    import ctypes
-
-    import numpy as np
-
-    i64 = np.int64
-    l1_touch, l1_fill = _np_lru8_tables()
-    l2_touch, l2_fill = _np_plru8_tables(h.l2[cores[0]])
-    pset, pclr, pleft, pright = _np_llc_geometry(llc)
-    _, _, l1_perms, l1_perm_index = _lru8_tables()
-
-    g_tags = np.array(llc._tags, dtype=i64)
-    g_sharers = np.array(llc._sharers, dtype=i64)
-    g_valid = np.array(llc._valid, dtype=i64)
-    g_plru = np.array(llc._plru, dtype=i64)
-    num_cores = h.num_cores
-    i1_tags = np.concatenate(
-        [np.array(h.l1[c]._tags, dtype=i64) for c in range(num_cores)]
-    )
-    i1_valid = np.concatenate(
-        [np.array(h.l1[c]._valid, dtype=i64) for c in range(num_cores)]
-    )
-    i2_tags = np.concatenate(
-        [np.array(h.l2[c]._tags, dtype=i64) for c in range(num_cores)]
-    )
-    i2_valid = np.concatenate(
-        [np.array(h.l2[c]._valid, dtype=i64) for c in range(num_cores)]
-    )
-    states = [
-        np.array(_l1_perm_state(h.l1[core], l1_perm_index), dtype=i64)
-        for core in cores
-    ]
-    plru2s = [np.array(h.l2[core]._plru, dtype=i64) for core in cores]
-
-    cfg = np.zeros(24, dtype=i64)
-    cfg[5] = llc._leaves
-    cfg[6] = llc.num_ways
-    cfg[7] = l1_mod
-    cfg[8] = l2_mod
-    cfg[9] = cores[0]
-    cfg[10] = cores[1]
-    cfg[11] = num_cores
-    for slot, (core, think) in enumerate(zip(cores, thinks)):
-        cfg[12 + 4 * slot:16 + 4 * slot] = (
-            4 + think, 12 + think, 30 + think, 200 + think,
-        )
-        cfg[20 + slot] = 1 << core
-        cfg[22 + slot] = h.llc._mask_bits[core]
-    out = np.zeros(16 + 2 * num_cores, dtype=i64)
-
-    def _ptr(arr):
-        return ctypes.c_void_p(arr.ctypes.data)
-
-    def _col(col):
-        return np.ascontiguousarray(np.asarray(col, dtype=i64))
-
-    def loop(lines0, sets0, lines1, sets1, n0, n1, rep0, rep1, total):
-        cols = [_col(c) for c in (lines0, sets0, lines1, sets1)]
-        cfg[0] = n0
-        cfg[1] = n1
-        cfg[2] = bool(rep0)
-        cfg[3] = bool(rep1)
-        cfg[4] = total
-        fn(
-            _ptr(cfg), _ptr(cols[0]), _ptr(cols[1]), _ptr(cols[2]),
-            _ptr(cols[3]),
-            _ptr(g_tags), _ptr(g_sharers), _ptr(g_valid), _ptr(g_plru),
-            _ptr(pset), _ptr(pclr), _ptr(pleft), _ptr(pright),
-            _ptr(l1_touch), _ptr(l1_fill), _ptr(l2_touch), _ptr(l2_fill),
-            _ptr(i1_tags), _ptr(i1_valid), _ptr(i2_tags), _ptr(i2_valid),
-            _ptr(states[0]), _ptr(states[1]), _ptr(plru2s[0]),
-            _ptr(plru2s[1]),
-            _ptr(out),
-        )
-        return out
-
-    def finish(res):
-        (t0, t1,
-         h1a, h2a, h3a, m3a, e1a, e2a, e3a,
-         h1b, h2b, h3b, m3b, e1b, e2b, e3b) = (int(x) for x in res[:16])
-        llc._tags[:] = g_tags.tolist()
-        llc._sharers[:] = g_sharers.tolist()
-        llc._valid[:] = g_valid.tolist()
-        llc._plru[:] = g_plru.tolist()
-        _rebuild_lookup(llc._lookup, llc._tags, llc._valid, llc.num_ways)
-        s1_count = l1_mod + 1
-        s2_count = l2_mod + 1
-        for c in range(num_cores):
-            l1 = h.l1[c]
-            l1._tags[:] = i1_tags[c * s1_count * 8:(c + 1) * s1_count * 8
-                                  ].tolist()
-            l1._valid[:] = i1_valid[c * s1_count:(c + 1) * s1_count].tolist()
-            _rebuild_lookup(l1._lookup, l1._tags, l1._valid, 8)
-            bi = int(res[16 + c])
-            if bi:
-                l1.stats.back_invalidations += bi
-            l2 = h.l2[c]
-            l2._tags[:] = i2_tags[c * s2_count * 8:(c + 1) * s2_count * 8
-                                  ].tolist()
-            l2._valid[:] = i2_valid[c * s2_count:(c + 1) * s2_count].tolist()
-            _rebuild_lookup(l2._lookup, l2._tags, l2._valid, 8)
-            bi = int(res[16 + num_cores + c])
-            if bi:
-                l2.stats.back_invalidations += bi
-        llc_stats = llc.stats
-        counts = ((h1a, h2a, h3a, m3a), (h1b, h2b, h3b, m3b))
-        evs = ((e1a, e2a, e3a), (e1b, e2b, e3b))
-        for i, core in enumerate(cores):
-            h1, h2, h3, m3 = counts[i]
-            e1, e2, e3 = evs[i]
-            m2 = h3 + m3
-            m1 = h2 + m2
-            _flush_level_deltas(h.l1[core].stats, h1, m1, e1, 0, core)
-            _flush_level_deltas(h.l2[core].stats, h2, m2, e2, 0, core)
-            _flush_level_deltas(llc_stats, h3, m3, e3, 0, core)
-            l1 = h.l1[core]
-            l1_stamp = l1._stamp
-            final_state = states[i].tolist()
-            h.l2[core]._plru[:] = plru2s[i].tolist()
-            clock = l1._clock
-            top = clock + 7
-            for s in range(len(final_state)):
-                perm = l1_perms[final_state[s]]
-                base = s << 3
-                for rank in range(8):
-                    l1_stamp[base + perm[rank]] = top - rank
-            l1._clock = clock + 8
-        return counts, (t0, t1)
-
-    return loop, finish
-
-
 # ---------------------------------------------------------------------------
 # Epoch-resumable N-domain replay (multiwalk.c + pure-Python reference)
 # ---------------------------------------------------------------------------
@@ -1864,13 +1197,11 @@ _D_H1 = 12  # h1, h2, h3, m3, e1, e2, e3 follow contiguously
 _D_E1 = 16
 # cfg[] per-cell scalars; must match the CFG_* enum in multiwalk.c.
 _CFG_SLOTS = 8
-_CFG_STOP = 6
+_CFG_STOP, _CFG_HORIZON = 6, 7
 
 
 def _epoch_replay_supported(hierarchy, cores):
-    """Guards shared by both epoch drivers (the native one adds its own)."""
-    if hierarchy.llc_profiler is not None:
-        return False
+    """Guards shared by both epoch drivers (the native ones add their own)."""
     if len(set(cores)) != len(cores):
         return False
     for core in cores:
@@ -1899,8 +1230,12 @@ class PythonEpochReplay:
     bound checked before issuing — over the per-core closures from
     :func:`_build_lean_pack_walk`. Virtual times and slot keys are
     unique, so the scan order equals the ``(vtime, slot)`` heap order of
-    ``TraceEngine._packed_heap`` and replays are bit-identical to both
-    the heap loop and the native kernel.
+    :meth:`TraceEngine.run` and replays are bit-identical to both that
+    reference and the native kernel.
+
+    It is the only epoch driver that accepts an attached LLC profiler:
+    the lean walks report every LLC probe to it, exactly as the fused
+    walk does, so a profiled pass replays here.
 
     The lean closures capture the LLC way-mask bits at build time, so
     :meth:`refresh_masks` synchronizes counters and recency state back
@@ -2012,241 +1347,11 @@ class PythonEpochReplay:
         return counts, tuple(self._vtimes)
 
 
-class NativeEpochReplay:
-    """Epoch driver over the compiled ``multiwalk.c`` kernel.
-
-    Snapshots every cache level into flat int64 buffers once, then each
-    :meth:`run_epoch` is a single ``ctypes`` call that advances the
-    replay and returns with all state — tags, valid bits, sharers,
-    recency words, per-domain counters and virtual times, the issued
-    total — intact in those buffers. :meth:`refresh_masks` rewrites only
-    the per-domain mask words, so a partition change between epochs
-    costs nothing and flushes nothing. :meth:`finish` writes the final
-    state back into the :class:`KernelCacheLevel` objects exactly like
-    :func:`build_native_pair_walk`'s ``finish``.
-    """
-
-    native = True
-
-    def __init__(self, hierarchy, cores, thinks, lines, sets, lengths,
-                 repeats, fn):
-        import ctypes
-
-        import numpy as np
-
-        i64 = np.int64
-        h = hierarchy
-        llc = h.llc.storage
-        num_cores = h.num_cores
-        self._h = h
-        self._cores = list(cores)
-        self._fn = fn
-        self._llc_W = llc.num_ways
-
-        l1_touch, l1_fill = _np_lru8_tables()
-        l2_touch, l2_fill = _np_plru8_tables(h.l2[cores[0]])
-        pset, pclr, pleft, pright = _np_llc_geometry(llc)
-        _, _, l1_perms, l1_perm_index = _lru8_tables()
-        self._l1_perms = l1_perms
-
-        g_tags = np.array(llc._tags, dtype=i64)
-        g_sharers = np.array(llc._sharers, dtype=i64)
-        g_valid = np.array(llc._valid, dtype=i64)
-        g_plru = np.array(llc._plru, dtype=i64)
-        self._g_tags, self._g_sharers = g_tags, g_sharers
-        self._g_valid, self._g_plru = g_valid, g_plru
-
-        i1_tags = np.concatenate(
-            [np.array(h.l1[c]._tags, dtype=i64) for c in range(num_cores)]
-        )
-        i1_valid = np.concatenate(
-            [np.array(h.l1[c]._valid, dtype=i64) for c in range(num_cores)]
-        )
-        i2_tags = np.concatenate(
-            [np.array(h.l2[c]._tags, dtype=i64) for c in range(num_cores)]
-        )
-        i2_valid = np.concatenate(
-            [np.array(h.l2[c]._valid, dtype=i64) for c in range(num_cores)]
-        )
-        self._i1_tags, self._i1_valid = i1_tags, i1_valid
-        self._i2_tags, self._i2_valid = i2_tags, i2_valid
-
-        # All-core recency buffers; only participating cores' segments
-        # are ever read or written by the kernel (back-invalidations
-        # touch tags/valid, never recency — same as the object model).
-        l1_sets = h.l1[cores[0]].num_sets
-        l2_sets = h.l2[cores[0]].num_sets
-        self._l1_sets, self._l2_sets = l1_sets, l2_sets
-        l1_state = np.zeros(num_cores * l1_sets, dtype=i64)
-        l2_plru = np.zeros(num_cores * l2_sets, dtype=i64)
-        for core in cores:
-            l1_state[core * l1_sets:(core + 1) * l1_sets] = (
-                _l1_perm_state(h.l1[core], l1_perm_index)
-            )
-            l2_plru[core * l2_sets:(core + 1) * l2_sets] = h.l2[core]._plru
-        self._l1_state, self._l2_plru = l1_state, l2_plru
-
-        cfg = np.zeros(8, dtype=i64)
-        cfg[0] = len(cores)
-        cfg[1] = llc._leaves
-        cfg[2] = llc.num_ways
-        cfg[3] = h.l1[cores[0]]._mod_mask
-        cfg[4] = h.l2[cores[0]]._mod_mask
-        cfg[5] = num_cores
-        self._cfg = cfg
-
-        dom = np.zeros(len(cores) * _DOM_STRIDE, dtype=i64)
-        for slot, (core, think) in enumerate(zip(cores, thinks)):
-            base = slot * _DOM_STRIDE
-            dom[base + 0] = core
-            dom[base + 1] = 1 << core
-            dom[base + 2] = h.llc._mask_bits[core]
-            dom[base + 3:base + 7] = (
-                4 + think, 12 + think, 30 + think, 200 + think,
-            )
-            dom[base + 7] = int(lengths[slot])
-            dom[base + 8] = bool(repeats[slot])
-            dom[base + _D_LIVE] = 1 if lengths[slot] else 0
-        self._dom = dom
-
-        def _col(col):
-            return np.ascontiguousarray(np.asarray(col, dtype=i64))
-
-        self._line_cols = [_col(c) for c in lines]
-        self._set_cols = [_col(c) for c in sets]
-        line_ptrs = np.array(
-            [c.ctypes.data for c in self._line_cols], dtype=np.uintp
-        )
-        set_ptrs = np.array(
-            [c.ctypes.data for c in self._set_cols], dtype=np.uintp
-        )
-
-        bi = np.zeros(2 * num_cores, dtype=i64)
-        sched = np.zeros(1, dtype=i64)
-        self._bi, self._sched = bi, sched
-
-        # Every buffer is owned by self (or a process-wide table memo),
-        # so its address is stable for the driver's lifetime: bind the
-        # whole ctypes argument list once.
-        arrays = (
-            cfg, dom, line_ptrs, set_ptrs,
-            g_tags, g_sharers, g_valid, g_plru,
-            pset, pclr, pleft, pright,
-            l1_touch, l1_fill, l2_touch, l2_fill,
-            i1_tags, i1_valid, l1_state,
-            i2_tags, i2_valid, l2_plru,
-            bi, sched,
-        )
-        self._keep = arrays
-        self._args = [ctypes.c_void_p(a.ctypes.data) for a in arrays]
-
-    @property
-    def issued(self):
-        return int(self._sched[0])
-
-    def vtimes(self):
-        dom = self._dom
-        return [
-            int(dom[s * _DOM_STRIDE + _D_VTIME])
-            for s in range(len(self._cores))
-        ]
-
-    def counters(self, slot):
-        """Cumulative ``(l1_hits, l2_hits, llc_hits, llc_misses)``."""
-        base = slot * _DOM_STRIDE + _D_H1
-        return tuple(int(x) for x in self._dom[base:base + 4])
-
-    def run_epoch(self, stop_at, horizon=-1):
-        cfg = self._cfg
-        cfg[6] = stop_at
-        cfg[7] = horizon
-        self._fn(*self._args)
-        return int(self._sched[0])
-
-    def refresh_masks(self):
-        """Re-read the hierarchy's way masks; nothing else changes."""
-        dom = self._dom
-        mask_bits = self._h.llc._mask_bits
-        for slot, core in enumerate(self._cores):
-            dom[slot * _DOM_STRIDE + _D_MASK] = mask_bits[core]
-
-    def llc_resident(self):
-        lines = []
-        tags = self._g_tags
-        valid = self._g_valid
-        W = self._llc_W
-        for s in range(len(valid)):
-            v = int(valid[s])
-            base = s * W
-            while v:
-                low = v & -v
-                v ^= low
-                lines.append(int(tags[base + low.bit_length() - 1]))
-        return sorted(lines)
-
-    def finish(self):
-        """Write all state back into the hierarchy; call exactly once."""
-        h = self._h
-        llc = h.llc.storage
-        num_cores = h.num_cores
-        llc._tags[:] = self._g_tags.tolist()
-        llc._sharers[:] = self._g_sharers.tolist()
-        llc._valid[:] = self._g_valid.tolist()
-        llc._plru[:] = self._g_plru.tolist()
-        _rebuild_lookup(llc._lookup, llc._tags, llc._valid, llc.num_ways)
-        s1 = self._l1_sets
-        s2 = self._l2_sets
-        for c in range(num_cores):
-            l1 = h.l1[c]
-            l1._tags[:] = self._i1_tags[c * s1 * 8:(c + 1) * s1 * 8].tolist()
-            l1._valid[:] = self._i1_valid[c * s1:(c + 1) * s1].tolist()
-            _rebuild_lookup(l1._lookup, l1._tags, l1._valid, 8)
-            bi = int(self._bi[c])
-            if bi:
-                l1.stats.back_invalidations += bi
-            l2 = h.l2[c]
-            l2._tags[:] = self._i2_tags[c * s2 * 8:(c + 1) * s2 * 8].tolist()
-            l2._valid[:] = self._i2_valid[c * s2:(c + 1) * s2].tolist()
-            _rebuild_lookup(l2._lookup, l2._tags, l2._valid, 8)
-            bi = int(self._bi[num_cores + c])
-            if bi:
-                l2.stats.back_invalidations += bi
-        dom = self._dom
-        llc_stats = llc.stats
-        l1_perms = self._l1_perms
-        counts = []
-        for slot, core in enumerate(self._cores):
-            h1, h2, h3, m3 = self.counters(slot)
-            base = slot * _DOM_STRIDE + _D_E1
-            e1, e2, e3 = (int(x) for x in dom[base:base + 3])
-            m2 = h3 + m3
-            m1 = h2 + m2
-            l1 = h.l1[core]
-            _flush_level_deltas(l1.stats, h1, m1, e1, 0, core)
-            _flush_level_deltas(h.l2[core].stats, h2, m2, e2, 0, core)
-            _flush_level_deltas(llc_stats, h3, m3, e3, 0, core)
-            counts.append((h1, h2, h3, m3))
-            final_state = self._l1_state[core * s1:(core + 1) * s1].tolist()
-            h.l2[core]._plru[:] = (
-                self._l2_plru[core * s2:(core + 1) * s2].tolist()
-            )
-            l1_stamp = l1._stamp
-            clock = l1._clock
-            top = clock + 7
-            for s in range(len(final_state)):
-                perm = l1_perms[final_state[s]]
-                sbase = s << 3
-                for rank in range(8):
-                    l1_stamp[sbase + perm[rank]] = top - rank
-            l1._clock = clock + 8
-        return tuple(counts), tuple(self.vtimes())
-
-
 def build_python_epoch_replay(hierarchy, cores, thinks, lines, sets,
                               lengths, repeats):
     """The pure-Python reference epoch driver, or ``None`` if the lean
-    preconditions (read-only state, 8-way mod-indexed inner levels, no
-    profiler) don't hold."""
+    preconditions (distinct cores, read-only state, 8-way mod-indexed
+    inner levels) don't hold."""
     if not _epoch_replay_supported(hierarchy, cores):
         return None
     return PythonEpochReplay(
@@ -2256,40 +1361,20 @@ def build_python_epoch_replay(hierarchy, cores, thinks, lines, sets,
 
 def build_native_epoch_replay(hierarchy, cores, thinks, lines, sets,
                               lengths, repeats):
-    """Epoch driver over the compiled ``multiwalk.c`` kernel, or ``None``
-    whenever :func:`build_python_epoch_replay` would decline, the kernel
-    is unavailable (no compiler, ``REPRO_NATIVE=0``), or the geometry
-    deviates from the uniform flat layout the C code assumes."""
-    if not _epoch_replay_supported(hierarchy, cores):
-        return None
-    if len(cores) > 16:
-        return None
-    h = hierarchy
-    llc = h.llc.storage
-    if llc.num_ways > 62:
-        return None
-    l1_mod = h.l1[cores[0]]._mod_mask
-    l2_mod = h.l2[cores[0]]._mod_mask
-    for c in range(h.num_cores):
-        l1 = h.l1[c]
-        l2 = h.l2[c]
-        if not isinstance(l1, KernelCacheLevel) or not isinstance(
-            l2, KernelCacheLevel
-        ):
-            return None
-        if l1.num_ways != 8 or l2.num_ways != 8:
-            return None
-        if l1._mod_mask != l1_mod or l2._mod_mask != l2_mod:
-            return None
-
-    from repro.cache import native
-
-    fn = native.multi_walk_fn()
-    if fn is None:
-        return None
-    return NativeEpochReplay(
-        h, cores, thinks, lines, sets, lengths, repeats, fn
-    )
+    """The native single co-run epoch driver: a one-cell
+    :class:`NativeEpochBatchReplay` over the hierarchy's current state,
+    or ``None`` whenever :func:`build_native_epoch_batch_replay` would
+    decline. Same interface as :class:`PythonEpochReplay`."""
+    cell = {
+        "cores": list(cores),
+        "thinks": list(thinks),
+        "lines": lines,
+        "sets": sets,
+        "lengths": lengths,
+        "repeats": repeats,
+        "stop": 0,
+    }
+    return build_native_epoch_batch_replay(hierarchy, [cell], threads=1)
 
 
 class NativeBatchReplay:
@@ -2297,18 +1382,18 @@ class NativeBatchReplay:
 
     Holds R independent replay cells — the allocations of a way sweep,
     or a roster of unrelated co-runs — as contiguous per-cell banks of
-    the same flat state :class:`NativeEpochReplay` uses: the template
-    hierarchy's current state is snapshotted once and tiled R times, so
-    every cell starts from an identical copy and no cell can observe
-    another. :meth:`run` is a single ``ctypes`` call; the kernel threads
-    over cells but each writes only its own dom/sched bank, so the
-    per-cell ``(counters, vtimes)`` read back afterwards are
-    bit-identical to running :class:`NativeEpochReplay` once per cell,
-    for any thread count.
+    the flat state ``multiwalk.c`` walks: the template hierarchy's
+    current state is snapshotted once and tiled R times, so every cell
+    starts from an identical copy and no cell can observe another. This
+    class and its epoch subclass are the only owners of that layout.
+    :meth:`run` is a single ``ctypes`` call; the kernel threads over
+    cells but each writes only its own dom/sched bank, so the per-cell
+    ``(counters, vtimes)`` read back afterwards are bit-identical to
+    replaying each cell alone, for any thread count.
 
-    Unlike the epoch driver there is no ``finish()`` writeback: batch
-    cells are throwaway measurements, never a hierarchy the caller
-    keeps simulating.
+    Batch cells are throwaway measurements with no hierarchy writeback;
+    only a one-cell :class:`NativeEpochBatchReplay` writes its state
+    back (``finish()``).
     """
 
     native = True
@@ -2378,8 +1463,8 @@ class NativeBatchReplay:
             cfg[cbase + 3] = h.l1[cores[0]]._mod_mask
             cfg[cbase + 4] = h.l2[cores[0]]._mod_mask
             cfg[cbase + 5] = num_cores
-            cfg[cbase + 6] = int(cell["stop"])
-            cfg[cbase + 7] = -1
+            cfg[cbase + _CFG_STOP] = int(cell["stop"])
+            cfg[cbase + _CFG_HORIZON] = -1
             for core in cores:
                 off = r * num_cores * l1_sets + core * l1_sets
                 l1_state[off:off + l1_sets] = (
@@ -2418,6 +1503,10 @@ class NativeBatchReplay:
             dtype=i64,
         )
         self._cfg, self._dom, self._sched = cfg, dom, sched
+        self._llc_bank = (g_tags, g_sharers, g_valid, g_plru)
+        self._inner_bank = (i1_tags, i1_valid, l1_state,
+                            i2_tags, i2_valid, l2_plru, bi)
+        self._l1_sets, self._l2_sets = l1_sets, l2_sets
 
         arrays = (
             bcfg, cfg, dom, line_ptrs, set_ptrs,
@@ -2434,7 +1523,7 @@ class NativeBatchReplay:
     def cell_result(self, r):
         """Cell ``r``'s ``(counts, vtimes)`` read from its dom bank,
         where ``counts`` is a per-domain tuple of ``(l1_hits, l2_hits,
-        llc_hits, llc_misses)`` — the same shape ``NativeEpochReplay``'s
+        llc_hits, llc_misses)`` — the same shape the epoch drivers'
         ``finish`` reports, without any hierarchy writeback."""
         dom = self._dom
         counts = []
@@ -2457,11 +1546,35 @@ class NativeBatchReplay:
         return int(self._sched.sum())
 
 
+def _check_mask_word(bits, num_ways):
+    """Raise unless ``bits`` names a non-empty subset of ``num_ways``
+    ways: the kernels pick LLC victim ways from the word unchecked."""
+    if not 0 < bits <= (1 << num_ways) - 1:
+        raise ValidationError(
+            f"LLC way-mask word {bits:#x} must name a non-empty subset "
+            f"of {num_ways} ways"
+        )
+
+
 def _batch_cells_supported(hierarchy, cells):
-    """Shared preconditions of the batched builders (one bank layout)."""
+    """Shared preconditions of the batched builders (one bank layout).
+
+    Every cell's effective mask words are validated first: a bad word
+    raises :class:`ValidationError` rather than reaching the kernel.
+    """
     h = hierarchy
     llc = h.llc.storage
-    if llc.num_ways > 62:
+    default_bits = h.llc._mask_bits
+    for cell in cells:
+        cores = cell["cores"]
+        words = cell.get("mask_bits")
+        if words is None:
+            words = [default_bits[core] for core in cores]
+        elif len(words) != len(cores):
+            raise ValidationError("need one mask word per cell domain")
+        for bits in words:
+            _check_mask_word(bits, llc.num_ways)
+    if h.llc_profiler is not None or llc.num_ways > 62:
         return False
     for cell in cells:
         cores = cell["cores"]
@@ -2487,7 +1600,9 @@ def _batch_cells_supported(hierarchy, cells):
 
 def build_native_batch_replay(hierarchy, cells, threads=None):
     """Batched driver over ``batchwalk.c``, or ``None`` when any cell
-    fails the epoch-replay preconditions or the kernel is unavailable.
+    fails the epoch-replay preconditions, an LLC profiler is attached,
+    or the kernel is unavailable. A mask word outside the LLC's ways
+    raises :class:`ValidationError`.
 
     ``cells`` is a list of dicts with keys ``cores``, ``thinks``,
     ``lines``, ``sets``, ``lengths``, ``repeats``, ``stop`` and
@@ -2521,11 +1636,17 @@ class NativeEpochBatchReplay(NativeBatchReplay):
     banks. Between calls the host reads the banked counters
     (:meth:`counter_bank`, a zero-copy view sliced for vectorized MPKI
     windows), runs each cell's controller decision, and rewrites that
-    cell's dom way-mask words flush-free (:meth:`set_mask_bits`) — the
-    batched generalization of ``NativeEpochReplay``'s ``run_epoch`` +
-    ``refresh_masks`` loop. Each work item writes only its own cell's
-    banks, so the replay is bit-identical to the sequential epoch
-    driver for any thread count and any active-set schedule.
+    cell's dom way-mask words flush-free (:meth:`set_mask_bits`). Each
+    work item writes only its own cell's banks, so the replay is
+    bit-identical to the sequential epoch driver for any thread count
+    and any active-set schedule.
+
+    A one-cell batch (:func:`build_native_epoch_replay`) is the native
+    single co-run driver. Its cell-0 methods — :meth:`run_epoch`,
+    :meth:`counters`, :meth:`vtimes`, :meth:`refresh_masks`,
+    :meth:`llc_resident` and :meth:`finish` — mirror
+    :class:`PythonEpochReplay`, and :meth:`finish` writes the final
+    state back into the hierarchy's :class:`KernelCacheLevel` objects.
     """
 
     def __init__(self, hierarchy, cells, threads, fn):
@@ -2551,8 +1672,8 @@ class NativeEpochBatchReplay(NativeBatchReplay):
 
     def set_mask_bits(self, r, slot, bits):
         """Rewrite one domain's LLC way-mask word — a flush-free
-        reallocation, exactly ``NativeEpochReplay.refresh_masks`` for
-        one (cell, domain)."""
+        reallocation for one (cell, domain)."""
+        _check_mask_word(bits, self._h.llc.storage.num_ways)
         self._dom[(r * self._n_max + slot) * _DOM_STRIDE + _D_MASK] = bits
 
     def counter_bank(self):
@@ -2571,6 +1692,102 @@ class NativeEpochBatchReplay(NativeBatchReplay):
         a[0] = n
         a[1:1 + n] = active_cells
         self._fn(*self._args)
+
+    # -- the one-cell co-run interface (cell 0) ---------------------------
+
+    def run_epoch(self, stop_at, horizon=-1):
+        """Advance until ``issued == stop_at`` or the merge frontier
+        reaches ``horizon`` (virtual time, -1 to disable); returns the
+        total issued so far. Call again to resume exactly."""
+        self._cfg[_CFG_STOP] = stop_at
+        self._cfg[_CFG_HORIZON] = horizon
+        self.run_active((0,))
+        return self.issued_of(0)
+
+    def vtimes(self):
+        return list(self.cell_result(0)[1])
+
+    def counters(self, slot):
+        """Cumulative ``(l1_hits, l2_hits, llc_hits, llc_misses)``."""
+        base = slot * _DOM_STRIDE + _D_H1
+        return tuple(int(x) for x in self._dom[base:base + 4])
+
+    def refresh_masks(self):
+        """Re-read the hierarchy's way masks; nothing else changes."""
+        mask_bits = self._h.llc._mask_bits
+        for slot, core in enumerate(self._cells[0]["cores"]):
+            self.set_mask_bits(0, slot, mask_bits[core])
+
+    def llc_resident(self):
+        tags, _, valid, _ = self._llc_bank
+        W = self._h.llc.storage.num_ways
+        lines = []
+        for s in range(self._h.llc.storage.num_sets):
+            v = int(valid[s])
+            base = s * W
+            while v:
+                low = v & -v
+                v ^= low
+                lines.append(int(tags[base + low.bit_length() - 1]))
+        return sorted(lines)
+
+    def finish(self):
+        """Write cell 0's state back into the hierarchy; call exactly
+        once. Returns ``(level counts, vtimes)``."""
+        h = self._h
+        llc = h.llc.storage
+        num_cores = h.num_cores
+        llc_lines = llc.num_sets * llc.num_ways
+        g_tags, g_sharers, g_valid, g_plru = self._llc_bank
+        llc._tags[:] = g_tags[:llc_lines].tolist()
+        llc._sharers[:] = g_sharers[:llc_lines].tolist()
+        llc._valid[:] = g_valid[:llc.num_sets].tolist()
+        llc._plru[:] = g_plru[:llc.num_sets].tolist()
+        _rebuild_lookup(llc._lookup, llc._tags, llc._valid, llc.num_ways)
+        (i1_tags, i1_valid, l1_state,
+         i2_tags, i2_valid, l2_plru, bi) = self._inner_bank
+        s1 = self._l1_sets
+        s2 = self._l2_sets
+        for c in range(num_cores):
+            l1 = h.l1[c]
+            l1._tags[:] = i1_tags[c * s1 * 8:(c + 1) * s1 * 8].tolist()
+            l1._valid[:] = i1_valid[c * s1:(c + 1) * s1].tolist()
+            _rebuild_lookup(l1._lookup, l1._tags, l1._valid, 8)
+            if bi[c]:
+                l1.stats.back_invalidations += int(bi[c])
+            l2 = h.l2[c]
+            l2._tags[:] = i2_tags[c * s2 * 8:(c + 1) * s2 * 8].tolist()
+            l2._valid[:] = i2_valid[c * s2:(c + 1) * s2].tolist()
+            _rebuild_lookup(l2._lookup, l2._tags, l2._valid, 8)
+            if bi[num_cores + c]:
+                l2.stats.back_invalidations += int(bi[num_cores + c])
+        dom = self._dom
+        l1_perms = _lru8_tables()[2]
+        counts = []
+        for slot, core in enumerate(self._cells[0]["cores"]):
+            h1, h2, h3, m3 = self.counters(slot)
+            base = slot * _DOM_STRIDE + _D_E1
+            e1, e2, e3 = (int(x) for x in dom[base:base + 3])
+            m2 = h3 + m3
+            m1 = h2 + m2
+            l1 = h.l1[core]
+            _flush_level_deltas(l1.stats, h1, m1, e1, 0, core)
+            _flush_level_deltas(h.l2[core].stats, h2, m2, e2, 0, core)
+            _flush_level_deltas(llc.stats, h3, m3, e3, 0, core)
+            counts.append((h1, h2, h3, m3))
+            h.l2[core]._plru[:] = l2_plru[core * s2:(core + 1) * s2].tolist()
+            # L1 recency: stamps rewritten from the permutation FSM.
+            final_state = l1_state[core * s1:(core + 1) * s1].tolist()
+            l1_stamp = l1._stamp
+            clock = l1._clock
+            top = clock + 7
+            for s in range(len(final_state)):
+                perm = l1_perms[final_state[s]]
+                sbase = s << 3
+                for rank in range(8):
+                    l1_stamp[sbase + perm[rank]] = top - rank
+            l1._clock = clock + 8
+        return tuple(counts), tuple(self.vtimes())
 
 
 def build_native_epoch_batch_replay(hierarchy, cells, threads=None):
@@ -2597,272 +1814,6 @@ def build_native_epoch_batch_replay(hierarchy, cells, threads=None):
     return NativeEpochBatchReplay(hierarchy, cells, threads, fn)
 
 
-def _build_general_pack_walk(hierarchy, core, think_cycles):
-    l1 = hierarchy.l1[core]
-    l2 = hierarchy.l2[core]
-    llc, mbits, mask_ways_core = _capture_llc(hierarchy, core)
-
-    h = hierarchy
-    num_cores = h.num_cores
-    core_bit = 1 << core
-    scratch = h._scratch
-    l1_objs = list(h.l1)
-    l2_objs = list(h.l2)
-    inner_l1_lookup = [lvl._lookup for lvl in l1_objs]
-    inner_l2_lookup = [lvl._lookup for lvl in l2_objs]
-
-    l1_mod = l1._mod_mask
-    l1_W = l1.num_ways
-    l1_full = l1._full_mask
-    l1_lookup, l1_tags, l1_sharers = l1._lookup, l1._tags, l1._sharers
-    l1_valid, l1_dirty = l1._valid, l1._dirty
-    l1_pref, l1_tpf = l1._prefetched, l1._touched_pf
-    l1_stamp = l1._stamp
-    l1_stats = l1.stats
-
-    l2_mod = l2._mod_mask
-    l2_W = l2.num_ways
-    l2_full = l2._full_mask
-    l2_lookup, l2_tags, l2_sharers = l2._lookup, l2._tags, l2._sharers
-    l2_valid, l2_dirty = l2._valid, l2._dirty
-    l2_pref, l2_tpf = l2._prefetched, l2._touched_pf
-    l2_plru = l2._plru
-    l2_pset, l2_pclr = l2._plru_set, l2._plru_clear_inv
-    l2_stats = l2.stats
-    l2_victim_of = _plru_victim_table(
-        l2._leaves, l2_full, l2._plru_left, l2._plru_right
-    )
-
-    llc_W = llc.num_ways
-    llc_leaves = llc._leaves
-    llc_lookup, llc_tags, llc_sharers = llc._lookup, llc._tags, llc._sharers
-    llc_valid, llc_dirty = llc._valid, llc._dirty
-    llc_pref, llc_tpf = llc._prefetched, llc._touched_pf
-    llc_plru = llc._plru
-    llc_pset, llc_pclr = llc._plru_set, llc._plru_clear_inv
-    llc_left, llc_right = llc._plru_left, llc._plru_right
-    llc_stats = llc.stats
-    llc_mark_dirty = llc.mark_dirty
-    llc_vmemo = {}
-    llc_vmemo_get = llc_vmemo.get
-
-    prof = h.llc_profiler
-    prof_observe = prof.observe if prof is not None else None
-
-    lt0 = 4 + think_cycles
-    lt1 = 12 + think_cycles
-    lt2 = 30 + think_cycles
-    lt3 = 200 + think_cycles
-
-    h1 = h2 = h3 = m3 = 0
-    ev1 = wb1 = ev2 = wb2 = ev3 = wb3 = 0
-    clk1 = l1._clock
-
-    def walk(line, s3, is_write):
-        nonlocal h1, h2, h3, m3, ev1, wb1, ev2, wb2, ev3, wb3, clk1
-        # ---- L1 probe (LRU, modulo) -------------------------------------
-        s1 = line & l1_mod
-        look1 = l1_lookup[s1]
-        way = look1.get(line)
-        if way is not None:
-            h1 += 1
-            l1_stamp[s1 * l1_W + way] = clk1
-            clk1 += 1
-            if is_write:
-                l1_dirty[s1] |= 1 << way
-            pf = l1_pref[s1]
-            if pf:
-                bit = 1 << way
-                if pf & bit and not l1_tpf[s1] & bit:
-                    l1_tpf[s1] |= bit
-                    l1_stats.prefetch_useful += 1
-            return lt0
-
-        # ---- L2 probe (PLRU, modulo) ------------------------------------
-        s2 = line & l2_mod
-        look2 = l2_lookup[s2]
-        way = look2.get(line)
-        if way is not None:
-            h2 += 1
-            l2_plru[s2] = (l2_plru[s2] | l2_pset[way]) & l2_pclr[way]
-            if is_write:
-                l2_dirty[s2] |= 1 << way
-            pf = l2_pref[s2]
-            if pf:
-                bit = 1 << way
-                if pf & bit and not l2_tpf[s2] & bit:
-                    l2_tpf[s2] |= bit
-                    l2_stats.prefetch_useful += 1
-            ret = lt1
-        else:
-            # ---- LLC probe (precomputed set index) ----------------------
-            if prof_observe is not None:
-                prof_observe(line, core)
-            look3 = llc_lookup[s3]
-            way = look3.get(line)
-            if way is not None:
-                h3 += 1
-                llc_plru[s3] = (llc_plru[s3] | llc_pset[way]) & llc_pclr[way]
-                if is_write:
-                    llc_dirty[s3] |= 1 << way
-                pf = llc_pref[s3]
-                if pf:
-                    bit = 1 << way
-                    if pf & bit and not llc_tpf[s3] & bit:
-                        llc_tpf[s3] |= bit
-                        llc_stats.prefetch_useful += 1
-                llc_sharers[s3 * llc_W + way] |= core_bit  # add_sharer
-                ret = lt2
-            else:
-                m3 += 1
-                # ---- LLC fill (way-masked victim, inclusion) ------------
-                valid3 = llc_valid[s3]
-                inv = ~valid3 & mbits
-                if inv:
-                    # Mask way lists are ascending, so "first invalid in
-                    # mask order" is the lowest set bit.
-                    vbit = inv & -inv
-                    victim = vbit.bit_length() - 1
-                    base = s3 * llc_W + victim
-                else:
-                    bits = llc_plru[s3]
-                    victim = llc_vmemo_get(bits)
-                    if victim is None:
-                        node = 1
-                        while node < llc_leaves:
-                            go_right = (bits >> node) & 1
-                            if go_right:
-                                if not mbits & llc_right[node]:
-                                    go_right = 0
-                            elif not mbits & llc_left[node]:
-                                go_right = 1
-                            node = 2 * node + 1 if go_right else 2 * node
-                        victim = node - llc_leaves
-                        llc_vmemo[bits] = victim
-                    base = s3 * llc_W + victim
-                    vbit = 1 << victim
-                    old_tag = llc_tags[base]
-                    old_sharers = llc_sharers[base]
-                    ev3 += 1
-                    if llc_dirty[s3] & vbit:
-                        wb3 += 1
-                    del look3[old_tag]
-                    # Inclusion: the victim leaves every inner cache.
-                    if old_sharers:
-                        sh = old_sharers
-                        while sh:
-                            low = sh & -sh
-                            c = low.bit_length() - 1
-                            sh ^= low
-                            if old_tag in inner_l1_lookup[c][old_tag & l1_mod]:
-                                l1_objs[c].invalidate(old_tag)
-                            if old_tag in inner_l2_lookup[c][old_tag & l2_mod]:
-                                l2_objs[c].invalidate(old_tag)
-                    else:
-                        for c in range(num_cores):
-                            if old_tag in inner_l1_lookup[c][old_tag & l1_mod]:
-                                l1_objs[c].invalidate(old_tag)
-                            if old_tag in inner_l2_lookup[c][old_tag & l2_mod]:
-                                l2_objs[c].invalidate(old_tag)
-                llc_tags[base] = line
-                llc_valid[s3] = valid3 | vbit
-                if is_write:
-                    llc_dirty[s3] |= vbit
-                else:
-                    llc_dirty[s3] &= ~vbit
-                llc_sharers[base] = core_bit
-                llc_pref[s3] &= ~vbit
-                llc_tpf[s3] &= ~vbit
-                look3[line] = victim
-                llc_plru[s3] = (
-                    llc_plru[s3] | llc_pset[victim]
-                ) & llc_pclr[victim]
-                ret = lt3
-
-            # ---- L2 fill (demand fills land clean) ----------------------
-            valid2 = l2_valid[s2]
-            if valid2 != l2_full:
-                inv = ~valid2 & l2_full
-                victim = (inv & -inv).bit_length() - 1
-                base = s2 * l2_W + victim
-                vbit = 1 << victim
-            else:
-                victim = l2_victim_of[l2_plru[s2]]
-                base = s2 * l2_W + victim
-                vbit = 1 << victim
-                old_tag = l2_tags[base]
-                ev2 += 1
-                if l2_dirty[s2] & vbit:
-                    wb2 += 1
-                    # Inclusive LLC normally still holds the line.
-                    llc_mark_dirty(old_tag)
-                del look2[old_tag]
-            l2_tags[base] = line
-            l2_valid[s2] = valid2 | vbit
-            l2_dirty[s2] &= ~vbit
-            l2_sharers[base] = 0
-            l2_pref[s2] &= ~vbit
-            l2_tpf[s2] &= ~vbit
-            look2[line] = victim
-            l2_plru[s2] = (l2_plru[s2] | l2_pset[victim]) & l2_pclr[victim]
-
-        # ---- L1 fill ----------------------------------------------------
-        valid1 = l1_valid[s1]
-        if valid1 != l1_full:
-            inv = ~valid1 & l1_full
-            victim = (inv & -inv).bit_length() - 1
-            base = s1 * l1_W + victim
-            vbit = 1 << victim
-        else:
-            base = s1 * l1_W
-            seg = l1_stamp[base:base + l1_W]
-            victim = seg.index(min(seg))  # stamps are unique
-            base += victim
-            vbit = 1 << victim
-            old_tag = l1_tags[base]
-            ev1 += 1
-            if l1_dirty[s1] & vbit:
-                wb1 += 1
-                # Non-inclusive L2: a dirty L1 victim lands in (or
-                # updates) L2; fall back to the shared helper on a miss.
-                s2v = old_tag & l2_mod
-                way2 = l2_lookup[s2v].get(old_tag)
-                if way2 is not None:
-                    l2_dirty[s2v] |= 1 << way2
-                else:
-                    h._fill_l2(core, old_tag, scratch, dirty=True)
-            del look1[old_tag]
-        l1_tags[base] = line
-        l1_valid[s1] = valid1 | vbit
-        if is_write:
-            l1_dirty[s1] |= vbit
-        else:
-            l1_dirty[s1] &= ~vbit
-        l1_sharers[base] = 0
-        l1_pref[s1] &= ~vbit
-        l1_tpf[s1] &= ~vbit
-        look1[line] = victim
-        l1_stamp[base] = clk1
-        clk1 += 1
-        return ret
-
-    def flush():
-        """Deposit the accumulated deltas into the stats objects."""
-        nonlocal h1, h2, h3, m3, ev1, wb1, ev2, wb2, ev3, wb3
-        m2 = h3 + m3
-        m1 = h2 + m2
-        _flush_level_deltas(l1_stats, h1, m1, ev1, wb1, core)
-        _flush_level_deltas(l2_stats, h2, m2, ev2, wb2, core)
-        _flush_level_deltas(llc_stats, h3, m3, ev3, wb3, core)
-        h1 = h2 = h3 = m3 = ev1 = wb1 = ev2 = wb2 = ev3 = wb3 = 0
-        l1._clock = clk1
-
-    def report():
-        return h1, h2, h3, m3
-
-    return walk, flush, report
-
-
 def make_cache_level(
     backend,
     name,
@@ -2872,25 +1823,15 @@ def make_cache_level(
     replacement="lru",
     indexing="mod",
 ):
-    """Construct a cache level for the chosen backend.
-
-    ``object`` is the reference model, ``kernel`` the flat-array kernel,
-    and ``seed`` the object model with its tag index disabled — the exact
-    pre-optimization code path, kept for benchmarking against.
-    """
+    """Construct a cache level for the chosen backend: ``object`` is the
+    reference model, ``kernel`` the flat-array kernel."""
     if backend == "kernel":
         return KernelCacheLevel(
             name, capacity_bytes, num_ways, line_size, replacement, indexing
         )
-    if backend in ("object", "seed"):
+    if backend == "object":
         return CacheLevel(
-            name,
-            capacity_bytes,
-            num_ways,
-            line_size,
-            replacement,
-            indexing,
-            tag_index=backend == "object",
+            name, capacity_bytes, num_ways, line_size, replacement, indexing
         )
     raise ConfigurationError(
         f"unknown cache backend {backend!r}; pick one of {BACKENDS}"

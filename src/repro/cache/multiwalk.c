@@ -1,27 +1,32 @@
 /* Fused N-domain lean pack replay, epoch-resumable.
  *
- * Generalizes pairwalk.c: instead of two hard-wired cores and a whole-run
- * loop, every domain's scheduler state (trace position, wrap count,
- * liveness, virtual time, way mask, level counters) lives in a flat
- * int64 buffer owned by Python (`dom`, DOM_STRIDE slots per domain), and
- * one call replays an *epoch* — it stops at an absolute issued-access
- * target (`cfg[CFG_STOP]`) or when the least-advanced live domain has
- * reached a virtual-time horizon (`cfg[CFG_HORIZON]`, -1 to disable) —
- * then writes everything back.  The next call resumes exactly where this
- * one stopped, possibly with different way masks (Python rewrites
- * dom[D_MASK] between calls); nothing is flushed, resident lines and all
- * recency state carry over, which is the Section 2.1 mechanism contract.
+ * Replays one co-run cell: every domain's scheduler state (trace
+ * position, liveness, virtual time, way mask, level counters) lives in a
+ * flat int64 buffer owned by Python (`dom`, DOM_STRIDE slots per
+ * domain), and one call replays an *epoch* — it stops at an absolute
+ * issued-access target (`cfg[CFG_STOP]`) or when the least-advanced live
+ * domain has reached a virtual-time horizon (`cfg[CFG_HORIZON]`, -1 to
+ * disable) — then writes everything back.  The next call resumes exactly
+ * where this one stopped, possibly with different way masks (Python
+ * rewrites dom[D_MASK] between calls); nothing is flushed, resident
+ * lines and all recency state carry over, which is the Section 2.1
+ * mechanism contract.
+ *
+ * This file is not built on its own: batchwalk.c and epochbatch.c
+ * #include it and run repro_multi_walk once per cell of their state
+ * banks (kernel.NativeBatchReplay owns the layout).
  *
  * The scheduler is a linear scan for the minimum (vtime, slot) over live
  * domains: ties break toward the lowest slot, which is exactly the
- * lexicographic pop order of the Python engine's (vtime, slot) heap —
- * entries are unique, so scan and heap retire accesses in the same
- * order.  A non-repeating domain that exhausts its trace goes dead
- * without issuing, mirroring `_packed_heap`'s `continue`.
+ * lexicographic pop order of the (vtime, slot) heap in
+ * TraceEngine.run — entries are unique, so scan and heap retire
+ * accesses in the same order.  A non-repeating domain that exhausts its
+ * trace goes dead without issuing, as TraceEngine.run retires it.
  *
- * The per-access cache walk (`access_one`) is byte-for-byte the pairwalk
- * walk; per-core L1 permutation-FSM states and L2 PLRU words move into
- * all-core flattened arrays so any subset of cores can participate.
+ * The per-access cache walk (`access_one`) ports the Python lean pack
+ * walk (kernel._build_lean_pack_walk); per-core L1 permutation-FSM
+ * states and L2 PLRU words live in all-core flattened arrays so any
+ * subset of cores can participate.
  *
  * Conventions shared with kernel.KernelCacheLevel:
  *   - tags[set * ways + way] holds the line number, -1 when invalid;
@@ -38,7 +43,7 @@
 typedef int64_t i64;
 typedef int32_t i32;
 
-/* cfg[] scalar layout (must match kernel.build_native_epoch_replay) */
+/* cfg[] scalar layout (must match kernel._CFG_* and NativeBatchReplay) */
 enum {
     CFG_N, CFG_LEAVES, CFG_W, CFG_L1_MOD, CFG_L2_MOD, CFG_NUM_CORES,
     CFG_STOP, CFG_HORIZON,

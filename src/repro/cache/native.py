@@ -1,25 +1,25 @@
 """On-demand compilation of the native pack-replay kernels.
 
-``pairwalk.c`` (the fused two-domain lean replay loop), ``multiwalk.c``
-(its N-domain, epoch-resumable generalization), ``batchwalk.c`` (the
-batched, multi-threaded driver that replays a whole roster of
-independent cells in one call) and ``epochbatch.c`` (the batched driver
-made epoch-resumable: one threaded call advances every *active* cell by
-one epoch, host-side controller logic in between) live next to this
-module. Each is
+``batchwalk.c`` (the batched, multi-threaded driver that replays a whole
+roster of independent cells in one call) and ``epochbatch.c`` (the
+batched driver made epoch-resumable: one threaded call advances every
+*active* cell by one epoch, host-side controller logic in between) live
+next to this module. Both ``#include`` ``multiwalk.c``, the fused
+N-domain walk and scheduler that replays one cell; a single co-run is a
+one-cell ``epochbatch`` roster. Each kernel is
 compiled once per (source revision, flag set) with whatever
 ``cc``/``gcc`` the host offers, cached as a shared object under the
 trace-pack cache directory, and loaded with :mod:`ctypes`. Everything is
 best-effort: no compiler, a failed compile, or ``REPRO_NATIVE=0`` simply
 means the ``*_fn`` accessors return ``None`` and callers stay on the
-pure-Python loops — results are bit-identical either way, the native
-kernels are only faster.
+pure-Python epoch driver — results are bit-identical either way, the
+native kernels are only faster.
 
 "Best-effort" no longer means "silent": the first failure per kernel is
 recorded and :func:`kernel_status` reports it, so ``repro trace-sweep
 --engine-stat`` (via ``format_engine_stat``) can answer "why is native
 off?" without strace archaeology. The same policy covers threading:
-``batchwalk`` is built with ``-fopenmp`` only after a tiny ``#pragma
+the kernels are built with ``-fopenmp`` only after a tiny ``#pragma
 omp`` translation unit compiles and links, falling back to a pthread
 worker loop and finally to the serial batched loop, and
 :func:`threading_status` records which mode won and why the stronger
@@ -39,8 +39,6 @@ _HERE = os.path.dirname(os.path.abspath(__file__))
 
 # kernel name -> (C source next to this module, exported symbols)
 _KERNELS = {
-    "pairwalk": ("pairwalk.c", ("repro_pair_walk",)),
-    "multiwalk": ("multiwalk.c", ("repro_multi_walk",)),
     "batchwalk": (
         "batchwalk.c",
         ("repro_batch_walk", "repro_batch_profile", "repro_batch_threading"),
@@ -57,10 +55,6 @@ _INCLUDED = {
     "batchwalk": ("multiwalk.c",),
     "epochbatch": ("batchwalk.c", "multiwalk.c"),
 }
-
-# Kernels built on batchwalk.c's run_items worker pool: compiled with
-# the probed threading flags, annotated with their mode in kernel_status.
-_THREADED_KERNELS = ("batchwalk", "epochbatch")
 
 # Tri-state memo per kernel: absent -> not tried, None -> unavailable,
 # else {symbol: ctypes function}. Per-process, like the kernel's table
@@ -184,10 +178,10 @@ def _threading_probe():
 
 
 def _kernel_flags(name):
-    """Extra compile flags for one kernel (probed, for batched ones)."""
-    if name in _THREADED_KERNELS:
-        return tuple(_threading_probe()["flags"])
-    return ()
+    """Extra compile flags for one kernel: every kernel is built on
+    batchwalk.c's run_items worker pool, so all take the probed
+    threading flags."""
+    return tuple(_threading_probe()["flags"])
 
 
 def _build_library(name):
@@ -274,26 +268,6 @@ def _load(name):
 def _symbol(name, symbol):
     fns = _load(name)
     return None if fns is None else fns.get(symbol)
-
-
-def pair_walk_fn():
-    """The compiled ``repro_pair_walk`` entry point, or ``None``.
-
-    The function takes raw pointers (as ``ctypes.c_void_p``) to the
-    int64 column/state arrays plus the int32 recency tables; see
-    pairwalk.c for the exact argument and ``cfg``/``out`` layouts.
-    """
-    return _symbol("pairwalk", "repro_pair_walk")
-
-
-def multi_walk_fn():
-    """The compiled ``repro_multi_walk`` entry point, or ``None``.
-
-    See multiwalk.c for the argument list and the persistent
-    ``cfg``/``dom``/``sched`` buffer layouts; the Python owner of those
-    buffers is :func:`repro.cache.kernel.build_native_epoch_replay`.
-    """
-    return _symbol("multiwalk", "repro_multi_walk")
 
 
 def batch_walk_fn():
@@ -391,28 +365,25 @@ def resolve_native_threads(allocations, threads=None):
 
 
 def kernel_status():
-    """``{kernel: "ok" | reason}`` for every native kernel.
+    """``{kernel: "ok [mode]" | reason}`` for every native kernel.
 
     Forces a load attempt for kernels not yet tried, so the answer is
     definitive — this backs the ``native-kernel`` lines in
-    ``format_engine_stat`` / ``repro trace-sweep --engine-stat``. The
-    batch kernel's "ok" carries its threading mode (and the probe
+    ``format_engine_stat`` / ``repro trace-sweep --engine-stat``. A
+    kernel's "ok" carries its threading mode (and the probe
     failure that forced a fallback), e.g. ``ok [openmp]`` or
     ``ok [serial; openmp probe failed: ...]``.
     """
     status = {}
     for name in _KERNELS:
         if _load(name) is not None:
-            if name in _THREADED_KERNELS:
-                threading = threading_status(name)
-                if threading["reason"]:
-                    status[name] = (
-                        f"ok [{threading['mode']}; {threading['reason']}]"
-                    )
-                else:
-                    status[name] = f"ok [{threading['mode']}]"
+            threading = threading_status(name)
+            if threading["reason"]:
+                status[name] = (
+                    f"ok [{threading['mode']}; {threading['reason']}]"
+                )
             else:
-                status[name] = "ok"
+                status[name] = f"ok [{threading['mode']}]"
         else:
             status[name] = _REASONS.get(name, "unavailable")
     return status

@@ -17,10 +17,9 @@ from repro.cache.hierarchy import CacheHierarchy
 from repro.perf import engine_counters as ec
 from repro.util.errors import ValidationError
 
-# The pack walk returns int level codes; these map them back to the
-# (name, latency) pairs the generic walk reports.
+# The epoch drivers count hits per level index; these are the level
+# names the generic walk reports.
 _LEVEL_NAMES = ("L1", "L2", "LLC", "MEM")
-_LEVEL_LATENCIES = (4, 12, 30, 200)
 
 
 @dataclass
@@ -79,19 +78,17 @@ class TraceEngine:
     """Virtual-time interleaving of traces over one cache hierarchy.
 
     ``backend`` picks the cache implementation when no hierarchy is
-    supplied: ``"object"`` (reference model), ``"kernel"`` (flat-array
-    kernel, bit-identical and much faster), or ``"seed"`` (the
-    pre-optimization object model, kept for benchmarking). With all
-    prefetchers off the run loop dispatches through the hierarchy's
-    allocation-free fast path; ``fast_loop=False`` forces the original
-    per-access protocol (results are identical either way).
+    supplied: ``"object"`` (reference model) or ``"kernel"`` (flat-array
+    kernel, bit-identical and much faster). With all prefetchers off,
+    :meth:`run` dispatches through the hierarchy's allocation-free fused
+    walk. :meth:`run_packed` and :meth:`run_dynamic` replay compiled
+    trace packs through one epoch driver (:func:`_epoch_replay`), and
+    :meth:`run` stays the bit-identity reference for both.
     """
 
-    def __init__(self, hierarchy=None, prefetchers_on=True, backend="object",
-                 fast_loop=True):
+    def __init__(self, hierarchy=None, prefetchers_on=True, backend="object"):
         self.hierarchy = hierarchy or CacheHierarchy(backend=backend)
         self.hierarchy.set_prefetchers(enabled=prefetchers_on)
-        self.fast_loop = fast_loop
 
     def run(self, workloads, total_accesses=100_000):
         """Co-run the workloads; returns {name: TraceStats}.
@@ -119,7 +116,7 @@ class TraceEngine:
         issued = 0
 
         hierarchy = self.hierarchy
-        use_fast = self.fast_loop and not hierarchy.prefetchers_enabled()
+        use_fast = not hierarchy.prefetchers_enabled()
         core_of = hierarchy.core_of_tid
         walkers = (
             [hierarchy.fast_walker(core_of(w.tid)) for w in workloads]
@@ -166,18 +163,17 @@ class TraceEngine:
         """Co-run over compiled trace packs; bit-identical to :meth:`run`.
 
         Each workload's trace is compiled (or loaded from the pack cache)
-        into columnar arrays once, and the run loop feeds raw line
-        numbers and precomputed LLC set indices straight into a fused
-        pack walk — no generator resumption, no ``MemoryAccess``
-        materialization, and no set hashing per access. The walk returns
-        each access's whole virtual-time advance and counts hit levels
-        internally, so the scheduling loops reduce to a few ops per
-        access; when every pack is read-only the still-leaner read-only
-        walk variant engages. ``packs`` optionally supplies pre-compiled
-        packs aligned with ``workloads``. Falls back to :meth:`run`
-        whenever the fast path does not apply (prefetchers on,
-        non-kernel backend, non-compilable trace factory, or two
-        workloads on one core).
+        into columnar arrays once, and the whole co-run replays as one
+        epoch of the driver :func:`_epoch_replay` picks: a one-cell
+        ``epochbatch`` call when the native kernel is available, else
+        :class:`~repro.cache.kernel.PythonEpochReplay`, which also takes
+        an attached LLC profiler. ``packs`` optionally supplies
+        pre-compiled packs aligned with ``workloads``. Falls back to
+        :meth:`run` whenever the lean epoch replay does not apply:
+        prefetchers on, a non-compilable trace factory, a pack that
+        carries writes, two workloads on one core, or hierarchy state
+        the lean walk cannot take (non-kernel backend, dirty or
+        prefetched lines, inner levels that are not 8-way).
         """
         if not workloads:
             raise ValidationError("need at least one workload")
@@ -186,7 +182,7 @@ class TraceEngine:
             raise ValidationError("workload names must be unique")
 
         hierarchy = self.hierarchy
-        if not self.fast_loop or hierarchy.prefetchers_enabled():
+        if hierarchy.prefetchers_enabled():
             return self.run(workloads, total_accesses)
         if packs is None:
             from repro.workloads.trace import _TraceBase
@@ -203,156 +199,22 @@ class TraceEngine:
         elif len(packs) != len(workloads):
             raise ValidationError("need one pack per workload")
 
-        from repro.cache.kernel import (
-            build_lean_pair_walk,
-            build_native_epoch_replay,
-            build_native_pair_walk,
-            build_pack_walk,
-        )
-
-        core_of = hierarchy.core_of_tid
-        cores = [core_of(w.tid) for w in workloads]
-        if len(set(cores)) != len(cores):
-            # Two walkers on one core would each hoist that core's L1
-            # state; the generic path handles shared cores.
+        cores = [hierarchy.core_of_tid(w.tid) for w in workloads]
+        replay = _epoch_replay(hierarchy, cores, workloads, packs)
+        if replay is None:
             return self.run(workloads, total_accesses)
-        thinks = [w.think_cycles for w in workloads]
-        llc = hierarchy.llc.storage
-        llc_indexing = "mod" if llc._mod_mask >= 0 else "hash"
-        built = None
-        pair = None
-        native_pair = False
-        lean = all(p.writes_list() is None for p in packs)
-        if lean and len(workloads) == 2:
-            # Fastest shape: both walks and the scheduler fused into one
-            # loop over the packs' raw int64 columns — the compiled
-            # kernel when a C toolchain is available, else the
-            # all-locals Python frame (see build_lean_pair_walk).
-            pair = build_native_pair_walk(hierarchy, cores, thinks)
-            native_pair = pair is not None
-            if pair is None:
-                pair = build_lean_pair_walk(hierarchy, cores, thinks)
-        if pair is None and lean and len(workloads) >= 3:
-            # N-domain lean co-runs replay as one whole-run epoch of the
-            # resumable multiwalk kernel, retiring `_packed_heap` from
-            # the hot path (it stays as the no-native fallback and the
-            # reference the lockstep tests replay against).
-            raw_lines = [p.line for p in packs]
-            raw_sets = [
-                p.set_column(llc.num_sets, llc_indexing) for p in packs
-            ]
-            multi = build_native_epoch_replay(
-                hierarchy, cores, thinks, raw_lines, raw_sets,
-                [len(c) for c in raw_lines],
-                [w.repeat for w in workloads],
-            )
-            if multi is not None:
-                gc_was_enabled = gc.isenabled()
-                if gc_was_enabled:
-                    gc.disable()
-                try:
-                    multi.run_epoch(total_accesses)
-                finally:
-                    if gc_was_enabled:
-                        gc.enable()
-                grabbed, multi_vtimes = multi.finish()
-                return self._packed_stats(
-                    workloads, list(grabbed), list(multi_vtimes), packs
-                )
-        if pair is None and lean:
-            built = [
-                build_pack_walk(hierarchy, core, think_cycles=think, lean=True)
-                for core, think in zip(cores, thinks)
-            ]
-            if any(b is None for b in built):
-                built = None
-                lean = False
-        if pair is None and built is None:
-            built = [
-                build_pack_walk(hierarchy, core, think_cycles=think)
-                for core, think in zip(cores, thinks)
-            ]
-            if any(b is None for b in built):
-                return self.run(workloads, total_accesses)
-        if built is not None:
-            walks = [b[0] for b in built]
-            flushes = [b[1] for b in built]
-            reports = [b[2] for b in built]
-
-        if native_pair:
-            # The compiled kernel consumes the columns as raw int64
-            # arrays (memmap-backed for disk packs) — no list
-            # materialization at all.
-            lines = [p.line for p in packs]
-            sets = [p.set_column(llc.num_sets, llc_indexing) for p in packs]
-        else:
-            lines = [p.lines_list() for p in packs]
-            sets = [p.sets_list(llc.num_sets, llc_indexing) for p in packs]
-        lengths = [len(col) for col in lines]
-        repeats = [w.repeat for w in workloads]
-        writes = (
-            None
-            if lean
-            else [
-                p.writes_list() or [False] * n
-                for p, n in zip(packs, lengths)
-            ]
-        )
-        vtimes = [0] * len(workloads)
-
-        # The replay loops allocate only transient ints; cyclic GC passes
-        # are pure overhead here, so pause collection for the duration.
+        # The replay allocates only transient ints; cyclic GC passes are
+        # pure overhead here, so pause collection for the duration.
         gc_was_enabled = gc.isenabled()
         if gc_was_enabled:
             gc.disable()
-        if pair is not None:
-            loop, finish = pair
-            try:
-                res = loop(
-                    lines[0], sets[0], lines[1], sets[1], lengths[0],
-                    lengths[1], repeats[0], repeats[1], total_accesses,
-                )
-            finally:
-                if gc_was_enabled:
-                    gc.enable()
-            grabbed, pair_vtimes = finish(res)
-            vtimes[:] = pair_vtimes
-            return self._packed_stats(workloads, grabbed, vtimes, packs)
         try:
-            if len(workloads) == 1:
-                if lean:
-                    vtimes[0] = self._packed_one_lean(
-                        walks[0], lines[0], sets[0], lengths[0], repeats[0],
-                        total_accesses,
-                    )
-                else:
-                    vtimes[0] = self._packed_one(
-                        walks[0], lines[0], sets[0], writes[0], lengths[0],
-                        repeats[0], total_accesses,
-                    )
-            elif len(workloads) == 2:
-                if lean:
-                    vtimes[:] = self._packed_two_lean(
-                        walks, lines, sets, lengths, repeats, reports,
-                        total_accesses,
-                    )
-                else:
-                    vtimes[:] = self._packed_two(
-                        walks, lines, sets, writes, lengths, repeats,
-                        reports, total_accesses,
-                    )
-            else:
-                self._packed_heap(
-                    walks, lines, sets, writes, lengths, repeats, vtimes,
-                    total_accesses, lean,
-                )
-            grabbed = [report() for report in reports]
+            replay.run_epoch(total_accesses)
         finally:
             if gc_was_enabled:
                 gc.enable()
-            for flush in flushes:
-                flush()
-        return self._packed_stats(workloads, grabbed, vtimes, packs)
+        grabbed, vtimes = replay.finish()
+        return self._packed_stats(workloads, list(grabbed), list(vtimes), packs)
 
     def run_dynamic(self, workloads, controller, epoch_accesses=5_000,
                     total_accesses=100_000, packs=None, pack_cache=None,
@@ -366,10 +228,11 @@ class TraceEngine:
         applied to the hierarchy *without flushing anything* — every
         resident line and the full recency state carry straight across
         the reallocation, which is the Section 2.1 mechanism semantics
-        the analytical ``repro dynamic`` can only model. Uses the native
-        epoch kernel when available, else the bit-identical pure-Python
-        epoch driver; stats and the reallocation timeline are byte-equal
-        either way. Returns a :class:`DynamicTraceResult`.
+        the analytical ``repro dynamic`` can only model. The epoch driver
+        comes from :func:`_epoch_replay`, like :meth:`run_packed`'s:
+        native when available, else the bit-identical pure-Python
+        driver; stats and the reallocation timeline are byte-equal either
+        way. Returns a :class:`DynamicTraceResult`.
         """
         if len(workloads) < 2:
             raise ValidationError("dynamic partitioning needs >= 2 workloads")
@@ -379,10 +242,8 @@ class TraceEngine:
         if epoch_accesses < 1:
             raise ValidationError("epoch_accesses must be positive")
         hierarchy = self.hierarchy
-        if not self.fast_loop or hierarchy.prefetchers_enabled():
-            raise ValidationError(
-                "run_dynamic needs the fast loop with prefetchers off"
-            )
+        if hierarchy.prefetchers_enabled():
+            raise ValidationError("run_dynamic needs prefetchers off")
         if packs is None:
             from repro.workloads.trace import _TraceBase
             from repro.workloads.tracepack import get_pack
@@ -399,10 +260,6 @@ class TraceEngine:
                 )
         elif len(packs) != len(workloads):
             raise ValidationError("need one pack per workload")
-        if any(p.writes_list() is not None for p in packs):
-            raise ValidationError(
-                "run_dynamic supports read-only (lean) traces only"
-            )
 
         core_of = hierarchy.core_of_tid
         cores = [core_of(w.tid) for w in workloads]
@@ -418,34 +275,13 @@ class TraceEngine:
         for name, mask in initial.items():
             hierarchy.set_way_mask(core_by_name[name], mask)
 
-        from repro.cache.kernel import (
-            build_native_epoch_replay,
-            build_python_epoch_replay,
-        )
         from repro.core.dynamic import mpki_window
 
-        thinks = [w.think_cycles for w in workloads]
-        llc = hierarchy.llc.storage
-        llc_indexing = "mod" if llc._mod_mask >= 0 else "hash"
-        repeats = [w.repeat for w in workloads]
-        lengths = [len(p.line) for p in packs]
-        replay = build_native_epoch_replay(
-            hierarchy, cores, thinks,
-            [p.line for p in packs],
-            [p.set_column(llc.num_sets, llc_indexing) for p in packs],
-            lengths, repeats,
-        )
-        if replay is None:
-            replay = build_python_epoch_replay(
-                hierarchy, cores, thinks,
-                [p.lines_list() for p in packs],
-                [p.sets_list(llc.num_sets, llc_indexing) for p in packs],
-                lengths, repeats,
-            )
+        replay = _epoch_replay(hierarchy, cores, workloads, packs)
         if replay is None:
             raise ValidationError(
-                "run_dynamic needs the lean kernel replay (kernel "
-                "backend, read-only traces, no profiler attached)"
+                "run_dynamic needs the lean epoch replay (kernel backend, "
+                "read-only traces)"
             )
 
         period_s = controller.period_s
@@ -532,182 +368,62 @@ class TraceEngine:
         ec.add(ec.PACK_REPLAYS, len(packs))
         return {w.name: stats_list[i] for i, w in enumerate(workloads)}
 
-    @staticmethod
-    def _packed_one_lean(walk, line_list, set_list, length, repeat, total):
-        """Single-domain read-only replay: chunked, bounds-check-free."""
-        if not length:
-            return 0
-        vtime = 0
-        issued = 0
-        i = 0
-        while issued < total:
-            chunk = total - issued
-            rem = length - i
-            if chunk > rem:
-                chunk = rem
-            end = i + chunk
-            for j in range(i, end):
-                vtime += walk(line_list[j], set_list[j])
-            issued += chunk
-            i = end
-            if i == length:
-                if not repeat:
-                    break
-                i = 0
-        return vtime
 
-    @staticmethod
-    def _packed_one(walk, line_list, set_list, write_list, length, repeat,
-                    total):
-        """Single-domain replay, general (read/write) walk."""
-        if not length:
-            return 0
-        vtime = 0
-        issued = 0
-        i = 0
-        while issued < total:
-            chunk = total - issued
-            rem = length - i
-            if chunk > rem:
-                chunk = rem
-            end = i + chunk
-            for j in range(i, end):
-                vtime += walk(line_list[j], set_list[j], write_list[j])
-            issued += chunk
-            i = end
-            if i == length:
-                if not repeat:
-                    break
-                i = 0
-        return vtime
+def _epoch_replay(hierarchy, cores, workloads, packs):
+    """The epoch driver for one packed co-run, or ``None``.
 
-    @staticmethod
-    def _packed_two_lean(walks, lines, sets, lengths, repeats, reports,
-                         total):
-        """Two-domain read-only replay, heap replaced by one comparison.
+    The native driver (a one-cell ``epochbatch`` roster, see
+    :func:`~repro.cache.kernel.build_native_epoch_replay`) when the
+    kernel is available and the layout allows it, else the pure-Python
+    :class:`~repro.cache.kernel.PythonEpochReplay`. ``None`` when the
+    lean epoch replay cannot take the co-run at all: a pack carries
+    writes, two workloads share a core, or the hierarchy is not a lean
+    kernel hierarchy. Both drivers are bit-identical to
+    :meth:`TraceEngine.run`.
+    """
+    from repro.cache.kernel import (
+        KernelCacheLevel,
+        build_native_epoch_replay,
+        build_python_epoch_replay,
+    )
 
-        ``(vtime, slot)`` heap order with two live slots reduces to
-        "lower vtime first, slot 0 on ties" — exactly ``t0 <= t1``. The
-        issue budget runs as a plain ``for`` with no per-access counter;
-        on the rare retire of a non-repeating trace the count so far is
-        recovered from the walks' level counters.
-        """
-        walk0, walk1 = walks
-        l0, l1 = lines
-        s0, s1 = sets
-        n0, n1 = lengths
-        rep0, rep1 = repeats
-        t0 = t1 = 0
-        i0 = i1 = 0
-        live0, live1 = n0 > 0, n1 > 0
-        issued = 0
-        while issued < total and (live0 or live1):
-            retired = False
-            for _ in range(total - issued):
-                if live0 and (not live1 or t0 <= t1):
-                    if i0 == n0:
-                        if not rep0:
-                            live0 = False
-                            retired = True
-                            break
-                        i0 = 0
-                    t0 += walk0(l0[i0], s0[i0])
-                    i0 += 1
-                elif live1:
-                    if i1 == n1:
-                        if not rep1:
-                            live1 = False
-                            retired = True
-                            break
-                        i1 = 0
-                    t1 += walk1(l1[i1], s1[i1])
-                    i1 += 1
-                else:
-                    break
-            if not retired:
-                break
-            issued = sum(reports[0]()) + sum(reports[1]())
-        return t0, t1
-
-    @staticmethod
-    def _packed_two(walks, lines, sets, writes, lengths, repeats, reports,
-                    total):
-        """Two-domain replay, general (read/write) walks."""
-        walk0, walk1 = walks
-        l0, l1 = lines
-        s0, s1 = sets
-        w0, w1 = writes
-        n0, n1 = lengths
-        rep0, rep1 = repeats
-        t0 = t1 = 0
-        i0 = i1 = 0
-        live0, live1 = n0 > 0, n1 > 0
-        issued = 0
-        while issued < total and (live0 or live1):
-            retired = False
-            for _ in range(total - issued):
-                if live0 and (not live1 or t0 <= t1):
-                    if i0 == n0:
-                        if not rep0:
-                            live0 = False
-                            retired = True
-                            break
-                        i0 = 0
-                    t0 += walk0(l0[i0], s0[i0], w0[i0])
-                    i0 += 1
-                elif live1:
-                    if i1 == n1:
-                        if not rep1:
-                            live1 = False
-                            retired = True
-                            break
-                        i1 = 0
-                    t1 += walk1(l1[i1], s1[i1], w1[i1])
-                    i1 += 1
-                else:
-                    break
-            if not retired:
-                break
-            issued = sum(reports[0]()) + sum(reports[1]())
-        return t0, t1
-
-    @staticmethod
-    def _packed_heap(walks, lines, sets, writes, lengths, repeats, vtimes,
-                     total, lean):
-        """General N-domain replay over the same (vtime, slot) heap."""
-        heap = [(0, i) for i in range(len(walks)) if lengths[i]]
-        heapq.heapify(heap)
-        heappop, heappush = heapq.heappop, heapq.heappush
-        positions = [0] * len(walks)
-        issued = 0
-        while heap and issued < total:
-            vtime, slot = heappop(heap)
-            i = positions[slot]
-            if i == lengths[slot]:
-                if not repeats[slot]:
-                    continue
-                i = 0
-            if lean:
-                vtime += walks[slot](lines[slot][i], sets[slot][i])
-            else:
-                vtime += walks[slot](
-                    lines[slot][i], sets[slot][i], writes[slot][i]
-                )
-            positions[slot] = i + 1
-            vtimes[slot] = vtime
-            issued += 1
-            heappush(heap, (vtime, slot))
+    llc = hierarchy.llc.storage
+    if not isinstance(llc, KernelCacheLevel):
+        return None
+    if any(p.writes_list() is not None for p in packs):
+        return None
+    indexing = "mod" if llc._mod_mask >= 0 else "hash"
+    thinks = [w.think_cycles for w in workloads]
+    lengths = [len(p.line) for p in packs]
+    repeats = [w.repeat for w in workloads]
+    replay = build_native_epoch_replay(
+        hierarchy, cores, thinks,
+        [p.line for p in packs],
+        [p.set_column(llc.num_sets, indexing) for p in packs],
+        lengths, repeats,
+    )
+    if replay is None:
+        replay = build_python_epoch_replay(
+            hierarchy, cores, thinks,
+            [p.lines_list() for p in packs],
+            [p.sets_list(llc.num_sets, indexing) for p in packs],
+            lengths, repeats,
+        )
+    return replay
 
 
 def measure_isolation(fg_workload, bg_workload, fg_mask=None, bg_mask=None,
                       total_accesses=120_000, prefetchers_on=False,
-                      backend="object"):
+                      backend="kernel"):
     """Foreground latency/miss-ratio alone, shared, and partitioned.
 
     The address-level version of the paper's core experiment. Prefetchers
     default off: a prefetch-accelerated stream monopolizes the access
     budget and the measurement becomes a warm-up study rather than a
-    partitioning one.
+    partitioning one. Every pass goes through
+    :meth:`TraceEngine.run_packed`, which falls back to
+    :meth:`TraceEngine.run` by itself; the kernel backend equals the
+    object model, so the numbers are the same on either.
     """
     from repro.cache.llc import WayMask
 
@@ -725,8 +441,8 @@ def measure_isolation(fg_workload, bg_workload, fg_mask=None, bg_mask=None,
 
     def warm_then_measure(masks, workloads):
         engine = fresh_engine(masks)
-        engine.run(workloads, total_accesses)  # warm-up pass
-        return engine.run(workloads, total_accesses)  # measured pass
+        engine.run_packed(workloads, total_accesses)  # warm-up pass
+        return engine.run_packed(workloads, total_accesses)  # measured pass
 
     alone = warm_then_measure(None, [fg_workload])
     shared = warm_then_measure(None, [fg_workload, bg_workload])

@@ -222,6 +222,64 @@ class TestBatchedRoster:
         assert with_pf[0] == direct
 
 
+# A zero word, a word with a bit above the 12 LLC ways, a negative word.
+_BAD_MASK_WORDS = [0, 0x1FF | 1 << 13, -1]
+
+
+class TestMaskWordValidation:
+    """Bad LLC way-mask words raise before they can reach a kernel."""
+
+    @staticmethod
+    def _hierarchy_and_cell(mask_bits=None):
+        hierarchy = TraceEngine(prefetchers_on=False, backend="kernel").hierarchy
+        llc = hierarchy.llc.storage
+        packs = [get_pack(w.trace_factory()) for w in _pair()]
+        cell = {
+            "cores": [0, 2],
+            "thinks": [6, 2],
+            "mask_bits": mask_bits,
+            "lines": [p.line for p in packs],
+            "sets": [p.set_column(llc.num_sets) for p in packs],
+            "lengths": [len(p.line) for p in packs],
+            "repeats": [True, True],
+            "stop": 1_000,
+        }
+        return hierarchy, cell
+
+    @pytest.mark.parametrize("bits", _BAD_MASK_WORDS,
+                             ids=["zero", "above-ways", "negative"])
+    def test_batch_builders_reject_bad_word(self, bits):
+        from repro.cache.kernel import (
+            build_native_batch_replay,
+            build_native_epoch_batch_replay,
+        )
+
+        for build in (build_native_batch_replay,
+                      build_native_epoch_batch_replay):
+            hierarchy, cell = self._hierarchy_and_cell([0xE00, bits])
+            with pytest.raises(ValidationError):
+                build(hierarchy, [cell])
+
+    @pytest.mark.parametrize("bits", _BAD_MASK_WORDS,
+                             ids=["zero", "above-ways", "negative"])
+    def test_set_mask_bits_rejects_bad_word(self, bits):
+        from repro.cache.kernel import build_native_epoch_batch_replay
+
+        hierarchy, cell = self._hierarchy_and_cell()
+        batch = build_native_epoch_batch_replay(hierarchy, [cell])
+        if batch is None:
+            pytest.skip("no C compiler for the epoch-batch kernel")
+        with pytest.raises(ValidationError):
+            batch.set_mask_bits(0, 1, bits)
+
+    def test_word_count_must_match_the_domains(self):
+        from repro.cache.kernel import build_native_batch_replay
+
+        hierarchy, cell = self._hierarchy_and_cell([0xE00])
+        with pytest.raises(ValidationError):
+            build_native_batch_replay(hierarchy, [cell])
+
+
 class TestBatchProfiler:
     def _pack(self):
         return get_pack(ZipfTrace(3_000, 512 * KB, alpha=0.9, seed=13))

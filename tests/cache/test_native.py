@@ -22,17 +22,13 @@ def _fresh_loader(monkeypatch, tmp_path):
 class TestKernelStatus:
     def test_reports_every_kernel(self):
         status = native.kernel_status()
-        assert set(status) == {
-            "pairwalk", "multiwalk", "batchwalk", "epochbatch"
-        }
+        assert set(status) == {"batchwalk", "epochbatch"}
 
     def test_ok_when_compiled(self):
-        if native.multi_walk_fn() is None:
+        if native.epoch_batch_fn() is None:
             pytest.skip("no C compiler on this host")
         status = native.kernel_status()
-        assert status["pairwalk"] == "ok"
-        assert status["multiwalk"] == "ok"
-        # The run_items-pool kernels' ok carries their threading mode,
+        # Every kernel runs on the run_items pool; its ok carries the mode,
         # e.g. "ok [openmp]" or "ok [serial; openmp probe failed: ...]".
         for name in ("batchwalk", "epochbatch"):
             assert status[name].startswith("ok [")
@@ -42,15 +38,15 @@ class TestKernelStatus:
     def test_disabled_reason_names_the_gate(self, monkeypatch):
         monkeypatch.setenv("REPRO_NATIVE", "0")
         native.reset()
-        assert native.pair_walk_fn() is None
-        assert native.multi_walk_fn() is None
+        assert native.batch_walk_fn() is None
+        assert native.epoch_batch_fn() is None
         for reason in native.kernel_status().values():
             assert "REPRO_NATIVE" in reason and "'0'" in reason
 
     def test_missing_compiler_reason(self, monkeypatch):
         monkeypatch.setattr(native, "_compiler", lambda: None)
         status = native.kernel_status()
-        assert status["multiwalk"] == (
+        assert status["epochbatch"] == (
             "no C compiler found ($CC, cc, gcc, clang)"
         )
 
@@ -63,19 +59,19 @@ class TestKernelStatus:
             return None, "cc failed: synthetic diagnostic"
 
         monkeypatch.setattr(native, "_build_library", broken)
-        assert native.multi_walk_fn() is None
-        assert native.multi_walk_fn() is None  # memoized, not retried
-        assert calls == ["multiwalk"]
+        assert native.epoch_batch_fn() is None
+        assert native.epoch_batch_fn() is None  # memoized, not retried
+        assert calls == ["epochbatch"]
         assert (
-            native.kernel_status()["multiwalk"]
+            native.kernel_status()["epochbatch"]
             == "cc failed: synthetic diagnostic"
         )
         monkeypatch.setattr(native, "_build_library", real)
         # Still the memoized failure until an explicit reset.
-        assert native.multi_walk_fn() is None
+        assert native.epoch_batch_fn() is None
         native.reset()
         if native._compiler() is not None:
-            assert native.multi_walk_fn() is not None
+            assert native.epoch_batch_fn() is not None
 
     def test_reason_lands_in_engine_stat(self, monkeypatch):
         from repro.perf.stat import format_engine_stat
@@ -83,8 +79,6 @@ class TestKernelStatus:
         monkeypatch.setenv("REPRO_NATIVE", "0")
         native.reset()
         text = format_engine_stat()
-        assert "native-kernel/pairwalk:" in text
-        assert "native-kernel/multiwalk:" in text
         assert "native-kernel/batchwalk:" in text
         assert "native-kernel/epochbatch:" in text
         assert "native-batch/threading:" in text

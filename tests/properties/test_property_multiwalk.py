@@ -1,6 +1,8 @@
-"""Property: the native multiwalk kernel is the heap scheduler, for any
-co-run shape — random per-domain lengths, think times, and repeat flags,
-including the all-retired early-exit and constant-tie cases."""
+"""Property: every packed co-run of 1-4 domains replays exactly like
+``TraceEngine.run``, through the native epoch kernel and through the
+pure-Python epoch driver (``REPRO_NATIVE=0``) — random per-domain
+lengths, think times, and repeat flags, including the all-retired
+early-exit and constant-tie cases."""
 
 import os
 
@@ -24,7 +26,7 @@ _TIDS = (0, 4, 2, 6)
 def _native_available():
     from repro.cache import native
 
-    return native.multi_walk_fn() is not None
+    return native.epoch_batch_fn() is not None
 
 
 def _without_native(fn):
@@ -63,15 +65,21 @@ def _make_workloads(lengths, thinks, repeats):
 
 
 def _run(workloads, packs, total):
-    ways_split = {3: (6, 3, 3), 4: (6, 2, 2, 2)}[len(workloads)]
-    engine = TraceEngine(prefetchers_on=False, backend="kernel",
-                         fast_loop=True)
+    """``run_packed`` over ``packs``, or ``run`` when ``packs`` is None."""
+    ways_split = {
+        1: (12,), 2: (9, 3), 3: (6, 3, 3), 4: (6, 2, 2, 2),
+    }[len(workloads)]
+    engine = TraceEngine(prefetchers_on=False, backend="kernel")
     start = 0
     for i, ways in enumerate(ways_split):
         core = engine.hierarchy.core_of_tid(_TIDS[i])
         engine.hierarchy.set_way_mask(core, WayMask.contiguous(ways, start))
         start += ways
-    stats = engine.run_packed(workloads, total_accesses=total, packs=packs)
+    if packs is None:
+        stats = engine.run(workloads, total_accesses=total)
+    else:
+        stats = engine.run_packed(workloads, total_accesses=total,
+                                  packs=packs)
     hierarchy = engine.hierarchy
     levels = list(hierarchy.l1) + list(hierarchy.l2) + [hierarchy.llc.storage]
     return (
@@ -88,10 +96,10 @@ def _run(workloads, packs, total):
 class TestMultiwalkProperty:
     @settings(max_examples=15, deadline=None)
     @given(
-        domains=st.integers(min_value=3, max_value=4),
+        domains=st.integers(min_value=1, max_value=4),
         data=st.data(),
     )
-    def test_native_matches_heap_for_any_co_run(self, domains, data):
+    def test_native_python_and_run_agree(self, domains, data):
         lengths = data.draw(
             st.lists(
                 st.integers(min_value=40, max_value=400),
@@ -118,5 +126,6 @@ class TestMultiwalkProperty:
             for w in workloads
         ]
         native_sig = _run(workloads, packs, total)
-        heap_sig = _without_native(lambda: _run(workloads, packs, total))
-        assert native_sig == heap_sig
+        python_sig = _without_native(lambda: _run(workloads, packs, total))
+        run_sig = _run(workloads, None, total)
+        assert native_sig == python_sig == run_sig

@@ -1,8 +1,9 @@
 """The N-domain epoch-resumable replay and trace-driven dynamic runs.
 
-Three implementations must agree bit for bit on any co-run: the Python
-heap scheduler (``_packed_heap``), the pure-Python epoch driver, and the
-native ``multiwalk.c`` kernel. On top of that, splitting a run into
+Three implementations must agree bit for bit on any co-run: the
+reference ``TraceEngine.run``, the pure-Python epoch driver, and the
+native epoch kernel (a one-cell ``epochbatch`` roster over
+``multiwalk.c``). On top of that, splitting a run into
 epochs — with or without way-mask changes at the boundaries — must be
 invisible to the simulated caches (the flush-free resume contract).
 """
@@ -51,7 +52,7 @@ def _without_native(fn):
 def _native_available():
     from repro.cache import native
 
-    return native.multi_walk_fn() is not None
+    return native.epoch_batch_fn() is not None
 
 
 _TIDS = (0, 4, 2, 6)
@@ -87,8 +88,7 @@ def _workloads(n=3, length=5_000, repeats=None, thinks=None):
 
 
 def _engine(n=3):
-    engine = TraceEngine(prefetchers_on=False, backend="kernel",
-                         fast_loop=True)
+    engine = TraceEngine(prefetchers_on=False, backend="kernel")
     start = 0
     for i, ways in enumerate(_PARTITIONS[n]):
         core = engine.hierarchy.core_of_tid(_TIDS[i])
@@ -253,7 +253,7 @@ class TestTieBreaking:
             engine.run_packed(workloads, total_accesses=total, packs=packs),
         )
 
-        def heap_run():
+        def python_run():
             engine = _engine(3)
             return _signature(
                 engine,
@@ -261,7 +261,7 @@ class TestTieBreaking:
                                   packs=packs),
             )
 
-        assert _without_native(heap_run) == native_sig
+        assert _without_native(python_run) == native_sig
 
         py_engine = _engine(3)
         py = _build_replay(build_python_epoch_replay, py_engine, workloads,
@@ -287,7 +287,7 @@ class TestRunPackedMultiwalk:
         stats = engine.run_packed(workloads, total_accesses=total, packs=packs)
         native_sig = _signature(engine, stats)
 
-        def heap_run():
+        def python_run():
             engine = _engine(4)
             return _signature(
                 engine,
@@ -295,7 +295,7 @@ class TestRunPackedMultiwalk:
                                   packs=packs),
             )
 
-        assert _without_native(heap_run) == native_sig
+        assert _without_native(python_run) == native_sig
 
     def test_nonrepeating_domains_retire_identically(self):
         workloads = _workloads(3, length=1_500,
@@ -309,7 +309,7 @@ class TestRunPackedMultiwalk:
         assert stats["fg"].accesses == 1_500
         assert stats["bg2"].accesses == 1_500
 
-        def heap_run():
+        def python_run():
             engine = _engine(3)
             return _signature(
                 engine,
@@ -317,7 +317,7 @@ class TestRunPackedMultiwalk:
                                   packs=packs),
             )
 
-        assert _without_native(heap_run) == native_sig
+        assert _without_native(python_run) == native_sig
 
 
 class TestRunDynamic:

@@ -2,11 +2,17 @@
 
 import pytest
 
+from repro.cache.block import LINE_SIZE, MemoryAccess
 from repro.cache.llc import WayMask
 from repro.sim.trace_engine import TraceEngine, TraceWorkload, measure_isolation
 from repro.util.errors import ValidationError
 from repro.util.units import KB, MB
-from repro.workloads.trace import PointerChaseTrace, StreamingTrace, ZipfTrace
+from repro.workloads.trace import (
+    PointerChaseTrace,
+    StreamingTrace,
+    ZipfTrace,
+    _TraceBase,
+)
 
 
 def chase(tid=0, ws=2 * MB, length=20_000):
@@ -130,6 +136,29 @@ class TestIsolationMeasurement:
             measure_isolation(chase(0), chase(1))
 
 
+class _WritingTrace(_TraceBase):
+    """A custom trace whose every third access is a store, so its pack
+    carries a write column the lean epoch replay cannot take."""
+
+    def __init__(self, length, working_set_bytes, tid=0):
+        super().__init__(length, tid)
+        self.working_set_bytes = working_set_bytes
+
+    def __iter__(self):
+        lines = self.working_set_bytes // LINE_SIZE
+        for i in range(self.length):
+            yield MemoryAccess(
+                address=0x50_0000 + (i * 7 % lines) * LINE_SIZE,
+                is_write=i % 3 == 0,
+                pc=0x500,
+                tid=self.tid,
+            )
+
+
+# Way splits per domain count, over cores 0, 2, 3, 1 (tids 0, 4, 6, 2).
+_SPLITS = {1: (12,), 2: (9, 3), 3: (6, 3, 3), 4: (6, 2, 2, 2)}
+
+
 class TestRunPacked:
     """run_packed must be bit-identical to run() on every path."""
 
@@ -141,12 +170,16 @@ class TestRunPacked:
         monkeypatch.setenv("REPRO_TRACE_CACHE", str(tmp_path / "traces"))
 
     @staticmethod
-    def _engine(partition=True):
-        engine = TraceEngine(prefetchers_on=False, backend="kernel",
-                             fast_loop=True)
+    def _engine(workloads, partition=True):
+        engine = TraceEngine(prefetchers_on=False, backend="kernel")
         if partition:
-            engine.hierarchy.set_way_mask(0, WayMask.contiguous(9, 0))
-            engine.hierarchy.set_way_mask(2, WayMask.contiguous(3, 9))
+            start = 0
+            for w, ways in zip(workloads, _SPLITS[len(workloads)]):
+                core = engine.hierarchy.core_of_tid(w.tid)
+                engine.hierarchy.set_way_mask(
+                    core, WayMask.contiguous(ways, start)
+                )
+                start += ways
         return engine
 
     @staticmethod
@@ -164,7 +197,7 @@ class TestRunPacked:
             sorted(hierarchy.llc.storage.resident_lines()),
         )
 
-    def _pair_workloads(self, length=9_000):
+    def _workloads(self, domains, length=9_000):
         return [
             TraceWorkload(
                 "fg",
@@ -178,62 +211,83 @@ class TestRunPacked:
                 tid=4,
                 think_cycles=2,
             ),
-        ]
-
-    def _assert_identical(self, workloads, total_accesses, partition=True):
-        engine = self._engine(partition)
-        baseline = self._signature(
-            engine, engine.run(workloads, total_accesses=total_accesses)
-        )
-        engine = self._engine(partition)
-        packed = self._signature(
-            engine, engine.run_packed(workloads, total_accesses=total_accesses)
-        )
-        assert packed == baseline
-
-    def test_pair_co_run_identical(self):
-        """The two-domain fused walk (native when available)."""
-        self._assert_identical(self._pair_workloads(), 16_000)
-
-    def test_pair_co_run_identical_without_native(self, monkeypatch):
-        """REPRO_NATIVE=0 must fall back to the Python pair loop with
-        the exact same results."""
-        from repro.cache import native
-
-        monkeypatch.setenv("REPRO_NATIVE", "0")
-        native.reset()
-        try:
-            assert native.pair_walk_fn() is None
-            self._assert_identical(self._pair_workloads(), 16_000)
-        finally:
-            native.reset()
-
-    def test_single_workload_identical(self):
-        workloads = [self._pair_workloads()[0]]
-        self._assert_identical(workloads, 8_000, partition=False)
-
-    def test_three_workloads_identical(self):
-        """Three domains take the N-domain path (native multiwalk when
-        available, else the heap-scheduled walks)."""
-        workloads = self._pair_workloads() + [
             TraceWorkload(
                 "extra",
                 lambda: PointerChaseTrace(6_000, 1 * MB, tid=6, seed=3),
                 tid=6,
                 think_cycles=4,
+            ),
+            TraceWorkload(
+                "extra2",
+                lambda: StreamingTrace(5_000, 4 * MB, tid=2),
+                tid=2,
+                think_cycles=1,
+                repeat=False,
+            ),
+        ][:domains]
+
+    def _assert_identical(self, workloads, total_accesses, partition=True):
+        engine = self._engine(workloads, partition)
+        baseline = self._signature(
+            engine, engine.run(workloads, total_accesses=total_accesses)
+        )
+        engine = self._engine(workloads, partition)
+        packed = self._signature(
+            engine, engine.run_packed(workloads, total_accesses=total_accesses)
+        )
+        assert packed == baseline
+
+    @pytest.mark.parametrize("native_on", [True, False],
+                             ids=["native", "python"])
+    @pytest.mark.parametrize("domains", [1, 2, 3, 4])
+    def test_co_run_identical(self, domains, native_on, monkeypatch):
+        """Every domain count replays through the epoch driver, native
+        or (REPRO_NATIVE=0) pure Python, identical to run()."""
+        from repro.cache import native
+
+        monkeypatch.setenv("REPRO_NATIVE", "1" if native_on else "0")
+        native.reset()
+        try:
+            if not native_on:
+                assert native.epoch_batch_fn() is None
+            self._assert_identical(self._workloads(domains), 18_000)
+        finally:
+            native.reset()
+
+    def test_single_workload_identical(self):
+        self._assert_identical(self._workloads(1), 8_000, partition=False)
+
+    def test_writing_pack_falls_back_to_run(self):
+        """A pack that carries writes is outside the lean epoch replay:
+        run_packed must hand the co-run to run() and replay no pack."""
+        from repro.perf import engine_counters as ec
+
+        workloads = self._workloads(1) + [
+            TraceWorkload(
+                "writer",
+                lambda: _WritingTrace(4_000, 1 * MB, tid=4),
+                tid=4,
+                think_cycles=3,
             )
         ]
-        self._assert_identical(workloads, 18_000)
+        before = ec.engine_counters().snapshot()
+        self._assert_identical(workloads, 12_000)
+        delta = ec.engine_counters().delta(before)
+        assert delta.get(ec.PACK_REPLAYS, 0) == 0
 
     def test_sweep_with_and_without_packs_agree(self):
+        """The profiled pass behind trace way_utility, for pairs and
+        3-/4-tenant groups: packed (the Python epoch driver with the
+        profiler attached) == generator."""
         from repro.sim.trace_engine import way_allocation_sweep
 
-        workloads = self._pair_workloads(length=6_000)
-        packed_stats, packed_curves = way_allocation_sweep(
-            workloads, total_accesses=10_000, use_packs=True
-        )
-        plain_stats, plain_curves = way_allocation_sweep(
-            workloads, total_accesses=10_000, use_packs=False
-        )
-        assert packed_stats == plain_stats
-        assert packed_curves == plain_curves
+        for domains in (2, 3, 4):
+            workloads = self._workloads(domains, length=6_000)
+            packed_stats, packed_curves = way_allocation_sweep(
+                workloads, total_accesses=10_000, use_packs=True
+            )
+            plain_stats, plain_curves = way_allocation_sweep(
+                workloads, total_accesses=10_000, use_packs=False
+            )
+            assert packed_stats == plain_stats, domains
+            assert packed_curves == plain_curves, domains

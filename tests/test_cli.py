@@ -194,7 +194,7 @@ class TestTraceDynamic:
             "--engine-stat",
         )
         assert code == 0
-        assert "native-kernel/multiwalk:" in text
+        assert "native-kernel/epochbatch:" in text
 
     def test_json_writes_a_dynamic_run_record(self, _private_pack_cache,
                                               tmp_path):
