@@ -1196,8 +1196,8 @@ _D_POS, _D_LIVE, _D_VTIME = 9, 10, 11
 _D_H1 = 12  # h1, h2, h3, m3, e1, e2, e3 follow contiguously
 _D_E1 = 16
 # cfg[] per-cell scalars; must match the CFG_* enum in multiwalk.c.
-_CFG_SLOTS = 8
-_CFG_STOP, _CFG_HORIZON = 6, 7
+_CFG_SLOTS = 7
+_CFG_STOP = 6
 
 
 def _epoch_replay_supported(hierarchy, cores):
@@ -1226,8 +1226,7 @@ class PythonEpochReplay:
     Implements the exact scheduler of ``multiwalk.c`` — linear scan for
     the minimum ``(vtime, slot)`` over live domains, exhausted
     non-repeating domains retiring without issuing, ``stop_at`` as an
-    absolute issued-access target and ``horizon`` as a virtual-time
-    bound checked before issuing — over the per-core closures from
+    absolute issued-access target — over the per-core closures from
     :func:`_build_lean_pack_walk`. Virtual times and slot keys are
     unique, so the scan order equals the ``(vtime, slot)`` heap order of
     :meth:`TraceEngine.run` and replays are bit-identical to both that
@@ -1286,10 +1285,10 @@ class PythonEpochReplay:
         r = self._reports[slot]()
         return (t[0] + r[0], t[1] + r[1], t[2] + r[2], t[3] + r[3])
 
-    def run_epoch(self, stop_at, horizon=-1):
-        """Advance until ``issued == stop_at`` or the merge frontier
-        reaches ``horizon`` (virtual time, -1 to disable); returns the
-        total issued so far. Call again to resume exactly."""
+    def run_epoch(self, stop_at):
+        """Advance until ``issued == stop_at`` or every domain has
+        retired; returns the total issued so far. Call again to resume
+        exactly."""
         walks = self._walks
         lines, sets = self._lines, self._sets
         positions, vtimes = self._positions, self._vtimes
@@ -1306,8 +1305,6 @@ class PythonEpochReplay:
                         best = d
                         bt = vt
             if best < 0:
-                break
-            if 0 <= horizon <= bt:
                 break
             i = positions[best]
             if i == lengths[best]:
@@ -1464,7 +1461,6 @@ class NativeBatchReplay:
             cfg[cbase + 4] = h.l2[cores[0]]._mod_mask
             cfg[cbase + 5] = num_cores
             cfg[cbase + _CFG_STOP] = int(cell["stop"])
-            cfg[cbase + _CFG_HORIZON] = -1
             for core in cores:
                 off = r * num_cores * l1_sets + core * l1_sets
                 l1_state[off:off + l1_sets] = (
@@ -1695,12 +1691,11 @@ class NativeEpochBatchReplay(NativeBatchReplay):
 
     # -- the one-cell co-run interface (cell 0) ---------------------------
 
-    def run_epoch(self, stop_at, horizon=-1):
-        """Advance until ``issued == stop_at`` or the merge frontier
-        reaches ``horizon`` (virtual time, -1 to disable); returns the
-        total issued so far. Call again to resume exactly."""
+    def run_epoch(self, stop_at):
+        """Advance until ``issued == stop_at`` or every domain has
+        retired; returns the total issued so far. Call again to resume
+        exactly."""
         self._cfg[_CFG_STOP] = stop_at
-        self._cfg[_CFG_HORIZON] = horizon
         self.run_active((0,))
         return self.issued_of(0)
 

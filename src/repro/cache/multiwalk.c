@@ -4,9 +4,8 @@
  * position, liveness, virtual time, way mask, level counters) lives in a
  * flat int64 buffer owned by Python (`dom`, DOM_STRIDE slots per
  * domain), and one call replays an *epoch* — it stops at an absolute
- * issued-access target (`cfg[CFG_STOP]`) or when the least-advanced live
- * domain has reached a virtual-time horizon (`cfg[CFG_HORIZON]`, -1 to
- * disable) — then writes everything back.  The next call resumes exactly
+ * issued-access target (`cfg[CFG_STOP]`) or when every domain has
+ * retired — then writes everything back.  The next call resumes exactly
  * where this one stopped, possibly with different way masks (Python
  * rewrites dom[D_MASK] between calls); nothing is flushed, resident
  * lines and all recency state carry over, which is the Section 2.1
@@ -46,7 +45,7 @@ typedef int32_t i32;
 /* cfg[] scalar layout (must match kernel._CFG_* and NativeBatchReplay) */
 enum {
     CFG_N, CFG_LEAVES, CFG_W, CFG_L1_MOD, CFG_L2_MOD, CFG_NUM_CORES,
-    CFG_STOP, CFG_HORIZON,
+    CFG_STOP,
     CFG_SLOTS,
 };
 
@@ -308,7 +307,6 @@ repro_multi_walk(
 
     i64 issued = sched[SCHED_ISSUED];
     i64 stop = cfg[CFG_STOP];
-    i64 horizon = cfg[CFG_HORIZON];
     while (issued < stop) {
         /* Linear scan == heap pop: min vtime, lowest slot on ties. */
         i64 best = -1, bt = 0;
@@ -319,8 +317,6 @@ repro_multi_walk(
             }
         }
         if (best < 0)
-            break;
-        if (horizon >= 0 && bt >= horizon)
             break;
         i64 i = pos[best];
         if (i == n[best]) {

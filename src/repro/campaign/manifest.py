@@ -10,8 +10,8 @@ stores without coordination.
 
 Validation is strict: an unknown key anywhere in the manifest raises
 :class:`UnknownManifestKey` listing the valid keys (the CLI turns that
-into an exit-2 usage error, mirroring ``bench_smoke --only``'s unknown
-arm handling) — a typo'd axis must never silently shrink a campaign.
+into an exit-2 usage error, like an unknown command-line choice) — a
+typo'd axis must never silently shrink a campaign.
 """
 
 import hashlib

@@ -1166,7 +1166,7 @@ def _cmd_compare(args, out):
 
 def _load_campaign_manifest(path):
     """Load a manifest; unknown keys are a *usage* error (exit 2), the
-    same contract as ``bench_smoke --only`` with an unknown arm."""
+    same contract as any unknown command-line choice."""
     from repro.campaign import UnknownManifestKey, load_manifest
 
     try:

@@ -14,7 +14,6 @@ features are measured.
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.cluster.hierarchy import fcluster, linkage
 
 from repro.util.errors import ValidationError
 
@@ -60,6 +59,8 @@ def cluster_applications(features_by_name, cut_distance=0.9, expected_len=None):
         cut_distance: dendrogram cut (the paper uses 0.9).
         expected_len: optional check on vector length (19 in the paper).
     """
+    from scipy.cluster.hierarchy import fcluster, linkage
+
     if not features_by_name:
         raise ValidationError("need at least one application to cluster")
     names = sorted(features_by_name)

@@ -3,7 +3,8 @@
 A perf number without its host context is unreviewable: the batch
 speedup depends on CPU count, the native gate, and the thread knobs.
 ``host_provenance`` captures the execution environment in plain data so
-every ``BENCH_*.json`` payload records where its numbers came from —
+every benchmark result (``bench/out/results.json``) records where its
+numbers came from —
 including every ``REPRO_NATIVE*`` variable, the per-kernel
 compile/disable status, and the *resolved* worker/thread counts those
 knobs produce on this host, so "why was native off on that run?" and

@@ -23,9 +23,12 @@ from repro.backend import (
     WaySplit,
 )
 from repro.backend.protocol import MAX_TENANTS, WayUtility
+from repro.core.clustering import cluster_tenants
 from repro.core.policies import run_group_policy, run_policy_on
+from repro.sim.trace_engine import run_packed_roster
 from repro.util.errors import ValidationError
 
+from .._native import without_native
 from .test_protocol import _FakeBackend, _fake_spec
 
 ACCESSES = 8_000
@@ -266,3 +269,48 @@ class TestGroupReference:
             assert outcome.backend == "analytical"
             assert len(outcome.measurement.costs) == 3
             assert outcome.fg_cost > 0
+
+
+class TestClusterRoster:
+    """A batched roster of 4-tenant cluster splits == per-cell replay, at
+    any kernel thread count and with the native kernels off."""
+
+    @pytest.fixture(scope="class")
+    def planned(self):
+        # Big enough that LFOC finds cache-sensitive tenants and the
+        # plans partition the LLC (smaller groups all share it).
+        accesses = 20_000
+        backend = TraceBackend(total_accesses=accesses)
+        llc_ways = backend.capabilities().llc_ways
+        planned = []
+        for seed in (1, 2):
+            group = trace_group_spec(
+                ("zipf", "stream", "chase", "stream"),
+                accesses=accesses, seed=seed,
+            )
+            plan = cluster_tenants(
+                backend.way_utility(group), names=group.names,
+                llc_ways=llc_ways,
+            )
+            planned.append((group, plan.split))
+        return backend, planned
+
+    def test_batched_matches_sequential_across_threads_and_native(
+        self, planned
+    ):
+        backend, groups = planned
+        shared = GroupSplit.shared(4, backend.capabilities().llc_ways)
+        assert all(split != shared for _, split in groups)
+
+        def roster():
+            return [
+                backend.group_roster_cell(group, split)
+                for group, split in groups
+            ]
+
+        reference = run_packed_roster(roster(), sequential=True)
+        for threads in (1, 4):
+            assert run_packed_roster(roster(), threads=threads) == reference
+        assert without_native(lambda: run_packed_roster(roster())) == (
+            reference
+        )

@@ -27,6 +27,8 @@ from repro.workloads.trace import (
 )
 from repro.workloads.tracepack import get_pack
 
+from .._native import native_available, without_native
+
 KB = 1024
 
 
@@ -44,28 +46,6 @@ def _module_pack_cache(tmp_path_factory):
         os.environ.pop("REPRO_TRACE_CACHE", None)
     else:
         os.environ["REPRO_TRACE_CACHE"] = saved_env
-
-
-def _native_available():
-    from repro.cache import native
-
-    return native.batch_walk_fn() is not None
-
-
-def _without_native(fn):
-    from repro.cache import native
-
-    previous = os.environ.get("REPRO_NATIVE")
-    os.environ["REPRO_NATIVE"] = "0"
-    native.reset()
-    try:
-        return fn()
-    finally:
-        if previous is None:
-            os.environ.pop("REPRO_NATIVE", None)
-        else:
-            os.environ["REPRO_NATIVE"] = previous
-        native.reset()
 
 
 def _workload(name, maker, tid, think=2, repeat=True):
@@ -154,9 +134,6 @@ class TestRosterValidation:
             run_packed_roster([RosterCell(workloads=clash)])
 
 
-@pytest.mark.skipif(
-    not _native_available(), reason="no C compiler for the batch kernel"
-)
 class TestBatchedRoster:
     def test_batch_matches_sequential_for_mixed_cells(self):
         batched = run_packed_roster(_mixed_cells())
@@ -165,7 +142,7 @@ class TestBatchedRoster:
 
     def test_disabling_native_gives_identical_results(self):
         batched = run_packed_roster(_mixed_cells())
-        fallback = _without_native(
+        fallback = without_native(
             lambda: run_packed_roster(_mixed_cells())
         )
         assert batched == fallback
@@ -184,11 +161,17 @@ class TestBatchedRoster:
         monkeypatch.setenv("REPRO_NATIVE_THREADS", "3")
         assert run_packed_roster(_mixed_cells()) == explicit
 
+    @pytest.mark.skipif(
+        not native_available(), reason="the thread knob is a kernel input"
+    )
     def test_bad_env_thread_knob_raises(self, monkeypatch):
         monkeypatch.setenv("REPRO_NATIVE_THREADS", "many")
         with pytest.raises(ValidationError):
             run_packed_roster(_mixed_cells())
 
+    @pytest.mark.skipif(
+        not native_available(), reason="counts native batch calls"
+    )
     def test_one_call_for_the_whole_roster(self):
         from repro.perf import engine_counters as ec
 
@@ -268,7 +251,7 @@ class TestMaskWordValidation:
         hierarchy, cell = self._hierarchy_and_cell()
         batch = build_native_epoch_batch_replay(hierarchy, [cell])
         if batch is None:
-            pytest.skip("no C compiler for the epoch-batch kernel")
+            pytest.skip("native kernels unavailable")
         with pytest.raises(ValidationError):
             batch.set_mask_bits(0, 1, bits)
 
@@ -310,8 +293,8 @@ class TestBatchProfiler:
             assert native_curves[d].accesses == python_curves[d].accesses
 
     def test_shard_count_never_changes_histograms(self, monkeypatch):
-        if not _native_available():
-            pytest.skip("no C compiler for the batch kernel")
+        if not native_available():
+            pytest.skip("native kernels unavailable")
         sweep = WaySweep(num_sets=256, num_ways=8, indexing="hash")
         pack = self._pack()
         monkeypatch.setenv("REPRO_NATIVE_THREADS", "1")
@@ -354,39 +337,3 @@ class TestMeasuredSweep:
             assert measured.raw == direct.raw
             assert measured.extra["source"] == "measured"
 
-
-class TestBenchArmSelection:
-    def _main(self):
-        import importlib.util
-        import pathlib
-
-        root = pathlib.Path(__file__).resolve().parents[2]
-        spec = importlib.util.spec_from_file_location(
-            "bench_smoke", root / "scripts" / "bench_smoke.py"
-        )
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
-        return module
-
-    def test_unknown_arm_exits_non_zero_listing_the_arms(self, capsys):
-        bench = self._main()
-        with pytest.raises(SystemExit) as excinfo:
-            bench.main(["--only", "bogus", "--check"])
-        assert excinfo.value.code == 2
-        err = capsys.readouterr().err
-        assert "unknown benchmark arm 'bogus'" in err
-        for arm in bench.ARMS:
-            assert arm in err
-
-    def test_gridsolve_arm_enforces_bit_identity(self):
-        bench = self._main()
-        assert "gridsolve" in bench.ARMS
-        payload = bench.run_gridsolve(
-            repeats=1,
-            pairs=(("x264", "429.mcf"),),
-            splits=(1, 6),
-            freqs=(2.0e9,),
-        )
-        assert payload["identical"] is True
-        assert payload["cells"] == 2
-        assert payload["occupancy_tol"] == 0.0

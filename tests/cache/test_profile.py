@@ -11,6 +11,7 @@ MRC fast path relies on.
 import pytest
 
 from repro.cache.profile import (
+    LLC_NUM_WAYS,
     WayCurve,
     WayProfiler,
     WaySweep,
@@ -179,6 +180,26 @@ class TestValidation:
             use_pack=True,
         )
         assert packed == plain
+
+    def test_pack_profile_matches_kernel_at_llc_geometry(
+        self, monkeypatch, tmp_path
+    ):
+        """The vectorized pack profile at the full LLC geometry (hashed
+        sets, 12 ways) equals per-mask re-simulation on the kernel
+        backend at every way count."""
+        from repro.workloads import tracepack
+
+        monkeypatch.setattr(tracepack, "_OPEN_PACKS", {})
+        monkeypatch.setenv("REPRO_TRACE_CACHE", str(tmp_path / "traces"))
+
+        def factory():
+            return ZipfTrace(20_000, 4 * MB, alpha=0.9, seed=3)
+
+        curve = WaySweep().run_pack(tracepack.get_pack(factory()))[0]
+        ways = range(1, LLC_NUM_WAYS + 1)
+        assert [curve.hits(w) for w in ways] == [
+            brute_force_hits(factory, w, backend="kernel") for w in ways
+        ]
 
     def test_verify_profile_raises_on_forced_mismatch(self):
         """A PLRU ground truth is not stack-inclusive: must fail loudly."""

@@ -1,6 +1,11 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import repro
 from repro.backend.protocol import WayUtility
 from repro.core.clustering import (
     CLUSTER_RESERVED_WAYS,
@@ -218,3 +223,26 @@ class TestDendrogram:
         features = {"a": [0.0], "b": [0.01], "c": [0.02], "d": [1.0]}
         result = cluster_applications(features, cut_distance=0.5)
         assert "[2 apps]" in render_dendrogram(result)
+
+
+class TestLazyScipy:
+    def test_importing_the_campaign_engine_loads_no_scipy(self):
+        """Only ``cluster_applications`` (the Fig. 5 dendrogram) needs
+        scipy, so it imports it on first call, not at module load."""
+        src = os.path.dirname(os.path.dirname(os.path.abspath(
+            repro.__file__
+        )))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p
+        )
+        code = (
+            "import sys, repro.campaign; "
+            "print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] == 'scipy'))"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, check=True,
+            capture_output=True, text=True,
+        ).stdout
+        assert out.strip() == "[]"

@@ -1,4 +1,4 @@
-"""Host provenance — the context block every BENCH_*.json embeds."""
+"""Host provenance — the context block every benchmark result embeds."""
 
 import json
 

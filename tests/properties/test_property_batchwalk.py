@@ -3,8 +3,6 @@ roster shape — random cell counts, domain counts, skewed per-cell
 footprints/budgets (so cells finish far out of order), optional way
 masks — and for any thread count, with native on or off."""
 
-import os
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,30 +20,10 @@ from repro.workloads.trace import (
     ZipfTrace,
 )
 
+from .._native import without_native
+
 KB = 1024
 _TIDS = (0, 4, 2, 6)
-
-
-def _native_available():
-    from repro.cache import native
-
-    return native.batch_walk_fn() is not None
-
-
-def _without_native(fn):
-    from repro.cache import native
-
-    previous = os.environ.get("REPRO_NATIVE")
-    os.environ["REPRO_NATIVE"] = "0"
-    native.reset()
-    try:
-        return fn()
-    finally:
-        if previous is None:
-            os.environ.pop("REPRO_NATIVE", None)
-        else:
-            os.environ["REPRO_NATIVE"] = previous
-        native.reset()
 
 
 _MAKERS = (
@@ -81,9 +59,6 @@ def _make_cell(lengths, thinks, repeats, stop, fg_ways):
     )
 
 
-@pytest.mark.skipif(
-    not _native_available(), reason="no C compiler for the batch kernel"
-)
 class TestBatchwalkProperty:
     @settings(max_examples=10, deadline=None)
     @given(
@@ -137,6 +112,6 @@ class TestBatchwalkProperty:
         reference = run_packed_roster(roster, sequential=True)
         for threads in (1, 2, len(roster)):
             assert run_packed_roster(roster, threads=threads) == reference
-        assert _without_native(
+        assert without_native(
             lambda: run_packed_roster(roster)
         ) == reference

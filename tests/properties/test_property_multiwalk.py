@@ -4,8 +4,6 @@ pure-Python epoch driver (``REPRO_NATIVE=0``) — random per-domain
 lengths, think times, and repeat flags, including the all-retired
 early-exit and constant-tie cases."""
 
-import os
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,30 +17,10 @@ from repro.workloads.trace import (
 )
 from repro.workloads.tracepack import TracePack, compile_columns, pack_key
 
+from .._native import without_native
+
 KB = 1024
 _TIDS = (0, 4, 2, 6)
-
-
-def _native_available():
-    from repro.cache import native
-
-    return native.epoch_batch_fn() is not None
-
-
-def _without_native(fn):
-    from repro.cache import native
-
-    previous = os.environ.get("REPRO_NATIVE")
-    os.environ["REPRO_NATIVE"] = "0"
-    native.reset()
-    try:
-        return fn()
-    finally:
-        if previous is None:
-            os.environ.pop("REPRO_NATIVE", None)
-        else:
-            os.environ["REPRO_NATIVE"] = previous
-        native.reset()
 
 
 def _make_workloads(lengths, thinks, repeats):
@@ -90,9 +68,6 @@ def _run(workloads, packs, total):
     )
 
 
-@pytest.mark.skipif(
-    not _native_available(), reason="no C compiler for the native kernel"
-)
 class TestMultiwalkProperty:
     @settings(max_examples=15, deadline=None)
     @given(
@@ -126,6 +101,6 @@ class TestMultiwalkProperty:
             for w in workloads
         ]
         native_sig = _run(workloads, packs, total)
-        python_sig = _without_native(lambda: _run(workloads, packs, total))
+        python_sig = without_native(lambda: _run(workloads, packs, total))
         run_sig = _run(workloads, None, total)
         assert native_sig == python_sig == run_sig

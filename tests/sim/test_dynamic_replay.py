@@ -9,7 +9,6 @@ invisible to the simulated caches (the flush-free resume contract).
 """
 
 import json
-import os
 
 import pytest
 
@@ -25,34 +24,13 @@ from repro.util.units import MB
 from repro.workloads import tracepack
 from repro.workloads.tracepack import TracePack, compile_columns, pack_key
 
+from .._native import native_available, without_native
+
 
 @pytest.fixture(autouse=True)
 def _private_pack_cache(monkeypatch, tmp_path):
     monkeypatch.setattr(tracepack, "_OPEN_PACKS", {})
     monkeypatch.setenv("REPRO_TRACE_CACHE", str(tmp_path / "traces"))
-
-
-def _without_native(fn):
-    """Run ``fn`` with the native kernels force-disabled."""
-    from repro.cache import native
-
-    previous = os.environ.get("REPRO_NATIVE")
-    os.environ["REPRO_NATIVE"] = "0"
-    native.reset()
-    try:
-        return fn()
-    finally:
-        if previous is None:
-            os.environ.pop("REPRO_NATIVE", None)
-        else:
-            os.environ["REPRO_NATIVE"] = previous
-        native.reset()
-
-
-def _native_available():
-    from repro.cache import native
-
-    return native.epoch_batch_fn() is not None
 
 
 _TIDS = (0, 4, 2, 6)
@@ -163,8 +141,8 @@ class TestEpochResume:
     def test_native_lockstep_with_python_driver(self):
         """Epoch boundaries: issued counts, virtual times, per-domain
         counters, and the resident set agree at every single boundary."""
-        if not _native_available():
-            pytest.skip("no C compiler for the native kernel")
+        if not native_available():
+            pytest.skip("native kernels unavailable")
         workloads = _workloads(3)
         packs = _packs(workloads)
 
@@ -195,8 +173,8 @@ class TestEpochResume:
         """A reallocation at an epoch boundary must not disturb a single
         resident line or any recency state: the replays straddle it and
         still agree with each other in full-state signature."""
-        if not _native_available():
-            pytest.skip("no C compiler for the native kernel")
+        if not native_available():
+            pytest.skip("native kernels unavailable")
         workloads = _workloads(3)
         packs = _packs(workloads)
 
@@ -241,8 +219,8 @@ class TestTieBreaking:
         return _workloads(3, length=3_000, thinks=[4, 4, 4])
 
     def test_heap_python_native_agree(self):
-        if not _native_available():
-            pytest.skip("no C compiler for the native kernel")
+        if not native_available():
+            pytest.skip("native kernels unavailable")
         workloads = self._identical_workloads()
         packs = _packs(workloads)
         total = 9_000
@@ -261,7 +239,7 @@ class TestTieBreaking:
                                   packs=packs),
             )
 
-        assert _without_native(python_run) == native_sig
+        assert without_native(python_run) == native_sig
 
         py_engine = _engine(3)
         py = _build_replay(build_python_epoch_replay, py_engine, workloads,
@@ -295,7 +273,7 @@ class TestRunPackedMultiwalk:
                                   packs=packs),
             )
 
-        assert _without_native(python_run) == native_sig
+        assert without_native(python_run) == native_sig
 
     def test_nonrepeating_domains_retire_identically(self):
         workloads = _workloads(3, length=1_500,
@@ -317,7 +295,7 @@ class TestRunPackedMultiwalk:
                                   packs=packs),
             )
 
-        assert _without_native(python_run) == native_sig
+        assert without_native(python_run) == native_sig
 
 
 class TestRunDynamic:
@@ -353,11 +331,9 @@ class TestRunDynamic:
         return result, _signature(engine, result.stats)
 
     def test_timeline_byte_equal_across_backends(self):
-        if not _native_available():
-            pytest.skip("no C compiler for the native kernel")
         native_result, native_sig = self._run()
-        python_result, python_sig = _without_native(self._run)
-        assert native_result.native is True
+        python_result, python_sig = without_native(self._run)
+        assert native_result.native is native_available()
         assert python_result.native is False
         assert native_result.timeline  # the controller actually acted
         assert json.dumps(native_result.timeline, sort_keys=True) == \

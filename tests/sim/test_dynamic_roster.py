@@ -10,7 +10,6 @@ controllers.
 """
 
 import json
-import os
 
 import pytest
 from hypothesis import given, settings
@@ -25,27 +24,7 @@ from repro.util.errors import ValidationError
 from repro.util.units import MB
 from repro.workloads.trace import make_trace
 
-
-def _native_available():
-    from repro.cache import native
-
-    return native.epoch_batch_fn() is not None
-
-
-def _without_native(fn):
-    from repro.cache import native
-
-    previous = os.environ.get("REPRO_NATIVE")
-    os.environ["REPRO_NATIVE"] = "0"
-    native.reset()
-    try:
-        return fn()
-    finally:
-        if previous is None:
-            os.environ.pop("REPRO_NATIVE", None)
-        else:
-            os.environ["REPRO_NATIVE"] = previous
-        native.reset()
+from .._native import native_available, without_native
 
 
 def _pair(i, length=5_000):
@@ -114,9 +93,6 @@ def _payload(results):
     )
 
 
-@pytest.mark.skipif(
-    not _native_available(), reason="no C compiler for the epoch-batch kernel"
-)
 class TestLockstep:
     """Batched == sequential across threads x REPRO_NATIVE."""
 
@@ -126,19 +102,23 @@ class TestLockstep:
         # The reference run must exercise reallocation, or the test
         # proves nothing about the banked mask writes.
         assert any(r.timeline for r in reference_results)
+        native = native_available()
         for threads in (1, 4):
             batched = run_dynamic_roster(_roster(), threads=threads)
-            assert all(r.native for r in batched)
+            assert all(r.native is native for r in batched)
             assert _payload(batched) == reference
         # REPRO_NATIVE=0: both paths collapse to the pure-Python epoch
         # driver and must still match the native reference byte for byte.
-        assert _payload(_without_native(
+        assert _payload(without_native(
             lambda: run_dynamic_roster(_roster(), threads=4)
         )) == reference
-        assert _payload(_without_native(
+        assert _payload(without_native(
             lambda: run_dynamic_roster(_roster(), sequential=True)
         )) == reference
 
+    @pytest.mark.skipif(
+        not native_available(), reason="counts native epoch-batch calls"
+    )
     def test_dynbatch_counters_tick_per_epoch_call(self):
         # Repeating traces progress every round, so a cell is active for
         # exactly its epoch count: one threaded call per round, each
@@ -191,9 +171,6 @@ class _ScriptedController:
         return self.masks()
 
 
-@pytest.mark.skipif(
-    not _native_available(), reason="no C compiler for the epoch-batch kernel"
-)
 class TestMaskStraddle:
     """A reallocation at an epoch boundary, replay straddling it."""
 
@@ -234,9 +211,6 @@ class TestMaskStraddle:
         assert _payload(batched) == _payload(reference)
 
 
-@pytest.mark.skipif(
-    not _native_available(), reason="no C compiler for the epoch-batch kernel"
-)
 class TestEarlyFinish:
     """Cells retiring epochs apart drop out without a controller tick."""
 
@@ -314,7 +288,7 @@ class TestSingleEpoch:
         assert all(r.timeline == [] for r in reference)
         batched = run_dynamic_roster(self._roster(), threads=2)
         assert _payload(batched) == _payload(reference)
-        assert _payload(_without_native(
+        assert _payload(without_native(
             lambda: run_dynamic_roster(self._roster())
         )) == _payload(reference)
 
@@ -340,9 +314,6 @@ class TestValidation:
             run_dynamic_roster([cell])
 
 
-@pytest.mark.skipif(
-    not _native_available(), reason="no C compiler for the epoch-batch kernel"
-)
 class TestControllerProperty:
     """Any controller parameterization: batched == sequential."""
 

@@ -9,6 +9,7 @@ from repro.analysis.experiments import fig08_pairwise_slowdowns
 from repro.core.dynamic import DynamicPartitionController
 from repro.runtime.harness import paper_pair_allocations
 from repro.sim import Machine
+from repro.sim.tuning import EngineTuning
 from repro.workloads import get_application
 
 APPS = ("429.mcf", "x264", "ferret", "streamcluster")
@@ -74,6 +75,11 @@ class TestMemoEquivalence:
         _assert_identical_runs(a.fg, b.fg)
         assert a.bg_rate_ips == b.bg_rate_ips
 
+    def test_fig08_sweep_identical(self):
+        on = fig08_pairwise_slowdowns(Machine(memoize=True), apps=APPS)
+        off = fig08_pairwise_slowdowns(Machine(memoize=False), apps=APPS)
+        assert on == off  # exact float equality, every cell
+
     def test_repeat_on_one_machine_identical(self):
         """Warm-cache reruns must equal the cold first run exactly."""
         machine = Machine()
@@ -88,3 +94,20 @@ class TestParallelEquivalence:
         serial = fig08_pairwise_slowdowns(Machine(), apps=APPS, workers=1)
         parallel = fig08_pairwise_slowdowns(Machine(), apps=APPS, workers=4)
         assert serial == parallel  # exact float equality, every cell
+
+
+class TestFastPathDrift:
+    def test_fig08_default_tuning_tracks_the_tol0_schedule(self):
+        """The solver fast paths (early exit, closed forms) stay within
+        1e-5 relative of ``occupancy_tol=0``, which replays the fixed
+        40-iteration schedule, on every Fig. 8 cell."""
+        exact = fig08_pairwise_slowdowns(
+            Machine(tuning=EngineTuning(occupancy_tol=0.0), memoize=False),
+            apps=APPS,
+        )
+        fast = fig08_pairwise_slowdowns(Machine(memoize=False), apps=APPS)
+        assert fast.keys() == exact.keys()
+        drift = max(
+            abs(fast[k] - exact[k]) / abs(exact[k]) for k in exact
+        )
+        assert drift <= 1e-5

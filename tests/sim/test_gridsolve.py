@@ -96,7 +96,8 @@ class TestGridBitEquality:
     def test_lockstep_with_scalar_engine(self, tuning):
         base = SandyBridgeConfig()
         cells = make_cells(
-            [("canneal", "streamcluster"), ("x264", "blackscholes")],
+            [("canneal", "streamcluster"), ("x264", "blackscholes"),
+             ("x264", "429.mcf"), ("429.mcf", "459.GemsFDTD")],
             splits=(1, 4, 6, 11),
             configs=(base, base.at_frequency(2.0e9)),
         )

@@ -22,6 +22,8 @@ from repro.workloads.churn import (
     ChurnSchedule,
 )
 
+from .._native import without_native
+
 ACCESSES = 6_000
 EPOCH = 1_500
 
@@ -40,22 +42,6 @@ def _module_pack_cache(tmp_path_factory):
         os.environ.pop("REPRO_TRACE_CACHE", None)
     else:
         os.environ["REPRO_TRACE_CACHE"] = saved_env
-
-
-def _without_native(fn):
-    from repro.cache import native
-
-    previous = os.environ.get("REPRO_NATIVE")
-    os.environ["REPRO_NATIVE"] = "0"
-    native.reset()
-    try:
-        return fn()
-    finally:
-        if previous is None:
-            os.environ.pop("REPRO_NATIVE", None)
-        else:
-            os.environ["REPRO_NATIVE"] = previous
-        native.reset()
 
 
 class TestSchedule:
@@ -239,5 +225,5 @@ class TestChurnReplay:
     def test_replay_is_kernel_invariant_byte_for_byte(self):
         reference = _timeline_payload(_replay(self.SPEC))
         assert _timeline_payload(
-            _without_native(lambda: _replay(self.SPEC))
+            without_native(lambda: _replay(self.SPEC))
         ) == reference
