@@ -27,6 +27,8 @@ class WayMask:
                 raise ValidationError(f"way {w} outside 0..{num_ways - 1}")
         self.ways = ways
         self.num_ways = num_ways
+        # Immutable, so the resctrl-style bitmask is built once.
+        self.bits = sum(1 << w for w in ways)
 
     @classmethod
     def contiguous(cls, count, offset=0, num_ways=12):
@@ -47,13 +49,6 @@ class WayMask:
         if bits <= 0:
             raise ValidationError("bitmask must have at least one way set")
         return cls((w for w in range(num_ways) if bits >> w & 1), num_ways)
-
-    @property
-    def bits(self):
-        mask = 0
-        for w in self.ways:
-            mask |= 1 << w
-        return mask
 
     @property
     def count(self):

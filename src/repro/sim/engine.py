@@ -319,9 +319,11 @@ class Machine:
         pkg_reader = RaplCounter(pkg)
         pp0_reader = RaplCounter(pp0)
         wall = WallMeter()
+        # Names are read once per run: AppState.name is a property.
+        names = [s.name for s in states]
         totals = {
-            s.name: {"instructions": 0.0, "misses": 0.0, "accesses": 0.0}
-            for s in states
+            name: {"instructions": 0.0, "misses": 0.0, "accesses": 0.0}
+            for name in names
         }
         noise_rng = None
         if self.mpki_noise_std > 0:
@@ -330,17 +332,20 @@ class Machine:
             noise_rng = DeterministicRng(self.noise_seed, "mpki-noise")
         done_times = {}
         active = list(states)
-        by_name = {s.name: s for s in states}
+        # (state, name, totals row) of every active app; rebuilt, with
+        # ``active`` and ``pending``, only on a tick where an app finishes.
+        running = [(s, name, totals[name]) for s, name in zip(states, names)]
+        pending = list(stop_when_done)
+        by_name = dict(zip(names, states))
+        miss_energy = self.power_model.miss_energy
         now = 0.0
 
-        while True:
-            pending = [n for n in stop_when_done if n not in done_times]
-            if not pending:
-                break
+        while pending:
             if now > _MAX_SIM_SECONDS:
                 raise ValidationError("simulation exceeded the runaway guard")
 
             solution = self._solve(active)
+            per_app = solution.per_app
 
             if step_s is not None:
                 dt = step_s
@@ -348,29 +353,33 @@ class Machine:
                 dt = self._next_event_dt(active, solution, continuous)
             dt = max(dt, 1e-6)
 
-            for s in list(active):
-                rates = solution.per_app[s.name]
+            # Misses add up from 0 in ``states`` order, as they always
+            # have: the float addition order is part of bit-identity.
+            total_misses = 0
+            finished = False
+            for s, name, row in running:
+                rates = per_app[name]
                 dinstr = rates.rate_ips * dt
-                totals[s.name]["instructions"] += dinstr
-                totals[s.name]["misses"] += rates.miss_rate_ps * dt
-                totals[s.name]["accesses"] += rates.access_rate_ps * dt
+                misses = rates.miss_rate_ps * dt
+                row["instructions"] += dinstr
+                row["misses"] += misses
+                row["accesses"] += rates.access_rate_ps * dt
+                total_misses += misses
                 s.progress += dinstr / s.app.instructions
                 if s.progress >= 1.0 - _EPS:
-                    if s.name in continuous:
+                    if name in continuous:
                         wraps = max(1, int(s.progress + _EPS))
                         s.completions += wraps
                         s.progress = max(0.0, s.progress - wraps)
                     else:
-                        done_times[s.name] = now + dt
-                        active.remove(s)
+                        done_times[name] = now + dt
+                        finished = True
+            if finished:
+                running = [r for r in running if r[1] not in done_times]
+                active = [r[0] for r in running]
+                pending = [n for n in pending if n not in done_times]
 
-            total_misses = sum(
-                solution.per_app[s.name].miss_rate_ps * dt for s in states
-                if s.name in solution.per_app
-            )
-            pkg.deposit(
-                solution.power.socket_w * dt + self.power_model.miss_energy(total_misses)
-            )
+            pkg.deposit(solution.power.socket_w * dt + miss_energy(total_misses))
             pp0.deposit((solution.power.cores_w + solution.power.llc_w) * dt)
             wall.advance(dt, solution.power.wall_w)
             now += dt
@@ -386,7 +395,7 @@ class Machine:
                                 "rate_ips": r.rate_ips,
                                 "occupancy_mb": r.occupancy_mb,
                             }
-                            for name, r in solution.per_app.items()
+                            for name, r in per_app.items()
                         },
                     )
                 )
@@ -493,7 +502,9 @@ class Machine:
             }
             for name, rates in solution.per_app.items()
         }
-        new_masks = controller.on_tick(now, dt, metrics) or {}
+        new_masks = controller.on_tick(now, dt, metrics)
+        if not new_masks:
+            return
         for s in states:
             # "#2"-aliased self-pair clones answer to their base name too.
             key = s.name if s.name in new_masks else s.name.split("#")[0]

@@ -11,9 +11,13 @@ removes most of the engine's work on exactly the runs that are slow.
 
 Correctness notes:
 
-- The key includes a full *fingerprint* of each application model (name,
-  intensity, miss-ratio curve, phases, scalability), so two models that
-  happen to share a name can never alias each other's solutions.
+- Each application model enters the key as a token taken from a full
+  *fingerprint* (name, intensity, miss-ratio curve, phases,
+  scalability), so two models that happen to share a name can never
+  alias each other's solutions. The fingerprint is taken once, the
+  first time an app object is seen; later ticks look its token up by
+  identity, so mutating an app in place after it ran is unsupported,
+  as for config and tuning below.
 - Config and tuning enter the key by object identity (the memo pins a
   reference so ids cannot be recycled). Swapping ``machine.tuning`` or
   ``machine.config`` therefore invalidates implicitly; mutating one in
@@ -92,23 +96,27 @@ class IntervalMemo:
         original domain objects restores their tokens, so pre-QoS
         entries stay valid across an apply/restore cycle.
         """
-        context = (
-            self._token(config),
-            self._token(tuning),
-            self._token(memory_system.ring),
-            self._token(memory_system.dram),
-        )
-        return context + tuple(
-            (
-                self._token(s.app, app_fingerprint(s.app)),
-                s.app.phase_index_at(s.progress),
-                s.allocation.mask.bits,
-                s.allocation.threads,
-                s.allocation.cores,
+        get = self._tokens.get
+        ring, dram = memory_system.ring, memory_system.dram
+        key = [get(id(config)), get(id(tuning)), get(id(ring)), get(id(dram))]
+        if None in key:
+            key = [self._token(obj) for obj in (config, tuning, ring, dram)]
+        for s in states:
+            app = s.app
+            token = get(id(app))
+            if token is None:
+                # Fingerprinted only the first time this object is seen.
+                token = self._token(app, app_fingerprint(app))
+            allocation = s.allocation
+            key.append((
+                token,
+                app.phase_index_at(s.progress),
+                allocation.mask.bits,
+                allocation.threads,
+                allocation.cores,
                 s.prefetchers_on,
-            )
-            for s in states
-        )
+            ))
+        return tuple(key)
 
     # -- cache protocol -----------------------------------------------------
 

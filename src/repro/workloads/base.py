@@ -218,6 +218,8 @@ class ApplicationModel:
         """Index of the phase active at ``progress`` (memo-key friendly)."""
         if progress < 0:
             raise ValidationError("progress cannot be negative")
+        if len(self.phases) == 1:
+            return 0
         progress = min(progress, 1.0 - 1e-12)
         cumulative = 0.0
         for index, phase in enumerate(self.phases):

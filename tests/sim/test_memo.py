@@ -118,3 +118,46 @@ class TestPerfCounters:
         delta = engine_counters().delta(before)
         assert delta[MEMO_MISSES] > 0
         assert delta[MEMO_HITS] > 0
+
+
+def _dynamic_x264_mcf(machine):
+    from repro.core.dynamic import DynamicPartitionController
+    from repro.runtime.harness import paper_pair_allocations
+
+    fg, bg = get_application("x264"), get_application("429.mcf")
+    controller = DynamicPartitionController(fg.name, bg.name)
+    masks = controller.masks()
+    fg_alloc, bg_alloc = paper_pair_allocations(fg, bg)
+    machine.run_pair(
+        fg, bg,
+        fg_alloc.with_mask(masks[fg.name]),
+        bg_alloc.with_mask(masks[bg.name]),
+        controller=controller,
+    )
+    return machine.memo.hits, machine.memo.misses
+
+
+class TestKeyCost:
+    def test_each_app_object_is_fingerprinted_once(self, monkeypatch):
+        import repro.sim.memo as memo_module
+
+        expected = _dynamic_x264_mcf(Machine())
+        calls = {}
+        real = memo_module.app_fingerprint
+
+        def counting(app):
+            calls[id(app)] = calls.get(id(app), 0) + 1
+            return real(app)
+
+        monkeypatch.setattr(memo_module, "app_fingerprint", counting)
+        assert _dynamic_x264_mcf(Machine()) == expected
+        assert expected[0] > 100  # many ticks, so a per-tick call would show
+        assert calls and max(calls.values()) == 1
+
+    def test_every_12_way_mask_round_trips_its_bits(self):
+        from repro.cache.llc import WayMask
+
+        for bits in range(1, 0x1000):
+            mask = WayMask.from_bits(bits)
+            assert mask.bits == bits
+            assert mask.count == bin(bits).count("1")

@@ -166,6 +166,14 @@ class TestApplicationModel:
         with pytest.raises(ValidationError):
             make_app().phase_at(-0.1)
 
+    def test_single_phase_index_keeps_validation(self):
+        app = make_app()
+        assert len(app.phases) == 1
+        with pytest.raises(ValidationError):
+            app.phase_index_at(-0.1)
+        for progress in (0.0, 0.5, 1.0):
+            assert app.phase_index_at(progress) == 0
+
     def test_parameter_validation(self):
         with pytest.raises(ValidationError):
             make_app(llc_apki=-1)
