@@ -432,23 +432,14 @@ def verify_trace_group_replay(backend, group, outcome):
     from repro.util.errors import ValidationError
 
     llc_ways = backend.capabilities().llc_ways
-    engine = TraceEngine(
-        prefetchers_on=backend.prefetchers_on,
-        backend=backend.cache_backend,
-    )
+    engine = TraceEngine(prefetchers_on=False, backend="kernel")
     for tenant, bits in zip(group.tenants, outcome.split.mask_bits):
         engine.hierarchy.set_way_mask(
             tenant.tid // 2, WayMask.from_bits(bits, llc_ways)
         )
-    workloads = list(group.tenants)
-    if backend.use_packs:
-        stats = engine.run_packed(
-            workloads, total_accesses=backend.total_accesses
-        )
-    else:
-        stats = engine.run(
-            workloads, total_accesses=backend.total_accesses
-        )
+    stats = engine.run_packed(
+        list(group.tenants), total_accesses=backend.total_accesses
+    )
     checked = 0
     for i, name in enumerate(group.names):
         direct = (
@@ -487,10 +478,7 @@ def verify_trace_policy_replay(backend, spec, policies=("shared", "fair")):
     checked = 0
     for policy in policies:
         outcome = run_policy_on(backend, spec, policy)
-        engine = TraceEngine(
-            prefetchers_on=backend.prefetchers_on,
-            backend=backend.cache_backend,
-        )
+        engine = TraceEngine(prefetchers_on=False, backend="kernel")
         core_of = engine.hierarchy.core_of_tid
         engine.hierarchy.set_way_mask(
             core_of(spec.fg.tid),
@@ -502,15 +490,9 @@ def verify_trace_policy_replay(backend, spec, policies=("shared", "fair")):
                 outcome.bg_ways, llc_ways - outcome.bg_ways, llc_ways
             ),
         )
-        workloads = [spec.fg, spec.bg]
-        if backend.use_packs:
-            stats = engine.run_packed(
-                workloads, total_accesses=backend.total_accesses
-            )
-        else:
-            stats = engine.run(
-                workloads, total_accesses=backend.total_accesses
-            )
+        stats = engine.run_packed(
+            [spec.fg, spec.bg], total_accesses=backend.total_accesses
+        )
         direct = (
             stats[spec.fg_name].avg_latency,
             stats[spec.bg_name].access_rate_per_kilocycle,
@@ -526,7 +508,7 @@ def verify_trace_policy_replay(backend, spec, policies=("shared", "fair")):
 
 
 def trace_way_utility(fg_factory=None, bg_factory=None, total_accesses=120_000,
-                      use_packs=True, domains=2):
+                      domains=2):
     """Per-domain ``hits(ways)`` utility curves from one profiled co-run.
 
     The address-level companion to the fig. 2/6 sensitivity sweeps: a
@@ -554,7 +536,7 @@ def trace_way_utility(fg_factory=None, bg_factory=None, total_accesses=120_000,
             TraceWorkload(name, factory, tid=tid, think_cycles=think)
         )
     stats, curves = way_allocation_sweep(
-        workloads, total_accesses=total_accesses, use_packs=use_packs
+        workloads, total_accesses=total_accesses
     )
     named = {w.name: curves[w.tid // 2] for w in workloads}
     return {"stats": stats, "curves": named}
@@ -565,33 +547,29 @@ def _verify_domain_cell(item):
     process pool can pickle it)."""
     from repro.cache.profile import verify_profile
 
-    factory, way_counts, use_pack = item
+    factory, way_counts = item
     return verify_profile(
-        factory, way_counts=way_counts, backend="kernel", use_pack=use_pack
+        factory, way_counts=way_counts, backend="kernel", use_pack=True
     )
 
 
-def verify_trace_domains(factories, way_counts=None, workers=None,
-                         use_packs=True):
+def verify_trace_domains(factories, way_counts=None, workers=None):
     """Verify every domain of an N-domain sweep, one worker per domain.
 
     Each domain's single-pass profile is re-checked against per-mask
     brute-force re-simulation (:func:`repro.cache.profile.verify_profile`).
     The domains are independent, so they fan out through
-    :func:`repro.exec.parallel_map`; with packs enabled the workers get
-    the persisted pack directories via the pack-path initializer and
-    memmap them instead of regenerating or shipping the traces. Returns
-    the per-domain row lists, in input order; raises on any mismatch.
+    :func:`repro.exec.parallel_map`; the workers get the persisted pack
+    directories via the pack-path initializer and memmap them instead of
+    regenerating or shipping the traces. Returns the per-domain row
+    lists, in input order; raises on any mismatch.
     """
     from repro.exec import parallel_map, persisted_pack_paths
+    from repro.workloads.tracepack import get_pack
 
     factories = list(factories)
-    paths = ()
-    if use_packs:
-        from repro.workloads.tracepack import get_pack
-
-        paths = persisted_pack_paths([get_pack(f()) for f in factories])
-    items = [(f, way_counts, use_packs) for f in factories]
+    paths = persisted_pack_paths([get_pack(f()) for f in factories])
+    items = [(f, way_counts) for f in factories]
     return parallel_map(
         _verify_domain_cell, items, workers=workers, pack_paths=paths
     )

@@ -46,16 +46,12 @@ class TraceBackend(SimBackend):
     """Shared/fair/biased/dynamic over the address-level trace engine."""
 
     def __init__(self, total_accesses=DEFAULT_TOTAL_ACCESSES,
-                 cache_backend="kernel", prefetchers_on=False,
-                 use_packs=True, epoch_accesses=DEFAULT_EPOCH_ACCESSES,
+                 epoch_accesses=DEFAULT_EPOCH_ACCESSES,
                  dynamic_total_accesses=None, measured_sweep=False,
                  native_threads=None):
         if total_accesses < 1:
             raise ValidationError("total_accesses must be positive")
         self.total_accesses = total_accesses
-        self.cache_backend = cache_backend
-        self.prefetchers_on = prefetchers_on
-        self.use_packs = use_packs
         self.epoch_accesses = epoch_accesses
         self.dynamic_total_accesses = (
             dynamic_total_accesses or total_accesses
@@ -79,13 +75,12 @@ class TraceBackend(SimBackend):
     # -- engine plumbing ----------------------------------------------------
 
     def _fresh_engine(self, spec=None, split=None):
-        """A new hierarchy, with ``split``'s way masks applied if given."""
+        """A new kernel-backed, prefetchers-off hierarchy, with
+        ``split``'s way masks applied if given."""
         from repro.cache.llc import WayMask
         from repro.sim.trace_engine import TraceEngine
 
-        engine = TraceEngine(
-            prefetchers_on=self.prefetchers_on, backend=self.cache_backend
-        )
+        engine = TraceEngine(prefetchers_on=False, backend="kernel")
         if split is not None:
             llc_ways = self.capabilities().llc_ways
             core_of = engine.hierarchy.core_of_tid
@@ -101,11 +96,6 @@ class TraceBackend(SimBackend):
             )
         return engine
 
-    def _run(self, engine, workloads, total_accesses):
-        if self.use_packs:
-            return engine.run_packed(workloads, total_accesses=total_accesses)
-        return engine.run(workloads, total_accesses=total_accesses)
-
     @staticmethod
     def _rate(stats):
         return stats.access_rate_per_kilocycle
@@ -114,8 +104,9 @@ class TraceBackend(SimBackend):
 
     def solo(self, workload):
         """The workload alone on the whole (unpartitioned) cache."""
-        engine = self._fresh_engine()
-        stats = self._run(engine, [workload], self.total_accesses)
+        stats = self._fresh_engine().run_packed(
+            [workload], total_accesses=self.total_accesses
+        )
         return SoloMeasurement(
             backend="trace",
             name=workload.name,
@@ -124,8 +115,9 @@ class TraceBackend(SimBackend):
         )
 
     def co_run(self, spec, split):
-        engine = self._fresh_engine(spec, split)
-        stats = self._run(engine, [spec.fg, spec.bg], self.total_accesses)
+        stats = self._fresh_engine(spec, split).run_packed(
+            [spec.fg, spec.bg], total_accesses=self.total_accesses
+        )
         return CoRunMeasurement(
             backend="trace",
             fg_name=spec.fg_name,
@@ -206,12 +198,7 @@ class TraceBackend(SimBackend):
         from repro.sim.trace_engine import run_packed_roster
 
         splits, cells = self.sweep_roster_cells(spec)
-        outcomes = run_packed_roster(
-            cells,
-            prefetchers_on=self.prefetchers_on,
-            backend=self.cache_backend,
-            threads=self.native_threads,
-        )
+        outcomes = run_packed_roster(cells, threads=self.native_threads)
         return self.sweep_entries(spec, splits, outcomes)
 
     def sweep(self, spec):
@@ -232,20 +219,11 @@ class TraceBackend(SimBackend):
         from repro.sim.trace_engine import way_allocation_sweep
 
         if self.measured_sweep:
-            if not self.use_packs:
-                # No packs, no batch kernel: the generic per-split
-                # co_run loop is the measured reference.
-                return SimBackend.sweep(self, spec)
             return self._measured_sweep(spec)
 
         llc_ways = self.capabilities().llc_ways
-        workloads = [spec.fg, spec.bg]
-        stats, curves = way_allocation_sweep(
-            workloads,
-            total_accesses=self.total_accesses,
-            prefetchers_on=self.prefetchers_on,
-            backend=self.cache_backend,
-            use_packs=self.use_packs,
+        _, curves = way_allocation_sweep(
+            [spec.fg, spec.bg], total_accesses=self.total_accesses
         )
         fg_curve = curves[spec.fg.tid // 2]
         bg_curve = curves[spec.bg.tid // 2]
@@ -325,13 +303,7 @@ class TraceBackend(SimBackend):
         from repro.sim.trace_engine import run_dynamic_roster
 
         cell = self.dynamic_roster_cell(spec, controller)
-        result = run_dynamic_roster(
-            [cell],
-            prefetchers_on=self.prefetchers_on,
-            backend=self.cache_backend,
-            threads=self.native_threads,
-            sequential=not self.use_packs,
-        )[0]
+        result = run_dynamic_roster([cell], threads=self.native_threads)[0]
         return self.dynamic_measurement(spec, cell.controller, result)
 
     # -- N-tenant groups ----------------------------------------------------
@@ -383,28 +355,15 @@ class TraceBackend(SimBackend):
 
         Pair-shaped 2-tenant groups delegate to :meth:`co_run` (bit-
         identical to the seed pair path). Larger groups replay as a
-        one-cell roster through the batched native kernel; without
-        packs the address-level engine runs them directly.
+        one-cell roster through the batched native kernel.
         """
+        from repro.sim.trace_engine import run_packed_roster
+
         measurement = self._pair_group_measurement(group, split)
         if measurement is not None:
             return measurement
-        if not self.use_packs:
-            engine = self._fresh_engine()
-            for core, mask in self._group_masks(group, split).items():
-                engine.hierarchy.set_way_mask(core, mask)
-            stats = self._run(engine, list(group.tenants),
-                              self.total_accesses)
-        else:
-            from repro.sim.trace_engine import run_packed_roster
-
-            cell = self.group_roster_cell(group, split)
-            stats = run_packed_roster(
-                [cell],
-                prefetchers_on=self.prefetchers_on,
-                backend=self.cache_backend,
-                threads=self.native_threads,
-            )[0]
+        cell = self.group_roster_cell(group, split)
+        stats = run_packed_roster([cell], threads=self.native_threads)[0]
         return self.group_measurement(group, split, stats)
 
     def group_dynamic_roster_cell(self, group, controller=None):
@@ -459,13 +418,7 @@ class TraceBackend(SimBackend):
             len(group.tenants), self.capabilities().llc_ways
         ))  # distinct-core validation up front
         cell = self.group_dynamic_roster_cell(group, controller)
-        result = run_dynamic_roster(
-            [cell],
-            prefetchers_on=self.prefetchers_on,
-            backend=self.cache_backend,
-            threads=self.native_threads,
-            sequential=not self.use_packs,
-        )[0]
+        result = run_dynamic_roster([cell], threads=self.native_threads)[0]
         return self.group_dynamic_measurement(group, cell.controller, result)
 
     def way_utility(self, group):
@@ -474,12 +427,8 @@ class TraceBackend(SimBackend):
         from repro.sim.trace_engine import way_allocation_sweep
 
         llc_ways = self.capabilities().llc_ways
-        stats, curves = way_allocation_sweep(
-            list(group.tenants),
-            total_accesses=self.total_accesses,
-            prefetchers_on=self.prefetchers_on,
-            backend=self.cache_backend,
-            use_packs=self.use_packs,
+        _, curves = way_allocation_sweep(
+            list(group.tenants), total_accesses=self.total_accesses
         )
         out = {}
         for tenant, name in zip(group.tenants, group.names):

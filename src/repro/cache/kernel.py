@@ -423,17 +423,12 @@ def build_fused_walk(hierarchy, core):
     or not in the expected LRU/PLRU/PLRU arrangement, in which case the
     caller keeps the generic path.
     """
+    if not _pack_walk_supported(hierarchy, core):
+        return None
     l1 = hierarchy.l1[core]
     l2 = hierarchy.l2[core]
     llc_part = hierarchy.llc
     llc = llc_part.storage
-    levels = (l1, l2, llc)
-    if not all(isinstance(lvl, KernelCacheLevel) for lvl in levels):
-        return None
-    if not l1._is_lru or l2._is_lru or llc._is_lru:
-        return None
-    if l1._mod_mask < 0 or l2._mod_mask < 0:
-        return None
 
     h = hierarchy
     num_cores = h.num_cores
@@ -909,16 +904,9 @@ def _build_lean_pack_walk(hierarchy, core, think_cycles):
     l1_full = l1._full_mask
     l1_lookup, l1_tags = l1._lookup, l1._tags
     l1_valid = l1._valid
-    l1_stamp = l1._stamp
     l1_stats = l1.stats
-    l1_touch, l1_fill_of, l1_perms, l1_perm_index = _lru8_tables()
-    # Recency permutation per set, seeded from the stamp array (stamps
-    # are unique per set; descending stamp = most recent first).
-    l1_state = [0] * l1.num_sets
-    for s in range(l1.num_sets):
-        seg = l1_stamp[s << 3:(s << 3) + 8]
-        order = sorted(range(8), key=seg.__getitem__, reverse=True)
-        l1_state[s] = l1_perm_index[tuple(order)]
+    l1_touch, l1_fill_of, _, _ = _lru8_tables()
+    l1_state = _l1_perm_state(l1)
 
     l2_mod = l2._mod_mask
     l2_full = l2._full_mask
@@ -1090,16 +1078,7 @@ def _build_lean_pack_walk(hierarchy, core, think_cycles):
         _flush_level_deltas(l2_stats, h2, m2, ev2, 0, core)
         _flush_level_deltas(llc_stats, h3, m3, ev3, 0, core)
         h1 = h2 = h3 = m3 = ev1 = ev2 = ev3 = 0
-        # Rewrite the stamp array so object-path code (and the next walk
-        # build) sees the same per-set recency order the FSM tracked.
-        clock = l1._clock
-        top = clock + 7
-        for s in range(len(l1_state)):
-            perm = l1_perms[l1_state[s]]
-            base = s << 3
-            for rank in range(8):
-                l1_stamp[base + perm[rank]] = top - rank
-        l1._clock = clock + 8
+        _write_l1_stamps(l1, l1_state)
 
     def report():
         return h1, h2, h3, m3
@@ -1154,8 +1133,10 @@ def _np_llc_geometry(llc):
     return tables
 
 
-def _l1_perm_state(l1, l1_perm_index):
-    """Per-set 8-way LRU permutation-FSM state from the stamp array."""
+def _l1_perm_state(l1):
+    """Per-set 8-way LRU permutation-FSM state from the stamp array
+    (stamps are unique per set; descending stamp = most recent first)."""
+    l1_perm_index = _lru8_tables()[3]
     l1_stamp = l1._stamp
     state = [0] * l1.num_sets
     for s in range(l1.num_sets):
@@ -1163,6 +1144,22 @@ def _l1_perm_state(l1, l1_perm_index):
         order = sorted(range(8), key=seg.__getitem__, reverse=True)
         state[s] = l1_perm_index[tuple(order)]
     return state
+
+
+def _write_l1_stamps(l1, state):
+    """Rewrite the L1 stamp array from per-set permutation-FSM states —
+    the inverse of :func:`_l1_perm_state` — so object-path code (and the
+    next walk build) sees the recency order the FSM tracked."""
+    perms = _lru8_tables()[2]
+    l1_stamp = l1._stamp
+    clock = l1._clock
+    top = clock + 7
+    for s in range(len(state)):
+        perm = perms[state[s]]
+        base = s << 3
+        for rank in range(8):
+            l1_stamp[base + perm[rank]] = top - rank
+    l1._clock = clock + 8
 
 
 def _rebuild_lookup(lookup, tags, valid, num_ways):
@@ -1415,7 +1412,6 @@ class NativeBatchReplay:
         l1_touch, l1_fill = _np_lru8_tables()
         l2_touch, l2_fill = _np_plru8_tables(h.l2[first_core])
         pset, pclr, pleft, pright = _np_llc_geometry(llc)
-        _, _, _, l1_perm_index = _lru8_tables()
 
         # One template snapshot of the hierarchy's current state, tiled
         # R times: every cell starts from an identical copy.
@@ -1464,7 +1460,7 @@ class NativeBatchReplay:
             for core in cores:
                 off = r * num_cores * l1_sets + core * l1_sets
                 l1_state[off:off + l1_sets] = (
-                    _l1_perm_state(h.l1[core], l1_perm_index)
+                    _l1_perm_state(h.l1[core])
                 )
                 off = r * num_cores * l2_sets + core * l2_sets
                 l2_plru[off:off + l2_sets] = h.l2[core]._plru
@@ -1552,11 +1548,32 @@ def _check_mask_word(bits, num_ways):
         )
 
 
+def _check_cell_columns(cell):
+    """Raise unless every domain's line and set columns are equally long
+    and hold at least ``lengths[slot]`` accesses: the kernels read
+    ``lengths[slot]`` entries of both columns unchecked."""
+    cores = cell["cores"]
+    lines, sets, lengths = cell["lines"], cell["sets"], cell["lengths"]
+    if not len(lines) == len(sets) == len(lengths) == len(cores):
+        raise ValidationError(
+            "need one line column, set column and length per cell domain"
+        )
+    for slot in range(len(cores)):
+        n = int(lengths[slot])
+        if not len(lines[slot]) == len(sets[slot]) >= n >= 0:
+            raise ValidationError(
+                f"domain {slot}: line column ({len(lines[slot])}) and set "
+                f"column ({len(sets[slot])}) must be equally long and "
+                f"cover length {n}"
+            )
+
+
 def _batch_cells_supported(hierarchy, cells):
     """Shared preconditions of the batched builders (one bank layout).
 
-    Every cell's effective mask words are validated first: a bad word
-    raises :class:`ValidationError` rather than reaching the kernel.
+    Every cell's effective mask words and column lengths are validated
+    first: a bad word or a short column raises :class:`ValidationError`
+    rather than reaching the kernel.
     """
     h = hierarchy
     llc = h.llc.storage
@@ -1570,6 +1587,7 @@ def _batch_cells_supported(hierarchy, cells):
             raise ValidationError("need one mask word per cell domain")
         for bits in words:
             _check_mask_word(bits, llc.num_ways)
+        _check_cell_columns(cell)
     if h.llc_profiler is not None or llc.num_ways > 62:
         return False
     for cell in cells:
@@ -1757,7 +1775,6 @@ class NativeEpochBatchReplay(NativeBatchReplay):
             if bi[num_cores + c]:
                 l2.stats.back_invalidations += int(bi[num_cores + c])
         dom = self._dom
-        l1_perms = _lru8_tables()[2]
         counts = []
         for slot, core in enumerate(self._cells[0]["cores"]):
             h1, h2, h3, m3 = self.counters(slot)
@@ -1771,17 +1788,9 @@ class NativeEpochBatchReplay(NativeBatchReplay):
             _flush_level_deltas(llc.stats, h3, m3, e3, 0, core)
             counts.append((h1, h2, h3, m3))
             h.l2[core]._plru[:] = l2_plru[core * s2:(core + 1) * s2].tolist()
-            # L1 recency: stamps rewritten from the permutation FSM.
-            final_state = l1_state[core * s1:(core + 1) * s1].tolist()
-            l1_stamp = l1._stamp
-            clock = l1._clock
-            top = clock + 7
-            for s in range(len(final_state)):
-                perm = l1_perms[final_state[s]]
-                sbase = s << 3
-                for rank in range(8):
-                    l1_stamp[sbase + perm[rank]] = top - rank
-            l1._clock = clock + 8
+            _write_l1_stamps(
+                l1, l1_state[core * s1:(core + 1) * s1].tolist()
+            )
         return tuple(counts), tuple(self.vtimes())
 
 

@@ -215,10 +215,7 @@ def _execute_roster_shard(shard, threads):
             roster, spec, split = roster_cell_for(cell)
             built.append(("pair", roster, (spec, split)))
     outcomes = run_packed_roster(
-        [roster for _, roster, _ in built],
-        prefetchers_on=False,
-        backend="kernel",
-        threads=threads,
+        [roster for _, roster, _ in built], threads=threads
     )
     records = []
     for cell, (kind, _, extra), stats in zip(shard, built, outcomes):
@@ -260,8 +257,6 @@ def _execute_cluster_shard(shard, threads):
             backend.group_roster_cell(group, plan.split)
             for backend, group, plan in built
         ],
-        prefetchers_on=False,
-        backend="kernel",
         threads=threads,
     )
     return [
@@ -333,9 +328,7 @@ def _execute_sweep_shard(shard, threads):
         splits, cells = backend.sweep_roster_cells(spec)
         built.append((backend, spec, splits, len(cells)))
         roster.extend(cells)
-    outcomes = run_packed_roster(
-        roster, prefetchers_on=False, backend="kernel", threads=threads
-    )
+    outcomes = run_packed_roster(roster, threads=threads)
     records = []
     offset = 0
     for cell, (backend, spec, splits, width) in zip(shard, built):
@@ -373,10 +366,7 @@ def _execute_dynamic_shard(shard, threads):
         spec = trace_spec_for(cell)
         built.append((backend, spec, backend.dynamic_roster_cell(spec)))
     results = run_dynamic_roster(
-        [roster_cell for _, _, roster_cell in built],
-        prefetchers_on=False,
-        backend="kernel",
-        threads=threads,
+        [roster_cell for _, _, roster_cell in built], threads=threads
     )
     records = []
     for cell, (backend, spec, roster_cell), result in zip(

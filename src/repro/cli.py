@@ -178,12 +178,6 @@ def _build_parser():
         "(exits non-zero on any mismatch)",
     )
     sweep.add_argument(
-        "--no-pack",
-        action="store_true",
-        help="bypass the compiled trace-pack cache and replay the "
-        "generator directly (slower; for cross-checking the pack path)",
-    )
-    sweep.add_argument(
         "--engine-stat",
         action="store_true",
         help="print the engine's own perf-stat block (pack cache "
@@ -872,19 +866,13 @@ def _cmd_trace_sweep(args, out):
         [int(w) for w in args.ways.split(",")] if args.ways else None
     )
     factory = _trace_factory(args)
-    use_packs = not args.no_pack
     if args.co_run:
-        data = trace_way_utility(
-            fg_factory=factory, use_packs=use_packs, domains=args.domains
-        )
+        data = trace_way_utility(fg_factory=factory, domains=args.domains)
         out.write(render_trace_sweep(data) + "\n")
     else:
-        if use_packs:
-            from repro.workloads.tracepack import get_pack
+        from repro.workloads.tracepack import get_pack
 
-            curve = WaySweep().run_pack(get_pack(factory()))[0]
-        else:
-            curve = WaySweep().run_single(factory)
+        curve = WaySweep().run_pack(get_pack(factory()))[0]
         data = {"curves": {args.trace: curve}}
         out.write(
             render_trace_sweep(
@@ -898,8 +886,7 @@ def _cmd_trace_sweep(args, out):
                 f for _, f, _, _ in background_factories(args.domains)
             ]
             cells = verify_trace_domains(
-                factories, way_counts=way_counts, workers=args.workers,
-                use_packs=use_packs,
+                factories, way_counts=way_counts, workers=args.workers
             )
             out.write(
                 f"check: profiled hits match per-mask re-simulation for "
@@ -908,7 +895,7 @@ def _cmd_trace_sweep(args, out):
         else:
             rows = verify_profile(
                 factory, way_counts=way_counts, backend="kernel",
-                use_pack=use_packs,
+                use_pack=True,
             )
             out.write(
                 f"check: profiled hits match per-mask re-simulation at "

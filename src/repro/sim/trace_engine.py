@@ -158,8 +158,7 @@ class TraceEngine:
         ec.add(ec.TRACE_ACCESSES, issued)
         return {w.name: stats_list[i] for i, w in enumerate(workloads)}
 
-    def run_packed(self, workloads, total_accesses=100_000, packs=None,
-                   pack_cache=None, pack_store=True):
+    def run_packed(self, workloads, total_accesses=100_000, packs=None):
         """Co-run over compiled trace packs; bit-identical to :meth:`run`.
 
         Each workload's trace is compiled (or loaded from the pack cache)
@@ -185,17 +184,9 @@ class TraceEngine:
         if hierarchy.prefetchers_enabled():
             return self.run(workloads, total_accesses)
         if packs is None:
-            from repro.workloads.trace import _TraceBase
-            from repro.workloads.tracepack import get_pack
-
-            packs = []
-            for w in workloads:
-                source = w.trace_factory()
-                if not isinstance(source, _TraceBase):
-                    return self.run(workloads, total_accesses)
-                packs.append(
-                    get_pack(source, cache=pack_cache, store=pack_store)
-                )
+            packs = _compile_packs(workloads)
+            if packs is None:
+                return self.run(workloads, total_accesses)
         elif len(packs) != len(workloads):
             raise ValidationError("need one pack per workload")
 
@@ -217,8 +208,7 @@ class TraceEngine:
         return self._packed_stats(workloads, list(grabbed), list(vtimes), packs)
 
     def run_dynamic(self, workloads, controller, epoch_accesses=5_000,
-                    total_accesses=100_000, packs=None, pack_cache=None,
-                    pack_store=True):
+                    total_accesses=100_000, packs=None):
         """Trace-driven dynamic partitioning: epoch replay + controller.
 
         Replays the co-run in epochs of ``epoch_accesses`` combined
@@ -245,19 +235,9 @@ class TraceEngine:
         if hierarchy.prefetchers_enabled():
             raise ValidationError("run_dynamic needs prefetchers off")
         if packs is None:
-            from repro.workloads.trace import _TraceBase
-            from repro.workloads.tracepack import get_pack
-
-            packs = []
-            for w in workloads:
-                source = w.trace_factory()
-                if not isinstance(source, _TraceBase):
-                    raise ValidationError(
-                        f"workload {w.name!r} is not pack-compilable"
-                    )
-                packs.append(
-                    get_pack(source, cache=pack_cache, store=pack_store)
-                )
+            packs = _compile_packs(workloads)
+            if packs is None:
+                raise ValidationError("every workload must be pack-compilable")
         elif len(packs) != len(workloads):
             raise ValidationError("need one pack per workload")
 
@@ -367,6 +347,21 @@ class TraceEngine:
         ec.add(ec.TRACE_ACCESSES, issued)
         ec.add(ec.PACK_REPLAYS, len(packs))
         return {w.name: stats_list[i] for i, w in enumerate(workloads)}
+
+
+def _compile_packs(workloads):
+    """Each workload's trace pack, or ``None`` when a trace factory does
+    not produce a pack-compilable trace."""
+    from repro.workloads.trace import _TraceBase
+    from repro.workloads.tracepack import get_pack
+
+    packs = []
+    for w in workloads:
+        source = w.trace_factory()
+        if not isinstance(source, _TraceBase):
+            return None
+        packs.append(get_pack(source))
+    return packs
 
 
 def _epoch_replay(hierarchy, cores, workloads, packs):
@@ -481,42 +476,36 @@ class RosterCell:
     total_accesses: int = 100_000
 
 
-def _run_roster_sequential(cells, prefetchers_on, backend, pack_cache,
-                           pack_store):
+def _run_roster_sequential(cells):
     """The reference path: one fresh engine + ``run_packed`` per cell."""
     results = []
     for cell in cells:
-        engine = TraceEngine(prefetchers_on=prefetchers_on, backend=backend)
+        engine = TraceEngine(prefetchers_on=False, backend="kernel")
         if cell.masks:
             for core, mask in cell.masks.items():
                 engine.hierarchy.set_way_mask(core, mask)
         results.append(engine.run_packed(
-            cell.workloads,
-            total_accesses=cell.total_accesses,
-            pack_cache=pack_cache,
-            pack_store=pack_store,
+            cell.workloads, total_accesses=cell.total_accesses
         ))
     return results
 
 
-def run_packed_roster(cells, prefetchers_on=False, backend="kernel",
-                      threads=None, pack_cache=None, pack_store=True,
-                      sequential=False):
+def run_packed_roster(cells, threads=None):
     """Replay a roster of independent co-runs in ONE native call.
 
-    Each :class:`RosterCell` gets its own fresh hierarchy state (the
-    template engine's state, snapshotted once and tiled inside
+    Each :class:`RosterCell` gets its own fresh kernel-backed,
+    prefetchers-off hierarchy state (the template engine's state,
+    snapshotted once and tiled inside
     :func:`~repro.cache.kernel.build_native_batch_replay`), its own way
     masks, and its own issue budget; the compiled batch kernel replays
     every cell in a single ctypes call, threading over cells per
     ``threads`` / ``REPRO_NATIVE_THREADS``. Returns a list of
     ``{name: TraceStats}`` aligned with ``cells``, bit-identical — for
     any thread count, and with ``REPRO_NATIVE=0`` — to running each
-    cell on a fresh :class:`TraceEngine` via :meth:`TraceEngine.run_packed`
-    (which is exactly what the fallback does whenever a cell is not
-    batchable: prefetchers on, non-compilable traces, writing traces,
-    shared cores, or no native kernel). ``sequential=True`` forces that
-    reference path, which the bench harness times as the baseline.
+    cell on a fresh :class:`TraceEngine` via :meth:`TraceEngine.run_packed`.
+    That reference, :func:`_run_roster_sequential`, is also the fallback
+    whenever a cell is not batchable: non-compilable traces, writing
+    traces, shared cores, or no native kernel.
 
     Shared traces dedupe through the pack cache, so R allocations of a
     way sweep replay one memmapped TracePack, not R copies.
@@ -530,34 +519,16 @@ def run_packed_roster(cells, prefetchers_on=False, backend="kernel",
         if len(set(names)) != len(names):
             raise ValidationError("workload names must be unique per cell")
 
-    if sequential or prefetchers_on:
-        return _run_roster_sequential(
-            cells, prefetchers_on, backend, pack_cache, pack_store
-        )
-
-    from repro.workloads.trace import _TraceBase
-    from repro.workloads.tracepack import get_pack
-
     cell_packs = []
     for cell in cells:
-        packs = []
-        for w in cell.workloads:
-            source = w.trace_factory()
-            if not isinstance(source, _TraceBase):
-                packs = None
-                break
-            packs.append(
-                get_pack(source, cache=pack_cache, store=pack_store)
-            )
+        packs = _compile_packs(cell.workloads)
         if packs is None:
-            return _run_roster_sequential(
-                cells, prefetchers_on, backend, pack_cache, pack_store
-            )
+            return _run_roster_sequential(cells)
         cell_packs.append(packs)
 
     from repro.cache.kernel import build_native_batch_replay
 
-    template = TraceEngine(prefetchers_on=False, backend=backend)
+    template = TraceEngine(prefetchers_on=False, backend="kernel")
     h = template.hierarchy
     llc = h.llc.storage
     llc_indexing = "mod" if llc._mod_mask >= 0 else "hash"
@@ -567,12 +538,10 @@ def run_packed_roster(cells, prefetchers_on=False, backend="kernel",
     cell_dicts = []
     for cell, packs in zip(cells, cell_packs):
         cores = [core_of(w.tid) for w in cell.workloads]
-        if len(set(cores)) != len(cores):
-            cell_dicts = None
-            break
-        if any(p.writes_list() is not None for p in packs):
-            cell_dicts = None
-            break
+        if len(set(cores)) != len(cores) or any(
+            p.writes_list() is not None for p in packs
+        ):
+            return _run_roster_sequential(cells)
         mask_bits = None
         if cell.masks:
             mask_bits = [
@@ -592,13 +561,9 @@ def run_packed_roster(cells, prefetchers_on=False, backend="kernel",
             "stop": cell.total_accesses,
         })
 
-    batch = None
-    if cell_dicts is not None:
-        batch = build_native_batch_replay(h, cell_dicts, threads=threads)
+    batch = build_native_batch_replay(h, cell_dicts, threads=threads)
     if batch is None:
-        return _run_roster_sequential(
-            cells, prefetchers_on, backend, pack_cache, pack_store
-        )
+        return _run_roster_sequential(cells)
 
     gc_was_enabled = gc.isenabled()
     if gc_was_enabled:
@@ -635,33 +600,28 @@ class DynamicRosterCell:
     total_accesses: int = 100_000
 
 
-def _run_dynamic_roster_sequential(cells, prefetchers_on, backend,
-                                   pack_cache, pack_store):
+def _run_dynamic_roster_sequential(cells):
     """The reference path: one fresh engine + ``run_dynamic`` per cell."""
     results = []
     for cell in cells:
-        engine = TraceEngine(prefetchers_on=prefetchers_on, backend=backend)
+        engine = TraceEngine(prefetchers_on=False, backend="kernel")
         results.append(engine.run_dynamic(
             cell.workloads,
             cell.controller,
             epoch_accesses=cell.epoch_accesses,
             total_accesses=cell.total_accesses,
-            pack_cache=pack_cache,
-            pack_store=pack_store,
         ))
     return results
 
 
-def run_dynamic_roster(cells, prefetchers_on=False, backend="kernel",
-                       threads=None, pack_cache=None, pack_store=True,
-                       sequential=False):
+def run_dynamic_roster(cells, threads=None):
     """Run a roster of dynamic-partitioning co-runs, batched.
 
-    Every :class:`DynamicRosterCell` gets its own fresh hierarchy state
-    (the template engine's state, tiled inside
-    :func:`~repro.cache.kernel.build_native_epoch_batch_replay`), its
-    own initial controller masks, and its own epoch/total budgets. Each
-    round of the host loop advances every still-active cell by one
+    Every :class:`DynamicRosterCell` gets its own fresh kernel-backed,
+    prefetchers-off hierarchy state (the template engine's state, tiled
+    inside :func:`~repro.cache.kernel.build_native_epoch_batch_replay`),
+    its own initial controller masks, and its own epoch/total budgets.
+    Each round of the host loop advances every still-active cell by one
     epoch in ONE threaded ctypes call, then steps *all* cells'
     controllers in one pass — per-epoch MPKI windows computed vectorized
     over the banked counters (:func:`repro.core.dynamic.mpki_windows`)
@@ -673,10 +633,10 @@ def run_dynamic_roster(cells, prefetchers_on=False, backend="kernel",
     ``cells``, with stats bit-identical and per-cell reallocation
     timelines byte-equal — for any thread count, and with
     ``REPRO_NATIVE=0`` — to running each cell on a fresh
-    :class:`TraceEngine` via :meth:`TraceEngine.run_dynamic` (which is
-    exactly what the fallback does whenever a cell is not batchable or
-    the epoch-batch kernel is unavailable). ``sequential=True`` forces
-    that reference path, which the bench harness times as the baseline.
+    :class:`TraceEngine` via :meth:`TraceEngine.run_dynamic`. That
+    reference, :func:`_run_dynamic_roster_sequential`, is also the
+    fallback whenever a cell is not batchable or the epoch-batch kernel
+    is unavailable.
     """
     if not cells:
         return []
@@ -691,17 +651,6 @@ def run_dynamic_roster(cells, prefetchers_on=False, backend="kernel",
             )
         seen_controllers.add(id(cell.controller))
 
-    def fallback():
-        return _run_dynamic_roster_sequential(
-            cells, prefetchers_on, backend, pack_cache, pack_store
-        )
-
-    if sequential or prefetchers_on:
-        return fallback()
-
-    from repro.workloads.trace import _TraceBase
-    from repro.workloads.tracepack import get_pack
-
     cell_packs = []
     for cell in cells:
         names = [w.name for w in cell.workloads]
@@ -710,24 +659,16 @@ def run_dynamic_roster(cells, prefetchers_on=False, backend="kernel",
             or len(set(names)) != len(names)
             or cell.epoch_accesses < 1
         ):
-            return fallback()
-        packs = []
-        for w in cell.workloads:
-            source = w.trace_factory()
-            if not isinstance(source, _TraceBase):
-                packs = None
-                break
-            packs.append(
-                get_pack(source, cache=pack_cache, store=pack_store)
-            )
+            return _run_dynamic_roster_sequential(cells)
+        packs = _compile_packs(cell.workloads)
         if packs is None or any(p.writes_list() is not None for p in packs):
-            return fallback()
+            return _run_dynamic_roster_sequential(cells)
         cell_packs.append(packs)
 
     from repro.cache.kernel import build_native_epoch_batch_replay
     from repro.core.dynamic import mpki_windows
 
-    template = TraceEngine(prefetchers_on=False, backend=backend)
+    template = TraceEngine(prefetchers_on=False, backend="kernel")
     h = template.hierarchy
     llc = h.llc.storage
     llc_indexing = "mod" if llc._mod_mask >= 0 else "hash"
@@ -738,10 +679,10 @@ def run_dynamic_roster(cells, prefetchers_on=False, backend="kernel",
         names = [w.name for w in cell.workloads]
         cores = [core_of(w.tid) for w in cell.workloads]
         if len(set(cores)) != len(cores):
-            return fallback()
+            return _run_dynamic_roster_sequential(cells)
         initial = cell.controller.masks()
         if set(initial) != set(names):
-            return fallback()
+            return _run_dynamic_roster_sequential(cells)
         cell_dicts.append({
             "cores": cores,
             "thinks": [w.think_cycles for w in cell.workloads],
@@ -757,7 +698,7 @@ def run_dynamic_roster(cells, prefetchers_on=False, backend="kernel",
 
     batch = build_native_epoch_batch_replay(h, cell_dicts, threads=threads)
     if batch is None:
-        return fallback()
+        return _run_dynamic_roster_sequential(cells)
 
     import numpy as np
 
@@ -849,31 +790,24 @@ def run_dynamic_roster(cells, prefetchers_on=False, backend="kernel",
     return results
 
 
-def way_allocation_sweep(workloads, total_accesses=100_000, prefetchers_on=False,
-                         backend="kernel", warmup_accesses=0, use_packs=True):
+def way_allocation_sweep(workloads, total_accesses=100_000):
     """Per-domain ``hits(ways)`` utility curves from ONE co-run.
 
     Attaches a :class:`~repro.cache.profile.WayProfiler` (a per-domain
-    UMON) to the hierarchy's LLC probe stream and co-runs the workloads
-    once: the returned curves answer "how many LLC hits would domain d
-    see with w ways to itself" for every w in 1..12 — the input the
-    paper's allocation policies (and UCP) need, without re-simulating
-    per mask. Returns ``(stats, {domain: WayCurve})``.
-
-    With ``use_packs`` (the default) the co-run replays compiled trace
-    packs through :meth:`TraceEngine.run_packed` — the profiler observes
-    the identical LLC probe stream, the trace just isn't re-generated.
-    ``use_packs=False`` forces the generator path (the CLI's
-    ``--no-pack`` escape hatch).
+    UMON) to a fresh kernel-backed, prefetchers-off hierarchy's LLC
+    probe stream and co-runs the workloads once through
+    :meth:`TraceEngine.run_packed`: the returned curves answer "how many
+    LLC hits would domain d see with w ways to itself" for every w in
+    1..12 — the input the paper's allocation policies (and UCP) need,
+    without re-simulating per mask. The profiler observes the same LLC
+    probe stream as under :meth:`TraceEngine.run`, the reference.
+    Returns ``(stats, {domain: WayCurve})``.
     """
     from repro.cache.indexing import HashedIndex
     from repro.cache.profile import WayProfiler
 
-    engine = TraceEngine(prefetchers_on=prefetchers_on, backend=backend)
+    engine = TraceEngine(prefetchers_on=False, backend="kernel")
     llc = engine.hierarchy.llc.storage
-    run = engine.run_packed if use_packs else engine.run
-    if warmup_accesses:
-        run(workloads, total_accesses=warmup_accesses)
     profiler = WayProfiler(
         num_sets=llc.num_sets,
         num_ways=llc.num_ways,
@@ -881,7 +815,7 @@ def way_allocation_sweep(workloads, total_accesses=100_000, prefetchers_on=False
         num_domains=engine.hierarchy.num_cores,
     )
     engine.hierarchy.llc_profiler = profiler
-    stats = run(workloads, total_accesses=total_accesses)
+    stats = engine.run_packed(workloads, total_accesses=total_accesses)
     engine.hierarchy.llc_profiler = None
     ec.add(ec.PROFILER_PASSES)
     return stats, profiler.curves()

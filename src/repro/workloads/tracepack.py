@@ -210,6 +210,16 @@ def compile_columns(trace):
 # -- the pack ------------------------------------------------------------------
 
 
+def _valid_set_column(column, length, num_sets):
+    """Whether a stored set column holds ``length`` integer set indices,
+    each in ``[0, num_sets)``."""
+    if column.shape != (length,) or column.dtype.kind not in "iu":
+        return False
+    return not length or (
+        int(column.min()) >= 0 and int(column.max()) < num_sets
+    )
+
+
 class TracePack:
     """One compiled trace: columnar arrays plus derived geometry columns."""
 
@@ -241,7 +251,10 @@ class TracePack:
 
         Computed vectorized on first request per geometry; disk-backed
         packs persist the derived column next to the base columns so the
-        fold is paid once per (pack, geometry), ever.
+        fold is paid once per (pack, geometry), ever. A stored column of
+        the wrong length or with an index outside ``[0, num_sets)`` —
+        which the native kernels would use as an LLC set index — is
+        recomputed and overwritten.
         """
         from repro.cache.cache import _INDEXING
 
@@ -259,7 +272,9 @@ class TracePack:
                     column = np.load(stored, mmap_mode="r")
                 except (OSError, ValueError):
                     column = None
-                if column is not None and len(column) == len(self):
+                if column is not None and _valid_set_column(
+                    column, len(self), num_sets
+                ):
                     self._sets[cache_key] = column
                     return column
         column = _INDEXING[indexing](num_sets).index_array(self.line)

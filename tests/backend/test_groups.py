@@ -25,7 +25,7 @@ from repro.backend import (
 from repro.backend.protocol import MAX_TENANTS, WayUtility
 from repro.core.clustering import cluster_tenants
 from repro.core.policies import run_group_policy, run_policy_on
-from repro.sim.trace_engine import run_packed_roster
+from repro.sim.trace_engine import _run_roster_sequential, run_packed_roster
 from repro.util.errors import ValidationError
 
 from .._native import without_native
@@ -308,7 +308,7 @@ class TestClusterRoster:
                 for group, split in groups
             ]
 
-        reference = run_packed_roster(roster(), sequential=True)
+        reference = _run_roster_sequential(roster())
         for threads in (1, 4):
             assert run_packed_roster(roster(), threads=threads) == reference
         assert without_native(lambda: run_packed_roster(roster())) == (

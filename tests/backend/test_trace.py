@@ -88,11 +88,7 @@ class TestProfiledSweep:
         from repro.sim.trace_engine import way_allocation_sweep
 
         _, curves = way_allocation_sweep(
-            [spec.fg, spec.bg],
-            total_accesses=ACCESSES,
-            prefetchers_on=False,
-            backend="kernel",
-            use_packs=True,
+            [spec.fg, spec.bg], total_accesses=ACCESSES
         )
         fg_curve = curves[spec.fg.tid // 2]
         bg_curve = curves[spec.bg.tid // 2]

@@ -17,6 +17,7 @@ from repro.sim.trace_engine import (
     RosterCell,
     TraceEngine,
     TraceWorkload,
+    _run_roster_sequential,
     run_packed_roster,
 )
 from repro.util.errors import ValidationError
@@ -137,7 +138,7 @@ class TestRosterValidation:
 class TestBatchedRoster:
     def test_batch_matches_sequential_for_mixed_cells(self):
         batched = run_packed_roster(_mixed_cells())
-        sequential = run_packed_roster(_mixed_cells(), sequential=True)
+        sequential = _run_roster_sequential(_mixed_cells())
         assert batched == sequential
 
     def test_disabling_native_gives_identical_results(self):
@@ -195,14 +196,6 @@ class TestBatchedRoster:
             engine.hierarchy.set_way_mask(core, mask)
         direct = engine.run_packed(_pair(), total_accesses=4_000)
         assert batched == direct
-
-    def test_prefetchers_fall_back_to_sequential(self):
-        cells = [RosterCell(workloads=_pair(), total_accesses=2_000)]
-        with_pf = run_packed_roster(cells, prefetchers_on=True)
-
-        engine = TraceEngine(prefetchers_on=True, backend="kernel")
-        direct = engine.run_packed(_pair(), total_accesses=2_000)
-        assert with_pf[0] == direct
 
 
 # A zero word, a word with a bit above the 12 LLC ways, a negative word.
@@ -262,6 +255,26 @@ class TestMaskWordValidation:
         with pytest.raises(ValidationError):
             build_native_batch_replay(hierarchy, [cell])
 
+    @pytest.mark.parametrize("short", ["sets", "lines", "lengths"])
+    def test_batch_builders_reject_short_column(self, short):
+        """The kernels read ``lengths[slot]`` entries of both columns: a
+        column shorter than that, or than its partner, raises before any
+        ctypes call."""
+        from repro.cache.kernel import (
+            build_native_batch_replay,
+            build_native_epoch_batch_replay,
+        )
+
+        for build in (build_native_batch_replay,
+                      build_native_epoch_batch_replay):
+            hierarchy, cell = self._hierarchy_and_cell()
+            if short == "lengths":
+                cell["lengths"][1] += 1  # one past both columns
+            else:
+                cell[short][1] = cell[short][1][:-1]
+            with pytest.raises(ValidationError, match="column"):
+                build(hierarchy, [cell])
+
 
 class TestBatchProfiler:
     def _pack(self):
@@ -270,8 +283,8 @@ class TestBatchProfiler:
     def test_native_profile_matches_python_single_domain(self):
         sweep = WaySweep(num_sets=256, num_ways=8, indexing="hash")
         pack = self._pack()
-        native_curves = sweep.run_pack(pack, use_native=True)
-        python_curves = sweep.run_pack(pack, use_native=False)
+        native_curves = sweep.run_pack(pack)
+        python_curves = without_native(lambda: sweep.run_pack(pack))
         assert native_curves[0].histogram == python_curves[0].histogram
         assert native_curves[0].accesses == python_curves[0].accesses
 
@@ -284,10 +297,10 @@ class TestBatchProfiler:
         pack = self._pack()
         # A deterministic 4-way interleaving of the stream.
         domains = np.arange(len(pack.line), dtype=np.int64) % 4
-        native_curves = sweep.run_pack(pack, domains=domains,
-                                       use_native=True)
-        python_curves = sweep.run_pack(pack, domains=domains,
-                                       use_native=False)
+        native_curves = sweep.run_pack(pack, domains=domains)
+        python_curves = without_native(
+            lambda: sweep.run_pack(pack, domains=domains)
+        )
         for d in range(4):
             assert native_curves[d].histogram == python_curves[d].histogram
             assert native_curves[d].accesses == python_curves[d].accesses

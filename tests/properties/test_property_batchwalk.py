@@ -12,6 +12,7 @@ from repro.cache.profile import LLC_NUM_WAYS
 from repro.sim.trace_engine import (
     RosterCell,
     TraceWorkload,
+    _run_roster_sequential,
     run_packed_roster,
 )
 from repro.workloads.trace import (
@@ -109,7 +110,7 @@ class TestBatchwalkProperty:
                 _make_cell(lengths, thinks, repeats, stop, fg_ways)
             )
 
-        reference = run_packed_roster(roster, sequential=True)
+        reference = _run_roster_sequential(roster)
         for threads in (1, 2, len(roster)):
             assert run_packed_roster(roster, threads=threads) == reference
         assert without_native(

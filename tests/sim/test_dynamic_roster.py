@@ -18,8 +18,12 @@ from hypothesis import strategies as st
 from repro.cache.llc import WayMask
 from repro.core.dynamic import ControllerAction, DynamicPartitionController
 from repro.perf import engine_counters as ec
-from repro.sim.trace_engine import DynamicRosterCell, run_dynamic_roster
-from repro.sim.trace_engine import TraceWorkload
+from repro.sim.trace_engine import (
+    DynamicRosterCell,
+    TraceWorkload,
+    _run_dynamic_roster_sequential,
+    run_dynamic_roster,
+)
 from repro.util.errors import ValidationError
 from repro.util.units import MB
 from repro.workloads.trace import make_trace
@@ -97,7 +101,7 @@ class TestLockstep:
     """Batched == sequential across threads x REPRO_NATIVE."""
 
     def test_batched_matches_sequential_across_threads_and_native(self):
-        reference_results = run_dynamic_roster(_roster(), sequential=True)
+        reference_results = _run_dynamic_roster_sequential(_roster())
         reference = _payload(reference_results)
         # The reference run must exercise reallocation, or the test
         # proves nothing about the banked mask writes.
@@ -113,7 +117,7 @@ class TestLockstep:
             lambda: run_dynamic_roster(_roster(), threads=4)
         )) == reference
         assert _payload(without_native(
-            lambda: run_dynamic_roster(_roster(), sequential=True)
+            lambda: _run_dynamic_roster_sequential(_roster())
         )) == reference
 
     @pytest.mark.skipif(
@@ -199,7 +203,7 @@ class TestMaskStraddle:
         ]
 
     def test_straddle_matches_sequential(self):
-        reference = run_dynamic_roster(self._roster(), sequential=True)
+        reference = _run_dynamic_roster_sequential(self._roster())
         batched = run_dynamic_roster(self._roster())
         assert [r.timeline for r in reference] == [
             r.timeline for r in batched
@@ -261,7 +265,7 @@ class TestEarlyFinish:
         return roster
 
     def test_early_finishers_match_sequential(self):
-        reference = run_dynamic_roster(self._mixed_roster(), sequential=True)
+        reference = _run_dynamic_roster_sequential(self._mixed_roster())
         batched = run_dynamic_roster(self._mixed_roster())
         assert _payload(batched) == _payload(reference)
         epochs = [r.epochs for r in batched]
@@ -283,7 +287,7 @@ class TestSingleEpoch:
         return _roster(n=3, epoch_accesses=4_000, total_accesses=4_000)
 
     def test_single_epoch_roster_matches_sequential(self):
-        reference = run_dynamic_roster(self._roster(), sequential=True)
+        reference = _run_dynamic_roster_sequential(self._roster())
         assert all(r.epochs == 1 for r in reference)
         assert all(r.timeline == [] for r in reference)
         batched = run_dynamic_roster(self._roster(), threads=2)
@@ -337,5 +341,5 @@ class TestControllerProperty:
                 comparison=comparison,
             )
 
-        reference = _payload(run_dynamic_roster(roster(), sequential=True))
+        reference = _payload(_run_dynamic_roster_sequential(roster()))
         assert _payload(run_dynamic_roster(roster(), threads=2)) == reference

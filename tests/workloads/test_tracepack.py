@@ -221,3 +221,40 @@ class TestDiskCache:
         again = reopened.set_column(4096, "hash")
         assert isinstance(again, np.memmap)
         assert again.tolist() == expected
+
+    @pytest.mark.parametrize("bad", [-1, 8192, 1 << 40],
+                             ids=["negative", "num-sets", "huge"])
+    def test_out_of_range_set_column_is_recomputed(self, bad):
+        """A stored set column with an index outside the LLC's sets
+        would reach the native kernels as an out-of-bounds set: it is
+        treated like a wrong-length column, recomputed and overwritten,
+        and a roster over the pack replays exactly as on a clean cache."""
+        from repro.sim.trace_engine import (
+            RosterCell,
+            TraceEngine,
+            TraceWorkload,
+            run_packed_roster,
+        )
+
+        def roster():
+            workloads = [
+                TraceWorkload("fg", lambda: _zipf(length=3_000, tid=0),
+                              tid=0, think_cycles=6),
+                TraceWorkload("bg", lambda: StreamingTrace(
+                    2_000, 2 * MB, tid=4), tid=4, think_cycles=2),
+            ]
+            return [RosterCell(workloads=workloads, total_accesses=6_000)]
+
+        clean = run_packed_roster(roster())
+        engine = TraceEngine(prefetchers_on=False, backend="kernel")
+        num_sets = engine.hierarchy.llc.storage.num_sets
+        pack = get_pack(_zipf(length=3_000, tid=0))
+        stored = os.path.join(pack.path, f"set_hash{num_sets}.npy")
+        expected = np.load(stored).tolist()
+        corrupt = np.array(expected, dtype=np.int64)
+        corrupt[len(corrupt) // 2] = bad
+        np.save(stored, corrupt)
+
+        tracepack._OPEN_PACKS.clear()
+        assert run_packed_roster(roster()) == clean
+        assert np.load(stored).tolist() == expected
