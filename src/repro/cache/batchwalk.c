@@ -3,15 +3,19 @@
  * Two entry points share one worker pool:
  *
  *   repro_batch_walk     R independent multiwalk cells (whole co-runs or
- *                        the allocations of a measured way sweep).  Every
- *                        cell owns a contiguous bank of the full flat
+ *                        the allocations of a measured way sweep).  The
+ *                        caller passes ONE template bank — the full flat
  *                        state multiwalk.c operates on (LLC tags/sharers/
- *                        valid/PLRU, all-core L1/L2 tags + recency, dom,
- *                        cfg, bi, sched), laid out cell-major with
- *                        uniform strides, so cell r's replay is
- *                        `repro_multi_walk` over `base + r * stride`
- *                        slices — bit-identical to calling the epoch
- *                        kernel once per cell, in any thread order.
+ *                        valid/PLRU, all-core L1/L2 tags + recency, back-
+ *                        invalidation counters; see BankLayout) — and one
+ *                        working bank per worker thread.  A cell's work
+ *                        item copies the template into its worker's bank
+ *                        and runs `repro_multi_walk` there, so every cell
+ *                        starts from an identical copy and the replay is
+ *                        bit-identical to calling the epoch kernel once
+ *                        per cell, in any thread order.  A roster holds
+ *                        `threads` banks, not R: each cell's results live
+ *                        in its own dom/sched slices, never in a bank.
  *
  *   repro_batch_profile  R UMON profiling streams (one per domain) over
  *                        shared trace columns: the bounded stack-distance
@@ -27,14 +31,18 @@
  * Threading is compile-time selected: OpenMP when the loader's
  * `-fopenmp` probe succeeds, else a pthread worker loop
  * (-DREPRO_BATCH_PTHREADS), else the serial batched loop.  All three
- * paths write results only into caller-owned per-item output slots
- * (each cell's own dom/sched/histogram bank), never into shared
- * accumulators, so the reduction order is deterministic and the output
- * is thread-count-invariant by construction.  `repro_batch_threading`
- * reports which path was compiled in (2 = OpenMP, 1 = pthreads,
- * 0 = serial) so `kernel_status` tells the truth about the object that
- * actually loaded, not the flags that were requested.
+ * paths hand each work item its worker index (0 <= worker < threads)
+ * and write results only into caller-owned per-item output slots (each
+ * cell's own dom/sched/histogram slice, each worker's own bank), never
+ * into shared accumulators, so the reduction order is deterministic and
+ * the output is thread-count-invariant by construction.
+ * `repro_batch_threading` reports which path was compiled in
+ * (2 = OpenMP, 1 = pthreads, 0 = serial) so `kernel_status` tells the
+ * truth about the object that actually loaded, not the flags that were
+ * requested.
  */
+
+#include <string.h>
 
 #include "multiwalk.c"
 
@@ -44,7 +52,7 @@
 #include <pthread.h>
 #endif
 
-typedef void (*batch_item_fn)(void *ctx, i64 item);
+typedef void (*batch_item_fn)(void *ctx, i64 item, i64 worker);
 
 #if defined(_OPENMP)
 
@@ -54,7 +62,7 @@ run_items(void *ctx, batch_item_fn fn, i64 total, i64 threads)
     i64 it;
 #pragma omp parallel for schedule(dynamic, 1) num_threads((int)threads)
     for (it = 0; it < total; it++)
-        fn(ctx, it);
+        fn(ctx, it, omp_get_thread_num());
 }
 
 enum { BATCH_THREADING = 2 };
@@ -68,15 +76,21 @@ typedef struct {
     i64 next;  /* atomically claimed work-item counter */
 } PoolState;
 
+typedef struct {
+    PoolState *pool;
+    i64 worker;  /* this thread's index, handed to every item it runs */
+} PoolSlot;
+
 static void *
 pool_worker(void *arg)
 {
-    PoolState *p = (PoolState *)arg;
+    PoolSlot *slot = (PoolSlot *)arg;
+    PoolState *p = slot->pool;
     for (;;) {
         i64 it = __atomic_fetch_add(&p->next, 1, __ATOMIC_RELAXED);
         if (it >= p->total)
             return 0;
-        p->fn(p->ctx, it);
+        p->fn(p->ctx, it, slot->worker);
     }
 }
 
@@ -85,16 +99,22 @@ run_items(void *ctx, batch_item_fn fn, i64 total, i64 threads)
 {
     PoolState pool = { ctx, fn, total, 0 };
     pthread_t workers[63];
+    PoolSlot slots[64];
     i64 spawned = 0;
     i64 want = threads - 1;  /* the calling thread drains items too */
     if (want > 63)
         want = 63;
     for (i64 t = 0; t < want; t++) {
-        if (pthread_create(&workers[spawned], 0, pool_worker, &pool) != 0)
+        slots[spawned + 1].pool = &pool;
+        slots[spawned + 1].worker = spawned + 1;
+        if (pthread_create(&workers[spawned], 0, pool_worker,
+                           &slots[spawned + 1]) != 0)
             break;  /* fewer workers; every item still runs */
         spawned++;
     }
-    pool_worker(&pool);
+    slots[0].pool = &pool;
+    slots[0].worker = 0;
+    pool_worker(&slots[0]);
     for (i64 t = 0; t < spawned; t++)
         pthread_join(workers[t], 0);
 }
@@ -108,7 +128,7 @@ run_items(void *ctx, batch_item_fn fn, i64 total, i64 threads)
 {
     (void)threads;
     for (i64 it = 0; it < total; it++)
-        fn(ctx, it);
+        fn(ctx, it, 0);
 }
 
 enum { BATCH_THREADING = 0 };
@@ -121,90 +141,127 @@ repro_batch_threading(void)
     return BATCH_THREADING;
 }
 
-/* bcfg[] scalar layout (must match kernel.build_native_batch_replay) */
+/* bcfg[] scalar layout (must match kernel.NativeBatchReplay) */
 enum {
     B_CELLS, B_THREADS, B_NMAX, B_LLC_SETS, B_W,
-    B_L1_SETS, B_L2_SETS, B_NUM_CORES,
+    B_L1_SETS, B_L2_SETS, B_NUM_CORES, B_BANKS,
     BCFG_SLOTS,
 };
+
+/* One bank is one cell's flat walk state: these sections, back to back,
+ * as word offsets from the bank base (must match kernel._bank_layout).
+ * The template and every cell or worker bank share the layout, so
+ * filling a bank is one memcpy. */
+typedef struct {
+    i64 llc_tags, llc_sharers, llc_valid, llc_plru;
+    i64 l1_tags, l1_valid, l1_state;
+    i64 l2_tags, l2_valid, l2_plru;
+    i64 bi;
+    i64 stride;  /* words per bank */
+} BankLayout;
+
+static BankLayout
+bank_layout(const i64 *bcfg)
+{
+    i64 llc_sets = bcfg[B_LLC_SETS];
+    i64 llc_tw = llc_sets * bcfg[B_W];
+    i64 l1 = bcfg[B_NUM_CORES] * bcfg[B_L1_SETS];
+    i64 l2 = bcfg[B_NUM_CORES] * bcfg[B_L2_SETS];
+    BankLayout L;
+    i64 o = 0;
+    L.llc_tags = o;    o += llc_tw;
+    L.llc_sharers = o; o += llc_tw;
+    L.llc_valid = o;   o += llc_sets;
+    L.llc_plru = o;    o += llc_sets;
+    L.l1_tags = o;     o += 8 * l1;
+    L.l1_valid = o;    o += l1;
+    L.l1_state = o;    o += l1;
+    L.l2_tags = o;     o += 8 * l2;
+    L.l2_valid = o;    o += l2;
+    L.l2_plru = o;     o += l2;
+    L.bi = o;          o += 2 * bcfg[B_NUM_CORES];
+    L.stride = o;
+    return L;
+}
 
 typedef struct {
     const i64 *cfg;                /* R x CFG_SLOTS */
     i64 *dom;                      /* R x n_max x DOM_STRIDE */
     const i64 *const *lines;       /* R x n_max column pointers */
     const i64 *const *sets;
-    i64 *llc_tags, *llc_sharers, *llc_valid, *llc_plru;
+    const i64 *tpl;                /* the template bank */
+    i64 *banks;                    /* bcfg[B_BANKS] banks */
     const i64 *pset, *pclr, *pleft, *pright;
     const i32 *l1_touch, *l1_fill, *l2_touch, *l2_fill;
-    i64 *l1_tags, *l1_valid, *l1_state;
-    i64 *l2_tags, *l2_valid, *l2_plru;
-    i64 *bi, *sched;
-    i64 nmax, dom_stride;
-    i64 llc_tw, llc_s;             /* per-cell LLC tag/set-word strides */
-    i64 l1_tw, l1_s, l2_tw, l2_s;  /* per-cell inner-cache strides */
-    i64 bi_s;
+    i64 *sched;                    /* R x SCHED_SLOTS */
+    i64 nmax;
+    BankLayout L;
 } WalkBatch;
 
-/* Build the batch view over the caller-owned banks.  The cell strides
- * are pure functions of bcfg, so every entry point that shares the
- * cell-major layout (repro_batch_walk, epochbatch.c's
- * repro_epoch_batch) sees exactly the same per-cell slices. */
+/* The batch view over the caller-owned arrays, shared by every entry
+ * point on this layout (repro_batch_walk, epochbatch.c's
+ * repro_epoch_batch). */
 static WalkBatch
 make_walk_batch(
     const i64 *bcfg,
     const i64 *cfg,
     i64 *dom,
     const i64 *const *lines, const i64 *const *sets,
-    i64 *llc_tags, i64 *llc_sharers, i64 *llc_valid, i64 *llc_plru,
+    const i64 *tpl, i64 *banks,
     const i64 *pset, const i64 *pclr, const i64 *pleft, const i64 *pright,
     const i32 *l1_touch, const i32 *l1_fill,
     const i32 *l2_touch, const i32 *l2_fill,
-    i64 *l1_tags, i64 *l1_valid, i64 *l1_state,
-    i64 *l2_tags, i64 *l2_valid, i64 *l2_plru,
-    i64 *bi,
     i64 *sched)
 {
-    i64 nmax = bcfg[B_NMAX];
-    i64 llc_sets = bcfg[B_LLC_SETS];
-    i64 W = bcfg[B_W];
-    i64 l1_sets = bcfg[B_L1_SETS];
-    i64 l2_sets = bcfg[B_L2_SETS];
-    i64 num_cores = bcfg[B_NUM_CORES];
     WalkBatch B = {
-        cfg, dom, lines, sets,
-        llc_tags, llc_sharers, llc_valid, llc_plru,
+        cfg, dom, lines, sets, tpl, banks,
         pset, pclr, pleft, pright,
         l1_touch, l1_fill, l2_touch, l2_fill,
-        l1_tags, l1_valid, l1_state,
-        l2_tags, l2_valid, l2_plru,
-        bi, sched,
-        nmax, nmax * DOM_STRIDE,
-        llc_sets * W, llc_sets,
-        num_cores * l1_sets * 8, num_cores * l1_sets,
-        num_cores * l2_sets * 8, num_cores * l2_sets,
-        2 * num_cores,
+        sched, bcfg[B_NMAX], bank_layout(bcfg),
     };
     return B;
 }
 
-static void
-walk_cell(void *arg, i64 r)
+static i64 *
+bank_at(const WalkBatch *B, i64 k)
 {
-    const WalkBatch *B = (const WalkBatch *)arg;
+    return B->banks + k * B->L.stride;
+}
+
+/* Reset a bank to the template: the cell starts from an identical copy. */
+static void
+fill_bank(const WalkBatch *B, i64 *bank)
+{
+    memcpy(bank, B->tpl, (size_t)B->L.stride * sizeof(i64));
+}
+
+/* Replay (or resume) cell r on `bank`, which holds that cell's state. */
+static void
+walk_on(const WalkBatch *B, i64 r, i64 *bank)
+{
+    const BankLayout *L = &B->L;
     repro_multi_walk(
         B->cfg + r * CFG_SLOTS,
-        B->dom + r * B->dom_stride,
+        B->dom + r * B->nmax * DOM_STRIDE,
         B->lines + r * B->nmax, B->sets + r * B->nmax,
-        B->llc_tags + r * B->llc_tw, B->llc_sharers + r * B->llc_tw,
-        B->llc_valid + r * B->llc_s, B->llc_plru + r * B->llc_s,
+        bank + L->llc_tags, bank + L->llc_sharers,
+        bank + L->llc_valid, bank + L->llc_plru,
         B->pset, B->pclr, B->pleft, B->pright,
         B->l1_touch, B->l1_fill, B->l2_touch, B->l2_fill,
-        B->l1_tags + r * B->l1_tw, B->l1_valid + r * B->l1_s,
-        B->l1_state + r * B->l1_s,
-        B->l2_tags + r * B->l2_tw, B->l2_valid + r * B->l2_s,
-        B->l2_plru + r * B->l2_s,
-        B->bi + r * B->bi_s,
+        bank + L->l1_tags, bank + L->l1_valid, bank + L->l1_state,
+        bank + L->l2_tags, bank + L->l2_valid, bank + L->l2_plru,
+        bank + L->bi,
         B->sched + r * SCHED_SLOTS);
+}
+
+/* One-shot cell: refill the worker's bank, then replay the cell in it. */
+static void
+walk_cell(void *arg, i64 r, i64 worker)
+{
+    const WalkBatch *B = (const WalkBatch *)arg;
+    i64 *bank = bank_at(B, worker);
+    fill_bank(B, bank);
+    walk_on(B, r, bank);
 }
 
 i64
@@ -213,32 +270,28 @@ repro_batch_walk(
     const i64 *cfg,
     i64 *dom,
     const i64 *const *lines, const i64 *const *sets,
-    i64 *llc_tags, i64 *llc_sharers, i64 *llc_valid, i64 *llc_plru,
+    const i64 *tpl, i64 *banks,
     const i64 *pset, const i64 *pclr, const i64 *pleft, const i64 *pright,
     const i32 *l1_touch, const i32 *l1_fill,
     const i32 *l2_touch, const i32 *l2_fill,
-    i64 *l1_tags, i64 *l1_valid, i64 *l1_state,
-    i64 *l2_tags, i64 *l2_valid, i64 *l2_plru,
-    i64 *bi,
     i64 *sched)
 {
     i64 R = bcfg[B_CELLS];
     i64 threads = bcfg[B_THREADS];
-    if (R < 1)
+    if (R < 1 || bcfg[B_BANKS] < 1)
         return 0;
     if (threads < 1)
         threads = 1;
     if (threads > R)
         threads = R;
+    if (threads > bcfg[B_BANKS])
+        threads = bcfg[B_BANKS];  /* one bank per worker */
 
     WalkBatch B = make_walk_batch(
-        bcfg, cfg, dom, lines, sets,
-        llc_tags, llc_sharers, llc_valid, llc_plru,
+        bcfg, cfg, dom, lines, sets, tpl, banks,
         pset, pclr, pleft, pright,
         l1_touch, l1_fill, l2_touch, l2_fill,
-        l1_tags, l1_valid, l1_state,
-        l2_tags, l2_valid, l2_plru,
-        bi, sched);
+        sched);
     run_items(&B, walk_cell, R, threads);
 
     i64 issued = 0;
@@ -270,9 +323,10 @@ typedef struct {
  * set the accesses are replayed in program order — exactly the
  * sequential profiler's updates. */
 static void
-profile_item(void *arg, i64 item)
+profile_item(void *arg, i64 item, i64 worker)
 {
     const ProfileBatch *P = (const ProfileBatch *)arg;
+    (void)worker;
     i64 shards = P->shards;
     i64 r = item / shards;
     i64 shard = item % shards;

@@ -731,7 +731,7 @@ def _plru_victim_table(leaves, allowed_mask, left_masks, right_masks):
 
 # 8-way true-LRU as a finite state machine: per-set recency is one of
 # 8! = 40320 permutation states, touch and victim are table lookups.
-# Built lazily once per process (~0.3 s) and shared by every lean walk.
+# Built lazily once per process, vectorized, and shared by every walk.
 _LRU8_TABLES = None
 
 
@@ -740,22 +740,30 @@ def _lru8_tables():
     if _LRU8_TABLES is None:
         import itertools
 
+        import numpy as np
+
         perms = list(itertools.permutations(range(8)))
-        index = {p: i for i, p in enumerate(perms)}
-        touch = [0] * (len(perms) * 8)
-        fill = [0] * len(perms)
-        for i, p in enumerate(perms):
-            base = i * 8
-            for w in range(8):
-                if p[0] == w:
-                    touch[base + w] = i
-                else:
-                    touch[base + w] = index[(w,) + tuple(x for x in p if x != w)]
-            # Evict-and-fill in one lookup: victim way in the low bits,
-            # the post-touch state above them.
-            victim = p[-1]
-            fill[i] = (touch[base + victim] << 3) | victim
-        _LRU8_TABLES = (touch, fill, perms, index)
+        index = dict(zip(perms, range(len(perms))))
+        p = np.fromiter(
+            itertools.chain.from_iterable(perms), dtype=np.int64,
+            count=8 * len(perms),
+        ).reshape(-1, 8)
+        # Read as base-8 numbers, lexicographic order is numeric order,
+        # so a permutation's index is a binary search over the codes.
+        digits = 8 ** np.arange(7, -1, -1)
+        codes = p @ digits
+        touch = np.empty_like(p)
+        for w in range(8):
+            # Touching way w moves it to the front, the rest keep order.
+            q = np.empty_like(p)
+            q[:, 0] = w
+            q[:, 1:] = p[p != w].reshape(-1, 7)
+            touch[:, w] = np.searchsorted(codes, q @ digits)
+        # Evict-and-fill in one lookup: victim way in the low bits, the
+        # post-touch state above them.
+        victim = p[:, 7]
+        fill = (touch[np.arange(len(p)), victim] << 3) | victim
+        _LRU8_TABLES = (touch.ravel().tolist(), fill.tolist(), perms, index)
     return _LRU8_TABLES
 
 
@@ -1195,6 +1203,9 @@ _D_E1 = 16
 # cfg[] per-cell scalars; must match the CFG_* enum in multiwalk.c.
 _CFG_SLOTS = 7
 _CFG_STOP = 6
+# sched[] per-cell slots; must match the SCHED_* enum in multiwalk.c.
+_SCHED_SLOTS = 2
+_SCHED_ISSUED, _SCHED_FILLED = 0, 1
 
 
 def _epoch_replay_supported(hierarchy, cores):
@@ -1371,19 +1382,88 @@ def build_native_epoch_replay(hierarchy, cores, thinks, lines, sets,
     return build_native_epoch_batch_replay(hierarchy, [cell], threads=1)
 
 
+class TemplateBank:
+    """One snapshot of a kernel hierarchy's state, in the batch kernels'
+    bank layout (:meth:`layout`): the state every batch cell starts
+    from.
+
+    The batch kernels copy this one bank into each cell's (or each
+    worker's) bank inside their threaded work items, so building a
+    roster costs one snapshot, not one per cell. The snapshot is taken
+    on first use of :attr:`bank` and kept: reuse a ``TemplateBank`` only
+    while its hierarchy stays untouched, as the roster drivers do with
+    their one cold template per process. Batch cells never write back
+    into it.
+    """
+
+    def __init__(self, hierarchy):
+        self.hierarchy = hierarchy
+        self._bank = None
+
+    @property
+    def bank(self):
+        if self._bank is None:
+            self._bank = self._snapshot()
+        return self._bank
+
+    def layout(self):
+        """Slices of one bank by section, and the bank's length in words:
+        ``({section: slice}, stride)``. The sections must match
+        ``BankLayout`` in ``batchwalk.c``."""
+        h = self.hierarchy
+        llc = h.llc.storage
+        llc_tw = llc.num_sets * llc.num_ways
+        l1 = h.num_cores * h.l1[0].num_sets
+        l2 = h.num_cores * h.l2[0].num_sets
+        sections = (
+            ("llc_tags", llc_tw), ("llc_sharers", llc_tw),
+            ("llc_valid", llc.num_sets), ("llc_plru", llc.num_sets),
+            ("l1_tags", 8 * l1), ("l1_valid", l1), ("l1_state", l1),
+            ("l2_tags", 8 * l2), ("l2_valid", l2), ("l2_plru", l2),
+            ("bi", 2 * h.num_cores),
+        )
+        layout = {}
+        offset = 0
+        for name, size in sections:
+            layout[name] = slice(offset, offset + size)
+            offset += size
+        return layout, offset
+
+    def _snapshot(self):
+        import itertools
+
+        import numpy as np
+
+        h = self.hierarchy
+        llc = h.llc.storage
+        sections = (  # in layout() order
+            llc._tags, llc._sharers, llc._valid, llc._plru,
+            *(l1._tags for l1 in h.l1), *(l1._valid for l1 in h.l1),
+            *(_l1_perm_state(l1) for l1 in h.l1),
+            *(l2._tags for l2 in h.l2), *(l2._valid for l2 in h.l2),
+            *(l2._plru for l2 in h.l2),
+            [0] * (2 * h.num_cores),  # back-invalidation counters
+        )
+        return np.fromiter(
+            itertools.chain.from_iterable(sections), dtype=np.int64,
+            count=self.layout()[1],
+        )
+
+
 class NativeBatchReplay:
     """One-call batched replay over the compiled ``batchwalk.c`` kernel.
 
     Holds R independent replay cells — the allocations of a way sweep,
-    or a roster of unrelated co-runs — as contiguous per-cell banks of
-    the flat state ``multiwalk.c`` walks: the template hierarchy's
-    current state is snapshotted once and tiled R times, so every cell
-    starts from an identical copy and no cell can observe another. This
-    class and its epoch subclass are the only owners of that layout.
-    :meth:`run` is a single ``ctypes`` call; the kernel threads over
-    cells but each writes only its own dom/sched bank, so the per-cell
-    ``(counters, vtimes)`` read back afterwards are bit-identical to
-    replaying each cell alone, for any thread count.
+    or a roster of unrelated co-runs — over ONE :class:`TemplateBank`:
+    each cell's work item copies the template into its worker thread's
+    own bank before replaying, so every cell starts from an identical
+    copy, no cell can observe another, and a roster holds one bank per
+    worker thread rather than one per cell. This class and its epoch
+    subclass are the only owners of that layout. :meth:`run` is a single
+    ``ctypes`` call; the kernel threads over cells but each writes only
+    its own dom/sched slice, so the per-cell ``(counters, vtimes)`` read
+    back afterwards are bit-identical to replaying each cell alone, for
+    any thread count.
 
     Batch cells are throwaway measurements with no hierarchy writeback;
     only a one-cell :class:`NativeEpochBatchReplay` writes its state
@@ -1391,19 +1471,24 @@ class NativeBatchReplay:
     """
 
     native = True
+    # One working bank per worker thread; the epoch subclass keeps one
+    # persistent bank per cell instead.
+    _bank_per_cell = False
 
-    def __init__(self, hierarchy, cells, threads, fn):
+    def __init__(self, template, cells, threads, fn):
         import ctypes
 
         import numpy as np
 
         i64 = np.int64
-        h = hierarchy
+        h = template.hierarchy
         llc = h.llc.storage
         num_cores = h.num_cores
         R = len(cells)
+        threads = min(threads, R)
         n_max = max(len(cell["cores"]) for cell in cells)
         self._h = h
+        self._template = template
         self._cells = cells
         self._fn = fn
         self._n_max = n_max
@@ -1412,121 +1497,85 @@ class NativeBatchReplay:
         l1_touch, l1_fill = _np_lru8_tables()
         l2_touch, l2_fill = _np_plru8_tables(h.l2[first_core])
         pset, pclr, pleft, pright = _np_llc_geometry(llc)
-
-        # One template snapshot of the hierarchy's current state, tiled
-        # R times: every cell starts from an identical copy.
-        g_tags = np.tile(np.array(llc._tags, dtype=i64), R)
-        g_sharers = np.tile(np.array(llc._sharers, dtype=i64), R)
-        g_valid = np.tile(np.array(llc._valid, dtype=i64), R)
-        g_plru = np.tile(np.array(llc._plru, dtype=i64), R)
-
-        def _all_core(levels, attr):
-            return np.concatenate(
-                [np.array(getattr(levels[c], attr), dtype=i64)
-                 for c in range(num_cores)]
-            )
-
-        i1_tags = np.tile(_all_core(h.l1, "_tags"), R)
-        i1_valid = np.tile(_all_core(h.l1, "_valid"), R)
-        i2_tags = np.tile(_all_core(h.l2, "_tags"), R)
-        i2_valid = np.tile(_all_core(h.l2, "_valid"), R)
-
         l1_sets = h.l1[first_core].num_sets
         l2_sets = h.l2[first_core].num_sets
-        l1_state = np.zeros(R * num_cores * l1_sets, dtype=i64)
-        l2_plru = np.zeros(R * num_cores * l2_sets, dtype=i64)
-        cfg = np.zeros(R * _CFG_SLOTS, dtype=i64)
-        dom = np.zeros(R * n_max * _DOM_STRIDE, dtype=i64)
-        self._line_cols = []
-        self._set_cols = []
-        line_ptrs = np.zeros(R * n_max, dtype=np.uintp)
-        set_ptrs = np.zeros(R * n_max, dtype=np.uintp)
+        self._layout, stride = template.layout()
+        nbanks = R if self._bank_per_cell else threads
+        # Filled from the template inside the kernel, never read unfilled.
+        banks = np.empty(nbanks * stride, dtype=i64)
+
+        cfg = np.zeros((R, _CFG_SLOTS), dtype=i64)
+        cfg[:, 0] = [len(cell["cores"]) for cell in cells]
+        cfg[:, 1] = llc._leaves
+        cfg[:, 2] = llc.num_ways
+        cfg[:, 3] = h.l1[first_core]._mod_mask
+        cfg[:, 4] = h.l2[first_core]._mod_mask
+        cfg[:, 5] = num_cores
+        cfg[:, _CFG_STOP] = [int(cell["stop"]) for cell in cells]
+        dom = np.zeros((R, n_max, _DOM_STRIDE), dtype=i64)
+        line_ptrs = np.zeros((R, n_max), dtype=np.uintp)
+        set_ptrs = np.zeros((R, n_max), dtype=np.uintp)
+        columns = {}  # id(column) -> contiguous int64 copy or view
 
         def _col(col):
-            return np.ascontiguousarray(np.asarray(col, dtype=i64))
+            arr = columns.get(id(col))
+            if arr is None:
+                arr = columns[id(col)] = np.ascontiguousarray(
+                    np.asarray(col, dtype=i64)
+                )
+            return arr.ctypes.data
 
         mask_bits = h.llc._mask_bits
         for r, cell in enumerate(cells):
-            cores = cell["cores"]
             cell_masks = cell.get("mask_bits")
-            cbase = r * _CFG_SLOTS
-            cfg[cbase + 0] = len(cores)
-            cfg[cbase + 1] = llc._leaves
-            cfg[cbase + 2] = llc.num_ways
-            cfg[cbase + 3] = h.l1[cores[0]]._mod_mask
-            cfg[cbase + 4] = h.l2[cores[0]]._mod_mask
-            cfg[cbase + 5] = num_cores
-            cfg[cbase + _CFG_STOP] = int(cell["stop"])
-            for core in cores:
-                off = r * num_cores * l1_sets + core * l1_sets
-                l1_state[off:off + l1_sets] = (
-                    _l1_perm_state(h.l1[core])
-                )
-                off = r * num_cores * l2_sets + core * l2_sets
-                l2_plru[off:off + l2_sets] = h.l2[core]._plru
+            lengths = cell["lengths"]
             for slot, (core, think) in enumerate(
-                zip(cores, cell["thinks"])
+                zip(cell["cores"], cell["thinks"])
             ):
-                base = (r * n_max + slot) * _DOM_STRIDE
-                dom[base + 0] = core
-                dom[base + 1] = 1 << core
-                dom[base + 2] = (
+                n = int(lengths[slot])
+                dom[r, slot, :_D_LIVE + 1] = (
+                    core,
+                    1 << core,
                     mask_bits[core] if cell_masks is None
-                    else cell_masks[slot]
-                )
-                dom[base + 3:base + 7] = (
+                    else cell_masks[slot],
                     4 + think, 12 + think, 30 + think, 200 + think,
+                    n,
+                    bool(cell["repeats"][slot]),
+                    0,
+                    1 if n else 0,
                 )
-                dom[base + 7] = int(cell["lengths"][slot])
-                dom[base + 8] = bool(cell["repeats"][slot])
-                dom[base + _D_LIVE] = 1 if cell["lengths"][slot] else 0
-                lcol = _col(cell["lines"][slot])
-                scol = _col(cell["sets"][slot])
-                self._line_cols.append(lcol)
-                self._set_cols.append(scol)
-                line_ptrs[r * n_max + slot] = lcol.ctypes.data
-                set_ptrs[r * n_max + slot] = scol.ctypes.data
+                line_ptrs[r, slot] = _col(cell["lines"][slot])
+                set_ptrs[r, slot] = _col(cell["sets"][slot])
 
-        bi = np.zeros(R * 2 * num_cores, dtype=i64)
-        sched = np.zeros(R, dtype=i64)
+        sched = np.zeros((R, _SCHED_SLOTS), dtype=i64)
         bcfg = np.array(
             [R, threads, n_max, llc.num_sets, llc.num_ways,
-             l1_sets, l2_sets, num_cores],
+             l1_sets, l2_sets, num_cores, nbanks],
             dtype=i64,
         )
         self._cfg, self._dom, self._sched = cfg, dom, sched
-        self._llc_bank = (g_tags, g_sharers, g_valid, g_plru)
-        self._inner_bank = (i1_tags, i1_valid, l1_state,
-                            i2_tags, i2_valid, l2_plru, bi)
-        self._l1_sets, self._l2_sets = l1_sets, l2_sets
+        self._banks = banks.reshape(nbanks, stride)
 
         arrays = (
             bcfg, cfg, dom, line_ptrs, set_ptrs,
-            g_tags, g_sharers, g_valid, g_plru,
+            template.bank, banks,
             pset, pclr, pleft, pright,
             l1_touch, l1_fill, l2_touch, l2_fill,
-            i1_tags, i1_valid, l1_state,
-            i2_tags, i2_valid, l2_plru,
-            bi, sched,
+            sched,
         )
-        self._keep = arrays
+        self._keep = (arrays, columns)
         self._args = [ctypes.c_void_p(a.ctypes.data) for a in arrays]
 
     def cell_result(self, r):
-        """Cell ``r``'s ``(counts, vtimes)`` read from its dom bank,
+        """Cell ``r``'s ``(counts, vtimes)`` read from its dom slice,
         where ``counts`` is a per-domain tuple of ``(l1_hits, l2_hits,
         llc_hits, llc_misses)`` — the same shape the epoch drivers'
         ``finish`` reports, without any hierarchy writeback."""
-        dom = self._dom
-        counts = []
-        vtimes = []
-        for slot in range(len(self._cells[r]["cores"])):
-            base = (r * self._n_max + slot) * _DOM_STRIDE
-            counts.append(tuple(
-                int(x) for x in dom[base + _D_H1:base + _D_H1 + 4]
-            ))
-            vtimes.append(int(dom[base + _D_VTIME]))
-        return tuple(counts), tuple(vtimes)
+        dom = self._dom[r, :len(self._cells[r]["cores"])]
+        return (
+            tuple(map(tuple, dom[:, _D_H1:_D_H1 + 4].tolist())),
+            tuple(dom[:, _D_VTIME].tolist()),
+        )
 
     def run(self):
         """One ctypes call; returns ``[(counts, vtimes), ...]`` per cell."""
@@ -1535,7 +1584,7 @@ class NativeBatchReplay:
 
     @property
     def issued(self):
-        return int(self._sched.sum())
+        return int(self._sched[:, _SCHED_ISSUED].sum())
 
 
 def _check_mask_word(bits, num_ways):
@@ -1548,17 +1597,26 @@ def _check_mask_word(bits, num_ways):
         )
 
 
-def _check_cell_columns(cell):
-    """Raise unless every domain's line and set columns are equally long
-    and hold at least ``lengths[slot]`` accesses: the kernels read
-    ``lengths[slot]`` entries of both columns unchecked."""
+def _check_cell_columns(cell, num_cores, num_sets, scanned):
+    """Raise unless every domain's core exists and its line and set
+    columns are equally long, hold at least ``lengths[slot]`` accesses,
+    and name only LLC sets in ``[0, num_sets)``: the kernels use the
+    core, ``lengths[slot]`` entries of both columns and every set index
+    unchecked. ``scanned`` holds the ids of the set columns already
+    range-checked in this build, so cells sharing a pack scan it once."""
+    import numpy as np
+
     cores = cell["cores"]
     lines, sets, lengths = cell["lines"], cell["sets"], cell["lengths"]
     if not len(lines) == len(sets) == len(lengths) == len(cores):
         raise ValidationError(
             "need one line column, set column and length per cell domain"
         )
-    for slot in range(len(cores)):
+    for slot, core in enumerate(cores):
+        if not 0 <= core < num_cores:
+            raise ValidationError(
+                f"domain {slot}: core {core} outside [0, {num_cores})"
+            )
         n = int(lengths[slot])
         if not len(lines[slot]) == len(sets[slot]) >= n >= 0:
             raise ValidationError(
@@ -1566,19 +1624,33 @@ def _check_cell_columns(cell):
                 f"column ({len(sets[slot])}) must be equally long and "
                 f"cover length {n}"
             )
+        col = sets[slot]
+        if id(col) in scanned:
+            continue
+        scanned.add(id(col))
+        arr = np.asarray(col)
+        if arr.size and not (0 <= arr.min() and arr.max() < num_sets):
+            raise ValidationError(
+                f"domain {slot}: set column indexes outside "
+                f"[0, {num_sets})"
+            )
 
 
 def _batch_cells_supported(hierarchy, cells):
     """Shared preconditions of the batched builders (one bank layout).
 
-    Every cell's effective mask words and column lengths are validated
-    first: a bad word or a short column raises :class:`ValidationError`
-    rather than reaching the kernel.
+    Every cell's cores, effective mask words and columns are validated
+    first: a bad word, a short column or an out-of-range core or set
+    index raises :class:`ValidationError` rather than reaching the
+    kernel. The template's state is then checked once per distinct core
+    the cells use, not once per cell.
     """
     h = hierarchy
     llc = h.llc.storage
     default_bits = h.llc._mask_bits
+    scanned = set()
     for cell in cells:
+        _check_cell_columns(cell, h.num_cores, llc.num_sets, scanned)
         cores = cell["cores"]
         words = cell.get("mask_bits")
         if words is None:
@@ -1587,15 +1659,16 @@ def _batch_cells_supported(hierarchy, cells):
             raise ValidationError("need one mask word per cell domain")
         for bits in words:
             _check_mask_word(bits, llc.num_ways)
-        _check_cell_columns(cell)
     if h.llc_profiler is not None or llc.num_ways > 62:
         return False
+    used = set()
     for cell in cells:
         cores = cell["cores"]
-        if not cores or len(cores) > 16:
+        if not cores or len(cores) > 16 or len(set(cores)) != len(cores):
             return False
-        if not _epoch_replay_supported(h, cores):
-            return False
+        used.update(cores)
+    if not _epoch_replay_supported(h, sorted(used)):
+        return False
     l1_mod = h.l1[0]._mod_mask
     l2_mod = h.l2[0]._mod_mask
     for c in range(h.num_cores):
@@ -1612,48 +1685,69 @@ def _batch_cells_supported(hierarchy, cells):
     return True
 
 
-def build_native_batch_replay(hierarchy, cells, threads=None):
-    """Batched driver over ``batchwalk.c``, or ``None`` when any cell
-    fails the epoch-replay preconditions, an LLC profiler is attached,
-    or the kernel is unavailable. A mask word outside the LLC's ways
-    raises :class:`ValidationError`.
-
-    ``cells`` is a list of dicts with keys ``cores``, ``thinks``,
-    ``lines``, ``sets``, ``lengths``, ``repeats``, ``stop`` and
-    optionally ``mask_bits`` (per-slot LLC way-mask words; defaults to
-    the hierarchy's current masks). ``threads`` follows
-    :func:`repro.cache.native.resolve_native_threads` — invalid
-    ``REPRO_NATIVE_THREADS`` values raise, they never silently fall
-    back.
-    """
-    if not cells or not _batch_cells_supported(hierarchy, cells):
+def _build_batch(cls, kernel_fn, hierarchy, cells, threads):
+    """The shared body of the batched builders: validate, load the
+    kernel, resolve threads, and build ``cls`` over the template bank
+    (``hierarchy`` itself when it is a :class:`TemplateBank`, else a
+    fresh snapshot of it)."""
+    if isinstance(hierarchy, TemplateBank):
+        template = hierarchy
+    else:
+        template = TemplateBank(hierarchy)
+    if not cells or not _batch_cells_supported(template.hierarchy, cells):
         return None
 
     from repro.cache import native
 
-    fn = native.batch_walk_fn()
+    fn = kernel_fn()
     if fn is None:
         return None
     threads = native.resolve_native_threads(len(cells), threads)
-    return NativeBatchReplay(hierarchy, cells, threads, fn)
+    return cls(template, cells, threads, fn)
+
+
+def build_native_batch_replay(hierarchy, cells, threads=None):
+    """Batched driver over ``batchwalk.c``, or ``None`` when any cell
+    fails the epoch-replay preconditions, an LLC profiler is attached,
+    or the kernel is unavailable. A mask word outside the LLC's ways, a
+    short column, or a core or set index out of range raises
+    :class:`ValidationError`.
+
+    ``hierarchy`` is the template every cell starts from: a kernel
+    :class:`~repro.cache.hierarchy.CacheHierarchy`, snapshotted by this
+    call, or a :class:`TemplateBank` of one, reused as is. ``cells`` is
+    a list of dicts with keys ``cores``, ``thinks``, ``lines``,
+    ``sets``, ``lengths``, ``repeats``, ``stop`` and optionally
+    ``mask_bits`` (per-slot LLC way-mask words; defaults to the
+    hierarchy's current masks). ``threads`` follows
+    :func:`repro.cache.native.resolve_native_threads` — invalid
+    ``REPRO_NATIVE_THREADS`` values raise, they never silently fall
+    back.
+    """
+    from repro.cache import native
+
+    return _build_batch(
+        NativeBatchReplay, native.batch_walk_fn, hierarchy, cells, threads
+    )
 
 
 class NativeEpochBatchReplay(NativeBatchReplay):
     """Epoch-resumable batched driver over ``epochbatch.c``.
 
-    The same per-cell state banks as :class:`NativeBatchReplay`, kept
-    alive between calls: :meth:`run_active` is ONE ctypes call that
-    advances only the named cells, each to its own per-cell stop target
-    (:meth:`set_stop`), and returns with every cell's walk state — LLC
-    and inner-cache tags and recency, per-domain counters, cursors,
-    virtual times, scheduler frontiers — resting in the Python-owned
-    banks. Between calls the host reads the banked counters
-    (:meth:`counter_bank`, a zero-copy view sliced for vectorized MPKI
-    windows), runs each cell's controller decision, and rewrites that
-    cell's dom way-mask words flush-free (:meth:`set_mask_bits`). Each
-    work item writes only its own cell's banks, so the replay is
-    bit-identical to the sequential epoch driver for any thread count
-    and any active-set schedule.
+    The template bank of :class:`NativeBatchReplay`, plus one persistent
+    bank per cell that the kernel fills from the template in the cell's
+    first work item and keeps alive between calls: :meth:`run_active`
+    is ONE ctypes call that advances only the named cells, each to its
+    own per-cell stop target (:meth:`set_stop`), and returns with every
+    cell's walk state — LLC and inner-cache tags and recency, per-domain
+    counters, cursors, virtual times, scheduler frontiers — resting in
+    the Python-owned arrays. Between calls the host reads the banked
+    counters (:meth:`counter_bank`, a zero-copy view sliced for
+    vectorized MPKI windows), runs each cell's controller decision, and
+    rewrites that cell's dom way-mask words flush-free
+    (:meth:`set_mask_bits`). Each work item writes only its own cell's
+    bank and slices, so the replay is bit-identical to the sequential
+    epoch driver for any thread count and any active-set schedule.
 
     A one-cell batch (:func:`build_native_epoch_replay`) is the native
     single co-run driver. Its cell-0 methods — :meth:`run_epoch`,
@@ -1663,12 +1757,14 @@ class NativeEpochBatchReplay(NativeBatchReplay):
     state back into the hierarchy's :class:`KernelCacheLevel` objects.
     """
 
-    def __init__(self, hierarchy, cells, threads, fn):
+    _bank_per_cell = True
+
+    def __init__(self, template, cells, threads, fn):
         import ctypes
 
         import numpy as np
 
-        super().__init__(hierarchy, cells, threads, fn)
+        super().__init__(template, cells, threads, fn)
         active = np.zeros(len(cells) + 1, dtype=np.int64)
         self._active = active
         self._keep = (*self._keep, active)
@@ -1678,26 +1774,23 @@ class NativeEpochBatchReplay(NativeBatchReplay):
 
     def issued_of(self, r):
         """Cell ``r``'s scheduler frontier (total issued accesses)."""
-        return int(self._sched[r])
+        return int(self._sched[r, _SCHED_ISSUED])
 
     def set_stop(self, r, stop):
         """Cell ``r``'s next absolute issued-access target."""
-        self._cfg[r * _CFG_SLOTS + _CFG_STOP] = stop
+        self._cfg[r, _CFG_STOP] = stop
 
     def set_mask_bits(self, r, slot, bits):
         """Rewrite one domain's LLC way-mask word — a flush-free
         reallocation for one (cell, domain)."""
         _check_mask_word(bits, self._h.llc.storage.num_ways)
-        self._dom[(r * self._n_max + slot) * _DOM_STRIDE + _D_MASK] = bits
+        self._dom[r, slot, _D_MASK] = bits
 
     def counter_bank(self):
         """``(R, n_max, 4)`` int64 view of the cumulative per-domain
         ``(l1_hits, l2_hits, llc_hits, llc_misses)`` counters, zero-copy
         into the dom bank; slots past a cell's domain count stay zero."""
-        R = len(self._cells)
-        return self._dom.reshape(R, self._n_max, _DOM_STRIDE)[
-            :, :, _D_H1:_D_H1 + 4
-        ]
+        return self._dom[:, :, _D_H1:_D_H1 + 4]
 
     def run_active(self, active_cells):
         """ONE ctypes call advancing ``active_cells`` to their stops."""
@@ -1707,13 +1800,21 @@ class NativeEpochBatchReplay(NativeBatchReplay):
         a[1:1 + n] = active_cells
         self._fn(*self._args)
 
+    def _state(self, r):
+        """Cell ``r``'s bank sections by name; the template's until the
+        kernel has filled the cell's own bank."""
+        bank = self._banks[r] if self._sched[r, _SCHED_FILLED] else (
+            self._template.bank
+        )
+        return {name: bank[cut] for name, cut in self._layout.items()}
+
     # -- the one-cell co-run interface (cell 0) ---------------------------
 
     def run_epoch(self, stop_at):
         """Advance until ``issued == stop_at`` or every domain has
         retired; returns the total issued so far. Call again to resume
         exactly."""
-        self._cfg[_CFG_STOP] = stop_at
+        self.set_stop(0, stop_at)
         self.run_active((0,))
         return self.issued_of(0)
 
@@ -1722,8 +1823,7 @@ class NativeEpochBatchReplay(NativeBatchReplay):
 
     def counters(self, slot):
         """Cumulative ``(l1_hits, l2_hits, llc_hits, llc_misses)``."""
-        base = slot * _DOM_STRIDE + _D_H1
-        return tuple(int(x) for x in self._dom[base:base + 4])
+        return tuple(self._dom[0, slot, _D_H1:_D_H1 + 4].tolist())
 
     def refresh_masks(self):
         """Re-read the hierarchy's way masks; nothing else changes."""
@@ -1732,7 +1832,8 @@ class NativeEpochBatchReplay(NativeBatchReplay):
             self.set_mask_bits(0, slot, mask_bits[core])
 
     def llc_resident(self):
-        tags, _, valid, _ = self._llc_bank
+        state = self._state(0)
+        tags, valid = state["llc_tags"], state["llc_valid"]
         W = self._h.llc.storage.num_ways
         lines = []
         for s in range(self._h.llc.storage.num_sets):
@@ -1750,36 +1851,35 @@ class NativeEpochBatchReplay(NativeBatchReplay):
         h = self._h
         llc = h.llc.storage
         num_cores = h.num_cores
-        llc_lines = llc.num_sets * llc.num_ways
-        g_tags, g_sharers, g_valid, g_plru = self._llc_bank
-        llc._tags[:] = g_tags[:llc_lines].tolist()
-        llc._sharers[:] = g_sharers[:llc_lines].tolist()
-        llc._valid[:] = g_valid[:llc.num_sets].tolist()
-        llc._plru[:] = g_plru[:llc.num_sets].tolist()
+        state = self._state(0)
+        llc._tags[:] = state["llc_tags"].tolist()
+        llc._sharers[:] = state["llc_sharers"].tolist()
+        llc._valid[:] = state["llc_valid"].tolist()
+        llc._plru[:] = state["llc_plru"].tolist()
         _rebuild_lookup(llc._lookup, llc._tags, llc._valid, llc.num_ways)
-        (i1_tags, i1_valid, l1_state,
-         i2_tags, i2_valid, l2_plru, bi) = self._inner_bank
-        s1 = self._l1_sets
-        s2 = self._l2_sets
+        inner = {
+            name: state[name].reshape(num_cores, -1)
+            for name in ("l1_tags", "l1_valid", "l1_state",
+                         "l2_tags", "l2_valid", "l2_plru")
+        }
+        bi = state["bi"].tolist()
         for c in range(num_cores):
             l1 = h.l1[c]
-            l1._tags[:] = i1_tags[c * s1 * 8:(c + 1) * s1 * 8].tolist()
-            l1._valid[:] = i1_valid[c * s1:(c + 1) * s1].tolist()
+            l1._tags[:] = inner["l1_tags"][c].tolist()
+            l1._valid[:] = inner["l1_valid"][c].tolist()
             _rebuild_lookup(l1._lookup, l1._tags, l1._valid, 8)
             if bi[c]:
-                l1.stats.back_invalidations += int(bi[c])
+                l1.stats.back_invalidations += bi[c]
             l2 = h.l2[c]
-            l2._tags[:] = i2_tags[c * s2 * 8:(c + 1) * s2 * 8].tolist()
-            l2._valid[:] = i2_valid[c * s2:(c + 1) * s2].tolist()
+            l2._tags[:] = inner["l2_tags"][c].tolist()
+            l2._valid[:] = inner["l2_valid"][c].tolist()
             _rebuild_lookup(l2._lookup, l2._tags, l2._valid, 8)
             if bi[num_cores + c]:
-                l2.stats.back_invalidations += int(bi[num_cores + c])
-        dom = self._dom
+                l2.stats.back_invalidations += bi[num_cores + c]
         counts = []
         for slot, core in enumerate(self._cells[0]["cores"]):
             h1, h2, h3, m3 = self.counters(slot)
-            base = slot * _DOM_STRIDE + _D_E1
-            e1, e2, e3 = (int(x) for x in dom[base:base + 3])
+            e1, e2, e3 = self._dom[0, slot, _D_E1:_D_E1 + 3].tolist()
             m2 = h3 + m3
             m1 = h2 + m2
             l1 = h.l1[core]
@@ -1787,10 +1887,8 @@ class NativeEpochBatchReplay(NativeBatchReplay):
             _flush_level_deltas(h.l2[core].stats, h2, m2, e2, 0, core)
             _flush_level_deltas(llc.stats, h3, m3, e3, 0, core)
             counts.append((h1, h2, h3, m3))
-            h.l2[core]._plru[:] = l2_plru[core * s2:(core + 1) * s2].tolist()
-            _write_l1_stamps(
-                l1, l1_state[core * s1:(core + 1) * s1].tolist()
-            )
+            h.l2[core]._plru[:] = inner["l2_plru"][core].tolist()
+            _write_l1_stamps(l1, inner["l1_state"][core].tolist())
         return tuple(counts), tuple(self.vtimes())
 
 
@@ -1799,23 +1897,19 @@ def build_native_epoch_batch_replay(hierarchy, cells, threads=None):
     cell fails the epoch-replay preconditions or the kernel is
     unavailable.
 
-    ``cells`` carries the same keys as
+    ``hierarchy`` and ``cells`` take the same forms as in
     :func:`build_native_batch_replay`; ``stop`` is the first epoch
     target (0 means nothing runs until the host raises it via
     ``set_stop``). ``threads`` resolves like the one-shot batch driver;
     each call's worker count further clamps to the active cell count
     inside the kernel.
     """
-    if not cells or not _batch_cells_supported(hierarchy, cells):
-        return None
-
     from repro.cache import native
 
-    fn = native.epoch_batch_fn()
-    if fn is None:
-        return None
-    threads = native.resolve_native_threads(len(cells), threads)
-    return NativeEpochBatchReplay(hierarchy, cells, threads, fn)
+    return _build_batch(
+        NativeEpochBatchReplay, native.epoch_batch_fn, hierarchy, cells,
+        threads,
+    )
 
 
 def make_cache_level(

@@ -58,8 +58,9 @@ enum {
     DOM_STRIDE = 20,
 };
 
-/* sched[] layout (persistent): total accesses issued so far */
-enum { SCHED_ISSUED, SCHED_SLOTS };
+/* sched[] layout (persistent): total accesses issued so far, and
+ * whether the cell's state bank has been filled (epochbatch.c) */
+enum { SCHED_ISSUED, SCHED_FILLED, SCHED_SLOTS };
 
 typedef struct {
     /* LLC state */

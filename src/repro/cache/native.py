@@ -15,6 +15,10 @@ means the ``*_fn`` accessors return ``None`` and callers stay on the
 pure-Python epoch driver — results are bit-identical either way, the
 native kernels are only faster.
 
+``REPRO_NATIVE_SANITIZE=1`` builds the kernels with AddressSanitizer
+and UBSan instead (a separate cached object: the flags are part of the
+cache digest), for memory-safety test runs.
+
 "Best-effort" no longer means "silent": the first failure per kernel is
 recorded and :func:`kernel_status` reports it, so ``repro trace-sweep
 --engine-stat`` (via ``format_engine_stat``) can answer "why is native
@@ -35,6 +39,10 @@ import tempfile
 
 _ENV_GATE = "REPRO_NATIVE"
 _ENV_THREADS = "REPRO_NATIVE_THREADS"
+_ENV_SANITIZE = "REPRO_NATIVE_SANITIZE"
+_SANITIZE_FLAGS = (
+    "-fsanitize=address,undefined", "-fno-omit-frame-pointer",
+)
 _HERE = os.path.dirname(os.path.abspath(__file__))
 
 # kernel name -> (C source next to this module, exported symbols)
@@ -180,8 +188,13 @@ def _threading_probe():
 def _kernel_flags(name):
     """Extra compile flags for one kernel: every kernel is built on
     batchwalk.c's run_items worker pool, so all take the probed
-    threading flags."""
-    return tuple(_threading_probe()["flags"])
+    threading flags. ``REPRO_NATIVE_SANITIZE=1`` adds AddressSanitizer
+    and UBSan; such a build loads only with libasan preloaded
+    (``LD_PRELOAD=$(gcc -print-file-name=libasan.so)``)."""
+    flags = tuple(_threading_probe()["flags"])
+    if os.environ.get(_ENV_SANITIZE, "0").strip() == "1":
+        flags += _SANITIZE_FLAGS
+    return flags
 
 
 def _build_library(name):
@@ -273,10 +286,11 @@ def _symbol(name, symbol):
 def batch_walk_fn():
     """The compiled ``repro_batch_walk`` entry point, or ``None``.
 
-    One call replays every cell of a roster / way sweep against
-    contiguous per-cell state banks; see batchwalk.c for the ``bcfg``
-    layout and :func:`repro.cache.kernel.build_native_batch_replay` for
-    the Python owner of the banks.
+    One call replays every cell of a roster / way sweep, each from a
+    copy of one template bank in its worker thread's own bank; see
+    batchwalk.c for the ``bcfg`` and bank layouts and
+    :func:`repro.cache.kernel.build_native_batch_replay` for the Python
+    owner of the banks.
     """
     return _symbol("batchwalk", "repro_batch_walk")
 

@@ -490,12 +490,30 @@ def _run_roster_sequential(cells):
     return results
 
 
+# The cold, prefetchers-off kernel hierarchy every roster cell starts
+# from, with its bank snapshot: built once per process. Batch cells never
+# write back into it, so it stays cold.
+_COLD_TEMPLATE = None
+
+
+def _cold_template():
+    """The process-wide :class:`~repro.cache.kernel.TemplateBank` of a
+    fresh ``TraceEngine(prefetchers_on=False, backend="kernel")``."""
+    global _COLD_TEMPLATE
+    if _COLD_TEMPLATE is None:
+        from repro.cache.kernel import TemplateBank
+
+        engine = TraceEngine(prefetchers_on=False, backend="kernel")
+        _COLD_TEMPLATE = TemplateBank(engine.hierarchy)
+    return _COLD_TEMPLATE
+
+
 def run_packed_roster(cells, threads=None):
     """Replay a roster of independent co-runs in ONE native call.
 
     Each :class:`RosterCell` gets its own fresh kernel-backed,
-    prefetchers-off hierarchy state (the template engine's state,
-    snapshotted once and tiled inside
+    prefetchers-off hierarchy state (a copy of the process-wide cold
+    template's one bank snapshot, made per cell inside the kernel; see
     :func:`~repro.cache.kernel.build_native_batch_replay`), its own way
     masks, and its own issue budget; the compiled batch kernel replays
     every cell in a single ctypes call, threading over cells per
@@ -528,7 +546,7 @@ def run_packed_roster(cells, threads=None):
 
     from repro.cache.kernel import build_native_batch_replay
 
-    template = TraceEngine(prefetchers_on=False, backend="kernel")
+    template = _cold_template()
     h = template.hierarchy
     llc = h.llc.storage
     llc_indexing = "mod" if llc._mod_mask >= 0 else "hash"
@@ -561,7 +579,7 @@ def run_packed_roster(cells, threads=None):
             "stop": cell.total_accesses,
         })
 
-    batch = build_native_batch_replay(h, cell_dicts, threads=threads)
+    batch = build_native_batch_replay(template, cell_dicts, threads=threads)
     if batch is None:
         return _run_roster_sequential(cells)
 
@@ -618,9 +636,10 @@ def run_dynamic_roster(cells, threads=None):
     """Run a roster of dynamic-partitioning co-runs, batched.
 
     Every :class:`DynamicRosterCell` gets its own fresh kernel-backed,
-    prefetchers-off hierarchy state (the template engine's state, tiled
-    inside :func:`~repro.cache.kernel.build_native_epoch_batch_replay`),
-    its own initial controller masks, and its own epoch/total budgets.
+    prefetchers-off hierarchy state (its own bank, which the kernel fills
+    from the process-wide cold template's one snapshot; see
+    :func:`~repro.cache.kernel.build_native_epoch_batch_replay`), its
+    own initial controller masks, and its own epoch/total budgets.
     Each round of the host loop advances every still-active cell by one
     epoch in ONE threaded ctypes call, then steps *all* cells'
     controllers in one pass — per-epoch MPKI windows computed vectorized
@@ -668,7 +687,7 @@ def run_dynamic_roster(cells, threads=None):
     from repro.cache.kernel import build_native_epoch_batch_replay
     from repro.core.dynamic import mpki_windows
 
-    template = TraceEngine(prefetchers_on=False, backend="kernel")
+    template = _cold_template()
     h = template.hierarchy
     llc = h.llc.storage
     llc_indexing = "mod" if llc._mod_mask >= 0 else "hash"
@@ -696,7 +715,9 @@ def run_dynamic_roster(cells, threads=None):
             "stop": 0,  # nothing runs until the host loop sets targets
         })
 
-    batch = build_native_epoch_batch_replay(h, cell_dicts, threads=threads)
+    batch = build_native_epoch_batch_replay(
+        template, cell_dicts, threads=threads
+    )
     if batch is None:
         return _run_dynamic_roster_sequential(cells)
 

@@ -276,6 +276,134 @@ class TestMaskWordValidation:
                 build(hierarchy, [cell])
 
 
+    @pytest.mark.parametrize("bad", [8192, 100_000, -1],
+                             ids=["num-sets", "far-above", "negative"])
+    @pytest.mark.parametrize("kind", ["array", "list"])
+    def test_batch_builders_reject_out_of_range_set_index(self, bad, kind):
+        """A hand-built set column indexing outside the LLC would make
+        the kernel write outside its bank: it raises before any ctypes
+        call, for arrays and plain lists alike."""
+        import numpy as np
+
+        from repro.cache.kernel import (
+            build_native_batch_replay,
+            build_native_epoch_batch_replay,
+        )
+
+        for build in (build_native_batch_replay,
+                      build_native_epoch_batch_replay):
+            hierarchy, cell = self._hierarchy_and_cell()
+            sets = np.array(cell["sets"][1])
+            sets[len(sets) // 2] = bad
+            cell["sets"][1] = sets if kind == "array" else sets.tolist()
+            with pytest.raises(ValidationError, match="set column"):
+                build(hierarchy, [cell])
+
+    @pytest.mark.parametrize("core", [4, -1], ids=["past-last", "negative"])
+    def test_batch_builders_reject_unknown_core(self, core):
+        from repro.cache.kernel import (
+            build_native_batch_replay,
+            build_native_epoch_batch_replay,
+        )
+
+        for build in (build_native_batch_replay,
+                      build_native_epoch_batch_replay):
+            hierarchy, cell = self._hierarchy_and_cell()
+            cell["cores"][1] = core
+            with pytest.raises(ValidationError, match="core"):
+                build(hierarchy, [cell])
+
+
+class TestWarmTemplate:
+    """Every cell of a batch starts from the template, whichever worker
+    bank it lands in: a worker that reused its bank without refilling it
+    would hand the next cell the previous cell's cache state."""
+
+    @staticmethod
+    def _cell(hierarchy, workloads, stop, mask_bits=None):
+        llc = hierarchy.llc.storage
+        indexing = "mod" if llc._mod_mask >= 0 else "hash"
+        packs = [get_pack(w.trace_factory()) for w in workloads]
+        return {
+            "cores": [hierarchy.core_of_tid(w.tid) for w in workloads],
+            "thinks": [w.think_cycles for w in workloads],
+            "mask_bits": mask_bits,
+            "lines": [p.line for p in packs],
+            "sets": [p.set_column(llc.num_sets, indexing) for p in packs],
+            "lengths": [len(p.line) for p in packs],
+            "repeats": [w.repeat for w in workloads],
+            "stop": stop,
+        }
+
+    @staticmethod
+    def _warm_template():
+        """A warmed kernel hierarchy with a non-default mask on core 0;
+        every call builds an identical one."""
+        engine = TraceEngine(prefetchers_on=False, backend="kernel")
+        engine.run(_pair(), total_accesses=3_000)
+        h = engine.hierarchy
+        h.set_way_mask(0, WayMask.contiguous(5, 2))
+        return h
+
+    def _python_reference(self, cell):
+        """The cell on the pure-Python epoch driver over a private,
+        identically warmed template."""
+        from repro.cache.kernel import build_python_epoch_replay
+
+        private = self._warm_template()
+        if cell["mask_bits"] is not None:
+            for core, bits in zip(cell["cores"], cell["mask_bits"]):
+                private.set_way_mask(core, WayMask.from_bits(bits))
+        replay = build_python_epoch_replay(
+            private, cell["cores"], cell["thinks"], cell["lines"],
+            cell["sets"], cell["lengths"], cell["repeats"],
+        )
+        replay.run_epoch(cell["stop"])
+        return replay.finish()
+
+    @pytest.mark.skipif(
+        not native_available(), reason="exercises the native worker banks"
+    )
+    def test_cells_match_alone_and_python_from_a_warm_template(self):
+        from repro.cache.kernel import build_native_batch_replay
+
+        h = self._warm_template()
+        assert any(h.llc.storage._valid) and any(h.l1[0]._valid)
+
+        solo = [_workload(
+            "solo",
+            lambda: ZipfTrace(600, 256 * KB, alpha=1.1, tid=6, seed=9), 6,
+        )]
+        trio = [
+            _workload(
+                "a",
+                lambda: ZipfTrace(500, 128 * KB, alpha=0.8, tid=0, seed=3),
+                0,
+            ),
+            _workload("b", lambda: StreamingTrace(400, 256 * KB, tid=2), 2),
+            _workload(
+                "c",
+                lambda: PointerChaseTrace(300, 128 * KB, tid=4, seed=5),
+                4, think=1,
+            ),
+        ]
+        cells = [
+            self._cell(h, _pair(), 4_000),  # the template's own masks
+            self._cell(h, _pair(1100, 500), 3_000, [0x0F0, 0xF0F]),
+            self._cell(h, trio, 2_500),
+            self._cell(h, solo, 2_000, [0x00F]),
+            self._cell(h, _pair(), 1_500, [0xFFF, 0x003]),
+        ]
+        batch = build_native_batch_replay(h, cells, threads=2)
+        assert batch is not None
+        results = batch.run()
+        assert len(set(results)) == len(cells)
+        for cell, result in zip(cells, results):
+            alone = build_native_batch_replay(h, [cell], threads=1).run()
+            assert result == alone[0]
+            assert result == self._python_reference(cell)
+
+
 class TestBatchProfiler:
     def _pack(self):
         return get_pack(ZipfTrace(3_000, 512 * KB, alpha=0.9, seed=13))

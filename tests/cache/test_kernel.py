@@ -226,3 +226,21 @@ class TestHierarchyIdentity:
         level, latency = walk(123, False)
         assert level == "MEM" and latency == 200
         assert walk(123, False) == ("L1", 4)
+
+
+def test_lru8_tables_match_the_permutation_definition():
+    """The vectorized 8-way LRU FSM tables equal the direct definition:
+    touching way w moves it to the front, a fill evicts the last way."""
+    import itertools
+
+    from repro.cache.kernel import _lru8_tables
+
+    touch, fill, perms, index = _lru8_tables()
+    assert perms == list(itertools.permutations(range(8)))
+    assert all(index[p] == i for i, p in enumerate(perms))
+    for i, p in enumerate(perms):
+        for w in range(8):
+            front = (w,) + tuple(x for x in p if x != w)
+            assert touch[i * 8 + w] == index[front]
+        victim = p[-1]
+        assert fill[i] == (touch[i * 8 + victim] << 3) | victim

@@ -186,3 +186,14 @@ class TestThreadingProbe:
                 pytest.skip(f"batchwalk build failed: {reason}")
             paths[mode] = path
         assert paths["serial"] != paths["threaded"]
+
+
+class TestSanitizerBuild:
+    def test_sanitizer_flags_are_opt_in(self, monkeypatch):
+        sanitize = ("-fsanitize=address,undefined", "-fno-omit-frame-pointer")
+        monkeypatch.delenv("REPRO_NATIVE_SANITIZE", raising=False)
+        plain = native._kernel_flags("batchwalk")
+        assert not set(sanitize) & set(plain)
+        monkeypatch.setenv("REPRO_NATIVE_SANITIZE", "1")
+        assert native._kernel_flags("batchwalk") == plain + sanitize
+        assert native._kernel_flags("epochbatch") == plain + sanitize
