@@ -16,17 +16,25 @@
  *                        per cell, in any thread order.  A roster holds
  *                        `threads` banks, not R: each cell's results live
  *                        in its own dom/sched slices, never in a bank.
+ *                        A cell that profiles its way utility passes its
+ *                        own zeroed UMON buffer in `umon` (one pointer
+ *                        per cell, NULL for a cell that does not
+ *                        profile): the UMON stacks and histograms are
+ *                        per-cell results too, so they never live in the
+ *                        reused worker banks.
  *
  *   repro_batch_profile  R UMON profiling streams (one per domain) over
  *                        shared trace columns: the bounded stack-distance
- *                        update of profile.WayProfiler, parallelized by
- *                        sharding the *set index* space.  Sets are
- *                        independent under set-associative LRU, and each
- *                        (cell, shard) work item writes its own
- *                        histogram slot, so the per-cell histogram — the
- *                        fixed-order sum over shard slots, reduced by
- *                        the Python caller — is invariant to both the
- *                        shard count and the thread schedule.
+ *                        update of profile.WayProfiler (multiwalk.c's
+ *                        umon_observe, shared with the walk),
+ *                        parallelized by sharding the *set index*
+ *                        space.  Sets are independent under
+ *                        set-associative LRU, and each (cell, shard)
+ *                        work item writes its own histogram slot, so the
+ *                        per-cell histogram — the fixed-order sum over
+ *                        shard slots, reduced by the Python caller — is
+ *                        invariant to both the shard count and the
+ *                        thread schedule.
  *
  * Threading is compile-time selected: OpenMP when the loader's
  * `-fopenmp` probe succeeds, else a pthread worker loop
@@ -194,6 +202,7 @@ typedef struct {
     const i64 *pset, *pclr, *pleft, *pright;
     const i32 *l1_touch, *l1_fill, *l2_touch, *l2_fill;
     i64 *sched;                    /* R x SCHED_SLOTS */
+    i64 *const *umon;              /* R UMON buffers (NULL: no profile) */
     i64 nmax;
     BankLayout L;
 } WalkBatch;
@@ -211,13 +220,13 @@ make_walk_batch(
     const i64 *pset, const i64 *pclr, const i64 *pleft, const i64 *pright,
     const i32 *l1_touch, const i32 *l1_fill,
     const i32 *l2_touch, const i32 *l2_fill,
-    i64 *sched)
+    i64 *sched, i64 *const *umon)
 {
     WalkBatch B = {
         cfg, dom, lines, sets, tpl, banks,
         pset, pclr, pleft, pright,
         l1_touch, l1_fill, l2_touch, l2_fill,
-        sched, bcfg[B_NMAX], bank_layout(bcfg),
+        sched, umon, bcfg[B_NMAX], bank_layout(bcfg),
     };
     return B;
 }
@@ -251,7 +260,8 @@ walk_on(const WalkBatch *B, i64 r, i64 *bank)
         bank + L->l1_tags, bank + L->l1_valid, bank + L->l1_state,
         bank + L->l2_tags, bank + L->l2_valid, bank + L->l2_plru,
         bank + L->bi,
-        B->sched + r * SCHED_SLOTS);
+        B->sched + r * SCHED_SLOTS,
+        B->umon[r]);
 }
 
 /* One-shot cell: refill the worker's bank, then replay the cell in it. */
@@ -274,7 +284,8 @@ repro_batch_walk(
     const i64 *pset, const i64 *pclr, const i64 *pleft, const i64 *pright,
     const i32 *l1_touch, const i32 *l1_fill,
     const i32 *l2_touch, const i32 *l2_fill,
-    i64 *sched)
+    i64 *sched,
+    i64 *const *umon)
 {
     i64 R = bcfg[B_CELLS];
     i64 threads = bcfg[B_THREADS];
@@ -291,7 +302,7 @@ repro_batch_walk(
         bcfg, cfg, dom, lines, sets, tpl, banks,
         pset, pclr, pleft, pright,
         l1_touch, l1_fill, l2_touch, l2_fill,
-        sched);
+        sched, umon);
     run_items(&B, walk_cell, R, threads);
 
     i64 issued = 0;
@@ -316,12 +327,11 @@ typedef struct {
     i64 num_sets, W, shards;
 } ProfileBatch;
 
-/* WayProfiler.observe over one (cell, set-shard) work item: bounded
- * LRU stack per set, histogram[d] on a hit at depth d, histogram[W] on
- * a miss past every allocation.  Shards partition the set index space,
- * so work items of the same cell touch disjoint stacks, and within a
- * set the accesses are replayed in program order — exactly the
- * sequential profiler's updates. */
+/* WayProfiler.observe (umon_observe) over one (cell, set-shard) work
+ * item.  Shards partition the set index space, so work items of the
+ * same cell touch disjoint stacks, and within a set the accesses are
+ * replayed in program order — exactly the sequential profiler's
+ * updates. */
 static void
 profile_item(void *arg, i64 item, i64 worker)
 {
@@ -341,27 +351,7 @@ profile_item(void *arg, i64 item, i64 worker)
         i64 s = scol[i];
         if (s % shards != shard)
             continue;
-        i64 line = lcol[i];
-        i64 *stk = stk_base + s * W;
-        i64 depth = dep_base[s];
-        i64 d = 0;
-        while (d < depth && stk[d] != line)
-            d++;
-        if (d < depth) {
-            hist[d]++;
-            for (; d > 0; d--)
-                stk[d] = stk[d - 1];
-            stk[0] = line;
-        } else {
-            hist[W]++;
-            i64 nd = depth + 1;
-            if (nd > W)
-                nd = W;  /* bounded stack: the deepest entry falls off */
-            for (i64 j = nd - 1; j > 0; j--)
-                stk[j] = stk[j - 1];
-            stk[0] = line;
-            dep_base[s] = nd;
-        }
+        umon_observe(stk_base + s * W, dep_base + s, hist, W, lcol[i]);
     }
 }
 

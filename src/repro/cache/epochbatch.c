@@ -10,12 +10,13 @@
  * (sched[SCHED_FILLED] records that), so the caller allocates the banks
  * uninitialized.  All walk state (LLC tags/sharers/valid/PLRU, per-core
  * L1/L2 tags + recency, per-domain counters, cursors, virtual times, the
- * scheduler frontier in sched[]) lives in the Python-owned arrays and
- * survives between calls, so the host can read each cell's per-epoch
- * counter deltas, run its DynamicPartitionController decision, rewrite
- * the dom way-mask words flush-free, bump the stop targets, and call
- * again — a whole dynamic-partitioning roster driven by a few C calls
- * per epoch instead of one Python driver per cell.
+ * scheduler frontier in sched[], a profiling cell's UMON buffer) lives
+ * in the Python-owned arrays and survives between calls, so the host
+ * can read each cell's per-epoch counter deltas, run its
+ * DynamicPartitionController decision, rewrite the dom way-mask words
+ * flush-free, bump the stop targets, and call again — a whole
+ * dynamic-partitioning roster driven by a few C calls per epoch instead
+ * of one Python driver per cell.
  *
  * Threading comes from batchwalk.c's compile-probed run_items pool
  * (OpenMP -> pthreads -> serial; repro_batch_threading reports which),
@@ -59,7 +60,8 @@ repro_epoch_batch(
     const i64 *pset, const i64 *pclr, const i64 *pleft, const i64 *pright,
     const i32 *l1_touch, const i32 *l1_fill,
     const i32 *l2_touch, const i32 *l2_fill,
-    i64 *sched)
+    i64 *sched,
+    i64 *const *umon)
 {
     i64 R = bcfg[B_CELLS];
     i64 threads = bcfg[B_THREADS];
@@ -75,7 +77,7 @@ repro_epoch_batch(
         bcfg, cfg, dom, lines, sets, tpl, banks,
         pset, pclr, pleft, pright,
         l1_touch, l1_fill, l2_touch, l2_fill,
-        sched);
+        sched, umon);
     EpochBatch E = { &B, active };
     run_items(&E, epoch_cell, count, threads);
 

@@ -1201,8 +1201,8 @@ _D_POS, _D_LIVE, _D_VTIME = 9, 10, 11
 _D_H1 = 12  # h1, h2, h3, m3, e1, e2, e3 follow contiguously
 _D_E1 = 16
 # cfg[] per-cell scalars; must match the CFG_* enum in multiwalk.c.
-_CFG_SLOTS = 7
-_CFG_STOP = 6
+_CFG_SLOTS = 8
+_CFG_STOP, _CFG_LLC_SETS = 6, 7
 # sched[] per-cell slots; must match the SCHED_* enum in multiwalk.c.
 _SCHED_SLOTS = 2
 _SCHED_ISSUED, _SCHED_FILLED = 0, 1
@@ -1240,9 +1240,12 @@ class PythonEpochReplay:
     :meth:`TraceEngine.run` and replays are bit-identical to both that
     reference and the native kernel.
 
-    It is the only epoch driver that accepts an attached LLC profiler:
-    the lean walks report every LLC probe to it, exactly as the fused
-    walk does, so a profiled pass replays here.
+    It is the only epoch driver that accepts an attached LLC profiler
+    (the lean walks report every LLC probe to it, exactly as the fused
+    walk does). That makes it the reference and the fallback for a
+    profiled pass: with the native kernels, the profiled co-run behind
+    :func:`~repro.sim.trace_engine.way_allocation_sweep` is one
+    ``profile`` cell of :func:`build_native_batch_replay` instead.
 
     The lean closures capture the LLC way-mask bits at build time, so
     :meth:`refresh_masks` synchronizes counters and recency state back
@@ -1467,7 +1470,10 @@ class NativeBatchReplay:
 
     Batch cells are throwaway measurements with no hierarchy writeback;
     only a one-cell :class:`NativeEpochBatchReplay` writes its state
-    back (``finish()``).
+    back (``finish()``). A cell built with ``profile`` also fills its
+    own per-domain UMON buffer (:meth:`cell_profile`), allocated here
+    for that cell alone — the profiled co-run behind
+    :func:`~repro.sim.trace_engine.way_allocation_sweep`.
     """
 
     native = True
@@ -1512,6 +1518,7 @@ class NativeBatchReplay:
         cfg[:, 4] = h.l2[first_core]._mod_mask
         cfg[:, 5] = num_cores
         cfg[:, _CFG_STOP] = [int(cell["stop"]) for cell in cells]
+        cfg[:, _CFG_LLC_SETS] = llc.num_sets
         dom = np.zeros((R, n_max, _DOM_STRIDE), dtype=i64)
         line_ptrs = np.zeros((R, n_max), dtype=np.uintp)
         set_ptrs = np.zeros((R, n_max), dtype=np.uintp)
@@ -1548,6 +1555,21 @@ class NativeBatchReplay:
                 set_ptrs[r, slot] = _col(cell["sets"][slot])
 
         sched = np.zeros((R, _SCHED_SLOTS), dtype=i64)
+        # One zeroed UMON buffer per profiling cell, never one in the
+        # worker banks: (W + 1) x (S + 1) words per domain, as umon_words
+        # in multiwalk.c lays them out. Cells that do not profile pass
+        # NULL and pay one branch per LLC probe.
+        umon = {}
+        umon_ptrs = np.zeros(R, dtype=np.uintp)
+        for r, cell in enumerate(cells):
+            if cell.get("profile"):
+                umon[r] = np.zeros(
+                    (len(cell["cores"]),
+                     (llc.num_ways + 1) * (llc.num_sets + 1)),
+                    dtype=i64,
+                )
+                umon_ptrs[r] = umon[r].ctypes.data
+        self._umon = umon
         bcfg = np.array(
             [R, threads, n_max, llc.num_sets, llc.num_ways,
              l1_sets, l2_sets, num_cores, nbanks],
@@ -1561,7 +1583,7 @@ class NativeBatchReplay:
             template.bank, banks,
             pset, pclr, pleft, pright,
             l1_touch, l1_fill, l2_touch, l2_fill,
-            sched,
+            sched, umon_ptrs,
         )
         self._keep = (arrays, columns)
         self._args = [ctypes.c_void_p(a.ctypes.data) for a in arrays]
@@ -1576,6 +1598,15 @@ class NativeBatchReplay:
             tuple(map(tuple, dom[:, _D_H1:_D_H1 + 4].tolist())),
             tuple(dom[:, _D_VTIME].tolist()),
         )
+
+    def cell_profile(self, r):
+        """Profiling cell ``r``'s per-domain UMON histograms, one list
+        of ``W + 1`` counts per slot: entry ``d`` counts LLC probes that
+        hit at stack depth ``d``, entry ``W`` those past every
+        allocation — :class:`~repro.cache.profile.WayProfiler`'s
+        histogram for that slot's core."""
+        W = self._h.llc.storage.num_ways
+        return self._umon[r][:, :W + 1].tolist()
 
     def run(self):
         """One ctypes call; returns ``[(counts, vtimes), ...]`` per cell."""
@@ -1708,10 +1739,10 @@ def _build_batch(cls, kernel_fn, hierarchy, cells, threads):
 
 def build_native_batch_replay(hierarchy, cells, threads=None):
     """Batched driver over ``batchwalk.c``, or ``None`` when any cell
-    fails the epoch-replay preconditions, an LLC profiler is attached,
-    or the kernel is unavailable. A mask word outside the LLC's ways, a
-    short column, or a core or set index out of range raises
-    :class:`ValidationError`.
+    fails the epoch-replay preconditions, an LLC profiler is attached to
+    the hierarchy, or the kernel is unavailable. A mask word outside the
+    LLC's ways, a short column, or a core or set index out of range
+    raises :class:`ValidationError`.
 
     ``hierarchy`` is the template every cell starts from: a kernel
     :class:`~repro.cache.hierarchy.CacheHierarchy`, snapshotted by this
@@ -1719,7 +1750,11 @@ def build_native_batch_replay(hierarchy, cells, threads=None):
     a list of dicts with keys ``cores``, ``thinks``, ``lines``,
     ``sets``, ``lengths``, ``repeats``, ``stop`` and optionally
     ``mask_bits`` (per-slot LLC way-mask words; defaults to the
-    hierarchy's current masks). ``threads`` follows
+    hierarchy's current masks) and ``profile``: a true ``profile``
+    gives every domain of that cell its own UMON, fed at each LLC probe
+    exactly as an attached :class:`~repro.cache.profile.WayProfiler`
+    would be (keyed by the domain's core), and read back with
+    :meth:`NativeBatchReplay.cell_profile`. ``threads`` follows
     :func:`repro.cache.native.resolve_native_threads` — invalid
     ``REPRO_NATIVE_THREADS`` values raise, they never silently fall
     back.

@@ -27,6 +27,12 @@
  * states and L2 PLRU words live in all-core flattened arrays so any
  * subset of cores can participate.
  *
+ * A cell may also profile its domains' LLC way utility: each domain then
+ * owns a UMON (profile.WayProfiler) in a caller-owned buffer, updated at
+ * every LLC probe by `umon_observe`, the one C copy of the UMON rule
+ * (batchwalk.c's repro_batch_profile runs it too).  A NULL buffer means
+ * "no profile".
+ *
  * Conventions shared with kernel.KernelCacheLevel:
  *   - tags[set * ways + way] holds the line number, -1 when invalid;
  *   - valid/dirty are per-set bitmasks (lean replay: dirty stays 0);
@@ -45,7 +51,7 @@ typedef int32_t i32;
 /* cfg[] scalar layout (must match kernel._CFG_* and NativeBatchReplay) */
 enum {
     CFG_N, CFG_LEAVES, CFG_W, CFG_L1_MOD, CFG_L2_MOD, CFG_NUM_CORES,
-    CFG_STOP,
+    CFG_STOP, CFG_LLC_SETS,
     CFG_SLOTS,
 };
 
@@ -81,7 +87,44 @@ typedef struct {
     i64 *l1_tags, *l1_valid, *l1_state;
     i64 *l2_tags, *l2_valid, *l2_plru;
     i64 h1, h2, h3, m3, e1, e2, e3;
+    /* this domain's UMON (see umon_observe); u_hist is NULL when the
+     * cell does not profile */
+    i64 *u_hist, *u_depth, *u_stack;
 } Core;
+
+/* One domain's UMON buffer, caller-owned and zeroed: the histogram
+ * (W + 1 words), then the per-set stack depths (S words), then the
+ * per-set stacks (S x W words) — (W + 1) x (S + 1) words in all. */
+static inline i64
+umon_words(i64 W, i64 S)
+{
+    return (W + 1) * (S + 1);
+}
+
+/* WayProfiler.observe for one set: a bounded LRU stack of W lines,
+ * hist[d] on a hit at depth d (which moves the line to the top),
+ * hist[W] on a miss past every allocation (the line is pushed on top
+ * and the deepest entry falls off a full stack). */
+static inline void
+umon_observe(i64 *stk, i64 *depth_p, i64 *hist, i64 W, i64 line)
+{
+    i64 depth = *depth_p;
+    i64 d = 0;
+    while (d < depth && stk[d] != line)
+        d++;
+    if (d < depth) {
+        hist[d]++;
+        for (; d > 0; d--)
+            stk[d] = stk[d - 1];
+    } else {
+        hist[W]++;
+        if (depth < W)
+            *depth_p = ++depth;
+        for (d = depth - 1; d > 0; d--)
+            stk[d] = stk[d - 1];
+    }
+    stk[0] = line;
+}
 
 /* KernelCacheLevel.invalidate: drop the line if present (clears the
  * valid bit and tombstones the tag; recency state is left alone).
@@ -150,6 +193,9 @@ access_one(const Shared *S, Core *C, i64 line, i64 s3)
         /* LLC probe */
         i64 W = S->W;
         i64 base3 = s3 * W;
+        if (C->u_hist)
+            umon_observe(C->u_stack + base3, C->u_depth + s3, C->u_hist,
+                         W, line);
         i64 *t3 = S->tags + base3;
         i64 v3 = S->valid[s3];
         int hit3 = 0;
@@ -260,7 +306,8 @@ repro_multi_walk(
     i64 *all_l1_tags, i64 *all_l1_valid, i64 *all_l1_state,
     i64 *all_l2_tags, i64 *all_l2_valid, i64 *all_l2_plru,
     i64 *bi,
-    i64 *sched)
+    i64 *sched,
+    i64 *umon)
 {
     i64 N = cfg[CFG_N];
     i64 num_cores = cfg[CFG_NUM_CORES];
@@ -275,6 +322,7 @@ repro_multi_walk(
     };
     i64 l1_sets = S.l1_mod + 1;
     i64 l2_sets = S.l2_mod + 1;
+    i64 llc_sets = cfg[CFG_LLC_SETS];
 
     /* Bounded by the Python builder's N <= 16 guard. */
     Core C[16];
@@ -295,7 +343,14 @@ repro_multi_walk(
             all_l2_valid + core * l2_sets,
             all_l2_plru + core * l2_sets,
             p[D_H1], p[D_H2], p[D_H3], p[D_M3], p[D_E1], p[D_E2], p[D_E3],
+            0, 0, 0,
         };
+        if (umon) {
+            i64 *u = umon + d * umon_words(S.W, llc_sets);
+            c.u_hist = u;
+            c.u_depth = u + S.W + 1;
+            c.u_stack = c.u_depth + llc_sets;
+        }
         C[d] = c;
         n[d] = p[D_N];
         rep[d] = p[D_REP];

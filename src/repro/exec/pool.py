@@ -97,6 +97,18 @@ def _preload_then_init(paths, initializer, initargs):
         initializer(*initargs)
 
 
+def _counted_call(fn, item):
+    """Run one pool task; return its result and the engine-counter
+    delta it left in this worker process, so the parent can merge the
+    counts a worker would otherwise keep to itself."""
+    from repro.perf import engine_counters as ec
+
+    counters = ec.engine_counters()
+    before = counters.snapshot()
+    result = fn(item)
+    return result, counters.delta(before)
+
+
 def parallel_map(
     fn,
     items,
@@ -119,6 +131,13 @@ def parallel_map(
     fork, unpicklable work), the whole map silently re-runs serially:
     parallelism is a wall-clock optimization, never a correctness
     dependency.
+
+    Engine counters (:mod:`repro.perf.engine_counters`) that pool tasks
+    deposit come back with their results and are added to this
+    process's counters in input order once the whole map has succeeded,
+    so a pool run counts what the serial run counts. A pool that fails
+    contributes nothing: its partial counts are dropped before the
+    serial rerun counts everything once.
     """
     if pack_paths:
         initializer, initargs = pack_initializer(
@@ -136,6 +155,7 @@ def parallel_map(
         chunksize = max(1, len(items) // (workers * 4))
     try:
         import concurrent.futures
+        import functools
         import multiprocessing
 
         context = multiprocessing.get_context("fork")
@@ -145,8 +165,18 @@ def parallel_map(
             initializer=initializer,
             initargs=initargs,
         ) as executor:
-            return list(executor.map(fn, items, chunksize=chunksize))
+            outcomes = list(executor.map(
+                functools.partial(_counted_call, fn), items,
+                chunksize=chunksize,
+            ))
     except (ValidationError, KeyboardInterrupt):
         raise
     except Exception:
         return _serial_map(fn, items, initializer, initargs)
+    from repro.perf import engine_counters as ec
+
+    for _, delta in outcomes:
+        for event, amount in delta.items():
+            if amount:
+                ec.add(event, amount)
+    return [result for result, _ in outcomes]

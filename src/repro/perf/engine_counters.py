@@ -4,8 +4,9 @@ The simulation engine is itself a measured system: the interval memo
 hits or misses, the occupancy solver iterates or takes a fast path.
 These land in one global :class:`~repro.perf.events.CounterSet` so
 ``perf/stat.py`` can report them with the same read-delta discipline as
-the simulated hardware events. Counters are per-process — parallel
-workers accumulate their own totals.
+the simulated hardware events. Counters are per-process: pool workers
+accumulate their own totals, and :func:`repro.exec.pool.parallel_map`
+adds each task's delta back into the parent's counters.
 """
 
 from repro.perf.events import CounterSet

@@ -508,6 +508,25 @@ def _cold_template():
     return _COLD_TEMPLATE
 
 
+def _batch_cell(hierarchy, cores, workloads, packs, stop, **extra):
+    """One batch-kernel cell (see
+    :func:`~repro.cache.kernel.build_native_batch_replay`) for the packed
+    co-run of ``workloads`` on ``cores``, with the optional cell keys in
+    ``extra``."""
+    llc = hierarchy.llc.storage
+    indexing = "mod" if llc._mod_mask >= 0 else "hash"
+    return {
+        "cores": cores,
+        "thinks": [w.think_cycles for w in workloads],
+        "lines": [p.line for p in packs],
+        "sets": [p.set_column(llc.num_sets, indexing) for p in packs],
+        "lengths": [len(p.line) for p in packs],
+        "repeats": [w.repeat for w in workloads],
+        "stop": stop,
+        **extra,
+    }
+
+
 def run_packed_roster(cells, threads=None):
     """Replay a roster of independent co-runs in ONE native call.
 
@@ -548,8 +567,6 @@ def run_packed_roster(cells, threads=None):
 
     template = _cold_template()
     h = template.hierarchy
-    llc = h.llc.storage
-    llc_indexing = "mod" if llc._mod_mask >= 0 else "hash"
     core_of = h.core_of_tid
     default_bits = h.llc._mask_bits
 
@@ -566,18 +583,10 @@ def run_packed_roster(cells, threads=None):
                 cell.masks[c].bits if c in cell.masks else default_bits[c]
                 for c in cores
             ]
-        cell_dicts.append({
-            "cores": cores,
-            "thinks": [w.think_cycles for w in cell.workloads],
-            "mask_bits": mask_bits,
-            "lines": [p.line for p in packs],
-            "sets": [
-                p.set_column(llc.num_sets, llc_indexing) for p in packs
-            ],
-            "lengths": [len(p.line) for p in packs],
-            "repeats": [w.repeat for w in cell.workloads],
-            "stop": cell.total_accesses,
-        })
+        cell_dicts.append(_batch_cell(
+            h, cores, cell.workloads, packs, cell.total_accesses,
+            mask_bits=mask_bits,
+        ))
 
     batch = build_native_batch_replay(template, cell_dicts, threads=threads)
     if batch is None:
@@ -689,8 +698,6 @@ def run_dynamic_roster(cells, threads=None):
 
     template = _cold_template()
     h = template.hierarchy
-    llc = h.llc.storage
-    llc_indexing = "mod" if llc._mod_mask >= 0 else "hash"
     core_of = h.core_of_tid
 
     cell_dicts = []
@@ -702,18 +709,11 @@ def run_dynamic_roster(cells, threads=None):
         initial = cell.controller.masks()
         if set(initial) != set(names):
             return _run_dynamic_roster_sequential(cells)
-        cell_dicts.append({
-            "cores": cores,
-            "thinks": [w.think_cycles for w in cell.workloads],
-            "mask_bits": [initial[name].bits for name in names],
-            "lines": [p.line for p in packs],
-            "sets": [
-                p.set_column(llc.num_sets, llc_indexing) for p in packs
-            ],
-            "lengths": [len(p.line) for p in packs],
-            "repeats": [w.repeat for w in cell.workloads],
-            "stop": 0,  # nothing runs until the host loop sets targets
-        })
+        cell_dicts.append(_batch_cell(
+            h, cores, cell.workloads, packs,
+            0,  # nothing runs until the host loop sets targets
+            mask_bits=[initial[name].bits for name in names],
+        ))
 
     batch = build_native_epoch_batch_replay(
         template, cell_dicts, threads=threads
@@ -814,16 +814,76 @@ def run_dynamic_roster(cells, threads=None):
 def way_allocation_sweep(workloads, total_accesses=100_000):
     """Per-domain ``hits(ways)`` utility curves from ONE co-run.
 
-    Attaches a :class:`~repro.cache.profile.WayProfiler` (a per-domain
-    UMON) to a fresh kernel-backed, prefetchers-off hierarchy's LLC
-    probe stream and co-runs the workloads once through
-    :meth:`TraceEngine.run_packed`: the returned curves answer "how many
-    LLC hits would domain d see with w ways to itself" for every w in
-    1..12 — the input the paper's allocation policies (and UCP) need,
-    without re-simulating per mask. The profiler observes the same LLC
-    probe stream as under :meth:`TraceEngine.run`, the reference.
-    Returns ``(stats, {domain: WayCurve})``.
+    Co-runs the workloads once on a fresh kernel-backed, prefetchers-off
+    hierarchy with a per-domain UMON on its LLC probe stream: the
+    returned curves answer "how many LLC hits would domain d see with w
+    ways to itself" for every w in 1..12 — the input the paper's
+    allocation policies (and UCP) need, without re-simulating per mask.
+    Returns ``(stats, {domain: WayCurve})`` with a curve for every core
+    (all-zero for idle ones).
+
+    With the native kernels the pass is one ``profile`` cell of
+    :func:`~repro.cache.kernel.build_native_batch_replay` over the
+    process-wide cold template, which keeps the UMON stacks and
+    histograms in C. Otherwise — ``REPRO_NATIVE=0``, a cell the batch
+    builder refuses (two workloads on one core, a writing trace), or a
+    non-compilable trace — a :class:`~repro.cache.profile.WayProfiler`
+    attached to a fresh :class:`TraceEngine` observes
+    :meth:`TraceEngine.run_packed`. Both equal a profiler on
+    :meth:`TraceEngine.run`, the reference, and count one profiler pass
+    plus the replay's ``trace_accesses`` and ``pack_replays``.
     """
+    if not workloads:
+        raise ValidationError("need at least one workload")
+    names = [w.name for w in workloads]
+    if len(set(names)) != len(names):
+        raise ValidationError("workload names must be unique")
+    result = _native_way_sweep(workloads, total_accesses)
+    if result is None:
+        result = _profiled_run_packed(workloads, total_accesses)
+    ec.add(ec.PROFILER_PASSES)
+    return result
+
+
+def _native_way_sweep(workloads, total_accesses):
+    """The profiled co-run as one native batch cell, or ``None``."""
+    packs = _compile_packs(workloads)
+    if packs is None or any(p.writes_list() is not None for p in packs):
+        return None
+
+    from repro.cache.kernel import build_native_batch_replay
+    from repro.cache.profile import WayCurve
+
+    template = _cold_template()
+    h = template.hierarchy
+    cores = [h.core_of_tid(w.tid) for w in workloads]
+    if len(set(cores)) != len(cores):
+        return None
+    cell = _batch_cell(
+        h, cores, workloads, packs, total_accesses, profile=True
+    )
+    batch = build_native_batch_replay(template, [cell], threads=1)
+    if batch is None:
+        return None
+    ((counts, vtimes),) = batch.run()
+    stats = TraceEngine._packed_stats(
+        workloads, list(counts), list(vtimes), packs
+    )
+    W = h.llc.storage.num_ways
+    hists = dict(zip(cores, batch.cell_profile(0)))
+    curves = {}
+    for core in range(h.num_cores):
+        hist = hists.get(core, [0] * (W + 1))
+        curves[core] = WayCurve(
+            num_ways=W, accesses=sum(hist), histogram=hist
+        )
+    return stats, curves
+
+
+def _profiled_run_packed(workloads, total_accesses):
+    """The reference profiled co-run: a :class:`WayProfiler` attached to
+    a fresh engine's hierarchy, observing :meth:`TraceEngine.run_packed`
+    (the pure-Python epoch driver, or :meth:`TraceEngine.run`)."""
     from repro.cache.indexing import HashedIndex
     from repro.cache.profile import WayProfiler
 
@@ -838,5 +898,4 @@ def way_allocation_sweep(workloads, total_accesses=100_000):
     engine.hierarchy.llc_profiler = profiler
     stats = engine.run_packed(workloads, total_accesses=total_accesses)
     engine.hierarchy.llc_profiler = None
-    ec.add(ec.PROFILER_PASSES)
     return stats, profiler.curves()

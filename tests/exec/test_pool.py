@@ -36,6 +36,23 @@ def _fail_on_three(x):
     return x
 
 
+def _count_profiler_pass(x):
+    from repro.perf import engine_counters as ec
+
+    ec.add(ec.PROFILER_PASSES)
+    return x + 1
+
+
+def _count_then_fail_in_worker(args):
+    """Count, then fail item 3 only inside a pool worker, so the map's
+    serial rerun succeeds."""
+    parent_pid, x = args
+    _count_profiler_pass(x)
+    if x == 3 and os.getpid() != parent_pid:
+        raise RuntimeError("worker failure")
+    return x
+
+
 def _solo_runtime(machine, name):
     return machine.run_solo(get_application(name), threads=4).runtime_s
 
@@ -171,6 +188,37 @@ class TestParallelMap:
     def test_serial_exceptions_propagate(self):
         with pytest.raises(RuntimeError):
             parallel_map(_fail_on_three, [1, 2, 3], workers=1)
+
+
+class TestWorkerCounters:
+    """Engine counters deposited in pool workers reach the parent."""
+
+    @pytest.fixture(autouse=True)
+    def fresh_counters(self, monkeypatch):
+        from repro.perf import engine_counters as ec
+        from repro.perf.events import CounterSet
+
+        monkeypatch.setattr(ec, "_counters", CounterSet(ec.ENGINE_EVENTS))
+        return ec
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_pool_counts_like_serial(self, fresh_counters, workers):
+        ec = fresh_counters
+        result = parallel_map(
+            _count_profiler_pass, range(6), workers=workers,
+            cap_to_cpus=False,
+        )
+        assert result == [x + 1 for x in range(6)]
+        assert ec.engine_counters().read(ec.PROFILER_PASSES) == 6
+
+    def test_failed_pool_counts_only_the_serial_rerun(self, fresh_counters):
+        ec = fresh_counters
+        items = [(os.getpid(), x) for x in range(6)]
+        result = parallel_map(
+            _count_then_fail_in_worker, items, workers=2, cap_to_cpus=False
+        )
+        assert result == list(range(6))
+        assert ec.engine_counters().read(ec.PROFILER_PASSES) == 6
 
 
 class TestPackSharing:

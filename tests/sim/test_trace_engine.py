@@ -274,29 +274,3 @@ class TestRunPacked:
         self._assert_identical(workloads, 12_000)
         delta = ec.engine_counters().delta(before)
         assert delta.get(ec.PACK_REPLAYS, 0) == 0
-
-    def test_sweep_with_and_without_packs_agree(self):
-        """The profiled pass behind trace way_utility, for pairs and
-        3-/4-tenant groups: packed (the Python epoch driver with the
-        profiler attached) == a WayProfiler on the generator replay of
-        TraceEngine.run."""
-        from repro.cache.profile import WayProfiler
-        from repro.sim.trace_engine import way_allocation_sweep
-
-        for domains in (2, 3, 4):
-            workloads = self._workloads(domains, length=6_000)
-            packed_stats, packed_curves = way_allocation_sweep(
-                workloads, total_accesses=10_000
-            )
-            engine = TraceEngine(prefetchers_on=False, backend="kernel")
-            llc = engine.hierarchy.llc.storage
-            profiler = WayProfiler(
-                num_sets=llc.num_sets,
-                num_ways=llc.num_ways,
-                indexing="hash",
-                num_domains=engine.hierarchy.num_cores,
-            )
-            engine.hierarchy.llc_profiler = profiler
-            plain_stats = engine.run(workloads, total_accesses=10_000)
-            assert packed_stats == plain_stats, domains
-            assert packed_curves == profiler.curves(), domains
