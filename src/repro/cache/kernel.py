@@ -731,7 +731,8 @@ def _plru_victim_table(leaves, allowed_mask, left_masks, right_masks):
 
 # 8-way true-LRU as a finite state machine: per-set recency is one of
 # 8! = 40320 permutation states, touch and victim are table lookups.
-# Built lazily once per process, vectorized, and shared by every walk.
+# Built lazily once per process, vectorized, and shared by the native
+# kernels' tables and the L1 stamp <-> FSM-state conversions.
 _LRU8_TABLES = None
 
 
@@ -792,13 +793,14 @@ def _pack_walk_supported(hierarchy, core):
     return True
 
 
-def _lean_walk_eligible(hierarchy, core):
-    """Invariants that let the lean walk drop dirty/prefetch/sharer ops.
+def _native_core_eligible(hierarchy, core):
+    """The native kernels' state precondition for one core: read-only
+    cache state and 8-way inner levels.
 
     All-zero dirty, prefetch, and inner-sharer state stays all-zero under
     a read-only replay (nothing in the walk can set those bits), so the
-    corresponding updates are provably no-ops and the lean walk omits
-    them. The 8-way LRU FSM additionally needs W == 8 at L1.
+    kernels' bank layout carries none of them. The 8-way LRU FSM of the
+    kernels' L1 and their 8-way L2 tables additionally need W == 8.
     """
     l1 = hierarchy.l1[core]
     l2 = hierarchy.l2[core]
@@ -811,20 +813,6 @@ def _lean_walk_eligible(hierarchy, core):
     if any(l1._sharers) or any(l2._sharers):
         return False
     return True
-
-
-# Way-masked PLRU victims depend only on (tree geometry, mask, bits), so
-# the lazy bits -> victim memo is shared process-wide per mask and stays
-# warm across engine instances and repeated replays.
-_LLC_VICTIM_MEMOS = {}
-
-
-def _llc_victim_memo(leaves, num_ways, mask_bits):
-    key = (leaves, num_ways, mask_bits)
-    memo = _LLC_VICTIM_MEMOS.get(key)
-    if memo is None:
-        memo = _LLC_VICTIM_MEMOS[key] = {}
-    return memo
 
 
 # PLRU victim/touch/fill tables for the uniform 8-way inner levels are
@@ -865,233 +853,6 @@ def _flush_level_deltas(stats, hits, misses, evictions, writebacks, core):
     if misses:
         pm = stats.per_domain_misses
         pm[core] = pm.get(core, 0) + misses
-
-
-def _build_lean_pack_walk(hierarchy, core, think_cycles):
-    """One core's read-only pack-replay walk, the Python epoch driver's
-    per-access step.
-
-    Same state transitions as :func:`build_fused_walk` (bit-identical
-    caches and stats totals), restructured for long replays:
-
-    - the LLC set index comes precomputed from the pack's geometry
-      column (``walk(line, llc_set)``) — no hashing on the hot path;
-    - the walk returns the access's whole virtual-time delta
-      (``latency + think_cycles``) and counts hit levels in closure
-      locals, which land in the :class:`CacheStats` objects on
-      ``flush()`` (all stat mutations are commutative increments);
-    - every dirty/prefetch/inner-sharer update is dropped (see
-      :func:`_lean_walk_eligible`), L1 recency runs on the 40320-state
-      LRU permutation FSM, L2 PLRU victims and touches are table
-      lookups, and the LLC partition mask is captured at build time;
-    - back-invalidation visits only the victim's sharer bits, with a
-      fast path for the common self-owned victim.
-
-    Returns ``(walk, flush, report)`` where ``report()`` gives the
-    ``(l1_hits, l2_hits, llc_hits, llc_misses)`` level counts and
-    ``flush()`` must run when the replay ends or the masks change.
-    """
-    l1 = hierarchy.l1[core]
-    l2 = hierarchy.l2[core]
-    llc = hierarchy.llc.storage
-    mbits = hierarchy.llc._mask_bits[core]
-
-    h = hierarchy
-    cores_range = range(h.num_cores)
-    core_bit = 1 << core
-    l1_objs = list(h.l1)
-    l2_objs = list(h.l2)
-    inner_l1_lookup = [lvl._lookup for lvl in l1_objs]
-    inner_l2_lookup = [lvl._lookup for lvl in l2_objs]
-    l1_inval = [lvl.invalidate for lvl in l1_objs]
-    l2_inval = [lvl.invalidate for lvl in l2_objs]
-    own_l1_inval = l1_inval[core]
-    own_l2_inval = l2_inval[core]
-
-    l1_mod = l1._mod_mask
-    l1_full = l1._full_mask
-    l1_lookup, l1_tags = l1._lookup, l1._tags
-    l1_valid = l1._valid
-    l1_stats = l1.stats
-    l1_touch, l1_fill_of, _, _ = _lru8_tables()
-    l1_state = _l1_perm_state(l1)
-
-    l2_mod = l2._mod_mask
-    l2_full = l2._full_mask
-    l2_lookup, l2_tags = l2._lookup, l2._tags
-    l2_valid = l2._valid
-    l2_plru = l2._plru
-    l2_stats = l2.stats
-    _, l2_touch_of, l2_fill_of = _plru8_fill_tables(l2)
-
-    llc_W = llc.num_ways
-    llc_leaves = llc._leaves
-    llc_lookup, llc_tags, llc_sharers = llc._lookup, llc._tags, llc._sharers
-    llc_valid = llc._valid
-    llc_plru = llc._plru
-    llc_pset, llc_pclr = llc._plru_set, llc._plru_clear_inv
-    llc_left, llc_right = llc._plru_left, llc._plru_right
-    llc_stats = llc.stats
-    llc_vmemo = _llc_victim_memo(llc._leaves, llc.num_ways, mbits)
-    llc_vmemo_get = llc_vmemo.get
-
-    prof = h.llc_profiler
-    prof_observe = prof.observe if prof is not None else None
-
-    lt0 = 4 + think_cycles
-    lt1 = 12 + think_cycles
-    lt2 = 30 + think_cycles
-    lt3 = 200 + think_cycles
-
-    h1 = h2 = h3 = m3 = ev1 = ev2 = ev3 = 0
-
-    def walk(line, s3):
-        nonlocal h1, h2, h3, m3, ev1, ev2, ev3
-        # ---- L1 probe (LRU FSM, modulo) ---------------------------------
-        s1 = line & l1_mod
-        look1 = l1_lookup[s1]
-        way = look1.get(line)
-        if way is not None:
-            h1 += 1
-            l1_state[s1] = l1_touch[(l1_state[s1] << 3) + way]
-            return lt0
-
-        # ---- L2 probe (PLRU tables, modulo) -----------------------------
-        s2 = line & l2_mod
-        look2 = l2_lookup[s2]
-        way = look2.get(line)
-        if way is not None:
-            h2 += 1
-            l2_plru[s2] = l2_touch_of[(l2_plru[s2] << 3) + way]
-            ret = lt1
-        else:
-            # ---- LLC probe (precomputed set index) ----------------------
-            if prof_observe is not None:
-                prof_observe(line, core)
-            look3 = llc_lookup[s3]
-            way = look3.get(line)
-            if way is not None:
-                h3 += 1
-                llc_plru[s3] = (llc_plru[s3] | llc_pset[way]) & llc_pclr[way]
-                llc_sharers[s3 * llc_W + way] |= core_bit  # add_sharer
-                ret = lt2
-            else:
-                m3 += 1
-                # ---- LLC fill (way-masked victim, inclusion) ------------
-                valid3 = llc_valid[s3]
-                inv = ~valid3 & mbits
-                if inv:
-                    # Mask way lists are ascending, so "first invalid in
-                    # mask order" is the lowest set bit.
-                    vbit = inv & -inv
-                    victim = vbit.bit_length() - 1
-                    llc_valid[s3] = valid3 | vbit
-                    base = s3 * llc_W + victim
-                else:
-                    bits = llc_plru[s3]
-                    victim = llc_vmemo_get(bits)
-                    if victim is None:
-                        node = 1
-                        while node < llc_leaves:
-                            go_right = (bits >> node) & 1
-                            if go_right:
-                                if not mbits & llc_right[node]:
-                                    go_right = 0
-                            elif not mbits & llc_left[node]:
-                                go_right = 1
-                            node = 2 * node + 1 if go_right else 2 * node
-                        victim = node - llc_leaves
-                        llc_vmemo[bits] = victim
-                    base = s3 * llc_W + victim
-                    old_tag = llc_tags[base]
-                    old_sharers = llc_sharers[base]
-                    ev3 += 1
-                    del look3[old_tag]
-                    # Inclusion: the victim leaves every inner cache.
-                    if old_sharers == core_bit:
-                        if old_tag in l1_lookup[old_tag & l1_mod]:
-                            own_l1_inval(old_tag)
-                        if old_tag in l2_lookup[old_tag & l2_mod]:
-                            own_l2_inval(old_tag)
-                    elif old_sharers:
-                        sh = old_sharers
-                        while sh:
-                            low = sh & -sh
-                            c = low.bit_length() - 1
-                            sh ^= low
-                            if old_tag in inner_l1_lookup[c][old_tag & l1_mod]:
-                                l1_inval[c](old_tag)
-                            if old_tag in inner_l2_lookup[c][old_tag & l2_mod]:
-                                l2_inval[c](old_tag)
-                    else:
-                        for c in cores_range:
-                            if old_tag in inner_l1_lookup[c][old_tag & l1_mod]:
-                                l1_inval[c](old_tag)
-                            if old_tag in inner_l2_lookup[c][old_tag & l2_mod]:
-                                l2_inval[c](old_tag)
-                llc_tags[base] = line
-                llc_sharers[base] = core_bit
-                look3[line] = victim
-                llc_plru[s3] = (
-                    llc_plru[s3] | llc_pset[victim]
-                ) & llc_pclr[victim]
-                ret = lt3
-
-            # ---- L2 fill (demand fills land clean) ----------------------
-            valid2 = l2_valid[s2]
-            if valid2 == l2_full:
-                packed = l2_fill_of[l2_plru[s2]]
-                victim = packed & 7
-                l2_plru[s2] = packed >> 3
-                base = (s2 << 3) + victim
-                ev2 += 1
-                del look2[l2_tags[base]]
-            else:
-                vbit = ~valid2 & l2_full
-                vbit &= -vbit
-                victim = vbit.bit_length() - 1
-                l2_valid[s2] = valid2 | vbit
-                base = (s2 << 3) + victim
-                l2_plru[s2] = l2_touch_of[(l2_plru[s2] << 3) + victim]
-            l2_tags[base] = line
-            look2[line] = victim
-
-        # ---- L1 fill ----------------------------------------------------
-        valid1 = l1_valid[s1]
-        st = l1_state[s1]
-        if valid1 == l1_full:
-            packed = l1_fill_of[st]
-            victim = packed & 7
-            l1_state[s1] = packed >> 3
-            base = (s1 << 3) + victim
-            ev1 += 1
-            del look1[l1_tags[base]]
-        else:
-            vbit = ~valid1 & l1_full
-            vbit &= -vbit
-            victim = vbit.bit_length() - 1
-            l1_valid[s1] = valid1 | vbit
-            base = (s1 << 3) + victim
-            l1_state[s1] = l1_touch[(st << 3) + victim]
-        l1_tags[base] = line
-        look1[line] = victim
-        return ret
-
-    def flush():
-        """Deposit counter deltas; materialize L1 stamps from the FSM."""
-        nonlocal h1, h2, h3, m3, ev1, ev2, ev3
-        m2 = h3 + m3
-        m1 = h2 + m2
-        _flush_level_deltas(l1_stats, h1, m1, ev1, 0, core)
-        _flush_level_deltas(l2_stats, h2, m2, ev2, 0, core)
-        _flush_level_deltas(llc_stats, h3, m3, ev3, 0, core)
-        h1 = h2 = h3 = m3 = ev1 = ev2 = ev3 = 0
-        _write_l1_stamps(l1, l1_state)
-
-    def report():
-        return h1, h2, h3, m3
-
-    return walk, flush, report
 
 
 # numpy mirrors of the recency tables for the native kernel, built once
@@ -1156,8 +917,8 @@ def _l1_perm_state(l1):
 
 def _write_l1_stamps(l1, state):
     """Rewrite the L1 stamp array from per-set permutation-FSM states —
-    the inverse of :func:`_l1_perm_state` — so object-path code (and the
-    next walk build) sees the recency order the FSM tracked."""
+    the inverse of :func:`_l1_perm_state` — so object-path code and the
+    fused walk see the recency order the FSM tracked."""
     perms = _lru8_tables()[2]
     l1_stamp = l1._stamp
     clock = l1._clock
@@ -1206,16 +967,24 @@ _CFG_STOP, _CFG_LLC_SETS = 6, 7
 # sched[] per-cell slots; must match the SCHED_* enum in multiwalk.c.
 _SCHED_SLOTS = 2
 _SCHED_ISSUED, _SCHED_FILLED = 0, 1
+# A walk's hit levels, in the order of the epoch drivers' counters.
+_HIT_LEVELS = ("L1", "L2", "LLC", "MEM")
 
 
 def _epoch_replay_supported(hierarchy, cores):
-    """Guards shared by both epoch drivers (the native ones add their own)."""
+    """The one gate of both epoch drivers (the native ones add their own).
+
+    Distinct cores, the fused walk's level arrangement, and the native
+    kernels' read-only, 8-way state (:func:`_native_core_eligible`). The
+    Python driver could take more, but sharing the gate keeps each native
+    setting accepting exactly the same co-runs.
+    """
     if len(set(cores)) != len(cores):
         return False
     for core in cores:
         if not _pack_walk_supported(hierarchy, core):
             return False
-        if not _lean_walk_eligible(hierarchy, core):
+        if not _native_core_eligible(hierarchy, core):
             return False
     return True
 
@@ -1229,59 +998,46 @@ def _plain_column(col):
 
 
 class PythonEpochReplay:
-    """Reference epoch driver over the lean pack-walk closures.
+    """Reference epoch driver over the hierarchy's fused walks.
 
     Implements the exact scheduler of ``multiwalk.c`` — linear scan for
     the minimum ``(vtime, slot)`` over live domains, exhausted
     non-repeating domains retiring without issuing, ``stop_at`` as an
-    absolute issued-access target — over the per-core closures from
-    :func:`_build_lean_pack_walk`. Virtual times and slot keys are
+    absolute issued-access target — over
+    :meth:`~repro.cache.hierarchy.CacheHierarchy.fast_walker`, the same
+    walk :meth:`TraceEngine.run` takes. Virtual times and slot keys are
     unique, so the scan order equals the ``(vtime, slot)`` heap order of
     :meth:`TraceEngine.run` and replays are bit-identical to both that
     reference and the native kernel.
 
-    It is the only epoch driver that accepts an attached LLC profiler
-    (the lean walks report every LLC probe to it, exactly as the fused
-    walk does). That makes it the reference and the fallback for a
+    The walk updates the levels' stats, recency state and any attached
+    LLC profiler itself, so this is the only epoch driver that accepts a
+    profiler. That makes it the reference and the fallback for a
     profiled pass: with the native kernels, the profiled co-run behind
     :func:`~repro.sim.trace_engine.way_allocation_sweep` is one
     ``profile`` cell of :func:`build_native_batch_replay` instead.
 
-    The lean closures capture the LLC way-mask bits at build time, so
-    :meth:`refresh_masks` synchronizes counters and recency state back
-    into the hierarchy and rebuilds every walk against the new masks —
-    a representation hand-off, not a cache flush: every resident line
-    and the full recency order survive, which is the Section 2.1
-    mask-change contract the native kernel gets for free.
+    The walk reads the LLC way masks that
+    :meth:`~repro.cache.hierarchy.CacheHierarchy.set_way_mask` rewrites
+    in place, so a mask change takes effect on the next access with
+    nothing flushed — the Section 2.1 mask-change contract.
     """
 
     native = False
 
-    def __init__(self, hierarchy, cores, thinks, lines, sets, lengths,
-                 repeats):
+    def __init__(self, hierarchy, cores, thinks, lines, lengths, repeats):
         self._h = hierarchy
-        self._cores = list(cores)
+        self._walks = [hierarchy.fast_walker(core) for core in cores]
         self._thinks = list(thinks)
         self._lines = [_plain_column(col) for col in lines]
-        self._sets = [_plain_column(col) for col in sets]
         self._lengths = [int(n) for n in lengths]
         self._repeats = [bool(r) for r in repeats]
-        n = len(self._cores)
+        n = len(self._walks)
         self._positions = [0] * n
         self._vtimes = [0] * n
         self._lives = [bool(x) for x in self._lengths]
         self._issued = 0
-        self._totals = [[0, 0, 0, 0] for _ in range(n)]
-        self._build_walks()
-
-    def _build_walks(self):
-        built = [
-            _build_lean_pack_walk(self._h, core, think)
-            for core, think in zip(self._cores, self._thinks)
-        ]
-        self._walks = [b[0] for b in built]
-        self._flushes = [b[1] for b in built]
-        self._reports = [b[2] for b in built]
+        self._tallies = [dict.fromkeys(_HIT_LEVELS, 0) for _ in range(n)]
 
     @property
     def issued(self):
@@ -1292,17 +1048,16 @@ class PythonEpochReplay:
 
     def counters(self, slot):
         """Cumulative ``(l1_hits, l2_hits, llc_hits, llc_misses)``."""
-        t = self._totals[slot]
-        r = self._reports[slot]()
-        return (t[0] + r[0], t[1] + r[1], t[2] + r[2], t[3] + r[3])
+        return tuple(self._tallies[slot].values())
 
     def run_epoch(self, stop_at):
         """Advance until ``issued == stop_at`` or every domain has
         retired; returns the total issued so far. Call again to resume
         exactly."""
-        walks = self._walks
-        lines, sets = self._lines, self._sets
-        positions, vtimes = self._positions, self._vtimes
+        walks, thinks, lines = self._walks, self._thinks, self._lines
+        positions, vtimes, tallies = (
+            self._positions, self._vtimes, self._tallies
+        )
         lives, lengths, repeats = self._lives, self._lengths, self._repeats
         nslots = len(walks)
         issued = self._issued
@@ -1323,47 +1078,37 @@ class PythonEpochReplay:
                     lives[best] = False
                     continue
                 i = 0
-            vtimes[best] = bt + walks[best](lines[best][i], sets[best][i])
+            level, latency = walks[best](lines[best][i], False)
+            vtimes[best] = bt + (latency + thinks[best])
+            tallies[best][level] += 1
             positions[best] = i + 1
             issued += 1
         self._issued = issued
         return issued
 
-    def _sync(self):
-        """Bank level counters and push recency state into the levels."""
-        for i in range(len(self._cores)):
-            r = self._reports[i]()
-            t = self._totals[i]
-            t[0] += r[0]
-            t[1] += r[1]
-            t[2] += r[2]
-            t[3] += r[3]
-            self._flushes[i]()
-
     def refresh_masks(self):
-        """Re-read the hierarchy's way masks; state carries over intact."""
-        self._sync()
-        self._build_walks()
+        """Nothing to do: the walk reads the hierarchy's masks live."""
 
     def llc_resident(self):
         return sorted(self._h.llc.storage.resident_lines())
 
     def finish(self):
-        """Deposit stat deltas; returns ``(level counts, vtimes)``."""
-        self._sync()
-        counts = tuple(tuple(t) for t in self._totals)
+        """Returns ``(level counts, vtimes)``; the walk has already
+        written every stat and state change into the hierarchy."""
+        counts = tuple(self.counters(s) for s in range(len(self._walks)))
         return counts, tuple(self._vtimes)
 
 
-def build_python_epoch_replay(hierarchy, cores, thinks, lines, sets,
-                              lengths, repeats):
-    """The pure-Python reference epoch driver, or ``None`` if the lean
-    preconditions (distinct cores, read-only state, 8-way mod-indexed
-    inner levels) don't hold."""
+def build_python_epoch_replay(hierarchy, cores, thinks, lines, lengths,
+                              repeats):
+    """The pure-Python reference epoch driver, or ``None`` where
+    :func:`_epoch_replay_supported` declines (shared cores, a level
+    arrangement the fused walk cannot take, or state outside the native
+    kernels' read-only, 8-way precondition)."""
     if not _epoch_replay_supported(hierarchy, cores):
         return None
     return PythonEpochReplay(
-        hierarchy, cores, thinks, lines, sets, lengths, repeats
+        hierarchy, cores, thinks, lines, lengths, repeats
     )
 
 

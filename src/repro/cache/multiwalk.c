@@ -1,4 +1,4 @@
-/* Fused N-domain lean pack replay, epoch-resumable.
+/* Fused N-domain read-only pack replay, epoch-resumable.
  *
  * Replays one co-run cell: every domain's scheduler state (trace
  * position, liveness, virtual time, way mask, level counters) lives in a
@@ -22,10 +22,13 @@
  * accesses in the same order.  A non-repeating domain that exhausts its
  * trace goes dead without issuing, as TraceEngine.run retires it.
  *
- * The per-access cache walk (`access_one`) ports the Python lean pack
- * walk (kernel._build_lean_pack_walk); per-core L1 permutation-FSM
- * states and L2 PLRU words live in all-core flattened arrays so any
- * subset of cores can participate.
+ * The per-access cache walk (`access_one`) ports the rules of the
+ * Python fused walk (kernel.build_fused_walk, the walk TraceEngine.run
+ * and the Python epoch driver take) for read-only replays, in an
+ * FSM/table representation: L1 recency is a permutation-FSM state, L2
+ * PLRU touches and fills are table lookups.  Per-core L1 FSM states and
+ * L2 PLRU words live in all-core flattened arrays so any subset of cores
+ * can participate.
  *
  * A cell may also profile its domains' LLC way utility: each domain then
  * owns a UMON (profile.WayProfiler) in a caller-owned buffer, updated at
@@ -35,7 +38,7 @@
  *
  * Conventions shared with kernel.KernelCacheLevel:
  *   - tags[set * ways + way] holds the line number, -1 when invalid;
- *   - valid/dirty are per-set bitmasks (lean replay: dirty stays 0);
+ *   - valid/dirty are per-set bitmasks (read-only replay: dirty stays 0);
  *   - L1 recency is the 40320-state 8-way LRU permutation FSM
  *     (l1_touch / l1_fill tables from kernel._lru8_tables);
  *   - L2 and LLC recency are PLRU bit-trees; the 8-way L2 uses full

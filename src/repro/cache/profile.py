@@ -185,7 +185,7 @@ class WaySweep:
         """Replay a single-domain trace; returns its WayCurve."""
         return self.run(trace_factory)[0]
 
-    def run_pack(self, pack, domains=None):
+    def run_pack(self, pack):
         """Profile a compiled :class:`TracePack` through
         :func:`~repro.cache.profile_np.profile_pack`; bit-identical to
         :meth:`run` over the same stream."""
@@ -193,7 +193,7 @@ class WaySweep:
 
         return profile_pack(
             pack, self.num_sets, self.num_ways, self.indexing,
-            self.num_domains, domains=domains,
+            self.num_domains,
         )
 
 
@@ -233,7 +233,7 @@ def verify_profile(trace_factory, way_counts=None, num_sets=LLC_NUM_SETS,
     so callers (CLI ``--check``, CI) fail loudly.
 
     With ``use_pack`` both columns replay the compiled trace pack — the
-    profile on the vectorized pack profiler, the brute-force passes over
+    profile on the pack profiler, the brute-force passes over
     the pack's raw line column — so a disk-cached pack verifies without
     regenerating the trace N+1 times.
     """

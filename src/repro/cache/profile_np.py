@@ -1,33 +1,42 @@
-"""Vectorized way profiling over compiled trace packs.
+"""Way profiling over compiled trace packs.
 
-:class:`~repro.cache.profile.WayProfiler` walks the trace one access at
-a time, paying a set-index hash and a Python dispatch per access. Given
-a :class:`~repro.workloads.tracepack.TracePack` the same histogram can
-be computed set-group-at-a-time: the pack's precomputed set column is
-stably argsorted by ``(domain, set)``, which clusters each UMON set's
-accesses while preserving their program order, and each cluster is then
-reduced with the bounded stack-update loop. The per-access work drops to
-a bounded ``list`` membership probe — no indexing, no attribute lookups.
-
-Because the stable sort preserves within-set order and sets are
-independent under set-associative LRU, the grouped replay produces
-*exactly* the sequential profiler's histograms (asserted by the tests).
-The set-sharded C profiler takes the same per-set view and is used
-whenever the native kernels load.
+Given a :class:`~repro.workloads.tracepack.TracePack`, the set-sharded C
+profiler (``repro_batch_profile`` in ``batchwalk.c``) replays each
+domain's accesses with the pack's precomputed set column: sets are
+independent under set-associative LRU, so shards of the set index space
+run as separate work items while each set still sees its accesses in
+program order. Without the native kernels the pack's lines go through
+:meth:`~repro.cache.profile.WayProfiler.observe`, the one Python copy of
+the UMON rule. Both produce *exactly* the sequential profiler's
+histograms (asserted by the tests).
 """
 
 import numpy as np
 
-from repro.cache.profile import LLC_NUM_SETS, LLC_NUM_WAYS, WayCurve
+from repro.cache.profile import (
+    LLC_NUM_SETS,
+    LLC_NUM_WAYS,
+    WayCurve,
+    WayProfiler,
+)
 from repro.perf import engine_counters as ec
-from repro.util.errors import ConfigurationError
+from repro.util.errors import ConfigurationError, ValidationError
 
 
 def _domain_column(pack, num_domains):
-    """Per-access domain ids, mirroring WaySweep's tid//2 pairing."""
+    """Per-access domain ids, mirroring WaySweep's tid//2 pairing, or
+    ``None`` for one domain; raises :class:`ValidationError` for an id
+    outside ``[0, num_domains)``."""
     if num_domains <= 1:
         return None
-    return np.asarray(pack.tid, dtype=np.int64) >> 1
+    domains = np.asarray(pack.tid, dtype=np.int64) >> 1
+    if len(domains) and not (
+        0 <= domains.min() and domains.max() < num_domains
+    ):
+        raise ValidationError(
+            f"pack tids map to profile domains outside [0, {num_domains})"
+        )
+    return domains
 
 
 def _profile_pack_native(pack, sets, domains, num_sets, num_ways,
@@ -81,74 +90,42 @@ def _profile_pack_native(pack, sets, domains, num_sets, num_ways,
 
 
 def profile_pack(pack, num_sets=LLC_NUM_SETS, num_ways=LLC_NUM_WAYS,
-                 indexing="hash", num_domains=1, domains=None):
+                 indexing="hash", num_domains=1):
     """Profile one pack; returns ``{domain: WayCurve}``.
 
-    ``domains`` optionally overrides the per-access domain column (an
-    int array aligned with the pack); the default mirrors
-    :class:`~repro.cache.profile.WaySweep`'s ``tid // 2`` mapping. The
-    stack updates run in the batched C profiler when it is available,
-    else in the grouped NumPy/Python loop below (``REPRO_NATIVE=0``);
-    histograms are identical either way, the native pass is only faster.
+    Domains follow :class:`~repro.cache.profile.WaySweep`'s ``tid // 2``
+    mapping; a tid whose domain falls outside ``[0, num_domains)``
+    raises :class:`ValidationError`. The stack updates run in the
+    batched C profiler when it is available, else in
+    :meth:`WayProfiler.observe <repro.cache.profile.WayProfiler.observe>`
+    over the pack's lines (``REPRO_NATIVE=0``); histograms are identical
+    either way, the native pass is only faster.
     """
     if num_ways < 1:
         raise ConfigurationError("profiler needs at least one way")
     if num_domains < 1:
         raise ConfigurationError("profiler needs at least one domain")
     sets = np.asarray(pack.set_column(num_sets, indexing), dtype=np.int64)
-    if domains is None:
-        domains = _domain_column(pack, num_domains)
-    histograms = [[0] * (num_ways + 1) for _ in range(num_domains)]
-    accesses = [0] * num_domains
+    domains = _domain_column(pack, num_domains)
+    native_hists = None
     if len(sets):
-        if domains is None:
-            key = sets
-            accesses[0] = len(sets)
-        else:
-            domains = np.asarray(domains, dtype=np.int64)
-            key = domains * np.int64(num_sets) + sets
-            counts = np.bincount(domains, minlength=num_domains)
-            for d in range(num_domains):
-                accesses[d] = int(counts[d])
         native_hists = _profile_pack_native(
             pack, sets, domains, num_sets, num_ways, num_domains
         )
-        if native_hists is not None:
-            ec.add(ec.PROFILER_PASSES)
-            return {
-                d: WayCurve(num_ways=num_ways, accesses=accesses[d],
-                            histogram=native_hists[d])
-                for d in range(num_domains)
-            }
-        order = np.argsort(key, kind="stable")
-        sorted_keys = key[order]
-        lines = np.asarray(pack.line, dtype=np.int64)[order].tolist()
-        bounds = (np.flatnonzero(sorted_keys[1:] != sorted_keys[:-1]) + 1).tolist()
-        starts = [0] + bounds
-        ends = bounds + [len(lines)]
-        group_keys = sorted_keys[starts].tolist()
-        for start, end, group_key in zip(starts, ends, group_keys):
-            hist = histograms[group_key // num_sets if domains is not None else 0]
-            stack = []
-            index = stack.index
-            insert = stack.insert
-            pop = stack.pop
-            for line in lines[start:end]:
-                if line in stack:
-                    distance = index(line)
-                    hist[distance] += 1
-                    if distance:
-                        del stack[distance]
-                        insert(0, line)
-                else:
-                    hist[num_ways] += 1
-                    insert(0, line)
-                    if len(stack) > num_ways:
-                        pop()
     ec.add(ec.PROFILER_PASSES)
-    return {
-        d: WayCurve(num_ways=num_ways, accesses=accesses[d],
-                    histogram=histograms[d])
-        for d in range(num_domains)
-    }
-
+    if native_hists is not None:
+        # Every access lands in exactly one histogram bin.
+        return {
+            d: WayCurve(num_ways=num_ways, accesses=sum(native_hists[d]),
+                        histogram=native_hists[d])
+            for d in range(num_domains)
+        }
+    profiler = WayProfiler(num_sets, num_ways, indexing, num_domains)
+    observe = profiler.observe
+    if domains is None:
+        for line in pack.lines_list():
+            observe(line)
+    else:
+        for line, domain in zip(pack.lines_list(), domains.tolist()):
+            observe(line, domain)
+    return profiler.curves()

@@ -14,12 +14,9 @@ from dataclasses import dataclass, field
 
 from repro.cache.block import LINE_SHIFT
 from repro.cache.hierarchy import CacheHierarchy
+from repro.cache.kernel import _HIT_LEVELS
 from repro.perf import engine_counters as ec
 from repro.util.errors import ValidationError
-
-# The epoch drivers count hits per level index; these are the level
-# names the generic walk reports.
-_LEVEL_NAMES = ("L1", "L2", "LLC", "MEM")
 
 
 @dataclass
@@ -168,11 +165,11 @@ class TraceEngine:
         :class:`~repro.cache.kernel.PythonEpochReplay`, which also takes
         an attached LLC profiler. ``packs`` optionally supplies
         pre-compiled packs aligned with ``workloads``. Falls back to
-        :meth:`run` whenever the lean epoch replay does not apply:
-        prefetchers on, a non-compilable trace factory, a pack that
-        carries writes, two workloads on one core, or hierarchy state
-        the lean walk cannot take (non-kernel backend, dirty or
-        prefetched lines, inner levels that are not 8-way).
+        :meth:`run` whenever the epoch drivers do not apply: prefetchers
+        on, a non-compilable trace factory, a pack that carries writes,
+        two workloads on one core, or hierarchy state outside the native
+        kernels' precondition (non-kernel backend, dirty or prefetched
+        lines, inner levels that are not 8-way).
         """
         if not workloads:
             raise ValidationError("need at least one workload")
@@ -260,8 +257,8 @@ class TraceEngine:
         replay = _epoch_replay(hierarchy, cores, workloads, packs)
         if replay is None:
             raise ValidationError(
-                "run_dynamic needs the lean epoch replay (kernel backend, "
-                "read-only traces)"
+                "run_dynamic needs an epoch replay driver (kernel "
+                "backend, read-only traces and state, 8-way inner levels)"
             )
 
         period_s = controller.period_s
@@ -339,7 +336,7 @@ class TraceEngine:
             s.total_latency = float(g0 * 4 + g1 * 12 + g2 * 30 + g3 * 200)
             s.cycles = float(vtimes[i])
             hbl = s.hits_by_level
-            for level, count in zip(_LEVEL_NAMES, (g0, g1, g2, g3)):
+            for level, count in zip(_HIT_LEVELS, (g0, g1, g2, g3)):
                 if count:
                     hbl[level] = count
             s.llc_misses = g3
@@ -371,10 +368,10 @@ def _epoch_replay(hierarchy, cores, workloads, packs):
     :func:`~repro.cache.kernel.build_native_epoch_replay`) when the
     kernel is available and the layout allows it, else the pure-Python
     :class:`~repro.cache.kernel.PythonEpochReplay`. ``None`` when the
-    lean epoch replay cannot take the co-run at all: a pack carries
-    writes, two workloads share a core, or the hierarchy is not a lean
-    kernel hierarchy. Both drivers are bit-identical to
-    :meth:`TraceEngine.run`.
+    epoch drivers cannot take the co-run at all: a pack carries writes,
+    two workloads share a core, or the hierarchy fails the drivers'
+    shared gate (:func:`~repro.cache.kernel._epoch_replay_supported`).
+    Both drivers are bit-identical to :meth:`TraceEngine.run`.
     """
     from repro.cache.kernel import (
         KernelCacheLevel,
@@ -399,9 +396,7 @@ def _epoch_replay(hierarchy, cores, workloads, packs):
     )
     if replay is None:
         replay = build_python_epoch_replay(
-            hierarchy, cores, thinks,
-            [p.lines_list() for p in packs],
-            [p.sets_list(llc.num_sets, indexing) for p in packs],
+            hierarchy, cores, thinks, [p.lines_list() for p in packs],
             lengths, repeats,
         )
     return replay

@@ -292,15 +292,6 @@ class TracePack:
             self._lines_list = self.line.tolist()
         return self._lines_list
 
-    def sets_list(self, num_sets, indexing="hash"):
-        """The set column as a plain Python list (engine hot-loop form)."""
-        cache_key = (int(num_sets), indexing, "list")
-        sets = self._sets.get(cache_key)
-        if sets is None:
-            sets = self.set_column(num_sets, indexing).tolist()
-            self._sets[cache_key] = sets
-        return sets
-
     def writes_list(self):
         """Per-access write flags as a list, or ``None`` if all reads."""
         if self._writes_list is None:

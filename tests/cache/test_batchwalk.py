@@ -26,7 +26,7 @@ from repro.workloads.trace import (
     StreamingTrace,
     ZipfTrace,
 )
-from repro.workloads.tracepack import get_pack
+from repro.workloads.tracepack import TracePack, compile_columns, get_pack
 
 from .._native import native_available, without_native
 
@@ -356,7 +356,7 @@ class TestWarmTemplate:
                 private.set_way_mask(core, WayMask.from_bits(bits))
         replay = build_python_epoch_replay(
             private, cell["cores"], cell["thinks"], cell["lines"],
-            cell["sets"], cell["lengths"], cell["repeats"],
+            cell["lengths"], cell["repeats"],
         )
         replay.run_epoch(cell["stop"])
         return replay.finish()
@@ -422,13 +422,15 @@ class TestBatchProfiler:
         sweep = WaySweep(
             num_sets=256, num_ways=8, indexing="hash", num_domains=4
         )
-        pack = self._pack()
-        # A deterministic 4-way interleaving of the stream.
-        domains = np.arange(len(pack.line), dtype=np.int64) % 4
-        native_curves = sweep.run_pack(pack, domains=domains)
-        python_curves = without_native(
-            lambda: sweep.run_pack(pack, domains=domains)
+        columns = compile_columns(
+            ZipfTrace(3_000, 512 * KB, alpha=0.9, seed=13)
         )
+        # A deterministic 4-way interleaving of the stream over tids
+        # 0, 2, 4 and 6, one per profile domain.
+        columns["tid"] = np.arange(len(columns["tid"]), dtype=np.int64) % 4 * 2
+        pack = TracePack(columns, "four-tids")
+        native_curves = sweep.run_pack(pack)
+        python_curves = without_native(lambda: sweep.run_pack(pack))
         for d in range(4):
             assert native_curves[d].histogram == python_curves[d].histogram
             assert native_curves[d].accesses == python_curves[d].accesses

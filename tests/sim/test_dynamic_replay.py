@@ -93,21 +93,24 @@ def _packs(workloads):
 
 
 def _build_replay(builder, engine, workloads, packs, plain=False):
+    """``plain``: the Python builder, which takes plain line lists and
+    indexes the LLC itself; else the native one, which takes the pack
+    columns and their set columns."""
     h = engine.hierarchy
-    llc = h.llc.storage
-    indexing = "mod" if llc._mod_mask >= 0 else "hash"
     if plain:
-        lines = [p.lines_list() for p in packs]
-        sets = [p.sets_list(llc.num_sets, indexing) for p in packs]
+        columns = [[p.lines_list() for p in packs]]
     else:
-        lines = [p.line for p in packs]
-        sets = [p.set_column(llc.num_sets, indexing) for p in packs]
+        llc = h.llc.storage
+        indexing = "mod" if llc._mod_mask >= 0 else "hash"
+        columns = [
+            [p.line for p in packs],
+            [p.set_column(llc.num_sets, indexing) for p in packs],
+        ]
     return builder(
         h,
         [h.core_of_tid(w.tid) for w in workloads],
         [w.think_cycles for w in workloads],
-        lines,
-        sets,
+        *columns,
         [len(p.line) for p in packs],
         [w.repeat for w in workloads],
     )

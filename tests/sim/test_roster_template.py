@@ -153,7 +153,7 @@ def test_each_template_core_is_checked_and_snapshotted_once(
         "repeats": [True, True],
         "stop": 500,
     }
-    eligible = _counting(monkeypatch, "_lean_walk_eligible",
+    eligible = _counting(monkeypatch, "_native_core_eligible",
                          lambda hierarchy, core: core)
     perm = _counting(monkeypatch, "_l1_perm_state", id)
     builder = {

@@ -138,7 +138,7 @@ class TestIsolationMeasurement:
 
 class _WritingTrace(_TraceBase):
     """A custom trace whose every third access is a store, so its pack
-    carries a write column the lean epoch replay cannot take."""
+    carries a write column the epoch replay drivers cannot take."""
 
     def __init__(self, length, working_set_bytes, tid=0):
         super().__init__(length, tid)
@@ -258,7 +258,7 @@ class TestRunPacked:
         self._assert_identical(self._workloads(1), 8_000, partition=False)
 
     def test_writing_pack_falls_back_to_run(self):
-        """A pack that carries writes is outside the lean epoch replay:
+        """A pack that carries writes is outside the epoch replay drivers:
         run_packed must hand the co-run to run() and replay no pack."""
         from repro.perf import engine_counters as ec
 
