@@ -6,9 +6,10 @@ package supplies the two implementations:
 
 - :class:`AnalyticalBackend` — the statistical interval engine
   (``Machine.run_pair``), bit-identical to the pre-refactor policy code;
-- :class:`TraceBackend` — address-level trace replay
-  (``TraceEngine.run_packed`` / ``run_dynamic`` over compiled packs),
-  with the biased-split search scored from one profiled way sweep.
+- :class:`TraceBackend` — address-level trace replay (one-cell
+  ``run_packed_roster`` / ``run_dynamic_roster`` calls over compiled
+  packs), with the biased-split search scored from one profiled way
+  sweep.
 
 ``get_backend(name)`` maps the CLI's ``--backend`` flag to a fresh
 instance.

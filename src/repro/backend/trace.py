@@ -6,16 +6,19 @@ suite (and the dynamic controller) runs against *actual line
 replacement* — the mechanism-level ground truth the occupancy model
 approximates:
 
-- ``co_run`` replays compiled trace packs through ``run_packed`` with
-  the split's way masks applied (a fresh hierarchy per run, exactly the
-  pre-refactor per-mask methodology);
+- ``solo`` and ``co_run`` replay compiled trace packs as a one-cell
+  :func:`~repro.sim.trace_engine.run_packed_roster` call with the
+  split's way masks applied (a fresh hierarchy per run, exactly the
+  per-mask methodology; :meth:`TraceBackend.roster_cell` builds the
+  masks);
 - ``sweep`` does NOT re-simulate per split: one profiled co-run
   (:func:`repro.sim.trace_engine.way_allocation_sweep`, a per-domain
   UMON) yields exact ``hits(ways)`` curves, and every disjoint split is
   scored from those curves — foreground cost as misses at its
   allocation, background rate as hits at the complement. The biased
   policy then measures only its chosen split;
-- ``dynamic`` drives :meth:`TraceEngine.run_dynamic` — epoch-resumable
+- ``dynamic`` runs a one-cell
+  :func:`~repro.sim.trace_engine.run_dynamic_roster` — epoch-resumable
   replay with flush-free reallocation between control periods.
 
 ``fg_cost`` is the foreground's average access latency in cycles;
@@ -74,27 +77,39 @@ class TraceBackend(SimBackend):
 
     # -- engine plumbing ----------------------------------------------------
 
-    def _fresh_engine(self, spec=None, split=None):
-        """A new kernel-backed, prefetchers-off hierarchy, with
-        ``split``'s way masks applied if given."""
-        from repro.cache.llc import WayMask
-        from repro.sim.trace_engine import TraceEngine
+    def roster_cell(self, workloads, split=None):
+        """The :class:`~repro.sim.trace_engine.RosterCell` replaying
+        ``workloads`` — one workload alone, or a pair's ``[fg, bg]`` —
+        on a fresh hierarchy for ``total_accesses``.
 
-        engine = TraceEngine(prefetchers_on=False, backend="kernel")
+        Under ``split`` the foreground's ways run from way 0 up and the
+        background's from the top down; without one every core keeps
+        the full cache.
+        """
+        from repro.cache.llc import WayMask
+        from repro.sim.trace_engine import RosterCell
+
+        masks = None
         if split is not None:
+            fg, bg = workloads
             llc_ways = self.capabilities().llc_ways
-            core_of = engine.hierarchy.core_of_tid
-            engine.hierarchy.set_way_mask(
-                core_of(spec.fg.tid),
-                WayMask.contiguous(split.fg_ways, 0, llc_ways),
-            )
-            engine.hierarchy.set_way_mask(
-                core_of(spec.bg.tid),
-                WayMask.contiguous(
+            masks = {
+                fg.tid // 2: WayMask.contiguous(split.fg_ways, 0, llc_ways),
+                bg.tid // 2: WayMask.contiguous(
                     split.bg_ways, llc_ways - split.bg_ways, llc_ways
                 ),
-            )
-        return engine
+            }
+        return RosterCell(
+            workloads=list(workloads),
+            masks=masks,
+            total_accesses=self.total_accesses,
+        )
+
+    def _replay(self, cell):
+        """``{name: TraceStats}`` of one roster cell."""
+        from repro.sim.trace_engine import run_packed_roster
+
+        return run_packed_roster([cell], threads=self.native_threads)[0]
 
     @staticmethod
     def _rate(stats):
@@ -104,9 +119,7 @@ class TraceBackend(SimBackend):
 
     def solo(self, workload):
         """The workload alone on the whole (unpartitioned) cache."""
-        stats = self._fresh_engine().run_packed(
-            [workload], total_accesses=self.total_accesses
-        )
+        stats = self._replay(self.roster_cell([workload]))
         return SoloMeasurement(
             backend="trace",
             name=workload.name,
@@ -115,9 +128,7 @@ class TraceBackend(SimBackend):
         )
 
     def co_run(self, spec, split):
-        stats = self._fresh_engine(spec, split).run_packed(
-            [spec.fg, spec.bg], total_accesses=self.total_accesses
-        )
+        stats = self._replay(self.roster_cell([spec.fg, spec.bg], split))
         return CoRunMeasurement(
             backend="trace",
             fg_name=spec.fg_name,
@@ -132,35 +143,18 @@ class TraceBackend(SimBackend):
     def sweep_roster_cells(self, spec):
         """``(splits, RosterCells)`` for the measured sweep's roster.
 
-        One RosterCell per disjoint split, masks built exactly as
-        :meth:`co_run` builds them. Exposed separately so the campaign
-        runner can concatenate many cells' sweeps into ONE batched
-        native call; :meth:`_measured_sweep` replays just this pair's.
+        One :meth:`roster_cell` per disjoint split, as :meth:`co_run`
+        replays it. Exposed separately so the campaign runner can
+        concatenate many cells' sweeps into ONE batched native call;
+        :meth:`_measured_sweep` replays just this pair's.
         """
-        from repro.cache.llc import WayMask
-        from repro.sim.trace_engine import RosterCell
-
         llc_ways = self.capabilities().llc_ways
-        fg_core = spec.fg.tid // 2
-        bg_core = spec.bg.tid // 2
         splits = [
             WaySplit.disjoint(fg_ways, llc_ways)
             for fg_ways in range(1, llc_ways)
         ]
-        cells = [
-            RosterCell(
-                workloads=[spec.fg, spec.bg],
-                masks={
-                    fg_core: WayMask.contiguous(s.fg_ways, 0, llc_ways),
-                    bg_core: WayMask.contiguous(
-                        s.bg_ways, llc_ways - s.bg_ways, llc_ways
-                    ),
-                },
-                total_accesses=self.total_accesses,
-            )
-            for s in splits
-        ]
-        return splits, cells
+        pair = [spec.fg, spec.bg]
+        return splits, [self.roster_cell(pair, s) for s in splits]
 
     def sweep_entries(self, spec, splits, outcomes):
         """``[(fg_ways, CoRunMeasurement)]`` from replayed sweep stats."""
@@ -281,14 +275,7 @@ class TraceBackend(SimBackend):
             fg_cost=result.stats[spec.fg_name].avg_latency,
             bg_rate=self._rate(result.stats[spec.bg_name]),
             raw=result.stats,
-            extra={
-                "controller": controller,
-                "actions": result.actions,
-                "timeline": result.timeline,
-                "epochs": result.epochs,
-                "native": result.native,
-                "result": result,
-            },
+            extra=_dynamic_extra(controller, result),
         )
 
     def dynamic(self, spec, controller=None):
@@ -357,13 +344,10 @@ class TraceBackend(SimBackend):
         identical to the seed pair path). Larger groups replay as a
         one-cell roster through the batched native kernel.
         """
-        from repro.sim.trace_engine import run_packed_roster
-
         measurement = self._pair_group_measurement(group, split)
         if measurement is not None:
             return measurement
-        cell = self.group_roster_cell(group, split)
-        stats = run_packed_roster([cell], threads=self.native_threads)[0]
+        stats = self._replay(self.group_roster_cell(group, split))
         return self.group_measurement(group, split, stats)
 
     def group_dynamic_roster_cell(self, group, controller=None):
@@ -390,14 +374,7 @@ class TraceBackend(SimBackend):
         split = GroupSplit(
             tuple(masks[name].bits for name in group.names), llc_ways
         )
-        extra = {
-            "controller": controller,
-            "actions": result.actions,
-            "timeline": result.timeline,
-            "epochs": result.epochs,
-            "native": result.native,
-            "result": result,
-        }
+        extra = _dynamic_extra(controller, result)
         lifetime = getattr(controller, "lifetime", None)
         if lifetime is not None:
             extra["lifetime"] = lifetime
@@ -456,6 +433,19 @@ class TraceBackend(SimBackend):
                              think_cycles=bg_think),
             options=options,
         )
+
+
+def _dynamic_extra(controller, result):
+    """The ``extra`` of a dynamic measurement: the controller and the
+    :class:`~repro.sim.trace_engine.DynamicTraceResult` it drove."""
+    return {
+        "controller": controller,
+        "actions": result.actions,
+        "timeline": result.timeline,
+        "epochs": result.epochs,
+        "native": result.native,
+        "result": result,
+    }
 
 
 __all__ = ["GroupSplit", "TenantSet", "TraceBackend", "WaySplit"]

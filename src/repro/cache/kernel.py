@@ -838,23 +838,6 @@ def _plru8_fill_tables(lvl):
     return tables
 
 
-def _flush_level_deltas(stats, hits, misses, evictions, writebacks, core):
-    accesses = hits + misses
-    if not accesses:
-        return
-    stats.accesses += accesses
-    stats.hits += hits
-    stats.misses += misses
-    stats.fills += misses  # every walk-level miss fills the level
-    stats.evictions += evictions
-    stats.writebacks += writebacks
-    pa = stats.per_domain_accesses
-    pa[core] = pa.get(core, 0) + accesses
-    if misses:
-        pm = stats.per_domain_misses
-        pm[core] = pm.get(core, 0) + misses
-
-
 # numpy mirrors of the recency tables for the native kernel, built once
 # per process (keyed like their list-of-int counterparts).
 _NP_TABLES = {}
@@ -915,42 +898,6 @@ def _l1_perm_state(l1):
     return state
 
 
-def _write_l1_stamps(l1, state):
-    """Rewrite the L1 stamp array from per-set permutation-FSM states —
-    the inverse of :func:`_l1_perm_state` — so object-path code and the
-    fused walk see the recency order the FSM tracked."""
-    perms = _lru8_tables()[2]
-    l1_stamp = l1._stamp
-    clock = l1._clock
-    top = clock + 7
-    for s in range(len(state)):
-        perm = perms[state[s]]
-        base = s << 3
-        for rank in range(8):
-            l1_stamp[base + perm[rank]] = top - rank
-    l1._clock = clock + 8
-
-
-def _rebuild_lookup(lookup, tags, valid, num_ways):
-    """Regenerate per-set tag->way dicts from flat tag/valid state."""
-    full = (1 << num_ways) - 1
-    ways = tuple(range(num_ways))
-    pos = 0
-    for s in range(len(valid)):
-        d = lookup[s]
-        d.clear()
-        v = valid[s]
-        if v == full:
-            d.update(zip(tags[pos:pos + num_ways], ways))
-        else:
-            while v:
-                low = v & -v
-                v ^= low
-                w = low.bit_length() - 1
-                d[tags[pos + w]] = w
-        pos += num_ways
-
-
 # ---------------------------------------------------------------------------
 # Epoch-resumable N-domain replay (multiwalk.c + pure-Python reference)
 # ---------------------------------------------------------------------------
@@ -958,15 +905,14 @@ def _rebuild_lookup(lookup, tags, valid, num_ways):
 # dom[] per-domain slot offsets; must match the D_* enum in multiwalk.c.
 _DOM_STRIDE = 20
 _D_MASK = 2
-_D_POS, _D_LIVE, _D_VTIME = 9, 10, 11
+_D_N, _D_POS, _D_LIVE, _D_VTIME = 7, 9, 10, 11
 _D_H1 = 12  # h1, h2, h3, m3, e1, e2, e3 follow contiguously
-_D_E1 = 16
 # cfg[] per-cell scalars; must match the CFG_* enum in multiwalk.c.
 _CFG_SLOTS = 8
 _CFG_STOP, _CFG_LLC_SETS = 6, 7
 # sched[] per-cell slots; must match the SCHED_* enum in multiwalk.c.
 _SCHED_SLOTS = 2
-_SCHED_ISSUED, _SCHED_FILLED = 0, 1
+_SCHED_ISSUED = 0
 # A walk's hit levels, in the order of the epoch drivers' counters.
 _HIT_LEVELS = ("L1", "L2", "LLC", "MEM")
 
@@ -1023,10 +969,7 @@ class PythonEpochReplay:
     nothing flushed — the Section 2.1 mask-change contract.
     """
 
-    native = False
-
     def __init__(self, hierarchy, cores, thinks, lines, lengths, repeats):
-        self._h = hierarchy
         self._walks = [hierarchy.fast_walker(core) for core in cores]
         self._thinks = list(thinks)
         self._lines = [_plain_column(col) for col in lines]
@@ -1038,10 +981,6 @@ class PythonEpochReplay:
         self._lives = [bool(x) for x in self._lengths]
         self._issued = 0
         self._tallies = [dict.fromkeys(_HIT_LEVELS, 0) for _ in range(n)]
-
-    @property
-    def issued(self):
-        return self._issued
 
     def vtimes(self):
         return list(self._vtimes)
@@ -1086,12 +1025,6 @@ class PythonEpochReplay:
         self._issued = issued
         return issued
 
-    def refresh_masks(self):
-        """Nothing to do: the walk reads the hierarchy's masks live."""
-
-    def llc_resident(self):
-        return sorted(self._h.llc.storage.resident_lines())
-
     def finish(self):
         """Returns ``(level counts, vtimes)``; the walk has already
         written every stat and state change into the hierarchy."""
@@ -1112,24 +1045,6 @@ def build_python_epoch_replay(hierarchy, cores, thinks, lines, lengths,
     )
 
 
-def build_native_epoch_replay(hierarchy, cores, thinks, lines, sets,
-                              lengths, repeats):
-    """The native single co-run epoch driver: a one-cell
-    :class:`NativeEpochBatchReplay` over the hierarchy's current state,
-    or ``None`` whenever :func:`build_native_epoch_batch_replay` would
-    decline. Same interface as :class:`PythonEpochReplay`."""
-    cell = {
-        "cores": list(cores),
-        "thinks": list(thinks),
-        "lines": lines,
-        "sets": sets,
-        "lengths": lengths,
-        "repeats": repeats,
-        "stop": 0,
-    }
-    return build_native_epoch_batch_replay(hierarchy, [cell], threads=1)
-
-
 class TemplateBank:
     """One snapshot of a kernel hierarchy's state, in the batch kernels'
     bank layout (:meth:`layout`): the state every batch cell starts
@@ -1140,8 +1055,8 @@ class TemplateBank:
     roster costs one snapshot, not one per cell. The snapshot is taken
     on first use of :attr:`bank` and kept: reuse a ``TemplateBank`` only
     while its hierarchy stays untouched, as the roster drivers do with
-    their one cold template per process. Batch cells never write back
-    into it.
+    their one cold template per process. Nothing writes a cell's bank
+    back into the template or its hierarchy.
     """
 
     def __init__(self, hierarchy):
@@ -1213,15 +1128,14 @@ class NativeBatchReplay:
     back afterwards are bit-identical to replaying each cell alone, for
     any thread count.
 
-    Batch cells are throwaway measurements with no hierarchy writeback;
-    only a one-cell :class:`NativeEpochBatchReplay` writes its state
-    back (``finish()``). A cell built with ``profile`` also fills its
+    Batch cells are throwaway measurements: no state moves from the
+    banks back into the hierarchy's Python objects. A cell built with
+    ``profile`` also fills its
     own per-domain UMON buffer (:meth:`cell_profile`), allocated here
     for that cell alone — the profiled co-run behind
     :func:`~repro.sim.trace_engine.way_allocation_sweep`.
     """
 
-    native = True
     # One working bank per worker thread; the epoch subclass keeps one
     # persistent bank per cell instead.
     _bank_per_cell = False
@@ -1336,8 +1250,8 @@ class NativeBatchReplay:
     def cell_result(self, r):
         """Cell ``r``'s ``(counts, vtimes)`` read from its dom slice,
         where ``counts`` is a per-domain tuple of ``(l1_hits, l2_hits,
-        llc_hits, llc_misses)`` — the same shape the epoch drivers'
-        ``finish`` reports, without any hierarchy writeback."""
+        llc_hits, llc_misses)`` — the same shape
+        :meth:`PythonEpochReplay.finish` reports."""
         dom = self._dom[r, :len(self._cells[r]["cores"])]
         return (
             tuple(map(tuple, dom[:, _D_H1:_D_H1 + 4].tolist())),
@@ -1357,10 +1271,6 @@ class NativeBatchReplay:
         """One ctypes call; returns ``[(counts, vtimes), ...]`` per cell."""
         self._fn(*self._args)
         return [self.cell_result(r) for r in range(len(self._cells))]
-
-    @property
-    def issued(self):
-        return int(self._sched[:, _SCHED_ISSUED].sum())
 
 
 def _check_mask_word(bits, num_ways):
@@ -1528,13 +1438,9 @@ class NativeEpochBatchReplay(NativeBatchReplay):
     (:meth:`set_mask_bits`). Each work item writes only its own cell's
     bank and slices, so the replay is bit-identical to the sequential
     epoch driver for any thread count and any active-set schedule.
-
-    A one-cell batch (:func:`build_native_epoch_replay`) is the native
-    single co-run driver. Its cell-0 methods — :meth:`run_epoch`,
-    :meth:`counters`, :meth:`vtimes`, :meth:`refresh_masks`,
-    :meth:`llc_resident` and :meth:`finish` — mirror
-    :class:`PythonEpochReplay`, and :meth:`finish` writes the final
-    state back into the hierarchy's :class:`KernelCacheLevel` objects.
+    :meth:`restart` rewinds a cell's traces over its warm bank, the
+    warm-then-measure passes of
+    :func:`~repro.sim.trace_engine.measure_isolation`.
     """
 
     _bank_per_cell = True
@@ -1580,96 +1486,16 @@ class NativeEpochBatchReplay(NativeBatchReplay):
         a[1:1 + n] = active_cells
         self._fn(*self._args)
 
-    def _state(self, r):
-        """Cell ``r``'s bank sections by name; the template's until the
-        kernel has filled the cell's own bank."""
-        bank = self._banks[r] if self._sched[r, _SCHED_FILLED] else (
-            self._template.bank
-        )
-        return {name: bank[cut] for name, cut in self._layout.items()}
-
-    # -- the one-cell co-run interface (cell 0) ---------------------------
-
-    def run_epoch(self, stop_at):
-        """Advance until ``issued == stop_at`` or every domain has
-        retired; returns the total issued so far. Call again to resume
-        exactly."""
-        self.set_stop(0, stop_at)
-        self.run_active((0,))
-        return self.issued_of(0)
-
-    def vtimes(self):
-        return list(self.cell_result(0)[1])
-
-    def counters(self, slot):
-        """Cumulative ``(l1_hits, l2_hits, llc_hits, llc_misses)``."""
-        return tuple(self._dom[0, slot, _D_H1:_D_H1 + 4].tolist())
-
-    def refresh_masks(self):
-        """Re-read the hierarchy's way masks; nothing else changes."""
-        mask_bits = self._h.llc._mask_bits
-        for slot, core in enumerate(self._cells[0]["cores"]):
-            self.set_mask_bits(0, slot, mask_bits[core])
-
-    def llc_resident(self):
-        state = self._state(0)
-        tags, valid = state["llc_tags"], state["llc_valid"]
-        W = self._h.llc.storage.num_ways
-        lines = []
-        for s in range(self._h.llc.storage.num_sets):
-            v = int(valid[s])
-            base = s * W
-            while v:
-                low = v & -v
-                v ^= low
-                lines.append(int(tags[base + low.bit_length() - 1]))
-        return sorted(lines)
-
-    def finish(self):
-        """Write cell 0's state back into the hierarchy; call exactly
-        once. Returns ``(level counts, vtimes)``."""
-        h = self._h
-        llc = h.llc.storage
-        num_cores = h.num_cores
-        state = self._state(0)
-        llc._tags[:] = state["llc_tags"].tolist()
-        llc._sharers[:] = state["llc_sharers"].tolist()
-        llc._valid[:] = state["llc_valid"].tolist()
-        llc._plru[:] = state["llc_plru"].tolist()
-        _rebuild_lookup(llc._lookup, llc._tags, llc._valid, llc.num_ways)
-        inner = {
-            name: state[name].reshape(num_cores, -1)
-            for name in ("l1_tags", "l1_valid", "l1_state",
-                         "l2_tags", "l2_valid", "l2_plru")
-        }
-        bi = state["bi"].tolist()
-        for c in range(num_cores):
-            l1 = h.l1[c]
-            l1._tags[:] = inner["l1_tags"][c].tolist()
-            l1._valid[:] = inner["l1_valid"][c].tolist()
-            _rebuild_lookup(l1._lookup, l1._tags, l1._valid, 8)
-            if bi[c]:
-                l1.stats.back_invalidations += bi[c]
-            l2 = h.l2[c]
-            l2._tags[:] = inner["l2_tags"][c].tolist()
-            l2._valid[:] = inner["l2_valid"][c].tolist()
-            _rebuild_lookup(l2._lookup, l2._tags, l2._valid, 8)
-            if bi[num_cores + c]:
-                l2.stats.back_invalidations += bi[num_cores + c]
-        counts = []
-        for slot, core in enumerate(self._cells[0]["cores"]):
-            h1, h2, h3, m3 = self.counters(slot)
-            e1, e2, e3 = self._dom[0, slot, _D_E1:_D_E1 + 3].tolist()
-            m2 = h3 + m3
-            m1 = h2 + m2
-            l1 = h.l1[core]
-            _flush_level_deltas(l1.stats, h1, m1, e1, 0, core)
-            _flush_level_deltas(h.l2[core].stats, h2, m2, e2, 0, core)
-            _flush_level_deltas(llc.stats, h3, m3, e3, 0, core)
-            counts.append((h1, h2, h3, m3))
-            h.l2[core]._plru[:] = inner["l2_plru"][core].tolist()
-            _write_l1_stamps(l1, inner["l1_state"][core].tolist())
-        return tuple(counts), tuple(self.vtimes())
+    def restart(self, r):
+        """Rewind cell ``r`` to the start of its traces and keep its
+        bank: its cursors, virtual times, counters and issued count go
+        to zero and every domain with accesses is live again — what a
+        second :meth:`~repro.sim.trace_engine.TraceEngine.run_packed` on
+        the same engine starts from."""
+        dom = self._dom[r]
+        dom[:, _D_POS:] = 0
+        dom[:, _D_LIVE] = dom[:, _D_N] > 0
+        self._sched[r, _SCHED_ISSUED] = 0
 
 
 def build_native_epoch_batch_replay(hierarchy, cells, threads=None):

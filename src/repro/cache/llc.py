@@ -106,12 +106,17 @@ class PartitionedLLC:
 
     # -- partition control -------------------------------------------------
 
-    def set_mask(self, domain, mask):
-        """Assign ``mask`` to ``domain``. Data is *not* flushed."""
+    def check_mask(self, domain, mask):
+        """Raise unless ``mask`` may be assigned to ``domain``: a known
+        domain and a mask sized for this LLC."""
         if domain not in self._masks:
             raise ValidationError(f"unknown domain {domain}")
         if mask.num_ways != self.num_ways:
             raise ValidationError("mask sized for a different LLC")
+
+    def set_mask(self, domain, mask):
+        """Assign ``mask`` to ``domain``. Data is *not* flushed."""
+        self.check_mask(domain, mask)
         self._masks[domain] = mask
         self._mask_ways[domain] = list(mask)
         self._mask_bits[domain] = mask.bits

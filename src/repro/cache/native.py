@@ -6,13 +6,13 @@ batched driver made epoch-resumable: one threaded call advances every
 *active* cell by one epoch, host-side controller logic in between) live
 next to this module. Both ``#include`` ``multiwalk.c``, the fused
 N-domain walk and scheduler that replays one cell; a single co-run is a
-one-cell ``epochbatch`` roster. Each kernel is
+one-cell ``batchwalk`` roster. Each kernel is
 compiled once per (source revision, flag set) with whatever
 ``cc``/``gcc`` the host offers, cached as a shared object under the
 trace-pack cache directory, and loaded with :mod:`ctypes`. Everything is
 best-effort: no compiler, a failed compile, or ``REPRO_NATIVE=0`` simply
-means the ``*_fn`` accessors return ``None`` and callers stay on the
-pure-Python epoch driver — results are bit-identical either way, the
+means the ``*_fn`` accessors return ``None`` and callers fall back to
+their pure-Python references — results are bit-identical either way, the
 native kernels are only faster.
 
 ``REPRO_NATIVE_SANITIZE=1`` builds the kernels with AddressSanitizer

@@ -190,31 +190,20 @@ def backend_for(cell, threads=None):
     raise ValidationError(f"unknown cell backend {cell.backend!r}")
 
 
-def roster_cell_for(cell, llc_ways=12):
-    """The RosterCell realizing a batchable campaign cell.
+def roster_cell_for(cell):
+    """``(RosterCell, spec, split)`` realizing a batchable pair cell.
 
-    Masks are built exactly as ``TraceBackend.co_run`` builds them —
-    the foreground's ways from way 0 up, the background's from the top
-    down — so a roster-replayed cell is bit-identical to the per-cell
-    reference path.
+    The RosterCell is the one ``TraceBackend.co_run`` replays
+    (:meth:`~repro.backend.trace.TraceBackend.roster_cell`), so a
+    roster-replayed cell is bit-identical to the per-cell reference
+    path.
     """
-    from repro.cache.llc import WayMask
-    from repro.sim.trace_engine import RosterCell
-
-    split = split_for(cell, llc_ways)
+    backend = backend_for(cell)
+    split = split_for(cell, backend.capabilities().llc_ways)
     if split is None:
         raise ValidationError(f"cell {cell.cell_id} is not batchable")
     spec = trace_spec_for(cell)
-    return RosterCell(
-        workloads=[spec.fg, spec.bg],
-        masks={
-            spec.fg.tid // 2: WayMask.contiguous(split.fg_ways, 0, llc_ways),
-            spec.bg.tid // 2: WayMask.contiguous(
-                split.bg_ways, llc_ways - split.bg_ways, llc_ways
-            ),
-        },
-        total_accesses=int(cell.geometry_dict["accesses"]),
-    ), spec, split
+    return backend.roster_cell([spec.fg, spec.bg], split), spec, split
 
 
 @dataclass

@@ -79,8 +79,12 @@ class TraceEngine:
     kernel, bit-identical and much faster). With all prefetchers off,
     :meth:`run` dispatches through the hierarchy's allocation-free fused
     walk. :meth:`run_packed` and :meth:`run_dynamic` replay compiled
-    trace packs through one epoch driver (:func:`_epoch_replay`), and
-    :meth:`run` stays the bit-identity reference for both.
+    trace packs through the pure-Python epoch driver
+    (:func:`_epoch_replay`), and :meth:`run` stays the bit-identity
+    reference for both. All three are pure Python: the native kernels
+    are reached only through the rosters (:func:`run_packed_roster`,
+    :func:`run_dynamic_roster`), which these methods are the references
+    for.
     """
 
     def __init__(self, hierarchy=None, prefetchers_on=True, backend="object"):
@@ -160,12 +164,11 @@ class TraceEngine:
 
         Each workload's trace is compiled (or loaded from the pack cache)
         into columnar arrays once, and the whole co-run replays as one
-        epoch of the driver :func:`_epoch_replay` picks: a one-cell
-        ``epochbatch`` call when the native kernel is available, else
-        :class:`~repro.cache.kernel.PythonEpochReplay`, which also takes
-        an attached LLC profiler. ``packs`` optionally supplies
+        epoch of :class:`~repro.cache.kernel.PythonEpochReplay`, which
+        also takes an attached LLC profiler; every stat and state change
+        lands in this engine's hierarchy. ``packs`` optionally supplies
         pre-compiled packs aligned with ``workloads``. Falls back to
-        :meth:`run` whenever the epoch drivers do not apply: prefetchers
+        :meth:`run` whenever the epoch driver does not apply: prefetchers
         on, a non-compilable trace factory, a pack that carries writes,
         two workloads on one core, or hierarchy state outside the native
         kernels' precondition (non-kernel backend, dirty or prefetched
@@ -216,10 +219,10 @@ class TraceEngine:
         resident line and the full recency state carry straight across
         the reallocation, which is the Section 2.1 mechanism semantics
         the analytical ``repro dynamic`` can only model. The epoch driver
-        comes from :func:`_epoch_replay`, like :meth:`run_packed`'s:
-        native when available, else the bit-identical pure-Python
-        driver; stats and the reallocation timeline are byte-equal either
-        way. Returns a :class:`DynamicTraceResult`.
+        is :meth:`run_packed`'s pure-Python one, whose walk reads the
+        masks live; this is the reference :func:`run_dynamic_roster`
+        equals bit for bit, stats and reallocation timeline alike.
+        Returns a :class:`DynamicTraceResult`.
         """
         if len(workloads) < 2:
             raise ValidationError("dynamic partitioning needs >= 2 workloads")
@@ -294,19 +297,9 @@ class TraceEngine:
                 if new_masks:
                     for name, mask in new_masks.items():
                         hierarchy.set_way_mask(core_by_name[name], mask)
-                    replay.refresh_masks()
-                    act = controller.actions[-1]
-                    timeline.append({
-                        "epoch": epoch,
-                        "time_s": act.time_s,
-                        "fg_ways": act.fg_ways,
-                        "reason": act.reason,
-                        "mpki": act.mpki,
-                        "masks": {
-                            n: m.bits
-                            for n, m in sorted(new_masks.items())
-                        },
-                    })
+                    timeline.append(
+                        _timeline_entry(epoch, controller, new_masks)
+                    )
         finally:
             if gc_was_enabled:
                 gc.enable()
@@ -319,7 +312,7 @@ class TraceEngine:
             timeline=timeline,
             actions=list(controller.actions),
             epochs=epoch,
-            native=replay.native,
+            native=False,
         )
 
     @staticmethod
@@ -361,45 +354,43 @@ def _compile_packs(workloads):
     return packs
 
 
+def _timeline_entry(epoch, controller, new_masks):
+    """The timeline record of one applied reallocation: the epoch, the
+    controller's last action, and the full name -> way-bitmask map."""
+    act = controller.actions[-1]
+    return {
+        "epoch": epoch,
+        "time_s": act.time_s,
+        "fg_ways": act.fg_ways,
+        "reason": act.reason,
+        "mpki": act.mpki,
+        "masks": {n: m.bits for n, m in sorted(new_masks.items())},
+    }
+
+
 def _epoch_replay(hierarchy, cores, workloads, packs):
-    """The epoch driver for one packed co-run, or ``None``.
+    """The pure-Python epoch driver for one packed co-run, or ``None``.
 
-    The native driver (a one-cell ``epochbatch`` roster, see
-    :func:`~repro.cache.kernel.build_native_epoch_replay`) when the
-    kernel is available and the layout allows it, else the pure-Python
-    :class:`~repro.cache.kernel.PythonEpochReplay`. ``None`` when the
-    epoch drivers cannot take the co-run at all: a pack carries writes,
-    two workloads share a core, or the hierarchy fails the drivers'
-    shared gate (:func:`~repro.cache.kernel._epoch_replay_supported`).
-    Both drivers are bit-identical to :meth:`TraceEngine.run`.
+    A :class:`~repro.cache.kernel.PythonEpochReplay` over the
+    hierarchy's fused walks, bit-identical to :meth:`TraceEngine.run`.
+    ``None`` when it cannot take the co-run: a non-kernel LLC, a pack
+    that carries writes, two workloads on one core, or a hierarchy that
+    fails the drivers' shared gate
+    (:func:`~repro.cache.kernel._epoch_replay_supported`).
     """
-    from repro.cache.kernel import (
-        KernelCacheLevel,
-        build_native_epoch_replay,
-        build_python_epoch_replay,
-    )
+    from repro.cache.kernel import KernelCacheLevel, build_python_epoch_replay
 
-    llc = hierarchy.llc.storage
-    if not isinstance(llc, KernelCacheLevel):
+    if not isinstance(hierarchy.llc.storage, KernelCacheLevel):
         return None
     if any(p.writes_list() is not None for p in packs):
         return None
-    indexing = "mod" if llc._mod_mask >= 0 else "hash"
-    thinks = [w.think_cycles for w in workloads]
-    lengths = [len(p.line) for p in packs]
-    repeats = [w.repeat for w in workloads]
-    replay = build_native_epoch_replay(
-        hierarchy, cores, thinks,
-        [p.line for p in packs],
-        [p.set_column(llc.num_sets, indexing) for p in packs],
-        lengths, repeats,
+    return build_python_epoch_replay(
+        hierarchy, cores,
+        [w.think_cycles for w in workloads],
+        [p.lines_list() for p in packs],
+        [len(p.line) for p in packs],
+        [w.repeat for w in workloads],
     )
-    if replay is None:
-        replay = build_python_epoch_replay(
-            hierarchy, cores, thinks, [p.lines_list() for p in packs],
-            lengths, repeats,
-        )
-    return replay
 
 
 def measure_isolation(fg_workload, bg_workload, fg_mask=None, bg_mask=None,
@@ -410,37 +401,44 @@ def measure_isolation(fg_workload, bg_workload, fg_mask=None, bg_mask=None,
     The address-level version of the paper's core experiment. Prefetchers
     default off: a prefetch-accelerated stream monopolizes the access
     budget and the measurement becomes a warm-up study rather than a
-    partitioning one. Every pass goes through
-    :meth:`TraceEngine.run_packed`, which falls back to
-    :meth:`TraceEngine.run` by itself; the kernel backend equals the
-    object model, so the numbers are the same on either.
+    partitioning one. Each scenario is a warm-up pass, then a measured
+    pass over the same caches. With the native kernels the three
+    scenarios are three cells of one epoch batch over the cold
+    template (:func:`_isolation_batch`). Otherwise — prefetchers on, a
+    non-kernel backend, or a co-run the batch builder refuses — each
+    scenario is two :meth:`TraceEngine.run_packed` calls on one fresh
+    engine, which fall back to :meth:`TraceEngine.run` by themselves.
+    The numbers are the same on every path.
     """
     from repro.cache.llc import WayMask
-
-    def fresh_engine(masks=None):
-        engine = TraceEngine(prefetchers_on=prefetchers_on, backend=backend)
-        if masks:
-            for core, mask in masks.items():
-                engine.hierarchy.set_way_mask(core, mask)
-        return engine
 
     fg_core = fg_workload.tid // 2
     bg_core = bg_workload.tid // 2
     if fg_core == bg_core:
         raise ValidationError("workloads must run on different cores")
-
-    def warm_then_measure(masks, workloads):
-        engine = fresh_engine(masks)
-        engine.run_packed(workloads, total_accesses)  # warm-up pass
-        return engine.run_packed(workloads, total_accesses)  # measured pass
-
-    alone = warm_then_measure(None, [fg_workload])
-    shared = warm_then_measure(None, [fg_workload, bg_workload])
+    pair = [fg_workload, bg_workload]
     masks = {
         fg_core: fg_mask or WayMask.contiguous(9, 0),
         bg_core: bg_mask or WayMask.contiguous(3, 9),
     }
-    partitioned = warm_then_measure(masks, [fg_workload, bg_workload])
+    scenarios = {
+        "alone": RosterCell([fg_workload], None, total_accesses),
+        "shared": RosterCell(pair, None, total_accesses),
+        "partitioned": RosterCell(pair, masks, total_accesses),
+    }
+
+    def warm_then_measure(cell):
+        engine = TraceEngine(prefetchers_on=prefetchers_on, backend=backend)
+        for core, mask in (cell.masks or {}).items():
+            engine.hierarchy.set_way_mask(core, mask)
+        engine.run_packed(cell.workloads, total_accesses)  # warm-up pass
+        return engine.run_packed(cell.workloads, total_accesses)
+
+    outcomes = None
+    if backend == "kernel" and not prefetchers_on:
+        outcomes = _isolation_batch(list(scenarios.values()))
+    if outcomes is None:
+        outcomes = [warm_then_measure(cell) for cell in scenarios.values()]
 
     def summarize(stats):
         s = stats[fg_workload.name]
@@ -450,10 +448,42 @@ def measure_isolation(fg_workload, bg_workload, fg_mask=None, bg_mask=None,
         }
 
     return {
-        "alone": summarize(alone),
-        "shared": summarize(shared),
-        "partitioned": summarize(partitioned),
+        name: summarize(stats) for name, stats in zip(scenarios, outcomes)
     }
+
+
+def _isolation_batch(cells):
+    """Warm-then-measure :class:`RosterCell` co-runs as the cells of one
+    epoch batch over the cold template, or ``None`` where
+    :func:`_roster_batch` declines.
+
+    One call runs every cell's warm-up pass;
+    :meth:`~repro.cache.kernel.NativeEpochBatchReplay.restart` rewinds
+    each cell's traces over its warm bank, and one more call runs the
+    measured pass. Returns ``{name: TraceStats}`` per cell from the
+    measured pass, equal to two :meth:`TraceEngine.run_packed` calls on
+    one fresh engine per cell.
+    """
+    from repro.cache.kernel import build_native_epoch_batch_replay
+
+    built = _roster_batch(cells, build_native_epoch_batch_replay)
+    if built is None:
+        return None
+    batch, cell_packs = built
+    rows = list(range(len(cells)))
+    for _ in range(2):  # the warm-up pass, then the measured pass
+        for r in rows:
+            batch.restart(r)
+        batch.run_active(rows)
+        ec.add(ec.DYNBATCH_CALLS)
+        ec.add(ec.DYNBATCH_CELLS, len(rows))
+        outcomes = [
+            TraceEngine._packed_stats(
+                cell.workloads, *batch.cell_result(r), packs
+            )
+            for r, cell, packs in zip(rows, cells, cell_packs)
+        ]
+    return outcomes
 
 
 @dataclass
@@ -522,6 +552,54 @@ def _batch_cell(hierarchy, cores, workloads, packs, stop, **extra):
     }
 
 
+def _roster_batch(cells, build, threads=None, **extra):
+    """``(batch, cell_packs)``: the :class:`RosterCell` roster as one
+    native batch from the cold template, built by ``build``
+    (:func:`~repro.cache.kernel.build_native_batch_replay` or its epoch
+    sibling) with ``extra`` cell keys, and each cell's trace packs.
+
+    ``None`` when a cell's traces are not pack-compilable or write, a
+    cell puts two workloads on one core, or the builder declines. A
+    cell with no or duplicate workload names, or a mask ``set_way_mask``
+    would refuse on a fresh hierarchy, raises :class:`ValidationError`
+    first. Cores a cell's masks leave out keep the full cache.
+    """
+    template = _cold_template()
+    h = template.hierarchy
+    for cell in cells:
+        if not cell.workloads:
+            raise ValidationError("every roster cell needs workloads")
+        names = [w.name for w in cell.workloads]
+        if len(set(names)) != len(names):
+            raise ValidationError("workload names must be unique per cell")
+        for core, mask in (cell.masks or {}).items():
+            h.llc.check_mask(core, mask)
+
+    default_bits = h.llc._mask_bits
+    cell_packs = []
+    cell_dicts = []
+    for cell in cells:
+        packs = _compile_packs(cell.workloads)
+        if packs is None or any(p.writes_list() is not None for p in packs):
+            return None
+        cores = [h.core_of_tid(w.tid) for w in cell.workloads]
+        if len(set(cores)) != len(cores):
+            return None
+        mask_bits = None
+        if cell.masks:
+            mask_bits = [
+                cell.masks[c].bits if c in cell.masks else default_bits[c]
+                for c in cores
+            ]
+        cell_packs.append(packs)
+        cell_dicts.append(_batch_cell(
+            h, cores, cell.workloads, packs, cell.total_accesses,
+            mask_bits=mask_bits, **extra,
+        ))
+    batch = build(template, cell_dicts, threads=threads)
+    return None if batch is None else (batch, cell_packs)
+
+
 def run_packed_roster(cells, threads=None):
     """Replay a roster of independent co-runs in ONE native call.
 
@@ -541,51 +619,19 @@ def run_packed_roster(cells, threads=None):
 
     Shared traces dedupe through the pack cache, so R allocations of a
     way sweep replay one memmapped TracePack, not R copies.
+
+    A mask naming an unknown core or sized for another LLC raises the
+    :class:`ValidationError` ``set_way_mask`` raises, on every path.
     """
     if not cells:
         return []
-    for cell in cells:
-        if not cell.workloads:
-            raise ValidationError("every roster cell needs workloads")
-        names = [w.name for w in cell.workloads]
-        if len(set(names)) != len(names):
-            raise ValidationError("workload names must be unique per cell")
-
-    cell_packs = []
-    for cell in cells:
-        packs = _compile_packs(cell.workloads)
-        if packs is None:
-            return _run_roster_sequential(cells)
-        cell_packs.append(packs)
 
     from repro.cache.kernel import build_native_batch_replay
 
-    template = _cold_template()
-    h = template.hierarchy
-    core_of = h.core_of_tid
-    default_bits = h.llc._mask_bits
-
-    cell_dicts = []
-    for cell, packs in zip(cells, cell_packs):
-        cores = [core_of(w.tid) for w in cell.workloads]
-        if len(set(cores)) != len(cores) or any(
-            p.writes_list() is not None for p in packs
-        ):
-            return _run_roster_sequential(cells)
-        mask_bits = None
-        if cell.masks:
-            mask_bits = [
-                cell.masks[c].bits if c in cell.masks else default_bits[c]
-                for c in cores
-            ]
-        cell_dicts.append(_batch_cell(
-            h, cores, cell.workloads, packs, cell.total_accesses,
-            mask_bits=mask_bits,
-        ))
-
-    batch = build_native_batch_replay(template, cell_dicts, threads=threads)
-    if batch is None:
+    built = _roster_batch(cells, build_native_batch_replay, threads)
+    if built is None:
         return _run_roster_sequential(cells)
+    batch, cell_packs = built
 
     gc_was_enabled = gc.isenabled()
     if gc_was_enabled:
@@ -659,7 +705,9 @@ def run_dynamic_roster(cells, threads=None):
     :class:`TraceEngine` via :meth:`TraceEngine.run_dynamic`. That
     reference, :func:`_run_dynamic_roster_sequential`, is also the
     fallback whenever a cell is not batchable or the epoch-batch kernel
-    is unavailable.
+    is unavailable. A controller mask, initial or returned by
+    ``on_tick``, sized for another LLC raises the
+    :class:`ValidationError` ``set_way_mask`` raises, on every path.
     """
     if not cells:
         return []
@@ -674,47 +722,31 @@ def run_dynamic_roster(cells, threads=None):
             )
         seen_controllers.add(id(cell.controller))
 
-    cell_packs = []
+    from repro.cache.kernel import build_native_epoch_batch_replay
+    from repro.core.dynamic import mpki_windows
+
+    h = _cold_template().hierarchy
+    core_of = h.core_of_tid
+    roster = []
     for cell in cells:
         names = [w.name for w in cell.workloads]
+        initial = cell.controller.masks()
         if (
             len(cell.workloads) < 2
             or len(set(names)) != len(names)
             or cell.epoch_accesses < 1
+            or set(initial) != set(names)
         ):
             return _run_dynamic_roster_sequential(cells)
-        packs = _compile_packs(cell.workloads)
-        if packs is None or any(p.writes_list() is not None for p in packs):
-            return _run_dynamic_roster_sequential(cells)
-        cell_packs.append(packs)
-
-    from repro.cache.kernel import build_native_epoch_batch_replay
-    from repro.core.dynamic import mpki_windows
-
-    template = _cold_template()
-    h = template.hierarchy
-    core_of = h.core_of_tid
-
-    cell_dicts = []
-    for cell, packs in zip(cells, cell_packs):
-        names = [w.name for w in cell.workloads]
-        cores = [core_of(w.tid) for w in cell.workloads]
-        if len(set(cores)) != len(cores):
-            return _run_dynamic_roster_sequential(cells)
-        initial = cell.controller.masks()
-        if set(initial) != set(names):
-            return _run_dynamic_roster_sequential(cells)
-        cell_dicts.append(_batch_cell(
-            h, cores, cell.workloads, packs,
+        roster.append(RosterCell(
+            cell.workloads,
+            {core_of(w.tid): initial[w.name] for w in cell.workloads},
             0,  # nothing runs until the host loop sets targets
-            mask_bits=[initial[name].bits for name in names],
         ))
-
-    batch = build_native_epoch_batch_replay(
-        template, cell_dicts, threads=threads
-    )
-    if batch is None:
+    built = _roster_batch(roster, build_native_epoch_batch_replay, threads)
+    if built is None:
         return _run_dynamic_roster_sequential(cells)
+    batch, cell_packs = built
 
     import numpy as np
 
@@ -770,19 +802,14 @@ def run_dynamic_roster(cells, threads=None):
                 if new_masks:
                     slot_of = {name: i for i, name in enumerate(names)}
                     for name, mask in new_masks.items():
-                        batch.set_mask_bits(r, slot_of[name], mask.bits)
-                    act = controller.actions[-1]
-                    timelines[r].append({
-                        "epoch": epochs[r],
-                        "time_s": act.time_s,
-                        "fg_ways": act.fg_ways,
-                        "reason": act.reason,
-                        "mpki": act.mpki,
-                        "masks": {
-                            n: m.bits
-                            for n, m in sorted(new_masks.items())
-                        },
-                    })
+                        slot = slot_of[name]
+                        h.llc.check_mask(
+                            core_of(cell.workloads[slot].tid), mask
+                        )
+                        batch.set_mask_bits(r, slot, mask.bits)
+                    timelines[r].append(
+                        _timeline_entry(epochs[r], controller, new_masks)
+                    )
                 if issued[r] < totals[r]:
                     still.append(r)
             active = still
@@ -842,29 +869,21 @@ def way_allocation_sweep(workloads, total_accesses=100_000):
 
 def _native_way_sweep(workloads, total_accesses):
     """The profiled co-run as one native batch cell, or ``None``."""
-    packs = _compile_packs(workloads)
-    if packs is None or any(p.writes_list() is not None for p in packs):
-        return None
-
     from repro.cache.kernel import build_native_batch_replay
     from repro.cache.profile import WayCurve
 
-    template = _cold_template()
-    h = template.hierarchy
-    cores = [h.core_of_tid(w.tid) for w in workloads]
-    if len(set(cores)) != len(cores):
-        return None
-    cell = _batch_cell(
-        h, cores, workloads, packs, total_accesses, profile=True
+    built = _roster_batch(
+        [RosterCell(workloads, None, total_accesses)],
+        build_native_batch_replay, threads=1, profile=True,
     )
-    batch = build_native_batch_replay(template, [cell], threads=1)
-    if batch is None:
+    if built is None:
         return None
+    batch, (packs,) = built
     ((counts, vtimes),) = batch.run()
-    stats = TraceEngine._packed_stats(
-        workloads, list(counts), list(vtimes), packs
-    )
+    stats = TraceEngine._packed_stats(workloads, counts, vtimes, packs)
+    h = _cold_template().hierarchy
     W = h.llc.storage.num_ways
+    cores = [h.core_of_tid(w.tid) for w in workloads]
     hists = dict(zip(cores, batch.cell_profile(0)))
     curves = {}
     for core in range(h.num_cores):

@@ -16,9 +16,25 @@ from repro.core.policies import (
     policy_dynamic,
     run_policy_on,
 )
+from repro.cache.llc import WayMask
+from repro.perf import engine_counters as ec
+from repro.sim.trace_engine import TraceEngine
 from repro.util.errors import ValidationError
 
+from .._native import native_available
+
 ACCESSES = 20_000
+
+
+def _one_batch_call(measure):
+    """``measure()``, asserting it made exactly one batch-kernel call
+    (none without the native kernels) and no epoch-batch call."""
+    snapshot = ec.engine_counters().snapshot()
+    measured = measure()
+    delta = ec.engine_counters().delta(snapshot)
+    assert delta.get(ec.BATCH_CALLS, 0) == int(native_available())
+    assert delta.get(ec.DYNBATCH_CALLS, 0) == 0
+    return measured
 
 
 @pytest.fixture(scope="module", autouse=True)
@@ -81,6 +97,31 @@ class TestCoRun:
     def test_policies_agree_with_direct_mask_replay(self, backend, spec):
         # shared and fair, re-run with hand-built way masks: exact match.
         assert verify_trace_policy_replay(backend, spec) == 4
+
+    @pytest.mark.parametrize("split", [
+        WaySplit.shared(12), WaySplit.fair(12), WaySplit.disjoint(4, 12),
+    ], ids=["shared", "fair", "disjoint"])
+    def test_co_run_is_one_batch_call_equal_to_run_packed(
+        self, backend, spec, split
+    ):
+        measured = _one_batch_call(lambda: backend.co_run(spec, split))
+        engine = TraceEngine(prefetchers_on=False, backend="kernel")
+        h = engine.hierarchy
+        h.set_way_mask(spec.fg.tid // 2, WayMask.contiguous(split.fg_ways, 0))
+        h.set_way_mask(
+            spec.bg.tid // 2,
+            WayMask.contiguous(split.bg_ways, 12 - split.bg_ways),
+        )
+        assert measured.raw == engine.run_packed(
+            [spec.fg, spec.bg], total_accesses=ACCESSES
+        )
+
+    def test_solo_is_one_batch_call_equal_to_run_packed(self, backend, spec):
+        measured = _one_batch_call(lambda: backend.solo(spec.fg))
+        engine = TraceEngine(prefetchers_on=False, backend="kernel")
+        assert measured.raw == engine.run_packed(
+            [spec.fg], total_accesses=ACCESSES
+        )
 
 
 class TestProfiledSweep:

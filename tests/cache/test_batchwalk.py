@@ -134,6 +134,26 @@ class TestRosterValidation:
         with pytest.raises(ValidationError):
             run_packed_roster([RosterCell(workloads=clash)])
 
+    @pytest.mark.parametrize("native_on", [True, False],
+                             ids=["native", "python"])
+    @pytest.mark.parametrize("masks, message", [
+        ({0: WayMask.contiguous(3, 0, 8)}, "different LLC"),
+        ({9: WayMask.contiguous(3, 0)}, "unknown domain 9"),
+    ], ids=["8-way-mask", "core-9"])
+    def test_masks_set_way_mask_refuses_are_rejected(
+        self, masks, message, native_on
+    ):
+        """Every path raises what ``set_way_mask`` raises on the
+        sequential reference, before any replay."""
+        cells = [RosterCell(_pair(), total_accesses=2_000),
+                 RosterCell(_pair(), masks=masks, total_accesses=2_000)]
+
+        def run():
+            with pytest.raises(ValidationError, match=message):
+                run_packed_roster(cells)
+
+        run() if native_on else without_native(run)
+
 
 class TestBatchedRoster:
     def test_batch_matches_sequential_for_mixed_cells(self):

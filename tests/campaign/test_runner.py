@@ -138,7 +138,12 @@ class TestExecution:
         )
         delta = ec.engine_counters().delta(snapshot)
         assert result.complete
-        assert delta.get(ec.BATCH_CALLS, 0) == 0
+        assert result.roster_shards == 0
+        records = load_runset_dir(str(store)).records
+        assert records
+        assert all(r.provenance["source"] == "cell" for r in records)
+        # Each per-cell co-run is its own one-cell batch call.
+        assert delta.get(ec.BATCH_CELLS, 0) == delta.get(ec.BATCH_CALLS, 0)
         assert verify_campaign(manifest, str(store)) == result.cells_run
 
 

@@ -1,15 +1,20 @@
 """Property: every packed co-run of 1-4 domains replays exactly like
-``TraceEngine.run``, through the native epoch kernel and through the
-pure-Python epoch driver (``REPRO_NATIVE=0``) — random per-domain
-lengths, think times, and repeat flags, including the all-retired
-early-exit and constant-tie cases."""
+``TraceEngine.run``, through the pure-Python epoch driver
+(``TraceEngine.run_packed``) and as a one-cell roster, native and
+``REPRO_NATIVE=0`` — random per-domain lengths, think times, and repeat
+flags, including the all-retired early-exit and constant-tie cases."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cache.llc import WayMask
-from repro.sim.trace_engine import TraceEngine, TraceWorkload
+from repro.sim.trace_engine import (
+    RosterCell,
+    TraceEngine,
+    TraceWorkload,
+    run_packed_roster,
+)
 from repro.workloads.trace import (
     PointerChaseTrace,
     StreamingTrace,
@@ -42,17 +47,32 @@ def _make_workloads(lengths, thinks, repeats):
     ]
 
 
-def _run(workloads, packs, total):
-    """``run_packed`` over ``packs``, or ``run`` when ``packs`` is None."""
+def _masks(domains):
+    """``{core: WayMask}`` splitting the LLC among ``domains`` domains."""
     ways_split = {
         1: (12,), 2: (9, 3), 3: (6, 3, 3), 4: (6, 2, 2, 2),
-    }[len(workloads)]
-    engine = TraceEngine(prefetchers_on=False, backend="kernel")
+    }[domains]
+    masks = {}
     start = 0
     for i, ways in enumerate(ways_split):
-        core = engine.hierarchy.core_of_tid(_TIDS[i])
-        engine.hierarchy.set_way_mask(core, WayMask.contiguous(ways, start))
+        masks[_TIDS[i] // 2] = WayMask.contiguous(ways, start)
         start += ways
+    return masks
+
+
+def _roster(workloads, total):
+    """The co-run as a one-cell ``run_packed_roster``."""
+    cell = RosterCell(
+        workloads, masks=_masks(len(workloads)), total_accesses=total
+    )
+    return run_packed_roster([cell])[0]
+
+
+def _run(workloads, packs, total):
+    """``run_packed`` over ``packs``, or ``run`` when ``packs`` is None."""
+    engine = TraceEngine(prefetchers_on=False, backend="kernel")
+    for core, mask in _masks(len(workloads)).items():
+        engine.hierarchy.set_way_mask(core, mask)
     if packs is None:
         stats = engine.run(workloads, total_accesses=total)
     else:
@@ -100,7 +120,9 @@ class TestMultiwalkProperty:
                       pack_key(w.trace_factory()))
             for w in workloads
         ]
-        native_sig = _run(workloads, packs, total)
-        python_sig = without_native(lambda: _run(workloads, packs, total))
+        packed_sig = _run(workloads, packs, total)
         run_sig = _run(workloads, None, total)
-        assert native_sig == python_sig == run_sig
+        assert packed_sig == run_sig
+        assert _roster(workloads, total) == run_sig[0]
+        python = without_native(lambda: _roster(workloads, total))
+        assert python == run_sig[0]

@@ -2,7 +2,7 @@
 
 Three implementations must agree bit for bit on any co-run: the
 reference ``TraceEngine.run``, the pure-Python epoch driver, and the
-native epoch kernel (a one-cell ``epochbatch`` roster over
+native epoch kernel (one-cell ``epochbatch`` rosters over
 ``multiwalk.c``). On top of that, splitting a run into
 epochs — with or without way-mask changes at the boundaries — must be
 invisible to the simulated caches (the flush-free resume contract).
@@ -13,12 +13,21 @@ import json
 import pytest
 
 from repro.cache.kernel import (
-    build_native_epoch_replay,
+    TemplateBank,
+    build_native_epoch_batch_replay,
     build_python_epoch_replay,
 )
 from repro.cache.llc import WayMask
 from repro.core.dynamic import DynamicPartitionController, mpki_window
-from repro.sim.trace_engine import TraceEngine, TraceWorkload
+from repro.sim.trace_engine import (
+    DynamicRosterCell,
+    RosterCell,
+    TraceEngine,
+    TraceWorkload,
+    _batch_cell,
+    run_dynamic_roster,
+    run_packed_roster,
+)
 from repro.util.errors import ValidationError
 from repro.util.units import MB
 from repro.workloads import tracepack
@@ -65,13 +74,20 @@ def _workloads(n=3, length=5_000, repeats=None, thinks=None):
     return out
 
 
-def _engine(n=3):
-    engine = TraceEngine(prefetchers_on=False, backend="kernel")
+def _masks(n=3):
+    """``{core: WayMask}`` of the n-domain partition."""
+    masks = {}
     start = 0
     for i, ways in enumerate(_PARTITIONS[n]):
-        core = engine.hierarchy.core_of_tid(_TIDS[i])
-        engine.hierarchy.set_way_mask(core, WayMask.contiguous(ways, start))
+        masks[_TIDS[i] // 2] = WayMask.contiguous(ways, start)
         start += ways
+    return masks
+
+
+def _engine(n=3):
+    engine = TraceEngine(prefetchers_on=False, backend="kernel")
+    for core, mask in _masks(n).items():
+        engine.hierarchy.set_way_mask(core, mask)
     return engine
 
 
@@ -92,28 +108,77 @@ def _packs(workloads):
     return [tracepack.get_pack(w.trace_factory()) for w in workloads]
 
 
-def _build_replay(builder, engine, workloads, packs, plain=False):
-    """``plain``: the Python builder, which takes plain line lists and
-    indexes the LLC itself; else the native one, which takes the pack
-    columns and their set columns."""
+def _python_replay(engine, workloads, packs):
+    """The pure-Python epoch driver over ``engine``'s hierarchy."""
     h = engine.hierarchy
-    if plain:
-        columns = [[p.lines_list() for p in packs]]
-    else:
-        llc = h.llc.storage
-        indexing = "mod" if llc._mod_mask >= 0 else "hash"
-        columns = [
-            [p.line for p in packs],
-            [p.set_column(llc.num_sets, indexing) for p in packs],
-        ]
-    return builder(
+    return build_python_epoch_replay(
         h,
         [h.core_of_tid(w.tid) for w in workloads],
         [w.think_cycles for w in workloads],
-        *columns,
+        [p.lines_list() for p in packs],
         [len(p.line) for p in packs],
         [w.repeat for w in workloads],
     )
+
+
+class _NativeCell:
+    """A one-cell native epoch batch starting from ``engine``'s
+    hierarchy, driven epoch by epoch through ``set_stop``/``run_active``
+    and reallocated through ``set_mask_bits``."""
+
+    def __init__(self, engine, workloads, packs):
+        h = engine.hierarchy
+        cores = [h.core_of_tid(w.tid) for w in workloads]
+        self.template = TemplateBank(h)
+        self.batch = build_native_epoch_batch_replay(
+            self.template, [_batch_cell(h, cores, workloads, packs, 0)],
+            threads=1,
+        )
+        assert self.batch is not None
+
+    def run_epoch(self, stop):
+        self.batch.set_stop(0, stop)
+        self.batch.run_active([0])
+        return self.batch.issued_of(0)
+
+    def set_mask(self, slot, mask):
+        self.batch.set_mask_bits(0, slot, mask.bits)
+
+    def result(self):
+        """``(counts, vtimes)`` in :meth:`PythonEpochReplay.finish`'s
+        shape."""
+        return self.batch.cell_result(0)
+
+    def state(self):
+        """The cell's whole state bank (filled by its first run)."""
+        return self.batch._banks[0].tolist()
+
+    def llc_resident(self):
+        """Sorted resident LLC lines, read from the cell's bank."""
+        layout, _ = self.template.layout()
+        bank = self.batch._banks[0]
+        tags = bank[layout["llc_tags"]].tolist()
+        valid = bank[layout["llc_valid"]].tolist()
+        ways = len(tags) // len(valid)
+        return sorted(
+            tags[s * ways + w]
+            for s, bits in enumerate(valid)
+            for w in range(ways)
+            if bits >> w & 1
+        )
+
+
+def _python_state(engine):
+    """``engine``'s hierarchy state in the native bank layout, the
+    back-invalidation counters read from its L1 and L2 stats."""
+    h = engine.hierarchy
+    template = TemplateBank(h)
+    bank = template.bank
+    layout, _ = template.layout()
+    bank[layout["bi"]] = [
+        level.stats.back_invalidations for level in (*h.l1, *h.l2)
+    ]
+    return bank.tolist()
 
 
 class TestEpochResume:
@@ -125,14 +190,12 @@ class TestEpochResume:
         total = 12_000
 
         one = _engine(3)
-        whole = _build_replay(build_python_epoch_replay, one, workloads,
-                              packs, plain=True)
+        whole = _python_replay(one, workloads, packs)
         whole.run_epoch(total)
         whole_out = whole.finish()
 
         many = _engine(3)
-        split = _build_replay(build_python_epoch_replay, many, workloads,
-                              packs, plain=True)
+        split = _python_replay(many, workloads, packs)
         done = 0
         while done < total:
             done = split.run_epoch(min(done + 777, total))
@@ -143,19 +206,16 @@ class TestEpochResume:
 
     def test_native_lockstep_with_python_driver(self):
         """Epoch boundaries: issued counts, virtual times, per-domain
-        counters, and the resident set agree at every single boundary."""
+        counters, and the resident set agree at every single boundary,
+        and the whole cache state at the end."""
         if not native_available():
             pytest.skip("native kernels unavailable")
         workloads = _workloads(3)
         packs = _packs(workloads)
 
         py_engine = _engine(3)
-        py = _build_replay(build_python_epoch_replay, py_engine, workloads,
-                           packs, plain=True)
-        nat_engine = _engine(3)
-        nat = _build_replay(build_native_epoch_replay, nat_engine, workloads,
-                            packs)
-        assert nat is not None and nat.native and not py.native
+        py = _python_replay(py_engine, workloads, packs)
+        nat = _NativeCell(_engine(3), workloads, packs)
 
         total, step, done = 10_000, 640, 0
         while done < total:
@@ -163,14 +223,15 @@ class TestEpochResume:
             py_done = py.run_epoch(target)
             nat_done = nat.run_epoch(target)
             assert nat_done == py_done
-            assert nat.vtimes() == py.vtimes()
-            assert [nat.counters(i) for i in range(3)] == [
-                py.counters(i) for i in range(3)
-            ]
-            assert nat.llc_resident() == py.llc_resident()
+            counts, vtimes = nat.result()
+            assert list(vtimes) == py.vtimes()
+            assert list(counts) == [py.counters(i) for i in range(3)]
+            assert nat.llc_resident() == sorted(
+                py_engine.hierarchy.llc.storage.resident_lines()
+            )
             done = py_done
-        assert nat.finish() == py.finish()
-        assert _signature(nat_engine, None) == _signature(py_engine, None)
+        assert nat.result() == py.finish()
+        assert nat.state() == _python_state(py_engine)
 
     def test_mask_change_is_flush_free(self):
         """A reallocation at an epoch boundary must not disturb a single
@@ -182,34 +243,63 @@ class TestEpochResume:
         packs = _packs(workloads)
 
         py_engine = _engine(3)
-        py = _build_replay(build_python_epoch_replay, py_engine, workloads,
-                           packs, plain=True)
-        nat_engine = _engine(3)
-        nat = _build_replay(build_native_epoch_replay, nat_engine, workloads,
-                            packs)
+        py = _python_replay(py_engine, workloads, packs)
+        nat = _NativeCell(_engine(3), workloads, packs)
+
+        def py_resident():
+            return sorted(py_engine.hierarchy.llc.storage.resident_lines())
 
         py.run_epoch(6_000)
         nat.run_epoch(6_000)
         resident = nat.llc_resident()
-        assert resident == py.llc_resident()
+        assert resident == py_resident()
         assert resident  # the straddle is only meaningful with lines in
 
-        # Shrink the foreground 6 -> 3 ways, grow bg2 3 -> 6.
-        for engine in (py_engine, nat_engine):
-            h = engine.hierarchy
-            h.set_way_mask(h.core_of_tid(0), WayMask.contiguous(3, 0))
-            h.set_way_mask(h.core_of_tid(2), WayMask.contiguous(6, 6))
-        py.refresh_masks()
-        nat.refresh_masks()
+        # Shrink the foreground (slot 0) 6 -> 3 ways, grow bg2 (slot 2)
+        # 3 -> 6.
+        h = py_engine.hierarchy
+        for slot, tid, mask in ((0, 0, WayMask.contiguous(3, 0)),
+                                (2, 2, WayMask.contiguous(6, 6))):
+            h.set_way_mask(h.core_of_tid(tid), mask)
+            nat.set_mask(slot, mask)
 
         # The hand-off is lazy: nothing was evicted by the mask change.
         assert nat.llc_resident() == resident
-        assert py.llc_resident() == resident
+        assert py_resident() == resident
 
         py.run_epoch(12_000)
         nat.run_epoch(12_000)
-        assert nat.finish() == py.finish()
-        assert _signature(nat_engine, None) == _signature(py_engine, None)
+        assert nat.result() == py.finish()
+        assert nat.state() == _python_state(py_engine)
+
+
+class TestRestart:
+    """A restarted epoch-batch cell is a second run_packed on the same,
+    now warm, engine."""
+
+    def test_restarted_cell_equals_warm_then_measure(self):
+        if not native_available():
+            pytest.skip("native kernels unavailable")
+        # fg retires mid-pass, so the restart must revive it.
+        workloads = _workloads(3, length=3_000,
+                               repeats=[False, True, True])
+        packs = _packs(workloads)
+        total = 12_000
+
+        engine = _engine(3)
+        engine.run_packed(workloads, total_accesses=total, packs=packs)
+        measured = engine.run_packed(workloads, total_accesses=total,
+                                     packs=packs)
+        assert measured["fg"].accesses == 3_000
+
+        nat = _NativeCell(_engine(3), workloads, packs)
+        nat.run_epoch(total)
+        nat.batch.restart(0)
+        assert nat.batch.issued_of(0) == 0
+        assert nat.run_epoch(total) == total
+        stats = TraceEngine._packed_stats(workloads, *nat.result(), packs)
+        assert stats == measured
+        assert nat.state() == _python_state(engine)
 
 
 class TestTieBreaking:
@@ -228,77 +318,55 @@ class TestTieBreaking:
         packs = _packs(workloads)
         total = 9_000
 
+        heap = _engine(3)
+        heap_sig = _signature(
+            heap, heap.run(workloads, total_accesses=total)
+        )
         engine = _engine(3)
-        native_sig = _signature(
+        assert _signature(
             engine,
             engine.run_packed(workloads, total_accesses=total, packs=packs),
-        )
-
-        def python_run():
-            engine = _engine(3)
-            return _signature(
-                engine,
-                engine.run_packed(workloads, total_accesses=total,
-                                  packs=packs),
-            )
-
-        assert without_native(python_run) == native_sig
+        ) == heap_sig
+        roster = run_packed_roster([
+            RosterCell(workloads, masks=_masks(3), total_accesses=total)
+        ])
+        assert roster == [heap_sig[0]]
 
         py_engine = _engine(3)
-        py = _build_replay(build_python_epoch_replay, py_engine, workloads,
-                           packs, plain=True)
-        nat_engine = _engine(3)
-        nat = _build_replay(build_native_epoch_replay, nat_engine, workloads,
-                            packs)
+        py = _python_replay(py_engine, workloads, packs)
+        nat = _NativeCell(_engine(3), workloads, packs)
         py.run_epoch(total)
         nat.run_epoch(total)
-        assert nat.finish() == py.finish()
-        assert _signature(nat_engine, None) == _signature(py_engine, None)
+        assert nat.result() == py.finish()
+        assert nat.state() == _python_state(py_engine)
 
 
 class TestRunPackedMultiwalk:
-    """run_packed's N>=3 routing through the native kernel."""
+    """N>=3 co-runs: ``run_packed`` equals ``run`` in full state, and a
+    one-cell roster (native when available) equals both."""
+
+    def _assert_identical(self, workloads, n, total):
+        packs = _packs(workloads)
+        engine = _engine(n)
+        stats = engine.run_packed(workloads, total_accesses=total, packs=packs)
+        heap = _engine(n)
+        assert _signature(engine, stats) == _signature(
+            heap, heap.run(workloads, total_accesses=total)
+        )
+        cell = RosterCell(workloads, masks=_masks(n), total_accesses=total)
+        assert run_packed_roster([cell]) == [stats]
+        assert without_native(lambda: run_packed_roster([cell])) == [stats]
+        return stats
 
     def test_four_domain_co_run_identical(self):
-        workloads = _workloads(4)
-        packs = _packs(workloads)
-        total = 16_000
-
-        engine = _engine(4)
-        stats = engine.run_packed(workloads, total_accesses=total, packs=packs)
-        native_sig = _signature(engine, stats)
-
-        def python_run():
-            engine = _engine(4)
-            return _signature(
-                engine,
-                engine.run_packed(workloads, total_accesses=total,
-                                  packs=packs),
-            )
-
-        assert without_native(python_run) == native_sig
+        self._assert_identical(_workloads(4), 4, 16_000)
 
     def test_nonrepeating_domains_retire_identically(self):
         workloads = _workloads(3, length=1_500,
                                repeats=[False, True, False])
-        packs = _packs(workloads)
-        total = 12_000
-
-        engine = _engine(3)
-        stats = engine.run_packed(workloads, total_accesses=total, packs=packs)
-        native_sig = _signature(engine, stats)
+        stats = self._assert_identical(workloads, 3, 12_000)
         assert stats["fg"].accesses == 1_500
         assert stats["bg2"].accesses == 1_500
-
-        def python_run():
-            engine = _engine(3)
-            return _signature(
-                engine,
-                engine.run_packed(workloads, total_accesses=total,
-                                  packs=packs),
-            )
-
-        assert without_native(python_run) == native_sig
 
 
 class TestRunDynamic:
@@ -333,17 +401,29 @@ class TestRunDynamic:
         )
         return result, _signature(engine, result.stats)
 
+    def _roster(self):
+        cell = DynamicRosterCell(
+            self._workloads(),
+            DynamicPartitionController("fg", "bg"),
+            epoch_accesses=3_000,
+            total_accesses=36_000,
+        )
+        return run_dynamic_roster([cell])[0]
+
     def test_timeline_byte_equal_across_backends(self):
-        native_result, native_sig = self._run()
-        python_result, python_sig = without_native(self._run)
-        assert native_result.native is native_available()
+        """A one-cell dynamic roster, native and (REPRO_NATIVE=0) pure
+        Python, equals the run_dynamic reference."""
+        python_result, _ = self._run()
         assert python_result.native is False
-        assert native_result.timeline  # the controller actually acted
-        assert json.dumps(native_result.timeline, sort_keys=True) == \
-            json.dumps(python_result.timeline, sort_keys=True)
-        assert native_result.actions == python_result.actions
-        assert native_result.epochs == python_result.epochs
-        assert python_sig == native_sig
+        assert python_result.timeline  # the controller actually acted
+        native_result = self._roster()
+        assert native_result.native is native_available()
+        for result in (native_result, without_native(self._roster)):
+            assert json.dumps(result.timeline, sort_keys=True) == \
+                json.dumps(python_result.timeline, sort_keys=True)
+            assert result.actions == python_result.actions
+            assert result.epochs == python_result.epochs
+            assert result.stats == python_result.stats
 
     def test_timeline_entries_are_complete_partitions(self):
         result, _ = self._run()

@@ -317,6 +317,48 @@ class TestValidation:
         with pytest.raises(ValidationError, match="workloads"):
             run_dynamic_roster([cell])
 
+    @pytest.mark.parametrize("native_on", [True, False],
+                             ids=["native", "python"])
+    def test_initial_mask_for_another_llc_rejected(self, native_on):
+        """Every path raises what ``set_way_mask`` raises on the
+        sequential reference."""
+        cell = DynamicRosterCell(
+            workloads=_pair(0),
+            controller=DynamicPartitionController("fg", "bg", llc_ways=8),
+            epoch_accesses=500,
+            total_accesses=2_000,
+        )
+
+        def run():
+            with pytest.raises(ValidationError, match="different LLC"):
+                run_dynamic_roster([cell])
+
+        run() if native_on else without_native(run)
+
+    @pytest.mark.parametrize("native_on", [True, False],
+                             ids=["native", "python"])
+    def test_tick_mask_for_another_llc_rejected(self, native_on):
+        """A mask ``on_tick`` returns is checked like an initial one."""
+
+        class ForeignTickMasks(_ScriptedController):
+            def on_tick(self, now_s, dt_s, metrics):
+                if super().on_tick(now_s, dt_s, metrics) is None:
+                    return None
+                self.llc_ways = 8
+                return self.masks()
+
+        def run():
+            cell = DynamicRosterCell(
+                workloads=_pair(0),
+                controller=ForeignTickMasks(2, 3),
+                epoch_accesses=500,
+                total_accesses=2_000,
+            )
+            with pytest.raises(ValidationError, match="different LLC"):
+                run_dynamic_roster([cell])
+
+        run() if native_on else without_native(run)
+
 
 class TestControllerProperty:
     """Any controller parameterization: batched == sequential."""

@@ -195,7 +195,8 @@ class TestThreadedBatch:
             template, [_cell(_group(3), stop=0, profile=True)], threads=1
         )
         for stop in (4_000, 8_000, ACCESSES):
-            epochs.run_epoch(stop)
+            epochs.set_stop(0, stop)
+            epochs.run_active([0])
         assert epochs.cell_profile(0) == shot.cell_profile(0)
 
 

@@ -4,7 +4,13 @@ import pytest
 
 from repro.cache.block import LINE_SIZE, MemoryAccess
 from repro.cache.llc import WayMask
-from repro.sim.trace_engine import TraceEngine, TraceWorkload, measure_isolation
+from repro.sim.trace_engine import (
+    RosterCell,
+    TraceEngine,
+    TraceWorkload,
+    measure_isolation,
+    run_packed_roster,
+)
 from repro.util.errors import ValidationError
 from repro.util.units import KB, MB
 from repro.workloads.trace import (
@@ -13,6 +19,8 @@ from repro.workloads.trace import (
     ZipfTrace,
     _TraceBase,
 )
+
+from .._native import native_available, without_native
 
 
 def chase(tid=0, ws=2 * MB, length=20_000):
@@ -101,6 +109,37 @@ class TestCoRuns:
 
 
 class TestIsolationMeasurement:
+    def test_native_and_python_paths_agree(self):
+        """Three cells of one epoch batch with the native kernels, two
+        run_packed passes per scenario without: the same numbers."""
+        from repro.perf import engine_counters as ec
+
+        fg = TraceWorkload(
+            "fg",
+            lambda: ZipfTrace(12_000, 2 * MB, alpha=0.6, tid=0, seed=7),
+            tid=0,
+            think_cycles=6,
+        )
+        bg = TraceWorkload(
+            "bg", lambda: StreamingTrace(12_000, 32 * MB, tid=4), tid=4,
+            think_cycles=0,
+        )
+
+        def measure():
+            # One way for the foreground: the partition must show.
+            return measure_isolation(
+                fg, bg, fg_mask=WayMask.contiguous(1, 0),
+                bg_mask=WayMask.contiguous(11, 1), total_accesses=20_000,
+            )
+
+        snapshot = ec.engine_counters().snapshot()
+        native = measure()
+        delta = ec.engine_counters().delta(snapshot)
+        assert delta.get(ec.DYNBATCH_CALLS, 0) == 2 * native_available()
+        assert without_native(measure) == native
+        assert (native["partitioned"]["miss_ratio"]
+                > native["shared"]["miss_ratio"])
+
     def test_partitioning_protects_fg_latency(self):
         """The paper's core claim at line granularity: a streaming
         co-runner inflates a cache-resident foreground's latency under
@@ -170,16 +209,21 @@ class TestRunPacked:
         monkeypatch.setenv("REPRO_TRACE_CACHE", str(tmp_path / "traces"))
 
     @staticmethod
-    def _engine(workloads, partition=True):
+    def _masks(workloads):
+        """``{core: WayMask}`` splitting the LLC among ``workloads``."""
+        masks = {}
+        start = 0
+        for w, ways in zip(workloads, _SPLITS[len(workloads)]):
+            masks[w.tid // 2] = WayMask.contiguous(ways, start)
+            start += ways
+        return masks
+
+    @classmethod
+    def _engine(cls, workloads, partition=True):
         engine = TraceEngine(prefetchers_on=False, backend="kernel")
         if partition:
-            start = 0
-            for w, ways in zip(workloads, _SPLITS[len(workloads)]):
-                core = engine.hierarchy.core_of_tid(w.tid)
-                engine.hierarchy.set_way_mask(
-                    core, WayMask.contiguous(ways, start)
-                )
-                start += ways
+            for core, mask in cls._masks(workloads).items():
+                engine.hierarchy.set_way_mask(core, mask)
         return engine
 
     @staticmethod
@@ -232,25 +276,32 @@ class TestRunPacked:
             engine, engine.run(workloads, total_accesses=total_accesses)
         )
         engine = self._engine(workloads, partition)
-        packed = self._signature(
-            engine, engine.run_packed(workloads, total_accesses=total_accesses)
-        )
-        assert packed == baseline
+        stats = engine.run_packed(workloads, total_accesses=total_accesses)
+        assert self._signature(engine, stats) == baseline
+        return stats
 
     @pytest.mark.parametrize("native_on", [True, False],
                              ids=["native", "python"])
     @pytest.mark.parametrize("domains", [1, 2, 3, 4])
     def test_co_run_identical(self, domains, native_on, monkeypatch):
-        """Every domain count replays through the epoch driver, native
-        or (REPRO_NATIVE=0) pure Python, identical to run()."""
+        """Every domain count replays identically through run(), the
+        pure-Python epoch driver of run_packed(), and a one-cell roster:
+        the batch kernel, or under REPRO_NATIVE=0 the sequential
+        fallback."""
         from repro.cache import native
 
         monkeypatch.setenv("REPRO_NATIVE", "1" if native_on else "0")
         native.reset()
         try:
             if not native_on:
-                assert native.epoch_batch_fn() is None
-            self._assert_identical(self._workloads(domains), 18_000)
+                assert native.batch_walk_fn() is None
+            workloads = self._workloads(domains)
+            stats = self._assert_identical(workloads, 18_000)
+            cell = RosterCell(
+                workloads, masks=self._masks(workloads),
+                total_accesses=18_000,
+            )
+            assert run_packed_roster([cell]) == [stats]
         finally:
             native.reset()
 
