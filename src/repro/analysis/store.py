@@ -35,7 +35,8 @@ RUNSET_VERSION = 1
 def _atomic_write_json(payload, path):
     tmp = f"{path}.tmp.{os.getpid()}"
     with open(tmp, "w") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
+        # Compact separators keep json on its C encoder (indent does not).
+        json.dump(payload, handle, separators=(",", ":"), sort_keys=True)
     os.replace(tmp, path)
 
 

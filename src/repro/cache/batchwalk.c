@@ -9,13 +9,20 @@
  *                        valid/PLRU, all-core L1/L2 tags + recency, back-
  *                        invalidation counters; see BankLayout) — and one
  *                        working bank per worker thread.  A cell's work
- *                        item copies the template into its worker's bank
+ *                        item resets its worker's bank to the template
  *                        and runs `repro_multi_walk` there, so every cell
- *                        starts from an identical copy and the replay is
+ *                        starts from an identical state and the replay is
  *                        bit-identical to calling the epoch kernel once
- *                        per cell, in any thread order.  A roster holds
- *                        `threads` banks, not R: each cell's results live
- *                        in its own dom/sched slices, never in a bank.
+ *                        per cell, in any thread order.  The reset
+ *                        restores only the LLC sets the worker's previous
+ *                        cell may have written — the sets of the accesses
+ *                        it issued, marked in the worker's caller-owned
+ *                        reset record — plus the whole L1/L2/bi tail; a
+ *                        worker's first cell in a call, and the cell
+ *                        after one that marked every set, copy the whole
+ *                        template.  A roster holds `threads` banks, not
+ *                        R: each cell's results live in its own dom/sched
+ *                        slices, never in a bank.
  *                        A cell that profiles its way utility passes its
  *                        own zeroed UMON buffer in `umon` (one pointer
  *                        per cell, NULL for a cell that does not
@@ -264,14 +271,105 @@ walk_on(const WalkBatch *B, i64 r, i64 *bank)
         B->umon[r]);
 }
 
-/* One-shot cell: refill the worker's bank, then replay the cell in it. */
+/* A one-shot roster's per-worker reset record, caller-owned
+ * (reset_words words per worker): the count of LLC sets marked since
+ * the bank was last reset, RESET_FULL when the whole bank must be
+ * refilled, then one mark bit per LLC set. */
+enum { RESET_COUNT, RESET_MARKS };
+#define RESET_FULL (-1)
+
+static i64
+reset_words(i64 llc_sets)
+{
+    return RESET_MARKS + (llc_sets + 63) / 64;
+}
+
+typedef struct {
+    WalkBatch B;
+    i64 *reset;  /* bcfg[B_BANKS] reset records */
+    i64 llc_sets, W;
+} ShotBatch;
+
+/* Reset a worker's bank to the template before its next cell: the
+ * marked LLC rows (tags, sharers, valid, PLRU), then the L1/L2/bi tail
+ * whole, so back-invalidations of template-resident lines need no
+ * tracking.  An unknown or fully marked bank takes the full copy. */
+static void
+reset_bank(const ShotBatch *S, i64 *bank, i64 *rec)
+{
+    const WalkBatch *B = &S->B;
+    const BankLayout *L = &B->L;
+    uint64_t *marks = (uint64_t *)(rec + RESET_MARKS);
+    i64 words = reset_words(S->llc_sets) - RESET_MARKS;
+    i64 W = S->W;
+    if (rec[RESET_COUNT] == RESET_FULL || rec[RESET_COUNT] == S->llc_sets) {
+        fill_bank(B, bank);
+        memset(marks, 0, (size_t)words * sizeof(uint64_t));
+    } else {
+        for (i64 k = 0; k < words; k++) {
+            uint64_t m = marks[k];
+            marks[k] = 0;
+            while (m) {
+                i64 s = k * 64 + __builtin_ctzll(m);
+                m &= m - 1;
+                i64 row = s * W;
+                memcpy(bank + L->llc_tags + row, B->tpl + L->llc_tags + row,
+                       (size_t)W * sizeof(i64));
+                memcpy(bank + L->llc_sharers + row,
+                       B->tpl + L->llc_sharers + row,
+                       (size_t)W * sizeof(i64));
+                bank[L->llc_valid + s] = B->tpl[L->llc_valid + s];
+                bank[L->llc_plru + s] = B->tpl[L->llc_plru + s];
+            }
+        }
+        memcpy(bank + L->l1_tags, B->tpl + L->l1_tags,
+               (size_t)(L->stride - L->l1_tags) * sizeof(i64));
+    }
+    rec[RESET_COUNT] = 0;
+}
+
+/* Mark the LLC sets cell r may have written: each domain's first
+ * min(n, accesses issued) set-column entries.  Every LLC write lands in
+ * the set of an access the cell issued, so this is a superset of the
+ * rows it wrote. */
+static void
+mark_sets(const ShotBatch *S, i64 r, i64 *rec)
+{
+    const WalkBatch *B = &S->B;
+    const i64 *dom = B->dom + r * B->nmax * DOM_STRIDE;
+    uint64_t *marks = (uint64_t *)(rec + RESET_MARKS);
+    i64 count = rec[RESET_COUNT];
+    i64 N = B->cfg[r * CFG_SLOTS + CFG_N];
+    for (i64 d = 0; d < N; d++) {
+        const i64 *p = dom + d * DOM_STRIDE;
+        const i64 *scol = B->sets[r * B->nmax + d];
+        i64 used = p[D_H1] + p[D_H2] + p[D_H3] + p[D_M3];
+        if (used > p[D_N])
+            used = p[D_N];
+        for (i64 i = 0; i < used; i++) {
+            i64 s = scol[i];
+            uint64_t bit = (uint64_t)1 << (s & 63);
+            if (marks[s >> 6] & bit)
+                continue;
+            marks[s >> 6] |= bit;
+            if (++count == S->llc_sets)
+                goto done;  /* every set marked: the next reset is whole */
+        }
+    }
+done:
+    rec[RESET_COUNT] = count;
+}
+
+/* One-shot cell: reset the worker's bank, then replay the cell in it. */
 static void
 walk_cell(void *arg, i64 r, i64 worker)
 {
-    const WalkBatch *B = (const WalkBatch *)arg;
-    i64 *bank = bank_at(B, worker);
-    fill_bank(B, bank);
-    walk_on(B, r, bank);
+    const ShotBatch *S = (const ShotBatch *)arg;
+    i64 *bank = bank_at(&S->B, worker);
+    i64 *rec = S->reset + worker * reset_words(S->llc_sets);
+    reset_bank(S, bank, rec);
+    walk_on(&S->B, r, bank);
+    mark_sets(S, r, rec);
 }
 
 i64
@@ -285,7 +383,8 @@ repro_batch_walk(
     const i32 *l1_touch, const i32 *l1_fill,
     const i32 *l2_touch, const i32 *l2_fill,
     i64 *sched,
-    i64 *const *umon)
+    i64 *const *umon,
+    i64 *reset)
 {
     i64 R = bcfg[B_CELLS];
     i64 threads = bcfg[B_THREADS];
@@ -298,12 +397,18 @@ repro_batch_walk(
     if (threads > bcfg[B_BANKS])
         threads = bcfg[B_BANKS];  /* one bank per worker */
 
-    WalkBatch B = make_walk_batch(
-        bcfg, cfg, dom, lines, sets, tpl, banks,
-        pset, pclr, pleft, pright,
-        l1_touch, l1_fill, l2_touch, l2_fill,
-        sched, umon);
-    run_items(&B, walk_cell, R, threads);
+    ShotBatch S = {
+        make_walk_batch(
+            bcfg, cfg, dom, lines, sets, tpl, banks,
+            pset, pclr, pleft, pright,
+            l1_touch, l1_fill, l2_touch, l2_fill,
+            sched, umon),
+        reset, bcfg[B_LLC_SETS], bcfg[B_W],
+    };
+    /* A worker's first cell in this call refills its bank whole. */
+    for (i64 k = 0; k < bcfg[B_BANKS]; k++)
+        reset[k * reset_words(S.llc_sets) + RESET_COUNT] = RESET_FULL;
+    run_items(&S, walk_cell, R, threads);
 
     i64 issued = 0;
     for (i64 r = 0; r < R; r++)

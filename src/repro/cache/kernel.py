@@ -1050,13 +1050,15 @@ class TemplateBank:
     bank layout (:meth:`layout`): the state every batch cell starts
     from.
 
-    The batch kernels copy this one bank into each cell's (or each
-    worker's) bank inside their threaded work items, so building a
-    roster costs one snapshot, not one per cell. The snapshot is taken
-    on first use of :attr:`bank` and kept: reuse a ``TemplateBank`` only
-    while its hierarchy stays untouched, as the roster drivers do with
-    their one cold template per process. Nothing writes a cell's bank
-    back into the template or its hierarchy.
+    The batch kernels reset each cell's (or each worker's) bank from
+    this one bank inside their threaded work items — a whole copy, or
+    for a reused worker bank only the LLC sets its last cell touched
+    plus the L1/L2 tail — so building a roster costs one snapshot, not
+    one per cell. The snapshot is taken on first use of :attr:`bank`
+    and kept: reuse a ``TemplateBank`` only while its hierarchy stays
+    untouched, as the roster drivers do with their one cold template
+    per process. Nothing writes a cell's bank back into the template or
+    its hierarchy.
     """
 
     def __init__(self, hierarchy):
@@ -1118,15 +1120,19 @@ class NativeBatchReplay:
 
     Holds R independent replay cells — the allocations of a way sweep,
     or a roster of unrelated co-runs — over ONE :class:`TemplateBank`:
-    each cell's work item copies the template into its worker thread's
-    own bank before replaying, so every cell starts from an identical
-    copy, no cell can observe another, and a roster holds one bank per
-    worker thread rather than one per cell. This class and its epoch
-    subclass are the only owners of that layout. :meth:`run` is a single
-    ``ctypes`` call; the kernel threads over cells but each writes only
-    its own dom/sched slice, so the per-cell ``(counters, vtimes)`` read
-    back afterwards are bit-identical to replaying each cell alone, for
-    any thread count.
+    each cell's work item resets its worker thread's own bank to the
+    template before replaying, so every cell starts from an identical
+    state, no cell can observe another, and a roster holds one bank per
+    worker thread rather than one per cell. The reset restores only the
+    LLC sets the worker's previous cell issued accesses to — marked in
+    a per-worker reset record allocated here beside the banks — plus the
+    whole L1/L2 tail; a worker's first cell in each :meth:`run`, and the
+    cell after one that marked every LLC set, copy the whole template.
+    This class and its epoch subclass are the only owners of that
+    layout. :meth:`run` is a single ``ctypes`` call; the kernel threads
+    over cells but each writes only its own dom/sched slice, so the
+    per-cell ``(counters, vtimes)`` read back afterwards are
+    bit-identical to replaying each cell alone, for any thread count.
 
     Batch cells are throwaway measurements: no state moves from the
     banks back into the hierarchy's Python objects. A cell built with
@@ -1244,6 +1250,14 @@ class NativeBatchReplay:
             l1_touch, l1_fill, l2_touch, l2_fill,
             sched, umon_ptrs,
         )
+        if not self._bank_per_cell:
+            # One reset record per worker bank, as reset_words in
+            # batchwalk.c lays it out: a marked-set count, then one mark
+            # bit per LLC set.
+            reset = np.zeros(
+                (nbanks, 1 + (llc.num_sets + 63) // 64), dtype=i64
+            )
+            arrays = (*arrays, reset)
         self._keep = (arrays, columns)
         self._args = [ctypes.c_void_p(a.ctypes.data) for a in arrays]
 

@@ -14,6 +14,7 @@ into an exit-2 usage error, like an unknown command-line choice) — a
 typo'd axis must never silently shrink a campaign.
 """
 
+import functools
 import hashlib
 import itertools
 import json
@@ -171,7 +172,7 @@ class CampaignCell:
             for tenant, epoch, action in self.churn
         ]
 
-    @property
+    @functools.cached_property
     def cell_id(self):
         from repro import __version__
 
@@ -193,6 +194,12 @@ class CampaignCell:
             json.dumps(payload, sort_keys=True).encode()
         ).hexdigest()
         return digest[:16]
+
+    def __getstate__(self):
+        # Pickle the fields only, never the cached cell_id.
+        state = dict(self.__dict__)
+        state.pop("cell_id", None)
+        return state
 
 
 def _freeze(data):

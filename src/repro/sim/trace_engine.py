@@ -604,8 +604,8 @@ def run_packed_roster(cells, threads=None):
     """Replay a roster of independent co-runs in ONE native call.
 
     Each :class:`RosterCell` gets its own fresh kernel-backed,
-    prefetchers-off hierarchy state (a copy of the process-wide cold
-    template's one bank snapshot, made per cell inside the kernel; see
+    prefetchers-off hierarchy state (the process-wide cold template's
+    one bank snapshot, restored per cell inside the kernel; see
     :func:`~repro.cache.kernel.build_native_batch_replay`), its own way
     masks, and its own issue budget; the compiled batch kernel replays
     every cell in a single ctypes call, threading over cells per

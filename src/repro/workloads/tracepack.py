@@ -409,6 +409,31 @@ def _open_pack_dir(path, expect_key=None):
 _OPEN_PACKS = {}
 
 
+# (cache dir, generator class, exact params) -> (pack_key, target path):
+# a registry hit skips the json + sha256 of pack_key. The registry above
+# is still consulted on every call, so clearing it forces a re-open.
+_PACK_TARGETS = {}
+
+_EXACT_SCALARS = (str, int, bool, type(None))
+
+
+def _exact_params(trace):
+    """The trace's parameters as a hashable tuple that is equal only
+    for parameters with equal ``pack_key`` payloads, or ``None`` for any
+    other value. Each value carries its type (``1``, ``1.0`` and
+    ``True`` compare equal but key differently) and a float is held by
+    its ``repr`` (``-0.0 == 0.0``; ``nan != nan``)."""
+    items = []
+    for name, value in sorted(vars(trace).items()):
+        kind = type(value)
+        if kind is float:
+            value = repr(value)
+        elif kind not in _EXACT_SCALARS:
+            return None
+        items.append((name, kind, value))
+    return tuple(items)
+
+
 def open_pack(path):
     """Open (memoized per process) a pack directory by path."""
     pack = _OPEN_PACKS.get(path)
@@ -435,9 +460,17 @@ def get_pack(trace, cache=None, store=True, verify=False):
     in-memory path rather than failing the experiment. Cache hits and
     misses land in the engine counters (``pack-hits`` / ``pack-misses``).
     """
-    key = pack_key(trace)
     base = cache or default_cache_dir()
-    target = os.path.join(base, key)
+    params = _exact_params(trace)
+    memo = None if params is None else (base, type(trace), params)
+    hit = _PACK_TARGETS.get(memo)
+    if hit is None:
+        key = pack_key(trace)
+        target = os.path.join(base, key)
+        if memo is not None:
+            _PACK_TARGETS[memo] = key, target
+    else:
+        key, target = hit
     if store:
         # The per-process registry shares one TracePack object (and its
         # memoized derived columns) across repeat runs and sweeps.

@@ -11,6 +11,7 @@ import os
 
 import pytest
 
+from repro.cache.hierarchy import CacheHierarchy
 from repro.cache.llc import WayMask
 from repro.cache.profile import LLC_NUM_WAYS, WaySweep
 from repro.sim.trace_engine import (
@@ -67,6 +68,55 @@ def _pair(fg_n=900, bg_n=700):
             4, think=2,
         ),
     ]
+
+
+# The small test LLC: SMALL_SETS mod-indexed sets of 12 ways, so a line's
+# LLC set is its number modulo SMALL_SETS. Lines count from _SMALL_BASE,
+# in rows of SMALL_SETS lines: the warm template holds rows 0-10 whole
+# and the first half of row 11 (the other half of its sets keep one
+# invalid way); HOT is the first line of a resident row, COLD that of
+# COLD_ROW, the first row no template holds.
+SMALL_SETS = 256
+_SMALL_BASE = 0x100_0000  # a multiple of SMALL_SETS lines: set 0
+HOT = 10 * SMALL_SETS
+COLD_ROW = 12
+COLD = COLD_ROW * SMALL_SETS
+
+
+def _stream(name, n, first_line, tid, think=2, repeat=True):
+    """A stream over ``n`` consecutive small-LLC lines from
+    ``first_line``."""
+    start = _SMALL_BASE + first_line * 64
+    return _workload(
+        name, lambda: StreamingTrace(n, n * 64, start=start, tid=tid),
+        tid, think=think, repeat=repeat,
+    )
+
+
+def _chase(name, n, lines, first_line, tid, think=2, repeat=True):
+    """A pointer chase over ``lines`` consecutive small-LLC lines from
+    ``first_line``."""
+    start = _SMALL_BASE + first_line * 64
+    return _workload(
+        name,
+        lambda: PointerChaseTrace(n, lines * 64, start=start, tid=tid),
+        tid, think=think, repeat=repeat,
+    )
+
+
+def _column(name, n, rows, first_row, set_index, tid, think=2,
+            repeat=True):
+    """A stream down one small-LLC set: the lines of ``set_index`` in
+    rows ``first_row`` to ``first_row + rows - 1``, in order, wrapping."""
+    start = _SMALL_BASE + (first_row * SMALL_SETS + set_index) * 64
+    stride = SMALL_SETS * 64
+    return _workload(
+        name,
+        lambda: StreamingTrace(
+            n, rows * stride, start=start, stride=stride, tid=tid
+        ),
+        tid, think=think, repeat=repeat,
+    )
 
 
 def _split_masks(fg_ways):
@@ -356,21 +406,34 @@ class TestWarmTemplate:
         }
 
     @staticmethod
-    def _warm_template():
+    def _warm_template(small_llc=False):
         """A warmed kernel hierarchy with a non-default mask on core 0;
-        every call builds an identical one."""
-        engine = TraceEngine(prefetchers_on=False, backend="kernel")
-        engine.run(_pair(), total_accesses=3_000)
+        every call builds an identical one. ``small_llc`` gives it the
+        small LLC, which one cell can cover whole."""
+        if small_llc:
+            engine = TraceEngine(
+                CacheHierarchy(
+                    llc_bytes=SMALL_SETS * 12 * 64, llc_indexing="mod",
+                    backend="kernel",
+                ),
+                prefetchers_on=False,
+            )
+            # Row k fills way k of every set it reaches.
+            rows = 11 * SMALL_SETS + SMALL_SETS // 2
+            engine.run([_stream("warm", rows, 0, tid=0)], rows)
+        else:
+            engine = TraceEngine(prefetchers_on=False, backend="kernel")
+            engine.run(_pair(), total_accesses=3_000)
         h = engine.hierarchy
         h.set_way_mask(0, WayMask.contiguous(5, 2))
         return h
 
-    def _python_reference(self, cell):
+    def _python_reference(self, cell, small_llc=False):
         """The cell on the pure-Python epoch driver over a private,
         identically warmed template."""
         from repro.cache.kernel import build_python_epoch_replay
 
-        private = self._warm_template()
+        private = self._warm_template(small_llc)
         if cell["mask_bits"] is not None:
             for core, bits in zip(cell["cores"], cell["mask_bits"]):
                 private.set_way_mask(core, WayMask.from_bits(bits))
@@ -422,6 +485,145 @@ class TestWarmTemplate:
             alone = build_native_batch_replay(h, [cell], threads=1).run()
             assert result == alone[0]
             assert result == self._python_reference(cell)
+
+    # One worker bank serves every cell below (threads=1), so each cell
+    # after the first starts from a bank reset to the template where the
+    # previous cell wrote it: the LLC sets of its accesses plus the
+    # L1/L2 tail. The cells live on the small mod-indexed LLC, where a
+    # trace's sets follow from its addresses.
+
+    def _one_worker(self, h, cells, runs=1):
+        """Run ``cells`` on one worker bank ``runs`` times; every run's
+        results must equal each cell run alone and the Python
+        reference."""
+        from repro.cache.kernel import build_native_batch_replay
+
+        batch = build_native_batch_replay(h, cells, threads=1)
+        assert batch is not None
+        expected = [
+            build_native_batch_replay(h, [cell], threads=1).run()[0]
+            for cell in cells
+        ]
+        assert expected == [
+            self._python_reference(cell, small_llc=True) for cell in cells
+        ]
+        for _ in range(runs):
+            assert batch.run() == expected
+        return expected
+
+    @staticmethod
+    def _touched(cell):
+        """Every LLC set the cell's columns name (whole columns)."""
+        return {
+            int(s) for column in cell["sets"] for s in column
+        }
+
+    @pytest.mark.skipif(
+        not native_available(), reason="exercises the native worker banks"
+    )
+    def test_one_worker_resets_overlapping_then_disjoint_sets(self):
+        h = self._warm_template(small_llc=True)
+        # Sets 5 and 6 are full in the template; 130 and 200 keep an
+        # invalid way. Each cell misses into its sets (columns from the
+        # cold rows) while other cores probe the template's lines there.
+        a = self._cell(h, [
+            _column("a0", 40, 12, COLD_ROW, 5, tid=2),
+            _column("a1", 40, 4, COLD_ROW, 130, tid=4),
+            _chase("a2", 300, 100, HOT, tid=6),
+        ], 200, [0xFFF, 0xF0F, 0x0FF])
+        b = self._cell(h, [
+            _column("b0", 60, 12, COLD_ROW + 20, 5, tid=6),
+            _column("b1", 60, 12, 0, 5, tid=2),
+            _column("b2", 60, 11, 0, 6, tid=4),
+            # Core 0's L2 holds every template line: the LLC evictions
+            # above must back-invalidate it through the line's sharers.
+            _column("b3", 60, 12, 0, 5, tid=0, think=150),
+        ], 200)
+        c = self._cell(h, [
+            _column("c0", 60, 3, COLD_ROW, 130, tid=2),
+            _column("c1", 60, 11, 0, 130, tid=4),
+            _column("c2", 60, 13, 0, 200, tid=6),
+        ], 150, [0xFFF, 0xFFF, 0x0F0])
+        d = self._cell(h, [
+            _column("d0", 60, 2, COLD_ROW + 10, 200, tid=2),
+            _column("d1", 60, 11, 0, 200, tid=4),
+            _chase("d2", 200, 64, HOT + 100, tid=6),
+        ], 200, [0xFFF, 0x0FF, 0xFFF])
+        assert self._touched(a) & self._touched(b)
+        assert not self._touched(b) & self._touched(c)
+        assert self._touched(c) & self._touched(d)
+        results = self._one_worker(h, [a, b, c, d])
+        assert len(set(results)) == 4
+
+    @pytest.mark.skipif(
+        not native_available(), reason="exercises the native worker banks"
+    )
+    def test_a_cell_that_marks_every_set_then_small_cells(self):
+        h = self._warm_template(small_llc=True)
+        small = self._cell(h, [
+            _column("s0", 40, 12, COLD_ROW, 9, tid=2),
+            _chase("s1", 150, 60, HOT, tid=4),
+        ], 200)
+        whole = self._cell(h, [
+            _column("w0", 40, 3, COLD_ROW + 20, 9, tid=6, repeat=False),
+            _column("w1", 60, 12, 0, 9, tid=2, repeat=False),
+            _stream("w2", 2 * SMALL_SETS, COLD, tid=4, repeat=False),
+        ], 4 * SMALL_SETS, [0xFFF, 0xFFF, 0x0FF])
+        after = self._cell(h, [
+            _column("t0", 40, 3, COLD_ROW + 30, 140, tid=6),
+            _column("t1", 60, 11, 0, 140, tid=4),
+        ], 100)
+        again = self._cell(h, [
+            _column("u0", 40, 3, COLD_ROW + 40, 140, tid=2),
+            _column("u1", 60, 11, 0, 140, tid=6),
+            _chase("u2", 150, 64, HOT + 150, tid=4),
+        ], 300)
+        # Every domain retires before the stop: the stream issues its
+        # whole column, which names every LLC set.
+        assert len(set(whole["sets"][2].tolist())) == SMALL_SETS
+        results = self._one_worker(h, [small, whole, after, again])
+        assert list(map(sum, results[1][0])) == [40, 60, 2 * SMALL_SETS]
+
+    @pytest.mark.skipif(
+        not native_available(), reason="exercises the native worker banks"
+    )
+    def test_a_repeating_domain_past_its_column_end(self):
+        h = self._warm_template(small_llc=True)
+        # 250 accesses over a 100-entry column: the domain wraps twice
+        # and ends mid-column, but every entry of it was issued. Its one
+        # way evicts row 0, which the probe then chases.
+        wrapped = self._cell(
+            h, [_stream("r0", 100, COLD, tid=2)], 250, [0x001]
+        )
+        probe = self._cell(h, [
+            _column("p0", 40, 3, COLD_ROW + 20, 80, tid=6),
+            _column("p1", 60, 12, 0, 80, tid=4),
+            _chase("p2", 300, 100, 0, tid=2),
+        ], 400, [0xFFF, 0xFFF, 0xF00])
+        results = self._one_worker(h, [wrapped, probe, wrapped, probe])
+        assert sum(results[0][0][0]) == wrapped["stop"] == 250
+
+    @pytest.mark.skipif(
+        not native_available(), reason="exercises the native worker banks"
+    )
+    def test_run_twice_on_one_batch(self):
+        h = self._warm_template(small_llc=True)
+        cells = [
+            self._cell(h, [
+                _column("x0", 40, 12, COLD_ROW, 7, tid=2),
+                _stream("x1", 150, COLD + 20, tid=4),
+            ], 300),
+            self._cell(h, [
+                _column("y0", 40, 3, COLD_ROW + 20, 7, tid=6),
+                _column("y1", 60, 12, 0, 7, tid=2),
+                _chase("y2", 120, 64, HOT + 80, tid=4),
+            ], 300, [0xFFF, 0xFFF, 0xFF0]),
+            self._cell(h, [
+                _column("z0", 40, 3, COLD_ROW + 30, 7, tid=4),
+                _column("z1", 60, 12, 0, 7, tid=6),
+            ], 150),
+        ]
+        self._one_worker(h, cells, runs=2)
 
 
 class TestBatchProfiler:

@@ -145,6 +145,22 @@ class TestExpansion:
         assert clone.cell_id == cell.cell_id
         json.dumps(cell.geometry_dict)
 
+    def test_cached_cell_id_equals_a_fresh_cells_id(self):
+        import dataclasses
+        import pickle
+
+        cells = expand_manifest(small_manifest())
+        for cell in cells:
+            cached = cell.cell_id
+            assert cell.cell_id is cached  # computed once per cell
+            fresh = dataclasses.replace(cell)
+            assert "cell_id" not in vars(fresh)
+            assert fresh.cell_id == cached
+            # Equality, hashing and pickling stay field-based.
+            bare = dataclasses.replace(cell)
+            assert bare == cell and hash(bare) == hash(cell)
+            assert "cell_id" not in vars(pickle.loads(pickle.dumps(cell)))
+
 
 GROUP_ROSTER = ["zipf", "stream", "chase"]
 CHURN = [

@@ -189,6 +189,28 @@ class TestResume:
         # executed during the resume.
         assert replay_delta(snapshot) == 0
 
+    def test_indented_store_still_loads_and_resumes(self, tmp_path):
+        """Shards are written compact; a store written indented by an
+        older engine holds the same records and resumes with zero
+        replays."""
+        manifest = fast_manifest()
+        store = tmp_path / "store"
+        first = run_campaign(manifest, str(store), shard_size=4)
+        for path in list_runset_shards(str(store)):
+            with open(path) as handle:
+                text = handle.read()
+            assert "\n" not in text.strip()
+            with open(path, "w") as handle:
+                json.dump(json.loads(text), handle, indent=2, sort_keys=True)
+
+        snapshot = ec.engine_counters().snapshot()
+        resumed = run_campaign(
+            manifest, str(store), resume=True, shard_size=4
+        )
+        assert resumed.cells_run == 0
+        assert replay_delta(snapshot) == 0
+        assert resumed.records == first.records
+
     def test_nonempty_store_without_resume_is_refused(self, tmp_path):
         manifest = fast_manifest()
         store = tmp_path / "store"

@@ -60,6 +60,46 @@ def _make_cell(lengths, thinks, repeats, stop, fg_ways):
     )
 
 
+def _draw_cell(data, c):
+    domains = data.draw(
+        st.integers(min_value=1, max_value=3), label=f"domains{c}"
+    )
+    # Deliberately skewed: one cell can be 50x another, so the threaded
+    # kernel retires cells far out of submission order.
+    lengths = data.draw(
+        st.lists(
+            st.integers(min_value=40, max_value=2_000),
+            min_size=domains,
+            max_size=domains,
+        ),
+        label=f"lengths{c}",
+    )
+    thinks = data.draw(
+        st.lists(
+            st.integers(min_value=0, max_value=9),
+            min_size=domains,
+            max_size=domains,
+        ),
+        label=f"thinks{c}",
+    )
+    repeats = data.draw(
+        st.lists(st.booleans(), min_size=domains, max_size=domains),
+        label=f"repeats{c}",
+    )
+    stop = data.draw(
+        st.integers(min_value=50, max_value=3 * sum(lengths)),
+        label=f"stop{c}",
+    )
+    fg_ways = data.draw(
+        st.one_of(
+            st.none(),
+            st.integers(min_value=1, max_value=LLC_NUM_WAYS - 1),
+        ),
+        label=f"fg_ways{c}",
+    )
+    return _make_cell(lengths, thinks, repeats, stop, fg_ways)
+
+
 class TestBatchwalkProperty:
     @settings(max_examples=10, deadline=None)
     @given(
@@ -67,52 +107,24 @@ class TestBatchwalkProperty:
         data=st.data(),
     )
     def test_batched_matches_sequential_for_any_roster(self, cells, data):
-        roster = []
-        for c in range(cells):
-            domains = data.draw(
-                st.integers(min_value=1, max_value=3), label=f"domains{c}"
-            )
-            # Deliberately skewed: one cell can be 50x another, so the
-            # threaded kernel retires cells far out of submission order.
-            lengths = data.draw(
-                st.lists(
-                    st.integers(min_value=40, max_value=2_000),
-                    min_size=domains,
-                    max_size=domains,
-                ),
-                label=f"lengths{c}",
-            )
-            thinks = data.draw(
-                st.lists(
-                    st.integers(min_value=0, max_value=9),
-                    min_size=domains,
-                    max_size=domains,
-                ),
-                label=f"thinks{c}",
-            )
-            repeats = data.draw(
-                st.lists(st.booleans(), min_size=domains,
-                         max_size=domains),
-                label=f"repeats{c}",
-            )
-            stop = data.draw(
-                st.integers(min_value=50, max_value=3 * sum(lengths)),
-                label=f"stop{c}",
-            )
-            fg_ways = data.draw(
-                st.one_of(
-                    st.none(),
-                    st.integers(min_value=1, max_value=LLC_NUM_WAYS - 1),
-                ),
-                label=f"fg_ways{c}",
-            )
-            roster.append(
-                _make_cell(lengths, thinks, repeats, stop, fg_ways)
-            )
-
+        roster = [_draw_cell(data, c) for c in range(cells)]
         reference = _run_roster_sequential(roster)
         for threads in (1, 2, len(roster)):
             assert run_packed_roster(roster, threads=threads) == reference
         assert without_native(
             lambda: run_packed_roster(roster)
         ) == reference
+
+    @settings(max_examples=10, deadline=None)
+    @given(
+        cells=st.integers(min_value=3, max_value=6),
+        data=st.data(),
+    )
+    def test_one_worker_bank_matches_sequential(self, cells, data):
+        """One kernel thread: every cell after the first reuses the one
+        worker bank, reset to the template where the previous cell
+        wrote it."""
+        roster = [_draw_cell(data, c) for c in range(cells)]
+        assert run_packed_roster(
+            roster, threads=1
+        ) == _run_roster_sequential(roster)

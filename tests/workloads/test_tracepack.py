@@ -197,6 +197,41 @@ class TestDiskCache:
         assert pack.path is None
         assert not cache.exists()
 
+    def test_repeat_lookups_reuse_the_key_and_count_every_hit(self):
+        first = get_pack(_zipf())
+        base = ec.engine_counters().snapshot()
+        for _ in range(3):
+            assert get_pack(_zipf()) is first
+        delta = ec.engine_counters().delta(base)
+        assert delta.get(ec.PACK_HITS) == 3
+        assert not delta.get(ec.PACK_MISSES)
+        assert first.key == pack_key(_zipf())
+
+    @pytest.mark.parametrize(
+        "pair",
+        [(1, 1.0), (1, True), (0.0, -0.0)],
+        ids=["int-float", "int-bool", "signed-zero"],
+    )
+    def test_equal_but_differently_keyed_params_never_share_a_pack(
+        self, pair
+    ):
+        traces = []
+        for label in pair:
+            trace = StreamingTrace(300, 256 * 1024)
+            trace.label = label  # a parameter the compiler ignores
+            traces.append(trace)
+        packs = [get_pack(trace) for trace in traces]
+        assert packs[0].key != packs[1].key
+        for pack, trace in zip(packs, traces):
+            assert pack.key == pack_key(trace)
+
+    def test_unhashable_params_take_the_keyed_path(self):
+        trace = StreamingTrace(300, 256 * 1024)
+        trace.extra = [1, 2]
+        assert get_pack(trace).key == pack_key(trace)
+        trace.extra = [1, 3]
+        assert get_pack(trace).key == pack_key(trace)
+
     def test_open_pack_and_preload(self):
         stored = get_pack(_zipf())
         tracepack._OPEN_PACKS.clear()
