@@ -18,8 +18,7 @@
  *                        cell may have written — the sets of the accesses
  *                        it issued, marked in the worker's caller-owned
  *                        reset record — plus the whole L1/L2/bi tail; a
- *                        worker's first cell in a call, and the cell
- *                        after one that marked every set, copy the whole
+ *                        worker's first cell in a call copies the whole
  *                        template.  A roster holds `threads` banks, not
  *                        R: each cell's results live in its own dom/sched
  *                        slices, never in a bank.
@@ -272,11 +271,10 @@ walk_on(const WalkBatch *B, i64 r, i64 *bank)
 }
 
 /* A one-shot roster's per-worker reset record, caller-owned
- * (reset_words words per worker): the count of LLC sets marked since
- * the bank was last reset, RESET_FULL when the whole bank must be
- * refilled, then one mark bit per LLC set. */
-enum { RESET_COUNT, RESET_MARKS };
-#define RESET_FULL (-1)
+ * (reset_words words per worker): RESET_FULL while the bank must be
+ * refilled whole, else 0, then one mark bit per LLC set. */
+enum { RESET_STATE, RESET_MARKS };
+#define RESET_FULL 1
 
 static i64
 reset_words(i64 llc_sets)
@@ -293,7 +291,7 @@ typedef struct {
 /* Reset a worker's bank to the template before its next cell: the
  * marked LLC rows (tags, sharers, valid, PLRU), then the L1/L2/bi tail
  * whole, so back-invalidations of template-resident lines need no
- * tracking.  An unknown or fully marked bank takes the full copy. */
+ * tracking.  A bank not yet filled in this call takes the full copy. */
 static void
 reset_bank(const ShotBatch *S, i64 *bank, i64 *rec)
 {
@@ -302,7 +300,7 @@ reset_bank(const ShotBatch *S, i64 *bank, i64 *rec)
     uint64_t *marks = (uint64_t *)(rec + RESET_MARKS);
     i64 words = reset_words(S->llc_sets) - RESET_MARKS;
     i64 W = S->W;
-    if (rec[RESET_COUNT] == RESET_FULL || rec[RESET_COUNT] == S->llc_sets) {
+    if (rec[RESET_STATE] == RESET_FULL) {
         fill_bank(B, bank);
         memset(marks, 0, (size_t)words * sizeof(uint64_t));
     } else {
@@ -325,7 +323,7 @@ reset_bank(const ShotBatch *S, i64 *bank, i64 *rec)
         memcpy(bank + L->l1_tags, B->tpl + L->l1_tags,
                (size_t)(L->stride - L->l1_tags) * sizeof(i64));
     }
-    rec[RESET_COUNT] = 0;
+    rec[RESET_STATE] = 0;
 }
 
 /* Mark the LLC sets cell r may have written: each domain's first
@@ -338,7 +336,6 @@ mark_sets(const ShotBatch *S, i64 r, i64 *rec)
     const WalkBatch *B = &S->B;
     const i64 *dom = B->dom + r * B->nmax * DOM_STRIDE;
     uint64_t *marks = (uint64_t *)(rec + RESET_MARKS);
-    i64 count = rec[RESET_COUNT];
     i64 N = B->cfg[r * CFG_SLOTS + CFG_N];
     for (i64 d = 0; d < N; d++) {
         const i64 *p = dom + d * DOM_STRIDE;
@@ -346,18 +343,9 @@ mark_sets(const ShotBatch *S, i64 r, i64 *rec)
         i64 used = p[D_H1] + p[D_H2] + p[D_H3] + p[D_M3];
         if (used > p[D_N])
             used = p[D_N];
-        for (i64 i = 0; i < used; i++) {
-            i64 s = scol[i];
-            uint64_t bit = (uint64_t)1 << (s & 63);
-            if (marks[s >> 6] & bit)
-                continue;
-            marks[s >> 6] |= bit;
-            if (++count == S->llc_sets)
-                goto done;  /* every set marked: the next reset is whole */
-        }
+        for (i64 i = 0; i < used; i++)
+            marks[scol[i] >> 6] |= (uint64_t)1 << (scol[i] & 63);
     }
-done:
-    rec[RESET_COUNT] = count;
 }
 
 /* One-shot cell: reset the worker's bank, then replay the cell in it. */
@@ -407,7 +395,7 @@ repro_batch_walk(
     };
     /* A worker's first cell in this call refills its bank whole. */
     for (i64 k = 0; k < bcfg[B_BANKS]; k++)
-        reset[k * reset_words(S.llc_sets) + RESET_COUNT] = RESET_FULL;
+        reset[k * reset_words(S.llc_sets) + RESET_STATE] = RESET_FULL;
     run_items(&S, walk_cell, R, threads);
 
     i64 issued = 0;

@@ -1126,13 +1126,13 @@ class NativeBatchReplay:
     worker thread rather than one per cell. The reset restores only the
     LLC sets the worker's previous cell issued accesses to — marked in
     a per-worker reset record allocated here beside the banks — plus the
-    whole L1/L2 tail; a worker's first cell in each :meth:`run`, and the
-    cell after one that marked every LLC set, copy the whole template.
-    This class and its epoch subclass are the only owners of that
-    layout. :meth:`run` is a single ``ctypes`` call; the kernel threads
-    over cells but each writes only its own dom/sched slice, so the
-    per-cell ``(counters, vtimes)`` read back afterwards are
-    bit-identical to replaying each cell alone, for any thread count.
+    whole L1/L2 tail; a worker's first cell in each :meth:`run` copies
+    the whole template. This class and its epoch subclass are the only
+    owners of that layout. :meth:`run` is a single ``ctypes`` call; the
+    kernel threads over cells but each writes only its own dom/sched
+    slice, so the per-cell ``(counters, vtimes)`` read back afterwards
+    are bit-identical to replaying each cell alone, for any thread
+    count.
 
     Batch cells are throwaway measurements: no state moves from the
     banks back into the hierarchy's Python objects. A cell built with
@@ -1252,7 +1252,7 @@ class NativeBatchReplay:
         )
         if not self._bank_per_cell:
             # One reset record per worker bank, as reset_words in
-            # batchwalk.c lays it out: a marked-set count, then one mark
+            # batchwalk.c lays it out: a must-refill flag, then one mark
             # bit per LLC set.
             reset = np.zeros(
                 (nbanks, 1 + (llc.num_sets + 63) // 64), dtype=i64
