@@ -7,7 +7,7 @@ line. Hyperthreads map pairwise onto cores (tids 0,1 -> core 0, ...).
 """
 
 from repro.cache.block import AccessResult, MemoryAccess
-from repro.cache.kernel import build_fused_walk, make_cache_level
+from repro.cache.kernel import make_cache_level
 from repro.cache.llc import PartitionedLLC
 from repro.cache.prefetch import PrefetcherBank
 from repro.perf import engine_counters as ec
@@ -63,10 +63,6 @@ class CacheHierarchy:
         # Optional way-profiler observing every LLC probe (line, domain).
         self.llc_profiler = None
         self._scratch = AccessResult()  # reused by the fast access path
-        # Kernel backend: one fused L1->L2->LLC walk closure per core
-        # (probe+fill+stats in a single call, bit-identical to access()).
-        fused = [build_fused_walk(self, c) for c in range(num_cores)]
-        self._fused = fused if all(w is not None for w in fused) else None
 
     # -- topology -----------------------------------------------------------
 
@@ -143,11 +139,11 @@ class CacheHierarchy:
 
         State and stats updates are identical to :meth:`access` (the
         observe calls it skips are no-ops when prefetchers are off).
-        Returns ``(hit_level, latency)``.
+        Returns ``(hit_level, latency)``. :meth:`TraceEngine.run
+        <repro.sim.trace_engine.TraceEngine.run>` and the pure-Python
+        epoch driver take this walk, and ``access_one`` in
+        ``multiwalk.c`` ports it over the kernel levels.
         """
-        fused = self._fused
-        if fused is not None:
-            return fused[core](line, is_write)
         if self.l1[core].access(line, is_write, domain=core):
             return "L1", L1_LATENCY
         scratch = self._scratch
@@ -165,21 +161,6 @@ class CacheHierarchy:
         self._fill_l2(core, line, scratch)
         self._fill_l1(core, line, is_write, scratch)
         return level, latency
-
-    def fast_walker(self, core):
-        """The cheapest ``(line, is_write) -> (hit_level, latency)`` callable
-        for ``core`` with prefetchers off: the fused kernel walk when the
-        backend supports it, else a thin wrapper over :meth:`access_fast`.
-        """
-        fused = self._fused
-        if fused is not None:
-            return fused[core]
-        access_fast = self.access_fast
-
-        def walk(line, is_write):
-            return access_fast(line, is_write, core)
-
-        return walk
 
     def run_trace(self, accesses):
         """Walk a full trace; returns aggregate totals as a dict.

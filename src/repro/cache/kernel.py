@@ -242,7 +242,11 @@ class KernelCacheLevel:
                     allowed_mask |= 1 << w
         if not allowed_mask:
             raise ValidationError("victim selection requires at least one allowed way")
-        bits = self._plru[set_idx]
+        return self._plru_victim(self._plru[set_idx], allowed_mask)
+
+    def _plru_victim(self, bits, allowed_mask):
+        """The tree-PLRU victim way from tree state ``bits``, steered
+        away from subtrees that hold no way in ``allowed_mask``."""
         leaves = self._leaves
         left_masks, right_masks = self._plru_left, self._plru_right
         node = 1
@@ -407,338 +411,21 @@ class KernelCacheLevel:
         return resident
 
 
-def build_fused_walk(hierarchy, core):
-    """One prefetchers-off L1 -> L2 -> LLC access walk as a single closure.
-
-    Fuses the per-level probe, fill, recency, and stats updates of
-    :meth:`repro.cache.hierarchy.CacheHierarchy.access_fast` into one
-    function over the three levels' flat state for ``core``: no per-level
-    method dispatch, no ``CacheLine`` construction for evictions, and no
-    re-indexing between a probe and the fill that follows it. State and
-    stats transitions are bit-identical to the generic walk; the rare
-    paths (dirty L1 victim missing from L2, dirty L2 victim writeback)
-    fall back to the shared helpers.
-
-    Returns ``None`` when the hierarchy's levels are not all kernel-backed
-    or not in the expected LRU/PLRU/PLRU arrangement, in which case the
-    caller keeps the generic path.
-    """
-    if not _pack_walk_supported(hierarchy, core):
-        return None
-    l1 = hierarchy.l1[core]
-    l2 = hierarchy.l2[core]
-    llc_part = hierarchy.llc
-    llc = llc_part.storage
-
-    h = hierarchy
-    num_cores = h.num_cores
-    core_bit = 1 << core
-    scratch = h._scratch
-    l1_objs = list(h.l1)
-    l2_objs = list(h.l2)
-    inner_l1_lookup = [lvl._lookup for lvl in l1_objs]
-    inner_l2_lookup = [lvl._lookup for lvl in l2_objs]
-
-    # L1: true LRU, modulo indexing.
-    l1_mod = l1._mod_mask
-    l1_W = l1.num_ways
-    l1_full = l1._full_mask
-    l1_lookup, l1_tags, l1_sharers = l1._lookup, l1._tags, l1._sharers
-    l1_valid, l1_dirty = l1._valid, l1._dirty
-    l1_pref, l1_tpf = l1._prefetched, l1._touched_pf
-    l1_stamp = l1._stamp
-    l1_stats = l1.stats
-    l1_pa = l1_stats.per_domain_accesses
-    l1_pm = l1_stats.per_domain_misses
-
-    # L2: tree PLRU, modulo indexing.
-    l2_mod = l2._mod_mask
-    l2_W = l2.num_ways
-    l2_full = l2._full_mask
-    l2_leaves = l2._leaves
-    l2_lookup, l2_tags, l2_sharers = l2._lookup, l2._tags, l2._sharers
-    l2_valid, l2_dirty = l2._valid, l2._dirty
-    l2_pref, l2_tpf = l2._prefetched, l2._touched_pf
-    l2_plru = l2._plru
-    l2_pset, l2_pclr = l2._plru_set, l2._plru_clear_inv
-    l2_left, l2_right = l2._plru_left, l2._plru_right
-    l2_stats = l2.stats
-    l2_pa = l2_stats.per_domain_accesses
-    l2_pm = l2_stats.per_domain_misses
-
-    # LLC: tree PLRU, modulo or hashed indexing, way-masked fills.
-    llc_mod = llc._mod_mask
-    llc_memo = llc._index_memo
-    llc_index = llc._indexer.index
-    llc_W = llc.num_ways
-    llc_leaves = llc._leaves
-    llc_lookup, llc_tags, llc_sharers = llc._lookup, llc._tags, llc._sharers
-    llc_valid, llc_dirty = llc._valid, llc._dirty
-    llc_pref, llc_tpf = llc._prefetched, llc._touched_pf
-    llc_plru = llc._plru
-    llc_pset, llc_pclr = llc._plru_set, llc._plru_clear_inv
-    llc_left, llc_right = llc._plru_left, llc._plru_right
-    llc_stats = llc.stats
-    llc_pa = llc_stats.per_domain_accesses
-    llc_pm = llc_stats.per_domain_misses
-    llc_mark_dirty = llc.mark_dirty
-    mask_ways = llc_part._mask_ways  # mutated in place by set_mask
-    mask_bits = llc_part._mask_bits
-
-    def walk(line, is_write):
-        # ---- L1 probe (LRU, modulo) -------------------------------------
-        s1 = line & l1_mod
-        way = l1_lookup[s1].get(line)
-        l1_stats.accesses += 1
-        l1_pa[core] = l1_pa.get(core, 0) + 1
-        if way is not None:
-            l1_stats.hits += 1
-            l1_stamp[s1 * l1_W + way] = l1._clock
-            l1._clock += 1
-            if is_write:
-                l1_dirty[s1] |= 1 << way
-            pf = l1_pref[s1]
-            if pf:
-                bit = 1 << way
-                if pf & bit and not l1_tpf[s1] & bit:
-                    l1_tpf[s1] |= bit
-                    l1_stats.prefetch_useful += 1
-            return "L1", 4
-        l1_stats.misses += 1
-        l1_pm[core] = l1_pm.get(core, 0) + 1
-
-        # ---- L2 probe (PLRU, modulo) ------------------------------------
-        s2 = line & l2_mod
-        look2 = l2_lookup[s2]
-        way = look2.get(line)
-        l2_stats.accesses += 1
-        l2_pa[core] = l2_pa.get(core, 0) + 1
-        if way is not None:
-            l2_stats.hits += 1
-            l2_plru[s2] = (l2_plru[s2] | l2_pset[way]) & l2_pclr[way]
-            if is_write:
-                l2_dirty[s2] |= 1 << way
-            pf = l2_pref[s2]
-            if pf:
-                bit = 1 << way
-                if pf & bit and not l2_tpf[s2] & bit:
-                    l2_tpf[s2] |= bit
-                    l2_stats.prefetch_useful += 1
-            level = "L2"
-            latency = 12
-        else:
-            l2_stats.misses += 1
-            l2_pm[core] = l2_pm.get(core, 0) + 1
-
-            # ---- LLC probe ----------------------------------------------
-            prof = h.llc_profiler
-            if prof is not None:
-                prof.observe(line, core)
-            if llc_mod >= 0:
-                s3 = line & llc_mod
-            else:
-                s3 = llc_memo.get(line)
-                if s3 is None:
-                    s3 = llc_index(line)
-                    if len(llc_memo) >= _INDEX_MEMO_CAP:
-                        llc_memo.clear()
-                    llc_memo[line] = s3
-            look3 = llc_lookup[s3]
-            way = look3.get(line)
-            llc_stats.accesses += 1
-            llc_pa[core] = llc_pa.get(core, 0) + 1
-            if way is not None:
-                llc_stats.hits += 1
-                llc_plru[s3] = (llc_plru[s3] | llc_pset[way]) & llc_pclr[way]
-                if is_write:
-                    llc_dirty[s3] |= 1 << way
-                pf = llc_pref[s3]
-                if pf:
-                    bit = 1 << way
-                    if pf & bit and not llc_tpf[s3] & bit:
-                        llc_tpf[s3] |= bit
-                        llc_stats.prefetch_useful += 1
-                llc_sharers[s3 * llc_W + way] |= core_bit  # add_sharer
-                level = "LLC"
-                latency = 30
-            else:
-                llc_stats.misses += 1
-                llc_pm[core] = llc_pm.get(core, 0) + 1
-
-                # ---- LLC fill (way-masked victim, inclusion) ------------
-                mbits = mask_bits[core]
-                valid3 = llc_valid[s3]
-                victim = None
-                if valid3 & mbits != mbits:
-                    for w in mask_ways[core]:
-                        if not (valid3 >> w) & 1:
-                            victim = w
-                            break
-                if victim is None:
-                    bits = llc_plru[s3]
-                    node = 1
-                    while node < llc_leaves:
-                        go_right = (bits >> node) & 1
-                        if go_right:
-                            if not mbits & llc_right[node]:
-                                go_right = 0
-                        elif not mbits & llc_left[node]:
-                            go_right = 1
-                        node = 2 * node + 1 if go_right else 2 * node
-                    victim = node - llc_leaves
-                    base = s3 * llc_W + victim
-                    vbit = 1 << victim
-                    old_tag = llc_tags[base]
-                    old_sharers = llc_sharers[base]
-                    llc_stats.evictions += 1
-                    if llc_dirty[s3] & vbit:
-                        llc_stats.writebacks += 1
-                    del look3[old_tag]
-                    # Inclusion: the victim leaves every inner cache.
-                    for c in range(num_cores):
-                        if old_sharers and not (old_sharers >> c) & 1:
-                            continue
-                        if old_tag in inner_l1_lookup[c][old_tag & l1_mod]:
-                            l1_objs[c].invalidate(old_tag)
-                        if old_tag in inner_l2_lookup[c][old_tag & l2_mod]:
-                            l2_objs[c].invalidate(old_tag)
-                else:
-                    base = s3 * llc_W + victim
-                    vbit = 1 << victim
-                llc_tags[base] = line
-                llc_valid[s3] = valid3 | vbit
-                if is_write:
-                    llc_dirty[s3] |= vbit
-                else:
-                    llc_dirty[s3] &= ~vbit
-                llc_sharers[base] = core_bit
-                llc_pref[s3] &= ~vbit
-                llc_tpf[s3] &= ~vbit
-                look3[line] = victim
-                llc_stats.fills += 1
-                llc_plru[s3] = (llc_plru[s3] | llc_pset[victim]) & llc_pclr[victim]
-                level = "MEM"
-                latency = 200
-
-            # ---- L2 fill (demand fills land clean) ----------------------
-            valid2 = l2_valid[s2]
-            if valid2 != l2_full:
-                inv = ~valid2 & l2_full
-                victim = (inv & -inv).bit_length() - 1
-                base = s2 * l2_W + victim
-                vbit = 1 << victim
-            else:
-                bits = l2_plru[s2]
-                node = 1
-                while node < l2_leaves:
-                    go_right = (bits >> node) & 1
-                    if go_right:
-                        if not l2_full & l2_right[node]:
-                            go_right = 0
-                    elif not l2_full & l2_left[node]:
-                        go_right = 1
-                    node = 2 * node + 1 if go_right else 2 * node
-                victim = node - l2_leaves
-                base = s2 * l2_W + victim
-                vbit = 1 << victim
-                old_tag = l2_tags[base]
-                l2_stats.evictions += 1
-                if l2_dirty[s2] & vbit:
-                    l2_stats.writebacks += 1
-                    # Inclusive LLC normally still holds the line.
-                    llc_mark_dirty(old_tag)
-                del look2[old_tag]
-            l2_tags[base] = line
-            l2_valid[s2] = valid2 | vbit
-            l2_dirty[s2] &= ~vbit
-            l2_sharers[base] = 0
-            l2_pref[s2] &= ~vbit
-            l2_tpf[s2] &= ~vbit
-            look2[line] = victim
-            l2_stats.fills += 1
-            l2_plru[s2] = (l2_plru[s2] | l2_pset[victim]) & l2_pclr[victim]
-
-        # ---- L1 fill ----------------------------------------------------
-        look1 = l1_lookup[s1]
-        valid1 = l1_valid[s1]
-        if valid1 != l1_full:
-            inv = ~valid1 & l1_full
-            victim = (inv & -inv).bit_length() - 1
-            base = s1 * l1_W + victim
-            vbit = 1 << victim
-        else:
-            base = s1 * l1_W
-            victim = 0
-            best = l1_stamp[base]
-            for w in range(1, l1_W):
-                stamp = l1_stamp[base + w]
-                if stamp < best:
-                    best = stamp
-                    victim = w
-            base += victim
-            vbit = 1 << victim
-            old_tag = l1_tags[base]
-            l1_stats.evictions += 1
-            if l1_dirty[s1] & vbit:
-                l1_stats.writebacks += 1
-                # Non-inclusive L2: a dirty L1 victim lands in (or
-                # updates) L2; fall back to the shared helper on a miss.
-                s2v = old_tag & l2_mod
-                way2 = l2_lookup[s2v].get(old_tag)
-                if way2 is not None:
-                    l2_dirty[s2v] |= 1 << way2
-                else:
-                    h._fill_l2(core, old_tag, scratch, dirty=True)
-            del look1[old_tag]
-        l1_tags[base] = line
-        l1_valid[s1] = valid1 | vbit
-        if is_write:
-            l1_dirty[s1] |= vbit
-        else:
-            l1_dirty[s1] &= ~vbit
-        l1_sharers[base] = 0
-        l1_pref[s1] &= ~vbit
-        l1_tpf[s1] &= ~vbit
-        look1[line] = victim
-        l1_stats.fills += 1
-        l1_stamp[base] = l1._clock
-        l1._clock += 1
-        return level, latency
-
-    return walk
-
-
-def _plru_victim_table(leaves, allowed_mask, left_masks, right_masks):
-    """victim way for every PLRU bits value under one allowed-way mask.
-
-    The victim walk depends only on (bits, allowed_mask); tree bits live
-    in nodes ``1..leaves-1`` so there are at most ``2**leaves`` states.
-    """
-    table = [0] * (1 << leaves)
-    for bits in range(1 << leaves):
-        node = 1
-        while node < leaves:
-            go_right = (bits >> node) & 1
-            if go_right:
-                if not allowed_mask & right_masks[node]:
-                    go_right = 0
-            elif not allowed_mask & left_masks[node]:
-                go_right = 1
-            node = 2 * node + 1 if go_right else 2 * node
-        table[bits] = node - leaves
-    return table
-
-
-# 8-way true-LRU as a finite state machine: per-set recency is one of
-# 8! = 40320 permutation states, touch and victim are table lookups.
-# Built lazily once per process, vectorized, and shared by the native
-# kernels' tables and the L1 stamp <-> FSM-state conversions.
-_LRU8_TABLES = None
+# The native kernels' recency tables and LLC tree geometry, as the
+# arrays they read: pure functions of a level's geometry, built once per
+# process.
+_TABLES = {}
 
 
 def _lru8_tables():
-    global _LRU8_TABLES
-    if _LRU8_TABLES is None:
+    """8-way true LRU as a finite state machine: per-set recency is one
+    of 8! = 40320 permutation states, and touch and victim are table
+    lookups. Returns the int32 ``touch`` (state x way) and ``fill``
+    (victim way in the low 3 bits, post-fill state above them) tables,
+    plus the permutation list and its index for the L1 stamp ->
+    FSM-state conversion (:func:`_l1_perm_state`)."""
+    tables = _TABLES.get("lru8")
+    if tables is None:
         import itertools
 
         import numpy as np
@@ -764,47 +451,77 @@ def _lru8_tables():
         # post-touch state above them.
         victim = p[:, 7]
         fill = (touch[np.arange(len(p)), victim] << 3) | victim
-        _LRU8_TABLES = (touch.ravel().tolist(), fill.tolist(), perms, index)
-    return _LRU8_TABLES
+        tables = _TABLES["lru8"] = (
+            touch.ravel().astype(np.int32), fill.astype(np.int32),
+            perms, index,
+        )
+    return tables
 
 
-def _plru_touch_table(num_ways, set_masks, clear_invs, leaves):
-    """next tree state for every (bits, way): bits' = (bits | set) & clear."""
-    table = [0] * ((1 << leaves) * num_ways)
-    for bits in range(1 << leaves):
-        base = bits * num_ways
-        for way in range(num_ways):
-            table[base + way] = (bits | set_masks[way]) & clear_invs[way]
-    return table
+def _plru8_tables(lvl):
+    """An 8-way tree-PLRU level's int32 ``touch`` table (next tree state
+    for every ``(bits, way)``) and ``fill`` table (for every ``bits``,
+    the unmasked victim way in the low 3 bits, the post-fill state above
+    them)."""
+    key = ("plru8", lvl._leaves, lvl._full_mask)
+    tables = _TABLES.get(key)
+    if tables is None:
+        import numpy as np
+
+        W = lvl.num_ways
+        touch = []
+        fill = []
+        for bits in range(1 << lvl._leaves):
+            touch.extend(
+                (bits | set_bits) & clear_inv
+                for set_bits, clear_inv in zip(
+                    lvl._plru_set, lvl._plru_clear_inv
+                )
+            )
+            victim = lvl._plru_victim(bits, lvl._full_mask)
+            fill.append((touch[bits * W + victim] << 3) | victim)
+        tables = _TABLES[key] = (
+            np.asarray(touch, dtype=np.int32),
+            np.asarray(fill, dtype=np.int32),
+        )
+    return tables
 
 
-def _pack_walk_supported(hierarchy, core):
-    """The fused walk's level arrangement, which the epoch drivers share."""
+def _llc_geometry(llc):
+    key = ("llcgeo", llc._leaves, llc.num_ways)
+    tables = _TABLES.get(key)
+    if tables is None:
+        import numpy as np
+
+        tables = _TABLES[key] = (
+            np.asarray(llc._plru_set, dtype=np.int64),
+            np.asarray(llc._plru_clear_inv, dtype=np.int64),
+            np.asarray(llc._plru_left, dtype=np.int64),
+            np.asarray(llc._plru_right, dtype=np.int64),
+        )
+    return tables
+
+
+def _native_core_eligible(hierarchy, core):
+    """The native kernels' precondition for one core: their level
+    arrangement, read-only cache state and 8-way inner levels.
+
+    The kernels' bank layout holds kernel-backed levels with an LRU,
+    modulo-indexed L1, a PLRU, modulo-indexed L2 and a PLRU LLC. All-zero
+    dirty, prefetch, and inner-sharer state stays all-zero under a
+    read-only replay (nothing in the walk can set those bits), so the
+    layout carries none of them. The 8-way LRU FSM of the kernels' L1
+    and their 8-way L2 tables additionally need W == 8.
+    """
     l1 = hierarchy.l1[core]
     l2 = hierarchy.l2[core]
     llc = hierarchy.llc.storage
-    levels = (l1, l2, llc)
-    if not all(isinstance(lvl, KernelCacheLevel) for lvl in levels):
+    if not all(isinstance(lvl, KernelCacheLevel) for lvl in (l1, l2, llc)):
         return False
     if not l1._is_lru or l2._is_lru or llc._is_lru:
         return False
     if l1._mod_mask < 0 or l2._mod_mask < 0:
         return False
-    return True
-
-
-def _native_core_eligible(hierarchy, core):
-    """The native kernels' state precondition for one core: read-only
-    cache state and 8-way inner levels.
-
-    All-zero dirty, prefetch, and inner-sharer state stays all-zero under
-    a read-only replay (nothing in the walk can set those bits), so the
-    kernels' bank layout carries none of them. The 8-way LRU FSM of the
-    kernels' L1 and their 8-way L2 tables additionally need W == 8.
-    """
-    l1 = hierarchy.l1[core]
-    l2 = hierarchy.l2[core]
-    llc = hierarchy.llc.storage
     if l1.num_ways != 8 or l2.num_ways != 8:
         return False
     for lvl in (l1, l2, llc):
@@ -813,76 +530,6 @@ def _native_core_eligible(hierarchy, core):
     if any(l1._sharers) or any(l2._sharers):
         return False
     return True
-
-
-# PLRU victim/touch/fill tables for the uniform 8-way inner levels are
-# pure functions of the tree geometry; build them once per process.
-_PLRU8_TABLES = {}
-
-
-def _plru8_fill_tables(lvl):
-    key = (lvl._leaves, lvl._full_mask)
-    tables = _PLRU8_TABLES.get(key)
-    if tables is None:
-        victim_of = _plru_victim_table(
-            lvl._leaves, lvl._full_mask, lvl._plru_left, lvl._plru_right
-        )
-        touch_of = _plru_touch_table(
-            lvl.num_ways, lvl._plru_set, lvl._plru_clear_inv, lvl._leaves
-        )
-        fill_of = [
-            (touch_of[(bits << 3) + v] << 3) | v
-            for bits, v in enumerate(victim_of)
-        ]
-        tables = _PLRU8_TABLES[key] = (victim_of, touch_of, fill_of)
-    return tables
-
-
-# numpy mirrors of the recency tables for the native kernel, built once
-# per process (keyed like their list-of-int counterparts).
-_NP_TABLES = {}
-
-
-def _np_lru8_tables():
-    tables = _NP_TABLES.get("lru8")
-    if tables is None:
-        import numpy as np
-
-        touch, fill, _, _ = _lru8_tables()
-        tables = _NP_TABLES["lru8"] = (
-            np.asarray(touch, dtype=np.int32),
-            np.asarray(fill, dtype=np.int32),
-        )
-    return tables
-
-
-def _np_plru8_tables(lvl):
-    key = ("plru8", lvl._leaves, lvl._full_mask)
-    tables = _NP_TABLES.get(key)
-    if tables is None:
-        import numpy as np
-
-        _, touch_of, fill_of = _plru8_fill_tables(lvl)
-        tables = _NP_TABLES[key] = (
-            np.asarray(touch_of, dtype=np.int32),
-            np.asarray(fill_of, dtype=np.int32),
-        )
-    return tables
-
-
-def _np_llc_geometry(llc):
-    key = ("llcgeo", llc._leaves, llc.num_ways)
-    tables = _NP_TABLES.get(key)
-    if tables is None:
-        import numpy as np
-
-        tables = _NP_TABLES[key] = (
-            np.asarray(llc._plru_set, dtype=np.int64),
-            np.asarray(llc._plru_clear_inv, dtype=np.int64),
-            np.asarray(llc._plru_left, dtype=np.int64),
-            np.asarray(llc._plru_right, dtype=np.int64),
-        )
-    return tables
 
 
 def _l1_perm_state(l1):
@@ -920,19 +567,13 @@ _HIT_LEVELS = ("L1", "L2", "LLC", "MEM")
 def _epoch_replay_supported(hierarchy, cores):
     """The one gate of both epoch drivers (the native ones add their own).
 
-    Distinct cores, the fused walk's level arrangement, and the native
-    kernels' read-only, 8-way state (:func:`_native_core_eligible`). The
-    Python driver could take more, but sharing the gate keeps each native
-    setting accepting exactly the same co-runs.
+    Distinct cores that each pass :func:`_native_core_eligible`. The
+    Python driver could take more, but sharing the gate keeps each
+    native setting accepting exactly the same co-runs.
     """
     if len(set(cores)) != len(cores):
         return False
-    for core in cores:
-        if not _pack_walk_supported(hierarchy, core):
-            return False
-        if not _native_core_eligible(hierarchy, core):
-            return False
-    return True
+    return all(_native_core_eligible(hierarchy, core) for core in cores)
 
 
 def _plain_column(col):
@@ -944,14 +585,15 @@ def _plain_column(col):
 
 
 class PythonEpochReplay:
-    """Reference epoch driver over the hierarchy's fused walks.
+    """Reference epoch driver over the hierarchy's own access walk.
 
     Implements the exact scheduler of ``multiwalk.c`` — linear scan for
     the minimum ``(vtime, slot)`` over live domains, exhausted
     non-repeating domains retiring without issuing, ``stop_at`` as an
     absolute issued-access target — over
-    :meth:`~repro.cache.hierarchy.CacheHierarchy.fast_walker`, the same
-    walk :meth:`TraceEngine.run` takes. Virtual times and slot keys are
+    :meth:`~repro.cache.hierarchy.CacheHierarchy.access_fast`, the
+    :meth:`KernelCacheLevel.access`/:meth:`~KernelCacheLevel.fill` walk
+    :meth:`TraceEngine.run` takes. Virtual times and slot keys are
     unique, so the scan order equals the ``(vtime, slot)`` heap order of
     :meth:`TraceEngine.run` and replays are bit-identical to both that
     reference and the native kernel.
@@ -963,19 +605,20 @@ class PythonEpochReplay:
     :func:`~repro.sim.trace_engine.way_allocation_sweep` is one
     ``profile`` cell of :func:`build_native_batch_replay` instead.
 
-    The walk reads the LLC way masks that
-    :meth:`~repro.cache.hierarchy.CacheHierarchy.set_way_mask` rewrites
-    in place, so a mask change takes effect on the next access with
-    nothing flushed — the Section 2.1 mask-change contract.
+    Every LLC fill reads the domain's current way mask
+    (:meth:`~repro.cache.llc.PartitionedLLC.fill`), so a mask change
+    takes effect on the next access with nothing flushed — the Section
+    2.1 mask-change contract.
     """
 
     def __init__(self, hierarchy, cores, thinks, lines, lengths, repeats):
-        self._walks = [hierarchy.fast_walker(core) for core in cores]
+        self._access = hierarchy.access_fast
+        self._cores = list(cores)
         self._thinks = list(thinks)
         self._lines = [_plain_column(col) for col in lines]
         self._lengths = [int(n) for n in lengths]
         self._repeats = [bool(r) for r in repeats]
-        n = len(self._walks)
+        n = len(self._cores)
         self._positions = [0] * n
         self._vtimes = [0] * n
         self._lives = [bool(x) for x in self._lengths]
@@ -993,12 +636,13 @@ class PythonEpochReplay:
         """Advance until ``issued == stop_at`` or every domain has
         retired; returns the total issued so far. Call again to resume
         exactly."""
-        walks, thinks, lines = self._walks, self._thinks, self._lines
+        access, cores = self._access, self._cores
+        thinks, lines = self._thinks, self._lines
         positions, vtimes, tallies = (
             self._positions, self._vtimes, self._tallies
         )
         lives, lengths, repeats = self._lives, self._lengths, self._repeats
-        nslots = len(walks)
+        nslots = len(cores)
         issued = self._issued
         while issued < stop_at:
             best = -1
@@ -1017,7 +661,7 @@ class PythonEpochReplay:
                     lives[best] = False
                     continue
                 i = 0
-            level, latency = walks[best](lines[best][i], False)
+            level, latency = access(lines[best][i], False, cores[best])
             vtimes[best] = bt + (latency + thinks[best])
             tallies[best][level] += 1
             positions[best] = i + 1
@@ -1028,16 +672,16 @@ class PythonEpochReplay:
     def finish(self):
         """Returns ``(level counts, vtimes)``; the walk has already
         written every stat and state change into the hierarchy."""
-        counts = tuple(self.counters(s) for s in range(len(self._walks)))
+        counts = tuple(self.counters(s) for s in range(len(self._cores)))
         return counts, tuple(self._vtimes)
 
 
 def build_python_epoch_replay(hierarchy, cores, thinks, lines, lengths,
                               repeats):
     """The pure-Python reference epoch driver, or ``None`` where
-    :func:`_epoch_replay_supported` declines (shared cores, a level
-    arrangement the fused walk cannot take, or state outside the native
-    kernels' read-only, 8-way precondition)."""
+    :func:`_epoch_replay_supported` declines (shared cores, or levels
+    outside the native kernels' arrangement or their read-only, 8-way
+    precondition)."""
     if not _epoch_replay_supported(hierarchy, cores):
         return None
     return PythonEpochReplay(
@@ -1165,9 +809,9 @@ class NativeBatchReplay:
         self._n_max = n_max
 
         first_core = cells[0]["cores"][0]
-        l1_touch, l1_fill = _np_lru8_tables()
-        l2_touch, l2_fill = _np_plru8_tables(h.l2[first_core])
-        pset, pclr, pleft, pright = _np_llc_geometry(llc)
+        l1_touch, l1_fill = _lru8_tables()[:2]
+        l2_touch, l2_fill = _plru8_tables(h.l2[first_core])
+        pset, pclr, pleft, pright = _llc_geometry(llc)
         l1_sets = h.l1[first_core].num_sets
         l2_sets = h.l2[first_core].num_sets
         self._layout, stride = template.layout()

@@ -22,10 +22,11 @@
  * accesses in the same order.  A non-repeating domain that exhausts its
  * trace goes dead without issuing, as TraceEngine.run retires it.
  *
- * The per-access cache walk (`access_one`) ports the rules of the
- * Python fused walk (kernel.build_fused_walk, the walk TraceEngine.run
- * and the Python epoch driver take) for read-only replays, in an
- * FSM/table representation: L1 recency is a permutation-FSM state, L2
+ * The per-access cache walk (`access_one`) ports the rules of
+ * kernel.KernelCacheLevel.access/fill, as CacheHierarchy.access_fast
+ * walks them (the walk TraceEngine.run and the Python epoch driver
+ * take), for read-only replays, in an FSM/table representation: L1
+ * recency is a permutation-FSM state, L2
  * PLRU touches and fills are table lookups.  Per-core L1 FSM states and
  * L2 PLRU words live in all-core flattened arrays so any subset of cores
  * can participate.

@@ -230,6 +230,7 @@ def _build_library(name):
     cc = _compiler()
     if cc is None:
         return None, _NO_COMPILER
+    tmp = None
     try:
         os.makedirs(cache, exist_ok=True)
         fd, tmp = tempfile.mkstemp(suffix=".so", dir=cache)
@@ -240,14 +241,20 @@ def _build_library(name):
             timeout=120,
         )
         if proc.returncode != 0:
-            os.unlink(tmp)
             stderr = proc.stderr.decode("utf-8", "replace").strip()
             first = stderr.splitlines()[0] if stderr else "no diagnostics"
             return None, f"{cc} failed: {first}"
         os.replace(tmp, target)  # atomic: concurrent builders converge
+        tmp = None
         return target, None
     except (OSError, subprocess.SubprocessError) as exc:
         return None, f"compile error: {exc}"
+    finally:
+        if tmp is not None:  # no failure leaves its partial object behind
+            try:
+                os.unlink(tmp)
+            except OSError:
+                pass
 
 
 def _load(name):

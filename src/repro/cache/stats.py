@@ -56,7 +56,6 @@ class CacheStats:
         self.back_invalidations = 0
         self.prefetch_fills = 0
         self.prefetch_useful = 0
-        # Cleared in place: the fused kernel walk holds references.
         self.per_domain_misses.clear()
         self.per_domain_accesses.clear()
 

@@ -473,17 +473,16 @@ def _retrying(execute, shard, max_attempts):
 def run_campaign(manifest, store_dir, cells=None, resume=False,
                  shard_size=None, fallback_shard_size=None, threads=None,
                  workers=None, max_attempts=DEFAULT_MAX_ATTEMPTS,
-                 no_roster=False, stop_after_shards=None):
+                 stop_after_shards=None):
     """Execute a campaign into a multi-shard RunSet store.
 
     ``resume=True`` loads the store first and skips every cell whose
     content address is already present (a fully persisted campaign
     replays nothing); ``resume=False`` insists on an empty store so a
     stale directory can never silently absorb a new campaign.
-    ``no_roster=True`` forces every cell down the sequential per-cell
-    path (the benchmark baseline). ``stop_after_shards`` ends the run
-    early after N persisted shards — a graceful preemption used by the
-    resume tests and operable as a time-slicing knob.
+    ``stop_after_shards`` ends the run early after N persisted shards — a
+    graceful preemption used by the resume tests and operable as a
+    time-slicing knob.
     """
     from repro.campaign.planner import (
         DEFAULT_FALLBACK_SHARD_SIZE,
@@ -512,24 +511,6 @@ def run_campaign(manifest, store_dir, cells=None, resume=False,
             else DEFAULT_FALLBACK_SHARD_SIZE
         ),
     )
-    if no_roster:
-        merged = [
-            cell for _, shard in plan.shards() for cell in shard
-        ]
-        fallback_size = (
-            fallback_shard_size
-            if fallback_shard_size is not None
-            else DEFAULT_FALLBACK_SHARD_SIZE
-        )
-        plan.roster_shards = []
-        plan.grid_shards = []
-        plan.sweep_shards = []
-        plan.dynamic_shards = []
-        plan.cluster_shards = []
-        plan.fallback_shards = [
-            merged[i:i + fallback_size]
-            for i in range(0, len(merged), fallback_size)
-        ]
 
     result = CampaignResult(
         manifest_name=manifest.name,

@@ -358,11 +358,6 @@ def _build_parser():
     crun.add_argument("--fallback-shard-size", type=int, default=None)
     crun.add_argument("--max-attempts", type=int, default=None)
     crun.add_argument(
-        "--no-roster",
-        action="store_true",
-        help="force the sequential per-cell path (the benchmark baseline)",
-    )
-    crun.add_argument(
         "--stop-after-shards", type=int, default=None,
         help="checkpoint and exit after N shards (resume later)",
     )
@@ -1259,7 +1254,6 @@ def _cmd_campaign_run(args, out):
             if args.max_attempts is not None
             else DEFAULT_MAX_ATTEMPTS
         ),
-        no_roster=args.no_roster,
         stop_after_shards=args.stop_after_shards,
     )
     elapsed = time.perf_counter() - start

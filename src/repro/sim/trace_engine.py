@@ -77,11 +77,13 @@ class TraceEngine:
     ``backend`` picks the cache implementation when no hierarchy is
     supplied: ``"object"`` (reference model) or ``"kernel"`` (flat-array
     kernel, bit-identical and much faster). With all prefetchers off,
-    :meth:`run` dispatches through the hierarchy's allocation-free fused
-    walk. :meth:`run_packed` and :meth:`run_dynamic` replay compiled
-    trace packs through the pure-Python epoch driver
-    (:func:`_epoch_replay`), and :meth:`run` stays the bit-identity
-    reference for both. All three are pure Python: the native kernels
+    :meth:`run` walks each access through
+    :meth:`~repro.cache.hierarchy.CacheHierarchy.access_fast`, the
+    hierarchy's allocation-free walk. :meth:`run_packed` and
+    :meth:`run_dynamic` replay compiled trace packs through the
+    pure-Python epoch driver (:func:`_epoch_replay`), which takes the
+    same walk, and :meth:`run` stays the bit-identity reference for
+    both. All three are pure Python: the native kernels
     are reached only through the rosters (:func:`run_packed_roster`,
     :func:`run_dynamic_roster`), which these methods are the references
     for.
@@ -104,7 +106,7 @@ class TraceEngine:
             raise ValidationError("workload names must be unique")
 
         # Index-based state (no per-access string-keyed lookups): slot i
-        # holds workload i's iterator, stats, think time, and walker.
+        # holds workload i's iterator, stats, think time, and core.
         iterators = [iter(w.trace_factory()) for w in workloads]
         stats_list = [TraceStats() for _ in workloads]
         thinks = [w.think_cycles for w in workloads]
@@ -119,11 +121,8 @@ class TraceEngine:
         hierarchy = self.hierarchy
         use_fast = not hierarchy.prefetchers_enabled()
         core_of = hierarchy.core_of_tid
-        walkers = (
-            [hierarchy.fast_walker(core_of(w.tid)) for w in workloads]
-            if use_fast
-            else None
-        )
+        access_fast = hierarchy.access_fast
+        cores = [core_of(w.tid) for w in workloads]
         heappop, heappush = heapq.heappop, heapq.heappush
 
         while heap and issued < total_accesses:
@@ -140,8 +139,9 @@ class TraceEngine:
                 except StopIteration:
                     continue
             if use_fast:
-                hit_level, latency = walkers[slot](
-                    access.address >> LINE_SHIFT, access.is_write
+                hit_level, latency = access_fast(
+                    access.address >> LINE_SHIFT, access.is_write,
+                    cores[slot],
                 )
             else:
                 result = hierarchy.access(access)
@@ -219,9 +219,10 @@ class TraceEngine:
         resident line and the full recency state carry straight across
         the reallocation, which is the Section 2.1 mechanism semantics
         the analytical ``repro dynamic`` can only model. The epoch driver
-        is :meth:`run_packed`'s pure-Python one, whose walk reads the
-        masks live; this is the reference :func:`run_dynamic_roster`
-        equals bit for bit, stats and reallocation timeline alike.
+        is :meth:`run_packed`'s pure-Python one, whose every LLC fill
+        reads the domain's current mask; this is the reference
+        :func:`run_dynamic_roster` equals bit for bit, stats and
+        reallocation timeline alike.
         Returns a :class:`DynamicTraceResult`.
         """
         if len(workloads) < 2:
@@ -372,7 +373,8 @@ def _epoch_replay(hierarchy, cores, workloads, packs):
     """The pure-Python epoch driver for one packed co-run, or ``None``.
 
     A :class:`~repro.cache.kernel.PythonEpochReplay` over the
-    hierarchy's fused walks, bit-identical to :meth:`TraceEngine.run`.
+    hierarchy's :meth:`~repro.cache.hierarchy.CacheHierarchy.access_fast`
+    walk, bit-identical to :meth:`TraceEngine.run`.
     ``None`` when it cannot take the co-run: a non-kernel LLC, a pack
     that carries writes, two workloads on one core, or a hierarchy that
     fails the drivers' shared gate

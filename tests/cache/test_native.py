@@ -188,6 +188,24 @@ class TestThreadingProbe:
         assert paths["serial"] != paths["threaded"]
 
 
+class TestBuildLibrary:
+    def test_failed_build_leaves_no_object_behind(self, monkeypatch,
+                                                  tmp_path):
+        """A compiler that times out (or any other raised failure) must
+        not leave its temporary ``.so`` in the cache directory."""
+        import subprocess
+
+        def timeout(cmd, **kwargs):
+            raise subprocess.TimeoutExpired(cmd, kwargs.get("timeout"))
+
+        monkeypatch.setattr(native, "_compiler", lambda: "cc")
+        monkeypatch.setattr(native.subprocess, "run", timeout)
+        path, reason = native._build_library("batchwalk")
+        assert path is None
+        assert reason.startswith("compile error:") and "timed out" in reason
+        assert not list((tmp_path / "traces").rglob("*.so"))
+
+
 class TestSanitizerBuild:
     def test_sanitizer_flags_are_opt_in(self, monkeypatch):
         sanitize = ("-fsanitize=address,undefined", "-fno-omit-frame-pointer")

@@ -120,16 +120,6 @@ class TestExecution:
         assert delta.get(ec.CAMPAIGN_CELLS_RUN, 0) == 0
         assert delta.get(ec.GRID_CELLS, 0) == 0
 
-    def test_no_roster_forces_grid_cells_to_fallback(self, tmp_path):
-        manifest = analytical_manifest()
-        result = run_campaign(
-            manifest, str(tmp_path / "store"), no_roster=True, workers=1
-        )
-        assert result.complete
-        assert result.grid_shards == 0
-        for record in result.records.values():
-            assert record.provenance["source"] == "cell"
-
     def test_grid_counters_tick_once_per_shard(self, tmp_path):
         before = ec.engine_counters().snapshot()
         run_campaign(analytical_manifest(), str(tmp_path / "store"))

@@ -129,22 +129,15 @@ class TestExecution:
         assert result.fallback_shards == 1
         assert verify_campaign(manifest, str(store)) == 1
 
-    def test_no_roster_forces_the_sequential_path(self, tmp_path):
-        manifest = fast_manifest()
-        store = tmp_path / "store"
+    def test_each_per_cell_co_run_is_one_batch_call(self):
+        cells = expand_manifest(fast_manifest())
         snapshot = ec.engine_counters().snapshot()
-        result = run_campaign(
-            manifest, str(store), no_roster=True, workers=1
-        )
+        records = [run_campaign_cell(cell) for cell in cells]
         delta = ec.engine_counters().delta(snapshot)
-        assert result.complete
-        assert result.roster_shards == 0
-        records = load_runset_dir(str(store)).records
         assert records
         assert all(r.provenance["source"] == "cell" for r in records)
         # Each per-cell co-run is its own one-cell batch call.
         assert delta.get(ec.BATCH_CELLS, 0) == delta.get(ec.BATCH_CALLS, 0)
-        assert verify_campaign(manifest, str(store)) == result.cells_run
 
 
 class TestResume:
