@@ -1,7 +1,5 @@
 /* Batched replay: one call, R independent replays, parallel inside C.
  *
- * Two entry points share one worker pool:
- *
  *   repro_batch_walk     R independent multiwalk cells (whole co-runs or
  *                        the allocations of a measured way sweep).  The
  *                        caller passes ONE template bank — the full flat
@@ -29,59 +27,21 @@
  *                        per-cell results too, so they never live in the
  *                        reused worker banks.
  *
- *   repro_batch_profile  R UMON profiling streams (one per domain) over
- *                        shared trace columns: the bounded stack-distance
- *                        update of profile.WayProfiler (multiwalk.c's
- *                        umon_observe, shared with the walk),
- *                        parallelized by sharding the *set index*
- *                        space.  Sets are independent under
- *                        set-associative LRU, and each (cell, shard)
- *                        work item writes its own histogram slot, so the
- *                        per-cell histogram — the fixed-order sum over
- *                        shard slots, reduced by the Python caller — is
- *                        invariant to both the shard count and the
- *                        thread schedule.
- *
- * Threading is compile-time selected: OpenMP when the loader's
- * `-fopenmp` probe succeeds, else a pthread worker loop
- * (-DREPRO_BATCH_PTHREADS), else the serial batched loop.  All three
- * paths hand each work item its worker index (0 <= worker < threads)
- * and write results only into caller-owned per-item output slots (each
- * cell's own dom/sched/histogram slice, each worker's own bank), never
+ * Threading is one pthread pool (run_items, shared with epochbatch.c):
+ * the calling thread and up to threads - 1 workers claim work items from
+ * an atomic counter.  Each item gets its worker index (0 <= worker <
+ * threads) and writes results only into caller-owned per-item output
+ * slots (each cell's own dom/sched slice, each worker's own bank), never
  * into shared accumulators, so the reduction order is deterministic and
  * the output is thread-count-invariant by construction.
- * `repro_batch_threading` reports which path was compiled in
- * (2 = OpenMP, 1 = pthreads, 0 = serial) so `kernel_status` tells the
- * truth about the object that actually loaded, not the flags that were
- * requested.
  */
 
+#include <pthread.h>
 #include <string.h>
 
 #include "multiwalk.c"
 
-#if defined(_OPENMP)
-#include <omp.h>
-#elif defined(REPRO_BATCH_PTHREADS)
-#include <pthread.h>
-#endif
-
 typedef void (*batch_item_fn)(void *ctx, i64 item, i64 worker);
-
-#if defined(_OPENMP)
-
-static void
-run_items(void *ctx, batch_item_fn fn, i64 total, i64 threads)
-{
-    i64 it;
-#pragma omp parallel for schedule(dynamic, 1) num_threads((int)threads)
-    for (it = 0; it < total; it++)
-        fn(ctx, it, omp_get_thread_num());
-}
-
-enum { BATCH_THREADING = 2 };
-
-#elif defined(REPRO_BATCH_PTHREADS)
 
 typedef struct {
     void *ctx;
@@ -133,28 +93,6 @@ run_items(void *ctx, batch_item_fn fn, i64 total, i64 threads)
         pthread_join(workers[t], 0);
 }
 
-enum { BATCH_THREADING = 1 };
-
-#else
-
-static void
-run_items(void *ctx, batch_item_fn fn, i64 total, i64 threads)
-{
-    (void)threads;
-    for (i64 it = 0; it < total; it++)
-        fn(ctx, it, 0);
-}
-
-enum { BATCH_THREADING = 0 };
-
-#endif
-
-i64
-repro_batch_threading(void)
-{
-    return BATCH_THREADING;
-}
-
 /* bcfg[] scalar layout (must match kernel.NativeBatchReplay) */
 enum {
     B_CELLS, B_THREADS, B_NMAX, B_LLC_SETS, B_W,
@@ -163,8 +101,8 @@ enum {
 };
 
 /* One bank is one cell's flat walk state: these sections, back to back,
- * as word offsets from the bank base (must match kernel._bank_layout).
- * The template and every cell or worker bank share the layout, so
+ * as word offsets from the bank base (must match TemplateBank.layout()
+ * in kernel.py).  The template and every cell or worker bank share the layout, so
  * filling a bank is one memcpy. */
 typedef struct {
     i64 llc_tags, llc_sharers, llc_valid, llc_plru;
@@ -402,78 +340,4 @@ repro_batch_walk(
     for (i64 r = 0; r < R; r++)
         issued += sched[r * SCHED_SLOTS + SCHED_ISSUED];
     return issued;
-}
-
-/* pcfg[] scalar layout (must match profile_np._profile_pack_native) */
-enum {
-    P_CELLS, P_THREADS, P_SHARDS, P_SETS, P_WAYS,
-    PCFG_SLOTS,
-};
-
-typedef struct {
-    const i64 *const *lines;  /* R per-domain column pointers */
-    const i64 *const *sets;
-    const i64 *cell_n;        /* per-cell access counts */
-    i64 *stack_lines;         /* R x num_sets x W */
-    i64 *stack_depth;         /* R x num_sets */
-    i64 *hist;                /* (R x shards) x (W + 1) output slots */
-    i64 num_sets, W, shards;
-} ProfileBatch;
-
-/* WayProfiler.observe (umon_observe) over one (cell, set-shard) work
- * item.  Shards partition the set index space, so work items of the
- * same cell touch disjoint stacks, and within a set the accesses are
- * replayed in program order — exactly the sequential profiler's
- * updates. */
-static void
-profile_item(void *arg, i64 item, i64 worker)
-{
-    const ProfileBatch *P = (const ProfileBatch *)arg;
-    (void)worker;
-    i64 shards = P->shards;
-    i64 r = item / shards;
-    i64 shard = item % shards;
-    const i64 *lcol = P->lines[r];
-    const i64 *scol = P->sets[r];
-    i64 n = P->cell_n[r];
-    i64 W = P->W;
-    i64 *stk_base = P->stack_lines + r * P->num_sets * W;
-    i64 *dep_base = P->stack_depth + r * P->num_sets;
-    i64 *hist = P->hist + item * (W + 1);
-    for (i64 i = 0; i < n; i++) {
-        i64 s = scol[i];
-        if (s % shards != shard)
-            continue;
-        umon_observe(stk_base + s * W, dep_base + s, hist, W, lcol[i]);
-    }
-}
-
-i64
-repro_batch_profile(
-    const i64 *pcfg,
-    const i64 *const *lines, const i64 *const *sets,
-    const i64 *cell_n,
-    i64 *stack_lines, i64 *stack_depth,
-    i64 *hist)
-{
-    i64 R = pcfg[P_CELLS];
-    i64 threads = pcfg[P_THREADS];
-    i64 shards = pcfg[P_SHARDS];
-    if (R < 1)
-        return 0;
-    if (shards < 1)
-        shards = 1;
-    i64 total = R * shards;
-    if (threads < 1)
-        threads = 1;
-    if (threads > total)
-        threads = total;
-
-    ProfileBatch P = {
-        lines, sets, cell_n,
-        stack_lines, stack_depth, hist,
-        pcfg[P_SETS], pcfg[P_WAYS], shards,
-    };
-    run_items(&P, profile_item, total, threads);
-    return total;
 }

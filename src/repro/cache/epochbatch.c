@@ -18,12 +18,10 @@
  * dynamic-partitioning roster driven by a few C calls per epoch instead
  * of one Python driver per cell.
  *
- * Threading comes from batchwalk.c's compile-probed run_items pool
- * (OpenMP -> pthreads -> serial; repro_batch_threading reports which),
- * clamped to the active count.  Every work item writes only its own
- * cell's bank and slices, so results are thread-count-invariant by
- * construction and bit-identical to driving repro_multi_walk once per
- * cell.
+ * Threading comes from batchwalk.c's run_items pthread pool, clamped
+ * to the active count.  Every work item writes only its own cell's bank
+ * and slices, so results are thread-count-invariant by construction and
+ * bit-identical to driving repro_multi_walk once per cell.
  */
 
 #include "batchwalk.c"

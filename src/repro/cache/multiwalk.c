@@ -33,9 +33,8 @@
  *
  * A cell may also profile its domains' LLC way utility: each domain then
  * owns a UMON (profile.WayProfiler) in a caller-owned buffer, updated at
- * every LLC probe by `umon_observe`, the one C copy of the UMON rule
- * (batchwalk.c's repro_batch_profile runs it too).  A NULL buffer means
- * "no profile".
+ * every LLC probe by `umon_observe`, the one C copy of the UMON rule.
+ * A NULL buffer means "no profile".
  *
  * Conventions shared with kernel.KernelCacheLevel:
  *   - tags[set * ways + way] holds the line number, -1 when invalid;

@@ -22,12 +22,10 @@ cache digest), for memory-safety test runs.
 "Best-effort" no longer means "silent": the first failure per kernel is
 recorded and :func:`kernel_status` reports it, so ``repro trace-sweep
 --engine-stat`` (via ``format_engine_stat``) can answer "why is native
-off?" without strace archaeology. The same policy covers threading:
-the kernels are built with ``-fopenmp`` only after a tiny ``#pragma
-omp`` translation unit compiles and links, falling back to a pthread
-worker loop and finally to the serial batched loop, and
-:func:`threading_status` records which mode won and why the stronger
-ones lost.
+off?" without strace archaeology. Every kernel is built with
+``-pthread`` on batchwalk.c's ``run_items`` worker pool, the one
+threading implementation; a compiler that cannot build with it leaves
+the kernels unavailable like any other failed compile.
 """
 
 import ctypes
@@ -45,16 +43,10 @@ _SANITIZE_FLAGS = (
 )
 _HERE = os.path.dirname(os.path.abspath(__file__))
 
-# kernel name -> (C source next to this module, exported symbols)
+# kernel name -> (C source next to this module, exported entry point)
 _KERNELS = {
-    "batchwalk": (
-        "batchwalk.c",
-        ("repro_batch_walk", "repro_batch_profile", "repro_batch_threading"),
-    ),
-    "epochbatch": (
-        "epochbatch.c",
-        ("repro_epoch_batch", "repro_batch_threading"),
-    ),
+    "batchwalk": ("batchwalk.c", "repro_batch_walk"),
+    "epochbatch": ("epochbatch.c", "repro_epoch_batch"),
 }
 
 # kernel name -> sources it textually #includes: folded into the cache
@@ -65,39 +57,14 @@ _INCLUDED = {
 }
 
 # Tri-state memo per kernel: absent -> not tried, None -> unavailable,
-# else {symbol: ctypes function}. Per-process, like the kernel's table
-# memos.
+# else its entry point as a ctypes function. Per-process, like the
+# kernel's table memos.
 _LOADED = {}
 # kernel name -> human-readable reason it is unavailable (recorded once,
 # on the first failed load attempt).
 _REASONS = {}
-# Memoized threading probe result, or None when not yet probed.
-_THREADING = None
 
 _NO_COMPILER = "no C compiler found ($CC, cc, gcc, clang)"
-
-_OMP_PROBE_TU = """\
-#include <omp.h>
-int repro_omp_probe(void) {
-    int n = 0;
-#pragma omp parallel for
-    for (int i = 0; i < 4; i++)
-        n += omp_get_thread_num();
-    return n;
-}
-"""
-
-_PTHREAD_PROBE_TU = """\
-#include <pthread.h>
-static void *repro_noop(void *arg) { return arg; }
-int repro_pthread_probe(void) {
-    pthread_t t;
-    if (pthread_create(&t, 0, repro_noop, 0) != 0)
-        return 1;
-    pthread_join(t, 0);
-    return 0;
-}
-"""
 
 
 def enabled():
@@ -123,75 +90,13 @@ def _compiler():
     return None
 
 
-def _probe_compile(cc, flags, source):
-    """Compile a throwaway TU with ``flags``; ``None`` on success, else
-    the first diagnostic line."""
-    tmpdir = tempfile.mkdtemp(prefix="repro-probe-")
-    try:
-        tu = os.path.join(tmpdir, "probe.c")
-        out = os.path.join(tmpdir, "probe.so")
-        with open(tu, "w", encoding="utf-8") as fh:
-            fh.write(source)
-        proc = subprocess.run(
-            [cc, "-O2", "-shared", "-fPIC", *flags, "-o", out, tu],
-            capture_output=True,
-            timeout=60,
-        )
-        if proc.returncode == 0:
-            return None
-        stderr = proc.stderr.decode("utf-8", "replace").strip()
-        return stderr.splitlines()[0] if stderr else "no diagnostics"
-    except (OSError, subprocess.SubprocessError) as exc:
-        return str(exc)
-    finally:
-        shutil.rmtree(tmpdir, ignore_errors=True)
-
-
-def _threading_probe():
-    """Pick batchwalk's threading flags: ``{"flags", "mode", "reason"}``.
-
-    ``mode`` is ``"openmp"`` / ``"pthreads"`` / ``"serial"``; ``reason``
-    says why a stronger mode lost (``None`` when OpenMP won). Memoized:
-    the probe compiles up to two throwaway TUs, once per process.
-    """
-    global _THREADING
-    if _THREADING is not None:
-        return _THREADING
-    cc = _compiler()
-    if cc is None:
-        _THREADING = {"flags": (), "mode": "serial", "reason": _NO_COMPILER}
-        return _THREADING
-    omp_fail = _probe_compile(cc, ("-fopenmp",), _OMP_PROBE_TU)
-    if omp_fail is None:
-        _THREADING = {"flags": ("-fopenmp",), "mode": "openmp",
-                      "reason": None}
-        return _THREADING
-    pthread_fail = _probe_compile(cc, ("-pthread",), _PTHREAD_PROBE_TU)
-    if pthread_fail is None:
-        _THREADING = {
-            "flags": ("-pthread", "-DREPRO_BATCH_PTHREADS"),
-            "mode": "pthreads",
-            "reason": f"openmp probe failed: {omp_fail}",
-        }
-        return _THREADING
-    _THREADING = {
-        "flags": (),
-        "mode": "serial",
-        "reason": (
-            f"openmp probe failed: {omp_fail}; "
-            f"pthread probe failed: {pthread_fail}"
-        ),
-    }
-    return _THREADING
-
-
-def _kernel_flags(name):
-    """Extra compile flags for one kernel: every kernel is built on
-    batchwalk.c's run_items worker pool, so all take the probed
-    threading flags. ``REPRO_NATIVE_SANITIZE=1`` adds AddressSanitizer
-    and UBSan; such a build loads only with libasan preloaded
+def _kernel_flags():
+    """Extra compile flags for every kernel: all are built on
+    batchwalk.c's run_items pthread pool, so all take ``-pthread``.
+    ``REPRO_NATIVE_SANITIZE=1`` adds AddressSanitizer and UBSan; such a
+    build loads only with libasan preloaded
     (``LD_PRELOAD=$(gcc -print-file-name=libasan.so)``)."""
-    flags = tuple(_threading_probe()["flags"])
+    flags = ("-pthread",)
     if os.environ.get(_ENV_SANITIZE, "0").strip() == "1":
         flags += _SANITIZE_FLAGS
     return flags
@@ -202,11 +107,11 @@ def _build_library(name):
 
     Exactly one of the pair is ``None``: a path on success, else the
     human-readable reason the kernel is unavailable. The cache digest
-    covers both the source bytes and the chosen flags, so an OpenMP
-    build and a serial fallback build never collide.
+    covers both the source bytes and the flags, so a sanitizer build
+    and a plain build never collide.
     """
     filename, _ = _KERNELS[name]
-    flags = _kernel_flags(name)
+    flags = _kernel_flags()
     source_path = os.path.join(_HERE, filename)
     try:
         with open(source_path, "rb") as fh:
@@ -258,10 +163,11 @@ def _build_library(name):
 
 
 def _load(name):
-    """Tri-state load of one kernel; records the failure reason once."""
+    """Tri-state load of one kernel's entry point; records the failure
+    reason once."""
     if name in _LOADED:
         return _LOADED[name]
-    fns = None
+    fn = None
     if not enabled():
         _REASONS[name] = (
             f"disabled ({_ENV_GATE}={os.environ.get(_ENV_GATE)!r})"
@@ -272,22 +178,13 @@ def _load(name):
             _REASONS[name] = reason
         else:
             try:
-                lib = ctypes.CDLL(path)
-                fns = {}
-                for symbol in _KERNELS[name][1]:
-                    fn = getattr(lib, symbol)
-                    fn.restype = ctypes.c_int64
-                    fns[symbol] = fn
+                fn = getattr(ctypes.CDLL(path), _KERNELS[name][1])
+                fn.restype = ctypes.c_int64
             except (OSError, AttributeError) as exc:
-                fns = None
+                fn = None
                 _REASONS[name] = f"load failed: {exc}"
-    _LOADED[name] = fns
-    return fns
-
-
-def _symbol(name, symbol):
-    fns = _load(name)
-    return None if fns is None else fns.get(symbol)
+    _LOADED[name] = fn
+    return fn
 
 
 def batch_walk_fn():
@@ -299,16 +196,7 @@ def batch_walk_fn():
     :func:`repro.cache.kernel.build_native_batch_replay` for the Python
     owner of the banks.
     """
-    return _symbol("batchwalk", "repro_batch_walk")
-
-
-def batch_profile_fn():
-    """The compiled ``repro_batch_profile`` entry point, or ``None``.
-
-    Set-sharded UMON stack-distance profiling over pack columns; the
-    Python caller is :func:`repro.cache.profile_np.profile_pack`.
-    """
-    return _symbol("batchwalk", "repro_batch_profile")
+    return _load("batchwalk")
 
 
 def epoch_batch_fn():
@@ -321,41 +209,21 @@ def epoch_batch_fn():
     :func:`repro.cache.kernel.build_native_epoch_batch_replay` for the
     Python owner of the banks.
     """
-    return _symbol("epochbatch", "repro_epoch_batch")
+    return _load("epochbatch")
 
 
 def threading_status(kernel="batchwalk"):
     """``{"mode": ..., "reason": ...}`` for a batched kernel's threading.
 
-    ``mode`` is ``"openmp"``, ``"pthreads"`` or ``"serial"``; ``reason``
-    explains any fallback (``None`` when OpenMP won cleanly). When the
-    named kernel actually loaded, the compiled object's own
-    ``repro_batch_threading()`` report wins over the probe's prediction,
-    so the answer describes the code that will run, not the flags that
-    were requested. ``kernel`` may be any of the run_items-pool kernels
-    (``batchwalk``, ``epochbatch``).
+    Loads ``kernel`` (``batchwalk`` or ``epochbatch``) if it was not
+    tried yet. A loaded kernel runs on the pthread pool: ``{"mode":
+    "pthreads", "reason": None}``. An unavailable one leaves the
+    Python fallback to replay serially: ``mode`` is ``"serial"`` and
+    ``reason`` says why the kernel is off.
     """
-    if not enabled():
-        return {
-            "mode": "serial",
-            "reason": (
-                f"disabled ({_ENV_GATE}={os.environ.get(_ENV_GATE)!r})"
-            ),
-        }
-    probe = _threading_probe()
-    mode, reason = probe["mode"], probe["reason"]
-    fn = _symbol(kernel, "repro_batch_threading")
-    if fn is not None:
-        compiled = {2: "openmp", 1: "pthreads", 0: "serial"}.get(
-            int(fn()), "unknown"
-        )
-        if compiled != mode:
-            reason = (
-                f"probe chose {mode} but the compiled object reports "
-                f"{compiled}"
-            )
-            mode = compiled
-    return {"mode": mode, "reason": reason}
+    if _load(kernel) is not None:
+        return {"mode": "pthreads", "reason": None}
+    return {"mode": "serial", "reason": _REASONS.get(kernel, "unavailable")}
 
 
 def resolve_native_threads(allocations, threads=None):
@@ -386,33 +254,20 @@ def resolve_native_threads(allocations, threads=None):
 
 
 def kernel_status():
-    """``{kernel: "ok [mode]" | reason}`` for every native kernel.
+    """``{kernel: "ok [pthreads]" | reason}`` for every native kernel.
 
     Forces a load attempt for kernels not yet tried, so the answer is
     definitive — this backs the ``native-kernel`` lines in
-    ``format_engine_stat`` / ``repro trace-sweep --engine-stat``. A
-    kernel's "ok" carries its threading mode (and the probe
-    failure that forced a fallback), e.g. ``ok [openmp]`` or
-    ``ok [serial; openmp probe failed: ...]``.
+    ``format_engine_stat`` / ``repro trace-sweep --engine-stat``.
     """
     status = {}
     for name in _KERNELS:
-        if _load(name) is not None:
-            threading = threading_status(name)
-            if threading["reason"]:
-                status[name] = (
-                    f"ok [{threading['mode']}; {threading['reason']}]"
-                )
-            else:
-                status[name] = f"ok [{threading['mode']}]"
-        else:
-            status[name] = _REASONS.get(name, "unavailable")
+        threading = threading_status(name)
+        status[name] = threading["reason"] or f"ok [{threading['mode']}]"
     return status
 
 
 def reset():
     """Forget the memoized libraries (tests toggle REPRO_NATIVE)."""
-    global _THREADING
     _LOADED.clear()
     _REASONS.clear()
-    _THREADING = None

@@ -186,15 +186,35 @@ class WaySweep:
         return self.run(trace_factory)[0]
 
     def run_pack(self, pack):
-        """Profile a compiled :class:`TracePack` through
-        :func:`~repro.cache.profile_np.profile_pack`; bit-identical to
-        :meth:`run` over the same stream."""
-        from repro.cache.profile_np import profile_pack
+        """Profile a compiled :class:`TracePack`: its line column, and
+        for several domains its ``tid // 2`` domain column, through
+        :meth:`WayProfiler.observe`; bit-identical to :meth:`run` over
+        the same stream. A tid whose domain falls outside
+        ``[0, num_domains)`` raises :class:`ValidationError` before any
+        access is profiled."""
+        from repro.perf import engine_counters as ec
 
-        return profile_pack(
-            pack, self.num_sets, self.num_ways, self.indexing,
-            self.num_domains,
+        profiler = WayProfiler(
+            self.num_sets, self.num_ways, self.indexing, self.num_domains
         )
+        observe = profiler.observe
+        lines = pack.lines_list()
+        if self.num_domains <= 1:
+            for line in lines:
+                observe(line)
+        else:
+            domains = pack.tid >> 1
+            if len(domains) and not (
+                0 <= domains.min() and domains.max() < self.num_domains
+            ):
+                raise ValidationError(
+                    "pack tids map to profile domains outside "
+                    f"[0, {self.num_domains})"
+                )
+            for line, domain in zip(lines, domains.tolist()):
+                observe(line, domain)
+        ec.add(ec.PROFILER_PASSES)
+        return profiler.curves()
 
 
 def brute_force_hits(trace_factory, ways, num_sets=LLC_NUM_SETS,

@@ -36,13 +36,6 @@ def host_provenance():
         "native_enabled": native.enabled(),
         "threading_mode": threading["mode"],
         "threading_reason": threading["reason"],
-        # Each run_items-pool kernel reports its own compiled mode: the
-        # epoch-batch object can lag or lead batchwalk's across partial
-        # cache rebuilds, and dynbatch numbers hinge on which mode ran.
-        "threading_by_kernel": {
-            name: native.threading_status(name)["mode"]
-            for name in ("batchwalk", "epochbatch")
-        },
         "kernel_status": dict(native.kernel_status()),
         # The *resolved* knobs, not just the raw env (which serializes
         # as {} when nothing is set): what a pool or a batched native

@@ -181,12 +181,6 @@ def format_engine_stat(counters=None):
     lines.append("")
     for name, status in sorted(native.kernel_status().items()):
         lines.append(f"  native-kernel/{name}: {status}")
-    threading = native.threading_status()
-    detail = f"; {threading['reason']}" if threading["reason"] else ""
-    lines.append(f"  native-batch/threading: {threading['mode']}{detail}")
-    epoch = native.threading_status("epochbatch")
-    detail = f"; {epoch['reason']}" if epoch["reason"] else ""
-    lines.append(f"  native-epochbatch/threading: {epoch['mode']}{detail}")
     return "\n".join(lines)
 
 

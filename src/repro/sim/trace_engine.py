@@ -396,21 +396,19 @@ def _epoch_replay(hierarchy, cores, workloads, packs):
 
 
 def measure_isolation(fg_workload, bg_workload, fg_mask=None, bg_mask=None,
-                      total_accesses=120_000, prefetchers_on=False,
-                      backend="kernel"):
+                      total_accesses=120_000):
     """Foreground latency/miss-ratio alone, shared, and partitioned.
 
-    The address-level version of the paper's core experiment. Prefetchers
-    default off: a prefetch-accelerated stream monopolizes the access
-    budget and the measurement becomes a warm-up study rather than a
-    partitioning one. Each scenario is a warm-up pass, then a measured
-    pass over the same caches. With the native kernels the three
-    scenarios are three cells of one epoch batch over the cold
-    template (:func:`_isolation_batch`). Otherwise — prefetchers on, a
-    non-kernel backend, or a co-run the batch builder refuses — each
-    scenario is two :meth:`TraceEngine.run_packed` calls on one fresh
-    engine, which fall back to :meth:`TraceEngine.run` by themselves.
-    The numbers are the same on every path.
+    The address-level version of the paper's core experiment, on the
+    kernel backend with prefetchers off: a prefetch-accelerated stream
+    monopolizes the access budget and the measurement becomes a warm-up
+    study rather than a partitioning one. Each scenario is a warm-up
+    pass, then a measured pass over the same caches. With the native
+    kernels the three scenarios are three cells of one epoch batch over
+    the cold template (:func:`_isolation_batch`). Where that batch
+    declines, each scenario is two :meth:`TraceEngine.run_packed` calls
+    on one fresh engine, which fall back to :meth:`TraceEngine.run` by
+    themselves. The numbers are the same on every path.
     """
     from repro.cache.llc import WayMask
 
@@ -430,15 +428,13 @@ def measure_isolation(fg_workload, bg_workload, fg_mask=None, bg_mask=None,
     }
 
     def warm_then_measure(cell):
-        engine = TraceEngine(prefetchers_on=prefetchers_on, backend=backend)
+        engine = TraceEngine(prefetchers_on=False, backend="kernel")
         for core, mask in (cell.masks or {}).items():
             engine.hierarchy.set_way_mask(core, mask)
         engine.run_packed(cell.workloads, total_accesses)  # warm-up pass
         return engine.run_packed(cell.workloads, total_accesses)
 
-    outcomes = None
-    if backend == "kernel" and not prefetchers_on:
-        outcomes = _isolation_batch(list(scenarios.values()))
+    outcomes = _isolation_batch(list(scenarios.values()))
     if outcomes is None:
         outcomes = [warm_then_measure(cell) for cell in scenarios.values()]
 

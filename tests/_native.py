@@ -1,5 +1,9 @@
 """Native-kernel toggles shared by the lockstep tests.
 
+The native side of a lockstep pair is the two C kernels (batchwalk,
+epochbatch), both built on one pthread worker pool; the other side is
+the pure-Python reference the loader falls back to.
+
 A plain module rather than fixtures: hypothesis ``@given`` bodies call
 these helpers once per example, and function-scoped fixtures do not
 reset between examples.

@@ -3,8 +3,8 @@
 The contract under test is bit-identity: ``run_packed_roster`` must
 return exactly what a fresh :class:`TraceEngine` + ``run_packed`` per
 cell returns — for any thread count, and with the native kernels
-disabled entirely. The same harness covers the set-sharded batch
-profiler and the measured ``TraceBackend`` sweep built on top.
+disabled entirely. The same harness covers the measured
+``TraceBackend`` sweep built on top.
 """
 
 import os
@@ -13,7 +13,7 @@ import pytest
 
 from repro.cache.hierarchy import CacheHierarchy
 from repro.cache.llc import WayMask
-from repro.cache.profile import LLC_NUM_WAYS, WaySweep
+from repro.cache.profile import LLC_NUM_WAYS
 from repro.sim.trace_engine import (
     RosterCell,
     TraceEngine,
@@ -27,7 +27,7 @@ from repro.workloads.trace import (
     StreamingTrace,
     ZipfTrace,
 )
-from repro.workloads.tracepack import TracePack, compile_columns, get_pack
+from repro.workloads.tracepack import get_pack
 
 from .._native import native_available, without_native
 
@@ -630,49 +630,6 @@ class TestWarmTemplate:
         # and cells, run after the first and in reverse order.
         again = build_native_batch_replay(h, cells[::-1], threads=1)
         assert again.run() == expected[::-1]
-
-
-class TestBatchProfiler:
-    def _pack(self):
-        return get_pack(ZipfTrace(3_000, 512 * KB, alpha=0.9, seed=13))
-
-    def test_native_profile_matches_python_single_domain(self):
-        sweep = WaySweep(num_sets=256, num_ways=8, indexing="hash")
-        pack = self._pack()
-        native_curves = sweep.run_pack(pack)
-        python_curves = without_native(lambda: sweep.run_pack(pack))
-        assert native_curves[0].histogram == python_curves[0].histogram
-        assert native_curves[0].accesses == python_curves[0].accesses
-
-    def test_native_profile_matches_python_four_domains(self):
-        import numpy as np
-
-        sweep = WaySweep(
-            num_sets=256, num_ways=8, indexing="hash", num_domains=4
-        )
-        columns = compile_columns(
-            ZipfTrace(3_000, 512 * KB, alpha=0.9, seed=13)
-        )
-        # A deterministic 4-way interleaving of the stream over tids
-        # 0, 2, 4 and 6, one per profile domain.
-        columns["tid"] = np.arange(len(columns["tid"]), dtype=np.int64) % 4 * 2
-        pack = TracePack(columns, "four-tids")
-        native_curves = sweep.run_pack(pack)
-        python_curves = without_native(lambda: sweep.run_pack(pack))
-        for d in range(4):
-            assert native_curves[d].histogram == python_curves[d].histogram
-            assert native_curves[d].accesses == python_curves[d].accesses
-
-    def test_shard_count_never_changes_histograms(self, monkeypatch):
-        if not native_available():
-            pytest.skip("native kernels unavailable")
-        sweep = WaySweep(num_sets=256, num_ways=8, indexing="hash")
-        pack = self._pack()
-        monkeypatch.setenv("REPRO_NATIVE_THREADS", "1")
-        one = sweep.run_pack(pack)
-        monkeypatch.setenv("REPRO_NATIVE_THREADS", "4")
-        four = sweep.run_pack(pack)
-        assert one[0].histogram == four[0].histogram
 
 
 class TestMeasuredSweep:

@@ -28,12 +28,9 @@ class TestKernelStatus:
         if native.epoch_batch_fn() is None:
             pytest.skip("no C compiler on this host")
         status = native.kernel_status()
-        # Every kernel runs on the run_items pool; its ok carries the mode,
-        # e.g. "ok [openmp]" or "ok [serial; openmp probe failed: ...]".
-        for name in ("batchwalk", "epochbatch"):
-            assert status[name].startswith("ok [")
-            mode = status[name][len("ok ["):].split("]")[0].split(";")[0]
-            assert mode in ("openmp", "pthreads", "serial")
+        # Every kernel runs on the run_items pthread pool.
+        assert status == {"batchwalk": "ok [pthreads]",
+                          "epochbatch": "ok [pthreads]"}
 
     def test_disabled_reason_names_the_gate(self, monkeypatch):
         monkeypatch.setenv("REPRO_NATIVE", "0")
@@ -81,75 +78,41 @@ class TestKernelStatus:
         text = format_engine_stat()
         assert "native-kernel/batchwalk:" in text
         assert "native-kernel/epochbatch:" in text
-        assert "native-batch/threading:" in text
-        assert "native-epochbatch/threading:" in text
+        assert "/threading:" not in text
         assert "REPRO_NATIVE" in text
 
 
 class TestThreadingProbe:
-    """The OpenMP -> pthreads -> serial compile-probe fallback chain."""
+    """``threading_status``: loading a kernel is the probe, and the pthread
+    pool is the only threading a loaded kernel has."""
 
     def test_no_compiler_means_serial(self, monkeypatch):
         monkeypatch.setattr(native, "_compiler", lambda: None)
-        probe = native._threading_probe()
-        assert probe["mode"] == "serial"
-        assert probe["flags"] == ()
-        assert probe["reason"] == (
-            "no C compiler found ($CC, cc, gcc, clang)"
-        )
-
-    def test_openmp_wins_cleanly(self, monkeypatch):
-        monkeypatch.setattr(native, "_compiler", lambda: "cc")
-        monkeypatch.setattr(
-            native, "_probe_compile", lambda cc, flags, source: None
-        )
-        probe = native._threading_probe()
-        assert probe == {
-            "flags": ("-fopenmp",), "mode": "openmp", "reason": None
+        status = native.threading_status()
+        assert status == {
+            "mode": "serial",
+            "reason": "no C compiler found ($CC, cc, gcc, clang)",
         }
 
-    def test_openmp_failure_falls_back_to_pthreads(self, monkeypatch):
+    def test_failed_pthread_build_leaves_the_kernels_off(self, monkeypatch):
+        """A compiler that cannot build with ``-pthread`` is a failed
+        compile: the kernel is unavailable and the status says why."""
+        import subprocess
+
+        def no_pthread(cmd, **kwargs):
+            assert "-pthread" in cmd
+            return subprocess.CompletedProcess(
+                cmd, 1, b"", b"cc: error: unrecognized option '-pthread'"
+            )
+
         monkeypatch.setattr(native, "_compiler", lambda: "cc")
-
-        def probe_compile(cc, flags, source):
-            if "-fopenmp" in flags:
-                return "omp.h: No such file or directory"
-            return None
-
-        monkeypatch.setattr(native, "_probe_compile", probe_compile)
-        probe = native._threading_probe()
-        assert probe["mode"] == "pthreads"
-        assert probe["flags"] == ("-pthread", "-DREPRO_BATCH_PTHREADS")
-        assert probe["reason"] == (
-            "openmp probe failed: omp.h: No such file or directory"
+        monkeypatch.setattr(native.subprocess, "run", no_pthread)
+        assert native.epoch_batch_fn() is None
+        status = native.threading_status("epochbatch")
+        assert status["mode"] == "serial"
+        assert status["reason"] == (
+            "cc failed: cc: error: unrecognized option '-pthread'"
         )
-
-    def test_both_failures_fall_back_to_serial(self, monkeypatch):
-        monkeypatch.setattr(native, "_compiler", lambda: "cc")
-        monkeypatch.setattr(
-            native,
-            "_probe_compile",
-            lambda cc, flags, source: f"cannot use {flags[0]}",
-        )
-        probe = native._threading_probe()
-        assert probe["mode"] == "serial"
-        assert probe["flags"] == ()
-        assert "openmp probe failed: cannot use -fopenmp" in probe["reason"]
-        assert "pthread probe failed: cannot use -pthread" in probe["reason"]
-
-    def test_probe_memoized_per_process(self, monkeypatch):
-        calls = []
-        monkeypatch.setattr(native, "_compiler", lambda: "cc")
-
-        def probe_compile(cc, flags, source):
-            calls.append(flags)
-            return None
-
-        monkeypatch.setattr(native, "_probe_compile", probe_compile)
-        first = native._threading_probe()
-        second = native._threading_probe()
-        assert first is second
-        assert calls == [("-fopenmp",)]
 
     def test_status_disabled_names_the_gate(self, monkeypatch):
         monkeypatch.setenv("REPRO_NATIVE", "0")
@@ -160,32 +123,45 @@ class TestThreadingProbe:
         assert "'0'" in status["reason"]
 
     def test_status_matches_the_compiled_object(self):
+        """Every compiled object holds the one pthread pool."""
         if native.batch_walk_fn() is None:
             pytest.skip("batch kernel unavailable on this host")
-        status = native.threading_status()
-        fn = native._symbol("batchwalk", "repro_batch_threading")
-        compiled = {2: "openmp", 1: "pthreads", 0: "serial"}[int(fn())]
-        assert status["mode"] == compiled
+        for name in ("batchwalk", "epochbatch"):
+            assert native.threading_status(name) == {
+                "mode": "pthreads", "reason": None,
+            }
+
+    def test_status_loads_the_kernel(self, monkeypatch):
+        """After a reset, ``threading_status("epochbatch")`` loads that
+        kernel, so a later ``epoch_batch_fn()`` is a memo hit: a caller
+        can keep the load out of what it times."""
+        if native._compiler() is None:
+            pytest.skip("no C compiler on this host")
+        native.reset()
+        assert native.threading_status("epochbatch") == {
+            "mode": "pthreads", "reason": None,
+        }
+        calls = []
+        monkeypatch.setattr(
+            native, "_build_library",
+            lambda name: calls.append(name) or (None, "rebuilt"),
+        )
+        assert native.epoch_batch_fn() is not None
+        assert calls == []
 
     def test_flags_land_in_the_cache_digest(self, monkeypatch):
-        """An OpenMP build and a serial build must not share a .so."""
+        """A sanitizer build and a plain build must not share a .so."""
         if native._compiler() is None:
             pytest.skip("no C compiler on this host")
         paths = {}
-        for mode, flags in (
-            ("serial", ()),
-            ("threaded", ("-fopenmp",)),
-        ):
+        for mode, sanitize in (("plain", "0"), ("sanitized", "1")):
+            monkeypatch.setenv("REPRO_NATIVE_SANITIZE", sanitize)
             native.reset()
-            monkeypatch.setattr(
-                native, "_kernel_flags",
-                lambda name, _f=flags: _f if name == "batchwalk" else (),
-            )
             path, reason = native._build_library("batchwalk")
             if path is None:
                 pytest.skip(f"batchwalk build failed: {reason}")
             paths[mode] = path
-        assert paths["serial"] != paths["threaded"]
+        assert paths["plain"] != paths["sanitized"]
 
 
 class TestBuildLibrary:
@@ -210,8 +186,6 @@ class TestSanitizerBuild:
     def test_sanitizer_flags_are_opt_in(self, monkeypatch):
         sanitize = ("-fsanitize=address,undefined", "-fno-omit-frame-pointer")
         monkeypatch.delenv("REPRO_NATIVE_SANITIZE", raising=False)
-        plain = native._kernel_flags("batchwalk")
-        assert not set(sanitize) & set(plain)
+        assert native._kernel_flags() == ("-pthread",)
         monkeypatch.setenv("REPRO_NATIVE_SANITIZE", "1")
-        assert native._kernel_flags("batchwalk") == plain + sanitize
-        assert native._kernel_flags("epochbatch") == plain + sanitize
+        assert native._kernel_flags() == ("-pthread",) + sanitize

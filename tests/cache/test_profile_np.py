@@ -1,17 +1,16 @@
-"""The pack profiler against the sequential WayProfiler."""
+"""Way profiling over compiled (NumPy-column) trace packs:
+``WaySweep.run_pack`` against the sequential WayProfiler."""
 
 import numpy as np
 import pytest
 
-from repro.cache import profile_np
 from repro.cache.profile import WayProfiler, WaySweep
-from repro.cache.profile_np import profile_pack
 from repro.util.errors import ConfigurationError, ValidationError
 from repro.util.units import MB
 from repro.workloads.tracepack import TracePack, compile_columns, get_pack
 from repro.workloads.trace import StreamingTrace, ZipfTrace
 
-from .._native import native_available, without_native
+from .._native import without_native
 
 
 @pytest.fixture(autouse=True)
@@ -20,28 +19,6 @@ def _private_cache(monkeypatch, tmp_path):
 
     monkeypatch.setattr(tracepack, "_OPEN_PACKS", {})
     monkeypatch.setenv("REPRO_TRACE_CACHE", str(tmp_path / "traces"))
-
-
-@pytest.fixture()
-def native_returns(monkeypatch):
-    """Every value ``_profile_pack_native`` returns during the test."""
-    returns = []
-    inner = profile_np._profile_pack_native
-
-    def recording(*args):
-        result = inner(*args)
-        returns.append(result)
-        return result
-
-    monkeypatch.setattr(profile_np, "_profile_pack_native", recording)
-    return returns
-
-
-def _assert_native_ran(returns):
-    """With native kernels, the C profiler (not the WayProfiler
-    fallback) produced the histograms under test."""
-    if native_available():
-        assert returns and all(r is not None for r in returns)
 
 
 def _zipf(tid=0):
@@ -58,19 +35,24 @@ def _sequential_curves(pack, num_sets, num_ways, indexing, num_domains):
     return {d: profiler.curve(d) for d in range(num_domains)}
 
 
+def _four_domain_pack():
+    """A deterministic 4-way interleaving of one stream over tids 0, 2,
+    4 and 6, one per profile domain."""
+    columns = compile_columns(_zipf())
+    columns["tid"] = np.arange(len(columns["tid"]), dtype=np.int64) % 4 * 2
+    return TracePack(columns, "four-tids")
+
+
 class TestProfilePack:
     @pytest.mark.parametrize("indexing", ["hash", "mod"])
-    def test_matches_sequential_profiler_exactly(
-        self, indexing, native_returns
-    ):
+    def test_matches_sequential_profiler_exactly(self, indexing):
         pack = get_pack(_zipf())
-        profiled = profile_pack(pack, 512, 12, indexing)
-        _assert_native_ran(native_returns)
+        profiled = WaySweep(512, 12, indexing).run_pack(pack)
         sequential = _sequential_curves(pack, 512, 12, indexing, 1)
         assert profiled[0].histogram == sequential[0].histogram
         assert profiled[0].accesses == sequential[0].accesses
 
-    def test_multi_domain_histograms_match(self, native_returns):
+    def test_multi_domain_histograms_match(self):
         fg = compile_columns(_zipf(tid=0))
         bg = compile_columns(StreamingTrace(2_000, 2 * MB, tid=4))
         columns = {
@@ -78,18 +60,26 @@ class TestProfilePack:
             for name in ("address", "pc", "tid", "rw")
         }
         pack = TracePack(columns, "mixed")
-        profiled = profile_pack(pack, 256, 12, "hash", num_domains=3)
-        _assert_native_ran(native_returns)
+        profiled = WaySweep(256, 12, "hash", num_domains=3).run_pack(pack)
         sequential = _sequential_curves(pack, 256, 12, "hash", 3)
         for domain in range(3):
             assert profiled[domain].histogram == sequential[domain].histogram
             assert profiled[domain].accesses == sequential[domain].accesses
 
+    def test_four_domain_histograms_match(self):
+        pack = _four_domain_pack()
+        profiled = WaySweep(256, 8, "hash", num_domains=4).run_pack(pack)
+        sequential = _sequential_curves(pack, 256, 8, "hash", 4)
+        for domain in range(4):
+            assert profiled[domain].histogram == sequential[domain].histogram
+            assert profiled[domain].accesses == 750
+
     @pytest.mark.parametrize("native", [True, False])
     @pytest.mark.parametrize("tid", [6, -2])
     def test_rejects_out_of_range_domains(self, tid, native):
-        """A tid whose domain is outside [0, num_domains) raises on both
-        paths, before any access is profiled or dropped."""
+        """A tid whose domain is outside [0, num_domains) raises under
+        either native setting, before any access is profiled or
+        dropped."""
         columns = compile_columns(_zipf())
         columns["tid"] = np.full(len(columns["tid"]), tid, dtype=np.int64)
         pack = TracePack(columns, f"tid{tid}")
@@ -104,22 +94,22 @@ class TestProfilePack:
         """With a single domain every access is domain 0, as in
         WaySweep.run."""
         pack = get_pack(_zipf(tid=6))
-        curve = profile_pack(pack, 256, 8, "hash")[0]
+        curve = WaySweep(256, 8, "hash").run_pack(pack)[0]
         assert curve.accesses == len(pack)
 
     def test_empty_pack(self):
         trace = ZipfTrace(0, 1 * MB)
         pack = TracePack(compile_columns(trace), "empty")
-        curve = profile_pack(pack, 64, 4, "mod")[0]
+        curve = WaySweep(64, 4, "mod").run_pack(pack)[0]
         assert curve.accesses == 0
         assert sum(curve.histogram) == 0
 
     def test_rejects_bad_configuration(self):
         pack = get_pack(_zipf())
         with pytest.raises(ConfigurationError):
-            profile_pack(pack, 64, 0, "hash")
+            WaySweep(64, 0, "hash").run_pack(pack)
         with pytest.raises(ConfigurationError):
-            profile_pack(pack, 64, 4, "hash", num_domains=0)
+            WaySweep(64, 4, "hash", num_domains=0).run_pack(pack)
 
 
 class TestSweepPack:

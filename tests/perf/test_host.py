@@ -30,17 +30,12 @@ class TestHostProvenance:
 
     def test_kernel_and_threading_status_present(self):
         payload = host_provenance()
-        assert "threading_mode" in payload
+        assert payload["threading_mode"] in ("pthreads", "serial")
         assert isinstance(payload["kernel_status"], dict)
 
     def test_epochbatch_kernel_status_is_reported(self):
         """dynbatch artifacts must record the epoch-batch kernel's
-        compile status and its own threading mode."""
+        compile status."""
         payload = host_provenance()
-        assert "epochbatch" in payload["kernel_status"]
-        by_kernel = payload["threading_by_kernel"]
-        assert set(by_kernel) == {"batchwalk", "epochbatch"}
-        assert all(
-            mode in ("openmp", "pthreads", "serial")
-            for mode in by_kernel.values()
-        )
+        assert set(payload["kernel_status"]) == {"batchwalk", "epochbatch"}
+        assert "threading_by_kernel" not in payload
