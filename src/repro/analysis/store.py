@@ -35,8 +35,11 @@ RUNSET_VERSION = 1
 def _atomic_write_json(payload, path):
     tmp = f"{path}.tmp.{os.getpid()}"
     with open(tmp, "w") as handle:
-        # Compact separators keep json on its C encoder (indent does not).
-        json.dump(payload, handle, separators=(",", ":"), sort_keys=True)
+        # One json.dumps, not json.dump: only the one-shot dumps path
+        # runs on the C encoder; dump always iterates in Python.
+        handle.write(
+            json.dumps(payload, separators=(",", ":"), sort_keys=True)
+        )
     os.replace(tmp, path)
 
 

@@ -86,24 +86,40 @@ class TraceBackend(SimBackend):
         background's from the top down; without one every core keeps
         the full cache.
         """
-        from repro.cache.llc import WayMask
         from repro.sim.trace_engine import RosterCell
 
         masks = None
         if split is not None:
             fg, bg = workloads
-            llc_ways = self.capabilities().llc_ways
-            masks = {
-                fg.tid // 2: WayMask.contiguous(split.fg_ways, 0, llc_ways),
-                bg.tid // 2: WayMask.contiguous(
-                    split.bg_ways, llc_ways - split.bg_ways, llc_ways
-                ),
-            }
+            fg_mask, bg_mask = self.pair_masks(split)
+            masks = {fg.tid // 2: fg_mask, bg.tid // 2: bg_mask}
         return RosterCell(
             workloads=list(workloads),
             masks=masks,
             total_accesses=self.total_accesses,
         )
+
+    def pair_masks(self, split):
+        """``(fg, bg)`` way masks of a pair split: the foreground's ways
+        run from way 0 up, the background's from the top down."""
+        from repro.cache.llc import WayMask
+
+        llc_ways = self.capabilities().llc_ways
+        return (
+            WayMask.contiguous(split.fg_ways, 0, llc_ways),
+            WayMask.contiguous(
+                split.bg_ways, llc_ways - split.bg_ways, llc_ways
+            ),
+        )
+
+    def sweep_splits(self):
+        """Every disjoint split a measured sweep replays, 1 to W - 1
+        foreground ways."""
+        llc_ways = self.capabilities().llc_ways
+        return [
+            WaySplit.disjoint(fg_ways, llc_ways)
+            for fg_ways in range(1, llc_ways)
+        ]
 
     def _replay(self, cell):
         """``{name: TraceStats}`` of one roster cell."""
@@ -143,16 +159,11 @@ class TraceBackend(SimBackend):
     def sweep_roster_cells(self, spec):
         """``(splits, RosterCells)`` for the measured sweep's roster.
 
-        One :meth:`roster_cell` per disjoint split, as :meth:`co_run`
-        replays it. Exposed separately so the campaign runner can
-        concatenate many cells' sweeps into ONE batched native call;
-        :meth:`_measured_sweep` replays just this pair's.
+        One :meth:`roster_cell` per split of :meth:`sweep_splits`, as
+        :meth:`co_run` replays it; :meth:`_measured_sweep` replays them
+        in one batched native call.
         """
-        llc_ways = self.capabilities().llc_ways
-        splits = [
-            WaySplit.disjoint(fg_ways, llc_ways)
-            for fg_ways in range(1, llc_ways)
-        ]
+        splits = self.sweep_splits()
         pair = [spec.fg, spec.bg]
         return splits, [self.roster_cell(pair, s) for s in splits]
 

@@ -15,9 +15,12 @@
  *                        restores only the LLC sets the worker's previous
  *                        cell may have written — the sets of the accesses
  *                        it issued, marked in the worker's caller-owned
- *                        reset record — plus the whole L1/L2/bi tail; a
- *                        worker's first cell in a call copies the whole
- *                        template.  A roster holds `threads` banks, not
+ *                        reset record — plus the L1/L2 of the cores it
+ *                        may have written (its own, and every core whose
+ *                        template L1/L2 holds a line) and the bi
+ *                        counters; a worker's first cell in a call
+ *                        copies the whole template.  A roster holds
+ *                        `threads` banks, not
  *                        R: each cell's results live in its own dom/sched
  *                        slices, never in a bank.
  *                        A cell that profiles its way utility passes its
@@ -210,8 +213,9 @@ walk_on(const WalkBatch *B, i64 r, i64 *bank)
 
 /* A one-shot roster's per-worker reset record, caller-owned
  * (reset_words words per worker): RESET_FULL while the bank must be
- * refilled whole, else 0, then one mark bit per LLC set. */
-enum { RESET_STATE, RESET_MARKS };
+ * refilled whole, else 0; the core bits of the previous cell's domains;
+ * then one mark bit per LLC set. */
+enum { RESET_STATE, RESET_CORES, RESET_MARKS };
 #define RESET_FULL 1
 
 static i64
@@ -223,13 +227,47 @@ reset_words(i64 llc_sets)
 typedef struct {
     WalkBatch B;
     i64 *reset;  /* bcfg[B_BANKS] reset records */
-    i64 llc_sets, W;
+    i64 llc_sets, W, num_cores, l1_sets, l2_sets;
+    /* Cores whose template L1 or L2 holds a line: an LLC eviction in any
+     * cell may back-invalidate their inner caches. */
+    uint64_t tpl_cores;
 } ShotBatch;
 
+/* The cores whose template L1 or L2 holds at least one valid line. */
+static uint64_t
+resident_cores(const ShotBatch *S)
+{
+    const WalkBatch *B = &S->B;
+    const BankLayout *L = &B->L;
+    uint64_t cores = 0;
+    for (i64 c = 0; c < S->num_cores; c++) {
+        const i64 *v1 = B->tpl + L->l1_valid + c * S->l1_sets;
+        const i64 *v2 = B->tpl + L->l2_valid + c * S->l2_sets;
+        i64 any = 0;
+        for (i64 s = 0; s < S->l1_sets; s++)
+            any |= v1[s];
+        for (i64 s = 0; s < S->l2_sets; s++)
+            any |= v2[s];
+        if (any)
+            cores |= (uint64_t)1 << c;
+    }
+    return cores;
+}
+
+/* Copy one section slice [off, off + n) from the template into bank. */
+static void
+restore(const WalkBatch *B, i64 *bank, i64 off, i64 n)
+{
+    memcpy(bank + off, B->tpl + off, (size_t)n * sizeof(i64));
+}
+
 /* Reset a worker's bank to the template before its next cell: the
- * marked LLC rows (tags, sharers, valid, PLRU), then the L1/L2/bi tail
- * whole, so back-invalidations of template-resident lines need no
- * tracking.  A bank not yet filled in this call takes the full copy. */
+ * marked LLC rows (tags, sharers, valid, PLRU), the L1/L2 of every core
+ * the previous cell may have written, and the bi counters.  A cell
+ * writes the inner caches of its own cores, and back-invalidates only
+ * lines some inner cache holds: template-resident lines (the
+ * tpl_cores) or lines its own cores filled.  A bank not yet filled in
+ * this call takes the full copy. */
 static void
 reset_bank(const ShotBatch *S, i64 *bank, i64 *rec)
 {
@@ -258,8 +296,19 @@ reset_bank(const ShotBatch *S, i64 *bank, i64 *rec)
                 bank[L->llc_plru + s] = B->tpl[L->llc_plru + s];
             }
         }
-        memcpy(bank + L->l1_tags, B->tpl + L->l1_tags,
-               (size_t)(L->stride - L->l1_tags) * sizeof(i64));
+        uint64_t cores = (uint64_t)rec[RESET_CORES] | S->tpl_cores;
+        i64 s1 = S->l1_sets, s2 = S->l2_sets;
+        for (i64 c = 0; c < S->num_cores; c++) {
+            if (!(cores >> c & 1))
+                continue;
+            restore(B, bank, L->l1_tags + c * s1 * 8, s1 * 8);
+            restore(B, bank, L->l1_valid + c * s1, s1);
+            restore(B, bank, L->l1_state + c * s1, s1);
+            restore(B, bank, L->l2_tags + c * s2 * 8, s2 * 8);
+            restore(B, bank, L->l2_valid + c * s2, s2);
+            restore(B, bank, L->l2_plru + c * s2, s2);
+        }
+        restore(B, bank, L->bi, L->stride - L->bi);
     }
     rec[RESET_STATE] = 0;
 }
@@ -267,7 +316,7 @@ reset_bank(const ShotBatch *S, i64 *bank, i64 *rec)
 /* Mark the LLC sets cell r may have written: each domain's first
  * min(n, accesses issued) set-column entries.  Every LLC write lands in
  * the set of an access the cell issued, so this is a superset of the
- * rows it wrote. */
+ * rows it wrote.  Record the cell's cores too. */
 static void
 mark_sets(const ShotBatch *S, i64 r, i64 *rec)
 {
@@ -275,8 +324,10 @@ mark_sets(const ShotBatch *S, i64 r, i64 *rec)
     const i64 *dom = B->dom + r * B->nmax * DOM_STRIDE;
     uint64_t *marks = (uint64_t *)(rec + RESET_MARKS);
     i64 N = B->cfg[r * CFG_SLOTS + CFG_N];
+    uint64_t cores = 0;
     for (i64 d = 0; d < N; d++) {
         const i64 *p = dom + d * DOM_STRIDE;
+        cores |= (uint64_t)p[D_CBIT];
         const i64 *scol = B->sets[r * B->nmax + d];
         i64 used = p[D_H1] + p[D_H2] + p[D_H3] + p[D_M3];
         if (used > p[D_N])
@@ -284,6 +335,7 @@ mark_sets(const ShotBatch *S, i64 r, i64 *rec)
         for (i64 i = 0; i < used; i++)
             marks[scol[i] >> 6] |= (uint64_t)1 << (scol[i] & 63);
     }
+    rec[RESET_CORES] = (i64)cores;
 }
 
 /* One-shot cell: reset the worker's bank, then replay the cell in it. */
@@ -330,7 +382,9 @@ repro_batch_walk(
             l1_touch, l1_fill, l2_touch, l2_fill,
             sched, umon),
         reset, bcfg[B_LLC_SETS], bcfg[B_W],
+        bcfg[B_NUM_CORES], bcfg[B_L1_SETS], bcfg[B_L2_SETS], 0,
     };
+    S.tpl_cores = resident_cores(&S);
     /* A worker's first cell in this call refills its bank whole. */
     for (i64 k = 0; k < bcfg[B_BANKS]; k++)
         reset[k * reset_words(S.llc_sets) + RESET_STATE] = RESET_FULL;

@@ -41,6 +41,8 @@ class HashedIndex:
         self._bits = num_sets.bit_length() - 1
 
     def index(self, line_number):
+        if not self._bits:
+            return 0  # one set: the fold below would never shift
         folded = line_number
         acc = 0
         while folded:
@@ -59,6 +61,8 @@ class HashedIndex:
         """
         import numpy as np
 
+        if not self._bits:
+            return np.zeros(np.shape(line_numbers), dtype=np.int64)
         folded = np.asarray(line_numbers, dtype=np.int64).astype(np.uint64)
         acc = np.zeros(folded.shape, dtype=np.uint64)
         mask = np.uint64(self._mask)

@@ -24,6 +24,8 @@ indexing, with and without way masks. ``tests/cache/test_kernel.py``
 holds the two backends to exact agreement step by step.
 """
 
+from dataclasses import dataclass
+
 from repro.cache.block import CacheLine
 from repro.cache.cache import CacheLevel, _INDEXING
 from repro.cache.stats import CacheStats
@@ -417,43 +419,47 @@ class KernelCacheLevel:
 _TABLES = {}
 
 
+# (7 - k)! for k = 0..7: the weight of Lehmer digit k of an 8-way order.
+_LEHMER8 = (5040, 720, 120, 24, 6, 2, 1, 1)
+
+
 def _lru8_tables():
     """8-way true LRU as a finite state machine: per-set recency is one
-    of 8! = 40320 permutation states, and touch and victim are table
-    lookups. Returns the int32 ``touch`` (state x way) and ``fill``
-    (victim way in the low 3 bits, post-fill state above them) tables,
-    plus the permutation list and its index for the L1 stamp ->
-    FSM-state conversion (:func:`_l1_perm_state`)."""
+    of 8! = 40320 orders (most recent way first), numbered by
+    lexicographic rank, and touch and victim are table lookups.
+    Returns the int32 ``touch`` (state x way) and ``fill`` (victim way
+    in the low 3 bits, post-fill state above them) tables."""
     tables = _TABLES.get("lru8")
     if tables is None:
-        import itertools
-
         import numpy as np
 
-        perms = list(itertools.permutations(range(8)))
-        index = dict(zip(perms, range(len(perms))))
-        p = np.fromiter(
-            itertools.chain.from_iterable(perms), dtype=np.int64,
-            count=8 * len(perms),
-        ).reshape(-1, 8)
-        # Read as base-8 numbers, lexicographic order is numeric order,
-        # so a permutation's index is a binary search over the codes.
-        digits = 8 ** np.arange(7, -1, -1)
-        codes = p @ digits
-        touch = np.empty_like(p)
-        for w in range(8):
-            # Touching way w moves it to the front, the rest keep order.
-            q = np.empty_like(p)
-            q[:, 0] = w
-            q[:, 1:] = p[p != w].reshape(-1, 7)
-            touch[:, w] = np.searchsorted(codes, q @ digits)
+        # Built up from n = 1 way. State s of n ways is first way a =
+        # s // (n-1)! followed by the order of rank r = s % (n-1)! over
+        # the other ways (relabelled 0..n-2). Touching way w != a gives
+        # (w, a, rest without w): its rank is w (n-1)! plus a's label
+        # without w times (n-2)!, plus the rank of rest without w, which
+        # the n-1 table's touch of w in r holds past its first digit.
+        touch = np.zeros((1, 1), dtype=np.int64)
+        last = np.zeros(1, dtype=np.int64)  # each state's LRU way
+        f = 1  # (n - 1)!
+        for n in range(2, 9):
+            g = f // (n - 1)
+            s = np.arange(n * f)
+            a, r = np.divmod(s, f)
+            first = a[:, None]
+            w = np.arange(n)
+            col = np.minimum(w - (w > first), n - 2)
+            rest = np.take_along_axis(touch[r], col, axis=1) - col * g
+            moved = w * f + (first - (first > w)) * g + rest
+            touch = np.where(w == first, s[:, None], moved)
+            lru = last[r]
+            last = lru + (lru >= a)
+            f *= n
         # Evict-and-fill in one lookup: victim way in the low bits, the
         # post-touch state above them.
-        victim = p[:, 7]
-        fill = (touch[np.arange(len(p)), victim] << 3) | victim
+        fill = (touch[np.arange(f), last] << 3) | last
         tables = _TABLES["lru8"] = (
             touch.ravel().astype(np.int32), fill.astype(np.int32),
-            perms, index,
         )
     return tables
 
@@ -535,14 +541,15 @@ def _native_core_eligible(hierarchy, core):
 def _l1_perm_state(l1):
     """Per-set 8-way LRU permutation-FSM state from the stamp array
     (stamps are unique per set; descending stamp = most recent first)."""
-    l1_perm_index = _lru8_tables()[3]
-    l1_stamp = l1._stamp
-    state = [0] * l1.num_sets
-    for s in range(l1.num_sets):
-        seg = l1_stamp[s << 3:(s << 3) + 8]
-        order = sorted(range(8), key=seg.__getitem__, reverse=True)
-        state[s] = l1_perm_index[tuple(order)]
-    return state
+    import numpy as np
+
+    stamps = np.asarray(l1._stamp, dtype=np.int64).reshape(-1, 8)
+    orders = np.argsort(-stamps, axis=1)
+    # The rank is the sum of the order's Lehmer digits (digit k counts
+    # the later ways smaller than the way at position k), weighted.
+    later = np.triu(np.ones((8, 8), dtype=bool), 1)
+    smaller = orders[:, None, :] < orders[:, :, None]
+    return ((smaller & later).sum(axis=2) @ np.array(_LEHMER8)).tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -697,17 +704,29 @@ class TemplateBank:
     The batch kernels reset each cell's (or each worker's) bank from
     this one bank inside their threaded work items — a whole copy, or
     for a reused worker bank only the LLC sets its last cell touched
-    plus the L1/L2 tail — so building a roster costs one snapshot, not
-    one per cell. The snapshot is taken on first use of :attr:`bank`
-    and kept: reuse a ``TemplateBank`` only while its hierarchy stays
-    untouched, as the roster drivers do with their one cold template
-    per process. Nothing writes a cell's bank back into the template or
-    its hierarchy.
+    plus the L1/L2 of the cores it could have written — so building a
+    roster costs one snapshot, not one per cell. The snapshot is taken
+    on first use of :attr:`bank` and kept, and so is each core's
+    eligibility (:meth:`eligible`): reuse a ``TemplateBank`` only while
+    its hierarchy stays untouched, as the roster drivers do with their
+    one cold template per process. Nothing writes a cell's bank back
+    into the template or its hierarchy.
     """
 
     def __init__(self, hierarchy):
         self.hierarchy = hierarchy
         self._bank = None
+        self._eligible = {}
+
+    def eligible(self, cores):
+        """:func:`_epoch_replay_supported` for distinct ``cores``, each
+        core's state checked once per template."""
+        for core in cores:
+            if core not in self._eligible:
+                self._eligible[core] = _native_core_eligible(
+                    self.hierarchy, core
+                )
+        return all(self._eligible[core] for core in cores)
 
     @property
     def bank(self):
@@ -739,8 +758,6 @@ class TemplateBank:
         return layout, offset
 
     def _snapshot(self):
-        import itertools
-
         import numpy as np
 
         h = self.hierarchy
@@ -753,9 +770,8 @@ class TemplateBank:
             *(l2._plru for l2 in h.l2),
             [0] * (2 * h.num_cores),  # back-invalidation counters
         )
-        return np.fromiter(
-            itertools.chain.from_iterable(sections), dtype=np.int64,
-            count=self.layout()[1],
+        return np.concatenate(
+            [np.asarray(section, dtype=np.int64) for section in sections]
         )
 
 
@@ -770,8 +786,12 @@ class NativeBatchReplay:
     worker thread rather than one per cell. The reset restores only the
     LLC sets the worker's previous cell issued accesses to — marked in
     a per-worker reset record allocated here beside the banks — plus the
-    whole L1/L2 tail; a worker's first cell in each :meth:`run` copies
-    the whole template. This class and its epoch subclass are the only
+    L1/L2 of that cell's cores and of every core whose template L1/L2
+    holds a line (the only ones a cell can back-invalidate); a worker's
+    first cell in each :meth:`run` copies the whole template. The cells
+    come as one :class:`BatchCells` table, laid into the kernel's cfg,
+    dom and column-pointer arrays with whole-array operations. This
+    class and its epoch subclass are the only
     owners of that layout. :meth:`run` is a single ``ctypes`` call; the
     kernel threads over cells but each writes only its own dom/sched
     slice, so the per-cell ``(counters, vtimes)`` read back afterwards
@@ -799,69 +819,65 @@ class NativeBatchReplay:
         h = template.hierarchy
         llc = h.llc.storage
         num_cores = h.num_cores
-        R = len(cells)
+        column = np.asarray(cells.column)
+        R, n_max = column.shape
         threads = min(threads, R)
-        n_max = max(len(cell["cores"]) for cell in cells)
+        valid = column >= 0
+        ndom = valid.sum(axis=1)
         self._h = h
         self._template = template
-        self._cells = cells
+        self._ndom = ndom
         self._fn = fn
-        self._n_max = n_max
 
-        first_core = cells[0]["cores"][0]
         l1_touch, l1_fill = _lru8_tables()[:2]
-        l2_touch, l2_fill = _plru8_tables(h.l2[first_core])
+        l2_touch, l2_fill = _plru8_tables(h.l2[0])
         pset, pclr, pleft, pright = _llc_geometry(llc)
-        l1_sets = h.l1[first_core].num_sets
-        l2_sets = h.l2[first_core].num_sets
+        l1_sets = h.l1[0].num_sets
+        l2_sets = h.l2[0].num_sets
         self._layout, stride = template.layout()
         nbanks = R if self._bank_per_cell else threads
         # Filled from the template inside the kernel, never read unfilled.
         banks = np.empty(nbanks * stride, dtype=i64)
 
         cfg = np.zeros((R, _CFG_SLOTS), dtype=i64)
-        cfg[:, 0] = [len(cell["cores"]) for cell in cells]
+        cfg[:, 0] = ndom
         cfg[:, 1] = llc._leaves
         cfg[:, 2] = llc.num_ways
-        cfg[:, 3] = h.l1[first_core]._mod_mask
-        cfg[:, 4] = h.l2[first_core]._mod_mask
+        cfg[:, 3] = h.l1[0]._mod_mask
+        cfg[:, 4] = h.l2[0]._mod_mask
         cfg[:, 5] = num_cores
-        cfg[:, _CFG_STOP] = [int(cell["stop"]) for cell in cells]
+        cfg[:, _CFG_STOP] = cells.stops
         cfg[:, _CFG_LLC_SETS] = llc.num_sets
+
+        # Each column used once, as a contiguous int64 array: a pack's
+        # memmapped columns pass through uncopied.
+        lines, sets = {}, {}
+        line_at = np.zeros(len(cells.lines), dtype=np.uintp)
+        set_at = np.zeros(len(cells.lines), dtype=np.uintp)
+        for k in set(column[valid].tolist()):
+            lines[k] = np.ascontiguousarray(cells.lines[k], dtype=i64)
+            sets[k] = np.ascontiguousarray(cells.sets[k], dtype=i64)
+            line_at[k] = lines[k].ctypes.data
+            set_at[k] = sets[k].ctypes.data
+        column = np.where(valid, column, 0)
+        line_ptrs = np.where(valid, line_at[column], 0).astype(np.uintp)
+        set_ptrs = np.where(valid, set_at[column], 0).astype(np.uintp)
+
+        cores = np.where(valid, cells.cores, 0).astype(i64)
+        thinks = np.asarray(cells.thinks, dtype=i64)
+        n = np.asarray(cells.lengths, dtype=i64)[column]
         dom = np.zeros((R, n_max, _DOM_STRIDE), dtype=i64)
-        line_ptrs = np.zeros((R, n_max), dtype=np.uintp)
-        set_ptrs = np.zeros((R, n_max), dtype=np.uintp)
-        columns = {}  # id(column) -> contiguous int64 copy or view
-
-        def _col(col):
-            arr = columns.get(id(col))
-            if arr is None:
-                arr = columns[id(col)] = np.ascontiguousarray(
-                    np.asarray(col, dtype=i64)
-                )
-            return arr.ctypes.data
-
-        mask_bits = h.llc._mask_bits
-        for r, cell in enumerate(cells):
-            cell_masks = cell.get("mask_bits")
-            lengths = cell["lengths"]
-            for slot, (core, think) in enumerate(
-                zip(cell["cores"], cell["thinks"])
-            ):
-                n = int(lengths[slot])
-                dom[r, slot, :_D_LIVE + 1] = (
-                    core,
-                    1 << core,
-                    mask_bits[core] if cell_masks is None
-                    else cell_masks[slot],
-                    4 + think, 12 + think, 30 + think, 200 + think,
-                    n,
-                    bool(cell["repeats"][slot]),
-                    0,
-                    1 if n else 0,
-                )
-                line_ptrs[r, slot] = _col(cell["lines"][slot])
-                set_ptrs[r, slot] = _col(cell["sets"][slot])
+        dom[..., 0] = cores
+        dom[..., 1] = np.left_shift(1, cores)
+        dom[..., _D_MASK] = cells.masks
+        dom[..., 3] = 4 + thinks
+        dom[..., 4] = 12 + thinks
+        dom[..., 5] = 30 + thinks
+        dom[..., 6] = 200 + thinks
+        dom[..., _D_N] = n
+        dom[..., 8] = np.asarray(cells.repeats, dtype=bool)
+        dom[..., _D_LIVE] = n > 0
+        dom[~valid] = 0
 
         sched = np.zeros((R, _SCHED_SLOTS), dtype=i64)
         # One zeroed UMON buffer per profiling cell, never one in the
@@ -870,11 +886,10 @@ class NativeBatchReplay:
         # NULL and pay one branch per LLC probe.
         umon = {}
         umon_ptrs = np.zeros(R, dtype=np.uintp)
-        for r, cell in enumerate(cells):
-            if cell.get("profile"):
+        if cells.profile is not None:
+            for r in np.flatnonzero(cells.profile).tolist():
                 umon[r] = np.zeros(
-                    (len(cell["cores"]),
-                     (llc.num_ways + 1) * (llc.num_sets + 1)),
+                    (int(ndom[r]), (llc.num_ways + 1) * (llc.num_sets + 1)),
                     dtype=i64,
                 )
                 umon_ptrs[r] = umon[r].ctypes.data
@@ -896,13 +911,13 @@ class NativeBatchReplay:
         )
         if not self._bank_per_cell:
             # One reset record per worker bank, as reset_words in
-            # batchwalk.c lays it out: a must-refill flag, then one mark
-            # bit per LLC set.
+            # batchwalk.c lays it out: a must-refill flag, the previous
+            # cell's core bits, then one mark bit per LLC set.
             reset = np.zeros(
-                (nbanks, 1 + (llc.num_sets + 63) // 64), dtype=i64
+                (nbanks, 2 + (llc.num_sets + 63) // 64), dtype=i64
             )
             arrays = (*arrays, reset)
-        self._keep = (arrays, columns)
+        self._keep = (arrays, lines, sets)
         self._args = [ctypes.c_void_p(a.ctypes.data) for a in arrays]
 
     def cell_result(self, r):
@@ -910,7 +925,7 @@ class NativeBatchReplay:
         where ``counts`` is a per-domain tuple of ``(l1_hits, l2_hits,
         llc_hits, llc_misses)`` — the same shape
         :meth:`PythonEpochReplay.finish` reports."""
-        dom = self._dom[r, :len(self._cells[r]["cores"])]
+        dom = self._dom[r, :self._ndom[r]]
         return (
             tuple(map(tuple, dom[:, _D_H1:_D_H1 + 4].tolist())),
             tuple(dom[:, _D_VTIME].tolist()),
@@ -925,10 +940,19 @@ class NativeBatchReplay:
         W = self._h.llc.storage.num_ways
         return self._umon[r][:, :W + 1].tolist()
 
+    def results(self):
+        """Every cell's ``(counts, vtimes)`` as arrays: ``(R, n_max, 4)``
+        level counts and ``(R, n_max)`` virtual times, zero past a
+        cell's last domain."""
+        return (
+            self._dom[:, :, _D_H1:_D_H1 + 4].copy(),
+            self._dom[:, :, _D_VTIME].copy(),
+        )
+
     def run(self):
-        """One ctypes call; returns ``[(counts, vtimes), ...]`` per cell."""
+        """One ctypes call; returns :meth:`results`."""
         self._fn(*self._args)
-        return [self.cell_result(r) for r in range(len(self._cells))]
+        return self.results()
 
 
 def _check_mask_word(bits, num_ways):
@@ -941,77 +965,114 @@ def _check_mask_word(bits, num_ways):
         )
 
 
-def _check_cell_columns(cell, num_cores, num_sets, scanned):
-    """Raise unless every domain's core exists and its line and set
-    columns are equally long, hold at least ``lengths[slot]`` accesses,
-    and name only LLC sets in ``[0, num_sets)``: the kernels use the
-    core, ``lengths[slot]`` entries of both columns and every set index
-    unchecked. ``scanned`` holds the ids of the set columns already
-    range-checked in this build, so cells sharing a pack scan it once."""
+@dataclass
+class BatchCells:
+    """The cells of one batch as arrays over shared trace columns.
+
+    ``lines[k]`` and ``sets[k]`` are trace column ``k``'s line numbers
+    and LLC set indices, and ``lengths[k]`` the accesses one pass over
+    it issues. Row ``r`` of the ``(R, n_max)`` arrays holds cell ``r``'s
+    domains: ``column`` names the trace column each slot replays, ``-1``
+    past the cell's last domain; ``cores``, ``thinks``, ``repeats`` and
+    ``masks`` (LLC way-mask words) describe the slot. ``stops[r]`` is
+    the cell's issue target, and a true ``profile[r]`` gives the cell
+    its own UMON.
+    """
+
+    lines: list
+    sets: list
+    lengths: object
+    column: object
+    cores: object
+    thinks: object
+    repeats: object
+    masks: object
+    stops: object
+    profile: object = None
+
+
+def _check_batch_cells(cells, num_cores, num_sets, num_ways):
+    """Raise unless the kernels can take ``cells`` unchecked: one core,
+    think, repeat flag and mask word per domain slot, domains packed at
+    the front of each row, and every core, trace column, set index and
+    mask word in range. The kernels use the core, ``lengths[k]`` entries
+    of both columns of trace column ``k`` and every set index unchecked,
+    and pick LLC victim ways from the mask word. Each check runs once
+    per distinct column, core and word, never once per cell."""
     import numpy as np
 
-    cores = cell["cores"]
-    lines, sets, lengths = cell["lines"], cell["sets"], cell["lengths"]
-    if not len(lines) == len(sets) == len(lengths) == len(cores):
+    column = np.asarray(cells.column)
+    if column.ndim != 2:
+        raise ValidationError("need an (R, n_max) column index per domain")
+    for name in ("cores", "thinks", "repeats", "masks"):
+        if np.shape(getattr(cells, name)) != column.shape:
+            raise ValidationError(
+                f"need one {name[:-1]} per cell domain: {name} has shape "
+                f"{np.shape(getattr(cells, name))}, columns {column.shape}"
+            )
+    if np.shape(cells.stops) != column.shape[:1]:
+        raise ValidationError("need one stop per cell")
+    K = len(cells.lines)
+    if not len(cells.sets) == len(cells.lengths) == K:
         raise ValidationError(
-            "need one line column, set column and length per cell domain"
+            "need one line column, set column and length per trace column"
         )
-    for slot, core in enumerate(cores):
+    valid = column >= 0
+    if (column >= K).any():
+        raise ValidationError(f"column index outside [0, {K})")
+    if (valid[:, 1:] & ~valid[:, :-1]).any():
+        raise ValidationError("a cell's domains must fill its first slots")
+    for core in set(np.asarray(cells.cores)[valid].tolist()):
         if not 0 <= core < num_cores:
+            raise ValidationError(f"core {core} outside [0, {num_cores})")
+    for k in sorted(set(column[valid].tolist())):
+        lines, sets = cells.lines[k], cells.sets[k]
+        n = int(cells.lengths[k])
+        if not len(lines) == len(sets) >= n >= 0:
             raise ValidationError(
-                f"domain {slot}: core {core} outside [0, {num_cores})"
+                f"trace column {k}: line column ({len(lines)}) and set "
+                f"column ({len(sets)}) must be equally long and cover "
+                f"length {n}"
             )
-        n = int(lengths[slot])
-        if not len(lines[slot]) == len(sets[slot]) >= n >= 0:
-            raise ValidationError(
-                f"domain {slot}: line column ({len(lines[slot])}) and set "
-                f"column ({len(sets[slot])}) must be equally long and "
-                f"cover length {n}"
-            )
-        col = sets[slot]
-        if id(col) in scanned:
-            continue
-        scanned.add(id(col))
-        arr = np.asarray(col)
+        arr = np.asarray(sets)
         if arr.size and not (0 <= arr.min() and arr.max() < num_sets):
             raise ValidationError(
-                f"domain {slot}: set column indexes outside "
+                f"trace column {k}: set column indexes outside "
                 f"[0, {num_sets})"
             )
+    for bits in set(np.asarray(cells.masks)[valid].tolist()):
+        _check_mask_word(bits, num_ways)
 
 
-def _batch_cells_supported(hierarchy, cells):
+def _batch_cells_supported(template, cells):
     """Shared preconditions of the batched builders (one bank layout).
 
-    Every cell's cores, effective mask words and columns are validated
-    first: a bad word, a short column or an out-of-range core or set
-    index raises :class:`ValidationError` rather than reaching the
-    kernel. The template's state is then checked once per distinct core
-    the cells use, not once per cell.
+    :func:`_check_batch_cells` raises first on a bad word, a short
+    column or an out-of-range core or set index. Then every cell needs
+    1 to 16 domains on distinct cores, and the template's state is
+    checked once per distinct core the cells use
+    (:meth:`TemplateBank.eligible`).
     """
-    h = hierarchy
+    import numpy as np
+
+    h = template.hierarchy
     llc = h.llc.storage
-    default_bits = h.llc._mask_bits
-    scanned = set()
-    for cell in cells:
-        _check_cell_columns(cell, h.num_cores, llc.num_sets, scanned)
-        cores = cell["cores"]
-        words = cell.get("mask_bits")
-        if words is None:
-            words = [default_bits[core] for core in cores]
-        elif len(words) != len(cores):
-            raise ValidationError("need one mask word per cell domain")
-        for bits in words:
-            _check_mask_word(bits, llc.num_ways)
-    if h.llc_profiler is not None or llc.num_ways > 62:
+    _check_batch_cells(cells, h.num_cores, llc.num_sets, llc.num_ways)
+    # Way masks, sharer sets and the reset records' core sets are
+    # 64-bit words.
+    if h.llc_profiler is not None or llc.num_ways > 62 or h.num_cores > 63:
         return False
-    used = set()
-    for cell in cells:
-        cores = cell["cores"]
-        if not cores or len(cores) > 16 or len(set(cores)) != len(cores):
-            return False
-        used.update(cores)
-    if not _epoch_replay_supported(h, sorted(used)):
+    valid = np.asarray(cells.column) >= 0
+    ndom = valid.sum(axis=1)
+    if not len(ndom) or ndom.min() < 1 or ndom.max() > 16:
+        return False
+    # Padding slots take distinct negative cores, so a repeat in a
+    # sorted row is two domains of one cell on one core.
+    cores = np.where(valid, cells.cores, -1 - np.arange(valid.shape[1]))
+    cores = np.sort(cores, axis=1)
+    if (cores[:, 1:] == cores[:, :-1]).any():
+        return False
+    if not template.eligible(sorted(set(cores[cores >= 0].tolist()))):
         return False
     l1_mod = h.l1[0]._mod_mask
     l2_mod = h.l2[0]._mod_mask
@@ -1038,7 +1099,7 @@ def _build_batch(cls, kernel_fn, hierarchy, cells, threads):
         template = hierarchy
     else:
         template = TemplateBank(hierarchy)
-    if not cells or not _batch_cells_supported(template.hierarchy, cells):
+    if not _batch_cells_supported(template, cells):
         return None
 
     from repro.cache import native
@@ -1046,7 +1107,7 @@ def _build_batch(cls, kernel_fn, hierarchy, cells, threads):
     fn = kernel_fn()
     if fn is None:
         return None
-    threads = native.resolve_native_threads(len(cells), threads)
+    threads = native.resolve_native_threads(len(cells.stops), threads)
     return cls(template, cells, threads, fn)
 
 
@@ -1060,13 +1121,12 @@ def build_native_batch_replay(hierarchy, cells, threads=None):
     ``hierarchy`` is the template every cell starts from: a kernel
     :class:`~repro.cache.hierarchy.CacheHierarchy`, snapshotted by this
     call, or a :class:`TemplateBank` of one, reused as is. ``cells`` is
-    a list of dicts with keys ``cores``, ``thinks``, ``lines``,
-    ``sets``, ``lengths``, ``repeats``, ``stop`` and optionally
-    ``mask_bits`` (per-slot LLC way-mask words; defaults to the
-    hierarchy's current masks) and ``profile``: a true ``profile``
-    gives every domain of that cell its own UMON, fed at each LLC probe
-    exactly as an attached :class:`~repro.cache.profile.WayProfiler`
-    would be (keyed by the domain's core), and read back with
+    a :class:`BatchCells` table; the cfg, dom and column-pointer arrays
+    are filled from it in whole-array operations. A true
+    ``profile[r]`` gives every domain of cell ``r`` its own UMON, fed at
+    each LLC probe exactly as an attached
+    :class:`~repro.cache.profile.WayProfiler` would be (keyed by the
+    domain's core), and read back with
     :meth:`NativeBatchReplay.cell_profile`. ``threads`` follows
     :func:`repro.cache.native.resolve_native_threads` — invalid
     ``REPRO_NATIVE_THREADS`` values raise, they never silently fall
@@ -1109,7 +1169,7 @@ class NativeEpochBatchReplay(NativeBatchReplay):
         import numpy as np
 
         super().__init__(template, cells, threads, fn)
-        active = np.zeros(len(cells) + 1, dtype=np.int64)
+        active = np.zeros(len(cells.stops) + 1, dtype=np.int64)
         self._active = active
         self._keep = (*self._keep, active)
         args = list(self._args)

@@ -155,13 +155,13 @@ class WaySweep:
     """Answer hits/misses under every allocation 1..W from one replay."""
 
     def __init__(self, num_sets=LLC_NUM_SETS, num_ways=LLC_NUM_WAYS,
-                 indexing="hash", num_domains=1, domain_of=None):
+                 indexing="hash", num_domains=1):
         self.num_sets = num_sets
         self.num_ways = num_ways
         self.indexing = indexing
         self.num_domains = num_domains
         # tid -> domain mapping mirrors the hierarchy's pairwise mapping.
-        self._domain_of = domain_of or (
+        self._domain_of = (
             (lambda acc: acc.tid // 2 if isinstance(acc, MemoryAccess) else 0)
             if num_domains > 1
             else (lambda acc: 0)

@@ -39,7 +39,7 @@ C-call granularity are the same knob (``shard_size``).
 
 from dataclasses import dataclass, field
 
-from repro.campaign.manifest import static_policy_ways
+from repro.campaign.manifest import MAX_MANIFEST_TENANTS, static_policy_ways
 from repro.util.errors import ValidationError
 
 DEFAULT_SHARD_SIZE = 64
@@ -190,20 +190,174 @@ def backend_for(cell, threads=None):
     raise ValidationError(f"unknown cell backend {cell.backend!r}")
 
 
-def roster_cell_for(cell):
-    """``(RosterCell, spec, split)`` realizing a batchable pair cell.
+class TraceTable:
+    """Every distinct trace workload, pack, split and way mask one
+    campaign run replays, each resolved once.
 
-    The RosterCell is the one ``TraceBackend.co_run`` replays
-    (:meth:`~repro.backend.trace.TraceBackend.roster_cell`), so a
-    roster-replayed cell is bit-identical to the per-cell reference
-    path.
+    Cells that share a pair (or tenant roster) and a geometry share its
+    workloads; workloads whose traces compile to the same pack share
+    that pack, fetched once by content; cells under one policy share its
+    split and masks. A fixed-split cell thus reduces to one row of
+    workload and mask indices, and a shard of them to one
+    :class:`~repro.sim.trace_engine.Roster` over this table
+    (:meth:`roster`). Build one per ``run_campaign`` call: it holds no
+    state across calls.
     """
-    backend = backend_for(cell)
-    split = split_for(cell, backend.capabilities().llc_ways)
-    if split is None:
-        raise ValidationError(f"cell {cell.cell_id} is not batchable")
-    spec = trace_spec_for(cell)
-    return backend.roster_cell([spec.fg, spec.bg], split), spec, split
+
+    def __init__(self):
+        from repro.backend import TraceBackend
+
+        self.backend = TraceBackend()
+        self.llc_ways = self.backend.capabilities().llc_ways
+        self.workloads = []
+        self.packs = []
+        self.masks = []
+        self._resolved = {}  # distinct trace -> pack (resolve_pack)
+        self._mask_index = {}  # (bits, num_ways) -> index into masks
+        self._split_masks = {}  # split (and group members) -> mask indices
+        self._specs = {}  # (tenants, fg, bg, geometry) -> (spec, members)
+        self._splits = {}  # (policy, tenant count) -> split
+        # Per row, padded to MAX_MANIFEST_TENANTS slots with -1.
+        self._row_members = []
+        self._row_masks = []
+        self._row_stops = []
+        self._row_meta = []  # (spec or group, split) per row
+        self._backends = {}  # (geometry, controller, threads) -> backend
+
+    def backend_for(self, cell, threads=None):
+        """:func:`backend_for` the cell, one per configuration."""
+        key = (cell.geometry, cell.controller, threads)
+        backend = self._backends.get(key)
+        if backend is None:
+            backend = self._backends[key] = backend_for(cell, threads)
+        return backend
+
+    def _add_workload(self, workload):
+        from repro.workloads.trace import _TraceBase
+        from repro.workloads.tracepack import resolve_pack
+
+        trace = workload.trace_factory()
+        pack = None
+        if isinstance(trace, _TraceBase):
+            pack = resolve_pack(trace, self._resolved)
+        self.workloads.append(workload)
+        self.packs.append(pack)
+        return len(self.workloads) - 1
+
+    def spec(self, cell):
+        """``(spec, members)``: the cell's PairSpec (or TenantSet for a
+        group cell) and its workloads' indices, built on first use."""
+        key = (cell.tenants, cell.fg, cell.bg, cell.geometry)
+        found = self._specs.get(key)
+        if found is None:
+            if cell.tenants:
+                spec = trace_group_for(cell)
+                workloads = spec.tenants
+            else:
+                spec = trace_spec_for(cell)
+                workloads = (spec.fg, spec.bg)
+            members = tuple(self._add_workload(w) for w in workloads)
+            found = self._specs[key] = (spec, members)
+        return found
+
+    def _mask(self, mask):
+        key = (mask.bits, mask.num_ways)
+        index = self._mask_index.get(key)
+        if index is None:
+            index = self._mask_index[key] = len(self.masks)
+            self.masks.append(mask)
+        return index
+
+    def split(self, cell):
+        """The fixed split the cell runs under: a WaySplit for a pair
+        cell, a GroupSplit for a group cell."""
+        key = (cell.policy, len(cell.tenants))
+        split = self._splits.get(key)
+        if split is None:
+            if cell.tenants:
+                split = group_split_for(cell, self.llc_ways)
+            else:
+                split = split_for(cell, self.llc_ways)
+            if split is None:
+                raise ValidationError(f"cell {cell.cell_id} is not batchable")
+            split = self._splits[key] = split
+        return split
+
+    def _add_row(self, spec, members, split, stop):
+        """A roster row: ``members`` under ``split``'s masks."""
+        from repro.backend.protocol import WaySplit
+
+        pair = isinstance(split, WaySplit)
+        key = (split.fg_ways, split.bg_ways) if pair else (members, split)
+        masks = self._split_masks.get(key)
+        if masks is None:
+            if pair:
+                ways = self.backend.pair_masks(split)
+            else:
+                by_core = self.backend._group_masks(spec, split)
+                ways = [by_core[w.tid // 2] for w in spec.tenants]
+            masks = self._split_masks[key] = tuple(map(self._mask, ways))
+        pad = (-1,) * (MAX_MANIFEST_TENANTS - len(members))
+        self._row_members.append(members + pad)
+        self._row_masks.append(masks + pad)
+        self._row_stops.append(stop)
+        self._row_meta.append((spec, split))
+        return len(self._row_members) - 1
+
+    def row(self, cell):
+        """A new row for a fixed-split (roster) cell."""
+        spec, members = self.spec(cell)
+        return self._add_row(
+            spec, members, self.split(cell),
+            int(cell.geometry_dict["accesses"]),
+        )
+
+    def sweep_rows(self, cell):
+        """``(spec, splits, rows)`` of a biased cell's measured sweep:
+        one row per split of ``TraceBackend.sweep_splits``."""
+        spec, members = self.spec(cell)
+        splits = self.backend.sweep_splits()
+        stop = int(cell.geometry_dict["accesses"])
+        rows = [self._add_row(spec, members, s, stop) for s in splits]
+        return spec, splits, rows
+
+    def group_row(self, cell, split):
+        """The row of a group cell under a split planned at run time."""
+        spec, members = self.spec(cell)
+        return self._add_row(
+            spec, members, split, int(cell.geometry_dict["accesses"])
+        )
+
+    def meta(self, row):
+        """``(spec or group, split)`` of a row."""
+        return self._row_meta[row]
+
+    def roster(self, rows):
+        """The :class:`~repro.sim.trace_engine.Roster` replaying
+        ``rows``, over this table's workloads, packs and masks."""
+        import numpy as np
+
+        from repro.sim.trace_engine import Roster
+
+        members = np.array([self._row_members[r] for r in rows])
+        width = int((members >= 0).sum(axis=1).max())
+        mask_of = np.array([self._row_masks[r] for r in rows])
+        return Roster(
+            workloads=self.workloads,
+            masks=self.masks,
+            members=members[:, :width],
+            mask_of=mask_of[:, :width],
+            stops=np.array(
+                [self._row_stops[r] for r in rows], dtype=np.int64
+            ),
+            packs=self.packs,
+        )
+
+    def pack_paths(self):
+        """The persisted directories of every pack, for pool workers."""
+        from repro.exec import persisted_pack_paths
+
+        return persisted_pack_paths(list(self._resolved.values()))
 
 
 @dataclass

@@ -31,11 +31,10 @@ from repro.analysis.store import (
 )
 from repro.campaign.manifest import expand_manifest, static_policy_ways
 from repro.campaign.planner import (
+    TraceTable,
     backend_for,
-    group_split_for,
     is_batchable,
     plan_shards,
-    roster_cell_for,
     split_for,
     trace_group_for,
     trace_spec_for,
@@ -194,45 +193,35 @@ def _group_record_from_stats(cell, backend, group, split, stats, source,
     )
 
 
-def _execute_roster_shard(shard, threads):
+def _roster_record(cell, table, row, stats, source, plan=None):
+    """A RunRecord from one replayed row of the table's roster."""
+    spec, split = table.meta(row)
+    if cell.tenants:
+        return _group_record_from_stats(
+            cell, table.backend, spec, split, stats, source, plan=plan
+        )
+    return _record_from_stats(cell, spec, split, stats, source)
+
+
+def _execute_roster_shard(shard, threads, table):
     """One batched native call for a whole shard of fixed-mask cells.
 
-    Pair cells and N-tenant group cells share the roster: each group
-    cell contributes one multi-domain RosterCell with masks straight
-    from its GroupSplit.
+    Each cell is one row of the run's :class:`TraceTable`: indices of
+    its workloads and of its split's masks, resolved once per run. Pair
+    cells and N-tenant group cells share the roster; a group cell's
+    masks come straight from its GroupSplit.
     """
     from repro.sim.trace_engine import run_packed_roster
 
-    built = []
-    for cell in shard:
-        if cell.tenants:
-            backend = backend_for(cell, threads)
-            group = trace_group_for(cell)
-            split = group_split_for(cell, backend.capabilities().llc_ways)
-            roster = backend.group_roster_cell(group, split)
-            built.append(("group", roster, (backend, group, split)))
-        else:
-            roster, spec, split = roster_cell_for(cell)
-            built.append(("pair", roster, (spec, split)))
-    outcomes = run_packed_roster(
-        [roster for _, roster, _ in built], threads=threads
-    )
-    records = []
-    for cell, (kind, _, extra), stats in zip(shard, built, outcomes):
-        if kind == "group":
-            backend, group, split = extra
-            records.append(_group_record_from_stats(
-                cell, backend, group, split, stats, source="roster"
-            ))
-        else:
-            spec, split = extra
-            records.append(
-                _record_from_stats(cell, spec, split, stats, source="roster")
-            )
-    return records
+    rows = [table.row(cell) for cell in shard]
+    outcomes = run_packed_roster(table.roster(rows), threads=threads)
+    return [
+        _roster_record(cell, table, row, stats, "roster")
+        for cell, row, stats in zip(shard, rows, outcomes)
+    ]
 
 
-def _execute_cluster_shard(shard, threads):
+def _execute_cluster_shard(shard, threads, table):
     """Profile-then-replay for a whole shard of cluster cells.
 
     Each cell profiles its tenants' way-utility curves (one batched
@@ -243,28 +232,18 @@ def _execute_cluster_shard(shard, threads):
     from repro.core.clustering import cluster_tenants
     from repro.sim.trace_engine import run_packed_roster
 
-    built = []
+    plans, rows = [], []
     for cell in shard:
-        backend = backend_for(cell, threads)
-        group = trace_group_for(cell)
-        llc_ways = backend.capabilities().llc_ways
-        utilities = backend.way_utility(group)
+        group, _ = table.spec(cell)
+        utilities = table.backend_for(cell, threads).way_utility(group)
         plan = cluster_tenants(utilities, names=group.names,
-                               llc_ways=llc_ways)
-        built.append((backend, group, plan))
-    outcomes = run_packed_roster(
-        [
-            backend.group_roster_cell(group, plan.split)
-            for backend, group, plan in built
-        ],
-        threads=threads,
-    )
+                               llc_ways=table.llc_ways)
+        plans.append(plan)
+        rows.append(table.group_row(cell, plan.split))
+    outcomes = run_packed_roster(table.roster(rows), threads=threads)
     return [
-        _group_record_from_stats(
-            cell, backend, group, plan.split, stats,
-            source="cluster", plan=plan,
-        )
-        for cell, (backend, group, plan), stats in zip(shard, built, outcomes)
+        _roster_record(cell, table, row, stats, "cluster", plan=plan)
+        for cell, plan, row, stats in zip(shard, plans, rows, outcomes)
     ]
 
 
@@ -307,7 +286,7 @@ def _execute_grid_shard(shard):
     ]
 
 
-def _execute_sweep_shard(shard, threads):
+def _execute_sweep_shard(shard, threads, table):
     """One batched native call for a whole shard of biased cells.
 
     Every cell contributes its 11-allocation measured sweep to one
@@ -321,17 +300,16 @@ def _execute_sweep_shard(shard, threads):
     from repro.sim.trace_engine import run_packed_roster
 
     built = []
-    roster = []
+    rows = []
     for cell in shard:
-        backend = backend_for(cell, threads)
-        spec = trace_spec_for(cell)
-        splits, cells = backend.sweep_roster_cells(spec)
-        built.append((backend, spec, splits, len(cells)))
-        roster.extend(cells)
-    outcomes = run_packed_roster(roster, threads=threads)
+        spec, splits, cell_rows = table.sweep_rows(cell)
+        built.append((spec, splits, len(cell_rows)))
+        rows.extend(cell_rows)
+    outcomes = run_packed_roster(table.roster(rows), threads=threads)
     records = []
     offset = 0
-    for cell, (backend, spec, splits, width) in zip(shard, built):
+    for cell, (spec, splits, width) in zip(shard, built):
+        backend = table.backend_for(cell, threads)
         entries = backend.sweep_entries(
             spec, splits, outcomes[offset:offset + width]
         )
@@ -347,7 +325,7 @@ def _execute_sweep_shard(shard, threads):
     return records
 
 
-def _execute_dynamic_shard(shard, threads):
+def _execute_dynamic_shard(shard, threads, table):
     """One epoch-batched dynamic roster for a whole shard of cells.
 
     All cells advance one control period per threaded C call; between
@@ -362,8 +340,8 @@ def _execute_dynamic_shard(shard, threads):
 
     built = []
     for cell in shard:
-        backend = backend_for(cell, threads)
-        spec = trace_spec_for(cell)
+        backend = table.backend_for(cell, threads)
+        spec, _ = table.spec(cell)
         built.append((backend, spec, backend.dynamic_roster_cell(spec)))
     results = run_dynamic_roster(
         [roster_cell for _, _, roster_cell in built], threads=threads
@@ -403,32 +381,21 @@ def _execute_fallback_shard(shard, workers, pack_paths):
 
 
 def _materialize_packs(cells):
-    """Compile/load every trace pack the campaign will replay, ONCE.
+    """Resolve every trace workload and pack the campaign will replay,
+    ONCE; returns the run's :class:`TraceTable`.
 
     Packs are content-addressed on disk, so this is the single point
-    where trace compilation happens; roster shards then hit the
-    in-process pack memo and fallback workers memmap the persisted
-    directories shipped via ``pack_paths`` — no worker regenerates or
-    receives a trace array.
+    where trace compilation happens: each distinct trace is fetched
+    with one ``get_pack`` call, roster, sweep and cluster shards replay
+    the table's packs, and fallback workers memmap the persisted
+    directories shipped via :meth:`TraceTable.pack_paths` — no worker
+    regenerates or receives a trace array.
     """
-    from repro.exec import persisted_pack_paths
-    from repro.workloads.tracepack import get_pack
-
-    packs = {}
+    table = TraceTable()
     for cell in cells:
-        if cell.backend != "trace":
-            continue
-        key = (cell.tenants or (cell.fg, cell.bg), cell.geometry)
-        if key in packs:
-            continue
-        if cell.tenants:
-            workloads = trace_group_for(cell).tenants
-        else:
-            spec = trace_spec_for(cell)
-            workloads = (spec.fg, spec.bg)
-        packs[key] = [get_pack(w.trace_factory()) for w in workloads]
-    flat = [pack for group in packs.values() for pack in group]
-    return persisted_pack_paths(flat)
+        if cell.backend == "trace":
+            table.spec(cell)
+    return table
 
 
 def _existing_records(store_dir):
@@ -529,12 +496,12 @@ def run_campaign(manifest, store_dir, cells=None, resume=False,
     ec.add(ec.CAMPAIGN_CELLS_SKIPPED, len(plan.skipped))
 
     pending = [cell for _, shard in plan.shards() for cell in shard]
-    pack_paths = _materialize_packs(pending) if pending else ()
+    table = _materialize_packs(pending)
 
     for kind, shard in plan.shards():
         if kind == "roster":
             records, attempts = _retrying(
-                lambda: _execute_roster_shard(shard, threads),
+                lambda: _execute_roster_shard(shard, threads, table),
                 shard,
                 max_attempts,
             )
@@ -546,25 +513,27 @@ def run_campaign(manifest, store_dir, cells=None, resume=False,
             )
         elif kind == "sweep":
             records, attempts = _retrying(
-                lambda: _execute_sweep_shard(shard, threads),
+                lambda: _execute_sweep_shard(shard, threads, table),
                 shard,
                 max_attempts,
             )
         elif kind == "dynamic":
             records, attempts = _retrying(
-                lambda: _execute_dynamic_shard(shard, threads),
+                lambda: _execute_dynamic_shard(shard, threads, table),
                 shard,
                 max_attempts,
             )
         elif kind == "cluster":
             records, attempts = _retrying(
-                lambda: _execute_cluster_shard(shard, threads),
+                lambda: _execute_cluster_shard(shard, threads, table),
                 shard,
                 max_attempts,
             )
         else:
             records, attempts = _retrying(
-                lambda: _execute_fallback_shard(shard, workers, pack_paths),
+                lambda: _execute_fallback_shard(
+                    shard, workers, table.pack_paths()
+                ),
                 shard,
                 max_attempts,
             )

@@ -341,17 +341,19 @@ class TraceEngine:
 
 
 def _compile_packs(workloads):
-    """Each workload's trace pack, or ``None`` when a trace factory does
-    not produce a pack-compilable trace."""
+    """Each workload's trace pack, fetched once per distinct trace, or
+    ``None`` when a trace factory does not produce a pack-compilable
+    trace."""
     from repro.workloads.trace import _TraceBase
-    from repro.workloads.tracepack import get_pack
+    from repro.workloads.tracepack import resolve_pack
 
     packs = []
+    resolved = {}
     for w in workloads:
-        source = w.trace_factory()
-        if not isinstance(source, _TraceBase):
+        trace = w.trace_factory()
+        if not isinstance(trace, _TraceBase):
             return None
-        packs.append(get_pack(source))
+        packs.append(resolve_pack(trace, resolved))
     return packs
 
 
@@ -464,10 +466,10 @@ def _isolation_batch(cells):
     """
     from repro.cache.kernel import build_native_epoch_batch_replay
 
-    built = _roster_batch(cells, build_native_epoch_batch_replay)
-    if built is None:
+    roster = Roster.of(cells)
+    batch = _roster_batch(roster, build_native_epoch_batch_replay)
+    if batch is None:
         return None
-    batch, cell_packs = built
     rows = list(range(len(cells)))
     for _ in range(2):  # the warm-up pass, then the measured pass
         for r in rows:
@@ -475,12 +477,7 @@ def _isolation_batch(cells):
         batch.run_active(rows)
         ec.add(ec.DYNBATCH_CALLS)
         ec.add(ec.DYNBATCH_CELLS, len(rows))
-        outcomes = [
-            TraceEngine._packed_stats(
-                cell.workloads, *batch.cell_result(r), packs
-            )
-            for r, cell, packs in zip(rows, cells, cell_packs)
-        ]
+        outcomes = _roster_stats(roster, *batch.results())
     return outcomes
 
 
@@ -499,16 +496,18 @@ class RosterCell:
     total_accesses: int = 100_000
 
 
-def _run_roster_sequential(cells):
-    """The reference path: one fresh engine + ``run_packed`` per cell."""
+def _run_roster_sequential(cells, packs=None):
+    """The reference path: one fresh engine + ``run_packed`` per cell,
+    over ``packs[r]`` as cell ``r``'s packs where that is not ``None``."""
     results = []
-    for cell in cells:
+    for r, cell in enumerate(cells):
         engine = TraceEngine(prefetchers_on=False, backend="kernel")
         if cell.masks:
             for core, mask in cell.masks.items():
                 engine.hierarchy.set_way_mask(core, mask)
         results.append(engine.run_packed(
-            cell.workloads, total_accesses=cell.total_accesses
+            cell.workloads, total_accesses=cell.total_accesses,
+            packs=None if packs is None else packs[r],
         ))
     return results
 
@@ -531,123 +530,261 @@ def _cold_template():
     return _COLD_TEMPLATE
 
 
-def _batch_cell(hierarchy, cores, workloads, packs, stop, **extra):
-    """One batch-kernel cell (see
-    :func:`~repro.cache.kernel.build_native_batch_replay`) for the packed
-    co-run of ``workloads`` on ``cores``, with the optional cell keys in
-    ``extra``."""
-    llc = hierarchy.llc.storage
-    indexing = "mod" if llc._mod_mask >= 0 else "hash"
-    return {
-        "cores": cores,
-        "thinks": [w.think_cycles for w in workloads],
-        "lines": [p.line for p in packs],
-        "sets": [p.set_column(llc.num_sets, indexing) for p in packs],
-        "lengths": [len(p.line) for p in packs],
-        "repeats": [w.repeat for w in workloads],
-        "stop": stop,
-        **extra,
-    }
+@dataclass
+class Roster:
+    """A roster of co-runs as index arrays over shared workloads and
+    way masks.
 
-
-def _roster_batch(cells, build, threads=None, **extra):
-    """``(batch, cell_packs)``: the :class:`RosterCell` roster as one
-    native batch from the cold template, built by ``build``
-    (:func:`~repro.cache.kernel.build_native_batch_replay` or its epoch
-    sibling) with ``extra`` cell keys, and each cell's trace packs.
-
-    ``None`` when a cell's traces are not pack-compilable or write, a
-    cell puts two workloads on one core, or the builder declines. A
-    cell with no or duplicate workload names, or a mask ``set_way_mask``
-    would refuse on a fresh hierarchy, raises :class:`ValidationError`
-    first. Cores a cell's masks leave out keep the full cache.
+    Cell ``r`` co-runs ``workloads[members[r, s]]`` in its slots ``s``,
+    with ``-1`` past its last domain. Slot ``(r, s)`` fills the LLC under
+    ``masks[mask_of[r, s]]``, or at ``-1`` under its core's full default
+    mask, and the cell issues ``stops[r]`` accesses. ``packs``, when
+    given, holds each workload's trace pack (aligned with
+    ``workloads``, ``None`` for a trace that is not pack-compilable);
+    otherwise each distinct trace is resolved to its pack once per
+    build. Workloads and masks are resolved and validated once each,
+    however many cells name them.
     """
+
+    workloads: list
+    masks: list
+    members: object
+    mask_of: object
+    stops: object
+    packs: list = None
+
+    def __len__(self):
+        return len(self.stops)
+
+    @classmethod
+    def of(cls, cells):
+        """The :class:`RosterCell` list ``cells`` as one roster, each
+        distinct workload and mask object listed once. A cell with no
+        workloads, or a mask ``set_way_mask`` would refuse on a fresh
+        hierarchy, raises :class:`ValidationError`; masks for cores the
+        cell does not run on are checked and then play no part."""
+        import numpy as np
+
+        h = _cold_template().hierarchy
+        n_max = max((len(cell.workloads) for cell in cells), default=0)
+        members = np.full((len(cells), n_max), -1, dtype=np.int64)
+        mask_of = np.full((len(cells), n_max), -1, dtype=np.int64)
+        workloads, masks = {}, {}
+        checked = set()
+        for r, cell in enumerate(cells):
+            if not cell.workloads:
+                raise ValidationError("every roster cell needs workloads")
+            cell_masks = cell.masks or {}
+            for core, mask in cell_masks.items():
+                if (core, id(mask)) not in checked:
+                    h.llc.check_mask(core, mask)
+                    checked.add((core, id(mask)))
+            for s, w in enumerate(cell.workloads):
+                members[r, s] = workloads.setdefault(
+                    id(w), (len(workloads), w)
+                )[0]
+                mask = cell_masks.get(h.core_of_tid(w.tid))
+                if mask is not None:
+                    mask_of[r, s] = masks.setdefault(
+                        id(mask), (len(masks), mask)
+                    )[0]
+        return cls(
+            workloads=[w for _, w in workloads.values()],
+            masks=[m for _, m in masks.values()],
+            members=members,
+            mask_of=mask_of,
+            stops=np.array(
+                [cell.total_accesses for cell in cells], dtype=np.int64
+            ),
+        )
+
+    def cells(self):
+        """The roster as one :class:`RosterCell` per row."""
+        out = []
+        for row, kinds, stop in zip(
+            self.members.tolist(), self.mask_of.tolist(), self.stops.tolist()
+        ):
+            workloads = [self.workloads[i] for i in row if i >= 0]
+            masks = {
+                w.tid // 2: self.masks[k]
+                for w, k in zip(workloads, kinds) if k >= 0
+            }
+            out.append(RosterCell(workloads, masks or None, stop))
+        return out
+
+    def cell_packs(self):
+        """Each cell's packs, aligned with its workloads, or ``None``
+        for a cell with an unresolved pack; ``None`` without ``packs``."""
+        if self.packs is None:
+            return None
+        out = []
+        for row in self.members.tolist():
+            packs = [self.packs[i] for i in row if i >= 0]
+            out.append(None if any(p is None for p in packs) else packs)
+        return out
+
+
+def _roster_batch(roster, build, threads=None, profile=False):
+    """The :class:`Roster` as one native batch from the cold template,
+    built by ``build`` (:func:`~repro.cache.kernel.build_native_batch_replay`
+    or its epoch sibling); a true ``profile`` gives every cell its own
+    UMON.
+
+    The :class:`~repro.cache.kernel.BatchCells` table is gathered from
+    per-workload and per-mask arrays in whole-array operations: cores,
+    names, masks and packs are checked once per distinct workload, row
+    and ``(core, mask)`` pair. ``None`` when a used trace is not
+    pack-compilable or writes, a cell puts two workloads on one core, or
+    the builder declines. A cell with no or duplicate workload names, or
+    a mask ``set_way_mask`` would refuse on a fresh hierarchy, raises
+    :class:`ValidationError` first.
+    """
+    import numpy as np
+
+    from repro.cache.kernel import BatchCells
+
     template = _cold_template()
     h = template.hierarchy
-    for cell in cells:
-        if not cell.workloads:
-            raise ValidationError("every roster cell needs workloads")
-        names = [w.name for w in cell.workloads]
+    members = np.asarray(roster.members, dtype=np.int64)
+    mask_of = np.asarray(roster.mask_of, dtype=np.int64)
+    valid = members >= 0
+    if not valid[:, 0].all():
+        raise ValidationError("every roster cell needs workloads")
+    for row in set(map(tuple, members.tolist())):
+        names = [roster.workloads[i].name for i in row if i >= 0]
         if len(set(names)) != len(names):
             raise ValidationError("workload names must be unique per cell")
-        for core, mask in (cell.masks or {}).items():
-            h.llc.check_mask(core, mask)
 
-    default_bits = h.llc._mask_bits
-    cell_packs = []
-    cell_dicts = []
-    for cell in cells:
-        packs = _compile_packs(cell.workloads)
-        if packs is None or any(p.writes_list() is not None for p in packs):
-            return None
-        cores = [h.core_of_tid(w.tid) for w in cell.workloads]
-        if len(set(cores)) != len(cores):
-            return None
-        mask_bits = None
-        if cell.masks:
-            mask_bits = [
-                cell.masks[c].bits if c in cell.masks else default_bits[c]
-                for c in cores
-            ]
-        cell_packs.append(packs)
-        cell_dicts.append(_batch_cell(
-            h, cores, cell.workloads, packs, cell.total_accesses,
-            mask_bits=mask_bits, **extra,
-        ))
-    batch = build(template, cell_dicts, threads=threads)
-    return None if batch is None else (batch, cell_packs)
+    used = sorted(set(members[valid].tolist()))
+    n = len(roster.workloads)
+    core_of = np.full(n + 1, -1, dtype=np.int64)  # [-1] pads empty slots
+    think_of = np.zeros(n + 1, dtype=np.int64)
+    repeat_of = np.zeros(n + 1, dtype=bool)
+    for i in used:
+        w = roster.workloads[i]
+        core_of[i] = h.core_of_tid(w.tid)
+        think_of[i] = w.think_cycles
+        repeat_of[i] = w.repeat
+    cores = core_of[members]
+    masked = valid & (mask_of >= 0)
+    for core, k in set(zip(cores[masked].tolist(), mask_of[masked].tolist())):
+        h.llc.check_mask(core, roster.masks[k])
+
+    packs = roster.packs or _compile_packs(roster.workloads)
+    if packs is None or any(packs[i] is None for i in used):
+        return None
+    column_of = np.full(n + 1, -1, dtype=np.int64)
+    columns = {}
+    for i in used:
+        pack = packs[i]
+        if id(pack) not in columns:
+            if pack.writes_list() is not None:
+                return None
+            columns[id(pack)] = (len(columns), pack)
+        column_of[i] = columns[id(pack)][0]
+    llc = h.llc.storage
+    indexing = "mod" if llc._mod_mask >= 0 else "hash"
+    column_packs = [pack for _, pack in columns.values()]
+    words = np.array(
+        [mask.bits for mask in roster.masks] + [0], dtype=np.int64
+    )
+    defaults = np.array(
+        [h.llc._mask_bits[c] for c in range(h.num_cores)] + [0],
+        dtype=np.int64,
+    )
+    R = len(members)
+    cells = BatchCells(
+        lines=[p.line for p in column_packs],
+        sets=[p.set_column(llc.num_sets, indexing) for p in column_packs],
+        lengths=[len(p.line) for p in column_packs],
+        column=column_of[members],
+        cores=cores,
+        thinks=think_of[members],
+        repeats=repeat_of[members],
+        masks=np.where(mask_of >= 0, words[mask_of], defaults[cores]),
+        stops=np.asarray(roster.stops, dtype=np.int64),
+        profile=np.ones(R, dtype=bool) if profile else None,
+    )
+    return build(template, cells, threads=threads)
+
+
+def _roster_stats(roster, counts, vtimes):
+    """``{name: TraceStats}`` per cell from a batch's result arrays,
+    equal to :meth:`TraceEngine._packed_stats` of each cell; counts the
+    replay's ``trace_accesses`` and ``pack_replays`` once for all."""
+    import numpy as np
+
+    members = np.asarray(roster.members)
+    valid = members >= 0
+    accesses = counts.sum(axis=2)
+    # Exact integer sums, then floats, as _packed_stats computes them.
+    latency = counts @ np.array([4, 12, 30, 200], dtype=np.int64)
+    ec.add(ec.TRACE_ACCESSES, int(accesses[valid].sum()))
+    ec.add(ec.PACK_REPLAYS, int(valid.sum()))
+    names = [w.name for w in roster.workloads]
+    out = []
+    for row, hits, acc, lat, cycles in zip(
+        members.tolist(), counts.tolist(), accesses.tolist(),
+        latency.astype(float).tolist(), vtimes.astype(float).tolist(),
+    ):
+        stats = {}
+        for s, i in enumerate(row):
+            if i < 0:
+                break
+            h = hits[s]
+            stats[names[i]] = TraceStats(
+                acc[s], cycles[s], lat[s], h[3],
+                {level: n for level, n in zip(_HIT_LEVELS, h) if n},
+            )
+        out.append(stats)
+    return out
 
 
 def run_packed_roster(cells, threads=None):
     """Replay a roster of independent co-runs in ONE native call.
 
-    Each :class:`RosterCell` gets its own fresh kernel-backed,
-    prefetchers-off hierarchy state (the process-wide cold template's
-    one bank snapshot, restored per cell inside the kernel; see
-    :func:`~repro.cache.kernel.build_native_batch_replay`), its own way
-    masks, and its own issue budget; the compiled batch kernel replays
-    every cell in a single ctypes call, threading over cells per
-    ``threads`` / ``REPRO_NATIVE_THREADS``. Returns a list of
-    ``{name: TraceStats}`` aligned with ``cells``, bit-identical — for
+    ``cells`` is a :class:`Roster`, or a list of :class:`RosterCell`
+    taken as :meth:`Roster.of` does. Each cell gets its own fresh
+    kernel-backed, prefetchers-off hierarchy state (the process-wide
+    cold template's one bank snapshot, restored per cell inside the
+    kernel; see :func:`~repro.cache.kernel.build_native_batch_replay`),
+    its own way masks, and its own issue budget; the compiled batch
+    kernel replays every cell in a single ctypes call, threading over
+    cells per ``threads`` / ``REPRO_NATIVE_THREADS``. Returns a list of
+    ``{name: TraceStats}`` aligned with the cells, bit-identical — for
     any thread count, and with ``REPRO_NATIVE=0`` — to running each
     cell on a fresh :class:`TraceEngine` via :meth:`TraceEngine.run_packed`.
     That reference, :func:`_run_roster_sequential`, is also the fallback
     whenever a cell is not batchable: non-compilable traces, writing
     traces, shared cores, or no native kernel.
 
-    Shared traces dedupe through the pack cache, so R allocations of a
-    way sweep replay one memmapped TracePack, not R copies.
+    Each distinct trace resolves to one pack, so R allocations of a way
+    sweep replay one memmapped TracePack, not R copies.
 
     A mask naming an unknown core or sized for another LLC raises the
     :class:`ValidationError` ``set_way_mask`` raises, on every path.
     """
-    if not cells:
-        return []
-
     from repro.cache.kernel import build_native_batch_replay
 
-    built = _roster_batch(cells, build_native_batch_replay, threads)
-    if built is None:
-        return _run_roster_sequential(cells)
-    batch, cell_packs = built
+    if not len(cells):
+        return []
+    roster = cells if isinstance(cells, Roster) else Roster.of(cells)
+
+    batch = _roster_batch(roster, build_native_batch_replay, threads)
+    if batch is None:
+        return _run_roster_sequential(roster.cells(), roster.cell_packs())
 
     gc_was_enabled = gc.isenabled()
     if gc_was_enabled:
         gc.disable()
     try:
-        outcomes = batch.run()
+        counts, vtimes = batch.run()
     finally:
         if gc_was_enabled:
             gc.enable()
     ec.add(ec.BATCH_CALLS)
-    ec.add(ec.BATCH_CELLS, len(cells))
-    return [
-        TraceEngine._packed_stats(
-            cell.workloads, list(counts), list(vtimes), packs
-        )
-        for cell, packs, (counts, vtimes)
-        in zip(cells, cell_packs, outcomes)
-    ]
+    ec.add(ec.BATCH_CELLS, len(counts))
+    return _roster_stats(roster, counts, vtimes)
 
 
 @dataclass
@@ -741,10 +878,10 @@ def run_dynamic_roster(cells, threads=None):
             {core_of(w.tid): initial[w.name] for w in cell.workloads},
             0,  # nothing runs until the host loop sets targets
         ))
-    built = _roster_batch(roster, build_native_epoch_batch_replay, threads)
-    if built is None:
+    roster = Roster.of(roster)
+    batch = _roster_batch(roster, build_native_epoch_batch_replay, threads)
+    if batch is None:
         return _run_dynamic_roster_sequential(cells)
-    batch, cell_packs = built
 
     import numpy as np
 
@@ -815,20 +952,18 @@ def run_dynamic_roster(cells, threads=None):
         if gc_was_enabled:
             gc.enable()
 
-    results = []
-    for r, (cell, packs) in enumerate(zip(cells, cell_packs)):
-        counts, vtimes = batch.cell_result(r)
-        stats = TraceEngine._packed_stats(
-            cell.workloads, list(counts), list(vtimes), packs
-        )
-        results.append(DynamicTraceResult(
+    return [
+        DynamicTraceResult(
             stats=stats,
             timeline=timelines[r],
             actions=list(cell.controller.actions),
             epochs=epochs[r],
             native=True,
-        ))
-    return results
+        )
+        for r, (cell, stats) in enumerate(
+            zip(cells, _roster_stats(roster, *batch.results()))
+        )
+    ]
 
 
 def way_allocation_sweep(workloads, total_accesses=100_000):
@@ -870,15 +1005,13 @@ def _native_way_sweep(workloads, total_accesses):
     from repro.cache.kernel import build_native_batch_replay
     from repro.cache.profile import WayCurve
 
-    built = _roster_batch(
-        [RosterCell(workloads, None, total_accesses)],
-        build_native_batch_replay, threads=1, profile=True,
+    roster = Roster.of([RosterCell(workloads, None, total_accesses)])
+    batch = _roster_batch(
+        roster, build_native_batch_replay, threads=1, profile=True
     )
-    if built is None:
+    if batch is None:
         return None
-    batch, (packs,) = built
-    ((counts, vtimes),) = batch.run()
-    stats = TraceEngine._packed_stats(workloads, counts, vtimes, packs)
+    (stats,) = _roster_stats(roster, *batch.run())
     h = _cold_template().hierarchy
     W = h.llc.storage.num_ways
     cores = [h.core_of_tid(w.tid) for w in workloads]

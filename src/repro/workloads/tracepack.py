@@ -434,6 +434,19 @@ def _exact_params(trace):
     return tuple(items)
 
 
+def resolve_pack(trace, resolved):
+    """:func:`get_pack` of ``trace``, called once per distinct trace:
+    ``resolved`` maps a key two traces share exactly when they compile
+    to the same pack (their exact parameters, else their
+    :func:`pack_key`) to that pack, and fills as it goes."""
+    params = _exact_params(trace)
+    key = pack_key(trace) if params is None else (type(trace), params)
+    pack = resolved.get(key)
+    if pack is None:
+        pack = resolved[key] = get_pack(trace)
+    return pack
+
+
 def open_pack(path):
     """Open (memoized per process) a pack directory by path."""
     pack = _OPEN_PACKS.get(path)

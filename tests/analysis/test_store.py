@@ -280,6 +280,24 @@ class TestRunSetShards:
         assert all(n.startswith("shard-") and n.endswith(".json")
                    for n in names)
 
+    def test_shard_write_runs_on_the_c_encoder(self, tmp_path, monkeypatch):
+        """The shard file is one ``json.dumps`` of the payload: with the
+        pure-Python iterating encoder made to raise, the write still
+        succeeds and its bytes equal the one-shot encoding."""
+        import json.encoder
+
+        def python_encoder(*args, **kwargs):
+            raise AssertionError("shard write took the Python encoder")
+
+        monkeypatch.setattr(json.encoder, "_make_iterencode", python_encoder)
+        runset = RunSet(records=[_record(), _record(policy="fair")])
+        path = save_runset_shard(runset, str(tmp_path))
+        with open(path) as handle:
+            written = handle.read()
+        assert written == json.dumps(
+            runset.to_dict(), separators=(",", ":"), sort_keys=True
+        )
+
     def test_merge_preserves_input_order_and_joins_backends(self):
         a = RunSet(records=[_record(policy="shared")], backend="analytical",
                    model_version="1.0.0")

@@ -29,6 +29,7 @@ from repro.workloads.trace import (
 )
 from repro.workloads.tracepack import get_pack
 
+from .._batch import batch_cells, run_cells
 from .._native import native_available, without_native
 
 KB = 1024
@@ -304,7 +305,7 @@ class TestMaskWordValidation:
                       build_native_epoch_batch_replay):
             hierarchy, cell = self._hierarchy_and_cell([0xE00, bits])
             with pytest.raises(ValidationError):
-                build(hierarchy, [cell])
+                build(hierarchy, batch_cells(hierarchy, [cell]))
 
     @pytest.mark.parametrize("bits", _BAD_MASK_WORDS,
                              ids=["zero", "above-ways", "negative"])
@@ -312,7 +313,9 @@ class TestMaskWordValidation:
         from repro.cache.kernel import build_native_epoch_batch_replay
 
         hierarchy, cell = self._hierarchy_and_cell()
-        batch = build_native_epoch_batch_replay(hierarchy, [cell])
+        batch = build_native_epoch_batch_replay(
+            hierarchy, batch_cells(hierarchy, [cell])
+        )
         if batch is None:
             pytest.skip("native kernels unavailable")
         with pytest.raises(ValidationError):
@@ -321,9 +324,11 @@ class TestMaskWordValidation:
     def test_word_count_must_match_the_domains(self):
         from repro.cache.kernel import build_native_batch_replay
 
-        hierarchy, cell = self._hierarchy_and_cell([0xE00])
-        with pytest.raises(ValidationError):
-            build_native_batch_replay(hierarchy, [cell])
+        hierarchy, cell = self._hierarchy_and_cell()
+        cells = batch_cells(hierarchy, [cell])
+        cells.masks = cells.masks[:, :1]  # one word for two domains
+        with pytest.raises(ValidationError, match="mask"):
+            build_native_batch_replay(hierarchy, cells)
 
     @pytest.mark.parametrize("short", ["sets", "lines", "lengths"])
     def test_batch_builders_reject_short_column(self, short):
@@ -343,7 +348,7 @@ class TestMaskWordValidation:
             else:
                 cell[short][1] = cell[short][1][:-1]
             with pytest.raises(ValidationError, match="column"):
-                build(hierarchy, [cell])
+                build(hierarchy, batch_cells(hierarchy, [cell]))
 
 
     @pytest.mark.parametrize("bad", [8192, 100_000, -1],
@@ -367,7 +372,7 @@ class TestMaskWordValidation:
             sets[len(sets) // 2] = bad
             cell["sets"][1] = sets if kind == "array" else sets.tolist()
             with pytest.raises(ValidationError, match="set column"):
-                build(hierarchy, [cell])
+                build(hierarchy, batch_cells(hierarchy, [cell]))
 
     @pytest.mark.parametrize("core", [4, -1], ids=["past-last", "negative"])
     def test_batch_builders_reject_unknown_core(self, core):
@@ -381,7 +386,7 @@ class TestMaskWordValidation:
             hierarchy, cell = self._hierarchy_and_cell()
             cell["cores"][1] = core
             with pytest.raises(ValidationError, match="core"):
-                build(hierarchy, [cell])
+                build(hierarchy, batch_cells(hierarchy, [cell]))
 
 
 class TestWarmTemplate:
@@ -406,10 +411,11 @@ class TestWarmTemplate:
         }
 
     @staticmethod
-    def _warm_template(small_llc=False):
+    def _warm_template(small_llc=False, warm_tid=0):
         """A warmed kernel hierarchy with a non-default mask on core 0;
         every call builds an identical one. ``small_llc`` gives it the
-        small LLC, which one cell can cover whole."""
+        small LLC, which one cell can cover whole, warmed through the
+        inner caches of ``warm_tid``'s core."""
         if small_llc:
             engine = TraceEngine(
                 CacheHierarchy(
@@ -420,7 +426,7 @@ class TestWarmTemplate:
             )
             # Row k fills way k of every set it reaches.
             rows = 11 * SMALL_SETS + SMALL_SETS // 2
-            engine.run([_stream("warm", rows, 0, tid=0)], rows)
+            engine.run([_stream("warm", rows, 0, tid=warm_tid)], rows)
         else:
             engine = TraceEngine(prefetchers_on=False, backend="kernel")
             engine.run(_pair(), total_accesses=3_000)
@@ -428,12 +434,12 @@ class TestWarmTemplate:
         h.set_way_mask(0, WayMask.contiguous(5, 2))
         return h
 
-    def _python_reference(self, cell, small_llc=False):
+    def _python_reference(self, cell, small_llc=False, warm_tid=0):
         """The cell on the pure-Python epoch driver over a private,
         identically warmed template."""
         from repro.cache.kernel import build_python_epoch_replay
 
-        private = self._warm_template(small_llc)
+        private = self._warm_template(small_llc, warm_tid)
         if cell["mask_bits"] is not None:
             for core, bits in zip(cell["cores"], cell["mask_bits"]):
                 private.set_way_mask(core, WayMask.from_bits(bits))
@@ -477,36 +483,46 @@ class TestWarmTemplate:
             self._cell(h, solo, 2_000, [0x00F]),
             self._cell(h, _pair(), 1_500, [0xFFF, 0x003]),
         ]
-        batch = build_native_batch_replay(h, cells, threads=2)
+        batch = build_native_batch_replay(
+            h, batch_cells(h, cells), threads=2
+        )
         assert batch is not None
-        results = batch.run()
+        results = run_cells(batch)
         assert len(set(results)) == len(cells)
         for cell, result in zip(cells, results):
-            alone = build_native_batch_replay(h, [cell], threads=1).run()
+            alone = run_cells(build_native_batch_replay(
+                h, batch_cells(h, [cell]), threads=1
+            ))
             assert result == alone[0]
             assert result == self._python_reference(cell)
 
     # One worker bank serves every cell below (threads=1), so each cell
     # after the first starts from a bank reset to the template where the
-    # previous cell wrote it: the LLC sets of its accesses plus the
-    # L1/L2 tail. The cells live on the small mod-indexed LLC, where a
-    # trace's sets follow from its addresses.
+    # previous cell wrote it: the LLC sets of its accesses, the L1/L2 of
+    # its cores and of every core the template's L1/L2 holds lines in,
+    # and the bi counters. The cells live on the small mod-indexed LLC,
+    # where a trace's sets follow from its addresses.
 
-    def _one_worker(self, h, cells):
+    def _one_worker(self, h, cells, warm_tid=0):
         """Run ``cells`` on one worker bank; the results must equal each
         cell run alone and the Python reference."""
         from repro.cache.kernel import build_native_batch_replay
 
-        batch = build_native_batch_replay(h, cells, threads=1)
+        batch = build_native_batch_replay(
+            h, batch_cells(h, cells), threads=1
+        )
         assert batch is not None
         expected = [
-            build_native_batch_replay(h, [cell], threads=1).run()[0]
+            run_cells(build_native_batch_replay(
+                h, batch_cells(h, [cell]), threads=1
+            ))[0]
             for cell in cells
         ]
         assert expected == [
-            self._python_reference(cell, small_llc=True) for cell in cells
+            self._python_reference(cell, small_llc=True, warm_tid=warm_tid)
+            for cell in cells
         ]
-        assert batch.run() == expected
+        assert run_cells(batch) == expected
         return expected
 
     @staticmethod
@@ -585,6 +601,36 @@ class TestWarmTemplate:
     @pytest.mark.skipif(
         not native_available(), reason="exercises the native worker banks"
     )
+    @pytest.mark.parametrize("warm_tid", [6, 2], ids=["core-3", "core-1"])
+    def test_back_invalidations_into_a_core_outside_the_cell(self, warm_tid):
+        """The template's lines sit in one core's L1/L2. A cell on
+        other cores evicts them from the LLC, back-invalidating that
+        core's copies though it runs nothing in the cell; the next cell
+        on that core must find its L1/L2 as the template holds them."""
+        h = self._warm_template(small_llc=True, warm_tid=warm_tid)
+        others = [tid for tid in (2, 4, 6) if tid != warm_tid]
+        # Twelve cold lines in each of sets 5 and 6 evict every
+        # template line there.
+        evict = self._cell(h, [
+            _column("e0", 60, 12, COLD_ROW, 5, tid=others[0]),
+            _column("e1", 60, 12, COLD_ROW + 20, 6, tid=others[1]),
+        ], 120)
+        # The warm core rereads rows 0-10 of set 5, which its template
+        # L2 holds; the other core rereads set 6.
+        probe = self._cell(h, [
+            _column("p0", 40, 11, 0, 5, tid=warm_tid),
+            _column("p1", 40, 11, 0, 6, tid=others[0]),
+        ], 80)
+        results = self._one_worker(
+            h, [evict, probe, evict, probe], warm_tid=warm_tid
+        )
+        assert results[1] == results[3]
+        l1_hits, l2_hits = results[1][0][0][:2]
+        assert l1_hits + l2_hits >= 11  # the warm core's L1/L2 held them
+
+    @pytest.mark.skipif(
+        not native_available(), reason="exercises the native worker banks"
+    )
     def test_a_repeating_domain_past_its_column_end(self):
         h = self._warm_template(small_llc=True)
         # 250 accesses over a 100-entry column: the domain wraps twice
@@ -628,8 +674,10 @@ class TestWarmTemplate:
         # already reached its stop. What one call could leave behind for
         # the next is checked on a second batch over the same template
         # and cells, run after the first and in reverse order.
-        again = build_native_batch_replay(h, cells[::-1], threads=1)
-        assert again.run() == expected[::-1]
+        again = build_native_batch_replay(
+            h, batch_cells(h, cells[::-1]), threads=1
+        )
+        assert run_cells(again) == expected[::-1]
 
 
 class TestMeasuredSweep:

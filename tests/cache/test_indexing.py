@@ -48,3 +48,16 @@ class TestHashedIndex:
             1 for line in range(1000) if hashed.index(line) != modulo.index(line)
         )
         assert differs > 700
+
+    def test_one_set_cache_indexes_set_zero(self):
+        """A one-set cache has a 0-bit fold: every line maps to set 0, on
+        the scalar and the vectorized path alike (the fold used to spin
+        forever on any nonzero line)."""
+        import numpy as np
+
+        idx = HashedIndex(1)
+        lines = [0, 1, 5, 2**40 + 3]
+        assert [idx.index(line) for line in lines] == [0, 0, 0, 0]
+        column = idx.index_array(np.array(lines, dtype=np.int64))
+        assert column.dtype == np.int64
+        assert column.tolist() == [0, 0, 0, 0]

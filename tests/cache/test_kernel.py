@@ -233,12 +233,32 @@ def test_lru8_tables_match_the_permutation_definition():
 
     from repro.cache.kernel import _lru8_tables
 
-    touch, fill, perms, index = _lru8_tables()
-    assert perms == list(itertools.permutations(range(8)))
-    assert all(index[p] == i for i, p in enumerate(perms))
+    touch, fill = _lru8_tables()
+    perms = list(itertools.permutations(range(8)))
+    index = {p: i for i, p in enumerate(perms)}
     for i, p in enumerate(perms):
         for w in range(8):
             front = (w,) + tuple(x for x in p if x != w)
             assert touch[i * 8 + w] == index[front]
         victim = p[-1]
         assert fill[i] == (touch[i * 8 + victim] << 3) | victim
+
+
+def test_l1_perm_state_is_the_lexicographic_rank_of_the_order():
+    """A set's FSM state is the rank of its recency order (descending
+    stamps) among the 8! orders in lexicographic order."""
+    import itertools
+    import random
+
+    from repro.cache.kernel import KernelCacheLevel, _l1_perm_state
+
+    perms = list(itertools.permutations(range(8)))
+    index = {p: i for i, p in enumerate(perms)}
+    l1 = KernelCacheLevel("L1", 32 * 1024, 8)
+    rng = random.Random(5)
+    orders = [tuple(rng.sample(range(8), 8)) for _ in range(l1.num_sets)]
+    orders[:2] = [perms[0], perms[-1]]
+    for s, order in enumerate(orders):
+        for recency, way in enumerate(order):
+            l1._stamp[s * 8 + way] = 1000 * s + 8 - recency
+    assert _l1_perm_state(l1) == [index[order] for order in orders]

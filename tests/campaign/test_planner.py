@@ -4,8 +4,8 @@ import pytest
 
 from repro.campaign import expand_manifest, is_batchable, plan_shards
 from repro.campaign.planner import (
+    TraceTable,
     group_split_for,
-    roster_cell_for,
     shard_kind_for,
     split_for,
     trace_group_for,
@@ -72,8 +72,12 @@ class TestSplits:
             policies=["static-4"], pairs=[["zipf", "stream"]],
             geometries=[{}],
         )[0]
-        roster, spec, split = roster_cell_for(cell)
+        table = TraceTable()
+        row = table.row(cell)
+        spec, split = table.meta(row)
         assert split.fg_ways == 4
+        (roster,) = table.roster([row]).cells()
+        assert roster.workloads == [spec.fg, spec.bg]
         assert roster.masks[spec.fg.tid // 2] == WayMask.contiguous(4, 0, 12)
         assert roster.masks[spec.bg.tid // 2] == WayMask.contiguous(8, 4, 12)
         assert roster.total_accesses == cell.geometry_dict["accesses"]
@@ -81,7 +85,7 @@ class TestSplits:
     def test_non_batchable_cell_has_no_roster(self):
         cell = cells_for(policies=["biased"])[0]
         with pytest.raises(ValidationError, match="not batchable"):
-            roster_cell_for(cell)
+            TraceTable().row(cell)
 
 
 class TestPlanning:

@@ -261,11 +261,11 @@ class TestRetry:
         original = runner_mod._execute_roster_shard
         calls = []
 
-        def flaky(shard, threads):
+        def flaky(shard, threads, table):
             calls.append(len(shard))
             if len(calls) == 1:
                 raise RuntimeError("spurious host failure")
-            return original(shard, threads)
+            return original(shard, threads, table)
 
         monkeypatch.setattr(runner_mod, "_execute_roster_shard", flaky)
         snapshot = ec.engine_counters().snapshot()
@@ -285,7 +285,7 @@ class TestRetry:
         )
         calls = []
 
-        def always_fails(shard, threads):
+        def always_fails(shard, threads, table):
             calls.append(1)
             raise RuntimeError("dead host")
 
@@ -305,7 +305,7 @@ class TestRetry:
         )
         calls = []
 
-        def misconfigured(shard, threads):
+        def misconfigured(shard, threads, table):
             calls.append(1)
             raise ValidationError("bad geometry")
 
@@ -396,6 +396,106 @@ class TestGroupCampaign:
             record = result.records[cell.cell_id]
             assert record.metrics == reference.metrics
             assert record.tenants == reference.tenants
+
+
+class TestTraceTable:
+    """A run resolves each distinct workload, pack, split and mask once;
+    a roster shard is then one roster over those indices."""
+
+    @staticmethod
+    def _mixed_manifest(**overrides):
+        # zipf is the foreground of both pairs and tenant 0 of both
+        # groups (one pack); stream is a background in every cell (one
+        # pack, seed-free); the fixed splits share their masks.
+        data = {
+            "name": "mixed",
+            "backends": ["trace"],
+            "policies": ["shared", "fair", "static-3", "static-9"],
+            "pairs": [["zipf", "stream"], ["zipf", "chase"]],
+            "tenants": [["zipf", "stream", "chase"], ["zipf", "stream"]],
+            "geometries": [
+                {"accesses": ACCESSES}, {"accesses": ACCESSES, "seed": 2},
+            ],
+        }
+        data.update(overrides)
+        return manifest_from_dict(data)
+
+    @staticmethod
+    def _comparable(record):
+        data = record.to_dict()
+        data["provenance"] = {
+            k: v for k, v in data["provenance"].items() if k != "source"
+        }
+        return data
+
+    @pytest.mark.parametrize("native_on", [True, False],
+                             ids=["native", "python"])
+    def test_mixed_shard_records_equal_the_per_cell_reference(
+        self, tmp_path, native_on
+    ):
+        from .._native import without_native
+
+        manifest = self._mixed_manifest()
+        cells = expand_manifest(manifest)
+        assert {bool(c.tenants) for c in cells} == {True, False}
+
+        def run():
+            return run_campaign(manifest, str(tmp_path / "store"))
+
+        result = run() if native_on else without_native(run)
+        assert result.roster_shards == 1 and result.complete
+        for cell in cells:
+            record = result.records[cell.cell_id]
+            assert record.provenance["source"] == "roster"
+            reference = run_campaign_cell(cell)
+            assert self._comparable(record) == self._comparable(reference)
+
+    @pytest.mark.parametrize("overrides", [
+        {},
+        # Pair biased cells run as sweep shards (group biased cells fall
+        # back per cell, on the exec pool).
+        {"policies": ["shared", "static-3", "biased"], "tenants": []},
+    ], ids=["roster", "roster-and-sweep"])
+    def test_one_get_pack_call_per_distinct_pack(
+        self, tmp_path, monkeypatch, overrides
+    ):
+        from repro.workloads import tracepack
+
+        calls = []
+        original = tracepack.get_pack
+
+        def counted(trace, *args, **kwargs):
+            pack = original(trace, *args, **kwargs)
+            calls.append(pack.key)
+            return pack
+
+        monkeypatch.setattr(tracepack, "get_pack", counted)
+        manifest = self._mixed_manifest(**overrides)
+        result = run_campaign(manifest, str(tmp_path / "store"))
+        assert result.roster_shards
+        assert result.sweep_shards == bool(overrides)
+        assert result.fallback_shards == 0
+        assert calls and len(calls) == len(set(calls))
+        # A second run resolves everything again: nothing is kept
+        # across calls.
+        run_campaign(manifest, str(tmp_path / "again"))
+        assert len(calls) == 2 * len(set(calls))
+
+    def test_rows_share_workloads_packs_and_masks(self):
+        from repro.campaign.planner import TraceTable
+
+        cells = expand_manifest(self._mixed_manifest())
+        table = TraceTable()
+        rows = [table.row(cell) for cell in cells]
+        assert len(set(rows)) == len(cells)
+        # Two geometries x (two pairs + two groups) of workloads.
+        assert len(table.workloads) == 2 * (2 + 2 + 3 + 2)
+        assert len({id(p) for p in table.packs}) < len(table.packs)
+        # shared/fair/static-3/static-9 pair masks + group masks.
+        assert len(table.masks) <= 10
+        roster = table.roster(rows)
+        assert roster.members.shape == (len(cells), 3)
+        assert roster.packs is table.packs
 
 
 class TestAnalyticalCells:

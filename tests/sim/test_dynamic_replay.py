@@ -24,7 +24,6 @@ from repro.sim.trace_engine import (
     RosterCell,
     TraceEngine,
     TraceWorkload,
-    _batch_cell,
     run_dynamic_roster,
     run_packed_roster,
 )
@@ -33,6 +32,7 @@ from repro.util.units import MB
 from repro.workloads import tracepack
 from repro.workloads.tracepack import TracePack, compile_columns, pack_key
 
+from .._batch import batch_cells
 from .._native import native_available, without_native
 
 
@@ -128,11 +128,20 @@ class _NativeCell:
 
     def __init__(self, engine, workloads, packs):
         h = engine.hierarchy
-        cores = [h.core_of_tid(w.tid) for w in workloads]
+        llc = h.llc.storage
+        indexing = "mod" if llc._mod_mask >= 0 else "hash"
+        cell = {
+            "cores": [h.core_of_tid(w.tid) for w in workloads],
+            "thinks": [w.think_cycles for w in workloads],
+            "lines": [p.line for p in packs],
+            "sets": [p.set_column(llc.num_sets, indexing) for p in packs],
+            "lengths": [len(p.line) for p in packs],
+            "repeats": [w.repeat for w in workloads],
+            "stop": 0,
+        }
         self.template = TemplateBank(h)
         self.batch = build_native_epoch_batch_replay(
-            self.template, [_batch_cell(h, cores, workloads, packs, 0)],
-            threads=1,
+            self.template, batch_cells(h, [cell]), threads=1,
         )
         assert self.batch is not None
 

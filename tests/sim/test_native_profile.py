@@ -29,6 +29,7 @@ from repro.util.units import MB
 from repro.workloads.trace import PointerChaseTrace, StreamingTrace, ZipfTrace
 from repro.workloads.tracepack import get_pack
 
+from .._batch import batch_cells, run_cells
 from .._native import native_available, without_native
 
 ACCESSES = 12_000
@@ -98,12 +99,28 @@ def _reference(workloads, total_accesses=ACCESSES):
     return stats, profiler.curves()
 
 
-def _cell(workloads, stop=ACCESSES, **extra):
+def _cell(workloads, stop=ACCESSES, profile=False):
     """One batch-kernel cell over the cold template's geometry."""
     h = trace_engine._cold_template().hierarchy
-    cores = [h.core_of_tid(w.tid) for w in workloads]
+    llc = h.llc.storage
     packs = [get_pack(w.trace_factory()) for w in workloads]
-    return trace_engine._batch_cell(h, cores, workloads, packs, stop, **extra)
+    return {
+        "cores": [h.core_of_tid(w.tid) for w in workloads],
+        "thinks": [w.think_cycles for w in workloads],
+        "lines": [p.line for p in packs],
+        "sets": [
+            p.set_column(llc.num_sets, "mod" if llc._mod_mask >= 0 else "hash")
+            for p in packs
+        ],
+        "lengths": [len(p.line) for p in packs],
+        "repeats": [w.repeat for w in workloads],
+        "stop": stop,
+        "profile": profile,
+    }
+
+
+def _table(cells):
+    return batch_cells(trace_engine._cold_template().hierarchy, cells)
 
 
 def _needs_native():
@@ -171,14 +188,16 @@ class TestThreadedBatch:
             _cell(_group(2, seed=11)),
             _cell(_group(4), profile=True),
         ]
-        batch = kernel.build_native_batch_replay(template, cells, threads=2)
+        batch = kernel.build_native_batch_replay(
+            template, _table(cells), threads=2
+        )
         assert batch is not None
-        outcomes = batch.run()
+        outcomes = run_cells(batch)
         for r, cell in enumerate(cells):
             alone = kernel.build_native_batch_replay(
-                template, [cell], threads=1
+                template, _table([cell]), threads=1
             )
-            assert alone.run() == [outcomes[r]], r
+            assert run_cells(alone) == [outcomes[r]], r
             if cell.get("profile"):
                 assert batch.cell_profile(r) == alone.cell_profile(0), r
 
@@ -188,11 +207,12 @@ class TestThreadedBatch:
         _needs_native()
         template = trace_engine._cold_template()
         shot = kernel.build_native_batch_replay(
-            template, [_cell(_group(3), profile=True)], threads=1
+            template, _table([_cell(_group(3), profile=True)]), threads=1
         )
         shot.run()
         epochs = kernel.build_native_epoch_batch_replay(
-            template, [_cell(_group(3), stop=0, profile=True)], threads=1
+            template, _table([_cell(_group(3), stop=0, profile=True)]),
+            threads=1,
         )
         for stop in (4_000, 8_000, ACCESSES):
             epochs.set_stop(0, stop)

@@ -26,6 +26,7 @@ from repro.util.units import MB
 from repro.workloads.trace import make_trace
 from repro.workloads.tracepack import get_pack
 
+from .._batch import batch_cells
 from .._native import native_available
 
 
@@ -160,7 +161,7 @@ def test_each_template_core_is_checked_and_snapshotted_once(
         "batch": kernel.build_native_batch_replay,
         "epoch": kernel.build_native_epoch_batch_replay,
     }[build]
-    builder(h, [dict(cell) for _ in range(6)], threads=2)
+    builder(h, batch_cells(h, [dict(cell) for _ in range(6)]), threads=2)
     assert eligible and max(eligible.values()) == 1
     assert set(eligible) == {0, 2}
     assert all(count == 1 for count in perm.values())
