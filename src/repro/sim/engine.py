@@ -338,13 +338,45 @@ class Machine:
         pending = list(stop_when_done)
         by_name = dict(zip(names, states))
         miss_energy = self.power_model.miss_energy
+        memo, memory_system = self.memo, self.memory_system
+        # With the memo on, the last solution holds until an event that can
+        # change its memo key: an app leaving its phase's progress window,
+        # a mask write, a finish, or a swapped config, tuning or
+        # arbitration domain. Each held tick counts as the memo hit a
+        # rebuilt key would have been.
+        held = None  # (config, tuning, ring, dram) at the last solve
+        windows = ()  # (state, lo, hi) per active app at the last solve
+        reused = 0
         now = 0.0
 
         while pending:
             if now > _MAX_SIM_SECONDS:
                 raise ValidationError("simulation exceeded the runaway guard")
 
-            solution = self._solve(active)
+            holds = (
+                held is not None
+                and held[0] is self.config
+                and held[1] is self.tuning
+                and held[2] is memory_system.ring
+                and held[3] is memory_system.dram
+            )
+            if holds:
+                for s, lo, hi in windows:
+                    if not lo <= s.progress < hi:
+                        holds = False
+                        break
+            if holds:
+                reused += 1
+            else:
+                solution = self._solve(active)
+                if memo is not None and memo.enabled:
+                    held = (
+                        self.config, self.tuning,
+                        memory_system.ring, memory_system.dram,
+                    )
+                    windows = [
+                        (s, *s.app.phase_window(s.progress)) for s in active
+                    ]
             per_app = solution.per_app
 
             if step_s is not None:
@@ -375,6 +407,7 @@ class Machine:
                         done_times[name] = now + dt
                         finished = True
             if finished:
+                held = None
                 running = [r for r in running if r[1] not in done_times]
                 active = [r[0] for r in running]
                 pending = [n for n in pending if n not in done_times]
@@ -400,14 +433,16 @@ class Machine:
                     )
                 )
 
-            if controller is not None:
-                self._apply_controller(
-                    controller, now, dt, solution, states, totals, noise_rng
-                )
+            if controller is not None and self._apply_controller(
+                controller, now, dt, solution, states, totals, noise_rng
+            ):
+                held = None
 
             if not active:
                 break
 
+        if reused:
+            memo.hit(reused)
         pkg_reader.update()
         pp0_reader.update()
         outcome.elapsed_s = now
@@ -487,7 +522,10 @@ class Machine:
     def _apply_controller(
         self, controller, now, dt, solution, states, totals, noise_rng=None
     ):
-        """Feed the controller per-app metrics; apply any new masks."""
+        """Feed the controller per-app metrics; apply any new masks.
+
+        Returns whether it wrote a mask.
+        """
         metrics = {
             name: {
                 "mpki": rates.mpki
@@ -504,12 +542,15 @@ class Machine:
         }
         new_masks = controller.on_tick(now, dt, metrics)
         if not new_masks:
-            return
+            return False
+        wrote = False
         for s in states:
             # "#2"-aliased self-pair clones answer to their base name too.
             key = s.name if s.name in new_masks else s.name.split("#")[0]
             if key in new_masks:
                 s.allocation = s.allocation.with_mask(new_masks[key])
+                wrote = True
+        return wrote
 
     @staticmethod
     def _energy_shares(states, totals):

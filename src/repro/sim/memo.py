@@ -4,10 +4,15 @@
 *operating signatures* — which app, which phase, which way mask, how
 many threads on which cores, prefetchers on or off — plus the machine's
 config and tuning. Static runs revisit the same signature whenever a
-continuous background wraps back into a phase, and 100 ms-stepped
-dynamic runs revisit identical signatures for every step between
-controller actions, so caching the solved :class:`IntervalSolution`
-removes most of the engine's work on exactly the runs that are slow.
+continuous background wraps back into a phase, and dynamic runs return
+to earlier signatures as the controller moves a mask back and forth, so
+caching the solved :class:`IntervalSolution` removes most of the
+engine's work on exactly the runs that are slow. Between events that
+can change the signature (a phase change, a mask write, a finish, a
+swapped config, tuning or arbitration domain), ``Machine._run`` holds
+its last solution without building a key at all, and counts each held
+tick as a hit (:meth:`IntervalMemo.hit`), so hits and misses are what a
+key lookup on every tick would have counted.
 
 Correctness notes:
 
@@ -126,9 +131,14 @@ class IntervalMemo:
             self.misses += 1
             perf.add(perf.MEMO_MISSES)
         else:
-            self.hits += 1
-            perf.add(perf.MEMO_HITS)
+            self.hit()
         return solution
+
+    def hit(self, count=1):
+        """Count hits: lookups that found their key, or intervals whose
+        key the engine knows is unchanged since their last solve."""
+        self.hits += count
+        perf.add(perf.MEMO_HITS, count)
 
     def put(self, key, solution):
         if len(self._cache) >= self.max_entries:

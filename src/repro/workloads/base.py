@@ -11,6 +11,10 @@ from dataclasses import dataclass, field
 
 from repro.util.errors import ValidationError
 
+# ``phase_index_at`` clamps progress to this before comparing it with
+# the cumulative phase weights; ``phase_window`` follows the same clamp.
+_LAST_PROGRESS = 1.0 - 1e-12
+
 MAX_LLC_MB = 6.0
 MIN_LLC_MB = 0.5
 
@@ -220,13 +224,32 @@ class ApplicationModel:
             raise ValidationError("progress cannot be negative")
         if len(self.phases) == 1:
             return 0
-        progress = min(progress, 1.0 - 1e-12)
+        progress = min(progress, _LAST_PROGRESS)
         cumulative = 0.0
         for index, phase in enumerate(self.phases):
             cumulative += phase.weight
             if progress < cumulative:
                 return index
         return len(self.phases) - 1
+
+    def phase_window(self, progress):
+        """The ``[lo, hi)`` progress range over which ``phase_index_at``
+        returns what it returns at ``progress``.
+
+        The bounds are the same cumulative weight sums ``phase_index_at``
+        compares against; a bound past the progress clamp is unreachable,
+        so it opens to infinity.
+        """
+        if len(self.phases) == 1:
+            return 0.0, float("inf")
+        index = self.phase_index_at(progress)
+        lo = 0.0
+        for phase in self.phases[:index]:
+            lo += phase.weight
+        hi = lo + self.phases[index].weight
+        if index == len(self.phases) - 1 or hi > _LAST_PROGRESS:
+            hi = float("inf")
+        return lo, hi
 
     def phase_boundaries(self):
         """Cumulative instruction fractions at which phases end."""

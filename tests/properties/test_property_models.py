@@ -5,7 +5,7 @@ import math
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.workloads.base import MissRatioCurve, ScalabilityModel
+from repro.workloads.base import MissRatioCurve, Phase, ScalabilityModel
 
 
 @st.composite
@@ -84,3 +84,55 @@ class TestScalabilityProperties:
             speedups = [model.speedup(t) for t in range(1, 9)]
             for a, b in zip(speedups, speedups[1:]):
                 assert b >= a - 1e-9
+
+
+@st.composite
+def phased_apps(draw):
+    """An application with uneven, possibly tiny phase weights, which
+    ``ApplicationModel`` normalises to sum to one."""
+    import dataclasses
+
+    from repro.workloads import get_application
+
+    weights = draw(
+        st.lists(
+            st.one_of(
+                st.floats(1e-15, 1e-9), st.floats(1e-9, 1.0), st.floats(1.0, 50.0)
+            ),
+            min_size=1,
+            max_size=7,
+        )
+    )
+    return dataclasses.replace(
+        get_application("x264"), phases=tuple(Phase(weight=w) for w in weights)
+    )
+
+
+def _probes(app, extra):
+    """Progress values on and next to every phase boundary and the
+    ``1 - 1e-12`` clamp, at 0, above 1, and ``extra``."""
+    edges, cumulative = [0.0, 1.0 - 1e-12, 1.0], 0.0
+    for phase in app.phases:
+        cumulative += phase.weight
+        edges.append(cumulative)
+    probes = [1.5, 7.0] + list(extra)
+    for edge in edges:
+        probes += [edge, math.nextafter(edge, -1.0), math.nextafter(edge, 2.0)]
+    return [p for p in probes if p >= 0.0]
+
+
+class TestPhaseWindowProperties:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        app=phased_apps(),
+        extra=st.lists(st.floats(0.0, 2.0), max_size=4),
+    )
+    def test_window_is_exactly_the_phase(self, app, extra):
+        """``lo <= p < hi`` holds exactly where ``phase_index_at(p)`` is
+        the index at the progress the window was built from."""
+        probes = _probes(app, extra)
+        indices = [app.phase_index_at(p) for p in probes]
+        for origin, index in zip(probes, indices):
+            lo, hi = app.phase_window(origin)
+            for p, at in zip(probes, indices):
+                assert (lo <= p < hi) == (at == index), (origin, p, lo, hi)
