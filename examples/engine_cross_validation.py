@@ -9,10 +9,12 @@ tell the same story. This example:
 2. fits the statistical model's curve form to those measurements,
 3. shows the address-level isolation experiment (alone / shared /
    partitioned) whose shape the interval engine reproduces at scale,
-4. cross-validates the two cache backends and the profiled MRC: the
-   flat-array kernel must be bit-identical to the object model on a
-   partitioned co-run, and the single-pass way profile must agree with
-   per-mask re-simulation and fit the same interval-model curve.
+4. cross-validates the two shipped cache walks and the profiled MRC:
+   the native roster walk (``access_one`` in C, or the pure-Python epoch
+   driver when the kernels are off) must be bit-identical to
+   ``TraceEngine.run`` over the Python kernel levels on a partitioned
+   co-run, and the single-pass way profile must agree with per-mask
+   re-simulation and fit the same interval-model curve.
 
 Exits non-zero if any arm drifts.
 
@@ -22,7 +24,13 @@ Run:  python examples/engine_cross_validation.py
 import sys
 
 from repro.cache.llc import WayMask
-from repro.sim.trace_engine import TraceEngine, TraceWorkload, measure_isolation
+from repro.sim.trace_engine import (
+    RosterCell,
+    TraceEngine,
+    TraceWorkload,
+    measure_isolation,
+    run_packed_roster,
+)
 from repro.util import format_table, sparkline
 from repro.util.units import MB
 from repro.workloads.calibrate import fit_mrc, fit_quality, measure_mrc
@@ -91,48 +99,51 @@ def isolation_at_address_level():
     )
 
 
-def _co_run_signature(backend):
-    engine = TraceEngine(prefetchers_on=False, backend=backend)
-    engine.hierarchy.set_way_mask(0, WayMask.contiguous(9, 0))
-    engine.hierarchy.set_way_mask(2, WayMask.contiguous(3, 9))
-    stats = engine.run(
-        [
-            TraceWorkload(
-                "fg",
-                lambda: ZipfTrace(20_000, 6 * MB, alpha=0.9, tid=0, seed=7),
-                tid=0,
-                think_cycles=6,
-            ),
-            TraceWorkload(
-                "bg",
-                lambda: StreamingTrace(15_000, 32 * MB, tid=4),
-                tid=4,
-                think_cycles=2,
-            ),
-        ],
-        total_accesses=60_000,
+CO_RUN = [
+    TraceWorkload(
+        "fg",
+        lambda: ZipfTrace(20_000, 6 * MB, alpha=0.9, tid=0, seed=7),
+        tid=0,
+        think_cycles=6,
+    ),
+    TraceWorkload(
+        "bg",
+        lambda: StreamingTrace(15_000, 32 * MB, tid=4),
+        tid=4,
+        think_cycles=2,
+    ),
+]
+CO_RUN_MASKS = {0: WayMask.contiguous(9, 0), 2: WayMask.contiguous(3, 9)}
+
+
+def _signature(stats):
+    return sorted(
+        (n, s.accesses, s.total_latency, s.cycles, s.llc_misses,
+         sorted(s.hits_by_level.items()))
+        for n, s in stats.items()
     )
-    hierarchy = engine.hierarchy
-    levels = list(hierarchy.l1) + list(hierarchy.l2) + [hierarchy.llc.storage]
-    return (
-        sorted(
-            (n, s.accesses, s.total_latency, s.cycles, s.llc_misses,
-             sorted(s.hits_by_level.items()))
-            for n, s in stats.items()
-        ),
-        [sorted(level.stats.snapshot().items()) for level in levels],
-        hierarchy.llc.storage.occupancy_by_way(),
-        sorted(hierarchy.llc.storage.resident_lines()),
+
+
+def _walks_agree(total_accesses=60_000):
+    """The one-cell roster (the C walk) == ``TraceEngine.run`` (the
+    Python kernel levels) on the same partitioned co-run."""
+    engine = TraceEngine(prefetchers_on=False)
+    for core, mask in CO_RUN_MASKS.items():
+        engine.hierarchy.set_way_mask(core, mask)
+    python_walk = engine.run(CO_RUN, total_accesses=total_accesses)
+    (roster_walk,) = run_packed_roster(
+        [RosterCell(CO_RUN, CO_RUN_MASKS, total_accesses)]
     )
+    return _signature(roster_walk) == _signature(python_walk)
 
 
 def backend_cross_validation():
-    """Arm 3: kernel vs object model vs interval-model curve fit."""
+    """Arm 3: roster walk vs Python walk vs interval-model curve fit."""
     failures = []
 
-    # Bit-identity of the cache backends on a partitioned co-run.
-    if _co_run_signature("kernel") != _co_run_signature("object"):
-        failures.append("kernel backend diverges from the object model")
+    # Bit-identity of the two shipped walks on a partitioned co-run.
+    if not _walks_agree():
+        failures.append("roster walk diverges from TraceEngine.run")
 
     # The single-pass profile against per-mask replay, and both against
     # the interval engine's fitted curve form.
@@ -173,8 +184,8 @@ def backend_cross_validation():
         )
     )
     status = "OK" if not failures else "; ".join(failures)
-    print(f"   kernel == object on a partitioned co-run: "
-          f"{'yes' if not any('backend' in f for f in failures) else 'NO'}")
+    print(f"   roster walk == TraceEngine.run on a partitioned co-run: "
+          f"{'yes' if not any('roster' in f for f in failures) else 'NO'}")
     print(f"   cross-validation: {status}")
     return failures
 

@@ -432,7 +432,7 @@ def verify_trace_group_replay(backend, group, outcome):
     from repro.util.errors import ValidationError
 
     llc_ways = backend.capabilities().llc_ways
-    engine = TraceEngine(prefetchers_on=False, backend="kernel")
+    engine = TraceEngine(prefetchers_on=False)
     for tenant, bits in zip(group.tenants, outcome.split.mask_bits):
         engine.hierarchy.set_way_mask(
             tenant.tid // 2, WayMask.from_bits(bits, llc_ways)
@@ -478,7 +478,7 @@ def verify_trace_policy_replay(backend, spec, policies=("shared", "fair")):
     checked = 0
     for policy in policies:
         outcome = run_policy_on(backend, spec, policy)
-        engine = TraceEngine(prefetchers_on=False, backend="kernel")
+        engine = TraceEngine(prefetchers_on=False)
         core_of = engine.hierarchy.core_of_tid
         engine.hierarchy.set_way_mask(
             core_of(spec.fg.tid),
@@ -514,7 +514,7 @@ def trace_way_utility(fg_factory=None, bg_factory=None, total_accesses=120_000,
     The address-level companion to the fig. 2/6 sensitivity sweeps: a
     cache-friendly foreground and ``domains - 1`` background traces
     (streaming/chase mixes from ``_BG_TABLE``; ``bg_factory`` overrides
-    the first) co-run once through the kernel-backend hierarchy with a
+    the first) co-run once through the cache hierarchy with a
     way profiler attached, and every allocation point 1..12 is read from
     the stack-distance histograms instead of re-simulating per mask.
     Returns ``{"stats": {name: TraceStats}, "curves": {name: WayCurve}}``.
@@ -548,9 +548,7 @@ def _verify_domain_cell(item):
     from repro.cache.profile import verify_profile
 
     factory, way_counts = item
-    return verify_profile(
-        factory, way_counts=way_counts, backend="kernel", use_pack=True
-    )
+    return verify_profile(factory, way_counts=way_counts, use_pack=True)
 
 
 def verify_trace_domains(factories, way_counts=None, workers=None):

@@ -11,16 +11,18 @@ Bridge platform (Section 2.1):
 - tree-PLRU replacement, a hashed LLC index, and the four Sandy Bridge
   hardware prefetchers.
 
-The interval engine (:mod:`repro.sim`) uses statistical models for speed;
-this package is the ground truth for mechanism behaviour and is exercised
-directly by the microbenchmarks and the MRC calibration utilities.
+Every level is a :class:`KernelCacheLevel` (flat arrays, see
+:mod:`repro.cache.kernel`); the native kernels in ``*.c`` replay the same
+L1 -> L2 -> LLC walk over snapshots of those levels. The interval engine
+(:mod:`repro.sim`) uses statistical models for speed; this package is the
+ground truth for mechanism behaviour and is exercised directly by the
+trace engine, the microbenchmarks and the MRC calibration utilities.
 """
 
 from repro.cache.block import CacheLine, MemoryAccess
-from repro.cache.cache import CacheLevel
 from repro.cache.hierarchy import CacheHierarchy
 from repro.cache.indexing import HashedIndex, ModuloIndex
-from repro.cache.kernel import BACKENDS, KernelCacheLevel, make_cache_level
+from repro.cache.kernel import KernelCacheLevel
 from repro.cache.llc import PartitionedLLC, WayMask
 from repro.cache.profile import WayCurve, WayProfiler, WaySweep, verify_profile
 from repro.cache.prefetch import (
@@ -30,13 +32,10 @@ from repro.cache.prefetch import (
     MlcStreamerPrefetcher,
     PrefetcherBank,
 )
-from repro.cache.replacement import PseudoLruTree, TrueLru
 from repro.cache.stats import CacheStats
 
 __all__ = [
-    "BACKENDS",
     "CacheHierarchy",
-    "CacheLevel",
     "CacheLine",
     "CacheStats",
     "DcuIpPrefetcher",
@@ -49,12 +48,9 @@ __all__ = [
     "ModuloIndex",
     "PartitionedLLC",
     "PrefetcherBank",
-    "PseudoLruTree",
-    "TrueLru",
     "WayCurve",
     "WayMask",
     "WayProfiler",
     "WaySweep",
-    "make_cache_level",
     "verify_profile",
 ]

@@ -15,7 +15,7 @@ be measured directly — see ``benchmarks/test_ablation_coloring.py``.
 
 from dataclasses import dataclass
 
-from repro.cache.cache import CacheLevel
+from repro.cache.kernel import KernelCacheLevel
 from repro.util.errors import ConfigurationError, ValidationError
 
 PAGE_BYTES = 4096
@@ -50,7 +50,7 @@ class ColoredLLC:
         line_size=64,
         num_domains=4,
     ):
-        self.storage = CacheLevel(
+        self.storage = KernelCacheLevel(
             "LLC-colored",
             capacity_bytes,
             num_ways,
@@ -138,9 +138,8 @@ class ColoredLLC:
 
     def occupancy_by_color(self):
         counts = [0] * self.num_colors
-        for set_idx, cache_set in enumerate(self.storage._sets):
-            color = set_idx // self.sets_per_color
-            counts[color] += sum(1 for cl in cache_set if cl.valid)
+        for set_idx, lookup in enumerate(self.storage._lookup):
+            counts[set_idx // self.sets_per_color] += len(lookup)
         return counts
 
     def partitions_available(self):

@@ -7,7 +7,7 @@ line. Hyperthreads map pairwise onto cores (tids 0,1 -> core 0, ...).
 """
 
 from repro.cache.block import AccessResult, MemoryAccess
-from repro.cache.kernel import make_cache_level
+from repro.cache.kernel import KernelCacheLevel
 from repro.cache.llc import PartitionedLLC
 from repro.cache.prefetch import PrefetcherBank
 from repro.perf import engine_counters as ec
@@ -34,20 +34,18 @@ class CacheHierarchy:
         llc_ways=12,
         line_size=64,
         llc_indexing="hash",
-        backend="object",
     ):
         self.num_cores = num_cores
         self.line_size = line_size
-        self.backend = backend
         self.l1 = [
-            make_cache_level(
-                backend, f"L1-{c}", l1_bytes, l1_ways, line_size, replacement="lru"
+            KernelCacheLevel(
+                f"L1-{c}", l1_bytes, l1_ways, line_size, replacement="lru"
             )
             for c in range(num_cores)
         ]
         self.l2 = [
-            make_cache_level(
-                backend, f"L2-{c}", l2_bytes, l2_ways, line_size, replacement="plru"
+            KernelCacheLevel(
+                f"L2-{c}", l2_bytes, l2_ways, line_size, replacement="plru"
             )
             for c in range(num_cores)
         ]
@@ -57,7 +55,6 @@ class CacheHierarchy:
             line_size=line_size,
             num_domains=num_cores,
             indexing=llc_indexing,
-            backend=backend,
         )
         self.prefetchers = [PrefetcherBank() for _ in range(num_cores)]
         # Optional way-profiler observing every LLC probe (line, domain).

@@ -79,3 +79,7 @@ class HashedIndex:
         else:
             acc = acc & mask
         return acc.astype(np.int64)
+
+
+# The ``indexing=`` names cache levels, packs and profilers accept.
+_INDEXING = {"mod": ModuloIndex, "hash": HashedIndex}

@@ -1,16 +1,15 @@
 """Flat-array set-associative simulation kernel.
 
-:class:`KernelCacheLevel` is a drop-in replacement for
-:class:`repro.cache.cache.CacheLevel` that keeps tag, state, and recency
-information in flat contiguous buffers instead of nested ``CacheLine``
-objects:
+:class:`KernelCacheLevel` is the one cache level: the L1s, L2s and LLC
+storage of every :class:`~repro.cache.hierarchy.CacheHierarchy`. It
+keeps tag, state, and recency information in flat contiguous buffers:
 
 - presence is one per-set ``tag -> way`` dict probe instead of a linear
   way scan;
 - valid/dirty/prefetched flags are per-set bitmasks, sharers and tags
   are flat integer arrays;
 - true-LRU recency is a monotonically increasing touch stamp (victim =
-  minimum stamp among allowed ways, exactly the tail of the recency
+  minimum stamp among allowed ways, exactly the tail of a recency
   list);
 - tree-PLRU touches collapse to two precomputed bit masks per way
   (the touch path through the tree is fixed per way), and the victim
@@ -18,20 +17,19 @@ objects:
 - hashed set indices are memoized (the XOR fold is the only per-access
   loop left otherwise).
 
-The kernel is bit-identical to the object model — same hits, same victim
-choices, same evictions and stats — for LRU and PLRU, modulo and hashed
-indexing, with and without way masks. ``tests/cache/test_kernel.py``
-holds the two backends to exact agreement step by step.
+``tests/_refcache.py`` keeps the textbook object model (a ``CacheLine``
+per way, a recency list or a PLRU bit tree per set) as the reference:
+``tests/cache/test_kernel.py`` holds this level to it step by step —
+same hits, same victim choices, same evictions and stats — for LRU and
+PLRU, modulo and hashed indexing, with and without way masks.
 """
 
 from dataclasses import dataclass
 
 from repro.cache.block import CacheLine
-from repro.cache.cache import CacheLevel, _INDEXING
+from repro.cache.indexing import _INDEXING
 from repro.cache.stats import CacheStats
 from repro.util.errors import ConfigurationError, ValidationError
-
-BACKENDS = ("object", "kernel")
 
 _INDEX_MEMO_CAP = 1 << 20  # bound the hashed-index memo on huge footprints
 
@@ -62,6 +60,7 @@ class KernelCacheLevel:
         self.num_ways = num_ways
         self.line_size = line_size
         self.num_sets = capacity_bytes // (num_ways * line_size)
+        self.indexing = indexing
         self._indexer = _INDEXING[indexing](self.num_sets)
         self._is_lru = replacement == "lru"
         self._full_mask = (1 << num_ways) - 1
@@ -76,7 +75,7 @@ class KernelCacheLevel:
         self._lookup = [dict() for _ in range(num_sets)]
 
         if self._is_lru:
-            # Stamp ordering replicates TrueLru's initial recency list
+            # Stamp ordering replicates a true-LRU recency list
             # [0, 1, ..., W-1] (way 0 most recent): higher stamp = more
             # recent, stamps stay unique so victim choice is unambiguous.
             self._stamp = [0] * (num_sets * W)
@@ -175,7 +174,7 @@ class KernelCacheLevel:
 
         The body inlines :meth:`set_index`, the recency touch, and
         ``CacheStats.record_access`` — this is the hottest path in the
-        address-level engine. Counts are identical to the object model.
+        address-level engine.
         """
         if self._mod_mask >= 0:
             set_idx = line_number & self._mod_mask
@@ -217,7 +216,8 @@ class KernelCacheLevel:
         return True
 
     def _victim(self, set_idx, candidates):
-        """Replicate the object policies' victim choice (and errors)."""
+        """The replacement victim among ``candidates`` (every way when
+        ``None``); an empty or out-of-range candidate list raises."""
         W = self.num_ways
         if self._is_lru:
             if candidates is not None and not candidates:
@@ -271,7 +271,12 @@ class KernelCacheLevel:
         prefetch=False,
         sharer=None,
     ):
-        """Insert a line, evicting if necessary (CacheLevel semantics)."""
+        """Insert a line, evicting if necessary.
+
+        Returns the evicted ``CacheLine`` metadata (with its line number in
+        ``tag``) or ``None`` if an invalid way absorbed the fill. If the
+        line is already present the fill is a no-op returning ``None``.
+        """
         if self._mod_mask >= 0:
             set_idx = line_number & self._mod_mask
         else:
@@ -512,18 +517,16 @@ def _native_core_eligible(hierarchy, core):
     """The native kernels' precondition for one core: their level
     arrangement, read-only cache state and 8-way inner levels.
 
-    The kernels' bank layout holds kernel-backed levels with an LRU,
-    modulo-indexed L1, a PLRU, modulo-indexed L2 and a PLRU LLC. All-zero
-    dirty, prefetch, and inner-sharer state stays all-zero under a
-    read-only replay (nothing in the walk can set those bits), so the
-    layout carries none of them. The 8-way LRU FSM of the kernels' L1
-    and their 8-way L2 tables additionally need W == 8.
+    The kernels' bank layout holds an LRU, modulo-indexed L1, a PLRU,
+    modulo-indexed L2 and a PLRU LLC. All-zero dirty, prefetch, and
+    inner-sharer state stays all-zero under a read-only replay (nothing
+    in the walk can set those bits), so the layout carries none of them.
+    The 8-way LRU FSM of the kernels' L1 and their 8-way L2 tables
+    additionally need W == 8.
     """
     l1 = hierarchy.l1[core]
     l2 = hierarchy.l2[core]
     llc = hierarchy.llc.storage
-    if not all(isinstance(lvl, KernelCacheLevel) for lvl in (l1, l2, llc)):
-        return False
     if not l1._is_lru or l2._is_lru or llc._is_lru:
         return False
     if l1._mod_mask < 0 or l2._mod_mask < 0:
@@ -1079,10 +1082,6 @@ def _batch_cells_supported(template, cells):
     for c in range(h.num_cores):
         l1 = h.l1[c]
         l2 = h.l2[c]
-        if not isinstance(l1, KernelCacheLevel) or not isinstance(
-            l2, KernelCacheLevel
-        ):
-            return False
         if l1.num_ways != 8 or l2.num_ways != 8:
             return False
         if l1._mod_mask != l1_mod or l2._mod_mask != l2_mod:
@@ -1235,26 +1234,3 @@ def build_native_epoch_batch_replay(hierarchy, cells, threads=None):
         threads,
     )
 
-
-def make_cache_level(
-    backend,
-    name,
-    capacity_bytes,
-    num_ways,
-    line_size=64,
-    replacement="lru",
-    indexing="mod",
-):
-    """Construct a cache level for the chosen backend: ``object`` is the
-    reference model, ``kernel`` the flat-array kernel."""
-    if backend == "kernel":
-        return KernelCacheLevel(
-            name, capacity_bytes, num_ways, line_size, replacement, indexing
-        )
-    if backend == "object":
-        return CacheLevel(
-            name, capacity_bytes, num_ways, line_size, replacement, indexing
-        )
-    raise ConfigurationError(
-        f"unknown cache backend {backend!r}; pick one of {BACKENDS}"
-    )

@@ -11,7 +11,7 @@ Implements the mechanism of paper Section 2.1:
   evicts them.
 """
 
-from repro.cache.kernel import make_cache_level
+from repro.cache.kernel import KernelCacheLevel
 from repro.util.errors import ConfigurationError, ValidationError
 
 
@@ -84,12 +84,10 @@ class PartitionedLLC:
         num_domains=4,
         replacement="plru",
         indexing="hash",
-        backend="object",
     ):
         if num_domains < 1:
             raise ConfigurationError("need at least one domain")
-        self.storage = make_cache_level(
-            backend,
+        self.storage = KernelCacheLevel(
             "LLC",
             capacity_bytes,
             num_ways,

@@ -24,8 +24,8 @@ is what the trace engine, the MRC calibration fast path, and the
 from dataclasses import dataclass
 
 from repro.cache.block import MemoryAccess
-from repro.cache.cache import _INDEXING
-from repro.cache.kernel import make_cache_level
+from repro.cache.indexing import _INDEXING
+from repro.cache.kernel import KernelCacheLevel
 from repro.util.errors import ConfigurationError, ValidationError
 
 LLC_NUM_SETS = 8192  # 6 MB / (12 ways x 64 B lines)
@@ -218,14 +218,13 @@ class WaySweep:
 
 
 def brute_force_hits(trace_factory, ways, num_sets=LLC_NUM_SETS,
-                     indexing="hash", line_size=64, backend="object"):
+                     indexing="hash", line_size=64):
     """Ground truth: replay through a standalone ``ways``-way LRU cache.
 
     The geometry pins ``num_sets`` while varying associativity, exactly
     what an LLC way mask of size ``ways`` does for a lone domain.
     """
-    level = make_cache_level(
-        backend,
+    level = KernelCacheLevel(
         f"sweep-{ways}w",
         num_sets * ways * line_size,
         ways,
@@ -244,8 +243,7 @@ def brute_force_hits(trace_factory, ways, num_sets=LLC_NUM_SETS,
 
 
 def verify_profile(trace_factory, way_counts=None, num_sets=LLC_NUM_SETS,
-                   num_ways=LLC_NUM_WAYS, indexing="hash", backend="object",
-                   use_pack=False):
+                   num_ways=LLC_NUM_WAYS, indexing="hash", use_pack=False):
     """Compare the single-pass profile to per-mask re-simulation.
 
     Returns ``[(ways, profiled_hits, brute_hits), ...]``; the two columns
@@ -271,8 +269,7 @@ def verify_profile(trace_factory, way_counts=None, num_sets=LLC_NUM_SETS,
     rows = []
     for ways in ways_list:
         brute = brute_force_hits(
-            source, ways, num_sets=num_sets, indexing=indexing,
-            backend=backend,
+            source, ways, num_sets=num_sets, indexing=indexing
         )
         rows.append((ways, curve.hits(ways), brute))
     mismatched = [(w, p, b) for w, p, b in rows if p != b]

@@ -889,8 +889,7 @@ def _cmd_trace_sweep(args, out):
             )
         else:
             rows = verify_profile(
-                factory, way_counts=way_counts, backend="kernel",
-                use_pack=True,
+                factory, way_counts=way_counts, use_pack=True
             )
             out.write(
                 f"check: profiled hits match per-mask re-simulation at "

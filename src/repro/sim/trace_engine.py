@@ -74,10 +74,7 @@ class DynamicTraceResult:
 class TraceEngine:
     """Virtual-time interleaving of traces over one cache hierarchy.
 
-    ``backend`` picks the cache implementation when no hierarchy is
-    supplied: ``"object"`` (reference model) or ``"kernel"`` (flat-array
-    kernel, bit-identical and much faster). With all prefetchers off,
-    :meth:`run` walks each access through
+    With all prefetchers off, :meth:`run` walks each access through
     :meth:`~repro.cache.hierarchy.CacheHierarchy.access_fast`, the
     hierarchy's allocation-free walk. :meth:`run_packed` and
     :meth:`run_dynamic` replay compiled trace packs through the
@@ -89,8 +86,8 @@ class TraceEngine:
     for.
     """
 
-    def __init__(self, hierarchy=None, prefetchers_on=True, backend="object"):
-        self.hierarchy = hierarchy or CacheHierarchy(backend=backend)
+    def __init__(self, hierarchy=None, prefetchers_on=True):
+        self.hierarchy = hierarchy or CacheHierarchy()
         self.hierarchy.set_prefetchers(enabled=prefetchers_on)
 
     def run(self, workloads, total_accesses=100_000):
@@ -171,8 +168,8 @@ class TraceEngine:
         :meth:`run` whenever the epoch driver does not apply: prefetchers
         on, a non-compilable trace factory, a pack that carries writes,
         two workloads on one core, or hierarchy state outside the native
-        kernels' precondition (non-kernel backend, dirty or prefetched
-        lines, inner levels that are not 8-way).
+        kernels' precondition (dirty or prefetched lines, inner levels
+        that are not 8-way).
         """
         if not workloads:
             raise ValidationError("need at least one workload")
@@ -261,8 +258,8 @@ class TraceEngine:
         replay = _epoch_replay(hierarchy, cores, workloads, packs)
         if replay is None:
             raise ValidationError(
-                "run_dynamic needs an epoch replay driver (kernel "
-                "backend, read-only traces and state, 8-way inner levels)"
+                "run_dynamic needs an epoch replay driver (read-only "
+                "traces and state, 8-way inner levels)"
             )
 
         period_s = controller.period_s
@@ -377,15 +374,13 @@ def _epoch_replay(hierarchy, cores, workloads, packs):
     A :class:`~repro.cache.kernel.PythonEpochReplay` over the
     hierarchy's :meth:`~repro.cache.hierarchy.CacheHierarchy.access_fast`
     walk, bit-identical to :meth:`TraceEngine.run`.
-    ``None`` when it cannot take the co-run: a non-kernel LLC, a pack
-    that carries writes, two workloads on one core, or a hierarchy that
-    fails the drivers' shared gate
+    ``None`` when it cannot take the co-run: a pack that carries
+    writes, two workloads on one core, or a hierarchy that fails the
+    drivers' shared gate
     (:func:`~repro.cache.kernel._epoch_replay_supported`).
     """
-    from repro.cache.kernel import KernelCacheLevel, build_python_epoch_replay
+    from repro.cache.kernel import build_python_epoch_replay
 
-    if not isinstance(hierarchy.llc.storage, KernelCacheLevel):
-        return None
     if any(p.writes_list() is not None for p in packs):
         return None
     return build_python_epoch_replay(
@@ -401,8 +396,8 @@ def measure_isolation(fg_workload, bg_workload, fg_mask=None, bg_mask=None,
                       total_accesses=120_000):
     """Foreground latency/miss-ratio alone, shared, and partitioned.
 
-    The address-level version of the paper's core experiment, on the
-    kernel backend with prefetchers off: a prefetch-accelerated stream
+    The address-level version of the paper's core experiment, with
+    prefetchers off: a prefetch-accelerated stream
     monopolizes the access budget and the measurement becomes a warm-up
     study rather than a partitioning one. Each scenario is a warm-up
     pass, then a measured pass over the same caches. With the native
@@ -430,7 +425,7 @@ def measure_isolation(fg_workload, bg_workload, fg_mask=None, bg_mask=None,
     }
 
     def warm_then_measure(cell):
-        engine = TraceEngine(prefetchers_on=False, backend="kernel")
+        engine = TraceEngine(prefetchers_on=False)
         for core, mask in (cell.masks or {}).items():
             engine.hierarchy.set_way_mask(core, mask)
         engine.run_packed(cell.workloads, total_accesses)  # warm-up pass
@@ -501,7 +496,7 @@ def _run_roster_sequential(cells, packs=None):
     over ``packs[r]`` as cell ``r``'s packs where that is not ``None``."""
     results = []
     for r, cell in enumerate(cells):
-        engine = TraceEngine(prefetchers_on=False, backend="kernel")
+        engine = TraceEngine(prefetchers_on=False)
         if cell.masks:
             for core, mask in cell.masks.items():
                 engine.hierarchy.set_way_mask(core, mask)
@@ -512,7 +507,7 @@ def _run_roster_sequential(cells, packs=None):
     return results
 
 
-# The cold, prefetchers-off kernel hierarchy every roster cell starts
+# The cold, prefetchers-off hierarchy every roster cell starts
 # from, with its bank snapshot: built once per process. Batch cells never
 # write back into it, so it stays cold.
 _COLD_TEMPLATE = None
@@ -520,12 +515,12 @@ _COLD_TEMPLATE = None
 
 def _cold_template():
     """The process-wide :class:`~repro.cache.kernel.TemplateBank` of a
-    fresh ``TraceEngine(prefetchers_on=False, backend="kernel")``."""
+    fresh ``TraceEngine(prefetchers_on=False)``."""
     global _COLD_TEMPLATE
     if _COLD_TEMPLATE is None:
         from repro.cache.kernel import TemplateBank
 
-        engine = TraceEngine(prefetchers_on=False, backend="kernel")
+        engine = TraceEngine(prefetchers_on=False)
         _COLD_TEMPLATE = TemplateBank(engine.hierarchy)
     return _COLD_TEMPLATE
 
@@ -683,7 +678,6 @@ def _roster_batch(roster, build, threads=None, profile=False):
             columns[id(pack)] = (len(columns), pack)
         column_of[i] = columns[id(pack)][0]
     llc = h.llc.storage
-    indexing = "mod" if llc._mod_mask >= 0 else "hash"
     column_packs = [pack for _, pack in columns.values()]
     words = np.array(
         [mask.bits for mask in roster.masks] + [0], dtype=np.int64
@@ -695,7 +689,7 @@ def _roster_batch(roster, build, threads=None, profile=False):
     R = len(members)
     cells = BatchCells(
         lines=[p.line for p in column_packs],
-        sets=[p.set_column(llc.num_sets, indexing) for p in column_packs],
+        sets=[p.set_column(llc.num_sets, llc.indexing) for p in column_packs],
         lengths=[len(p.line) for p in column_packs],
         column=column_of[members],
         cores=cores,
@@ -745,7 +739,7 @@ def run_packed_roster(cells, threads=None):
 
     ``cells`` is a :class:`Roster`, or a list of :class:`RosterCell`
     taken as :meth:`Roster.of` does. Each cell gets its own fresh
-    kernel-backed, prefetchers-off hierarchy state (the process-wide
+    prefetchers-off hierarchy state (the process-wide
     cold template's one bank snapshot, restored per cell inside the
     kernel; see :func:`~repro.cache.kernel.build_native_batch_replay`),
     its own way masks, and its own issue budget; the compiled batch
@@ -807,7 +801,7 @@ def _run_dynamic_roster_sequential(cells):
     """The reference path: one fresh engine + ``run_dynamic`` per cell."""
     results = []
     for cell in cells:
-        engine = TraceEngine(prefetchers_on=False, backend="kernel")
+        engine = TraceEngine(prefetchers_on=False)
         results.append(engine.run_dynamic(
             cell.workloads,
             cell.controller,
@@ -820,7 +814,7 @@ def _run_dynamic_roster_sequential(cells):
 def run_dynamic_roster(cells, threads=None):
     """Run a roster of dynamic-partitioning co-runs, batched.
 
-    Every :class:`DynamicRosterCell` gets its own fresh kernel-backed,
+    Every :class:`DynamicRosterCell` gets its own fresh
     prefetchers-off hierarchy state (its own bank, which the kernel fills
     from the process-wide cold template's one snapshot; see
     :func:`~repro.cache.kernel.build_native_epoch_batch_replay`), its
@@ -969,7 +963,7 @@ def run_dynamic_roster(cells, threads=None):
 def way_allocation_sweep(workloads, total_accesses=100_000):
     """Per-domain ``hits(ways)`` utility curves from ONE co-run.
 
-    Co-runs the workloads once on a fresh kernel-backed, prefetchers-off
+    Co-runs the workloads once on a fresh prefetchers-off
     hierarchy with a per-domain UMON on its LLC probe stream: the
     returned curves answer "how many LLC hits would domain d see with w
     ways to itself" for every w in 1..12 — the input the paper's
@@ -1029,15 +1023,14 @@ def _profiled_run_packed(workloads, total_accesses):
     """The reference profiled co-run: a :class:`WayProfiler` attached to
     a fresh engine's hierarchy, observing :meth:`TraceEngine.run_packed`
     (the pure-Python epoch driver, or :meth:`TraceEngine.run`)."""
-    from repro.cache.indexing import HashedIndex
     from repro.cache.profile import WayProfiler
 
-    engine = TraceEngine(prefetchers_on=False, backend="kernel")
+    engine = TraceEngine(prefetchers_on=False)
     llc = engine.hierarchy.llc.storage
     profiler = WayProfiler(
         num_sets=llc.num_sets,
         num_ways=llc.num_ways,
-        indexing="hash" if isinstance(llc._indexer, HashedIndex) else "mod",
+        indexing=llc.indexing,
         num_domains=engine.hierarchy.num_cores,
     )
     engine.hierarchy.llc_profiler = profiler

@@ -66,7 +66,7 @@ def profile_mrc(trace_factory, way_counts=(1, 2, 4, 6, 8, 10, 12),
 
     Where :func:`measure_mrc` re-simulates the whole hierarchy once per
     way count, this attaches a :class:`~repro.cache.profile.WayProfiler`
-    (a per-domain UMON) to the LLC probe stream of ONE kernel-backend
+    (a per-domain UMON) to the LLC probe stream of ONE hierarchy
     replay and reads ``miss_ratio(ways)`` for every allocation from the
     resulting stack-distance histogram. The warm-up slice is replayed
     first with the profiler attached so its auxiliary directory is warm,
@@ -77,10 +77,9 @@ def profile_mrc(trace_factory, way_counts=(1, 2, 4, 6, 8, 10, 12),
     per-mask re-simulation; the two track each other closely and the
     profile is ~an order of magnitude cheaper for a full sweep.
     """
-    from repro.cache.indexing import HashedIndex
     from repro.cache.profile import WayProfiler
 
-    hierarchy = CacheHierarchy(backend="kernel")
+    hierarchy = CacheHierarchy()
     hierarchy.set_prefetchers(enabled=False)
     llc = hierarchy.llc.storage
     for ways in way_counts:
@@ -89,7 +88,7 @@ def profile_mrc(trace_factory, way_counts=(1, 2, 4, 6, 8, 10, 12),
     profiler = WayProfiler(
         num_sets=llc.num_sets,
         num_ways=llc.num_ways,
-        indexing="hash" if isinstance(llc._indexer, HashedIndex) else "mod",
+        indexing=llc.indexing,
         num_domains=hierarchy.num_cores,
     )
     hierarchy.llc_profiler = profiler

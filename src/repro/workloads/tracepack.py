@@ -256,7 +256,7 @@ class TracePack:
         which the native kernels would use as an LLC set index — is
         recomputed and overwritten.
         """
-        from repro.cache.cache import _INDEXING
+        from repro.cache.indexing import _INDEXING
 
         if indexing not in _INDEXING:
             raise ValidationError(f"unknown indexing scheme {indexing!r}")

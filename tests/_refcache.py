@@ -1,13 +1,130 @@
-"""A generic set-associative, write-back cache level."""
+"""The reference cache model the kernel level is checked against.
+
+:class:`CacheLevel` is the textbook set-associative, write-back level: a
+``CacheLine`` object per way and one replacement-policy object per set
+(:class:`TrueLru`'s recency list or :class:`PseudoLruTree`'s direction
+bits). Victim selection takes an ``allowed_ways`` subset, the hook way
+partitioning builds on: the mask limits only *replacement* (paper
+Section 2.1). It shares no code with
+:class:`~repro.cache.kernel.KernelCacheLevel` beyond the index functions
+and the stats record, so the lockstep tests that hold the two equal
+step by step are an independent check of writes, dirty write-backs,
+prefetch flags, sharers, prefetchers-on walks, a true-LRU LLC and hashed
+inner levels — the behaviour the native kernels do not model.
+
+:func:`reference_hierarchy` builds a
+:class:`~repro.cache.hierarchy.CacheHierarchy` and swaps a reference
+level of the same geometry into every L1, L2 and the LLC storage.
+"""
 
 from repro.cache.block import CacheLine
-from repro.cache.indexing import HashedIndex, ModuloIndex
-from repro.cache.replacement import PseudoLruTree, TrueLru
+from repro.cache.hierarchy import CacheHierarchy
+from repro.cache.indexing import _INDEXING
 from repro.cache.stats import CacheStats
-from repro.util.errors import ConfigurationError
+from repro.util.errors import ConfigurationError, ValidationError
+
+
+class TrueLru:
+    """Exact LRU over one cache set.
+
+    Maintains a recency list (most-recent first). Used by small inner
+    caches and as a reference implementation in tests.
+    """
+
+    def __init__(self, num_ways):
+        if num_ways < 1:
+            raise ValidationError("a set needs at least one way")
+        self.num_ways = num_ways
+        self._recency = list(range(num_ways))
+
+    def touch(self, way):
+        """Mark ``way`` most recently used."""
+        self._recency.remove(way)
+        self._recency.insert(0, way)
+
+    def victim(self, allowed_ways=None):
+        """Return the least-recently-used way among ``allowed_ways``."""
+        if allowed_ways is None:
+            return self._recency[-1]
+        allowed = set(allowed_ways)
+        if not allowed:
+            raise ValidationError("victim selection requires at least one allowed way")
+        for way in reversed(self._recency):
+            if way in allowed:
+                return way
+        raise ValidationError("allowed ways are outside this set")
+
+    def recency_order(self):
+        """Most-recent-first order; exposed for tests."""
+        return list(self._recency)
+
+
+class PseudoLruTree:
+    """Tree-based pseudo-LRU (the policy used by Sandy Bridge's LLC).
+
+    A binary tree of direction bits covers the ways (padded to a power of
+    two). On a touch, bits along the path are set to point *away* from the
+    touched way; the victim walk follows the bits. When a subtree contains
+    no allowed (or no existing) way, the walk detours to the other side —
+    this is exactly how masked replacement composes with PLRU in hardware.
+    """
+
+    def __init__(self, num_ways):
+        if num_ways < 1:
+            raise ValidationError("a set needs at least one way")
+        self.num_ways = num_ways
+        self._leaves = 1
+        while self._leaves < num_ways:
+            self._leaves *= 2
+        # Internal nodes of a complete binary tree, root at index 1.
+        self._bits = [0] * self._leaves
+
+    def touch(self, way):
+        """Update direction bits so the walk points away from ``way``."""
+        if not 0 <= way < self.num_ways:
+            raise ValidationError(f"way {way} out of range")
+        node, lo, hi = 1, 0, self._leaves
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if way < mid:
+                self._bits[node] = 1  # point right, away from the touched way
+                node, hi = 2 * node, mid
+            else:
+                self._bits[node] = 0  # point left
+                node, lo = 2 * node + 1, mid
+        return self
+
+    def victim(self, allowed_ways=None):
+        """Walk the tree to a victim way, constrained to ``allowed_ways``."""
+        if allowed_ways is None:
+            allowed = set(range(self.num_ways))
+        else:
+            allowed = {w for w in allowed_ways if 0 <= w < self.num_ways}
+        if not allowed:
+            raise ValidationError("victim selection requires at least one allowed way")
+
+        node, lo, hi = 1, 0, self._leaves
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            left_ok = any(lo <= w < mid for w in allowed)
+            right_ok = any(mid <= w < hi for w in allowed)
+            go_right = self._bits[node] == 1
+            if go_right and not right_ok:
+                go_right = False
+            elif not go_right and not left_ok:
+                go_right = True
+            if go_right:
+                node, lo = 2 * node + 1, mid
+            else:
+                node, hi = 2 * node, mid
+        return lo
+
+    def bits(self):
+        """The raw direction bits; exposed for tests."""
+        return list(self._bits)
+
 
 _REPLACEMENT = {"lru": TrueLru, "plru": PseudoLruTree}
-_INDEXING = {"mod": ModuloIndex, "hash": HashedIndex}
 
 
 class CacheLevel:
@@ -192,3 +309,26 @@ class CacheLevel:
     def resident_lines(self):
         """Set of line numbers currently cached (for inclusion checks)."""
         return {cl.tag for s in self._sets for cl in s if cl.valid}
+
+
+def reference_level(level):
+    """A reference :class:`CacheLevel` with ``level``'s geometry, policy
+    and indexing (``level`` is a kernel level)."""
+    return CacheLevel(
+        level.name,
+        level.capacity_bytes,
+        level.num_ways,
+        level.line_size,
+        replacement="lru" if level._is_lru else "plru",
+        indexing=level.indexing,
+    )
+
+
+def reference_hierarchy(**geometry):
+    """A :class:`CacheHierarchy` built from ``geometry`` whose L1s, L2s
+    and LLC storage are reference levels."""
+    hierarchy = CacheHierarchy(**geometry)
+    hierarchy.l1 = [reference_level(level) for level in hierarchy.l1]
+    hierarchy.l2 = [reference_level(level) for level in hierarchy.l2]
+    hierarchy.llc.storage = reference_level(hierarchy.llc.storage)
+    return hierarchy

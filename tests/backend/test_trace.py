@@ -105,7 +105,7 @@ class TestCoRun:
         self, backend, spec, split
     ):
         measured = _one_batch_call(lambda: backend.co_run(spec, split))
-        engine = TraceEngine(prefetchers_on=False, backend="kernel")
+        engine = TraceEngine(prefetchers_on=False)
         h = engine.hierarchy
         h.set_way_mask(spec.fg.tid // 2, WayMask.contiguous(split.fg_ways, 0))
         h.set_way_mask(
@@ -118,7 +118,7 @@ class TestCoRun:
 
     def test_solo_is_one_batch_call_equal_to_run_packed(self, backend, spec):
         measured = _one_batch_call(lambda: backend.solo(spec.fg))
-        engine = TraceEngine(prefetchers_on=False, backend="kernel")
+        engine = TraceEngine(prefetchers_on=False)
         assert measured.raw == engine.run_packed(
             [spec.fg], total_accesses=ACCESSES
         )

@@ -262,7 +262,7 @@ class TestBatchedRoster:
         )
         (batched,) = run_packed_roster([cell])
 
-        engine = TraceEngine(prefetchers_on=False, backend="kernel")
+        engine = TraceEngine(prefetchers_on=False)
         for core, mask in _split_masks(fg_ways).items():
             engine.hierarchy.set_way_mask(core, mask)
         direct = engine.run_packed(_pair(), total_accesses=4_000)
@@ -278,7 +278,7 @@ class TestMaskWordValidation:
 
     @staticmethod
     def _hierarchy_and_cell(mask_bits=None):
-        hierarchy = TraceEngine(prefetchers_on=False, backend="kernel").hierarchy
+        hierarchy = TraceEngine(prefetchers_on=False).hierarchy
         llc = hierarchy.llc.storage
         packs = [get_pack(w.trace_factory()) for w in _pair()]
         cell = {
@@ -397,14 +397,13 @@ class TestWarmTemplate:
     @staticmethod
     def _cell(hierarchy, workloads, stop, mask_bits=None):
         llc = hierarchy.llc.storage
-        indexing = "mod" if llc._mod_mask >= 0 else "hash"
         packs = [get_pack(w.trace_factory()) for w in workloads]
         return {
             "cores": [hierarchy.core_of_tid(w.tid) for w in workloads],
             "thinks": [w.think_cycles for w in workloads],
             "mask_bits": mask_bits,
             "lines": [p.line for p in packs],
-            "sets": [p.set_column(llc.num_sets, indexing) for p in packs],
+            "sets": [p.set_column(llc.num_sets, llc.indexing) for p in packs],
             "lengths": [len(p.line) for p in packs],
             "repeats": [w.repeat for w in workloads],
             "stop": stop,
@@ -420,7 +419,6 @@ class TestWarmTemplate:
             engine = TraceEngine(
                 CacheHierarchy(
                     llc_bytes=SMALL_SETS * 12 * 64, llc_indexing="mod",
-                    backend="kernel",
                 ),
                 prefetchers_on=False,
             )
@@ -428,7 +426,7 @@ class TestWarmTemplate:
             rows = 11 * SMALL_SETS + SMALL_SETS // 2
             engine.run([_stream("warm", rows, 0, tid=warm_tid)], rows)
         else:
-            engine = TraceEngine(prefetchers_on=False, backend="kernel")
+            engine = TraceEngine(prefetchers_on=False)
             engine.run(_pair(), total_accesses=3_000)
         h = engine.hierarchy
         h.set_way_mask(0, WayMask.contiguous(5, 2))

@@ -1,6 +1,6 @@
 import pytest
 
-from repro.cache.cache import CacheLevel
+from repro.cache.kernel import KernelCacheLevel
 from repro.util.errors import ConfigurationError
 
 
@@ -9,7 +9,7 @@ def small_cache(**kwargs):
         name="L", capacity_bytes=4096, num_ways=4, line_size=64, replacement="lru"
     )
     defaults.update(kwargs)
-    return CacheLevel(**defaults)
+    return KernelCacheLevel(**defaults)
 
 
 class TestGeometry:
@@ -19,7 +19,7 @@ class TestGeometry:
 
     def test_rejects_indivisible_capacity(self):
         with pytest.raises(ConfigurationError):
-            CacheLevel("bad", 1000, 3, 64)
+            KernelCacheLevel("bad", 1000, 3, 64)
 
     def test_rejects_unknown_policy(self):
         with pytest.raises(ConfigurationError):

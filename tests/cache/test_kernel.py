@@ -1,27 +1,30 @@
-"""The flat-array kernel is bit-identical to the object cache model.
+"""The flat-array kernel level is bit-identical to the reference model.
 
-Every test drives the two backends through the same operation sequence
-and compares them after EVERY step — return values, stats, occupancy,
-and resident lines — across replacement policies, indexing schemes, and
-way masks, then at hierarchy level with prefetchers on and off.
+Every test drives :class:`KernelCacheLevel` and the object model in
+``tests/_refcache.py`` through the same operation sequence and compares
+them after EVERY step — return values, stats, occupancy, and resident
+lines — across replacement policies, indexing schemes, and way masks,
+then at hierarchy level with prefetchers on and off.
 """
 
 import pytest
 
 from repro.cache.block import MemoryAccess
 from repro.cache.hierarchy import CacheHierarchy
-from repro.cache.kernel import KernelCacheLevel, make_cache_level
+from repro.cache.kernel import KernelCacheLevel
 from repro.cache.llc import WayMask
 from repro.util.errors import ConfigurationError, ValidationError
 from repro.util.rng import DeterministicRng
+
+from .._refcache import CacheLevel, reference_hierarchy
 
 
 def level_pair(replacement, indexing, num_ways=8, num_sets=16):
     capacity = num_sets * num_ways * 64
     kwargs = dict(replacement=replacement, indexing=indexing)
     return (
-        make_cache_level("object", "ref", capacity, num_ways, **kwargs),
-        make_cache_level("kernel", "ker", capacity, num_ways, **kwargs),
+        CacheLevel("ref", capacity, num_ways, **kwargs),
+        KernelCacheLevel("ker", capacity, num_ways, **kwargs),
     )
 
 
@@ -43,7 +46,7 @@ def evicted_key(evicted):
 
 
 def run_locked_step(ref, ker, rng, masks, step):
-    """One pseudo-random op applied to both backends, compared exactly."""
+    """One pseudo-random op applied to both levels, compared exactly."""
     op = rng.integers(0, 10)
     line = rng.integers(0, 400)
     domain = rng.integers(0, 2)
@@ -100,7 +103,7 @@ class TestStepwiseIdentity:
 
 
 class TestVictimErrors:
-    """The kernel replicates the object policies' error behaviour."""
+    """The kernel replicates the reference policies' error behaviour."""
 
     @pytest.mark.parametrize("replacement", ["lru", "plru"])
     def test_empty_allowed_ways_rejected(self, replacement):
@@ -129,19 +132,14 @@ class TestVictimErrors:
         with pytest.raises(ConfigurationError):
             KernelCacheLevel("bad", 1000, 4)  # non-divisible geometry
 
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ConfigurationError):
-            make_cache_level("numpy", "x", 64 * 64, 4)
+
+TINY = dict(num_cores=2, l1_bytes=2 * 1024, l2_bytes=8 * 1024, llc_bytes=48 * 1024)
 
 
-def tiny_hierarchy(backend):
-    return CacheHierarchy(
-        num_cores=2,
-        l1_bytes=2 * 1024,
-        l2_bytes=8 * 1024,
-        llc_bytes=48 * 1024,
-        backend=backend,
-    )
+def tiny_hierarchy(model):
+    if model == "object":
+        return reference_hierarchy(**TINY)
+    return CacheHierarchy(**TINY)
 
 
 def hierarchy_state(h):
@@ -193,7 +191,7 @@ class TestHierarchyIdentity:
         assert hierarchy_state(ref) == hierarchy_state(ker)
 
     def test_fused_fast_path_matches_object_protocol(self):
-        """The kernel's fast walk == the object model's full access()."""
+        """The kernel's fast walk == the reference model's full access()."""
         ref = tiny_hierarchy("object")
         ker = tiny_hierarchy("kernel")
         for h in (ref, ker):
@@ -212,18 +210,11 @@ class TestHierarchyIdentity:
     def test_run_trace_batched_totals_match(self):
         stream = mixed_stream(n=3000, seed=8)
         totals = {}
-        for backend in ("object", "kernel"):
-            h = tiny_hierarchy(backend)
+        for model in ("object", "kernel"):
+            h = tiny_hierarchy(model)
             h.set_prefetchers(enabled=False)
-            totals[backend] = h.run_trace(stream)
+            totals[model] = h.run_trace(stream)
         assert totals["object"] == totals["kernel"]
-
-    def test_fast_walker_object_backend_fallback(self):
-        h = tiny_hierarchy("object")
-        h.set_prefetchers(enabled=False)
-        level, latency = h.access_fast(123, False, 0)
-        assert level == "MEM" and latency == 200
-        assert h.access_fast(123, False, 0) == ("L1", 4)
 
 
 def test_lru8_tables_match_the_permutation_definition():

@@ -27,6 +27,8 @@ from repro.workloads.trace import (
     ZipfTrace,
 )
 
+from .._refcache import CacheLevel
+
 # Small geometry keeps the brute-force arm (W full replays) fast while
 # still exercising set conflicts: 64 sets x 8 ways = 32 KB of lines.
 SETS, WAYS = 64, 8
@@ -51,15 +53,24 @@ class TestExactness:
         assert all(profiled == brute for _, profiled, brute in rows)
 
     def test_kernel_backend_agrees_as_ground_truth(self, name, indexing):
+        """The kernel-level ground truth equals the same replay through
+        the reference object model."""
         factory = TRACES[name]
         for ways in (1, 3, WAYS):
-            assert brute_force_hits(
-                factory, ways, num_sets=SETS, indexing=indexing,
-                backend="kernel",
-            ) == brute_force_hits(
-                factory, ways, num_sets=SETS, indexing=indexing,
-                backend="object",
+            reference = CacheLevel(
+                "ref", SETS * ways * 64, ways, replacement="lru",
+                indexing=indexing,
             )
+            hits = 0
+            for access in factory():
+                line = access.line_address
+                if reference.access(line):
+                    hits += 1
+                else:
+                    reference.fill(line)
+            assert brute_force_hits(
+                factory, ways, num_sets=SETS, indexing=indexing
+            ) == hits
 
 
 class TestCurveAlgebra:
@@ -198,7 +209,7 @@ class TestValidation:
         curve = WaySweep().run_pack(tracepack.get_pack(factory()))[0]
         ways = range(1, LLC_NUM_WAYS + 1)
         assert [curve.hits(w) for w in ways] == [
-            brute_force_hits(factory, w, backend="kernel") for w in ways
+            brute_force_hits(factory, w) for w in ways
         ]
 
     def test_verify_profile_raises_on_forced_mismatch(self):

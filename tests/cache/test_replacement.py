@@ -1,6 +1,6 @@
 import pytest
 
-from repro.cache.replacement import PseudoLruTree, TrueLru
+from .._refcache import PseudoLruTree, TrueLru
 from repro.util.errors import ValidationError
 
 

@@ -1,17 +1,41 @@
-"""Property-based tests over the address-level cache structures."""
+"""Property-based tests over the address-level cache structures.
+
+The level properties run on :class:`KernelCacheLevel` with the reference
+object model (``tests/_refcache.py``) in lockstep: every probe must hit
+or miss alike in both, and every property must hold in both.
+"""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cache.cache import CacheLevel
+from repro.cache.kernel import KernelCacheLevel
 from repro.cache.llc import PartitionedLLC, WayMask
-from repro.cache.replacement import PseudoLruTree, TrueLru
+
+from .._refcache import CacheLevel, PseudoLruTree, TrueLru
 
 
 @st.composite
 def accesses(draw, max_line=4096):
     n = draw(st.integers(1, 300))
     return [draw(st.integers(0, max_line)) for _ in range(n)]
+
+
+def level_pair(**kwargs):
+    """The kernel level and a reference level of one 8 KB geometry."""
+    return (
+        KernelCacheLevel("x", 8192, 4, 64, **kwargs),
+        CacheLevel("x", 8192, 4, 64, **kwargs),
+    )
+
+
+def probe_or_fill(levels, line):
+    """Probe ``line`` on every level, filling on a miss; the levels must
+    agree on hit or miss."""
+    hits = {level.access(line) for level in levels}
+    assert len(hits) == 1
+    if not hits.pop():
+        for level in levels:
+            level.fill(line)
 
 
 class TestReplacementProperties:
@@ -57,32 +81,33 @@ class TestCacheLevelProperties:
     @settings(max_examples=40, deadline=None)
     @given(lines=accesses())
     def test_occupancy_never_exceeds_capacity(self, lines):
-        cache = CacheLevel("x", 8192, 4, 64, replacement="plru")
+        levels = level_pair(replacement="plru")
         capacity_lines = 8192 // 64
         for line in lines:
-            if not cache.access(line):
-                cache.fill(line)
-            assert cache.occupancy() <= capacity_lines
+            probe_or_fill(levels, line)
+            for cache in levels:
+                assert cache.occupancy() <= capacity_lines
 
     @settings(max_examples=40, deadline=None)
     @given(lines=accesses())
     def test_fill_then_access_always_hits(self, lines):
-        cache = CacheLevel("x", 8192, 4, 64)
+        levels = level_pair()
         for line in lines:
-            if not cache.access(line):
-                cache.fill(line)
-            assert cache.access(line)
+            probe_or_fill(levels, line)
+            for cache in levels:
+                assert cache.access(line)
 
     @settings(max_examples=40, deadline=None)
     @given(lines=accesses())
     def test_stats_balance(self, lines):
-        cache = CacheLevel("x", 8192, 4, 64)
+        levels = level_pair()
         for line in lines:
-            if not cache.access(line):
-                cache.fill(line)
-        stats = cache.stats
-        assert stats.hits + stats.misses == stats.accesses
-        assert stats.fills >= cache.occupancy()
+            probe_or_fill(levels, line)
+        for cache in levels:
+            stats = cache.stats
+            assert stats.hits + stats.misses == stats.accesses
+            assert stats.fills >= cache.occupancy()
+        assert levels[0].stats.snapshot() == levels[1].stats.snapshot()
 
 
 class TestPartitionProperties:
@@ -101,12 +126,9 @@ class TestPartitionProperties:
                 llc.fill(line + domain * 100_000, domain=domain)
         # Inspect which ways hold which domain's lines: every line a
         # domain *filled* must be in its ways (hits don't move lines).
-        for set_idx, cache_set in enumerate(llc.storage._sets):
-            for way, cl in enumerate(cache_set):
-                if not cl.valid:
-                    continue
-                domain = 0 if cl.tag < 100_000 else 1
-                assert way in llc.mask_of(domain).ways
+        for line in llc.storage.resident_lines():
+            domain = 0 if line < 100_000 else 1
+            assert llc.storage.find(line)[1] in llc.mask_of(domain).ways
 
     @settings(max_examples=30, deadline=None)
     @given(lines=accesses(), shrink_to=st.integers(1, 8))

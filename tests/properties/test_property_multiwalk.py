@@ -70,7 +70,7 @@ def _roster(workloads, total):
 
 def _run(workloads, packs, total):
     """``run_packed`` over ``packs``, or ``run`` when ``packs`` is None."""
-    engine = TraceEngine(prefetchers_on=False, backend="kernel")
+    engine = TraceEngine(prefetchers_on=False)
     for core, mask in _masks(len(workloads)).items():
         engine.hierarchy.set_way_mask(core, mask)
     if packs is None:

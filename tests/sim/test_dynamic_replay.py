@@ -85,7 +85,7 @@ def _masks(n=3):
 
 
 def _engine(n=3):
-    engine = TraceEngine(prefetchers_on=False, backend="kernel")
+    engine = TraceEngine(prefetchers_on=False)
     for core, mask in _masks(n).items():
         engine.hierarchy.set_way_mask(core, mask)
     return engine
@@ -129,12 +129,11 @@ class _NativeCell:
     def __init__(self, engine, workloads, packs):
         h = engine.hierarchy
         llc = h.llc.storage
-        indexing = "mod" if llc._mod_mask >= 0 else "hash"
         cell = {
             "cores": [h.core_of_tid(w.tid) for w in workloads],
             "thinks": [w.think_cycles for w in workloads],
             "lines": [p.line for p in packs],
-            "sets": [p.set_column(llc.num_sets, indexing) for p in packs],
+            "sets": [p.set_column(llc.num_sets, llc.indexing) for p in packs],
             "lengths": [len(p.line) for p in packs],
             "repeats": [w.repeat for w in workloads],
             "stop": 0,
@@ -400,7 +399,7 @@ class TestRunDynamic:
         ]
 
     def _run(self):
-        engine = TraceEngine(prefetchers_on=False, backend="kernel")
+        engine = TraceEngine(prefetchers_on=False)
         controller = DynamicPartitionController("fg", "bg")
         result = engine.run_dynamic(
             self._workloads(),
@@ -448,7 +447,7 @@ class TestRunDynamic:
             assert bin(fg_bits).count("1") == entry["fg_ways"]
 
     def test_rejects_epoch_smaller_than_one(self):
-        engine = TraceEngine(prefetchers_on=False, backend="kernel")
+        engine = TraceEngine(prefetchers_on=False)
         with pytest.raises(ValidationError):
             engine.run_dynamic(
                 self._workloads(),
@@ -457,7 +456,7 @@ class TestRunDynamic:
             )
 
     def test_rejects_mismatched_controller_names(self):
-        engine = TraceEngine(prefetchers_on=False, backend="kernel")
+        engine = TraceEngine(prefetchers_on=False)
         with pytest.raises(ValidationError):
             engine.run_dynamic(
                 self._workloads(),
@@ -467,7 +466,7 @@ class TestRunDynamic:
             )
 
     def test_rejects_prefetching_engine(self):
-        engine = TraceEngine(prefetchers_on=True, backend="kernel")
+        engine = TraceEngine(prefetchers_on=True)
         with pytest.raises(ValidationError):
             engine.run_dynamic(
                 self._workloads(),
@@ -481,7 +480,7 @@ class TestRunDynamic:
                       pack_key(w.trace_factory()))
             for w in workloads
         ]
-        engine = TraceEngine(prefetchers_on=False, backend="kernel")
+        engine = TraceEngine(prefetchers_on=False)
         result = engine.run_dynamic(
             workloads,
             DynamicPartitionController("fg", "bg"),

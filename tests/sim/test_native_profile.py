@@ -86,7 +86,7 @@ def _group(domains, seed=7):
 
 def _reference(workloads, total_accesses=ACCESSES):
     """A WayProfiler attached to the generator replay of TraceEngine.run."""
-    engine = TraceEngine(prefetchers_on=False, backend="kernel")
+    engine = TraceEngine(prefetchers_on=False)
     llc = engine.hierarchy.llc.storage
     profiler = WayProfiler(
         num_sets=llc.num_sets,
@@ -109,7 +109,7 @@ def _cell(workloads, stop=ACCESSES, profile=False):
         "thinks": [w.think_cycles for w in workloads],
         "lines": [p.line for p in packs],
         "sets": [
-            p.set_column(llc.num_sets, "mod" if llc._mod_mask >= 0 else "hash")
+            p.set_column(llc.num_sets, llc.indexing)
             for p in packs
         ],
         "lengths": [len(p.line) for p in packs],
@@ -151,7 +151,7 @@ class TestEqualsReference:
 
     def test_curves_cover_every_core(self):
         _, curves = way_allocation_sweep(_group(2), ACCESSES)
-        num_cores = TraceEngine(backend="kernel").hierarchy.num_cores
+        num_cores = TraceEngine().hierarchy.num_cores
         assert sorted(curves) == list(range(num_cores))
         for core in (1, 3):  # idle cores profile nothing
             assert curves[core].accesses == 0

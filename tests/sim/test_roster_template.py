@@ -118,7 +118,7 @@ def test_template_stays_cold_after_rosters():
     results = run_dynamic_roster(_dynamic_cells(), threads=2)
     assert all(r.timeline for r in results)  # masks really changed
     template = trace_engine._cold_template()
-    fresh = CacheHierarchy(backend="kernel")
+    fresh = CacheHierarchy()
     assert _state(template.hierarchy) == _state(fresh)
     if native_available():
         snapshot = kernel.TemplateBank(fresh).bank
@@ -142,7 +142,7 @@ def _counting(monkeypatch, name, key):
 def test_each_template_core_is_checked_and_snapshotted_once(
     monkeypatch, build
 ):
-    h = TraceEngine(prefetchers_on=False, backend="kernel").hierarchy
+    h = TraceEngine(prefetchers_on=False).hierarchy
     llc = h.llc.storage
     packs = [get_pack(w.trace_factory()) for w in _pair(0)]
     cell = {

@@ -220,7 +220,7 @@ class TestRunPacked:
 
     @classmethod
     def _engine(cls, workloads, partition=True):
-        engine = TraceEngine(prefetchers_on=False, backend="kernel")
+        engine = TraceEngine(prefetchers_on=False)
         if partition:
             for core, mask in cls._masks(workloads).items():
                 engine.hierarchy.set_way_mask(core, mask)

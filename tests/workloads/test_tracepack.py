@@ -281,7 +281,7 @@ class TestDiskCache:
             return [RosterCell(workloads=workloads, total_accesses=6_000)]
 
         clean = run_packed_roster(roster())
-        engine = TraceEngine(prefetchers_on=False, backend="kernel")
+        engine = TraceEngine(prefetchers_on=False)
         num_sets = engine.hierarchy.llc.storage.num_sets
         pack = get_pack(_zipf(length=3_000, tid=0))
         stored = os.path.join(pack.path, f"set_hash{num_sets}.npy")
