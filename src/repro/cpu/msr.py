@@ -26,11 +26,11 @@ PREFETCHER_BITS = {
 
 
 class MsrFile:
-    """Per-logical-CPU MSR state with chip-level side effects via callbacks.
+    """Per-logical-CPU MSR state.
 
-    ``on_write(cpu, msr, value)`` observers let the chip model translate
-    register writes into prefetcher toggles and LLC mask updates, the same
-    separation as wrmsr in a driver versus the hardware acting on it.
+    Holds register values only; a write has no side effect. The resctrl
+    layer records its masks and class assignments here, while
+    ``CoScheduleHarness`` hands the same allocations to the ``Machine``.
     """
 
     def __init__(self, num_cpus=8):
@@ -38,10 +38,6 @@ class MsrFile:
             raise ValidationError("need at least one logical cpu")
         self.num_cpus = num_cpus
         self._regs = [dict() for _ in range(num_cpus)]
-        self._observers = []
-
-    def add_observer(self, callback):
-        self._observers.append(callback)
 
     def read(self, cpu, msr):
         self._check_cpu(cpu)
@@ -52,8 +48,6 @@ class MsrFile:
         if value < 0:
             raise ValidationError("MSR values are unsigned")
         self._regs[cpu][msr] = value
-        for callback in self._observers:
-            callback(cpu, msr, value)
 
     def _check_cpu(self, cpu):
         if not 0 <= cpu < self.num_cpus:

@@ -7,17 +7,13 @@ update granularity, and a FitPC wall-socket multimeter sampling at 1 s.
 
 from repro.energy.model import PowerBreakdown, PowerModel
 from repro.energy.rapl import RAPL_ENERGY_UNIT_J, RaplCounter, RaplDomain
-from repro.energy.sleep import HorizonEnergy, best_allocation, energy_over_horizon
 from repro.energy.wall import WallMeter
 
 __all__ = [
-    "HorizonEnergy",
     "PowerBreakdown",
     "PowerModel",
     "RAPL_ENERGY_UNIT_J",
     "RaplCounter",
     "RaplDomain",
     "WallMeter",
-    "best_allocation",
-    "energy_over_horizon",
 ]

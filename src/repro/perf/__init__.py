@@ -14,15 +14,12 @@ from repro.perf.events import (
     CounterSet,
     PerfCounter,
 )
-from repro.perf.monitor import IntervalMonitor, Sample
 
 __all__ = [
     "CYCLES",
     "CounterSet",
     "INSTRUCTIONS",
-    "IntervalMonitor",
     "LLC_ACCESSES",
     "LLC_MISSES",
     "PerfCounter",
-    "Sample",
 ]

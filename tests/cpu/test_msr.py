@@ -34,12 +34,6 @@ class TestRawAccess:
         with pytest.raises(ValidationError):
             msr.write(0, 0x1234, -1)
 
-    def test_observers_see_writes(self, msr):
-        seen = []
-        msr.add_observer(lambda cpu, reg, val: seen.append((cpu, reg, val)))
-        msr.write(1, 0x10, 5)
-        assert seen == [(1, 0x10, 5)]
-
 
 class TestPrefetcherBits:
     def test_all_enabled_by_default(self, msr):
