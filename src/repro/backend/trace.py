@@ -143,8 +143,10 @@ class TraceBackend(SimBackend):
             raw=stats,
         )
 
-    def co_run(self, spec, split):
-        stats = self._replay(self.roster_cell([spec.fg, spec.bg], split))
+    def pair_measurement(self, spec, split, stats):
+        """The CoRunMeasurement for one finished pair replay — shared by
+        :meth:`co_run`, the measured sweep and the campaign's roster
+        shard executor, so all produce field-identical records."""
         return CoRunMeasurement(
             backend="trace",
             fg_name=spec.fg_name,
@@ -156,37 +158,17 @@ class TraceBackend(SimBackend):
             raw=stats,
         )
 
-    def sweep_roster_cells(self, spec):
-        """``(splits, RosterCells)`` for the measured sweep's roster.
-
-        One :meth:`roster_cell` per split of :meth:`sweep_splits`, as
-        :meth:`co_run` replays it; :meth:`_measured_sweep` replays them
-        in one batched native call.
-        """
-        splits = self.sweep_splits()
-        pair = [spec.fg, spec.bg]
-        return splits, [self.roster_cell(pair, s) for s in splits]
+    def co_run(self, spec, split):
+        stats = self._replay(self.roster_cell([spec.fg, spec.bg], split))
+        return self.pair_measurement(spec, split, stats)
 
     def sweep_entries(self, spec, splits, outcomes):
         """``[(fg_ways, CoRunMeasurement)]`` from replayed sweep stats."""
         out = []
         for split, stats in zip(splits, outcomes):
-            out.append(
-                (
-                    split.fg_ways,
-                    CoRunMeasurement(
-                        backend="trace",
-                        fg_name=spec.fg_name,
-                        bg_name=spec.bg_name,
-                        fg_ways=split.fg_ways,
-                        bg_ways=split.bg_ways,
-                        fg_cost=stats[spec.fg_name].avg_latency,
-                        bg_rate=self._rate(stats[spec.bg_name]),
-                        raw=stats,
-                        extra={"source": "measured"},
-                    ),
-                )
-            )
+            measurement = self.pair_measurement(spec, split, stats)
+            measurement.extra["source"] = "measured"
+            out.append((split.fg_ways, measurement))
         return out
 
     def _measured_sweep(self, spec):
@@ -202,8 +184,12 @@ class TraceBackend(SimBackend):
         """
         from repro.sim.trace_engine import run_packed_roster
 
-        splits, cells = self.sweep_roster_cells(spec)
-        outcomes = run_packed_roster(cells, threads=self.native_threads)
+        splits = self.sweep_splits()
+        pair = [spec.fg, spec.bg]
+        outcomes = run_packed_roster(
+            [self.roster_cell(pair, s) for s in splits],
+            threads=self.native_threads,
+        )
         return self.sweep_entries(spec, splits, outcomes)
 
     def sweep(self, spec):

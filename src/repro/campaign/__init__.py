@@ -6,9 +6,8 @@ while keeping every record reproducible:
 
 - :mod:`repro.campaign.manifest` — a declarative manifest (JSON) whose
   axes expand into a deterministic, content-addressed cell list;
-- :mod:`repro.campaign.planner` — groups batchable cells into roster
-  shards (one ``run_packed_roster`` C call each) and routes the rest
-  through the exec pool;
+- :mod:`repro.campaign.planner` — groups cells into shards, one kind
+  per control structure (its ``SHARD_KINDS`` table lists them);
 - :mod:`repro.campaign.runner` — sharded, checkpointed, resumable
   execution with bounded retry, writing one atomic
   :class:`~repro.analysis.store.RunSet` shard file per shard;
@@ -24,7 +23,7 @@ from repro.campaign.manifest import (
     load_manifest,
     manifest_from_dict,
 )
-from repro.campaign.planner import ShardPlan, is_batchable, plan_shards
+from repro.campaign.planner import ShardPlan, plan_shards
 from repro.campaign.runner import (
     CampaignResult,
     run_campaign,
@@ -40,7 +39,6 @@ __all__ = [
     "ShardPlan",
     "UnknownManifestKey",
     "expand_manifest",
-    "is_batchable",
     "load_campaign_store",
     "load_manifest",
     "manifest_from_dict",

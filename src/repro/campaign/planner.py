@@ -1,36 +1,11 @@
-"""Shard planning: pack batchable cells into native roster calls.
+"""Shard planning: group a campaign's cells into shards by kind.
 
 The perf contract of a campaign is that its inner loop is C — or, for
-the analytical backend, NumPy — not per-cell Python. Every trace cell
-is batchable, each policy through the shard kind that fits its control
-structure:
-
-- ``shared``/``fair``/``static-N`` (one fixed-split co-run known before
-  anything executes) group into **roster** shards, each replayed by ONE
-  :func:`repro.sim.trace_engine.run_packed_roster` call;
-- ``biased`` (measure every split, then argmax) groups into **sweep**
-  shards: each cell contributes its 11-allocation measured sweep to one
-  batched roster call, and the winner is chosen from the measured
-  entries — no separate re-measure co-run is needed, because the
-  entries *are* co-run measurements and replay is deterministic;
-- ``dynamic`` (epoch feedback loop) groups into **dynamic-roster**
-  shards, each driven by :func:`repro.sim.trace_engine.run_dynamic_roster`
-  — one threaded epoch-batch C call per control period for the whole
-  shard, controller decisions stepped host-side between calls;
-- N-tenant group cells batch too: fixed-split groups join **roster**
-  shards (masks straight from their ``GroupSplit``), and ``cluster``
-  cells form **cluster** shards — each cell profiles its tenants' way
-  utility (one batched sweep call), then every planned split in the
-  shard replays in ONE batched roster call. Group ``biased``/``dynamic``
-  cells fall back per-cell; their control loops already run one batched
-  native call per cell.
-
-Analytical ``shared``/``fair`` cells group into **grid** shards, each
-solved by ONE vectorized
-:meth:`repro.backend.analytical.AnalyticalBackend.co_run_grid` call.
-Only the genuinely unbatchable remainder (analytical ``biased``/
-``dynamic``, whose inner loop is the scalar engine) falls back to
-per-cell execution fanned out over the exec pool's ``parallel_map``.
+the analytical backend, NumPy — not per-cell Python, so cells that share
+a control structure execute together. :data:`SHARD_KINDS` names every
+shard kind, what it runs, the order kinds run in and how many cells a
+shard holds; :func:`shard_kind_for` routes a cell to its kind and
+:func:`plan_shards` chunks the cells of each kind.
 
 Shards are also the checkpoint unit: the runner persists one atomic
 RunSet shard file per executed shard, so ``--resume`` granularity and
@@ -38,40 +13,96 @@ C-call granularity are the same knob (``shard_size``).
 """
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from repro.campaign.manifest import MAX_MANIFEST_TENANTS, static_policy_ways
 from repro.util.errors import ValidationError
 
 DEFAULT_SHARD_SIZE = 64
-DEFAULT_FALLBACK_SHARD_SIZE = 8
 
-# tids for the fg/bg domains of every campaign pair: cores 0 and 2 on
-# the four-core hierarchy (matching trace_pair_spec).
-FG_TID = 0
-BG_TID = 4
+
+class ShardKind(NamedTuple):
+    """One shard kind: a row of :data:`SHARD_KINDS`."""
+
+    name: str
+    # Replay cells one member cell adds to the shard's batched call; a
+    # shard holds ``shard_size // width`` cells (at least one), so its
+    # native call stays near ``shard_size`` replay cells.
+    width: int
+    # Cells per shard regardless of ``shard_size``, when non-zero.
+    fixed: int
+    # What ``campaign plan`` prints, filled with ``cells`` and ``shards``.
+    line: str
+
+    def cells_per_shard(self, shard_size):
+        return self.fixed or max(1, shard_size // self.width)
+
+
+# Every shard kind, in execution order.
+SHARD_KINDS = (
+    # Trace shared/fair/static-N pair cells and shared/fair group cells
+    # (masks straight from their GroupSplit): one fixed-split co-run
+    # each, the whole shard replayed by ONE
+    # :func:`repro.sim.trace_engine.run_packed_roster` call.
+    ShardKind(
+        "roster", 1, 0,
+        "batchable: {cells} cells in {shards} roster shards "
+        "(one native call each)",
+    ),
+    # Analytical shared/fair: ONE vectorized
+    # :meth:`repro.backend.analytical.AnalyticalBackend.co_run_grid`
+    # solve per shard.
+    ShardKind(
+        "grid", 1, 0,
+        "grid: {cells} cells in {shards} analytical grid shards "
+        "(one vectorized solve each)",
+    ),
+    # Trace pair biased (measure every split, then argmax): each cell's
+    # 11-allocation measured sweep joins one batched roster call, and
+    # the winner is chosen from those entries. They are co-run
+    # measurements and replay is deterministic, so nothing re-measures.
+    ShardKind(
+        "sweep", 11, 0,
+        "sweep: {cells} biased cells in {shards} measured-sweep shards "
+        "(11 allocations per cell, one native call each)",
+    ),
+    # Trace pair dynamic (epoch feedback loop): one
+    # :func:`repro.sim.trace_engine.run_dynamic_roster`, one threaded
+    # epoch-batch C call per control period for the whole shard, every
+    # controller stepped host-side between calls.
+    ShardKind(
+        "dynamic", 1, 0,
+        "dynamic: {cells} cells in {shards} dynamic-roster shards "
+        "(one epoch-batched controller roster each)",
+    ),
+    # Group cluster (LFOC-style): each cell profiles its tenants' way
+    # utility (one 12-allocation sweep call), then every planned split
+    # in the shard replays in ONE batched roster call.
+    ShardKind(
+        "cluster", 12, 0,
+        "cluster: {cells} cells in {shards} profile-then-replay shards "
+        "(one batched final replay each)",
+    ),
+    # The rest, per cell over the exec pool's ``parallel_map``, with a
+    # checkpoint every 8 cells: analytical biased/dynamic (their inner
+    # loop is the scalar engine) and group biased/dynamic (their control
+    # loops already run one batched native call per cell).
+    ShardKind(
+        "fallback", 1, 8,
+        "fallback: {cells} cells in {shards} shards (exec-pool per-cell)",
+    ),
+)
 
 
 def shard_kind_for(cell):
-    """The batched shard kind executing this cell, or ``None``.
-
-    ``"roster"`` for fixed-split trace cells, ``"sweep"`` for trace
-    ``biased`` (an 11-allocation measured-sweep roster per cell),
-    ``"dynamic"`` for trace ``dynamic`` (the epoch-batch kernel driving
-    a controller per cell), ``"grid"`` for analytical fixed splits.
-    ``None`` means per-cell fallback over the exec pool.
-    """
+    """The name of the :data:`SHARD_KINDS` entry executing this cell."""
     if cell.backend == "trace":
         if cell.tenants:
-            # N-tenant group cells: fixed splits replay as roster
-            # shards; `cluster` profiles then replays (its own shard
-            # kind); group biased/dynamic stay per-cell — their control
-            # loops (utility scoring, churn-aware epoch feedback) run
-            # one batched native call per cell already.
             if cell.policy in ("shared", "fair"):
                 return "roster"
             if cell.policy == "cluster":
                 return "cluster"
-            return None
+            return "fallback"
         if cell.policy == "biased":
             return "sweep"
         if cell.policy == "dynamic":
@@ -81,26 +112,14 @@ def shard_kind_for(cell):
             or static_policy_ways(cell.policy) is not None
         ):
             return "roster"
-        return None
-    if cell.backend == "analytical":
-        return "grid" if cell.policy in ("shared", "fair") else None
-    return None
-
-
-def is_batchable(cell):
-    """True when the cell executes inside a batched shard kind.
-
-    Every trace policy is batchable — fixed splits as roster shards,
-    ``biased`` as measured-sweep roster shards, ``dynamic`` as
-    epoch-batched dynamic-roster shards. Analytical ``shared``/``fair``
-    batch into vectorized grid shards; analytical ``biased``/``dynamic``
-    stay per-cell (their inner loop is the scalar engine).
-    """
-    return shard_kind_for(cell) is not None
+        return "fallback"
+    if cell.backend == "analytical" and cell.policy in ("shared", "fair"):
+        return "grid"
+    return "fallback"
 
 
 def split_for(cell, llc_ways=12):
-    """The WaySplit a batchable cell runs under (None for non-batchable)."""
+    """The WaySplit a fixed-split pair cell runs under (None otherwise)."""
     from repro.backend.protocol import WaySplit
 
     if cell.policy == "shared":
@@ -362,113 +381,39 @@ class TraceTable:
 
 @dataclass
 class ShardPlan:
-    """The execution plan: roster, grid, sweep, dynamic, and fallback
-    shards.
+    """The execution plan.
 
-    Each entry is a list of :class:`~repro.campaign.manifest.CampaignCell`;
-    roster shards execute as one batched native call, grid shards as one
-    vectorized analytical solve, sweep shards as one batched
-    measured-sweep call covering every member cell's 11 allocations,
-    dynamic shards as one epoch-batched controller roster, and fallback
-    shards as a ``parallel_map`` over per-cell execution. ``skipped``
-    counts cells the store already held (resume hits).
+    ``shards`` lists ``(kind, cells)`` in execution order: kinds in
+    :data:`SHARD_KINDS` order, cells in cell-list order. ``skipped``
+    holds cells the store already held (resume hits).
     """
 
-    roster_shards: list = field(default_factory=list)
-    grid_shards: list = field(default_factory=list)
-    sweep_shards: list = field(default_factory=list)
-    dynamic_shards: list = field(default_factory=list)
-    cluster_shards: list = field(default_factory=list)
-    fallback_shards: list = field(default_factory=list)
+    shards: list = field(default_factory=list)
     skipped: list = field(default_factory=list)
 
-    @property
-    def batchable_cells(self):
-        return sum(len(shard) for shard in self.roster_shards)
 
-    @property
-    def grid_cells(self):
-        return sum(len(shard) for shard in self.grid_shards)
-
-    @property
-    def sweep_cells(self):
-        return sum(len(shard) for shard in self.sweep_shards)
-
-    @property
-    def dynamic_cells(self):
-        return sum(len(shard) for shard in self.dynamic_shards)
-
-    @property
-    def cluster_cells(self):
-        return sum(len(shard) for shard in self.cluster_shards)
-
-    @property
-    def fallback_cells(self):
-        return sum(len(shard) for shard in self.fallback_shards)
-
-    @property
-    def total_shards(self):
-        return (
-            len(self.roster_shards)
-            + len(self.grid_shards)
-            + len(self.sweep_shards)
-            + len(self.dynamic_shards)
-            + len(self.cluster_shards)
-            + len(self.fallback_shards)
-        )
-
-    def shards(self):
-        """All shards in deterministic execution order, tagged by kind."""
-        for shard in self.roster_shards:
-            yield "roster", shard
-        for shard in self.grid_shards:
-            yield "grid", shard
-        for shard in self.sweep_shards:
-            yield "sweep", shard
-        for shard in self.dynamic_shards:
-            yield "dynamic", shard
-        for shard in self.cluster_shards:
-            yield "cluster", shard
-        for shard in self.fallback_shards:
-            yield "fallback", shard
-
-
-def plan_shards(cells, done_ids=(), shard_size=DEFAULT_SHARD_SIZE,
-                fallback_shard_size=DEFAULT_FALLBACK_SHARD_SIZE):
+def plan_shards(cells, done_ids=(), shard_size=DEFAULT_SHARD_SIZE):
     """Split the remaining cells into shards by kind.
 
     ``done_ids`` holds content addresses already present in the store;
     those cells are skipped without executing anything. The split and
     the shard boundaries are deterministic functions of the cell list,
     so two planners over the same manifest and store agree exactly.
-    Sweep shards chunk at ``shard_size // 11`` cells (floor 1), since
-    every member contributes an 11-allocation roster to the one batched
-    call — a shard's native call stays near ``shard_size`` replay
-    cells regardless of kind.
     """
-    if shard_size < 1 or fallback_shard_size < 1:
-        raise ValidationError("shard sizes must be >= 1")
+    if shard_size < 1:
+        raise ValidationError("shard_size must be >= 1")
     done_ids = set(done_ids)
     plan = ShardPlan()
-    by_kind = {
-        "roster": [], "grid": [], "sweep": [], "dynamic": [],
-        "cluster": [], None: [],
-    }
+    by_kind = {kind.name: [] for kind in SHARD_KINDS}
     for cell in cells:
         if cell.cell_id in done_ids:
             plan.skipped.append(cell)
         else:
             by_kind[shard_kind_for(cell)].append(cell)
-
-    def chunk(items, size):
-        return [items[i:i + size] for i in range(0, len(items), size)]
-
-    plan.roster_shards = chunk(by_kind["roster"], shard_size)
-    plan.grid_shards = chunk(by_kind["grid"], shard_size)
-    plan.sweep_shards = chunk(by_kind["sweep"], max(1, shard_size // 11))
-    plan.dynamic_shards = chunk(by_kind["dynamic"], shard_size)
-    # A cluster cell profiles (one 12-allocation sweep call) before its
-    # final replay joins the shard's one batched roster call.
-    plan.cluster_shards = chunk(by_kind["cluster"], max(1, shard_size // 12))
-    plan.fallback_shards = chunk(by_kind[None], fallback_shard_size)
+    for kind in SHARD_KINDS:
+        todo = by_kind[kind.name]
+        size = kind.cells_per_shard(shard_size)
+        plan.shards.extend(
+            (kind.name, todo[i:i + size]) for i in range(0, len(todo), size)
+        )
     return plan

@@ -2,16 +2,13 @@
 
 ``run_campaign`` is the fleet driver: it expands a manifest, drops every
 cell whose content-addressed record already sits in the store, plans the
-remainder into shards (:mod:`repro.campaign.planner`), and executes
-shard by shard — roster and sweep shards as ONE batched native call
-each, dynamic shards as one epoch-batched controller roster, grid
-shards as ONE vectorized analytical solve each, fallback shards over
-the exec pool. After each shard the records land
-in a uniquely named, atomically written RunSet shard file
-(:func:`repro.analysis.store.save_runset_shard`), so a campaign killed
-at any point resumes by re-running only what is missing; a completed
-campaign resumed again replays zero cells (counter-verifiable via
-``campaign-cells-run`` / ``trace-accesses``).
+remainder into shards, and executes shard by shard, each kind as
+:data:`repro.campaign.planner.SHARD_KINDS` describes it. After each
+shard the records land in a uniquely named, atomically written RunSet
+shard file (:func:`repro.analysis.store.save_runset_shard`), so a
+campaign killed at any point resumes by re-running only what is
+missing; a completed campaign resumed again replays zero cells
+(counter-verifiable via ``campaign-cells-run`` / ``trace-accesses``).
 
 Failures are retried with bounded attempts; the attempt count that
 finally succeeded is recorded in every record's provenance, AutoPerf
@@ -19,6 +16,7 @@ style, so flaky hosts are visible in the data rather than silently
 absorbed.
 """
 
+from collections import Counter
 from dataclasses import dataclass, field
 
 from repro.analysis.store import (
@@ -33,7 +31,6 @@ from repro.campaign.manifest import expand_manifest, static_policy_ways
 from repro.campaign.planner import (
     TraceTable,
     backend_for,
-    is_batchable,
     plan_shards,
     split_for,
     trace_group_for,
@@ -54,12 +51,8 @@ class CampaignResult:
     cells_total: int = 0
     cells_skipped: int = 0
     cells_run: int = 0
-    roster_shards: int = 0
-    grid_shards: int = 0
-    sweep_shards: int = 0
-    dynamic_shards: int = 0
-    cluster_shards: int = 0
-    fallback_shards: int = 0
+    # kind -> shards planned (kinds of repro.campaign.planner.SHARD_KINDS)
+    shards_by_kind: Counter = field(default_factory=Counter)
     shards_written: int = 0
     retries: int = 0
     stopped_early: bool = False
@@ -90,27 +83,25 @@ def _cell_provenance(cell, source, attempts=1):
     return prov
 
 
-def _record_from_stats(cell, spec, split, stats, source):
-    """A RunRecord from roster-replayed per-cell ``{name: TraceStats}``.
+def _pair_record(cell, m, source):
+    """A RunRecord from one pair :class:`CoRunMeasurement` ``m``.
 
-    Mirrors ``record_from_outcome`` over ``TraceBackend.co_run`` exactly
-    (same metric sources, same float coercion), so roster records and
-    per-cell reference records are comparable bit for bit.
+    Mirrors ``record_from_outcome`` over ``run_policy_on`` exactly (same
+    metric sources, same float coercion), so roster, grid and per-cell
+    reference records are comparable bit for bit.
     """
-    fg_cost = stats[spec.fg_name].avg_latency
-    bg_rate = stats[spec.bg_name].access_rate_per_kilocycle
     return RunRecord(
         policy=cell.policy,
         backend=cell.backend,
-        fg=spec.fg_name,
-        bg=spec.bg_name,
-        fg_ways=split.fg_ways,
-        bg_ways=split.bg_ways,
+        fg=m.fg_name,
+        bg=m.bg_name,
+        fg_ways=m.fg_ways,
+        bg_ways=m.bg_ways,
         metrics={
-            "fg_cost": float(fg_cost),
-            "bg_rate": float(bg_rate),
-            "fg_ways": float(split.fg_ways),
-            "bg_ways": float(split.bg_ways),
+            "fg_cost": float(m.fg_cost),
+            "bg_rate": float(m.bg_rate),
+            "fg_ways": float(m.fg_ways),
+            "bg_ways": float(m.bg_ways),
         },
         units=_units_for(cell),
         provenance=_cell_provenance(cell, source),
@@ -162,10 +153,7 @@ def run_campaign_cell(cell):
     static_ways = static_policy_ways(cell.policy)
     if static_ways is not None:
         split = split_for(cell, backend.capabilities().llc_ways)
-        measurement = backend.co_run(spec, split)
-        return _record_from_stats(
-            cell, spec, split, measurement.raw, source="cell"
-        )
+        return _pair_record(cell, backend.co_run(spec, split), "cell")
     outcome = run_policy_on(backend, spec, cell.policy)
     return record_from_outcome(
         outcome,
@@ -200,10 +188,12 @@ def _roster_record(cell, table, row, stats, source, plan=None):
         return _group_record_from_stats(
             cell, table.backend, spec, split, stats, source, plan=plan
         )
-    return _record_from_stats(cell, spec, split, stats, source)
+    return _pair_record(
+        cell, table.backend.pair_measurement(spec, split, stats), source
+    )
 
 
-def _execute_roster_shard(shard, threads, table):
+def _execute_roster_shard(shard, table, threads, workers):
     """One batched native call for a whole shard of fixed-mask cells.
 
     Each cell is one row of the run's :class:`TraceTable`: indices of
@@ -221,7 +211,7 @@ def _execute_roster_shard(shard, threads, table):
     ]
 
 
-def _execute_cluster_shard(shard, threads, table):
+def _execute_cluster_shard(shard, table, threads, workers):
     """Profile-then-replay for a whole shard of cluster cells.
 
     Each cell profiles its tenants' way-utility curves (one batched
@@ -247,7 +237,7 @@ def _execute_cluster_shard(shard, threads, table):
     ]
 
 
-def _execute_grid_shard(shard):
+def _execute_grid_shard(shard, table, threads, workers):
     """One vectorized analytical solve for a whole shard of cells.
 
     Builds the same ``(spec, split)`` items the per-cell reference path
@@ -266,27 +256,11 @@ def _execute_grid_shard(shard):
         items.append((spec, split_for(cell, llc_ways)))
     measurements = backend.co_run_grid(items)
     return [
-        RunRecord(
-            policy=cell.policy,
-            backend=cell.backend,
-            fg=m.fg_name,
-            bg=m.bg_name,
-            fg_ways=m.fg_ways,
-            bg_ways=m.bg_ways,
-            metrics={
-                "fg_cost": float(m.fg_cost),
-                "bg_rate": float(m.bg_rate),
-                "fg_ways": float(m.fg_ways),
-                "bg_ways": float(m.bg_ways),
-            },
-            units=_units_for(cell),
-            provenance=_cell_provenance(cell, source="grid"),
-        )
-        for cell, m in zip(shard, measurements)
+        _pair_record(cell, m, "grid") for cell, m in zip(shard, measurements)
     ]
 
 
-def _execute_sweep_shard(shard, threads, table):
+def _execute_sweep_shard(shard, table, threads, workers):
     """One batched native call for a whole shard of biased cells.
 
     Every cell contributes its 11-allocation measured sweep to one
@@ -325,7 +299,7 @@ def _execute_sweep_shard(shard, threads, table):
     return records
 
 
-def _execute_dynamic_shard(shard, threads, table):
+def _execute_dynamic_shard(shard, table, threads, workers):
     """One epoch-batched dynamic roster for a whole shard of cells.
 
     All cells advance one control period per threaded C call; between
@@ -372,12 +346,28 @@ def _execute_dynamic_shard(shard, threads, table):
     return records
 
 
-def _execute_fallback_shard(shard, workers, pack_paths):
+def _execute_fallback_shard(shard, table, threads, workers):
+    """``run_campaign_cell`` per cell over the exec pool; workers open
+    the table's persisted packs instead of regenerating traces."""
     from repro.exec import parallel_map
 
     return parallel_map(
-        run_campaign_cell, shard, workers=workers, pack_paths=pack_paths
+        run_campaign_cell, shard, workers=workers,
+        pack_paths=table.pack_paths(),
     )
+
+
+# Every kind of repro.campaign.planner.SHARD_KINDS and its executor:
+# ``execute(shard, table, threads, workers)`` returns the shard's
+# records in cell order.
+_EXECUTORS = {
+    "roster": _execute_roster_shard,
+    "grid": _execute_grid_shard,
+    "sweep": _execute_sweep_shard,
+    "dynamic": _execute_dynamic_shard,
+    "cluster": _execute_cluster_shard,
+    "fallback": _execute_fallback_shard,
+}
 
 
 def _materialize_packs(cells):
@@ -438,9 +428,8 @@ def _retrying(execute, shard, max_attempts):
 
 
 def run_campaign(manifest, store_dir, cells=None, resume=False,
-                 shard_size=None, fallback_shard_size=None, threads=None,
-                 workers=None, max_attempts=DEFAULT_MAX_ATTEMPTS,
-                 stop_after_shards=None):
+                 shard_size=None, threads=None, workers=None,
+                 max_attempts=DEFAULT_MAX_ATTEMPTS, stop_after_shards=None):
     """Execute a campaign into a multi-shard RunSet store.
 
     ``resume=True`` loads the store first and skips every cell whose
@@ -451,10 +440,7 @@ def run_campaign(manifest, store_dir, cells=None, resume=False,
     graceful preemption used by the resume tests and operable as a
     time-slicing knob.
     """
-    from repro.campaign.planner import (
-        DEFAULT_FALLBACK_SHARD_SIZE,
-        DEFAULT_SHARD_SIZE,
-    )
+    from repro.campaign.planner import DEFAULT_SHARD_SIZE
 
     if cells is None:
         cells = expand_manifest(manifest)
@@ -472,11 +458,6 @@ def run_campaign(manifest, store_dir, cells=None, resume=False,
         shard_size=(
             shard_size if shard_size is not None else DEFAULT_SHARD_SIZE
         ),
-        fallback_shard_size=(
-            fallback_shard_size
-            if fallback_shard_size is not None
-            else DEFAULT_FALLBACK_SHARD_SIZE
-        ),
     )
 
     result = CampaignResult(
@@ -484,59 +465,22 @@ def run_campaign(manifest, store_dir, cells=None, resume=False,
         store_dir=store_dir,
         cells_total=len(cells),
         cells_skipped=len(plan.skipped),
-        roster_shards=len(plan.roster_shards),
-        grid_shards=len(plan.grid_shards),
-        sweep_shards=len(plan.sweep_shards),
-        dynamic_shards=len(plan.dynamic_shards),
-        cluster_shards=len(plan.cluster_shards),
-        fallback_shards=len(plan.fallback_shards),
+        shards_by_kind=Counter(kind for kind, _ in plan.shards),
     )
     for cell in plan.skipped:
         result.records[cell.cell_id] = done[cell.cell_id]
     ec.add(ec.CAMPAIGN_CELLS_SKIPPED, len(plan.skipped))
 
-    pending = [cell for _, shard in plan.shards() for cell in shard]
+    pending = [cell for _, shard in plan.shards for cell in shard]
     table = _materialize_packs(pending)
 
-    for kind, shard in plan.shards():
-        if kind == "roster":
-            records, attempts = _retrying(
-                lambda: _execute_roster_shard(shard, threads, table),
-                shard,
-                max_attempts,
-            )
-        elif kind == "grid":
-            records, attempts = _retrying(
-                lambda: _execute_grid_shard(shard),
-                shard,
-                max_attempts,
-            )
-        elif kind == "sweep":
-            records, attempts = _retrying(
-                lambda: _execute_sweep_shard(shard, threads, table),
-                shard,
-                max_attempts,
-            )
-        elif kind == "dynamic":
-            records, attempts = _retrying(
-                lambda: _execute_dynamic_shard(shard, threads, table),
-                shard,
-                max_attempts,
-            )
-        elif kind == "cluster":
-            records, attempts = _retrying(
-                lambda: _execute_cluster_shard(shard, threads, table),
-                shard,
-                max_attempts,
-            )
-        else:
-            records, attempts = _retrying(
-                lambda: _execute_fallback_shard(
-                    shard, workers, table.pack_paths()
-                ),
-                shard,
-                max_attempts,
-            )
+    for kind, shard in plan.shards:
+        execute = _EXECUTORS[kind]
+        records, attempts = _retrying(
+            lambda: execute(shard, table, threads, workers),
+            shard,
+            max_attempts,
+        )
         if attempts > 1:
             for record in records:
                 record.provenance["attempts"] = attempts
@@ -608,7 +552,6 @@ def verify_campaign(manifest, store_dir, cells=None, stride=1):
 
 __all__ = [
     "CampaignResult",
-    "is_batchable",
     "run_campaign",
     "run_campaign_cell",
     "verify_campaign",

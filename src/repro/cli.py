@@ -319,7 +319,6 @@ def _build_parser():
         help="count cells already persisted in this store as skipped",
     )
     cplan.add_argument("--shard-size", type=int, default=None)
-    cplan.add_argument("--fallback-shard-size", type=int, default=None)
 
     crun = campsub.add_parser(
         "run", help="execute a campaign into a multi-shard run-set store"
@@ -355,7 +354,6 @@ def _build_parser():
         "(default: REPRO_NATIVE_THREADS or all usable CPUs)",
     )
     crun.add_argument("--shard-size", type=int, default=None)
-    crun.add_argument("--fallback-shard-size", type=int, default=None)
     crun.add_argument("--max-attempts", type=int, default=None)
     crun.add_argument(
         "--stop-after-shards", type=int, default=None,
@@ -1174,10 +1172,7 @@ def _campaign_axis_lines(cells):
 
 def _cmd_campaign_plan(args, out):
     from repro.campaign import expand_manifest, plan_shards
-    from repro.campaign.planner import (
-        DEFAULT_FALLBACK_SHARD_SIZE,
-        DEFAULT_SHARD_SIZE,
-    )
+    from repro.campaign.planner import DEFAULT_SHARD_SIZE, SHARD_KINDS
 
     manifest = _load_campaign_manifest(args.manifest)
     cells = expand_manifest(manifest)
@@ -1190,44 +1185,17 @@ def _cmd_campaign_plan(args, out):
         cells,
         done_ids=done_ids,
         shard_size=args.shard_size or DEFAULT_SHARD_SIZE,
-        fallback_shard_size=(
-            args.fallback_shard_size or DEFAULT_FALLBACK_SHARD_SIZE
-        ),
     )
     out.write(f"campaign '{manifest.name}': {len(cells)} cells\n")
     for line in _campaign_axis_lines(cells):
         out.write(line + "\n")
-    out.write(
-        f"  batchable: {plan.batchable_cells} cells in "
-        f"{len(plan.roster_shards)} roster shards (one native call each)\n"
-    )
-    out.write(
-        f"  grid: {plan.grid_cells} cells in "
-        f"{len(plan.grid_shards)} analytical grid shards "
-        "(one vectorized solve each)\n"
-    )
-    out.write(
-        f"  sweep: {plan.sweep_cells} biased cells in "
-        f"{len(plan.sweep_shards)} measured-sweep shards "
-        "(11 allocations per cell, one native call each)\n"
-    )
-    out.write(
-        f"  dynamic: {plan.dynamic_cells} cells in "
-        f"{len(plan.dynamic_shards)} dynamic-roster shards "
-        "(one epoch-batched controller roster each)\n"
-    )
-    out.write(
-        f"  cluster: {plan.cluster_cells} cells in "
-        f"{len(plan.cluster_shards)} profile-then-replay shards "
-        "(one batched final replay each)\n"
-    )
-    out.write(
-        f"  fallback: {plan.fallback_cells} cells in "
-        f"{len(plan.fallback_shards)} shards (exec-pool per-cell)\n"
-    )
+    for kind in SHARD_KINDS:
+        shards = [shard for name, shard in plan.shards if name == kind.name]
+        counts = {"cells": sum(map(len, shards)), "shards": len(shards)}
+        out.write("  " + kind.line.format(**counts) + "\n")
     if args.store:
         out.write(f"  already stored: {len(plan.skipped)} cells skipped\n")
-    out.write(f"  estimated shards: {plan.total_shards}\n")
+    out.write(f"  estimated shards: {len(plan.shards)}\n")
 
 
 def _cmd_campaign_run(args, out):
@@ -1245,7 +1213,6 @@ def _cmd_campaign_run(args, out):
         cells=cells,
         resume=args.resume,
         shard_size=args.shard_size,
-        fallback_shard_size=args.fallback_shard_size,
         threads=args.threads,
         workers=args.workers,
         max_attempts=(

@@ -115,7 +115,6 @@ def parallel_map(
     workers=None,
     initializer=None,
     initargs=(),
-    chunksize=None,
     cap_to_cpus=True,
     pack_paths=None,
 ):
@@ -151,8 +150,7 @@ def parallel_map(
         return _serial_map(fn, items, initializer, initargs)
 
     workers = min(workers, len(items))
-    if chunksize is None:
-        chunksize = max(1, len(items) // (workers * 4))
+    chunksize = max(1, len(items) // (workers * 4))
     try:
         import concurrent.futures
         import functools

@@ -67,7 +67,7 @@ def _bound_task(payload):
     return fn(_WORKER_MACHINE, item)
 
 
-def run_tasks(machine, fn, items, workers=None, chunksize=None, cap_to_cpus=True):
+def run_tasks(machine, fn, items, workers=None, cap_to_cpus=True):
     """Run ``fn(machine, item)`` for every item, serially or on a pool.
 
     ``fn`` must be a module-level function of ``(machine, item)``; with
@@ -88,6 +88,5 @@ def run_tasks(machine, fn, items, workers=None, chunksize=None, cap_to_cpus=True
         workers=workers,
         initializer=_init_worker,
         initargs=(machine_spec(machine),),
-        chunksize=chunksize,
         cap_to_cpus=False,
     )

@@ -464,7 +464,7 @@ def preload_packs(paths):
         open_pack(path)
 
 
-def get_pack(trace, cache=None, store=True, verify=False):
+def get_pack(trace, cache=None, store=True):
     """Compile (or load from the cache) the pack for a trace instance.
 
     ``cache`` overrides the cache directory (else ``REPRO_TRACE_CACHE``,
@@ -506,8 +506,6 @@ def get_pack(trace, cache=None, store=True, verify=False):
         "columns": list(_BASE_COLUMNS),
     }
     pack = TracePack(columns, key, path=None, meta=meta)
-    if verify:
-        verify_pack(pack, trace)
     if store:
         try:
             _write_pack_dir(base, key, columns, meta)

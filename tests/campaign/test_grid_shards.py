@@ -18,7 +18,7 @@ from repro.campaign import (
     run_campaign_cell,
     verify_campaign,
 )
-from repro.campaign.planner import is_batchable, plan_shards
+from repro.campaign.planner import plan_shards, shard_kind_for
 from repro.cli import main
 from repro.perf import engine_counters as ec
 
@@ -46,25 +46,23 @@ def run_cli(*argv):
 class TestPlanning:
     def test_analytical_shared_and_fair_are_batchable(self):
         cells = expand_manifest(analytical_manifest())
-        assert all(is_batchable(cell) for cell in cells)
+        assert all(shard_kind_for(cell) == "grid" for cell in cells)
 
     def test_analytical_feedback_policies_fall_back(self):
         cells = expand_manifest(
             analytical_manifest(policies=["biased", "dynamic"])
         )
-        assert not any(is_batchable(cell) for cell in cells)
+        assert all(shard_kind_for(cell) == "fallback" for cell in cells)
 
     def test_plan_routes_analytical_to_grid_shards(self):
         cells = expand_manifest(
             analytical_manifest(policies=["shared", "fair", "biased"])
         )
-        plan = plan_shards(cells, shard_size=3, fallback_shard_size=2)
-        assert plan.grid_cells == 4
-        assert plan.batchable_cells == 0  # no trace cells at all
-        assert plan.fallback_cells == 2
-        assert len(plan.grid_shards) == 2  # 4 cells at shard_size=3
-        kinds = [kind for kind, _ in plan.shards()]
-        assert kinds == ["grid", "grid", "fallback"]
+        plan = plan_shards(cells, shard_size=3)
+        # 4 grid cells at shard_size=3; no trace cells at all.
+        assert [(kind, len(shard)) for kind, shard in plan.shards] == [
+            ("grid", 3), ("grid", 1), ("fallback", 2)
+        ]
 
     def test_mixed_backends_split_by_shard_kind(self):
         cells = expand_manifest(
@@ -75,9 +73,10 @@ class TestPlanning:
             )
         )
         plan = plan_shards(cells)
-        assert plan.batchable_cells == 2  # trace shared+fair
-        assert plan.grid_cells == 2  # analytical shared+fair
-        assert plan.fallback_cells == 0
+        # trace shared+fair, then analytical shared+fair.
+        assert [(kind, len(shard)) for kind, shard in plan.shards] == [
+            ("roster", 2), ("grid", 2)
+        ]
 
 
 class TestExecution:
@@ -85,7 +84,7 @@ class TestExecution:
         manifest = analytical_manifest()
         result = run_campaign(manifest, str(tmp_path / "store"))
         assert result.complete
-        assert result.grid_shards == 1
+        assert result.shards_by_kind == {"grid": 1}
         for cell in expand_manifest(manifest):
             reference = run_campaign_cell(cell)
             record = result.records[cell.cell_id]
@@ -163,32 +162,26 @@ class TestCli:
         assert code == 0
         assert "0 cells run, 2 skipped" in text
 
-    def test_fallback_shard_size_flag_reaches_planner(self, tmp_path):
-        manifest = self.write_manifest(
-            tmp_path, policies=["biased", "dynamic"]
-        )
-        code, text = run_cli(
-            "campaign", "plan", manifest, "--fallback-shard-size", "1",
-            "--dry-run",
-        )
-        assert code == 0
-        assert "fallback: 2 cells in 2 shards" in text
-        code, text = run_cli(
-            "campaign", "plan", manifest, "--fallback-shard-size", "2",
-            "--dry-run",
-        )
-        assert code == 0
-        assert "fallback: 2 cells in 1 shards" in text
-
-    def test_fallback_shard_size_on_run_controls_checkpoints(self, tmp_path):
+    def test_fallback_shards_checkpoint_every_eight_cells(self, tmp_path):
         manifest = self.write_manifest(
             tmp_path, policies=["biased"],
-            pairs=[["canneal", "streamcluster"], ["blackscholes", "canneal"]],
+            pairs=[
+                ["canneal", "streamcluster"], ["blackscholes", "canneal"],
+                ["x264", "429.mcf"], ["fop", "batik"], ["canneal", "fop"],
+                ["batik", "x264"], ["streamcluster", "fop"],
+                ["429.mcf", "canneal"], ["x264", "batik"],
+            ],
         )
+        code, text = run_cli("campaign", "plan", manifest, "--dry-run")
+        assert code == 0
+        assert "fallback: 9 cells in 2 shards" in text
         store = str(tmp_path / "store")
         code, text = run_cli(
-            "campaign", "run", manifest, "--store", store,
-            "--fallback-shard-size", "1", "--workers", "1",
+            "campaign", "run", manifest, "--store", store, "--workers", "1"
         )
         assert code == 0
-        assert "2 shards written" in text
+        assert "9 cells run" in text and "2 shards written" in text
+        shards = [load_runset(path) for path in list_runset_shards(store)]
+        assert [(s.meta["shard_kind"], s.meta["cells"]) for s in shards] == [
+            ("fallback", 8), ("fallback", 1)
+        ]

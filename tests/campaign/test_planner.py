@@ -1,8 +1,8 @@
-"""Shard planning: batchability, mask fidelity, and chunking."""
+"""Shard planning: shard kinds, mask fidelity, and chunking."""
 
 import pytest
 
-from repro.campaign import expand_manifest, is_batchable, plan_shards
+from repro.campaign import expand_manifest, plan_shards
 from repro.campaign.planner import (
     TraceTable,
     group_split_for,
@@ -19,17 +19,24 @@ def cells_for(**overrides):
     return expand_manifest(small_manifest(**overrides))
 
 
+def kind_shards(plan, kind):
+    """The plan's shards of one kind, in order."""
+    return [shard for name, shard in plan.shards if name == kind]
+
+
+def kind_cells(plan, kind):
+    return sum(map(len, kind_shards(plan, kind)))
+
+
 class TestBatchability:
     def test_fixed_mask_trace_policies_are_batchable(self):
         for cell in cells_for(policies=["shared", "fair", "static-7"]):
-            assert is_batchable(cell)
             assert shard_kind_for(cell) == "roster"
 
     def test_trace_search_policies_batch_by_kind(self):
         # biased batches as a measured-sweep roster, dynamic as an
         # epoch-batched dynamic roster — every trace cell is batchable.
         for cell in cells_for(policies=["biased", "dynamic"]):
-            assert is_batchable(cell)
             expected = "sweep" if cell.policy == "biased" else "dynamic"
             assert shard_kind_for(cell) == expected
 
@@ -38,7 +45,6 @@ class TestBatchability:
             backends=["analytical"], policies=["shared", "fair"],
             pairs=[["fop", "batik"]],
         )
-        assert all(is_batchable(c) for c in cells)
         assert all(shard_kind_for(c) == "grid" for c in cells)
 
     def test_analytical_search_policies_are_not(self):
@@ -46,8 +52,7 @@ class TestBatchability:
             backends=["analytical"], policies=["biased", "dynamic"],
             pairs=[["fop", "batik"]],
         )
-        assert not any(is_batchable(c) for c in cells)
-        assert all(shard_kind_for(c) is None for c in cells)
+        assert all(shard_kind_for(c) == "fallback" for c in cells)
 
 
 class TestSplits:
@@ -91,46 +96,44 @@ class TestSplits:
 class TestPlanning:
     def test_chunking_is_deterministic(self):
         cells = cells_for(policies=["shared", "fair", "biased"])
-        plan = plan_shards(cells, shard_size=3, fallback_shard_size=2)
-        again = plan_shards(cells, shard_size=3, fallback_shard_size=2)
+        plan = plan_shards(cells, shard_size=3)
+        again = plan_shards(cells, shard_size=3)
         assert [
-            [c.cell_id for c in shard] for shard in plan.roster_shards
-        ] == [[c.cell_id for c in shard] for shard in again.roster_shards]
+            (kind, [c.cell_id for c in shard]) for kind, shard in plan.shards
+        ] == [
+            (kind, [c.cell_id for c in shard]) for kind, shard in again.shards
+        ]
         # 8 roster cells in shards of 3; the 4 biased cells become sweep
         # shards chunked at shard_size // 11 (floor 1); nothing falls back.
-        assert [len(s) for s in plan.roster_shards] == [3, 3, 2]
-        assert [len(s) for s in plan.sweep_shards] == [1, 1, 1, 1]
-        assert plan.fallback_shards == []
-        assert plan.batchable_cells == 8
-        assert plan.sweep_cells == 4
-        assert plan.fallback_cells == 0
-        assert plan.total_shards == 7
+        assert [len(s) for s in kind_shards(plan, "roster")] == [3, 3, 2]
+        assert [len(s) for s in kind_shards(plan, "sweep")] == [1, 1, 1, 1]
+        assert kind_shards(plan, "fallback") == []
+        assert len(plan.shards) == 7
 
     def test_sweep_shards_chunk_by_native_call_width(self):
         # shard_size counts replay cells in the one native call, and a
         # sweep cell contributes 11 of them.
         cells = cells_for(policies=["biased"])
         plan = plan_shards(cells, shard_size=33)
-        assert [len(s) for s in plan.sweep_shards] == [3, 1]
+        assert [len(s) for s in kind_shards(plan, "sweep")] == [3, 1]
 
     def test_dynamic_cells_plan_as_dynamic_shards(self):
         cells = cells_for(policies=["dynamic"])
         plan = plan_shards(cells, shard_size=3)
-        assert [len(s) for s in plan.dynamic_shards] == [3, 1]
-        assert plan.dynamic_cells == 4
-        assert plan.fallback_cells == 0
+        assert [len(s) for s in kind_shards(plan, "dynamic")] == [3, 1]
+        assert kind_cells(plan, "fallback") == 0
 
     def test_done_ids_are_skipped(self):
         cells = cells_for()
         done = {cells[0].cell_id, cells[5].cell_id}
         plan = plan_shards(cells, done_ids=done)
         assert {c.cell_id for c in plan.skipped} == done
-        assert plan.batchable_cells == len(cells) - 2
+        assert kind_cells(plan, "roster") == len(cells) - 2
 
     def test_shards_iterates_kinds_in_order(self):
         cells = cells_for(policies=["shared", "biased", "dynamic"])
-        plan = plan_shards(cells, shard_size=22, fallback_shard_size=2)
-        kinds = [kind for kind, _ in plan.shards()]
+        plan = plan_shards(cells, shard_size=22)
+        kinds = [kind for kind, _ in plan.shards]
         assert kinds == ["roster", "sweep", "sweep", "dynamic"]
 
     def test_shard_size_must_be_positive(self):
@@ -150,14 +153,14 @@ class TestGroupBatchability:
     def test_cluster_cells_get_their_own_shard_kind(self):
         cells = group_cells_for(policies=["cluster"], churn=[])
         assert [shard_kind_for(c) for c in cells] == ["cluster"]
-        assert all(is_batchable(c) for c in cells)
 
     def test_group_search_policies_fall_back_per_cell(self):
         # Their control loops (utility scoring, churn-aware epoch
         # feedback) already make one batched native call per cell.
         cells = group_cells_for(policies=["biased", "dynamic"])
-        assert cells and all(shard_kind_for(c) is None for c in cells)
-        assert not any(is_batchable(c) for c in cells)
+        assert cells and all(
+            shard_kind_for(c) == "fallback" for c in cells
+        )
 
 
 class TestGroupSplits:
@@ -202,15 +205,14 @@ class TestGroupPlanning:
         )
         assert len(cells) == 3
         plan = plan_shards(cells, shard_size=24)
-        assert [len(s) for s in plan.cluster_shards] == [2, 1]
-        assert plan.cluster_cells == 3
-        assert plan.total_shards == 2
+        assert [len(s) for s in kind_shards(plan, "cluster")] == [2, 1]
+        assert len(plan.shards) == 2
 
     def test_shards_order_includes_cluster_before_fallback(self):
         cells = group_cells_for(
             policies=["shared", "cluster", "dynamic"], churn=[]
         )
         plan = plan_shards(cells, shard_size=24)
-        assert [kind for kind, _ in plan.shards()] == [
+        assert [kind for kind, _ in plan.shards] == [
             "roster", "cluster", "fallback"
         ]

@@ -88,9 +88,7 @@ class TestExecution:
         )
         store = tmp_path / "store"
         result = run_campaign(manifest, str(store), workers=1)
-        assert result.roster_shards == 0
-        assert result.fallback_shards == 0
-        assert result.sweep_shards == 1
+        assert result.shards_by_kind == {"sweep": 1}
         record = next(iter(result.records.values()))
         assert record.provenance["source"] == "sweep"
         assert record.provenance["sweep_points"] == 11
@@ -106,9 +104,7 @@ class TestExecution:
         )
         store = tmp_path / "store"
         result = run_campaign(manifest, str(store), workers=1)
-        assert result.roster_shards == 0
-        assert result.fallback_shards == 0
-        assert result.dynamic_shards == 1
+        assert result.shards_by_kind == {"dynamic": 1}
         for record in result.records.values():
             assert record.provenance["source"] == "dynamic"
             assert "dynamic_actions" in record.provenance
@@ -125,8 +121,7 @@ class TestExecution:
         )
         store = tmp_path / "store"
         result = run_campaign(manifest, str(store), workers=1)
-        assert result.roster_shards == 0
-        assert result.fallback_shards == 1
+        assert result.shards_by_kind == {"fallback": 1}
         assert verify_campaign(manifest, str(store)) == 1
 
     def test_each_per_cell_co_run_is_one_batch_call(self):
@@ -258,16 +253,16 @@ class TestRetry:
             policies=["shared"], pairs=[["zipf", "stream"]],
             geometries=[{"accesses": ACCESSES}],
         )
-        original = runner_mod._execute_roster_shard
+        original = runner_mod._EXECUTORS["roster"]
         calls = []
 
-        def flaky(shard, threads, table):
+        def flaky(shard, *args):
             calls.append(len(shard))
             if len(calls) == 1:
                 raise RuntimeError("spurious host failure")
-            return original(shard, threads, table)
+            return original(shard, *args)
 
-        monkeypatch.setattr(runner_mod, "_execute_roster_shard", flaky)
+        monkeypatch.setitem(runner_mod._EXECUTORS, "roster", flaky)
         snapshot = ec.engine_counters().snapshot()
         store = tmp_path / "store"
         result = run_campaign(manifest, str(store), max_attempts=2)
@@ -285,13 +280,11 @@ class TestRetry:
         )
         calls = []
 
-        def always_fails(shard, threads, table):
+        def always_fails(shard, *args):
             calls.append(1)
             raise RuntimeError("dead host")
 
-        monkeypatch.setattr(
-            runner_mod, "_execute_roster_shard", always_fails
-        )
+        monkeypatch.setitem(runner_mod._EXECUTORS, "roster", always_fails)
         with pytest.raises(ValidationError, match="failed after 3 attempts"):
             run_campaign(manifest, str(tmp_path / "store"), max_attempts=3)
         assert len(calls) == 3
@@ -305,13 +298,11 @@ class TestRetry:
         )
         calls = []
 
-        def misconfigured(shard, threads, table):
+        def misconfigured(shard, *args):
             calls.append(1)
             raise ValidationError("bad geometry")
 
-        monkeypatch.setattr(
-            runner_mod, "_execute_roster_shard", misconfigured
-        )
+        monkeypatch.setitem(runner_mod._EXECUTORS, "roster", misconfigured)
         with pytest.raises(ValidationError, match="bad geometry"):
             run_campaign(manifest, str(tmp_path / "store"), max_attempts=5)
         assert len(calls) == 1
@@ -349,10 +340,9 @@ class TestGroupCampaign:
         # Pair shared/fair and group shared/fair share the roster; the
         # cluster cell gets its own shard; group dynamic (with and
         # without churn) falls back per-cell.
-        assert result.roster_shards == 1
-        assert result.dynamic_shards == 1
-        assert result.cluster_shards == 1
-        assert result.fallback_shards == 1
+        assert result.shards_by_kind == {
+            "roster": 1, "dynamic": 1, "cluster": 1, "fallback": 1
+        }
         assert verify_campaign(manifest, str(store)) == 8
 
     def test_group_records_carry_roster_and_provenance(self, tmp_path):
@@ -443,7 +433,7 @@ class TestTraceTable:
             return run_campaign(manifest, str(tmp_path / "store"))
 
         result = run() if native_on else without_native(run)
-        assert result.roster_shards == 1 and result.complete
+        assert result.shards_by_kind == {"roster": 1} and result.complete
         for cell in cells:
             record = result.records[cell.cell_id]
             assert record.provenance["source"] == "roster"
@@ -472,9 +462,9 @@ class TestTraceTable:
         monkeypatch.setattr(tracepack, "get_pack", counted)
         manifest = self._mixed_manifest(**overrides)
         result = run_campaign(manifest, str(tmp_path / "store"))
-        assert result.roster_shards
-        assert result.sweep_shards == bool(overrides)
-        assert result.fallback_shards == 0
+        assert result.shards_by_kind["roster"]
+        assert result.shards_by_kind["sweep"] == bool(overrides)
+        assert result.shards_by_kind["fallback"] == 0
         assert calls and len(calls) == len(set(calls))
         # A second run resolves everything again: nothing is kept
         # across calls.
@@ -511,7 +501,56 @@ class TestAnalyticalCells:
         store = tmp_path / "store"
         result = run_campaign(manifest, str(store), workers=1)
         assert result.complete
-        assert result.roster_shards == 0
+        assert result.shards_by_kind == {"grid": 1}
         assert verify_campaign(manifest, str(store)) == 2
         record = next(iter(result.records.values()))
         assert record.units == {"fg_cost": "s", "bg_rate": "instr/s"}
+
+
+class TestShardKinds:
+    """One run reaching every shard kind: the store holds one shard file
+    per planned shard, in plan order."""
+
+    @staticmethod
+    def _cells():
+        # Trace kinds and analytical applications are separate
+        # vocabularies and the tenants axis is trace-only, so the run
+        # joins a trace manifest's cells (a pair and a 3-tenant roster)
+        # with an analytical one's.
+        trace = small_manifest(
+            policies=["shared", "fair", "biased", "dynamic", "cluster"],
+            pairs=[["zipf", "stream"]],
+            tenants=[["zipf", "stream", "chase"]],
+            geometries=[{"accesses": ACCESSES}],
+            controllers=[{"epoch_accesses": 200, "total_accesses": ACCESSES}],
+        )
+        analytical = small_manifest(
+            backends=["analytical"],
+            policies=["shared", "fair", "biased", "dynamic"],
+            pairs=[["canneal", "streamcluster"]],
+        )
+        return trace, expand_manifest(trace) + expand_manifest(analytical)
+
+    def test_shard_files_follow_the_plan(self, tmp_path):
+        from repro.analysis.store import load_runset
+        from repro.campaign import plan_shards
+        from repro.campaign.planner import SHARD_KINDS
+
+        manifest, cells = self._cells()
+        plan = plan_shards(cells)
+        kinds = [kind for kind, _ in plan.shards]
+        assert kinds == [
+            "roster", "grid", "sweep", "dynamic", "cluster", "fallback"
+        ]
+        assert kinds == [kind.name for kind in SHARD_KINDS]
+        assert kinds == list(runner_mod._EXECUTORS)
+        store = tmp_path / "store"
+        result = run_campaign(manifest, str(store), cells=cells, workers=1)
+        assert result.complete and result.cells_run == len(cells)
+        written = [
+            load_runset(path).meta
+            for path in list_runset_shards(str(store))
+        ]
+        assert [(m["shard_kind"], m["cells"]) for m in written] == [
+            (kind, len(shard)) for kind, shard in plan.shards
+        ]
