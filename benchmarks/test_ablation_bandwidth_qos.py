@@ -3,7 +3,8 @@ the worst cases LLC partitioning could not fix."""
 
 from conftest import run_once
 
-from repro.core import QosContract, apply_qos, run_biased
+from repro.backend import AnalyticalBackend
+from repro.core import QosContract, apply_qos, run_policy
 from repro.util.tables import format_table
 from repro.workloads import get_application
 
@@ -15,17 +16,19 @@ def test_ablation_bandwidth_qos(benchmark, machine):
     def run():
         rows = []
         hog = get_application(HOG)
+        backend = AnalyticalBackend(machine)
         for victim_name in VICTIMS:
             victim = get_application(victim_name)
             threads = 1 if victim.scalability.single_threaded else 4
             solo = machine.run_solo(victim, threads=threads).runtime_s
-            best_llc = run_biased(machine, victim, hog)
+            pair = AnalyticalBackend.group_spec([victim, hog])
+            best_llc = run_policy(backend, pair, "biased")
             restore = apply_qos(
                 machine,
                 [QosContract(victim.name, reserved_fraction=0.35, latency_priority=True)],
             )
             try:
-                with_qos = run_biased(machine, victim, hog)
+                with_qos = run_policy(backend, pair, "biased")
             finally:
                 restore()
             rows.append(

@@ -4,7 +4,8 @@ biased partitioning."""
 
 from conftest import run_once
 
-from repro.core import run_biased, run_shared, run_ucp
+from repro.backend import AnalyticalBackend
+from repro.core import run_policy, run_ucp
 from repro.core.thrash import run_thrash_containment
 from repro.util.tables import format_table
 from repro.workloads import get_application
@@ -25,11 +26,13 @@ def test_ablation_ucp_vs_biased(benchmark, machine):
             bg = get_application(bg_name)
             threads = 1 if fg.scalability.single_threaded else 4
             solo = machine.run_solo(fg, threads=threads).runtime_s
+            backend = AnalyticalBackend(machine)
+            pair = AnalyticalBackend.group_spec([fg, bg])
             for outcome in (
-                run_shared(machine, fg, bg),
+                run_policy(backend, pair, "shared"),
                 run_ucp(machine, fg, bg),
                 run_thrash_containment(machine, fg, bg),
-                run_biased(machine, fg, bg),
+                run_policy(backend, pair, "biased"),
             ):
                 rows.append(
                     (

@@ -10,7 +10,7 @@
 Run:  python examples/extensions_tour.py
 """
 
-from repro import Machine, get_application, run_biased
+from repro import AnalyticalBackend, Machine, get_application, run_policy
 from repro.core import (
     DynamicPartitionController,
     ForegroundRequest,
@@ -23,12 +23,18 @@ from repro.sim.allocation import Allocation
 from repro.util import format_table
 
 
+def biased_pair(machine, fg, bg):
+    """The paper's biased policy on one foreground/background pair."""
+    pair = AnalyticalBackend.group_spec([fg, bg])
+    return run_policy(AnalyticalBackend(machine), pair, "biased")
+
+
 def ucp_vs_biased(machine):
     fg = get_application("471.omnetpp")
     bg = get_application("canneal")
     solo = machine.run_solo(fg, threads=1).runtime_s
     rows = []
-    for outcome in (run_ucp(machine, fg, bg), run_biased(machine, fg, bg)):
+    for outcome in (run_ucp(machine, fg, bg), biased_pair(machine, fg, bg)):
         rows.append(
             (
                 outcome.policy,
@@ -50,12 +56,12 @@ def bandwidth_qos(machine):
     victim = get_application("462.libquantum")
     hog = get_application("stream_uncached")
     solo = machine.run_solo(victim, threads=1).runtime_s
-    before = run_biased(machine, victim, hog).fg_runtime_s / solo
+    before = biased_pair(machine, victim, hog).fg_runtime_s / solo
     restore = apply_qos(
         machine, [QosContract(victim.name, reserved_fraction=0.35, latency_priority=True)]
     )
     try:
-        after = run_biased(machine, victim, hog).fg_runtime_s / solo
+        after = biased_pair(machine, victim, hog).fg_runtime_s / solo
     finally:
         restore()
     print(

@@ -7,7 +7,7 @@ static partition protects it at nearly no background cost.
 Run:  python examples/quickstart.py
 """
 
-from repro import Machine, get_application, run_biased, run_fair, run_shared
+from repro import AnalyticalBackend, Machine, get_application, run_policy
 from repro.util import format_table
 
 
@@ -21,13 +21,12 @@ def main():
     solo = machine.run_solo(foreground, threads=1, ways=12)
     print(f"{foreground.name} alone: {solo.runtime_s:.1f} s\n")
 
+    # A foreground/background pair is a two-tenant set, foreground first.
+    backend = AnalyticalBackend(machine)
+    pair = AnalyticalBackend.group_spec([foreground, background])
     rows = []
-    for policy, runner in (
-        ("shared", run_shared),
-        ("fair", run_fair),
-        ("biased", run_biased),
-    ):
-        outcome = runner(machine, foreground, background)
+    for policy in ("shared", "fair", "biased"):
+        outcome = run_policy(backend, pair, policy)
         rows.append(
             (
                 policy,

@@ -11,26 +11,26 @@ regenerates every table and figure of the evaluation.
 
 Quickstart::
 
-    from repro import Machine, get_application, run_biased, run_shared
+    from repro import AnalyticalBackend, Machine, run_policy
 
-    machine = Machine()
-    fg = get_application("471.omnetpp")
-    bg = get_application("ferret")
-    shared = run_shared(machine, fg, bg)
-    biased = run_biased(machine, fg, bg)
+    backend = AnalyticalBackend(Machine())
+    pair = AnalyticalBackend.group_spec(["471.omnetpp", "ferret"])
+    shared = run_policy(backend, pair, "shared")
+    biased = run_policy(backend, pair, "biased")
     print(shared.fg_runtime_s, biased.fg_runtime_s)
+
+A foreground/background pair is the 2-tenant case of a
+:class:`~repro.backend.TenantSet`; ``run_policy`` takes larger groups
+(and the LFOC-style ``"cluster"`` policy) the same way.
 """
 
 from repro.analysis import Characterizer, ConsolidationStudy
+from repro.backend import AnalyticalBackend, TenantSet, TraceBackend
 from repro.core import (
     DynamicPartitionController,
     PhaseDetector,
     cluster_applications,
-    run_biased,
-    run_fair,
     run_policy,
-    run_shared,
-    sweep_static_partitions,
 )
 from repro.cpu import SandyBridgeConfig
 from repro.runtime import CoScheduleHarness, ResctrlFilesystem
@@ -45,6 +45,7 @@ __version__ = "1.0.0"
 
 __all__ = [
     "Allocation",
+    "AnalyticalBackend",
     "Characterizer",
     "CoScheduleHarness",
     "ConsolidationStudy",
@@ -53,13 +54,11 @@ __all__ = [
     "PhaseDetector",
     "ResctrlFilesystem",
     "SandyBridgeConfig",
+    "TenantSet",
+    "TraceBackend",
     "all_applications",
     "applications_of_suite",
     "cluster_applications",
     "get_application",
-    "run_biased",
-    "run_fair",
     "run_policy",
-    "run_shared",
-    "sweep_static_partitions",
 ]

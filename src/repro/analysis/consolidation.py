@@ -5,9 +5,9 @@ background pairs under each policy, caching aggressively because Figs.
 9, 10, 11 and 13 and the headline numbers all slice the same runs.
 """
 
-from repro.backend import AnalyticalBackend, PairSpec
+from repro.backend import AnalyticalBackend
 from repro.core.metrics import energy_ratio, slowdown, weighted_speedup
-from repro.core.policies import run_policy_on, sweep_static_partitions
+from repro.core.policies import run_policy
 from repro.exec import run_tasks
 from repro.runtime.harness import paper_pair_allocations
 from repro.sim.engine import Machine
@@ -128,27 +128,29 @@ class ConsolidationStudy:
 
     # -- policies with a continuously running background -----------------------------
 
+    def _pair(self, fg_id, bg_id, **options):
+        return AnalyticalBackend.group_spec(self._apps(fg_id, bg_id), **options)
+
     def sweep(self, fg_id, bg_id):
+        """``[(fg_ways, GroupMeasurement)]`` over every disjoint split."""
         key = (fg_id, bg_id)
         if key not in self._sweeps:
-            fg, bg = self._apps(fg_id, bg_id)
-            self._sweeps[key] = sweep_static_partitions(self.machine, fg, bg)
+            self._sweeps[key] = self.backend.sweep(self._pair(fg_id, bg_id))
         return self._sweeps[key]
 
     def policy(self, fg_id, bg_id, policy):
         """PolicyOutcome for shared/fair/biased with continuous background.
 
         All policies go through the one protocol-level implementation
-        (:func:`repro.core.policies.run_policy_on`) on the study's
+        (:func:`repro.core.policies.run_policy`) on the study's
         :class:`~repro.backend.analytical.AnalyticalBackend` — the
         biased search reuses the cached static sweep.
         """
         key = (fg_id, bg_id, policy)
         if key not in self._continuous:
-            fg, bg = self._apps(fg_id, bg_id)
             sweep = self.sweep(fg_id, bg_id) if policy == "biased" else None
-            self._continuous[key] = run_policy_on(
-                self.backend, PairSpec(fg=fg, bg=bg), policy, sweep=sweep
+            self._continuous[key] = run_policy(
+                self.backend, self._pair(fg_id, bg_id), policy, sweep=sweep
             )
         return self._continuous[key]
 
@@ -212,9 +214,9 @@ class ConsolidationStudy:
         """
         key = (fg_id, bg_id, timeline)
         if key not in self._dynamic:
-            fg, bg = self._apps(fg_id, bg_id)
-            spec = PairSpec(fg=fg, bg=bg, options={"timeline": timeline})
-            measurement = self.backend.dynamic(spec)
+            measurement = self.backend.dynamic(
+                self._pair(fg_id, bg_id, timeline=timeline)
+            )
             self._dynamic[key] = (
                 measurement.raw, measurement.extra["controller"]
             )

@@ -355,26 +355,6 @@ def trace_kind_factory(kind, length, footprint_mb=4.0, alpha=0.9, seed=1,
     )
 
 
-def trace_pair_spec(fg_kind="zipf", bg_kind="stream", accesses=60_000,
-                    footprint_mb=4.0, alpha=0.9, seed=1,
-                    bg_footprint_mb=8.0, fg_name=None, bg_name=None):
-    """A backend :class:`~repro.backend.protocol.PairSpec` from two
-    synthetic trace kinds (what ``repro consolidate --backend trace``
-    runs the policy suite on)."""
-    from repro.backend import TraceBackend
-
-    return TraceBackend.pair_spec(
-        trace_kind_factory(fg_kind, accesses, footprint_mb=footprint_mb,
-                           alpha=alpha, seed=seed, tid=0),
-        trace_kind_factory(bg_kind, accesses, footprint_mb=bg_footprint_mb,
-                           alpha=alpha, seed=seed + 1, tid=4),
-        fg_name=fg_name or fg_kind,
-        bg_name=bg_name or (
-            bg_kind if bg_kind != fg_kind else f"{bg_kind}#2"
-        ),
-    )
-
-
 _GROUP_TIDS = (0, 4, 2, 6)  # cores 0, 2, 1, 3 under tid // 2
 _GROUP_THINKS = (6, 2, 2, 2)
 
@@ -382,13 +362,15 @@ _GROUP_THINKS = (6, 2, 2, 2)
 def trace_group_spec(kinds, accesses=60_000, footprint_mb=4.0, alpha=0.9,
                      seed=1, bg_footprint_mb=8.0):
     """A backend :class:`~repro.backend.protocol.TenantSet` from 2..4
-    synthetic trace kinds (what ``repro trace-cluster`` and
-    ``consolidate --tenants`` run the group policy suite on).
+    synthetic trace kinds (what ``repro consolidate --backend trace``,
+    ``repro trace-cluster`` and trace campaign cells run the policy
+    suite on).
 
-    Tenant 0 is the primary (the pair protocol's foreground: same tid,
-    think cycles, footprint, and seed as :func:`trace_pair_spec`); the
-    rest are peers on their own cores. Repeated kinds are aliased
-    ("#2", "#3") so tenant names stay unique.
+    Tenant 0 is the primary (the foreground: tid 0, 6 think cycles,
+    ``footprint_mb``, ``seed``); the rest are peers on their own cores
+    with ``bg_footprint_mb`` and seeds ``seed + i`` — tenant 1 of a pair
+    is the background on tid 4 with 2 think cycles. Repeated kinds are
+    aliased ("#2", "#3") so tenant names stay unique.
     """
     from repro.backend import TenantSet
     from repro.sim.trace_engine import TraceWorkload
@@ -459,8 +441,9 @@ def verify_trace_group_replay(backend, group, outcome):
     return checked
 
 
-def verify_trace_policy_replay(backend, spec, policies=("shared", "fair")):
-    """Cross-check TraceBackend policy runs against direct mask replay.
+def verify_trace_policy_replay(backend, tenants, policies=("shared", "fair")):
+    """Cross-check TraceBackend policy runs on a pair against direct
+    mask replay.
 
     Replays the pair through a hand-built engine with the chosen split's
     way masks applied — the pre-backend methodology — and requires the
@@ -470,32 +453,34 @@ def verify_trace_policy_replay(backend, spec, policies=("shared", "fair")):
     raises ValidationError on the first mismatch.
     """
     from repro.cache.llc import WayMask
-    from repro.core.policies import run_policy_on
+    from repro.core.policies import run_policy
     from repro.sim.trace_engine import TraceEngine
     from repro.util.errors import ValidationError
 
     llc_ways = backend.capabilities().llc_ways
+    fg, bg = tenants.tenants
+    fg_name, bg_name = tenants.names
     checked = 0
     for policy in policies:
-        outcome = run_policy_on(backend, spec, policy)
+        outcome = run_policy(backend, tenants, policy)
         engine = TraceEngine(prefetchers_on=False)
         core_of = engine.hierarchy.core_of_tid
         engine.hierarchy.set_way_mask(
-            core_of(spec.fg.tid),
+            core_of(fg.tid),
             WayMask.contiguous(outcome.fg_ways, 0, llc_ways),
         )
         engine.hierarchy.set_way_mask(
-            core_of(spec.bg.tid),
+            core_of(bg.tid),
             WayMask.contiguous(
                 outcome.bg_ways, llc_ways - outcome.bg_ways, llc_ways
             ),
         )
         stats = engine.run_packed(
-            [spec.fg, spec.bg], total_accesses=backend.total_accesses
+            [fg, bg], total_accesses=backend.total_accesses
         )
         direct = (
-            stats[spec.fg_name].avg_latency,
-            stats[spec.bg_name].access_rate_per_kilocycle,
+            stats[fg_name].avg_latency,
+            stats[bg_name].access_rate_per_kilocycle,
         )
         via_policy = (outcome.fg_cost, outcome.bg_rate)
         if direct != via_policy:

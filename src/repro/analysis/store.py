@@ -239,72 +239,58 @@ class RunSet:
 
 
 def record_from_outcome(outcome, units=None, provenance=None):
-    """A :class:`RunRecord` from a policy-layer ``PolicyOutcome``."""
-    metrics = {
-        "fg_cost": float(outcome.fg_cost),
-        "bg_rate": float(outcome.bg_rate),
-        "fg_ways": float(outcome.fg_ways),
-        "bg_ways": float(outcome.bg_ways),
-    }
-    prov = dict(provenance or {})
-    measurement = outcome.measurement
-    if measurement is not None and measurement.extra.get("actions") is not None:
-        prov.setdefault("dynamic_actions", len(measurement.extra["actions"]))
-    if outcome.sweep:
-        prov.setdefault("sweep_points", len(outcome.sweep))
-    return RunRecord(
-        policy=outcome.policy,
-        backend=outcome.backend,
-        fg=outcome.fg_name,
-        bg=outcome.bg_name,
-        fg_ways=outcome.fg_ways,
-        bg_ways=outcome.bg_ways,
-        metrics=metrics,
-        units=dict(units or {}),
-        provenance=prov,
-    )
+    """A pair :class:`RunRecord` (no ``tenants``) from a policy-layer
+    ``PolicyOutcome``."""
+    return _outcome_record(outcome, units, provenance, tenants=())
 
 
 def record_from_group_outcome(outcome, units=None, provenance=None):
-    """A :class:`RunRecord` from a policy-layer ``GroupOutcome``.
+    """A group :class:`RunRecord` from a policy-layer ``PolicyOutcome``.
 
     ``fg``/``bg`` summarize the group (primary name, "+"-joined peers)
     for display; the record's identity is the full ``tenants`` tuple.
     """
+    return _outcome_record(
+        outcome, units, provenance, tenants=tuple(outcome.names)
+    )
+
+
+def _outcome_record(outcome, units, provenance, tenants):
+    m = outcome.measurement
+    fg_ways, bg_ways = m.fg_ways, m.bg_ways
     metrics = {
-        "fg_cost": float(outcome.fg_cost),
-        "bg_rate": float(outcome.bg_rate),
-        "fg_ways": float(outcome.fg_ways),
-        "bg_ways": float(outcome.bg_ways),
+        "fg_cost": float(m.fg_cost),
+        "bg_rate": float(m.bg_rate),
+        "fg_ways": float(fg_ways),
+        "bg_ways": float(bg_ways),
     }
     prov = dict(provenance or {})
-    measurement = outcome.measurement
-    if measurement is not None and measurement.extra.get("actions") is not None:
-        prov.setdefault("dynamic_actions", len(measurement.extra["actions"]))
+    actions = m.extra.get("actions")
+    if actions is not None:
+        prov.setdefault("dynamic_actions", len(actions))
     if outcome.sweep:
         prov.setdefault("sweep_points", len(outcome.sweep))
     if outcome.plan is not None:
         prov.setdefault("tenant_classes", dict(outcome.plan.classes))
-    names = tuple(outcome.names)
     return RunRecord(
         policy=outcome.policy,
-        backend=outcome.backend,
-        fg=names[0],
-        bg="+".join(names[1:]),
-        fg_ways=outcome.fg_ways,
-        bg_ways=outcome.bg_ways,
+        backend=m.backend,
+        fg=m.fg_name,
+        bg=m.bg_name,
+        fg_ways=fg_ways,
+        bg_ways=bg_ways,
         metrics=metrics,
         units=dict(units or {}),
         provenance=prov,
-        tenants=names,
+        tenants=tenants,
     )
 
 
 def runset_from_outcomes(outcomes, backend=None, capabilities=None, meta=None):
     """A :class:`RunSet` from policy outcomes (one backend per set).
 
-    Accepts a mix of pair ``PolicyOutcome`` and N-tenant
-    ``GroupOutcome`` entries (the latter carry a ``names`` roster).
+    Outcomes of more than two tenants become group records; pairs keep
+    the pair record shape.
     """
     from repro import __version__
 
@@ -316,7 +302,7 @@ def runset_from_outcomes(outcomes, backend=None, capabilities=None, meta=None):
         }
     records = [
         record_from_group_outcome(o, units=units)
-        if hasattr(o, "names")
+        if len(o.names) > 2
         else record_from_outcome(o, units=units)
         for o in outcomes
     ]

@@ -19,14 +19,11 @@ from repro.backend.analytical import AnalyticalBackend
 from repro.backend.protocol import (
     MAX_TENANTS,
     BackendCapabilities,
-    CoRunMeasurement,
     GroupMeasurement,
     GroupSplit,
-    PairSpec,
     SimBackend,
     SoloMeasurement,
     TenantSet,
-    WaySplit,
     WayUtility,
 )
 from repro.backend.trace import TraceBackend
@@ -50,16 +47,13 @@ __all__ = [
     "AnalyticalBackend",
     "BACKEND_NAMES",
     "BackendCapabilities",
-    "CoRunMeasurement",
     "GroupMeasurement",
     "GroupSplit",
     "MAX_TENANTS",
-    "PairSpec",
     "SimBackend",
     "SoloMeasurement",
     "TenantSet",
     "TraceBackend",
-    "WaySplit",
     "WayUtility",
     "get_backend",
 ]

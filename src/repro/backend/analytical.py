@@ -1,22 +1,22 @@
 """The interval-engine backend: policies over ``Machine.run_pair``.
 
 Wraps :class:`repro.sim.engine.Machine` (and its IntervalMemo and shared
-solo cache) behind :class:`~repro.backend.protocol.SimBackend`. The
-mapping is exactly what the pre-refactor policy code did — the same
-``paper_pair_allocations`` masks, the same ``run_pair`` calls in the
-same order — so policy outcomes through this backend are bit-identical
-to the seed implementation.
+solo cache) behind :class:`~repro.backend.protocol.SimBackend`. A pair
+on a pair-shaped split maps exactly to what the pre-backend policy code
+did — the same ``paper_pair_allocations`` masks, the same ``run_pair``
+calls (or their vectorized ``run_pair_grid`` twin) in the same order —
+so policy outcomes through this backend are bit-identical to the seed
+implementation. Every other tenant set and split runs through
+``Machine.run_group``.
 """
 
 from repro.backend.protocol import (
     BackendCapabilities,
-    CoRunMeasurement,
     GroupMeasurement,
     GroupSplit,
     SimBackend,
     SoloMeasurement,
     TenantSet,
-    WaySplit,
     WayUtility,
 )
 from repro.runtime.harness import paper_pair_allocations
@@ -82,51 +82,87 @@ class AnalyticalBackend(SimBackend):
             raw=result,
         )
 
-    def co_run(self, spec, split):
-        llc_ways = self.machine.config.llc_ways
+    def _grid_supported(self):
+        """Whether ``run_pair_grid`` models this machine's memory system.
+
+        The grid solver derives the ring and DRAM domains from the
+        config, so it holds only while the machine's domains are the
+        plain ones built from that config — not, say, after
+        :func:`repro.core.bandwidth_qos.apply_qos` installs a QoS domain.
+        """
+        from repro.cpu.bandwidth import BandwidthDomain
+
+        memory, config = self.machine.memory_system, self.machine.config
+        return all(
+            type(domain) is BandwidthDomain and domain.capacity_bps == capacity
+            for domain, capacity in (
+                (memory.ring, config.ring_bandwidth_bps),
+                (memory.dram, config.dram_bandwidth_bps),
+            )
+        )
+
+    def co_run(self, tenants, split):
+        """Co-run under per-tenant way masks.
+
+        A pair on a pair-shaped split runs the paper's Section 5 setup
+        (``paper_pair_allocations`` + ``Machine.run_pair``); anything
+        else runs through ``Machine.run_group``, the scalar N-tenant
+        interval solve.
+        """
+        ways = split.pair_ways() if len(tenants.tenants) == 2 else None
+        if ways is None:
+            allocations = self._group_allocations(tenants, split.mask_bits)
+            result = self.machine.run_group(
+                tenants.tenants[0], tenants.tenants[1:],
+                allocations[0], allocations[1:],
+                **self._group_run_options(tenants),
+            )
+            return self.group_measurement(tenants, split, result)
+        fg, bg = tenants.tenants
         fg_alloc, bg_alloc = paper_pair_allocations(
-            spec.fg, spec.bg, split.fg_ways, split.bg_ways, llc_ways
+            fg, bg, *ways, self.machine.config.llc_ways
         )
         pair = self.machine.run_pair(
-            spec.fg, spec.bg, fg_alloc, bg_alloc, **spec.options
+            fg, bg, fg_alloc, bg_alloc, **tenants.options
         )
-        return CoRunMeasurement(
-            backend="analytical",
-            fg_name=spec.fg_name,
-            bg_name=spec.bg_name,
-            fg_ways=split.fg_ways,
-            bg_ways=split.bg_ways,
-            fg_cost=pair.fg.runtime_s,
-            bg_rate=pair.bg_rate_ips,
-            raw=pair,
-        )
+        return pair_measurement((fg.name, bg.name), split, pair)
 
     def co_run_grid(self, items):
         """Vectorized batch of co-runs via :mod:`repro.sim.gridsolve`.
 
-        ``items`` are ``(spec, split)`` pairs or ``(spec, split, config)``
-        triples (per-cell operating points). Cells whose options the
-        grid solver covers are solved in one vectorized call; the rest
-        run through the scalar :meth:`co_run`. Results are returned in
-        item order and are bit-identical to the sequential walk.
+        ``items`` are ``(tenants, split)`` pairs or ``(tenants, split,
+        config)`` triples (per-cell operating points). Pair cells whose
+        options the grid solver covers are solved in one vectorized
+        call; the rest run through the scalar :meth:`co_run`, and so do
+        all cells on a machine whose memory system the grid does not
+        model. Results are returned in item order and are bit-identical
+        to the sequential walk.
         """
         from repro.sim.gridsolve import GridCell, run_pair_grid
 
         items = list(items)
+        grid = self._grid_supported()
         cells = {}
         for i, item in enumerate(items):
-            spec, split = item[0], item[1]
+            tenants, split = item[0], item[1]
             config = item[2] if len(item) == 3 else None
-            options = self._grid_options(spec.options)
-            if options is None:
+            options = self._grid_options(tenants.options)
+            ways = split.pair_ways() if len(tenants.tenants) == 2 else None
+            if not grid or options is None or ways is None:
+                if config is not None:
+                    raise ValidationError(
+                        "per-cell operating points require grid-solvable "
+                        f"pair cells; got {tenants.options!r} on {split}"
+                    )
                 continue
             cfg = config or self.machine.config
+            fg, bg = tenants.tenants
             fg_alloc, bg_alloc = paper_pair_allocations(
-                spec.fg, spec.bg, split.fg_ways, split.bg_ways, cfg.llc_ways
+                fg, bg, *ways, cfg.llc_ways
             )
             cells[i] = GridCell(
-                fg=spec.fg,
-                bg=spec.bg,
+                fg=fg,
+                bg=bg,
                 fg_allocation=fg_alloc,
                 bg_allocation=bg_alloc,
                 config=config,
@@ -142,92 +178,82 @@ class AnalyticalBackend(SimBackend):
 
         results = []
         for i, item in enumerate(items):
-            spec, split = item[0], item[1]
+            tenants, split = item[0], item[1]
             pair = solved.get(i)
             if pair is None:
-                config = item[2] if len(item) == 3 else None
-                if config is not None:
-                    raise ValidationError(
-                        "per-cell operating points require grid-solvable "
-                        f"options; got {spec.options!r}"
-                    )
-                results.append(self.co_run(spec, split))
+                results.append(self.co_run(tenants, split))
                 continue
-            results.append(
-                CoRunMeasurement(
-                    backend="analytical",
-                    fg_name=spec.fg_name,
-                    bg_name=spec.bg_name,
-                    fg_ways=split.fg_ways,
-                    bg_ways=split.bg_ways,
-                    fg_cost=pair.fg.runtime_s,
-                    bg_rate=pair.bg_rate_ips,
-                    raw=pair,
-                )
-            )
+            names = tuple(t.name for t in tenants.tenants)
+            results.append(pair_measurement(names, split, pair))
         return results
 
-    def sweep(self, spec):
-        """All disjoint splits in one vectorized grid call.
-
-        Falls back to the per-split default when ``spec.options`` asks
-        for something the grid solver does not model (finite
-        backgrounds, controllers, timelines).
-        """
-        if self._grid_options(spec.options) is None:
-            return super().sweep(spec)
-        llc_ways = self.machine.config.llc_ways
-        splits = [
-            WaySplit.disjoint(fg_ways, llc_ways)
-            for fg_ways in range(1, llc_ways)
-        ]
-        measurements = self.co_run_grid([(spec, split) for split in splits])
+    def sweep(self, tenants):
+        """All disjoint splits of a pair in one vectorized grid call
+        (walked through :meth:`co_run` where the grid does not apply)."""
+        splits = self.disjoint_splits()
+        measurements = self.co_run_grid([(tenants, split) for split in splits])
         return [
-            (split.fg_ways, m) for split, m in zip(splits, measurements)
+            (split.way_counts[0], m) for split, m in zip(splits, measurements)
         ]
 
-    def dynamic(self, spec, controller=None):
+    def dynamic(self, tenants, controller=None):
         """One dynamic-controller co-run (Algorithm 6.2, 100 ms periods).
 
-        Self-pairs are cloned under an aliased name by the engine, so the
-        controller is keyed on the aliased background name.
+        A pair runs through ``Machine.run_pair``. Self-pairs are cloned
+        under an aliased name by the engine, so the controller is keyed
+        on the aliased background name. Larger groups run through
+        ``Machine.run_group``, the default controller treating tenant 0
+        as the foreground and the rest as peers sharing the complement.
         """
         from repro.core.dynamic import DynamicPartitionController
 
-        fg, bg = spec.fg, spec.bg
-        bg_name = bg.name if bg.name != fg.name else f"{bg.name}#2"
+        llc_ways = self.machine.config.llc_ways
+        if len(tenants.tenants) == 2:
+            fg, bg = tenants.tenants
+            names = (fg.name, bg.name if bg.name != fg.name else f"{bg.name}#2")
+        else:
+            names = tuple(tenants.names)
         if controller is None:
             controller = DynamicPartitionController(
-                fg_name=fg.name,
-                bg_name=bg_name,
-                llc_ways=self.machine.config.llc_ways,
+                fg_name=names[0],
+                bg_name=names[1:],
+                llc_ways=llc_ways,
                 way_mb=self.machine.config.way_mb,
             )
         masks = controller.masks()
-        fg_alloc, bg_alloc = paper_pair_allocations(
-            fg, bg, llc_ways=self.machine.config.llc_ways
+        extra = {"controller": controller, "actions": controller.actions}
+        if len(names) == 2:
+            fg_alloc, bg_alloc = paper_pair_allocations(
+                fg, bg, llc_ways=llc_ways
+            )
+            options = dict(tenants.options)
+            options.setdefault("bg_continuous", True)
+            pair = self.machine.run_pair(
+                fg,
+                bg,
+                fg_alloc.with_mask(masks[names[0]]),
+                bg_alloc.with_mask(masks[names[1]]),
+                controller=controller,
+                **options,
+            )
+            split = GroupSplit.disjoint(controller.fg_ways, llc_ways)
+            measurement = pair_measurement(names, split, pair)
+            measurement.extra = extra
+            return measurement
+        split = GroupSplit(
+            tuple(masks[name].bits for name in names), llc_ways
         )
-        options = dict(spec.options)
-        options.setdefault("bg_continuous", True)
-        pair = self.machine.run_pair(
-            fg,
-            bg,
-            fg_alloc.with_mask(masks[fg.name]),
-            bg_alloc.with_mask(masks[bg_name]),
-            controller=controller,
-            **options,
+        allocations = self._group_allocations(tenants, split.mask_bits)
+        result = self.machine.run_group(
+            tenants.tenants[0], tenants.tenants[1:],
+            allocations[0], allocations[1:],
+            controller=controller, **self._group_run_options(tenants)
         )
-        return CoRunMeasurement(
-            backend="analytical",
-            fg_name=fg.name,
-            bg_name=bg_name,
-            fg_ways=controller.fg_ways,
-            bg_ways=self.machine.config.llc_ways - controller.fg_ways,
-            fg_cost=pair.fg.runtime_s,
-            bg_rate=pair.bg_rate_ips,
-            raw=pair,
-            extra={"controller": controller, "actions": controller.actions},
+        final = controller.masks()
+        final_split = GroupSplit(
+            tuple(final[name].bits for name in names), llc_ways
         )
+        return self.group_measurement(tenants, final_split, result, extra)
 
     # -- N-tenant groups ----------------------------------------------------
 
@@ -290,65 +316,6 @@ class AnalyticalBackend(SimBackend):
             extra=extra or {},
         )
 
-    def co_run_group(self, group, split):
-        """Co-run N tenants under per-tenant way masks.
-
-        Pair-shaped 2-tenant groups delegate to :meth:`co_run` (the
-        grid-capable pair machinery, bit-identical to the seed path);
-        larger groups run through ``Machine.run_group`` — the scalar
-        N-tenant interval solve.
-        """
-        measurement = self._pair_group_measurement(group, split)
-        if measurement is not None:
-            return measurement
-        allocations = self._group_allocations(group, split.mask_bits)
-        options = self._group_run_options(group)
-        result = self.machine.run_group(
-            group.tenants[0], group.tenants[1:],
-            allocations[0], allocations[1:], **options
-        )
-        return self.group_measurement(group, split, result)
-
-    def dynamic_group(self, group, controller=None):
-        """N tenants under a dynamic controller via ``Machine.run_group``.
-
-        2-tenant groups delegate to :meth:`dynamic` (the seed pair
-        path). For larger groups the default controller treats tenant 0
-        as the foreground and the rest as peers sharing the complement.
-        """
-        if len(group.tenants) == 2:
-            return SimBackend.dynamic_group(self, group, controller=controller)
-        from repro.core.dynamic import DynamicPartitionController
-
-        names = tuple(group.names)
-        if controller is None:
-            controller = DynamicPartitionController(
-                fg_name=names[0],
-                bg_name=names[1:],
-                llc_ways=self.machine.config.llc_ways,
-                way_mb=self.machine.config.way_mb,
-            )
-        masks = controller.masks()
-        llc_ways = self.machine.config.llc_ways
-        split = GroupSplit(
-            tuple(masks[name].bits for name in names), llc_ways
-        )
-        allocations = self._group_allocations(group, split.mask_bits)
-        options = self._group_run_options(group)
-        result = self.machine.run_group(
-            group.tenants[0], group.tenants[1:],
-            allocations[0], allocations[1:],
-            controller=controller, **options
-        )
-        final = controller.masks()
-        final_split = GroupSplit(
-            tuple(final[name].bits for name in names), llc_ways
-        )
-        return self.group_measurement(
-            group, final_split, result,
-            extra={"controller": controller, "actions": controller.actions},
-        )
-
     def way_utility(self, group):
         """Per-tenant way-utility curves from cached solo runs at each
         allocation (the backend's solo methodology, one run per way
@@ -375,18 +342,7 @@ class AnalyticalBackend(SimBackend):
             )
         return out
 
-    # Convenience used by the CLI and tests: a spec from application names.
-    @staticmethod
-    def pair_spec(fg, bg, **options):
-        from repro.backend.protocol import PairSpec
-        from repro.workloads import get_application
-
-        if isinstance(fg, str):
-            fg = get_application(fg)
-        if isinstance(bg, str):
-            bg = get_application(bg)
-        return PairSpec(fg=fg, bg=bg, options=options)
-
+    # Convenience used by the CLI and tests: a tenant set from names.
     @staticmethod
     def group_spec(names, **options):
         """A TenantSet from application names (or models), aliasing
@@ -408,4 +364,18 @@ class AnalyticalBackend(SimBackend):
         return TenantSet(tenants=apps, options=options, names=tuple(aliased))
 
 
-__all__ = ["AnalyticalBackend", "GroupSplit", "TenantSet", "WaySplit"]
+def pair_measurement(names, split, pair):
+    """The GroupMeasurement of one finished ``Machine.run_pair``: the
+    foreground's runtime and the background's instruction rate while the
+    foreground ran (``PairResult.bg_rate_ips``)."""
+    return GroupMeasurement(
+        backend="analytical",
+        names=tuple(names),
+        split=split,
+        costs=(pair.fg.runtime_s, None),
+        rates=(None, pair.bg_rate_ips),
+        raw=pair,
+    )
+
+
+__all__ = ["AnalyticalBackend", "pair_measurement"]

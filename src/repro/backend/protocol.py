@@ -5,66 +5,39 @@ the dynamic controller — not the substrate they run on. LFOC makes the
 same point for fairness policies over commodity partitioning mechanisms,
 and Nejat et al. coordinate partitioning with other knobs precisely
 because the policy logic is decoupled from the mechanism. This module
-pins that separation down as a small protocol:
+pins that separation down as a small protocol, one type per concept:
 
-- :class:`SimBackend` — ``solo(spec)``, ``co_run(spec, split)``,
-  ``capabilities()``, plus ``sweep(spec)`` and ``dynamic(spec)`` hooks;
-- :class:`WaySplit` — a backend-neutral LLC allocation (contiguous
-  masks carved from opposite ends of the cache, overlapping when the
-  way counts exceed the cache — the "shared" configuration);
-- :class:`CoRunMeasurement` — the common result shape every policy
-  consumes: a foreground cost (lower is better) and a background
-  progress rate (higher is better), with the backend's native result
-  attached as ``raw``.
+- :class:`TenantSet` — the workloads of one co-run, tenant 0 first (the
+  latency-sensitive foreground). A foreground/background pair is the
+  2-tenant set, as in the paper's Section 6.3 and in LFOC;
+- :class:`GroupSplit` — a backend-neutral LLC allocation, one way mask
+  per tenant. The pair shapes (``shared``, ``fair``, ``disjoint`` and
+  ``pair``: the foreground's ways from way 0 up, the background's from
+  the top down, overlapping when they exceed the cache) are
+  constructors;
+- :class:`GroupMeasurement` — the result shape every policy consumes:
+  per-tenant costs (lower is better) and progress rates (higher is
+  better), read as a foreground cost and a background rate through its
+  ``fg_*``/``bg_*`` properties, with the backend's native result
+  attached as ``raw``;
+- :class:`SimBackend` — ``solo``, ``co_run(tenants, split)``,
+  ``sweep``, ``dynamic(tenants, controller)``, ``way_utility`` and
+  ``capabilities``.
 
-:mod:`repro.core.policies` implements shared/fair/biased/dynamic once
-against this protocol; :mod:`repro.backend.analytical` and
+:mod:`repro.core.policies` implements shared/fair/biased/dynamic/cluster
+once against this protocol; :mod:`repro.backend.analytical` and
 :mod:`repro.backend.trace` supply the two substrates (the interval
 engine and the address-level trace engine).
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from repro.util.errors import ValidationError
 
 # The native replay kernels bank counters for up to 16 partition
-# domains per cell; the group protocol inherits that ceiling.
+# domains per cell; the protocol inherits that ceiling.
 MAX_TENANTS = 16
-
-
-@dataclass(frozen=True)
-class WaySplit:
-    """An LLC allocation for a foreground/background pair.
-
-    Both backends realize a split the same way: the foreground's mask is
-    the first ``fg_ways`` ways, the background's the last ``bg_ways``.
-    When ``fg_ways + bg_ways`` exceeds the cache the masks overlap —
-    ``WaySplit.shared`` gives the fully shared (no partitioning)
-    configuration.
-    """
-
-    fg_ways: int
-    bg_ways: int
-
-    def __post_init__(self):
-        if self.fg_ways < 1 or self.bg_ways < 1:
-            raise ValidationError("both applications need at least one way")
-
-    @classmethod
-    def shared(cls, llc_ways):
-        return cls(llc_ways, llc_ways)
-
-    @classmethod
-    def fair(cls, llc_ways):
-        half = llc_ways // 2
-        return cls(half, llc_ways - half)
-
-    @classmethod
-    def disjoint(cls, fg_ways, llc_ways):
-        return cls(fg_ways, llc_ways - fg_ways)
-
-    def overlaps(self, llc_ways):
-        return self.fg_ways + self.bg_ways > llc_ways
 
 
 @dataclass(frozen=True)
@@ -88,33 +61,8 @@ class BackendCapabilities:
     supports_energy: bool = False
     # Whether co_run_grid accepts a per-item platform config (an
     # operating point) — the joint (frequency x allocation) searches
-    # need this; backends without it only take (spec, split) items.
+    # need this; backends without it only take (tenants, split) items.
     supports_operating_points: bool = False
-
-
-@dataclass
-class PairSpec:
-    """A foreground/background workload pair in backend-native terms.
-
-    ``fg``/``bg`` are whatever the backend runs — application models for
-    :class:`~repro.backend.analytical.AnalyticalBackend`,
-    :class:`~repro.sim.trace_engine.TraceWorkload` instances for
-    :class:`~repro.backend.trace.TraceBackend`. ``options`` carries
-    backend-specific run options (e.g. ``bg_continuous`` or
-    ``timeline`` for the interval engine).
-    """
-
-    fg: object
-    bg: object
-    options: dict = field(default_factory=dict)
-
-    @property
-    def fg_name(self):
-        return self.fg.name
-
-    @property
-    def bg_name(self):
-        return self.bg.name
 
 
 @dataclass
@@ -123,46 +71,21 @@ class SoloMeasurement:
 
     backend: str
     name: str
-    cost: float  # same unit as CoRunMeasurement.fg_cost
+    cost: float  # same unit as GroupMeasurement.fg_cost
     raw: object = None
-
-
-@dataclass
-class CoRunMeasurement:
-    """The backend-neutral outcome of one co-run at one allocation.
-
-    ``fg_cost`` is the foreground's degradation metric (runtime in
-    seconds, or average access latency in cycles) — lower is better.
-    ``bg_rate`` is the background's progress rate (instructions per
-    second, or accesses per kilocycle) — higher is better. ``raw`` is
-    the backend's native result (a :class:`~repro.sim.engine.PairResult`
-    or a ``{name: TraceStats}`` dict); ``extra`` holds anything else a
-    caller may want (controller actions, reallocation timelines, way
-    curves).
-    """
-
-    backend: str
-    fg_name: str
-    bg_name: str
-    fg_ways: int
-    bg_ways: int
-    fg_cost: float
-    bg_rate: float
-    raw: object = None
-    extra: dict = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
 class GroupSplit:
-    """An LLC allocation for an N-tenant group.
+    """An LLC allocation: one way mask per tenant.
 
     ``mask_bits[i]`` is tenant *i*'s way mask as an integer bit pattern
-    over ``llc_ways`` ways (bit 0 = way 0). Unlike :class:`WaySplit`,
-    masks are arbitrary — tenants may share a mask (a cluster), overlap
-    partially, or own disjoint contiguous regions. The pair case remains
-    a view: every split a pair policy can produce (shared, fair, or
-    disjoint fg-bottom/bg-top) round-trips through
-    :meth:`from_pair`/:meth:`pair_view` without loss.
+    over ``llc_ways`` ways (bit 0 = way 0). Masks are arbitrary —
+    tenants may share a mask (a cluster), overlap partially, or own
+    disjoint contiguous regions. A pair's splits (:meth:`pair` and the
+    constructors built on it) put the foreground's ways at the bottom
+    and the background's at the top; :meth:`pair_ways` recognizes that
+    shape.
     """
 
     mask_bits: tuple
@@ -194,7 +117,12 @@ class GroupSplit:
 
     @classmethod
     def fair(cls, tenants, llc_ways):
-        """Contiguous even apportioning, remainder to the earliest tenants."""
+        """Contiguous even apportioning. A pair gives the foreground
+        ``llc_ways // 2`` and the background the rest; larger groups
+        give the remainder to the earliest tenants."""
+        if tenants == 2:
+            half = llc_ways // 2
+            return cls.pair(half, llc_ways - half, llc_ways)
         base, extra = divmod(llc_ways, tenants)
         if base < 1:
             raise ValidationError(
@@ -202,6 +130,26 @@ class GroupSplit:
             )
         counts = [base + (1 if i < extra else 0) for i in range(tenants)]
         return cls.from_way_counts(counts, llc_ways)
+
+    @classmethod
+    def pair(cls, fg_ways, bg_ways, llc_ways):
+        """A pair's split: the foreground takes the first ``fg_ways``
+        ways, the background the last ``bg_ways`` (overlapping when the
+        two exceed the cache)."""
+        for ways in (fg_ways, bg_ways):
+            if not 1 <= ways <= llc_ways:
+                raise ValidationError(
+                    f"pair ways {fg_ways}/{bg_ways} do not fit the "
+                    f"{llc_ways}-way cache"
+                )
+        fg = (1 << fg_ways) - 1
+        bg = ((1 << bg_ways) - 1) << (llc_ways - bg_ways)
+        return cls((fg, bg), llc_ways)
+
+    @classmethod
+    def disjoint(cls, fg_ways, llc_ways):
+        """A pair's split with the background on the complement."""
+        return cls.pair(fg_ways, llc_ways - fg_ways, llc_ways)
 
     @classmethod
     def from_way_counts(cls, counts, llc_ways):
@@ -219,67 +167,49 @@ class GroupSplit:
             offset += count
         return cls(tuple(bits), llc_ways)
 
-    @classmethod
-    def from_pair(cls, split, llc_ways):
-        """Realize a :class:`WaySplit` the way both backends do: the
-        foreground takes the first ``fg_ways`` ways, the background the
-        last ``bg_ways``."""
-        if split.fg_ways > llc_ways or split.bg_ways > llc_ways:
-            raise ValidationError(
-                f"pair split {split} exceeds the {llc_ways}-way cache"
-            )
-        fg = (1 << split.fg_ways) - 1
-        bg = ((1 << split.bg_ways) - 1) << (llc_ways - split.bg_ways)
-        return cls((fg, bg), llc_ways)
-
     @property
     def tenants(self):
         return len(self.mask_bits)
 
-    @property
+    @cached_property
     def way_counts(self):
         return tuple(bin(bits).count("1") for bits in self.mask_bits)
 
-    def pair_view(self):
-        """The equivalent :class:`WaySplit` when this is a 2-tenant split
-        in the canonical pair shape (fg bottom-contiguous, bg
-        top-contiguous), else ``None``."""
+    def pair_ways(self):
+        """``(fg_ways, bg_ways)`` when this is a 2-tenant split of the
+        :meth:`pair` shape, else ``None``."""
         if len(self.mask_bits) != 2:
             return None
-        fg_bits, bg_bits = self.mask_bits
         fg_ways, bg_ways = self.way_counts
-        if fg_bits != (1 << fg_ways) - 1:
+        if self != GroupSplit.pair(fg_ways, bg_ways, self.llc_ways):
             return None
-        if bg_bits != ((1 << bg_ways) - 1) << (self.llc_ways - bg_ways):
-            return None
-        return WaySplit(fg_ways, bg_ways)
+        return fg_ways, bg_ways
 
 
 @dataclass
 class TenantSet:
-    """An N-tenant workload group in backend-native terms.
+    """The workloads of one co-run, in backend-native terms.
 
     ``tenants`` are whatever the backend runs (application models or
     :class:`~repro.sim.trace_engine.TraceWorkload` instances), in
     priority order: tenant 0 is the primary (the latency-sensitive
-    foreground of the pair protocol), the rest are peers. ``names``
-    may be given explicitly to alias duplicate workloads; it defaults
-    to each tenant's own ``name``. A group built with :meth:`from_pair`
-    keeps the original :class:`PairSpec` so 2-tenant delegation hands
-    the backend the exact object a seed call site would have.
+    foreground), the rest are its peers; a pair is the 2-tenant set.
+    ``names`` may be given explicitly to alias duplicate workloads; it
+    defaults to each tenant's own ``name``. ``options`` carries
+    backend-specific run options (e.g. ``bg_continuous`` or
+    ``timeline`` for the interval engine).
     """
 
     tenants: list
     options: dict = field(default_factory=dict)
     names: tuple = None
-    pair: object = None
 
     def __post_init__(self):
         self.tenants = list(self.tenants)
         n = len(self.tenants)
         if not 2 <= n <= MAX_TENANTS:
             raise ValidationError(
-                f"a tenant group needs 2..{MAX_TENANTS} tenants, got {n}"
+                f"a tenant set needs 2..{MAX_TENANTS} tenants, got {n}"
             )
         if self.names is None:
             self.names = tuple(t.name for t in self.tenants)
@@ -294,46 +224,24 @@ class TenantSet:
                 f"tenant names must be unique, got {list(self.names)}"
             )
 
-    @classmethod
-    def from_pair(cls, spec):
-        # A pair may legitimately co-run a workload with itself; alias
-        # the background so group names stay unique.
-        fg_name, bg_name = spec.fg_name, spec.bg_name
-        if bg_name == fg_name:
-            bg_name = f"{bg_name}#2"
-        return cls(
-            tenants=[spec.fg, spec.bg],
-            options=spec.options,
-            names=(fg_name, bg_name),
-            pair=spec,
-        )
-
     @property
     def primary(self):
         return self.tenants[0]
 
-    def pair_spec(self):
-        """The 2-tenant view as a :class:`PairSpec` (the original object
-        when this group was built from one)."""
-        if self.pair is not None:
-            return self.pair
-        if len(self.tenants) != 2:
-            raise ValidationError(
-                f"a {len(self.tenants)}-tenant group has no pair view"
-            )
-        return PairSpec(fg=self.tenants[0], bg=self.tenants[1], options=self.options)
-
 
 @dataclass
 class GroupMeasurement:
-    """The backend-neutral outcome of one N-tenant co-run.
+    """The backend-neutral outcome of one co-run.
 
-    ``costs[i]``/``rates[i]`` are tenant *i*'s degradation metric and
-    progress rate in the backend's units (``None`` when the substrate
-    did not measure that axis for that tenant). When the measurement
-    came through the 2-tenant pair delegation, ``pair`` holds the
-    wrapped :class:`CoRunMeasurement` and the ``fg_*``/``bg_*``
-    properties read from it — byte-identical to the pre-group protocol.
+    ``costs[i]``/``rates[i]`` are tenant *i*'s degradation metric
+    (runtime in seconds, or average access latency in cycles; lower is
+    better) and progress rate (instructions per second, or accesses per
+    kilocycle; higher is better), ``None`` where the substrate did not
+    measure that axis for that tenant. ``raw`` is the backend's native
+    result (a :class:`~repro.sim.engine.PairResult` or ``GroupResult``,
+    or a ``{name: TraceStats}`` dict); ``extra`` holds anything else a
+    caller may want (controller actions, reallocation timelines, the
+    source of a sweep entry).
     """
 
     backend: str
@@ -342,7 +250,6 @@ class GroupMeasurement:
     costs: tuple
     rates: tuple
     raw: object = None
-    pair: object = None
     extra: dict = field(default_factory=dict)
 
     @property
@@ -350,29 +257,27 @@ class GroupMeasurement:
         return self.names[0]
 
     @property
+    def bg_name(self):
+        """The background's name; a group's peers joined by "+"."""
+        return "+".join(self.names[1:])
+
+    @property
     def fg_cost(self):
-        if self.pair is not None:
-            return self.pair.fg_cost
         return self.costs[0]
 
     @property
     def bg_rate(self):
-        if self.pair is not None:
-            return self.pair.bg_rate
+        """The peers' aggregate progress rate."""
         return sum(rate for rate in self.rates[1:] if rate is not None)
 
     @property
     def fg_ways(self):
-        if self.pair is not None:
-            return self.pair.fg_ways
         return self.split.way_counts[0]
 
     @property
     def bg_ways(self):
-        if self.pair is not None:
-            return self.pair.bg_ways
-        counts = self.split.way_counts
-        return max(counts[1:]) if len(counts) > 1 else 0
+        """The largest peer allocation (a pair's background ways)."""
+        return max(self.split.way_counts[1:])
 
 
 @dataclass(frozen=True)
@@ -411,12 +316,10 @@ class WayUtility:
 class SimBackend:
     """The protocol every simulation substrate implements.
 
-    Concrete backends override :meth:`capabilities`, :meth:`solo` and
-    :meth:`co_run`; :meth:`sweep` has a generic per-split default, and
-    :meth:`dynamic` raises unless the backend supports a controller.
-    The group methods (:meth:`co_run_group`, :meth:`dynamic_group`,
-    :meth:`way_utility`) default to the 2-tenant pair delegation so a
-    backend that only speaks pairs still serves pair-shaped groups.
+    Concrete backends override :meth:`capabilities`, :meth:`solo`,
+    :meth:`co_run` and, where they have them, :meth:`dynamic` and
+    :meth:`way_utility`; :meth:`sweep` and :meth:`co_run_grid` have
+    generic per-split defaults.
     """
 
     def capabilities(self):
@@ -427,30 +330,38 @@ class SimBackend:
         """Measure one workload alone; returns a SoloMeasurement."""
         raise NotImplementedError
 
-    def co_run(self, spec, split):
-        """Co-run ``spec`` under ``split``; returns a CoRunMeasurement."""
+    def co_run(self, tenants, split):
+        """Co-run a :class:`TenantSet` under a :class:`GroupSplit`;
+        returns a :class:`GroupMeasurement`."""
         raise NotImplementedError
 
-    def sweep(self, spec):
-        """Score every disjoint split (fg gets 1..ways-1).
+    def disjoint_splits(self):
+        """Every disjoint split of a pair, 1 to W - 1 foreground ways."""
+        llc_ways = self.capabilities().llc_ways
+        return [
+            GroupSplit.disjoint(fg_ways, llc_ways)
+            for fg_ways in range(1, llc_ways)
+        ]
 
-        Returns ``[(fg_ways, CoRunMeasurement)]`` in ascending foreground
+    def sweep(self, tenants):
+        """Score every disjoint split of a pair (:meth:`disjoint_splits`).
+
+        Returns ``[(fg_ways, GroupMeasurement)]`` in ascending foreground
         allocation order. The default measures each split with
         :meth:`co_run`; backends with a cheaper exact source (the trace
         engine's single-pass way profile) override this and set
         ``sweep_is_measured=False`` in their capabilities.
         """
-        llc_ways = self.capabilities().llc_ways
         return [
-            (fg_ways, self.co_run(spec, WaySplit.disjoint(fg_ways, llc_ways)))
-            for fg_ways in range(1, llc_ways)
+            (split.way_counts[0], self.co_run(tenants, split))
+            for split in self.disjoint_splits()
         ]
 
     def co_run_grid(self, items):
-        """Measure a batch of co-run cells; returns ``[CoRunMeasurement]``.
+        """Measure a batch of co-run cells; returns ``[GroupMeasurement]``.
 
-        ``items`` is a sequence of ``(spec, split)`` pairs, optionally
-        ``(spec, split, config)`` triples naming a per-cell operating
+        ``items`` is a sequence of ``(tenants, split)`` pairs, optionally
+        ``(tenants, split, config)`` triples naming a per-cell operating
         point for backends whose capabilities set
         ``supports_operating_points``. The default walks the batch
         through :meth:`co_run` one cell at a time; vectorized backends
@@ -464,14 +375,14 @@ class SimBackend:
                     f"backend {self.capabilities().name!r} does not support "
                     "per-cell operating points"
                 )
-            spec, split = item[0], item[1]
-            results.append(self.co_run(spec, split))
+            results.append(self.co_run(item[0], item[1]))
         return results
 
-    def dynamic(self, spec, controller=None):
-        """Run ``spec`` under the dynamic controller.
+    def dynamic(self, tenants, controller=None):
+        """Run ``tenants`` under a dynamic controller (by default the
+        Algorithm 6.2 controller with tenant 0 as the foreground).
 
-        Returns a CoRunMeasurement whose ``extra`` carries at least
+        Returns a GroupMeasurement whose ``extra`` carries at least
         ``actions`` (the controller's reallocation trail) and
         ``controller``.
         """
@@ -480,74 +391,7 @@ class SimBackend:
             "dynamic controller"
         )
 
-    def _pair_group_measurement(self, group, split):
-        """Serve a pair-shaped 2-tenant group through :meth:`co_run`.
-
-        Returns ``None`` when the group is not pair-shaped. The wrapped
-        :class:`CoRunMeasurement` comes from the exact call a seed pair
-        site would make, so delegated results are bit-identical.
-        """
-        if len(group.tenants) != 2:
-            return None
-        pair_split = split.pair_view()
-        if pair_split is None:
-            return None
-        measurement = self.co_run(group.pair_spec(), pair_split)
-        return GroupMeasurement(
-            backend=measurement.backend,
-            names=(measurement.fg_name, measurement.bg_name),
-            split=split,
-            costs=(measurement.fg_cost, None),
-            rates=(None, measurement.bg_rate),
-            raw=measurement.raw,
-            pair=measurement,
-            extra=measurement.extra,
-        )
-
-    def co_run_group(self, group, split):
-        """Co-run an N-tenant ``group`` under a :class:`GroupSplit`.
-
-        Returns a :class:`GroupMeasurement`. The default serves
-        pair-shaped 2-tenant groups via :meth:`co_run` and raises for
-        anything larger; N-native backends override this.
-        """
-        measurement = self._pair_group_measurement(group, split)
-        if measurement is None:
-            raise ValidationError(
-                f"backend {self.capabilities().name!r} only supports "
-                "pair-shaped 2-tenant groups"
-            )
-        return measurement
-
-    def dynamic_group(self, group, controller=None):
-        """Run an N-tenant group under a dynamic controller.
-
-        Returns a :class:`GroupMeasurement` whose ``extra`` carries at
-        least ``actions`` and ``controller``. The default delegates
-        2-tenant groups to :meth:`dynamic` and raises for larger ones.
-        """
-        if len(group.tenants) == 2:
-            measurement = self.dynamic(group.pair_spec(), controller=controller)
-            llc_ways = self.capabilities().llc_ways
-            split = GroupSplit.from_pair(
-                WaySplit(measurement.fg_ways, measurement.bg_ways), llc_ways
-            )
-            return GroupMeasurement(
-                backend=measurement.backend,
-                names=(measurement.fg_name, measurement.bg_name),
-                split=split,
-                costs=(measurement.fg_cost, None),
-                rates=(None, measurement.bg_rate),
-                raw=measurement.raw,
-                pair=measurement,
-                extra=measurement.extra,
-            )
-        raise ValidationError(
-            f"backend {self.capabilities().name!r} does not support "
-            "dynamic groups beyond pairs"
-        )
-
-    def way_utility(self, group):
+    def way_utility(self, tenants):
         """Per-tenant way-utility curves: ``{name: WayUtility}``."""
         raise ValidationError(
             f"backend {self.capabilities().name!r} does not expose "

@@ -119,68 +119,40 @@ def shard_kind_for(cell):
 
 
 def split_for(cell, llc_ways=12):
-    """The WaySplit a fixed-split pair cell runs under (None otherwise)."""
-    from repro.backend.protocol import WaySplit
+    """The GroupSplit a fixed-split cell runs under (None otherwise):
+    the shared and fair splits of its tenant count, or a static-N pair
+    cell's disjoint split."""
+    from repro.backend.protocol import GroupSplit
 
+    tenants = len(cell.tenants) or 2
     if cell.policy == "shared":
-        return WaySplit.shared(llc_ways)
+        return GroupSplit.shared(tenants, llc_ways)
     if cell.policy == "fair":
-        return WaySplit.fair(llc_ways)
+        return GroupSplit.fair(tenants, llc_ways)
     ways = static_policy_ways(cell.policy)
-    if ways is None:
+    if ways is None or cell.tenants:
         return None
-    return WaySplit.disjoint(ways, llc_ways)
+    return GroupSplit.disjoint(ways, llc_ways)
 
 
-def trace_spec_for(cell):
-    """The backend PairSpec for a trace cell (picklable factories)."""
-    from repro.analysis.experiments import trace_pair_spec
+def tenants_for(cell):
+    """The backend TenantSet of a cell: a trace cell's synthetic trace
+    tenants (picklable factories), or an analytical pair's models."""
+    if cell.backend != "trace":
+        from repro.backend import AnalyticalBackend
 
-    geometry = cell.geometry_dict
-    return trace_pair_spec(
-        cell.fg,
-        cell.bg,
-        accesses=int(geometry["accesses"]),
-        footprint_mb=float(geometry["footprint_mb"]),
-        alpha=float(geometry["alpha"]),
-        seed=int(geometry["seed"]),
-        bg_footprint_mb=float(geometry["bg_footprint_mb"]),
-    )
-
-
-def trace_group_for(cell):
-    """The backend TenantSet for an N-tenant trace cell."""
+        return AnalyticalBackend.group_spec([cell.fg, cell.bg])
     from repro.analysis.experiments import trace_group_spec
 
     geometry = cell.geometry_dict
     return trace_group_spec(
-        cell.tenants,
+        cell.tenants or (cell.fg, cell.bg),
         accesses=int(geometry["accesses"]),
         footprint_mb=float(geometry["footprint_mb"]),
         alpha=float(geometry["alpha"]),
         seed=int(geometry["seed"]),
         bg_footprint_mb=float(geometry["bg_footprint_mb"]),
     )
-
-
-def group_split_for(cell, llc_ways=12):
-    """The GroupSplit a fixed-split group cell runs under.
-
-    Mirrors ``group_shared``/``group_fair`` exactly — including the
-    two-tenant fair case, which follows ``WaySplit.fair``'s remainder
-    convention — so a roster-replayed group cell is bit-identical to
-    the per-cell reference path.
-    """
-    from repro.backend.protocol import GroupSplit, WaySplit
-
-    n = len(cell.tenants)
-    if cell.policy == "shared":
-        return GroupSplit.shared(n, llc_ways)
-    if cell.policy == "fair":
-        if n == 2:
-            return GroupSplit.from_pair(WaySplit.fair(llc_ways), llc_ways)
-        return GroupSplit.fair(n, llc_ways)
-    return None
 
 
 def backend_for(cell, threads=None):
@@ -233,14 +205,14 @@ class TraceTable:
         self.masks = []
         self._resolved = {}  # distinct trace -> pack (resolve_pack)
         self._mask_index = {}  # (bits, num_ways) -> index into masks
-        self._split_masks = {}  # split (and group members) -> mask indices
-        self._specs = {}  # (tenants, fg, bg, geometry) -> (spec, members)
+        self._split_masks = {}  # split -> mask indices, in tenant order
+        self._specs = {}  # (tenants, fg, bg, geometry) -> (tenants, members)
         self._splits = {}  # (policy, tenant count) -> split
         # Per row, padded to MAX_MANIFEST_TENANTS slots with -1.
         self._row_members = []
         self._row_masks = []
         self._row_stops = []
-        self._row_meta = []  # (spec or group, split) per row
+        self._row_meta = []  # (tenant set, split) per row
         self._backends = {}  # (geometry, controller, threads) -> backend
 
     def backend_for(self, cell, threads=None):
@@ -264,19 +236,14 @@ class TraceTable:
         return len(self.workloads) - 1
 
     def spec(self, cell):
-        """``(spec, members)``: the cell's PairSpec (or TenantSet for a
-        group cell) and its workloads' indices, built on first use."""
+        """``(tenants, members)``: the cell's TenantSet and its
+        workloads' indices, built on first use."""
         key = (cell.tenants, cell.fg, cell.bg, cell.geometry)
         found = self._specs.get(key)
         if found is None:
-            if cell.tenants:
-                spec = trace_group_for(cell)
-                workloads = spec.tenants
-            else:
-                spec = trace_spec_for(cell)
-                workloads = (spec.fg, spec.bg)
-            members = tuple(self._add_workload(w) for w in workloads)
-            found = self._specs[key] = (spec, members)
+            tenants = tenants_for(cell)
+            members = tuple(self._add_workload(w) for w in tenants.tenants)
+            found = self._specs[key] = (tenants, members)
         return found
 
     def _mask(self, mask):
@@ -288,67 +255,56 @@ class TraceTable:
         return index
 
     def split(self, cell):
-        """The fixed split the cell runs under: a WaySplit for a pair
-        cell, a GroupSplit for a group cell."""
+        """The fixed split the cell runs under."""
         key = (cell.policy, len(cell.tenants))
         split = self._splits.get(key)
         if split is None:
-            if cell.tenants:
-                split = group_split_for(cell, self.llc_ways)
-            else:
-                split = split_for(cell, self.llc_ways)
+            split = split_for(cell, self.llc_ways)
             if split is None:
                 raise ValidationError(f"cell {cell.cell_id} is not batchable")
             split = self._splits[key] = split
         return split
 
-    def _add_row(self, spec, members, split, stop):
+    def _add_row(self, tenants, members, split, stop):
         """A roster row: ``members`` under ``split``'s masks."""
-        from repro.backend.protocol import WaySplit
-
-        pair = isinstance(split, WaySplit)
-        key = (split.fg_ways, split.bg_ways) if pair else (members, split)
-        masks = self._split_masks.get(key)
+        masks = self._split_masks.get(split)
         if masks is None:
-            if pair:
-                ways = self.backend.pair_masks(split)
-            else:
-                by_core = self.backend._group_masks(spec, split)
-                ways = [by_core[w.tid // 2] for w in spec.tenants]
-            masks = self._split_masks[key] = tuple(map(self._mask, ways))
+            by_core = self.backend.masks(tenants.tenants, split)
+            ways = [by_core[w.tid // 2] for w in tenants.tenants]
+            masks = self._split_masks[split] = tuple(map(self._mask, ways))
         pad = (-1,) * (MAX_MANIFEST_TENANTS - len(members))
         self._row_members.append(members + pad)
         self._row_masks.append(masks + pad)
         self._row_stops.append(stop)
-        self._row_meta.append((spec, split))
+        self._row_meta.append((tenants, split))
         return len(self._row_members) - 1
 
     def row(self, cell):
         """A new row for a fixed-split (roster) cell."""
-        spec, members = self.spec(cell)
+        tenants, members = self.spec(cell)
         return self._add_row(
-            spec, members, self.split(cell),
+            tenants, members, self.split(cell),
             int(cell.geometry_dict["accesses"]),
         )
 
     def sweep_rows(self, cell):
-        """``(spec, splits, rows)`` of a biased cell's measured sweep:
-        one row per split of ``TraceBackend.sweep_splits``."""
-        spec, members = self.spec(cell)
-        splits = self.backend.sweep_splits()
+        """``(tenants, splits, rows)`` of a biased cell's measured
+        sweep: one row per split of ``TraceBackend.disjoint_splits``."""
+        tenants, members = self.spec(cell)
+        splits = self.backend.disjoint_splits()
         stop = int(cell.geometry_dict["accesses"])
-        rows = [self._add_row(spec, members, s, stop) for s in splits]
-        return spec, splits, rows
+        rows = [self._add_row(tenants, members, s, stop) for s in splits]
+        return tenants, splits, rows
 
     def group_row(self, cell, split):
-        """The row of a group cell under a split planned at run time."""
-        spec, members = self.spec(cell)
+        """The row of a cell under a split planned at run time."""
+        tenants, members = self.spec(cell)
         return self._add_row(
-            spec, members, split, int(cell.geometry_dict["accesses"])
+            tenants, members, split, int(cell.geometry_dict["accesses"])
         )
 
     def meta(self, row):
-        """``(spec or group, split)`` of a row."""
+        """``(tenants, split)`` of a row."""
         return self._row_meta[row]
 
     def roster(self, rows):

@@ -20,7 +20,6 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from repro.analysis.store import (
-    RunRecord,
     RunSet,
     load_runset_dir,
     record_from_group_outcome,
@@ -33,8 +32,7 @@ from repro.campaign.planner import (
     backend_for,
     plan_shards,
     split_for,
-    trace_group_for,
-    trace_spec_for,
+    tenants_for,
 )
 from repro.perf import engine_counters as ec
 from repro.util.errors import ReproError, ValidationError
@@ -83,28 +81,16 @@ def _cell_provenance(cell, source, attempts=1):
     return prov
 
 
-def _pair_record(cell, m, source):
-    """A RunRecord from one pair :class:`CoRunMeasurement` ``m``.
-
-    Mirrors ``record_from_outcome`` over ``run_policy_on`` exactly (same
-    metric sources, same float coercion), so roster, grid and per-cell
-    reference records are comparable bit for bit.
-    """
-    return RunRecord(
-        policy=cell.policy,
-        backend=cell.backend,
-        fg=m.fg_name,
-        bg=m.bg_name,
-        fg_ways=m.fg_ways,
-        bg_ways=m.bg_ways,
-        metrics={
-            "fg_cost": float(m.fg_cost),
-            "bg_rate": float(m.bg_rate),
-            "fg_ways": float(m.fg_ways),
-            "bg_ways": float(m.bg_ways),
-        },
+def _record(cell, outcome, source):
+    """The RunRecord of one cell's :class:`PolicyOutcome`: a group
+    record for a ``tenants`` cell, a pair record otherwise. Every shard
+    kind and the per-cell reference path build records here, so they
+    are comparable bit for bit."""
+    build = record_from_group_outcome if cell.tenants else record_from_outcome
+    return build(
+        outcome,
         units=_units_for(cell),
-        provenance=_cell_provenance(cell, source),
+        provenance=_cell_provenance(cell, source=source),
     )
 
 
@@ -128,69 +114,32 @@ def run_campaign_cell(cell):
     picklable, so fallback shards can fan it out over the exec pool —
     and the ground truth the roster shards must match bit for bit.
     """
-    from repro.core.policies import run_group_policy, run_policy_on
+    from repro.core.policies import PolicyOutcome, run_policy
 
     backend = backend_for(cell)
-    if cell.tenants:
-        group = trace_group_for(cell)
-        outcome = run_group_policy(
-            backend,
-            group,
-            cell.policy,
-            controller=_group_controller_for(cell, backend, group),
-        )
-        return record_from_group_outcome(
-            outcome,
-            units=_units_for(cell),
-            provenance=_cell_provenance(cell, source="cell"),
-        )
-    if cell.backend == "trace":
-        spec = trace_spec_for(cell)
-    else:
-        from repro.backend import AnalyticalBackend
-
-        spec = AnalyticalBackend.pair_spec(cell.fg, cell.bg)
-    static_ways = static_policy_ways(cell.policy)
-    if static_ways is not None:
+    tenants = tenants_for(cell)
+    if static_policy_ways(cell.policy) is not None:
         split = split_for(cell, backend.capabilities().llc_ways)
-        return _pair_record(cell, backend.co_run(spec, split), "cell")
-    outcome = run_policy_on(backend, spec, cell.policy)
-    return record_from_outcome(
-        outcome,
-        units=_units_for(cell),
-        provenance=_cell_provenance(cell, source="cell"),
-    )
-
-
-def _group_record_from_stats(cell, backend, group, split, stats, source,
-                             plan=None):
-    """A RunRecord from roster-replayed stats for one group cell.
-
-    Builds the same GroupMeasurement the per-cell reference path's
-    ``co_run_group`` would, so group roster (and cluster) records are
-    comparable bit for bit with ``run_campaign_cell``.
-    """
-    from repro.core.policies import _group_outcome
-
-    m = backend.group_measurement(group, split, stats)
-    outcome = _group_outcome(cell.policy, m, plan=plan)
-    return record_from_group_outcome(
-        outcome,
-        units=_units_for(cell),
-        provenance=_cell_provenance(cell, source=source),
-    )
+        outcome = PolicyOutcome(cell.policy, backend.co_run(tenants, split))
+    else:
+        outcome = run_policy(
+            backend,
+            tenants,
+            cell.policy,
+            controller=_group_controller_for(cell, backend, tenants),
+        )
+    return _record(cell, outcome, "cell")
 
 
 def _roster_record(cell, table, row, stats, source, plan=None):
-    """A RunRecord from one replayed row of the table's roster."""
-    spec, split = table.meta(row)
-    if cell.tenants:
-        return _group_record_from_stats(
-            cell, table.backend, spec, split, stats, source, plan=plan
-        )
-    return _pair_record(
-        cell, table.backend.pair_measurement(spec, split, stats), source
-    )
+    """A RunRecord from one replayed row of the table's roster, built
+    from the same GroupMeasurement the reference path's ``co_run``
+    would."""
+    from repro.core.policies import PolicyOutcome
+
+    tenants, split = table.meta(row)
+    m = table.backend.measurement(tenants, split, stats)
+    return _record(cell, PolicyOutcome(cell.policy, m, plan=plan), source)
 
 
 def _execute_roster_shard(shard, table, threads, workers):
@@ -198,8 +147,7 @@ def _execute_roster_shard(shard, table, threads, workers):
 
     Each cell is one row of the run's :class:`TraceTable`: indices of
     its workloads and of its split's masks, resolved once per run. Pair
-    cells and N-tenant group cells share the roster; a group cell's
-    masks come straight from its GroupSplit.
+    cells and N-tenant group cells share the roster.
     """
     from repro.sim.trace_engine import run_packed_roster
 
@@ -224,9 +172,9 @@ def _execute_cluster_shard(shard, table, threads, workers):
 
     plans, rows = [], []
     for cell in shard:
-        group, _ = table.spec(cell)
-        utilities = table.backend_for(cell, threads).way_utility(group)
-        plan = cluster_tenants(utilities, names=group.names,
+        tenants, _ = table.spec(cell)
+        utilities = table.backend_for(cell, threads).way_utility(tenants)
+        plan = cluster_tenants(utilities, names=tenants.names,
                                llc_ways=table.llc_ways)
         plans.append(plan)
         rows.append(table.group_row(cell, plan.split))
@@ -240,23 +188,21 @@ def _execute_cluster_shard(shard, table, threads, workers):
 def _execute_grid_shard(shard, table, threads, workers):
     """One vectorized analytical solve for a whole shard of cells.
 
-    Builds the same ``(spec, split)`` items the per-cell reference path
-    would measure one at a time and hands them to ``co_run_grid``; the
-    records mirror ``record_from_outcome`` over ``run_policy_on`` field
-    for field, so grid records and per-cell reference records are
+    Builds the same ``(tenants, split)`` items the per-cell reference
+    path would measure one at a time and hands them to
+    ``co_run_grid``, so grid records and per-cell reference records are
     comparable bit for bit.
     """
     from repro.backend import AnalyticalBackend
+    from repro.core.policies import PolicyOutcome
 
     backend = AnalyticalBackend()
     llc_ways = backend.capabilities().llc_ways
-    items = []
-    for cell in shard:
-        spec = AnalyticalBackend.pair_spec(cell.fg, cell.bg)
-        items.append((spec, split_for(cell, llc_ways)))
+    items = [(tenants_for(cell), split_for(cell, llc_ways)) for cell in shard]
     measurements = backend.co_run_grid(items)
     return [
-        _pair_record(cell, m, "grid") for cell, m in zip(shard, measurements)
+        _record(cell, PolicyOutcome(cell.policy, m), "grid")
+        for cell, m in zip(shard, measurements)
     ]
 
 
@@ -276,26 +222,20 @@ def _execute_sweep_shard(shard, table, threads, workers):
     built = []
     rows = []
     for cell in shard:
-        spec, splits, cell_rows = table.sweep_rows(cell)
-        built.append((spec, splits, len(cell_rows)))
+        tenants, splits, cell_rows = table.sweep_rows(cell)
+        built.append((tenants, splits, len(cell_rows)))
         rows.extend(cell_rows)
     outcomes = run_packed_roster(table.roster(rows), threads=threads)
     records = []
     offset = 0
-    for cell, (spec, splits, width) in zip(shard, built):
+    for cell, (tenants, splits, width) in zip(shard, built):
         backend = table.backend_for(cell, threads)
         entries = backend.sweep_entries(
-            spec, splits, outcomes[offset:offset + width]
+            tenants, splits, outcomes[offset:offset + width]
         )
         offset += width
-        outcome = policy_biased(backend, spec, sweep=entries)
-        records.append(
-            record_from_outcome(
-                outcome,
-                units=_units_for(cell),
-                provenance=_cell_provenance(cell, source="sweep"),
-            )
-        )
+        outcome = policy_biased(backend, tenants, sweep=entries)
+        records.append(_record(cell, outcome, "sweep"))
     return records
 
 
@@ -315,34 +255,17 @@ def _execute_dynamic_shard(shard, table, threads, workers):
     built = []
     for cell in shard:
         backend = table.backend_for(cell, threads)
-        spec, _ = table.spec(cell)
-        built.append((backend, spec, backend.dynamic_roster_cell(spec)))
+        tenants, _ = table.spec(cell)
+        built.append((backend, tenants, backend.dynamic_roster_cell(tenants)))
     results = run_dynamic_roster(
         [roster_cell for _, _, roster_cell in built], threads=threads
     )
     records = []
-    for cell, (backend, spec, roster_cell), result in zip(
+    for cell, (backend, tenants, roster_cell), result in zip(
         shard, built, results
     ):
-        m = backend.dynamic_measurement(spec, roster_cell.controller, result)
-        outcome = PolicyOutcome(
-            policy="dynamic",
-            fg_name=m.fg_name,
-            bg_name=m.bg_name,
-            fg_ways=m.fg_ways,
-            bg_ways=m.bg_ways,
-            pair=m.raw,
-            sweep=[],
-            measurement=m,
-            backend=m.backend,
-        )
-        records.append(
-            record_from_outcome(
-                outcome,
-                units=_units_for(cell),
-                provenance=_cell_provenance(cell, source="dynamic"),
-            )
-        )
+        m = backend.dynamic_measurement(tenants, roster_cell.controller, result)
+        records.append(_record(cell, PolicyOutcome("dynamic", m), "dynamic"))
     return records
 
 

@@ -21,6 +21,7 @@ Commands mirror the workflows of the paper's evaluation:
 """
 
 import argparse
+import os
 import sys
 
 from repro.analysis import Characterizer, ConsolidationStudy
@@ -485,7 +486,7 @@ def _group_policy_list(args, include_cluster=True):
 def _consolidate_group(args, out):
     """``consolidate --tenants``: run the policies over an N-tenant
     group (fg, bg, and the extra tenants) instead of the pair."""
-    from repro.core.policies import run_group_policy
+    from repro.core.policies import run_policy
 
     names = [args.fg, args.bg] + list(args.tenants)
     if args.backend == "trace":
@@ -514,7 +515,7 @@ def _consolidate_group(args, out):
         backend = AnalyticalBackend()
         group = AnalyticalBackend.group_spec(names)
     outcomes = [
-        run_group_policy(backend, group, p) for p in _group_policy_list(args)
+        run_policy(backend, group, p) for p in _group_policy_list(args)
     ]
     caps = backend.capabilities()
     rows = [
@@ -571,19 +572,19 @@ def _cmd_consolidate(args, out):
         _consolidate_trace(args, out)
         return
     from repro.backend import AnalyticalBackend
-    from repro.core.policies import run_policy_on
+    from repro.core.policies import run_policy
 
     machine = Machine()
     fg = get_application(args.fg)
     bg = get_application(args.bg)
     backend = AnalyticalBackend(machine)
-    spec = AnalyticalBackend.pair_spec(fg, bg)
+    pair = AnalyticalBackend.group_spec([fg, bg])
     threads = 1 if fg.scalability.single_threaded else 4
     solo = machine.run_solo(fg, threads=threads)
     policies = ["shared", "fair", "biased"]
     if args.dynamic:
         policies.append("dynamic")
-    outcomes = [run_policy_on(backend, spec, p) for p in policies]
+    outcomes = [run_policy(backend, pair, p) for p in policies]
     if args.ucp:
         from repro.core.ucp import run_ucp
 
@@ -617,11 +618,11 @@ def _cmd_consolidate(args, out):
 
 def _consolidate_trace(args, out):
     from repro.analysis.experiments import (
-        trace_pair_spec,
+        trace_group_spec,
         verify_trace_policy_replay,
     )
     from repro.backend import TraceBackend
-    from repro.core.policies import run_policy_on
+    from repro.core.policies import run_policy
     from repro.workloads.trace import trace_kinds
 
     kinds = tuple(trace_kinds())
@@ -632,9 +633,8 @@ def _consolidate_trace(args, out):
                 f"got {name!r}"
             )
     backend = TraceBackend(total_accesses=args.accesses)
-    spec = trace_pair_spec(
-        args.fg,
-        args.bg,
+    pair = trace_group_spec(
+        [args.fg, args.bg],
         accesses=args.accesses,
         footprint_mb=args.footprint_mb,
         alpha=args.alpha,
@@ -643,7 +643,8 @@ def _consolidate_trace(args, out):
     policies = ["shared", "fair", "biased"]
     if args.dynamic:
         policies.append("dynamic")
-    outcomes = [run_policy_on(backend, spec, p) for p in policies]
+    outcomes = [run_policy(backend, pair, p) for p in policies]
+    fg_name, bg_name = pair.names
     rows = [
         (
             o.policy,
@@ -657,12 +658,12 @@ def _consolidate_trace(args, out):
         format_table(
             ["policy", "fg/bg ways", "fg cyc/access", "bg acc/kcycle"],
             rows,
-            title=f"{spec.fg_name} (fg) + {spec.bg_name} (bg) — trace backend",
+            title=f"{fg_name} (fg) + {bg_name} (bg) — trace backend",
         )
         + "\n"
     )
     if args.check:
-        checked = verify_trace_policy_replay(backend, spec)
+        checked = verify_trace_policy_replay(backend, pair)
         out.write(
             f"check: policy layer agrees with direct way-mask replay "
             f"({checked} comparisons)\n"
@@ -675,8 +676,8 @@ def _consolidate_trace(args, out):
             out,
             meta={
                 "source": "consolidate",
-                "fg": spec.fg_name,
-                "bg": spec.bg_name,
+                "fg": fg_name,
+                "bg": bg_name,
                 "accesses": args.accesses,
             },
         )
@@ -690,11 +691,13 @@ def _cmd_dynamic(args, out):
     backgrounds = [get_application(n) for n in args.bg]
     if len(backgrounds) == 1:
         from repro.backend import AnalyticalBackend
-        from repro.core.policies import policy_dynamic
+        from repro.core.policies import run_policy
 
         backend = AnalyticalBackend(machine)
-        outcome = policy_dynamic(
-            backend, AnalyticalBackend.pair_spec(fg, backgrounds[0])
+        outcome = run_policy(
+            backend,
+            AnalyticalBackend.group_spec([fg, backgrounds[0]]),
+            "dynamic",
         )
         pair = outcome.pair
         controller = outcome.measurement.extra["controller"]
@@ -968,8 +971,9 @@ def _cmd_trace_dynamic(args, out):
     import functools
 
     from repro.analysis.render import render_dynamic_timeline
-    from repro.backend import TraceBackend
-    from repro.core.policies import policy_dynamic
+    from repro.backend import TenantSet, TraceBackend
+    from repro.core.policies import run_policy
+    from repro.sim.trace_engine import TraceWorkload
     from repro.util.units import MB
     from repro.workloads.trace import make_trace
 
@@ -978,13 +982,18 @@ def _cmd_trace_dynamic(args, out):
         epoch_accesses=args.epoch_accesses,
         dynamic_total_accesses=args.total_accesses,
     )
-    spec = TraceBackend.pair_spec(
-        _trace_factory(args, tid=0),
-        functools.partial(
-            make_trace, "stream", args.accesses, int(8 * MB), tid=4
+    pair = TenantSet([
+        TraceWorkload("fg", _trace_factory(args, tid=0), tid=0, think_cycles=6),
+        TraceWorkload(
+            "bg",
+            functools.partial(
+                make_trace, "stream", args.accesses, int(8 * MB), tid=4
+            ),
+            tid=4,
+            think_cycles=2,
         ),
-    )
-    outcome = policy_dynamic(backend, spec)
+    ])
+    outcome = run_policy(backend, pair, "dynamic")
     result = outcome.measurement.extra["result"]
     out.write(render_dynamic_timeline(result, limit=args.actions) + "\n")
     if args.json:
@@ -1011,7 +1020,7 @@ def _cmd_trace_cluster(args, out):
         verify_trace_group_replay,
     )
     from repro.backend import TraceBackend
-    from repro.core.policies import run_group_policy
+    from repro.core.policies import run_policy
 
     backend = TraceBackend(total_accesses=args.accesses)
     group = trace_group_spec(
@@ -1022,7 +1031,7 @@ def _cmd_trace_cluster(args, out):
         seed=args.seed,
         bg_footprint_mb=args.bg_footprint_mb,
     )
-    outcome = run_group_policy(backend, group, "cluster")
+    outcome = run_policy(backend, group, "cluster")
     plan = outcome.plan
     split = outcome.split
     m = outcome.measurement
@@ -1304,8 +1313,16 @@ def main(argv=None, out=None):
     args = _build_parser().parse_args(argv)
     try:
         _COMMANDS[args.command](args, out)
+        out.flush()
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except BrokenPipeError:
+        # The reader closed the pipe (``| head``): stop quietly, and
+        # point stdout at devnull so the interpreter's exit-time flush
+        # of the unsent output cannot raise again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
         return 1
     return 0
 

@@ -1,9 +1,11 @@
 """The paper's contribution: partitioning policies and the dynamic controller.
 
 - :mod:`repro.core.policies` — the Section 5 policy suite (shared /
-  fair / biased, plus the dynamic controller as a policy), implemented
-  once against the :mod:`repro.backend` protocol so the same code runs
-  on the interval engine and on address-level trace replay.
+  fair / biased, the dynamic controller, and LFOC-style clustering) as
+  one table, :data:`POLICIES`, run by ``run_policy(backend, tenants,
+  policy)`` against the :mod:`repro.backend` protocol so the same code
+  runs on the interval engine and on address-level trace replay, for a
+  pair or an N-tenant group alike.
 - :mod:`repro.core.phase` — the MPKI phase detector (Algorithm 6.1).
 - :mod:`repro.core.dynamic` — the dynamic cache-partitioning controller
   (Algorithm 6.2).
@@ -39,21 +41,11 @@ from repro.core.metrics import (
 )
 from repro.core.phase import PhaseDetector
 from repro.core.policies import (
-    POLICY_NAMES,
+    POLICIES,
     PolicyOutcome,
     choose_biased_split,
     policy_biased,
-    policy_dynamic,
-    policy_fair,
-    policy_shared,
-    run_biased,
-    run_dynamic,
-    run_fair,
     run_policy,
-    run_policy_on,
-    run_shared,
-    sweep_splits,
-    sweep_static_partitions,
 )
 
 __all__ = [
@@ -64,7 +56,7 @@ __all__ = [
     "EnergyQosSearch",
     "ForegroundRequest",
     "MultiFgPlan",
-    "POLICY_NAMES",
+    "POLICIES",
     "PhaseDetector",
     "PolicyOutcome",
     "QosBandwidthDomain",
@@ -78,21 +70,11 @@ __all__ = [
     "miss_curve",
     "partition_ucp",
     "policy_biased",
-    "policy_dynamic",
-    "policy_fair",
-    "policy_shared",
     "relative_throughput",
     "render_dendrogram",
-    "run_biased",
-    "run_dynamic",
-    "run_fair",
     "run_policy",
-    "run_policy_on",
-    "run_shared",
     "run_ucp",
     "slowdown",
-    "sweep_splits",
-    "sweep_static_partitions",
     "throughput_gain",
     "weighted_speedup",
 ]

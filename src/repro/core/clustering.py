@@ -278,19 +278,3 @@ def cluster_tenants(utilities, names=None, llc_ways=None, **classify_kwargs):
         clusters=tuple(clusters),
         split=split,
     )
-
-
-def group_cluster(backend, group):
-    """The 'cluster' group policy: profile, classify, apportion, run.
-
-    One way-utility pass per tenant (the backend's cheapest exact
-    source), one :meth:`co_run_group` at the planned split. Works on
-    any backend implementing the group protocol.
-    """
-    from repro.core.policies import _group_outcome
-
-    llc_ways = backend.capabilities().llc_ways
-    utilities = backend.way_utility(group)
-    plan = cluster_tenants(utilities, names=group.names, llc_ways=llc_ways)
-    m = backend.co_run_group(group, plan.split)
-    return _group_outcome("cluster", m, plan=plan)

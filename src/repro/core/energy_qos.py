@@ -22,7 +22,7 @@ slack re-solves nothing.
 
 from dataclasses import dataclass
 
-from repro.backend.protocol import WaySplit
+from repro.backend.protocol import GroupSplit
 from repro.util.errors import ValidationError
 
 
@@ -92,8 +92,8 @@ class EnergyQosSearch:
         self.bg_slack = bg_slack
         self._memo = {}  # (fg, bg, config_index, fg_ways) -> measurement
 
-    def _measurements(self, spec):
-        """All (config_index, fg_ways) -> CoRunMeasurement, memoized.
+    def _measurements(self, tenants):
+        """All (config_index, fg_ways) -> GroupMeasurement, memoized.
 
         Missing cells are solved in ONE ``co_run_grid`` call — on the
         analytical backend that is a single vectorized grid solve over
@@ -105,25 +105,20 @@ class EnergyQosSearch:
             for ci in range(len(self.configs))
             for fg_ways in range(1, llc_ways)
         ]
-        missing = [
-            key for key in wanted
-            if (spec.fg_name, spec.bg_name) + key not in self._memo
-        ]
+        names = tuple(tenants.names)
+        missing = [key for key in wanted if names + key not in self._memo]
         if missing:
             items = [
                 (
-                    spec,
-                    WaySplit.disjoint(fg_ways, llc_ways),
+                    tenants,
+                    GroupSplit.disjoint(fg_ways, llc_ways),
                     self.configs[ci],
                 )
                 for ci, fg_ways in missing
             ]
             for key, m in zip(missing, self.backend.co_run_grid(items)):
-                self._memo[(spec.fg_name, spec.bg_name) + key] = m
-        return {
-            key: self._memo[(spec.fg_name, spec.bg_name) + key]
-            for key in wanted
-        }
+                self._memo[names + key] = m
+        return {key: self._memo[names + key] for key in wanted}
 
     def search(self, fg, bg, **options):
         """The minimum-energy feasible cell for one pair.
@@ -136,17 +131,19 @@ class EnergyQosSearch:
         """
         from repro.backend import AnalyticalBackend
 
-        spec = AnalyticalBackend.pair_spec(fg, bg, **options)
+        tenants = AnalyticalBackend.group_spec([fg, bg], **options)
         llc_ways = self.backend.capabilities().llc_ways
-        fg_budget = self.backend.solo(spec.fg).cost * (1.0 + self.fg_slack)
+        fg_budget = (
+            self.backend.solo(tenants.primary).cost * (1.0 + self.fg_slack)
+        )
         bg_floor = None
         if self.bg_slack is not None:
             baseline = self.backend.co_run(
-                spec, WaySplit.shared(llc_ways)
+                tenants, GroupSplit.shared(2, llc_ways)
             )
             bg_floor = baseline.bg_rate * (1.0 - self.bg_slack)
 
-        cells = self._measurements(spec)
+        cells = self._measurements(tenants)
         best = None
         fallback = None
         for (ci, fg_ways), m in sorted(cells.items()):

@@ -1,81 +1,96 @@
 """The partitioning policies of Section 5, written once over any backend.
 
-- *shared*: no partitioning — both applications may replace anywhere.
-- *fair*: an even 6/6 way split.
+- *shared*: no partitioning — every tenant may replace anywhere.
+- *fair*: an even static split (6/6 for a pair).
 - *biased*: the best static split, found exactly as the paper does —
   score every allocation and, among those with minimum foreground
   degradation, pick the one maximizing background throughput.
 - *dynamic*: the Algorithm 6.2 controller (:mod:`repro.core.dynamic`).
+- *cluster*: LFOC-style apportioning by way-utility class
+  (:mod:`repro.core.clustering`).
 
-Each policy is implemented exactly once, against the
+:data:`POLICIES` lists each policy, the tenant counts it accepts and its
+rule, and :func:`run_policy` dispatches through it. A tenant set is any
+:class:`~repro.backend.protocol.TenantSet`: a foreground/background pair
+is the 2-tenant case of one apportioning problem (the paper's Section
+6.3, LFOC). Every rule runs against the
 :class:`~repro.backend.protocol.SimBackend` protocol, so the same code
 runs on the statistical interval engine
 (:class:`~repro.backend.analytical.AnalyticalBackend`) and on
-address-level trace replay
-(:class:`~repro.backend.trace.TraceBackend`). The historical
-machine-first entry points (``run_shared(machine, fg, bg)``, ...) are
-kept as thin wrappers that adapt a :class:`~repro.sim.engine.Machine`
-into an analytical backend — through them the analytical results are
-bit-identical to the pre-backend implementation.
+address-level trace replay (:class:`~repro.backend.trace.TraceBackend`).
 """
 
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
-from repro.backend import (
-    AnalyticalBackend,
-    CoRunMeasurement,
-    GroupSplit,
-    PairSpec,
-    SimBackend,
-    TenantSet,
-    WaySplit,
-)
+from repro.backend import MAX_TENANTS, GroupMeasurement, GroupSplit
 from repro.util.errors import ValidationError
 
 # Foreground degradations within this tolerance count as "minimum
 # degradation" when choosing the biased split (measurement-noise margin).
 _BIAS_TOLERANCE = 0.005
 
-POLICY_NAMES = ("shared", "fair", "biased", "dynamic")
-# The N-tenant plane adds LFOC-style clustering; the pair plane keeps
-# the paper's original four.
-GROUP_POLICY_NAMES = POLICY_NAMES + ("cluster",)
-
 
 @dataclass
 class PolicyOutcome:
-    """A policy run: the chosen split and the resulting measurements.
+    """A policy run: the measurement at the split the policy chose.
 
-    ``pair`` is the backend's native result (a
-    :class:`~repro.sim.engine.PairResult` on the analytical backend, a
-    ``{name: TraceStats}`` dict on the trace backend); ``measurement``
-    is the backend-neutral :class:`~repro.backend.protocol.CoRunMeasurement`
-    the policy actually compared on.
+    ``measurement`` is the backend-neutral
+    :class:`~repro.backend.protocol.GroupMeasurement`; ``sweep`` holds
+    the ``(fg_ways, measurement)`` entries a biased choice scored, and
+    ``plan`` the :class:`~repro.core.clustering.ClusterPlan` of the
+    'cluster' policy.
     """
 
     policy: str
-    fg_name: str
-    bg_name: str
-    fg_ways: int
-    bg_ways: int
-    pair: object  # PairResult | {name: TraceStats}
-    sweep: list = field(default_factory=list)  # (fg_ways, PairResult | measurement)
-    measurement: object = None  # CoRunMeasurement
-    backend: str = "analytical"
+    measurement: GroupMeasurement
+    sweep: list = field(default_factory=list)
+    plan: object = None
+
+    @property
+    def names(self):
+        return self.measurement.names
+
+    @property
+    def split(self):
+        return self.measurement.split
+
+    @property
+    def backend(self):
+        return self.measurement.backend
+
+    @property
+    def pair(self):
+        """The backend's native result (a
+        :class:`~repro.sim.engine.PairResult` for an analytical pair, a
+        ``{name: TraceStats}`` dict on the trace backend)."""
+        return self.measurement.raw
+
+    @property
+    def fg_name(self):
+        return self.measurement.fg_name
+
+    @property
+    def bg_name(self):
+        return self.measurement.bg_name
 
     @property
     def fg_cost(self):
         """Foreground degradation (seconds, or cycles/access); lower is better."""
-        if self.measurement is not None:
-            return self.measurement.fg_cost
-        return self.pair.fg.runtime_s
+        return self.measurement.fg_cost
 
     @property
     def bg_rate(self):
         """Background progress rate; higher is better."""
-        if self.measurement is not None:
-            return self.measurement.bg_rate
-        return self.pair.bg_rate_ips
+        return self.measurement.bg_rate
+
+    @property
+    def fg_ways(self):
+        return self.measurement.fg_ways
+
+    @property
+    def bg_ways(self):
+        return self.measurement.bg_ways
 
     # Historical names (analytical units); equal to the generic pair on
     # the analytical backend and aliased on the trace backend.
@@ -88,90 +103,11 @@ class PolicyOutcome:
         return self.bg_rate
 
 
-@dataclass
-class GroupOutcome:
-    """An N-tenant policy run: the chosen split and the measurements.
-
-    ``measurement`` is the backend-neutral
-    :class:`~repro.backend.protocol.GroupMeasurement`. When the group
-    was a 2-tenant pair-shaped view, :meth:`pair_outcome` recovers the
-    exact :class:`PolicyOutcome` the pair entry point would have built —
-    the pair wrappers delegate through here bit-identically.
-    """
-
-    policy: str
-    names: tuple
-    split: GroupSplit
-    measurement: object  # GroupMeasurement
-    sweep: list = field(default_factory=list)
-    backend: str = "analytical"
-    plan: object = None  # ClusterPlan for the 'cluster' policy
-    pair_delegate: object = None  # PolicyOutcome when 2-tenant delegated
-
-    @property
-    def fg_name(self):
-        return self.names[0]
-
-    @property
-    def peer_names(self):
-        return self.names[1:]
-
-    @property
-    def fg_cost(self):
-        return self.measurement.fg_cost
-
-    @property
-    def bg_rate(self):
-        return self.measurement.bg_rate
-
-    @property
-    def fg_ways(self):
-        return self.measurement.fg_ways
-
-    @property
-    def bg_ways(self):
-        return self.measurement.bg_ways
-
-    def pair_outcome(self):
-        """The equivalent pair :class:`PolicyOutcome`."""
-        if self.pair_delegate is not None:
-            return self.pair_delegate
-        if self.measurement.pair is None:
-            raise ValidationError(
-                f"a {len(self.names)}-tenant outcome has no pair view"
-            )
-        return _outcome(self.policy, self.measurement.pair, sweep=self.sweep)
-
-
-# -- the single policy implementation (any SimBackend) -----------------------
-
-
-def policy_shared(backend, spec):
-    """No partitioning: overlapping full masks."""
-    return group_shared(backend, TenantSet.from_pair(spec)).pair_outcome()
-
-
-def policy_fair(backend, spec):
-    """Even static split."""
-    return group_fair(backend, TenantSet.from_pair(spec)).pair_outcome()
-
-
-def sweep_splits(backend, spec):
-    """Score every disjoint split (fg gets 1..ways-1).
-
-    Returns ``[(fg_ways, CoRunMeasurement)]`` in ascending order. On the
-    analytical backend each entry is a full co-run; the trace backend
-    scores all splits from one profiled pass (see
-    ``BackendCapabilities.sweep_is_measured``).
-    """
-    return backend.sweep(spec)
-
-
-def choose_biased_split(scored, tolerance=_BIAS_TOLERANCE):
+def choose_biased_split(scored):
     """The biased selection rule over ``[(fg_ways, measurement)]``.
 
-    Among splits whose foreground cost is within ``tolerance`` of the
-    best observed, picks the one with maximum background rate. Exact
+    Among splits whose foreground cost is within ``_BIAS_TOLERANCE`` of
+    the best observed, picks the one with maximum background rate. Exact
     rate ties break toward the smaller foreground allocation, so the
     choice is deterministic regardless of the ordering of ``scored``
     (and matches the historical first-maximum over an ascending sweep).
@@ -180,301 +116,134 @@ def choose_biased_split(scored, tolerance=_BIAS_TOLERANCE):
     if not scored:
         raise ValidationError("cannot choose a split from an empty sweep")
     best_cost = min(m.fg_cost for _, m in scored)
-    cutoff = best_cost * (1.0 + tolerance)
+    cutoff = best_cost * (1.0 + _BIAS_TOLERANCE)
     candidates = [(w, m) for w, m in scored if m.fg_cost <= cutoff]
     return max(candidates, key=lambda item: (item[1].bg_rate, -item[0]))
 
 
-def policy_biased(backend, spec, sweep=None):
-    """The best static split (the paper's 'biased' policy).
-
-    ``sweep`` may supply precomputed ``(fg_ways, measurement)`` scores
-    (or historical ``(fg_ways, PairResult)`` pairs, which are adapted).
-    When the winning entry is a profile-derived score rather than a
-    measured co-run, the chosen split is re-measured with one
-    ``co_run`` so the outcome carries real co-run measurements.
-    """
-    sweep = _as_measured_sweep(backend, spec, sweep) if sweep else backend.sweep(spec)
-    fg_ways, m = choose_biased_split(sweep)
-    if m.raw is None:
-        ways = backend.capabilities().llc_ways
-        m = backend.co_run(spec, WaySplit.disjoint(fg_ways, ways))
-    return _outcome("biased", m, sweep=_compat_sweep(sweep))
-
-
-def policy_dynamic(backend, spec, controller=None):
-    """The Algorithm 6.2 dynamic controller on any backend.
-
-    The controller shrinks the foreground's allocation while its MPKI
-    stays flat; the backend decides what an MPKI sample and a control
-    period are (100 ms engine steps analytically, replay epochs on
-    traces). The outcome's ``measurement.extra`` carries the controller
-    and its reallocation trail.
-    """
-    m = backend.dynamic(spec, controller=controller)
-    return _outcome("dynamic", m)
-
-
-def run_policy_on(backend, spec, policy, sweep=None):
-    """Dispatch by policy name ('shared' | 'fair' | 'biased' | 'dynamic')."""
-    if policy == "shared":
-        return policy_shared(backend, spec)
-    if policy == "fair":
-        return policy_fair(backend, spec)
-    if policy == "biased":
-        return policy_biased(backend, spec, sweep=sweep)
-    if policy == "dynamic":
-        return policy_dynamic(backend, spec)
-    raise ValidationError(f"unknown policy {policy!r}")
-
-
-def _outcome(policy, m, sweep=()):
-    return PolicyOutcome(
-        policy=policy,
-        fg_name=m.fg_name,
-        bg_name=m.bg_name,
-        fg_ways=m.fg_ways,
-        bg_ways=m.bg_ways,
-        pair=m.raw if m.raw is not None else m,
-        sweep=list(sweep),
-        measurement=m,
-        backend=m.backend,
-    )
-
-
-def _as_measured_sweep(backend, spec, sweep):
-    """Adapt historical ``(fg_ways, PairResult)`` sweeps to measurements."""
-    llc_ways = backend.capabilities().llc_ways
-    out = []
-    for fg_ways, entry in sweep:
-        if not isinstance(entry, CoRunMeasurement):
-            entry = CoRunMeasurement(
-                backend=backend.capabilities().name,
-                fg_name=spec.fg_name,
-                bg_name=spec.bg_name,
-                fg_ways=fg_ways,
-                bg_ways=llc_ways - fg_ways,
-                fg_cost=entry.fg.runtime_s,
-                bg_rate=entry.bg_rate_ips,
-                raw=entry,
-            )
-        out.append((fg_ways, entry))
-    return out
-
-
-def _compat_sweep(sweep):
-    """Store raw pairs where available (the historical sweep shape)."""
-    return [
-        (w, m.raw if m.raw is not None else m) for w, m in sweep
-    ]
-
-
-# -- the N-tenant group plane -------------------------------------------------
-
-
-def _group_outcome(policy, m, sweep=(), plan=None, pair_delegate=None):
-    return GroupOutcome(
-        policy=policy,
-        names=tuple(m.names),
-        split=m.split,
-        measurement=m,
-        sweep=list(sweep),
-        backend=m.backend,
-        plan=plan,
-        pair_delegate=pair_delegate,
-    )
-
-
-def _delegated_group_outcome(policy, backend, group, outcome):
-    """Wrap a pair :class:`PolicyOutcome` as a GroupOutcome (2-tenant
-    delegation: the pair entry point already ran, bit-identically)."""
-    from repro.backend import GroupMeasurement
-
+def _utility_sweep(backend, tenants):
+    """``[(fg_ways, measurement)]`` scores of a group's primary
+    allocations from the backend's way-utility curves: primary cost as
+    its misses at the allocation, peer rate as their aggregate hits at
+    an even apportioning of the complement."""
     ways = backend.capabilities().llc_ways
-    m = outcome.measurement
-    split = GroupSplit.from_pair(WaySplit(m.fg_ways, m.bg_ways), ways)
-    wrapped = GroupMeasurement(
-        backend=m.backend,
-        names=(m.fg_name, m.bg_name),
-        split=split,
-        costs=(m.fg_cost, None),
-        rates=(None, m.bg_rate),
-        raw=m.raw,
-        pair=m,
-        extra=m.extra,
-    )
-    return _group_outcome(
-        policy, wrapped, sweep=outcome.sweep, pair_delegate=outcome
-    )
-
-
-def group_shared(backend, group):
-    """No partitioning: every tenant sees the whole cache."""
-    ways = backend.capabilities().llc_ways
-    split = GroupSplit.shared(len(group.tenants), ways)
-    m = backend.co_run_group(group, split)
-    return _group_outcome("shared", m)
-
-
-def group_fair(backend, group):
-    """Even static apportioning across all N tenants."""
-    ways = backend.capabilities().llc_ways
-    if len(group.tenants) == 2:
-        # The pair realization (fg bottom, bg top) — identical masks,
-        # and the exact split object the seed pair path used.
-        split = GroupSplit.from_pair(WaySplit.fair(ways), ways)
-    else:
-        split = GroupSplit.fair(len(group.tenants), ways)
-    m = backend.co_run_group(group, split)
-    return _group_outcome("fair", m)
-
-
-def _even_counts(total, slots):
-    base, extra = divmod(total, slots)
-    return [base + (1 if i < extra else 0) for i in range(slots)]
-
-
-def group_biased(backend, group, sweep=None, tolerance=_BIAS_TOLERANCE):
-    """The best static split favoring the primary tenant.
-
-    2-tenant groups delegate to :func:`policy_biased` (the exact seed
-    sweep-and-choose path). Larger groups score each primary allocation
-    from the backend's way-utility curves — primary cost as its misses
-    at the allocation, peer rate as their aggregate hits at an even
-    apportioning of the complement — then re-measure the winner with
-    one :meth:`co_run_group`.
-    """
-    if len(group.tenants) == 2:
-        outcome = policy_biased(backend, group.pair_spec(), sweep=sweep)
-        return _delegated_group_outcome("biased", backend, group, outcome)
-
-    caps = backend.capabilities()
-    ways = caps.llc_ways
-    names = tuple(group.names)
+    names = tuple(tenants.names)
     peers = len(names) - 1
-    utilities = backend.way_utility(group)
+    utilities = backend.way_utility(tenants)
     scored = []
-    splits_by_ways = {}
     for fg_ways in range(1, ways - peers + 1):
-        counts = [fg_ways] + _even_counts(ways - fg_ways, peers)
-        split = GroupSplit.from_way_counts(counts, ways)
-        splits_by_ways[fg_ways] = split
-        fg_cost = float(utilities[names[0]].misses_at(fg_ways))
-        bg_rate = sum(
-            float(utilities[name].hits_at(count))
-            for name, count in zip(names[1:], counts[1:])
-        )
+        base, extra = divmod(ways - fg_ways, peers)
+        counts = [base + (1 if i < extra else 0) for i in range(peers)]
         scored.append((
             fg_ways,
-            CoRunMeasurement(
-                backend=caps.name,
-                fg_name=names[0],
-                bg_name="+".join(names[1:]),
-                fg_ways=fg_ways,
-                bg_ways=ways - fg_ways,
-                fg_cost=fg_cost,
-                bg_rate=bg_rate,
-                raw=None,
+            GroupMeasurement(
+                backend=backend.capabilities().name,
+                names=names,
+                split=GroupSplit.from_way_counts([fg_ways] + counts, ways),
+                costs=(float(utilities[names[0]].misses_at(fg_ways)),)
+                + (None,) * peers,
+                rates=(None,) + tuple(
+                    float(utilities[name].hits_at(count))
+                    for name, count in zip(names[1:], counts)
+                ),
                 extra={"source": "utility"},
             ),
         ))
-    fg_ways, _ = choose_biased_split(scored, tolerance)
-    m = backend.co_run_group(group, splits_by_ways[fg_ways])
-    return _group_outcome("biased", m, sweep=scored)
+    return scored
 
 
-def group_dynamic(backend, group, controller=None):
-    """The dynamic controller over an N-tenant group.
+def policy_biased(backend, tenants, sweep=None):
+    """The best static split (the paper's 'biased' policy).
 
-    2-tenant groups delegate to :func:`policy_dynamic`; larger groups
-    run the backend's native group-dynamic path (the Algorithm 6.2
-    controller with peers, or any controller speaking the ``masks()`` /
-    ``on_tick()`` protocol — churn schedules included).
+    A pair scores every disjoint split with ``backend.sweep`` (or the
+    precomputed ``sweep`` entries); a larger group scores each primary
+    allocation from the backend's way-utility curves. When the winning
+    entry is a score rather than a measured co-run (``raw`` is unset),
+    its split is re-measured with one ``co_run`` so the outcome carries
+    real co-run measurements.
     """
-    if len(group.tenants) == 2 and controller is None:
-        outcome = policy_dynamic(backend, group.pair_spec())
-        return _delegated_group_outcome("dynamic", backend, group, outcome)
-    m = backend.dynamic_group(group, controller=controller)
-    return _group_outcome("dynamic", m)
+    if not sweep:
+        if len(tenants.tenants) == 2:
+            sweep = backend.sweep(tenants)
+        else:
+            sweep = _utility_sweep(backend, tenants)
+    _, m = choose_biased_split(sweep)
+    if m.raw is None:
+        m = backend.co_run(tenants, m.split)
+    return PolicyOutcome("biased", m, sweep=list(sweep))
 
 
-def run_group_policy(backend, group, policy, sweep=None, controller=None):
-    """Dispatch by group policy name (:data:`GROUP_POLICY_NAMES`)."""
-    if policy == "shared":
-        return group_shared(backend, group)
-    if policy == "fair":
-        return group_fair(backend, group)
-    if policy == "biased":
-        return group_biased(backend, group, sweep=sweep)
-    if policy == "dynamic":
-        return group_dynamic(backend, group, controller=controller)
-    if policy == "cluster":
-        from repro.core.clustering import group_cluster
+def _fixed(name, split_for):
+    """The rule co-running every tenant set under one fixed split."""
 
-        return group_cluster(backend, group)
-    raise ValidationError(f"unknown group policy {policy!r}")
+    def rule(backend, tenants, sweep, controller):
+        ways = backend.capabilities().llc_ways
+        split = split_for(len(tenants.tenants), ways)
+        return PolicyOutcome(name, backend.co_run(tenants, split))
+
+    return rule
 
 
-# -- historical machine-first entry points -----------------------------------
+def _cluster(backend, tenants, sweep, controller):
+    """Profile, classify, apportion, run: one way-utility pass per
+    tenant (the backend's cheapest exact source), one ``co_run`` at the
+    planned split."""
+    from repro.core.clustering import cluster_tenants
+
+    utilities = backend.way_utility(tenants)
+    plan = cluster_tenants(
+        utilities, names=tenants.names,
+        llc_ways=backend.capabilities().llc_ways,
+    )
+    return PolicyOutcome(
+        "cluster", backend.co_run(tenants, plan.split), plan=plan
+    )
 
 
-def _run_split(machine, fg, bg, fg_ways, bg_ways, **kwargs):
-    """One co-run at an explicit split; returns the backend's raw result
-    (kept for the UCP baseline and other fixed-allocation callers)."""
-    backend, spec = _adapt(machine, fg, bg, kwargs)
-    return backend.co_run(spec, WaySplit(fg_ways, bg_ways)).raw
+class Policy(NamedTuple):
+    """One row of :data:`POLICIES`."""
+
+    name: str
+    # The tenant counts the rule accepts.
+    tenants: range
+    # ``rule(backend, tenants, sweep, controller)`` -> PolicyOutcome.
+    rule: Callable
 
 
-def _adapt(machine, fg, bg, kwargs):
-    """(machine | backend, fg, bg, run kwargs) -> (backend, spec)."""
-    if isinstance(machine, SimBackend):
-        backend = machine
-        if isinstance(backend, AnalyticalBackend) and (
-            isinstance(fg, str) or isinstance(bg, str)
-        ):
-            return backend, AnalyticalBackend.pair_spec(fg, bg, **kwargs)
-        return backend, PairSpec(fg=fg, bg=bg, options=dict(kwargs))
-    return AnalyticalBackend(machine), PairSpec(fg=fg, bg=bg, options=dict(kwargs))
+_ANY = range(2, MAX_TENANTS + 1)
+
+# Every policy, in the order the paper introduces them.
+POLICIES = (
+    Policy("shared", _ANY, _fixed("shared", GroupSplit.shared)),
+    Policy("fair", _ANY, _fixed("fair", GroupSplit.fair)),
+    # Resolves ``policy_biased`` at call time, so a wrapper installed
+    # on the module attribute sees every biased run.
+    Policy("biased", _ANY, lambda backend, tenants, sweep, controller:
+           policy_biased(backend, tenants, sweep=sweep)),
+    # The Algorithm 6.2 controller shrinks the foreground's allocation
+    # while its MPKI stays flat; the backend decides what an MPKI sample
+    # and a control period are (100 ms engine steps analytically, replay
+    # epochs on traces). ``controller`` replaces the default one.
+    Policy("dynamic", _ANY, lambda backend, tenants, sweep, controller:
+           PolicyOutcome("dynamic", backend.dynamic(tenants, controller))),
+    Policy("cluster", _ANY, _cluster),
+)
+
+_BY_NAME = {policy.name: policy for policy in POLICIES}
 
 
-def run_shared(machine, fg, bg, **kwargs):
-    """No partitioning: overlapping full masks."""
-    backend, spec = _adapt(machine, fg, bg, kwargs)
-    return policy_shared(backend, spec)
+def run_policy(backend, tenants, policy, sweep=None, controller=None):
+    """Run one of :data:`POLICIES` by name over a tenant set.
 
-
-def run_fair(machine, fg, bg, **kwargs):
-    """Even static split."""
-    backend, spec = _adapt(machine, fg, bg, kwargs)
-    return policy_fair(backend, spec)
-
-
-def sweep_static_partitions(machine, fg, bg, **kwargs):
-    """Measure every disjoint split (fg gets 1..ways-1).
-
-    Returns the historical ``[(fg_ways, PairResult)]`` shape on the
-    analytical backend (profile-scored measurements where a backend has
-    no per-split co-run result).
+    ``sweep`` supplies precomputed biased scores; ``controller``
+    replaces the dynamic policy's default controller.
     """
-    backend, spec = _adapt(machine, fg, bg, kwargs)
-    return _compat_sweep(backend.sweep(spec))
-
-
-def run_biased(machine, fg, bg, sweep=None, **kwargs):
-    """The best static split (the paper's 'biased' policy)."""
-    backend, spec = _adapt(machine, fg, bg, kwargs)
-    return policy_biased(backend, spec, sweep=sweep)
-
-
-def run_dynamic(machine, fg, bg, controller=None, **kwargs):
-    """The dynamic controller (Algorithm 6.2)."""
-    backend, spec = _adapt(machine, fg, bg, kwargs)
-    return policy_dynamic(backend, spec, controller=controller)
-
-
-def run_policy(machine, fg, bg, policy, **kwargs):
-    """Dispatch by policy name ('shared' | 'fair' | 'biased' | 'dynamic')."""
-    if policy not in POLICY_NAMES:
+    row = _BY_NAME.get(policy)
+    if row is None:
         raise ValidationError(f"unknown policy {policy!r}")
-    backend, spec = _adapt(machine, fg, bg, kwargs)
-    return run_policy_on(backend, spec, policy)
+    if len(tenants.tenants) not in row.tenants:
+        raise ValidationError(
+            f"policy {policy!r} takes {row.tenants.start}.."
+            f"{row.tenants.stop - 1} tenants, got {len(tenants.tenants)}"
+        )
+    return row.rule(backend, tenants, sweep, controller)

@@ -71,6 +71,8 @@ def plan_containment(apps, llc_ways=12, containment_ways=CONTAINMENT_WAYS):
 
 def run_thrash_containment(machine, fg, bg, **kwargs):
     """Run a pair under the thrash-containment policy."""
+    from repro.backend import GroupSplit
+    from repro.backend.analytical import pair_measurement
     from repro.core.policies import PolicyOutcome
     from repro.runtime.harness import paper_pair_allocations
 
@@ -87,11 +89,10 @@ def run_thrash_containment(machine, fg, bg, **kwargs):
         bg_alloc.with_mask(bg_mask),
         **kwargs,
     )
+    split = GroupSplit(
+        (fg_mask.bits, bg_mask.bits), machine.config.llc_ways
+    )
     return PolicyOutcome(
         "thrash-containment",
-        fg.name,
-        bg.name,
-        fg_mask.count,
-        bg_mask.count,
-        pair,
+        pair_measurement((fg.name, bg.name), split, pair),
     )

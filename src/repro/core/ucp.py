@@ -120,7 +120,8 @@ def run_ucp(machine, fg, bg, threads=4, **kwargs):
     slowdown for overall throughput, which is exactly the contrast the
     paper draws with QoS-aware partitioning.
     """
-    from repro.core.policies import PolicyOutcome, _run_split
+    from repro.backend import AnalyticalBackend, GroupSplit
+    from repro.core.policies import PolicyOutcome
     from repro.runtime.harness import _threads_for
 
     cfg = machine.config
@@ -135,5 +136,8 @@ def run_ucp(machine, fg, bg, threads=4, **kwargs):
     division = partition_ucp(curves, num_ways=cfg.llc_ways)
     fg_ways = division.ways_by_app["fg"]
     bg_ways = division.ways_by_app["bg"]
-    pair = _run_split(machine, fg, bg, fg_ways, bg_ways, **kwargs)
-    return PolicyOutcome("ucp", fg.name, bg.name, fg_ways, bg_ways, pair)
+    measurement = AnalyticalBackend(machine).co_run(
+        AnalyticalBackend.group_spec([fg, bg], **kwargs),
+        GroupSplit.pair(fg_ways, bg_ways, cfg.llc_ways),
+    )
+    return PolicyOutcome("ucp", measurement)

@@ -7,16 +7,9 @@ policy code made, so there is nothing to be approximately equal about.
 
 import pytest
 
-from repro.backend import AnalyticalBackend, PairSpec, WaySplit
-from repro.core.policies import (
-    choose_biased_split,
-    policy_dynamic,
-    policy_fair,
-    policy_shared,
-    run_biased,
-    run_fair,
-    run_shared,
-)
+from repro.backend import AnalyticalBackend, GroupSplit
+from repro.core.bandwidth_qos import QosContract, apply_qos
+from repro.core.policies import choose_biased_split, run_policy
 from repro.runtime.harness import paper_pair_allocations
 from repro.workloads import get_application
 
@@ -41,7 +34,15 @@ def backend(machine):
 
 @pytest.fixture(scope="module")
 def spec(fg, bg):
-    return AnalyticalBackend.pair_spec(fg, bg)
+    return AnalyticalBackend.group_spec([fg, bg])
+
+
+def _run_pair(machine, fg, bg, fg_ways, bg_ways):
+    """The pre-backend policy code's call: paper allocations + run_pair."""
+    fg_alloc, bg_alloc = paper_pair_allocations(
+        fg, bg, fg_ways, bg_ways, machine.config.llc_ways
+    )
+    return machine.run_pair(fg, bg, fg_alloc, bg_alloc)
 
 
 class TestCapabilities:
@@ -56,18 +57,15 @@ class TestCapabilities:
         assert caps.supports_energy
 
     def test_pair_spec_resolves_names(self):
-        spec = AnalyticalBackend.pair_spec("fop", "batik")
-        assert spec.fg_name == "fop"
-        assert spec.bg_name == "batik"
+        spec = AnalyticalBackend.group_spec(["fop", "batik"])
+        assert spec.names == ("fop", "batik")
+        assert [app.name for app in spec.tenants] == ["fop", "batik"]
 
 
 class TestCoRunEquality:
     def test_co_run_is_exactly_run_pair(self, backend, machine, spec, fg, bg):
-        m = backend.co_run(spec, WaySplit(9, 3))
-        fg_alloc, bg_alloc = paper_pair_allocations(
-            fg, bg, 9, 3, machine.config.llc_ways
-        )
-        pair = machine.run_pair(fg, bg, fg_alloc, bg_alloc)
+        m = backend.co_run(spec, GroupSplit.pair(9, 3, 12))
+        pair = _run_pair(machine, fg, bg, 9, 3)
         assert m.fg_cost == pair.fg.runtime_s
         assert m.bg_rate == pair.bg_rate_ips
         assert m.raw.fg.runtime_s == pair.fg.runtime_s
@@ -83,26 +81,30 @@ class TestCoRunEquality:
 
 
 class TestPolicyEquality:
-    """Backend-first and machine-first entry points agree to the bit."""
+    """Policies through the backend equal direct ``run_pair`` calls at
+    the split they chose, to the bit."""
 
     def test_shared(self, backend, machine, spec, fg, bg):
-        via_backend = policy_shared(backend, spec)
-        via_machine = run_shared(machine, fg, bg)
-        assert via_backend.fg_runtime_s == via_machine.fg_runtime_s
-        assert via_backend.bg_rate_ips == via_machine.bg_rate_ips
-        assert via_backend.fg_ways == via_machine.fg_ways == 12
+        outcome = run_policy(backend, spec, "shared")
+        pair = _run_pair(machine, fg, bg, 12, 12)
+        assert outcome.fg_runtime_s == pair.fg.runtime_s
+        assert outcome.bg_rate_ips == pair.bg_rate_ips
+        assert (outcome.fg_ways, outcome.bg_ways) == (12, 12)
 
     def test_fair(self, backend, machine, spec, fg, bg):
-        via_backend = policy_fair(backend, spec)
-        via_machine = run_fair(machine, fg, bg)
-        assert via_backend.fg_runtime_s == via_machine.fg_runtime_s
-        assert via_backend.fg_ways == via_machine.fg_ways == 6
+        outcome = run_policy(backend, spec, "fair")
+        pair = _run_pair(machine, fg, bg, 6, 6)
+        assert outcome.fg_runtime_s == pair.fg.runtime_s
+        assert (outcome.fg_ways, outcome.bg_ways) == (6, 6)
 
     def test_biased(self, backend, machine, spec, fg, bg):
-        via_machine = run_biased(machine, fg, bg)
+        outcome = run_policy(backend, spec, "biased")
         pick = choose_biased_split(backend.sweep(spec))
-        assert pick[0] == via_machine.fg_ways
-        assert pick[1].fg_cost == via_machine.fg_runtime_s
+        assert pick[0] == outcome.fg_ways
+        assert pick[1].fg_cost == outcome.fg_runtime_s
+        pair = _run_pair(machine, fg, bg, pick[0], 12 - pick[0])
+        assert outcome.fg_runtime_s == pair.fg.runtime_s
+        assert outcome.bg_rate_ips == pair.bg_rate_ips
 
     def test_sweep_entries_are_measured_co_runs(self, backend, spec):
         sweep = backend.sweep(spec)
@@ -119,15 +121,89 @@ class TestPolicyEquality:
 
 class TestDynamic:
     def test_controller_trail_rides_on_the_measurement(self, backend, spec):
-        outcome = policy_dynamic(backend, spec)
+        outcome = run_policy(backend, spec, "dynamic")
         assert outcome.policy == "dynamic"
         extra = outcome.measurement.extra
-        assert extra["controller"].fg_name == spec.fg_name
+        assert extra["controller"].fg_name == spec.names[0]
         assert extra["actions"] == extra["controller"].actions
         assert outcome.fg_ways == extra["controller"].fg_ways
         assert outcome.fg_ways + outcome.bg_ways == 12
 
     def test_self_pair_background_is_aliased(self, backend):
         fop = get_application("fop")
-        outcome = policy_dynamic(backend, PairSpec(fg=fop, bg=fop))
+        outcome = run_policy(
+            backend, AnalyticalBackend.group_spec([fop, fop]), "dynamic"
+        )
         assert outcome.bg_name == "fop#2"
+
+
+class TestSelfPairNames:
+    """A self-pair's static outcome keeps the model name for the
+    background while the dynamic one carries the engine's alias; both
+    are what records have always held, so both are pinned."""
+
+    @pytest.fixture(scope="class")
+    def self_pair(self):
+        return AnalyticalBackend.group_spec(["fop", "fop"])
+
+    def test_tenant_set_aliases_the_background(self, self_pair):
+        assert self_pair.names == ("fop", "fop#2")
+
+    @pytest.mark.parametrize("policy", ["shared", "fair", "biased"])
+    def test_static_self_pair_records_the_model_name(
+        self, backend, self_pair, policy
+    ):
+        outcome = run_policy(backend, self_pair, policy)
+        assert (outcome.fg_name, outcome.bg_name) == ("fop", "fop")
+
+    def test_dynamic_self_pair_records_the_alias(self, backend, self_pair):
+        outcome = run_policy(backend, self_pair, "dynamic")
+        assert (outcome.fg_name, outcome.bg_name) == ("fop", "fop#2")
+
+
+class TestGridUnderBandwidthQos:
+    """The grid solver models the config's plain DRAM and ring domains,
+    so a machine with a QoS domain installed walks the scalar engine."""
+
+    VICTIM = "462.libquantum"
+    HOG = "stream_uncached"
+
+    def test_grid_equals_scalar_under_qos(self):
+        from repro.sim.engine import Machine
+
+        backend = AnalyticalBackend(Machine())
+        pair = AnalyticalBackend.group_spec([self.VICTIM, self.HOG])
+        split = GroupSplit.fair(2, 12)
+        plain = backend.co_run_grid([(pair, split)])[0]
+        restore = apply_qos(
+            backend.machine, [QosContract(self.VICTIM, 0.35, True)]
+        )
+        try:
+            scalar = backend.co_run(pair, split)
+            (grid,) = backend.co_run_grid([(pair, split)])
+            sweep = dict(backend.sweep(pair))
+        finally:
+            restore()
+        assert grid.fg_cost == scalar.fg_cost
+        assert grid.bg_rate == scalar.bg_rate
+        assert sweep[6].fg_cost == scalar.fg_cost
+        assert scalar.fg_cost < plain.fg_cost  # the reservation helps
+        # Restored: the grid applies again and reproduces the plain run.
+        assert backend.co_run_grid([(pair, split)])[0].fg_cost == plain.fg_cost
+
+    def test_operating_points_need_the_grid(self):
+        from repro.sim.engine import Machine
+        from repro.util.errors import ValidationError
+
+        backend = AnalyticalBackend(Machine())
+        pair = AnalyticalBackend.group_spec([self.VICTIM, self.HOG])
+        restore = apply_qos(
+            backend.machine, [QosContract(self.VICTIM, 0.35, True)]
+        )
+        try:
+            with pytest.raises(ValidationError):
+                backend.co_run_grid(
+                    [(pair, GroupSplit.fair(2, 12), backend.machine.config)]
+                )
+        finally:
+            restore()

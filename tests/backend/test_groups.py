@@ -1,8 +1,7 @@
-"""The N-tenant group protocol: splits, tenant sets, pair lockstep.
+"""The tenant-set protocol: splits, tenant sets, pair lockstep.
 
-The group plane must be a strict generalization — every pair entry
-point keeps producing bit-identical results (2-tenant groups delegate
-to the exact seed ``co_run``/``dynamic`` calls), and N-tenant group
+A pair is the 2-tenant set: a campaign's pair cell and its 2-tenant
+``tenants`` cell must record the same numbers, and N-tenant group
 replay must agree exactly with the sequential per-tenant reference.
 """
 
@@ -12,7 +11,6 @@ import pytest
 
 from repro.analysis.experiments import (
     trace_group_spec,
-    trace_pair_spec,
     verify_trace_group_replay,
 )
 from repro.backend import (
@@ -20,11 +18,11 @@ from repro.backend import (
     GroupSplit,
     TenantSet,
     TraceBackend,
-    WaySplit,
 )
 from repro.backend.protocol import MAX_TENANTS, WayUtility
+from repro.campaign import manifest_from_dict, run_campaign
 from repro.core.clustering import cluster_tenants
-from repro.core.policies import run_group_policy, run_policy_on
+from repro.core.policies import run_policy
 from repro.sim.trace_engine import _run_roster_sequential, run_packed_roster
 from repro.util.errors import ValidationError
 
@@ -52,13 +50,6 @@ def _module_pack_cache(tmp_path_factory):
 
 def _trace_backend():
     return TraceBackend(total_accesses=ACCESSES)
-
-
-def _pair_spec():
-    return trace_pair_spec(
-        "zipf", "stream", accesses=ACCESSES,
-        footprint_mb=1.0, bg_footprint_mb=2.0,
-    )
 
 
 def _group(kinds=("zipf", "stream", "chase")):
@@ -98,18 +89,23 @@ class TestGroupSplit:
             GroupSplit.from_way_counts([12, 0], 12)
 
     def test_pair_round_trip_for_every_pair_realization(self):
-        # Every split a pair policy can produce survives
-        # from_pair -> pair_view unchanged.
-        pair_splits = [WaySplit.shared(12), WaySplit.fair(12)] + [
-            WaySplit.disjoint(fg, 12) for fg in range(1, 12)
+        # Every split a pair policy can produce is recognized as the
+        # pair shape it was built from.
+        pair_splits = [GroupSplit.shared(2, 12), GroupSplit.fair(2, 12)] + [
+            GroupSplit.disjoint(fg, 12) for fg in range(1, 12)
         ]
         for split in pair_splits:
-            assert GroupSplit.from_pair(split, 12).pair_view() == split
+            fg_ways, bg_ways = split.pair_ways()
+            assert GroupSplit.pair(fg_ways, bg_ways, 12) == split
+            assert split.mask_bits[0] == (1 << fg_ways) - 1
+            assert split.mask_bits[1] >> (12 - bg_ways) == (1 << bg_ways) - 1
 
-    def test_non_pair_shapes_have_no_pair_view(self):
-        assert GroupSplit.shared(3, 12).pair_view() is None
+    def test_non_pair_shapes_have_no_pair_ways(self):
+        assert GroupSplit.shared(3, 12).pair_ways() is None
         # fg mask not bottom-contiguous.
-        assert GroupSplit((0x00C, 0xC00), 12).pair_view() is None
+        assert GroupSplit((0x00C, 0xC00), 12).pair_ways() is None
+        # bg mask not top-contiguous.
+        assert GroupSplit((0x007, 0x0F0), 12).pair_ways() is None
 
     def test_mask_validation(self):
         with pytest.raises(ValidationError, match="empty way mask"):
@@ -141,15 +137,6 @@ class TestTenantSet:
         with pytest.raises(ValidationError, match="unique"):
             TenantSet(tenants=[a, b], names=("same", "same"))
 
-    def test_from_pair_keeps_the_original_spec(self):
-        spec = _pair_spec()
-        group = TenantSet.from_pair(spec)
-        assert group.pair_spec() is spec
-        assert group.names == (spec.fg_name, spec.bg_name)
-
-    def test_big_groups_have_no_pair_view(self):
-        with pytest.raises(ValidationError, match="no pair view"):
-            _group().pair_spec()
 
 
 class TestWayUtility:
@@ -173,64 +160,78 @@ class TestWayUtility:
 
 
 class TestDefaultHooks:
-    """A pairs-only backend still serves pair-shaped groups."""
-
-    def test_pair_shaped_group_delegates_to_co_run(self):
-        backend = _FakeBackend()
-        group = TenantSet.from_pair(_fake_spec())
-        split = GroupSplit.from_pair(WaySplit(3, 1), 4)
-        m = backend.co_run_group(group, split)
-        # The delegation issued the exact seed co_run call.
-        assert backend.co_runs == [WaySplit(3, 1)]
-        assert m.pair is not None
-        assert m.fg_cost == m.pair.fg_cost
-        assert m.bg_rate == m.pair.bg_rate
-        assert (m.fg_ways, m.bg_ways) == (3, 1)
-
-    def test_non_pair_shapes_are_rejected(self):
-        backend = _FakeBackend()
-        group = TenantSet.from_pair(_fake_spec())
-        with pytest.raises(ValidationError, match="pair-shaped"):
-            backend.co_run_group(group, GroupSplit((0x3, 0x3), 4))
-
     def test_way_utility_default_is_rejected(self):
         with pytest.raises(ValidationError, match="way-utility"):
-            _FakeBackend().way_utility(TenantSet.from_pair(_fake_spec()))
+            _FakeBackend().way_utility(_fake_spec())
+
+
+_LOCKSTEP_POLICIES = ("shared", "fair", "biased", "dynamic")
+
+
+def _records_by_shape(store, manifest):
+    """``{(policy, "pair" | "group"): record}`` of one campaign run."""
+    result = run_campaign(manifest, str(store))
+    return {
+        (r.policy, "group" if r.tenants else "pair"): r
+        for r in result.records.values()
+    }
 
 
 class TestPairLockstep:
-    """run_group_policy on a pair == run_policy_on, bit for bit."""
+    """A pair cell and its 2-tenant ``tenants`` cell record the same
+    numbers: the pair is the 2-tenant case of the group, not a twin
+    of it."""
 
-    @pytest.mark.parametrize("policy", ["shared", "fair", "biased"])
-    def test_trace_pairs_are_bit_identical(self, policy):
-        backend = _trace_backend()
-        reference = run_policy_on(backend, _pair_spec(), policy)
-        group = run_group_policy(
-            _trace_backend(), TenantSet.from_pair(_pair_spec()), policy
+    @pytest.fixture(scope="class")
+    def trace_records(self, tmp_path_factory):
+        manifest = manifest_from_dict({
+            "name": "pair-lockstep",
+            "backends": ["trace"],
+            "policies": list(_LOCKSTEP_POLICIES),
+            "pairs": [["zipf", "stream"]],
+            "tenants": [["zipf", "stream"]],
+            # Big enough that shared, fair and biased measure
+            # different foreground costs.
+            "geometries": [{"accesses": 20_000}],
+            "controllers": [{"epoch_accesses": 2_000}],
+        })
+        return _records_by_shape(
+            tmp_path_factory.mktemp("pair-lockstep"), manifest
         )
-        assert group.fg_cost == reference.fg_cost
-        assert group.bg_rate == reference.bg_rate
-        assert (group.fg_ways, group.bg_ways) == (
-            reference.fg_ways, reference.bg_ways
-        )
-        pair_outcome = group.pair_outcome()
-        assert pair_outcome.policy == reference.policy
-        assert pair_outcome.measurement.fg_cost == (
-            reference.measurement.fg_cost
-        )
-        assert pair_outcome.measurement.bg_rate == (
-            reference.measurement.bg_rate
-        )
+
+    @pytest.mark.parametrize("policy", _LOCKSTEP_POLICIES)
+    def test_trace_pairs_are_bit_identical(self, trace_records, policy):
+        pair = trace_records[(policy, "pair")]
+        group = trace_records[(policy, "group")]
+        assert group.tenants == ("zipf", "stream")
+        assert (pair.fg, pair.bg) == (group.fg, group.bg)
+        for metric in ("fg_cost", "bg_rate", "fg_ways", "bg_ways"):
+            assert pair.metrics[metric] == group.metrics[metric], metric
+        assert (pair.fg_ways, pair.bg_ways) == (group.fg_ways, group.bg_ways)
 
     @pytest.mark.parametrize("policy", ["shared", "fair"])
-    def test_analytical_pairs_are_bit_identical(self, machine, policy):
-        backend = AnalyticalBackend(machine)
-        spec = AnalyticalBackend.pair_spec("fop", "batik")
-        reference = run_policy_on(backend, spec, policy)
-        group = run_group_policy(backend, TenantSet.from_pair(spec), policy)
-        assert group.fg_cost == reference.fg_cost
-        assert group.bg_rate == reference.bg_rate
-        assert group.pair_outcome().measurement == reference.measurement
+    def test_analytical_pairs_are_bit_identical(
+        self, tmp_path, machine, policy
+    ):
+        # Analytical campaigns take no tenants axis: the grid shard's
+        # pair record equals the policy run on the same 2-tenant set.
+        manifest = manifest_from_dict({
+            "name": "pair-lockstep-analytical",
+            "backends": ["analytical"],
+            "policies": [policy],
+            "pairs": [["fop", "batik"]],
+        })
+        (record,) = run_campaign(manifest, str(tmp_path)).records.values()
+        outcome = run_policy(
+            AnalyticalBackend(machine),
+            AnalyticalBackend.group_spec(["fop", "batik"]),
+            policy,
+        )
+        assert record.metrics["fg_cost"] == outcome.fg_cost
+        assert record.metrics["bg_rate"] == outcome.bg_rate
+        assert (record.fg_ways, record.bg_ways) == (
+            outcome.fg_ways, outcome.bg_ways
+        )
 
 
 class TestGroupReference:
@@ -239,14 +240,14 @@ class TestGroupReference:
     @pytest.mark.parametrize("policy", ["shared", "fair", "cluster"])
     def test_static_group_policies_verify_exactly(self, policy):
         backend = _trace_backend()
-        outcome = run_group_policy(backend, _group(), policy)
+        outcome = run_policy(backend, _group(), policy)
         assert len(outcome.names) == 3
         assert verify_trace_group_replay(backend, _group(), outcome) == 6
 
     def test_four_tenant_cluster_verifies_exactly(self):
         backend = _trace_backend()
         group = _group(("zipf", "stream", "chase", "stream"))
-        outcome = run_group_policy(backend, group, "cluster")
+        outcome = run_policy(backend, group, "cluster")
         assert outcome.plan is not None
         assert sum(
             ways for _, _, ways in outcome.plan.clusters
@@ -254,7 +255,7 @@ class TestGroupReference:
         assert verify_trace_group_replay(backend, group, outcome) == 8
 
     def test_group_fair_masks_are_disjoint_and_cover(self):
-        outcome = run_group_policy(_trace_backend(), _group(), "fair")
+        outcome = run_policy(_trace_backend(), _group(), "fair")
         combined = 0
         for bits in outcome.split.mask_bits:
             assert combined & bits == 0
@@ -265,7 +266,7 @@ class TestGroupReference:
         backend = AnalyticalBackend(machine)
         group = AnalyticalBackend.group_spec(["fop", "batik", "dedup"])
         for policy in ("shared", "fair", "cluster"):
-            outcome = run_group_policy(backend, group, policy)
+            outcome = run_policy(backend, group, policy)
             assert outcome.backend == "analytical"
             assert len(outcome.measurement.costs) == 3
             assert outcome.fg_cost > 0
@@ -304,7 +305,7 @@ class TestClusterRoster:
 
         def roster():
             return [
-                backend.group_roster_cell(group, split)
+                backend.roster_cell(group.tenants, split)
                 for group, split in groups
             ]
 

@@ -1,4 +1,4 @@
-"""The backend protocol: splits, default hooks, and the biased rule."""
+"""The backend protocol: pair splits, default hooks, and the biased rule."""
 
 import itertools
 
@@ -8,41 +8,53 @@ from repro.backend import (
     BACKEND_NAMES,
     AnalyticalBackend,
     BackendCapabilities,
-    CoRunMeasurement,
-    PairSpec,
+    GroupMeasurement,
+    GroupSplit,
     SimBackend,
+    TenantSet,
     TraceBackend,
-    WaySplit,
     get_backend,
 )
-from repro.core.policies import choose_biased_split, policy_biased, run_policy_on
+from repro.core.policies import choose_biased_split, policy_biased, run_policy
 from repro.util.errors import ValidationError
 
 
-class TestWaySplit:
+def _overlaps(split):
+    fg_bits, bg_bits = split.mask_bits
+    return bool(fg_bits & bg_bits)
+
+
+class TestPairSplits:
+    """The 2-tenant shapes: the foreground's ways from way 0 up, the
+    background's from the top down."""
+
     def test_shared_overlaps_the_whole_cache(self):
-        split = WaySplit.shared(12)
-        assert (split.fg_ways, split.bg_ways) == (12, 12)
-        assert split.overlaps(12)
+        split = GroupSplit.shared(2, 12)
+        assert split.way_counts == (12, 12)
+        assert split.pair_ways() == (12, 12)
+        assert _overlaps(split)
 
     def test_fair_is_an_even_disjoint_split(self):
-        split = WaySplit.fair(12)
-        assert (split.fg_ways, split.bg_ways) == (6, 6)
-        assert not split.overlaps(12)
+        split = GroupSplit.fair(2, 12)
+        assert split.mask_bits == (0x03F, 0xFC0)
+        assert not _overlaps(split)
 
     def test_fair_gives_odd_leftover_to_the_background(self):
-        assert WaySplit.fair(11) == WaySplit(5, 6)
+        assert GroupSplit.fair(2, 11) == GroupSplit.pair(5, 6, 11)
+        assert GroupSplit.fair(2, 11).mask_bits == (0x01F, 0x7E0)
 
     def test_disjoint_partitions_exactly(self):
-        split = WaySplit.disjoint(3, 12)
-        assert (split.fg_ways, split.bg_ways) == (3, 9)
-        assert not split.overlaps(12)
+        split = GroupSplit.disjoint(3, 12)
+        assert split.mask_bits == (0x007, 0xFF8)
+        assert not _overlaps(split)
 
     def test_every_application_needs_a_way(self):
         with pytest.raises(ValidationError):
-            WaySplit(0, 12)
+            GroupSplit.pair(0, 12, 12)
         with pytest.raises(ValidationError):
-            WaySplit(5, 0)
+            GroupSplit.pair(5, 0, 12)
+        with pytest.raises(ValidationError):
+            GroupSplit.disjoint(12, 12)
 
 
 class _FakeBackend(SimBackend):
@@ -56,16 +68,15 @@ class _FakeBackend(SimBackend):
             name="fake", llc_ways=4, fg_cost_unit="u", bg_rate_unit="v"
         )
 
-    def co_run(self, spec, split):
+    def co_run(self, tenants, split):
         self.co_runs.append(split)
-        return CoRunMeasurement(
+        fg_ways, bg_ways = split.way_counts
+        return GroupMeasurement(
             backend="fake",
-            fg_name=spec.fg_name,
-            bg_name=spec.bg_name,
-            fg_ways=split.fg_ways,
-            bg_ways=split.bg_ways,
-            fg_cost=10.0 - split.fg_ways,
-            bg_rate=float(split.bg_ways),
+            names=tenants.names,
+            split=split,
+            costs=(10.0 - fg_ways, None),
+            rates=(None, float(bg_ways)),
             raw=object(),
         )
 
@@ -76,7 +87,7 @@ class _Named:
 
 
 def _fake_spec():
-    return PairSpec(fg=_Named("fg"), bg=_Named("bg"))
+    return TenantSet(tenants=[_Named("fg"), _Named("bg")])
 
 
 class TestDefaultHooks:
@@ -84,7 +95,11 @@ class TestDefaultHooks:
         backend = _FakeBackend()
         sweep = backend.sweep(_fake_spec())
         assert [w for w, _ in sweep] == [1, 2, 3]
-        assert backend.co_runs == [WaySplit(1, 3), WaySplit(2, 2), WaySplit(3, 1)]
+        assert backend.co_runs == [
+            GroupSplit.pair(1, 3, 4),
+            GroupSplit.pair(2, 2, 4),
+            GroupSplit.pair(3, 1, 4),
+        ]
         assert all(m.raw is not None for _, m in sweep)
 
     def test_default_dynamic_is_rejected(self):
@@ -94,21 +109,19 @@ class TestDefaultHooks:
     def test_policies_run_on_any_backend(self):
         backend = _FakeBackend()
         for policy, ways in (("shared", 4), ("fair", 2), ("biased", 3)):
-            outcome = run_policy_on(backend, _fake_spec(), policy)
+            outcome = run_policy(backend, _fake_spec(), policy)
             assert outcome.policy == policy
             assert outcome.fg_ways == ways
             assert outcome.backend == "fake"
 
 
 def _measurement(fg_ways, fg_cost, bg_rate, llc_ways=12):
-    return CoRunMeasurement(
+    return GroupMeasurement(
         backend="fake",
-        fg_name="fg",
-        bg_name="bg",
-        fg_ways=fg_ways,
-        bg_ways=llc_ways - fg_ways,
-        fg_cost=fg_cost,
-        bg_rate=bg_rate,
+        names=("fg", "bg"),
+        split=GroupSplit.disjoint(fg_ways, llc_ways),
+        costs=(fg_cost, None),
+        rates=(None, bg_rate),
     )
 
 

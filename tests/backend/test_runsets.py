@@ -1,11 +1,12 @@
 """Run records across backends: one schema, comparable where meaningful."""
 
+import dataclasses
 import os
 
 import pytest
 
 from repro.analysis.compare import diff_runsets
-from repro.analysis.experiments import trace_pair_spec
+from repro.analysis.experiments import trace_group_spec
 from repro.analysis.store import (
     RunRecord,
     RunSet,
@@ -14,8 +15,14 @@ from repro.analysis.store import (
     runset_from_outcomes,
     save_runset,
 )
-from repro.backend import AnalyticalBackend, CoRunMeasurement, TraceBackend
-from repro.core.policies import PolicyOutcome, run_policy_on
+from repro.backend import (
+    AnalyticalBackend,
+    GroupMeasurement,
+    GroupSplit,
+    TenantSet,
+    TraceBackend,
+)
+from repro.core.policies import PolicyOutcome, run_policy
 
 ACCESSES = 12_000
 
@@ -39,9 +46,9 @@ def _module_pack_cache(tmp_path_factory):
 @pytest.fixture(scope="module")
 def analytical_set(machine):
     backend = AnalyticalBackend(machine)
-    spec = AnalyticalBackend.pair_spec("fop", "batik")
+    spec = AnalyticalBackend.group_spec(["fop", "batik"])
     outcomes = [
-        run_policy_on(backend, spec, policy) for policy in ("shared", "fair")
+        run_policy(backend, spec, policy) for policy in ("shared", "fair")
     ]
     return runset_from_outcomes(outcomes, capabilities=backend.capabilities())
 
@@ -51,13 +58,16 @@ def trace_set():
     backend = TraceBackend(total_accesses=ACCESSES)
     # Same (policy, fg, bg) keys as the analytical set, so the two run
     # sets pair up record-for-record in a diff.
-    spec = trace_pair_spec(
-        "zipf", "stream", accesses=ACCESSES,
+    traces = trace_group_spec(
+        ["zipf", "stream"], accesses=ACCESSES,
         footprint_mb=1.0, bg_footprint_mb=2.0,
-        fg_name="fop", bg_name="batik",
     )
+    spec = TenantSet(tenants=[
+        dataclasses.replace(workload, name=name)
+        for workload, name in zip(traces.tenants, ("fop", "batik"))
+    ])
     outcomes = [
-        run_policy_on(backend, spec, policy) for policy in ("shared", "fair")
+        run_policy(backend, spec, policy) for policy in ("shared", "fair")
     ]
     return runset_from_outcomes(outcomes, capabilities=backend.capabilities())
 
@@ -80,23 +90,20 @@ class TestRunsetShape:
         }
 
     def test_dynamic_provenance_counts_controller_actions(self):
-        m = CoRunMeasurement(
-            backend="trace", fg_name="fg", bg_name="bg",
-            fg_ways=9, bg_ways=3, fg_cost=1.5, bg_rate=40.0,
-            raw=object(), extra={"actions": [1, 2, 3]},
+        m = GroupMeasurement(
+            backend="trace", names=("fg", "bg"),
+            split=GroupSplit.disjoint(9, 12), costs=(1.5, 2.0),
+            rates=(10.0, 40.0), raw=object(), extra={"actions": [1, 2, 3]},
         )
-        outcome = PolicyOutcome(
-            policy="dynamic", fg_name="fg", bg_name="bg",
-            fg_ways=9, bg_ways=3, pair=m.raw, measurement=m, backend="trace",
-        )
+        outcome = PolicyOutcome(policy="dynamic", measurement=m)
         record = record_from_outcome(outcome)
         assert record.provenance["dynamic_actions"] == 3
         assert record.metrics["fg_cost"] == 1.5
 
     def test_sweep_provenance_counts_points(self, machine):
         backend = AnalyticalBackend(machine)
-        spec = AnalyticalBackend.pair_spec("fop", "batik")
-        outcome = run_policy_on(backend, spec, "biased")
+        spec = AnalyticalBackend.group_spec(["fop", "batik"])
+        outcome = run_policy(backend, spec, "biased")
         record = record_from_outcome(outcome)
         assert record.provenance["sweep_points"] == 11
 

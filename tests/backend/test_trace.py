@@ -8,14 +8,9 @@ import os
 
 import pytest
 
-from repro.analysis.experiments import trace_pair_spec, verify_trace_policy_replay
-from repro.backend import TraceBackend, WaySplit
-from repro.core.policies import (
-    choose_biased_split,
-    policy_biased,
-    policy_dynamic,
-    run_policy_on,
-)
+from repro.analysis.experiments import trace_group_spec, verify_trace_policy_replay
+from repro.backend import GroupSplit, TraceBackend
+from repro.core.policies import choose_biased_split, policy_biased, run_policy
 from repro.cache.llc import WayMask
 from repro.perf import engine_counters as ec
 from repro.sim.trace_engine import TraceEngine
@@ -60,8 +55,8 @@ def backend():
 
 @pytest.fixture(scope="module")
 def spec():
-    return trace_pair_spec(
-        "zipf", "stream", accesses=ACCESSES,
+    return trace_group_spec(
+        ["zipf", "stream"], accesses=ACCESSES,
         footprint_mb=1.0, bg_footprint_mb=2.0, seed=3,
     )
 
@@ -84,22 +79,22 @@ class TestCapabilities:
 
 class TestCoRun:
     def test_replay_is_deterministic(self, backend, spec):
-        first = backend.co_run(spec, WaySplit(9, 3))
-        again = backend.co_run(spec, WaySplit(9, 3))
+        first = backend.co_run(spec, GroupSplit.pair(9, 3, 12))
+        again = backend.co_run(spec, GroupSplit.pair(9, 3, 12))
         assert first.fg_cost == again.fg_cost
         assert first.bg_rate == again.bg_rate
 
     def test_raw_carries_per_domain_stats(self, backend, spec):
-        m = backend.co_run(spec, WaySplit.fair(12))
-        assert set(m.raw) == {spec.fg_name, spec.bg_name}
-        assert m.fg_cost == m.raw[spec.fg_name].avg_latency
+        m = backend.co_run(spec, GroupSplit.fair(2, 12))
+        assert set(m.raw) == {spec.names[0], spec.names[1]}
+        assert m.fg_cost == m.raw[spec.names[0]].avg_latency
 
     def test_policies_agree_with_direct_mask_replay(self, backend, spec):
         # shared and fair, re-run with hand-built way masks: exact match.
         assert verify_trace_policy_replay(backend, spec) == 4
 
     @pytest.mark.parametrize("split", [
-        WaySplit.shared(12), WaySplit.fair(12), WaySplit.disjoint(4, 12),
+        GroupSplit.shared(2, 12), GroupSplit.fair(2, 12), GroupSplit.disjoint(4, 12),
     ], ids=["shared", "fair", "disjoint"])
     def test_co_run_is_one_batch_call_equal_to_run_packed(
         self, backend, spec, split
@@ -107,20 +102,21 @@ class TestCoRun:
         measured = _one_batch_call(lambda: backend.co_run(spec, split))
         engine = TraceEngine(prefetchers_on=False)
         h = engine.hierarchy
-        h.set_way_mask(spec.fg.tid // 2, WayMask.contiguous(split.fg_ways, 0))
+        fg_ways, bg_ways = split.way_counts
+        h.set_way_mask(spec.tenants[0].tid // 2, WayMask.contiguous(fg_ways, 0))
         h.set_way_mask(
-            spec.bg.tid // 2,
-            WayMask.contiguous(split.bg_ways, 12 - split.bg_ways),
+            spec.tenants[1].tid // 2,
+            WayMask.contiguous(bg_ways, 12 - bg_ways),
         )
         assert measured.raw == engine.run_packed(
-            [spec.fg, spec.bg], total_accesses=ACCESSES
+            spec.tenants, total_accesses=ACCESSES
         )
 
     def test_solo_is_one_batch_call_equal_to_run_packed(self, backend, spec):
-        measured = _one_batch_call(lambda: backend.solo(spec.fg))
+        measured = _one_batch_call(lambda: backend.solo(spec.tenants[0]))
         engine = TraceEngine(prefetchers_on=False)
         assert measured.raw == engine.run_packed(
-            [spec.fg], total_accesses=ACCESSES
+            spec.tenants[:1], total_accesses=ACCESSES
         )
 
 
@@ -129,10 +125,10 @@ class TestProfiledSweep:
         from repro.sim.trace_engine import way_allocation_sweep
 
         _, curves = way_allocation_sweep(
-            [spec.fg, spec.bg], total_accesses=ACCESSES
+            spec.tenants, total_accesses=ACCESSES
         )
-        fg_curve = curves[spec.fg.tid // 2]
-        bg_curve = curves[spec.bg.tid // 2]
+        fg_curve = curves[spec.tenants[0].tid // 2]
+        bg_curve = curves[spec.tenants[1].tid // 2]
         sweep = backend.sweep(spec)
         assert [w for w, _ in sweep] == list(range(1, 12))
         for fg_ways, m in sweep:
@@ -158,7 +154,7 @@ class TestProfiledSweep:
         # real co-run at the chosen split, not a score.
         assert outcome.measurement.raw is not None
         direct = backend.co_run(
-            spec, WaySplit.disjoint(outcome.fg_ways, 12)
+            spec, GroupSplit.disjoint(outcome.fg_ways, 12)
         )
         assert outcome.fg_cost == direct.fg_cost
         assert outcome.bg_rate == direct.bg_rate
@@ -175,15 +171,15 @@ class TestDynamic:
         backend = TraceBackend(
             total_accesses=ACCESSES, epoch_accesses=4_000,
         )
-        outcome = policy_dynamic(backend, spec)
+        outcome = run_policy(backend, spec, "dynamic")
         assert outcome.policy == "dynamic"
         assert outcome.backend == "trace"
         assert outcome.fg_ways + outcome.bg_ways == 12
         extra = outcome.measurement.extra
         assert extra["epochs"] == ACCESSES // 4_000
-        assert extra["controller"].fg_name == spec.fg_name
-        assert set(outcome.pair) == {spec.fg_name, spec.bg_name}
+        assert extra["controller"].fg_name == spec.names[0]
+        assert set(outcome.pair) == {spec.names[0], spec.names[1]}
 
     def test_dispatch_by_name(self, backend, spec):
-        outcome = run_policy_on(backend, spec, "shared")
+        outcome = run_policy(backend, spec, "shared")
         assert outcome.fg_ways == outcome.bg_ways == 12

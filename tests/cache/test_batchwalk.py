@@ -681,10 +681,10 @@ class TestWarmTemplate:
 class TestMeasuredSweep:
     @pytest.fixture(scope="class")
     def spec(self):
-        from repro.analysis.experiments import trace_pair_spec
+        from repro.analysis.experiments import trace_group_spec
 
-        return trace_pair_spec(
-            "zipf", "stream", accesses=6_000,
+        return trace_group_spec(
+            ["zipf", "stream"], accesses=6_000,
             footprint_mb=0.5, bg_footprint_mb=1.0, seed=3,
         )
 
@@ -697,14 +697,14 @@ class TestMeasuredSweep:
         ).capabilities().sweep_is_measured
 
     def test_measured_sweep_equals_per_split_co_run(self, spec):
-        from repro.backend import TraceBackend, WaySplit
+        from repro.backend import GroupSplit, TraceBackend
 
         backend = TraceBackend(total_accesses=6_000, measured_sweep=True)
         sweep = backend.sweep(spec)
         assert [w for w, _ in sweep] == list(range(1, LLC_NUM_WAYS))
         for fg_ways, measured in sweep:
             direct = backend.co_run(
-                spec, WaySplit.disjoint(fg_ways, LLC_NUM_WAYS)
+                spec, GroupSplit.disjoint(fg_ways, LLC_NUM_WAYS)
             )
             assert measured.fg_cost == direct.fg_cost
             assert measured.bg_rate == direct.bg_rate

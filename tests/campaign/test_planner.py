@@ -5,10 +5,9 @@ import pytest
 from repro.campaign import expand_manifest, plan_shards
 from repro.campaign.planner import (
     TraceTable,
-    group_split_for,
     shard_kind_for,
     split_for,
-    trace_group_for,
+    tenants_for,
 )
 from repro.util.errors import ValidationError
 
@@ -64,9 +63,9 @@ class TestSplits:
                 pairs=[["zipf", "stream"]], geometries=[{}],
             )
         )
-        assert (shared.fg_ways, shared.bg_ways) == (12, 12)
-        assert (fair.fg_ways, fair.bg_ways) == (6, 6)
-        assert (static.fg_ways, static.bg_ways) == (3, 9)
+        assert shared.pair_ways() == (12, 12)
+        assert fair.pair_ways() == (6, 6)
+        assert static.pair_ways() == (3, 9)
 
     def test_roster_masks_match_backend_co_run(self):
         # The roster cell must apply the exact masks TraceBackend.co_run
@@ -79,12 +78,16 @@ class TestSplits:
         )[0]
         table = TraceTable()
         row = table.row(cell)
-        spec, split = table.meta(row)
-        assert split.fg_ways == 4
+        tenants, split = table.meta(row)
+        assert split.pair_ways() == (4, 8)
         (roster,) = table.roster([row]).cells()
-        assert roster.workloads == [spec.fg, spec.bg]
-        assert roster.masks[spec.fg.tid // 2] == WayMask.contiguous(4, 0, 12)
-        assert roster.masks[spec.bg.tid // 2] == WayMask.contiguous(8, 4, 12)
+        fg, bg = tenants.tenants
+        assert roster.workloads == [fg, bg]
+        assert roster.masks[fg.tid // 2] == WayMask.contiguous(4, 0, 12)
+        assert roster.masks[bg.tid // 2] == WayMask.contiguous(8, 4, 12)
+        assert roster.masks == table.backend.roster_cell(
+            tenants.tenants, split
+        ).masks
         assert roster.total_accesses == cell.geometry_dict["accesses"]
 
     def test_non_batchable_cell_has_no_roster(self):
@@ -166,29 +169,29 @@ class TestGroupBatchability:
 class TestGroupSplits:
     def test_group_split_shapes(self):
         shared, fair = (
-            group_split_for(c)
+            split_for(c)
             for c in group_cells_for(policies=["shared", "fair"], churn=[])
         )
         assert shared.mask_bits == (0xFFF, 0xFFF, 0xFFF)
         assert fair.way_counts == (4, 4, 4)
 
     def test_two_tenant_fair_follows_the_pair_convention(self):
-        # A 2-tenant fair roster cell must replay the exact WaySplit the
-        # pair path applies, remainder convention included.
-        from repro.backend import WaySplit
-
+        # A 2-tenant fair roster cell must replay the exact split a
+        # pair cell applies, remainder convention included.
         cell = group_cells_for(
             policies=["fair"], churn=[], tenants=[["zipf", "stream"]]
         )[0]
-        assert group_split_for(cell).pair_view() == WaySplit.fair(12)
+        pair_cell = cells_for(policies=["fair"], pairs=[["zipf", "stream"]])[0]
+        assert split_for(cell) == split_for(pair_cell)
+        assert split_for(cell).mask_bits == (0x03F, 0xFC0)
 
     def test_search_policies_have_no_precomputed_split(self):
         cell = group_cells_for(policies=["dynamic"], churn=[])[0]
-        assert group_split_for(cell) is None
+        assert split_for(cell) is None
 
     def test_trace_group_for_builds_the_roster(self):
         cell = group_cells_for(policies=["shared"], churn=[])[0]
-        group = trace_group_for(cell)
+        group = tenants_for(cell)
         assert group.names == ("zipf", "stream", "chase")
         # One trace core per tenant, distinct domains.
         tids = [t.tid for t in group.tenants]

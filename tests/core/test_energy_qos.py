@@ -10,7 +10,7 @@ end-to-end check of the per-cell operating-point plumbing.
 
 import pytest
 
-from repro.backend import AnalyticalBackend, TraceBackend, WaySplit
+from repro.backend import AnalyticalBackend, GroupSplit, TraceBackend
 from repro.core import EnergyQosSearch
 from repro.cpu.config import SandyBridgeConfig
 from repro.perf import engine_counters as ec
@@ -21,12 +21,13 @@ from repro.util.errors import ValidationError
 def exhaustive_reference(fg, bg, configs, fg_slack, bg_slack=None):
     """The scalar ground truth: one Machine per config, every split."""
     backend = AnalyticalBackend()
-    spec = AnalyticalBackend.pair_spec(fg, bg)
+    spec = AnalyticalBackend.group_spec([fg, bg])
+    fg_app, bg_app = spec.tenants
     llc_ways = backend.capabilities().llc_ways
-    fg_budget = backend.solo(spec.fg).cost * (1.0 + fg_slack)
+    fg_budget = backend.solo(fg_app).cost * (1.0 + fg_slack)
     bg_floor = None
     if bg_slack is not None:
-        shared = backend.co_run(spec, WaySplit.shared(llc_ways))
+        shared = backend.co_run(spec, GroupSplit.shared(2, llc_ways))
         bg_floor = shared.bg_rate * (1.0 - bg_slack)
 
     best = None
@@ -37,9 +38,9 @@ def exhaustive_reference(fg, bg, configs, fg_slack, bg_slack=None):
             from repro.runtime.harness import paper_pair_allocations
 
             fg_alloc, bg_alloc = paper_pair_allocations(
-                spec.fg, spec.bg, fg_ways, llc_ways - fg_ways, llc_ways
+                fg_app, bg_app, fg_ways, llc_ways - fg_ways, llc_ways
             )
-            pair = machine.run_pair(spec.fg, spec.bg, fg_alloc, bg_alloc)
+            pair = machine.run_pair(fg_app, bg_app, fg_alloc, bg_alloc)
             fg_cost = pair.fg.runtime_s
             bg_rate = pair.bg_rate_ips
             energy = pair.socket_energy_j

@@ -66,23 +66,23 @@ class TestPolicyRun:
         """The policy's raison d'etre: confining a streaming co-runner
         recovers most of what the biased search achieves, without any
         per-pair sweep."""
-        from repro.core.policies import run_biased, run_shared
+        from .._pairs import pair_policy
 
         fg = get_application("471.omnetpp")
         bg = get_application("462.libquantum")
-        shared = run_shared(machine, fg, bg)
+        shared = pair_policy(machine, fg, bg, "shared")
         contained = run_thrash_containment(machine, fg, bg)
-        biased = run_biased(machine, fg, bg)
+        biased = pair_policy(machine, fg, bg, "biased")
         assert contained.fg_runtime_s < shared.fg_runtime_s
         assert contained.fg_runtime_s <= biased.fg_runtime_s * 1.05
 
     def test_non_thrashing_pair_degenerates_to_sharing(self, machine):
-        from repro.core.policies import run_shared
+        from .._pairs import pair_policy
 
         fg = get_application("batik")
         bg = get_application("fop")
         contained = run_thrash_containment(machine, fg, bg)
-        shared = run_shared(machine, fg, bg)
+        shared = pair_policy(machine, fg, bg, "shared")
         assert contained.fg_ways == shared.fg_ways == 12
         assert contained.fg_runtime_s == pytest.approx(
             shared.fg_runtime_s, rel=1e-9

@@ -83,12 +83,12 @@ class TestRunUcp:
     def test_baseline_contrast_with_biased(self, machine):
         """UCP minimizes total misses; biased protects the foreground.
         The paper's point: miss-optimal is not responsiveness-optimal."""
-        from repro.core.policies import run_biased
+        from .._pairs import pair_policy
 
         fg = get_application("471.omnetpp")
         bg = get_application("canneal")
         ucp = run_ucp(machine, fg, bg)
-        biased = run_biased(machine, fg, bg)
+        biased = pair_policy(machine, fg, bg, "biased")
         assert ucp.policy == "ucp"
         assert 1 <= ucp.fg_ways <= 11
         # UCP gives the background more cache than the fg-protective split...

@@ -3,22 +3,24 @@
 import pytest
 
 from repro import (
+    AnalyticalBackend,
     CoScheduleHarness,
     DynamicPartitionController,
     Machine,
     ResctrlFilesystem,
     get_application,
-    run_biased,
-    run_shared,
+    run_policy,
 )
+
+from .._pairs import pair_policy
 
 
 class TestQuickstartFlow:
     def test_public_api_roundtrip(self, machine):
-        fg = get_application("471.omnetpp")
-        bg = get_application("ferret")
-        shared = run_shared(machine, fg, bg)
-        biased = run_biased(machine, fg, bg)
+        backend = AnalyticalBackend(machine)
+        pair = AnalyticalBackend.group_spec(["471.omnetpp", "ferret"])
+        shared = run_policy(backend, pair, "shared")
+        biased = run_policy(backend, pair, "biased")
         assert biased.fg_runtime_s <= shared.fg_runtime_s
         assert biased.pair.socket_energy_j > 0
 
@@ -96,8 +98,8 @@ class TestIsolationClaims:
         fg = get_application("462.libquantum")
         bg = get_application("stream_uncached")
         solo = machine.run_solo(fg, threads=1)
-        shared = run_shared(machine, fg, bg)
-        biased = run_biased(machine, fg, bg)
+        shared = pair_policy(machine, fg, bg, "shared")
+        biased = pair_policy(machine, fg, bg, "biased")
         shared_slowdown = shared.fg_runtime_s / solo.runtime_s
         biased_slowdown = biased.fg_runtime_s / solo.runtime_s
         assert shared_slowdown > 1.2
@@ -107,8 +109,8 @@ class TestIsolationClaims:
         fg = get_application("471.omnetpp")
         bg = get_application("canneal")
         solo = machine.run_solo(fg, threads=1)
-        shared = run_shared(machine, fg, bg)
-        biased = run_biased(machine, fg, bg)
+        shared = pair_policy(machine, fg, bg, "shared")
+        biased = pair_policy(machine, fg, bg, "biased")
         assert shared.fg_runtime_s / solo.runtime_s > 1.1
         assert biased.fg_runtime_s / solo.runtime_s < 1.05
 

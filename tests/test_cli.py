@@ -1,9 +1,13 @@
 """The command-line interface."""
 
 import io
+import os
+import subprocess
+import sys
 
 import pytest
 
+import repro
 from repro.cli import main
 
 
@@ -260,3 +264,25 @@ class TestFigure:
     def test_missing_command_rejected(self):
         with pytest.raises(SystemExit):
             run_cli()
+
+
+class TestClosedPipe:
+    def test_a_closed_stdout_exits_without_a_traceback(self):
+        """``repro ... | head -1``: the reader closes the pipe before the
+        output is written, and the command stops quietly."""
+        src = os.path.dirname(os.path.dirname(os.path.abspath(
+            repro.__file__
+        )))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p
+        )
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "list-apps"], env=env,
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        )
+        proc.stdout.close()  # the reader is gone before the first write
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait(timeout=120) == 1
+        assert err == ""

@@ -14,7 +14,7 @@ import pytest
 
 from repro.analysis.experiments import trace_group_spec
 from repro.backend import TraceBackend
-from repro.core.policies import run_group_policy
+from repro.core.policies import run_policy
 from repro.util.errors import ValidationError
 from repro.workloads.churn import (
     ChurnController,
@@ -174,8 +174,7 @@ def _replay(schedule_spec):
         group.names, ChurnSchedule.from_spec(schedule_spec),
         llc_ways=backend.capabilities().llc_ways,
     )
-    return run_group_policy(backend, group, "dynamic",
-                            controller=controller)
+    return run_policy(backend, group, "dynamic", controller=controller)
 
 
 def _timeline_payload(outcome):

@@ -44,7 +44,7 @@ class TestMakeApplication:
         assert app.has_phases()
 
     def test_custom_app_interoperates_with_policies(self, machine):
-        from repro.core import run_biased
+        from .._pairs import pair_policy
         from repro.workloads import get_application
 
         service = make_application(
@@ -54,7 +54,9 @@ class TestMakeApplication:
             parallelism=0.9,
             pattern="random",
         )
-        outcome = run_biased(machine, service, get_application("canneal"))
+        outcome = pair_policy(
+            machine, service, get_application("canneal"), "biased"
+        )
         assert 1 <= outcome.fg_ways <= 11
 
     def test_validation(self):
