@@ -542,20 +542,19 @@ def verify_trace_domains(factories, way_counts=None, workers=None):
     Each domain's single-pass profile is re-checked against per-mask
     brute-force re-simulation (:func:`repro.cache.profile.verify_profile`).
     The domains are independent, so they fan out through
-    :func:`repro.exec.parallel_map`; the workers get the persisted pack
-    directories via the pack-path initializer and memmap them instead of
-    regenerating or shipping the traces. Returns the per-domain row
-    lists, in input order; raises on any mismatch.
+    :func:`repro.exec.parallel_map`. Every pack is opened here, in the
+    parent, before the pool forks: the workers inherit the open packs
+    instead of regenerating or shipping the traces. Returns the
+    per-domain row lists, in input order; raises on any mismatch.
     """
-    from repro.exec import parallel_map, persisted_pack_paths
+    from repro.exec import parallel_map
     from repro.workloads.tracepack import get_pack
 
     factories = list(factories)
-    paths = persisted_pack_paths([get_pack(f()) for f in factories])
+    for f in factories:
+        get_pack(f())
     items = [(f, way_counts) for f in factories]
-    return parallel_map(
-        _verify_domain_cell, items, workers=workers, pack_paths=paths
-    )
+    return parallel_map(_verify_domain_cell, items, workers=workers)
 
 
 # -- Headline numbers (Sections 1 and 8) ---------------------------------------------

@@ -187,7 +187,8 @@ class TraceTable:
 
     Cells that share a pair (or tenant roster) and a geometry share its
     workloads; workloads whose traces compile to the same pack share
-    that pack, fetched once by content; cells under one policy share its
+    that pack, since :func:`~repro.workloads.tracepack.get_pack` returns
+    one object per pack per process; cells under one policy share its
     split and masks. A fixed-split cell thus reduces to one row of
     workload and mask indices, and a shard of them to one
     :class:`~repro.sim.trace_engine.Roster` over this table
@@ -203,7 +204,6 @@ class TraceTable:
         self.workloads = []
         self.packs = []
         self.masks = []
-        self._resolved = {}  # distinct trace -> pack (resolve_pack)
         self._mask_index = {}  # (bits, num_ways) -> index into masks
         self._split_masks = {}  # split -> mask indices, in tenant order
         self._specs = {}  # (tenants, fg, bg, geometry) -> (tenants, members)
@@ -224,15 +224,8 @@ class TraceTable:
         return backend
 
     def _add_workload(self, workload):
-        from repro.workloads.trace import _TraceBase
-        from repro.workloads.tracepack import resolve_pack
-
-        trace = workload.trace_factory()
-        pack = None
-        if isinstance(trace, _TraceBase):
-            pack = resolve_pack(trace, self._resolved)
         self.workloads.append(workload)
-        self.packs.append(pack)
+        self.packs.append(workload.pack())
         return len(self.workloads) - 1
 
     def spec(self, cell):
@@ -327,12 +320,6 @@ class TraceTable:
             ),
             packs=self.packs,
         )
-
-    def pack_paths(self):
-        """The persisted directories of every pack, for pool workers."""
-        from repro.exec import persisted_pack_paths
-
-        return persisted_pack_paths(list(self._resolved.values()))
 
 
 @dataclass

@@ -270,14 +270,11 @@ def _execute_dynamic_shard(shard, table, threads, workers):
 
 
 def _execute_fallback_shard(shard, table, threads, workers):
-    """``run_campaign_cell`` per cell over the exec pool; workers open
-    the table's persisted packs instead of regenerating traces."""
+    """``run_campaign_cell`` per cell over the exec pool; fork workers
+    inherit the packs the table opened instead of regenerating traces."""
     from repro.exec import parallel_map
 
-    return parallel_map(
-        run_campaign_cell, shard, workers=workers,
-        pack_paths=table.pack_paths(),
-    )
+    return parallel_map(run_campaign_cell, shard, workers=workers)
 
 
 # Every kind of repro.campaign.planner.SHARD_KINDS and its executor:
@@ -297,12 +294,13 @@ def _materialize_packs(cells):
     """Resolve every trace workload and pack the campaign will replay,
     ONCE; returns the run's :class:`TraceTable`.
 
-    Packs are content-addressed on disk, so this is the single point
-    where trace compilation happens: each distinct trace is fetched
-    with one ``get_pack`` call, roster, sweep and cluster shards replay
-    the table's packs, and fallback workers memmap the persisted
-    directories shipped via :meth:`TraceTable.pack_paths` — no worker
-    regenerates or receives a trace array.
+    This is where the run's packs are opened (or compiled): every later
+    ``get_pack`` of the run — roster and sweep shards through the
+    table, dynamic and cluster rosters and fallback cells through
+    :meth:`~repro.sim.trace_engine.TraceWorkload.pack` — finds the one
+    pack object the process registry already holds, and fork pool
+    workers inherit that registry, so no worker regenerates or receives
+    a trace array.
     """
     table = TraceTable()
     for cell in cells:

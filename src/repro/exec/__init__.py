@@ -11,7 +11,6 @@ chunked, fallback-to-serial primitive; :func:`run_tasks` binds it to a
 
 from repro.exec.pool import (
     parallel_map,
-    persisted_pack_paths,
     resolve_workers,
     usable_cpus,
 )
@@ -28,7 +27,6 @@ __all__ = [
     "build_machine",
     "machine_spec",
     "parallel_map",
-    "persisted_pack_paths",
     "resolve_workers",
     "run_tasks",
     "usable_cpus",

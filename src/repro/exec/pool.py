@@ -6,6 +6,12 @@ how many workers run or how the pool schedules chunks. Workers receive
 work through pickling, so ``fn`` must be a module-level function and the
 items picklable; anything else falls back to the serial path rather than
 failing the experiment.
+
+The pool is fork-only, so workers inherit the parent's process state:
+every trace pack the parent opened (the registry behind
+:func:`repro.workloads.tracepack.get_pack`) is already open in each
+worker, its memmapped pages shared by the OS. Callers open packs before
+mapping; nothing pack-related is shipped.
 """
 
 import os
@@ -63,40 +69,6 @@ def _serial_map(fn, items, initializer, initargs):
     return [fn(item) for item in items]
 
 
-def persisted_pack_paths(packs):
-    """On-disk directories of the already-persisted packs.
-
-    Memory-only packs (``pack.path is None``) are skipped — a worker
-    that needs one recompiles it locally, which keeps the fan-out
-    correct at the cost of that one pack's compile time. The result
-    feeds ``parallel_map(..., pack_paths=...)`` so N-domain sweeps ship
-    paths to workers, never arrays.
-    """
-    return tuple(p.path for p in packs if getattr(p, "path", None))
-
-
-def pack_initializer(pack_paths, initializer=None, initargs=()):
-    """Compose a worker initializer that pre-opens compiled trace packs.
-
-    ``pack_paths`` are on-disk pack directories (strings — cheap to
-    pickle); each worker memmaps them into its process-local pack memo
-    on startup, so tasks that replay the same traces share the cached
-    files zero-copy instead of shipping or regenerating arrays. Any
-    wrapped ``initializer`` runs after the preload. Returns
-    ``(initializer, initargs)`` ready for :func:`parallel_map`.
-    """
-    paths = tuple(str(p) for p in pack_paths)
-    return _preload_then_init, (paths, initializer, initargs)
-
-
-def _preload_then_init(paths, initializer, initargs):
-    from repro.workloads.tracepack import preload_packs
-
-    preload_packs(paths)
-    if initializer is not None:
-        initializer(*initargs)
-
-
 def _counted_call(fn, item):
     """Run one pool task; return its result and the engine-counter
     delta it left in this worker process, so the parent can merge the
@@ -116,7 +88,6 @@ def parallel_map(
     initializer=None,
     initargs=(),
     cap_to_cpus=True,
-    pack_paths=None,
 ):
     """Map ``fn`` over ``items``, optionally on a process pool.
 
@@ -138,10 +109,6 @@ def parallel_map(
     contributes nothing: its partial counts are dropped before the
     serial rerun counts everything once.
     """
-    if pack_paths:
-        initializer, initargs = pack_initializer(
-            pack_paths, initializer, initargs
-        )
     items = list(items)
     workers = resolve_workers(workers)
     if cap_to_cpus:

@@ -33,6 +33,17 @@ class TraceWorkload:
         if self.think_cycles < 0:
             raise ValidationError("think time cannot be negative")
 
+    def pack(self):
+        """The trace's :class:`~repro.workloads.tracepack.TracePack`
+        (:func:`~repro.workloads.tracepack.get_pack`, one object per
+        pack per process), or ``None`` for a trace that is not
+        pack-compilable."""
+        from repro.workloads.trace import _TraceBase
+        from repro.workloads.tracepack import get_pack
+
+        trace = self.trace_factory()
+        return get_pack(trace) if isinstance(trace, _TraceBase) else None
+
 
 @dataclass
 class TraceStats:
@@ -156,15 +167,14 @@ class TraceEngine:
         ec.add(ec.TRACE_ACCESSES, issued)
         return {w.name: stats_list[i] for i, w in enumerate(workloads)}
 
-    def run_packed(self, workloads, total_accesses=100_000, packs=None):
+    def run_packed(self, workloads, total_accesses=100_000):
         """Co-run over compiled trace packs; bit-identical to :meth:`run`.
 
         Each workload's trace is compiled (or loaded from the pack cache)
         into columnar arrays once, and the whole co-run replays as one
         epoch of :class:`~repro.cache.kernel.PythonEpochReplay`, which
         also takes an attached LLC profiler; every stat and state change
-        lands in this engine's hierarchy. ``packs`` optionally supplies
-        pre-compiled packs aligned with ``workloads``. Falls back to
+        lands in this engine's hierarchy. Falls back to
         :meth:`run` whenever the epoch driver does not apply: prefetchers
         on, a non-compilable trace factory, a pack that carries writes,
         two workloads on one core, or hierarchy state outside the native
@@ -180,12 +190,9 @@ class TraceEngine:
         hierarchy = self.hierarchy
         if hierarchy.prefetchers_enabled():
             return self.run(workloads, total_accesses)
-        if packs is None:
-            packs = _compile_packs(workloads)
-            if packs is None:
-                return self.run(workloads, total_accesses)
-        elif len(packs) != len(workloads):
-            raise ValidationError("need one pack per workload")
+        packs = [w.pack() for w in workloads]
+        if None in packs:
+            return self.run(workloads, total_accesses)
 
         cores = [hierarchy.core_of_tid(w.tid) for w in workloads]
         replay = _epoch_replay(hierarchy, cores, workloads, packs)
@@ -205,7 +212,7 @@ class TraceEngine:
         return self._packed_stats(workloads, list(grabbed), list(vtimes), packs)
 
     def run_dynamic(self, workloads, controller, epoch_accesses=5_000,
-                    total_accesses=100_000, packs=None):
+                    total_accesses=100_000):
         """Trace-driven dynamic partitioning: epoch replay + controller.
 
         Replays the co-run in epochs of ``epoch_accesses`` combined
@@ -232,12 +239,9 @@ class TraceEngine:
         hierarchy = self.hierarchy
         if hierarchy.prefetchers_enabled():
             raise ValidationError("run_dynamic needs prefetchers off")
-        if packs is None:
-            packs = _compile_packs(workloads)
-            if packs is None:
-                raise ValidationError("every workload must be pack-compilable")
-        elif len(packs) != len(workloads):
-            raise ValidationError("need one pack per workload")
+        packs = [w.pack() for w in workloads]
+        if None in packs:
+            raise ValidationError("every workload must be pack-compilable")
 
         core_of = hierarchy.core_of_tid
         cores = [core_of(w.tid) for w in workloads]
@@ -335,23 +339,6 @@ class TraceEngine:
         ec.add(ec.TRACE_ACCESSES, issued)
         ec.add(ec.PACK_REPLAYS, len(packs))
         return {w.name: stats_list[i] for i, w in enumerate(workloads)}
-
-
-def _compile_packs(workloads):
-    """Each workload's trace pack, fetched once per distinct trace, or
-    ``None`` when a trace factory does not produce a pack-compilable
-    trace."""
-    from repro.workloads.trace import _TraceBase
-    from repro.workloads.tracepack import resolve_pack
-
-    packs = []
-    resolved = {}
-    for w in workloads:
-        trace = w.trace_factory()
-        if not isinstance(trace, _TraceBase):
-            return None
-        packs.append(resolve_pack(trace, resolved))
-    return packs
 
 
 def _timeline_entry(epoch, controller, new_masks):
@@ -491,18 +478,16 @@ class RosterCell:
     total_accesses: int = 100_000
 
 
-def _run_roster_sequential(cells, packs=None):
-    """The reference path: one fresh engine + ``run_packed`` per cell,
-    over ``packs[r]`` as cell ``r``'s packs where that is not ``None``."""
+def _run_roster_sequential(cells):
+    """The reference path: one fresh engine + ``run_packed`` per cell."""
     results = []
-    for r, cell in enumerate(cells):
+    for cell in cells:
         engine = TraceEngine(prefetchers_on=False)
         if cell.masks:
             for core, mask in cell.masks.items():
                 engine.hierarchy.set_way_mask(core, mask)
         results.append(engine.run_packed(
-            cell.workloads, total_accesses=cell.total_accesses,
-            packs=None if packs is None else packs[r],
+            cell.workloads, total_accesses=cell.total_accesses
         ))
     return results
 
@@ -533,11 +518,10 @@ class Roster:
     Cell ``r`` co-runs ``workloads[members[r, s]]`` in its slots ``s``,
     with ``-1`` past its last domain. Slot ``(r, s)`` fills the LLC under
     ``masks[mask_of[r, s]]``, or at ``-1`` under its core's full default
-    mask, and the cell issues ``stops[r]`` accesses. ``packs``, when
-    given, holds each workload's trace pack (aligned with
-    ``workloads``, ``None`` for a trace that is not pack-compilable);
-    otherwise each distinct trace is resolved to its pack once per
-    build. Workloads and masks are resolved and validated once each,
+    mask, and the cell issues ``stops[r]`` accesses. ``packs`` holds
+    each workload's :meth:`TraceWorkload.pack` (aligned with
+    ``workloads``, ``None`` for a trace that is not pack-compilable).
+    Workloads, packs and masks are resolved and validated once each,
     however many cells name them.
     """
 
@@ -546,7 +530,7 @@ class Roster:
     members: object
     mask_of: object
     stops: object
-    packs: list = None
+    packs: list
 
     def __len__(self):
         return len(self.stops)
@@ -583,14 +567,16 @@ class Roster:
                     mask_of[r, s] = masks.setdefault(
                         id(mask), (len(masks), mask)
                     )[0]
+        workloads = [w for _, w in workloads.values()]
         return cls(
-            workloads=[w for _, w in workloads.values()],
+            workloads=workloads,
             masks=[m for _, m in masks.values()],
             members=members,
             mask_of=mask_of,
             stops=np.array(
                 [cell.total_accesses for cell in cells], dtype=np.int64
             ),
+            packs=[w.pack() for w in workloads],
         )
 
     def cells(self):
@@ -605,17 +591,6 @@ class Roster:
                 for w, k in zip(workloads, kinds) if k >= 0
             }
             out.append(RosterCell(workloads, masks or None, stop))
-        return out
-
-    def cell_packs(self):
-        """Each cell's packs, aligned with its workloads, or ``None``
-        for a cell with an unresolved pack; ``None`` without ``packs``."""
-        if self.packs is None:
-            return None
-        out = []
-        for row in self.members.tolist():
-            packs = [self.packs[i] for i in row if i >= 0]
-            out.append(None if any(p is None for p in packs) else packs)
         return out
 
 
@@ -665,8 +640,8 @@ def _roster_batch(roster, build, threads=None, profile=False):
     for core, k in set(zip(cores[masked].tolist(), mask_of[masked].tolist())):
         h.llc.check_mask(core, roster.masks[k])
 
-    packs = roster.packs or _compile_packs(roster.workloads)
-    if packs is None or any(packs[i] is None for i in used):
+    packs = roster.packs
+    if any(packs[i] is None for i in used):
         return None
     column_of = np.full(n + 1, -1, dtype=np.int64)
     columns = {}
@@ -766,7 +741,7 @@ def run_packed_roster(cells, threads=None):
 
     batch = _roster_batch(roster, build_native_batch_replay, threads)
     if batch is None:
-        return _run_roster_sequential(roster.cells(), roster.cell_packs())
+        return _run_roster_sequential(roster.cells())
 
     gc_was_enabled = gc.isenabled()
     if gc_was_enabled:

@@ -16,7 +16,8 @@ Compiled packs land in an on-disk cache directory (``REPRO_TRACE_CACHE``,
 default ``~/.cache/repro/traces``) as raw ``.npy`` files and are opened
 with ``mmap_mode="r"`` — repeat runs, way sweeps, and every process-pool
 worker share the same physical pages zero-copy instead of re-generating
-(workers receive pack *paths*, never pickled arrays).
+(fork workers inherit the parent's registry of open packs; no arrays or
+paths are shipped).
 
 The compiled stream is bit-identical to the generator by construction
 for the registered vectorized compilers and by definition for the
@@ -403,9 +404,10 @@ def _open_pack_dir(path, expect_key=None):
     return TracePack(columns, meta.get("key", ""), path=path, meta=meta)
 
 
-# In-process pack registry: pool workers receive pack *paths* through
-# their initializer and open each file once; with fork workers the pages
-# are additionally shared with the parent by the OS.
+# In-process pack registry: target path -> the one TracePack for it,
+# memmapped or (when the cache cannot be written) in memory. Fork pool
+# workers inherit it, so a pack the parent opened is already open there
+# and its memmapped pages are shared by the OS.
 _OPEN_PACKS = {}
 
 
@@ -434,46 +436,18 @@ def _exact_params(trace):
     return tuple(items)
 
 
-def resolve_pack(trace, resolved):
-    """:func:`get_pack` of ``trace``, called once per distinct trace:
-    ``resolved`` maps a key two traces share exactly when they compile
-    to the same pack (their exact parameters, else their
-    :func:`pack_key`) to that pack, and fills as it goes."""
-    params = _exact_params(trace)
-    key = pack_key(trace) if params is None else (type(trace), params)
-    pack = resolved.get(key)
-    if pack is None:
-        pack = resolved[key] = get_pack(trace)
-    return pack
-
-
-def open_pack(path):
-    """Open (memoized per process) a pack directory by path."""
-    pack = _OPEN_PACKS.get(path)
-    if pack is None:
-        pack = _open_pack_dir(path)
-        if pack is None:
-            raise ValidationError(f"no readable trace pack at {path!r}")
-        _OPEN_PACKS[path] = pack
-    return pack
-
-
-def preload_packs(paths):
-    """Process-pool initializer: open every pack path once per worker."""
-    for path in paths:
-        open_pack(path)
-
-
-def get_pack(trace, cache=None, store=True):
+def get_pack(trace):
     """Compile (or load from the cache) the pack for a trace instance.
 
-    ``cache`` overrides the cache directory (else ``REPRO_TRACE_CACHE``,
-    else ``~/.cache/repro/traces``); ``store=False`` compiles in memory
-    without touching the disk. An unwritable cache degrades to the
-    in-memory path rather than failing the experiment. Cache hits and
-    misses land in the engine counters (``pack-hits`` / ``pack-misses``).
+    The cache directory is ``REPRO_TRACE_CACHE``, else
+    ``~/.cache/repro/traces``. Every call for one trace returns the same
+    :class:`TracePack` object in one process: the registry keeps each
+    pack under its target path, including the in-memory pack an
+    unwritable cache degrades to, so a trace compiles at most once per
+    process. Cache hits and misses land in the engine counters
+    (``pack-hits`` / ``pack-misses``).
     """
-    base = cache or default_cache_dir()
+    base = default_cache_dir()
     params = _exact_params(trace)
     memo = None if params is None else (base, type(trace), params)
     hit = _PACK_TARGETS.get(memo)
@@ -484,17 +458,13 @@ def get_pack(trace, cache=None, store=True):
             _PACK_TARGETS[memo] = key, target
     else:
         key, target = hit
-    if store:
-        # The per-process registry shares one TracePack object (and its
-        # memoized derived columns) across repeat runs and sweeps.
-        pack = _OPEN_PACKS.get(target)
-        if pack is None:
-            pack = _open_pack_dir(target, expect_key=key)
-            if pack is not None:
-                _OPEN_PACKS[target] = pack
-        if pack is not None and pack.key == key:
-            ec.add(ec.PACK_HITS)
-            return pack
+    pack = _OPEN_PACKS.get(target)
+    if pack is None:
+        pack = _open_pack_dir(target, expect_key=key)
+    if pack is not None:
+        _OPEN_PACKS[target] = pack
+        ec.add(ec.PACK_HITS)
+        return pack
     ec.add(ec.PACK_MISSES)
     columns = compile_columns(trace)
     ec.add(ec.PACK_COMPILED_ACCESSES, len(columns["address"]))
@@ -506,13 +476,11 @@ def get_pack(trace, cache=None, store=True):
         "columns": list(_BASE_COLUMNS),
     }
     pack = TracePack(columns, key, path=None, meta=meta)
-    if store:
-        try:
-            _write_pack_dir(base, key, columns, meta)
-        except OSError:
-            return pack  # unwritable cache: serve the in-memory pack
-        stored = _open_pack_dir(target, expect_key=key)
-        if stored is not None:
-            _OPEN_PACKS[target] = stored
-            return stored
+    try:
+        _write_pack_dir(base, key, columns, meta)
+    except OSError:
+        pass  # unwritable cache: serve the in-memory pack
+    else:
+        pack = _open_pack_dir(target, expect_key=key) or pack
+    _OPEN_PACKS[target] = pack
     return pack

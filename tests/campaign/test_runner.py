@@ -440,36 +440,115 @@ class TestTraceTable:
             reference = run_campaign_cell(cell)
             assert self._comparable(record) == self._comparable(reference)
 
-    @pytest.mark.parametrize("overrides", [
-        {},
-        # Pair biased cells run as sweep shards (group biased cells fall
-        # back per cell, on the exec pool).
-        {"policies": ["shared", "static-3", "biased"], "tenants": []},
-    ], ids=["roster", "roster-and-sweep"])
-    def test_one_get_pack_call_per_distinct_pack(
-        self, tmp_path, monkeypatch, overrides
-    ):
+    @staticmethod
+    def _every_trace_kind():
+        """A manifest reaching every trace shard kind: roster, sweep,
+        dynamic, cluster, and the group biased/dynamic fallback cells."""
+        return small_manifest(
+            policies=["shared", "fair", "biased", "dynamic", "cluster"],
+            pairs=[["zipf", "stream"]],
+            tenants=[["zipf", "stream", "chase"]],
+            geometries=[{"accesses": ACCESSES}],
+            controllers=[{"epoch_accesses": 200, "total_accesses": ACCESSES}],
+        )
+
+    @staticmethod
+    def _distinct_packs(manifest):
+        from repro.campaign.planner import tenants_for
+        from repro.workloads.tracepack import pack_key
+
+        return {
+            pack_key(w.trace_factory())
+            for cell in expand_manifest(manifest)
+            for w in tenants_for(cell).tenants
+        }
+
+    @pytest.fixture()
+    def pack_registry(self, monkeypatch, tmp_path):
+        """A fresh process pack registry over a private cache dir."""
         from repro.workloads import tracepack
 
-        calls = []
-        original = tracepack.get_pack
+        monkeypatch.setattr(tracepack, "_OPEN_PACKS", {})
+        monkeypatch.setenv("REPRO_TRACE_CACHE", str(tmp_path / "traces"))
+        return tracepack
 
-        def counted(trace, *args, **kwargs):
-            pack = original(trace, *args, **kwargs)
-            calls.append(pack.key)
-            return pack
+    @pytest.mark.parametrize("kinds", [
+        ("roster",),
+        ("roster", "sweep", "dynamic", "cluster", "fallback"),
+    ], ids=["roster", "every-kind"])
+    def test_each_pack_opened_or_compiled_once(
+        self, tmp_path, monkeypatch, pack_registry, kinds
+    ):
+        """On a roster-only run and on one reaching every trace shard
+        kind, a run opens (warm cache) or compiles (cold cache) each
+        distinct pack at most once, and a second run in the same
+        process opens and compiles nothing."""
+        tracepack = pack_registry
+        manifest = (
+            self._mixed_manifest() if kinds == ("roster",)
+            else self._every_trace_kind()
+        )
+        distinct = self._distinct_packs(manifest)
+        opened = []
+        original = tracepack._open_pack_dir
 
-        monkeypatch.setattr(tracepack, "get_pack", counted)
-        manifest = self._mixed_manifest(**overrides)
+        def counted(path, *args, **kwargs):
+            opened.append(path)
+            return original(path, *args, **kwargs)
+
+        monkeypatch.setattr(tracepack, "_open_pack_dir", counted)
+
+        def run(store):
+            opened.clear()
+            before = ec.engine_counters().snapshot()
+            result = run_campaign(manifest, str(tmp_path / store), workers=1)
+            assert {
+                kind for kind, n in result.shards_by_kind.items() if n
+            } == set(kinds)
+            misses = ec.engine_counters().delta(before).get(ec.PACK_MISSES, 0)
+            return list(opened), misses
+
+        # Cold cache: each pack compiles once (then is probed and
+        # reopened from disk once each).
+        opens, misses = run("cold")
+        assert misses == len(distinct)
+        assert len(opens) == 2 * len(distinct) == 2 * len(set(opens))
+        assert run("cold-again") == ([], 0)
+        # Warm cache, fresh registry (a new process): one open per pack.
+        tracepack._OPEN_PACKS.clear()
+        opens, misses = run("warm")
+        assert misses == 0
+        assert len(opens) == len(distinct) == len(set(opens))
+        assert run("warm-again") == ([], 0)
+
+    def test_unwritable_cache_compiles_each_pack_once(
+        self, tmp_path, monkeypatch, pack_registry
+    ):
+        """With a cache that cannot be written, every pack lives in
+        memory in the registry: dynamic, cluster and fallback rosters
+        reuse it instead of compiling again, and the records equal a
+        writable-cache run's."""
+        manifest = self._every_trace_kind()
+        writable = run_campaign(manifest, str(tmp_path / "writable"))
+
+        blocked = tmp_path / "blocked"
+        blocked.write_text("a file, not a directory")
+        monkeypatch.setenv("REPRO_TRACE_CACHE", str(blocked))
+        before = ec.engine_counters().snapshot()
         result = run_campaign(manifest, str(tmp_path / "store"))
-        assert result.shards_by_kind["roster"]
-        assert result.shards_by_kind["sweep"] == bool(overrides)
-        assert result.shards_by_kind["fallback"] == 0
-        assert calls and len(calls) == len(set(calls))
-        # A second run resolves everything again: nothing is kept
-        # across calls.
-        run_campaign(manifest, str(tmp_path / "again"))
-        assert len(calls) == 2 * len(set(calls))
+        delta = ec.engine_counters().delta(before)
+        assert result.shards_by_kind["dynamic"]
+        assert result.shards_by_kind["cluster"]
+        assert delta.get(ec.PACK_MISSES) == len(
+            self._distinct_packs(manifest)
+        )
+        assert {
+            cell_id: record.to_dict()
+            for cell_id, record in result.records.items()
+        } == {
+            cell_id: record.to_dict()
+            for cell_id, record in writable.records.items()
+        }
 
     def test_rows_share_workloads_packs_and_masks(self):
         from repro.campaign.planner import TraceTable

@@ -22,12 +22,18 @@ def _square(x):
     return x * x
 
 
-def _pack_line(args):
-    """Read one line number from a preloaded pack (module-level: picklable)."""
-    from repro.workloads.tracepack import open_pack
+def _pool_trace():
+    from repro.workloads.trace import ZipfTrace
 
-    path, index = args
-    return open_pack(path).lines_list()[index]
+    return ZipfTrace(500, 1 << 20, alpha=0.9, seed=2)
+
+
+def _pool_pack(_):
+    """The key of ``_pool_trace``'s pack and the pid that resolved it
+    (module-level: picklable)."""
+    from repro.workloads.tracepack import get_pack
+
+    return get_pack(_pool_trace()).key, os.getpid()
 
 
 def _fail_on_three(x):
@@ -222,51 +228,36 @@ class TestWorkerCounters:
 
 
 class TestPackSharing:
-    @pytest.fixture()
-    def stored_pack(self, monkeypatch, tmp_path):
+    @pytest.mark.parametrize("cache", ["stored", "in-memory"])
+    def test_workers_inherit_the_parents_packs(
+        self, monkeypatch, tmp_path, cache
+    ):
+        """Fork workers find every pack the parent opened already open:
+        each task's ``get_pack`` is a hit, and none compiles or is
+        shipped anything, for a memmapped pack and for the in-memory
+        pack an unwritable cache falls back to."""
+        from repro.perf import engine_counters as ec
+        from repro.perf.events import CounterSet
         from repro.workloads import tracepack
-        from repro.workloads.trace import ZipfTrace
 
+        root = tmp_path / "traces"
+        if cache == "in-memory":
+            root.write_text("a file, not a directory")
+        monkeypatch.setenv("REPRO_TRACE_CACHE", str(root))
         monkeypatch.setattr(tracepack, "_OPEN_PACKS", {})
-        monkeypatch.setenv("REPRO_TRACE_CACHE", str(tmp_path / "traces"))
-        return tracepack.get_pack(ZipfTrace(500, 1 << 20, alpha=0.9, seed=2))
+        parent = tracepack.get_pack(_pool_trace())
+        assert (parent.path is None) == (cache == "in-memory")
+        monkeypatch.setattr(ec, "_counters", CounterSet(ec.ENGINE_EVENTS))
 
-    def test_pack_paths_preload_serial(self, stored_pack):
-        from repro.workloads import tracepack
-
-        tracepack._OPEN_PACKS.clear()
-        items = [(stored_pack.path, i) for i in range(5)]
-        result = parallel_map(_pack_line, items, workers=1,
-                              pack_paths=[stored_pack.path])
-        assert result == stored_pack.lines_list()[:5]
-        # The initializer opened the pack before the first task ran.
-        assert stored_pack.path in tracepack._OPEN_PACKS
-
-    def test_workers_share_packs_by_path(self, stored_pack):
-        """Workers get pack *paths* through the initializer, never arrays."""
-        items = [(stored_pack.path, i) for i in range(8)]
-        serial = parallel_map(_pack_line, items, workers=1,
-                              pack_paths=[stored_pack.path])
-        parallel = parallel_map(_pack_line, items, workers=2,
-                                cap_to_cpus=False,
-                                pack_paths=[stored_pack.path])
-        assert parallel == serial
-
-    def test_persisted_pack_paths_skips_in_memory_packs(self, stored_pack):
-        from repro.exec import persisted_pack_paths
-        from repro.workloads.tracepack import (
-            TracePack,
-            compile_columns,
-            pack_key,
+        items = list(range(4))
+        result = parallel_map(
+            _pool_pack, items, workers=2, cap_to_cpus=False
         )
-        from repro.workloads.trace import StreamingTrace
-
-        trace = StreamingTrace(50, 1 << 20)
-        unstored = TracePack(compile_columns(trace), pack_key(trace))
-        assert persisted_pack_paths([stored_pack, unstored]) == (
-            stored_pack.path,
-        )
-        assert persisted_pack_paths([unstored]) == ()
+        assert {key for key, _ in result} == {parent.key}
+        assert any(pid != os.getpid() for _, pid in result)
+        counters = ec.engine_counters()
+        assert counters.read(ec.PACK_HITS) == len(items)
+        assert counters.read(ec.PACK_MISSES) == 0
 
 
 class TestRunTasks:

@@ -20,7 +20,6 @@ from repro.workloads.trace import (
     StreamingTrace,
     ZipfTrace,
 )
-from repro.workloads.tracepack import TracePack, compile_columns, pack_key
 
 from .._native import without_native
 
@@ -68,16 +67,13 @@ def _roster(workloads, total):
     return run_packed_roster([cell])[0]
 
 
-def _run(workloads, packs, total):
-    """``run_packed`` over ``packs``, or ``run`` when ``packs`` is None."""
+def _run(workloads, packed, total):
+    """``run_packed`` when ``packed``, else ``run``."""
     engine = TraceEngine(prefetchers_on=False)
     for core, mask in _masks(len(workloads)).items():
         engine.hierarchy.set_way_mask(core, mask)
-    if packs is None:
-        stats = engine.run(workloads, total_accesses=total)
-    else:
-        stats = engine.run_packed(workloads, total_accesses=total,
-                                  packs=packs)
+    run = engine.run_packed if packed else engine.run
+    stats = run(workloads, total_accesses=total)
     hierarchy = engine.hierarchy
     levels = list(hierarchy.l1) + list(hierarchy.l2) + [hierarchy.llc.storage]
     return (
@@ -115,13 +111,8 @@ class TestMultiwalkProperty:
         total = data.draw(st.integers(min_value=50, max_value=3 * sum(lengths)))
 
         workloads = _make_workloads(lengths, thinks, repeats)
-        packs = [
-            TracePack(compile_columns(w.trace_factory()),
-                      pack_key(w.trace_factory()))
-            for w in workloads
-        ]
-        packed_sig = _run(workloads, packs, total)
-        run_sig = _run(workloads, None, total)
+        packed_sig = _run(workloads, True, total)
+        run_sig = _run(workloads, False, total)
         assert packed_sig == run_sig
         assert _roster(workloads, total) == run_sig[0]
         python = without_native(lambda: _roster(workloads, total))

@@ -30,7 +30,6 @@ from repro.sim.trace_engine import (
 from repro.util.errors import ValidationError
 from repro.util.units import MB
 from repro.workloads import tracepack
-from repro.workloads.tracepack import TracePack, compile_columns, pack_key
 
 from .._batch import batch_cells
 from .._native import native_available, without_native
@@ -295,9 +294,8 @@ class TestRestart:
         total = 12_000
 
         engine = _engine(3)
-        engine.run_packed(workloads, total_accesses=total, packs=packs)
-        measured = engine.run_packed(workloads, total_accesses=total,
-                                     packs=packs)
+        engine.run_packed(workloads, total_accesses=total)
+        measured = engine.run_packed(workloads, total_accesses=total)
         assert measured["fg"].accesses == 3_000
 
         nat = _NativeCell(_engine(3), workloads, packs)
@@ -333,7 +331,7 @@ class TestTieBreaking:
         engine = _engine(3)
         assert _signature(
             engine,
-            engine.run_packed(workloads, total_accesses=total, packs=packs),
+            engine.run_packed(workloads, total_accesses=total),
         ) == heap_sig
         roster = run_packed_roster([
             RosterCell(workloads, masks=_masks(3), total_accesses=total)
@@ -354,9 +352,8 @@ class TestRunPackedMultiwalk:
     one-cell roster (native when available) equals both."""
 
     def _assert_identical(self, workloads, n, total):
-        packs = _packs(workloads)
         engine = _engine(n)
-        stats = engine.run_packed(workloads, total_accesses=total, packs=packs)
+        stats = engine.run_packed(workloads, total_accesses=total)
         heap = _engine(n)
         assert _signature(engine, stats) == _signature(
             heap, heap.run(workloads, total_accesses=total)
@@ -472,23 +469,6 @@ class TestRunDynamic:
                 self._workloads(),
                 DynamicPartitionController("fg", "bg"),
             )
-
-    def test_in_memory_packs_accepted(self):
-        workloads = self._workloads()
-        packs = [
-            TracePack(compile_columns(w.trace_factory()),
-                      pack_key(w.trace_factory()))
-            for w in workloads
-        ]
-        engine = TraceEngine(prefetchers_on=False)
-        result = engine.run_dynamic(
-            workloads,
-            DynamicPartitionController("fg", "bg"),
-            epoch_accesses=3_000,
-            total_accesses=12_000,
-            packs=packs,
-        )
-        assert result.epochs == 4
 
 
 class TestMpkiWindow:

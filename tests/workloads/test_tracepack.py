@@ -14,9 +14,7 @@ from repro.workloads.tracepack import (
     TracePack,
     compile_columns,
     get_pack,
-    open_pack,
     pack_key,
-    preload_packs,
     verify_pack,
 )
 from repro.workloads.trace import (
@@ -184,18 +182,21 @@ class TestDiskCache:
         get_pack(_zipf())
         assert ec.engine_counters().delta(base).get(ec.PACK_MISSES) == 1
 
-    def test_unwritable_cache_degrades_to_memory(self, tmp_path):
+    def test_unwritable_cache_degrades_to_memory(self, tmp_path,
+                                                 monkeypatch):
         missing = tmp_path / "nope"
         missing.write_text("a file, not a directory")
-        pack = get_pack(_zipf(), cache=str(missing))
+        monkeypatch.setenv("REPRO_TRACE_CACHE", str(missing))
+        base = ec.engine_counters().snapshot()
+        pack = get_pack(_zipf())
         assert pack.path is None
         assert verify_pack(pack, _zipf()) == 400
-
-    def test_store_false_never_touches_disk(self, tmp_path):
-        cache = tmp_path / "never"
-        pack = get_pack(_zipf(), cache=str(cache), store=False)
-        assert pack.path is None
-        assert not cache.exists()
+        # The in-memory pack is registered: a repeat lookup is a hit on
+        # the same object, not a second compile.
+        assert get_pack(_zipf()) is pack
+        delta = ec.engine_counters().delta(base)
+        assert delta.get(ec.PACK_MISSES) == 1
+        assert delta.get(ec.PACK_HITS) == 1
 
     def test_repeat_lookups_reuse_the_key_and_count_every_hit(self):
         first = get_pack(_zipf())
@@ -231,14 +232,6 @@ class TestDiskCache:
         assert get_pack(trace).key == pack_key(trace)
         trace.extra = [1, 3]
         assert get_pack(trace).key == pack_key(trace)
-
-    def test_open_pack_and_preload(self):
-        stored = get_pack(_zipf())
-        tracepack._OPEN_PACKS.clear()
-        preload_packs([stored.path])
-        assert open_pack(stored.path) is tracepack._OPEN_PACKS[stored.path]
-        with pytest.raises(ValidationError):
-            open_pack(stored.path + "-missing")
 
     def test_set_column_persisted_and_correct(self):
         from repro.cache.indexing import HashedIndex
