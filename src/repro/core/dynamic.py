@@ -125,11 +125,36 @@ class DynamicPartitionController:
         self.baseline_mpki = None
         self.actions = []
         self._since_last_decision = 0.0
+        # Whether the last ``on_tick`` returned no mask, published no
+        # resctrl occupancy and left every field of the control state
+        # (``_state``) as it found it. Fed the same sample and period
+        # again, such a tick repeats itself exactly, which is what lets
+        # the engine run a held stretch of ticks without calling back
+        # (``Machine._run``).
+        self.quiet = False
 
     # -- the control loop ---------------------------------------------------
 
     def on_tick(self, now_s, dt_s, metrics):
         """Engine hook: consume metrics, possibly return new masks."""
+        before = self._state()
+        masks = self._tick(now_s, dt_s, metrics)
+        self.quiet = (
+            masks is None and self.resctrl is None and self._state() == before
+        )
+        return masks
+
+    def _state(self):
+        """Every field a tick may write. (``now_s`` only stamps actions,
+        and a quiet tick records none.)"""
+        detector = self.detector
+        return (
+            self._since_last_decision, self.fg_ways, self.phase_starts,
+            self.last_mpki, self.baseline_mpki,
+            detector.avg_mpki, detector.new_phase,
+        )
+
+    def _tick(self, now_s, dt_s, metrics):
         self._since_last_decision += dt_s
         if self._since_last_decision + 1e-9 < self.period_s:
             return None

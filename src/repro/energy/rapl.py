@@ -12,6 +12,7 @@ from repro.util.errors import ValidationError
 RAPL_ENERGY_UNIT_J = 1.0 / (1 << 16)
 _COUNTER_BITS = 32
 _COUNTER_WRAP = 1 << _COUNTER_BITS
+RAPL_WRAP_J = _COUNTER_WRAP * RAPL_ENERGY_UNIT_J  # 65,536 J per wrap
 
 
 class RaplDomain:

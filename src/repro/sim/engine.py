@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from repro.cpu.bandwidth import MemorySystem
 from repro.cpu.config import SandyBridgeConfig
 from repro.energy.model import PowerModel
-from repro.energy.rapl import RaplCounter, RaplDomain
+from repro.energy.rapl import RAPL_WRAP_J, RaplCounter, RaplDomain
 from repro.energy.wall import WallMeter
 from repro.sim.allocation import Allocation
 from repro.sim.interval import AppState, solve_interval
@@ -21,6 +21,9 @@ from repro.util.errors import SchedulingError, ValidationError
 
 _EPS = 1e-9
 _MAX_SIM_SECONDS = 50_000.0
+# Most energy deposited between two RAPL polls: half a counter wrap, so
+# no wrap goes unseen (``RaplCounter.update``).
+_POLL_J = RAPL_WRAP_J / 2
 
 
 @dataclass
@@ -330,6 +333,18 @@ class Machine:
             from repro.util.rng import DeterministicRng
 
             noise_rng = DeterministicRng(self.noise_seed, "mpki-noise")
+        # Held, quiet ticks of the Algorithm 6.2 controller repeat
+        # themselves (``_quiet_stretch``). Other controllers, noisy
+        # samples and timelines need every tick's call.
+        quiet_ok = False
+        if controller is not None and step_s is not None:
+            from repro.core.dynamic import DynamicPartitionController
+
+            quiet_ok = (
+                type(controller) is DynamicPartitionController
+                and noise_rng is None
+                and not timeline
+            )
         done_times = {}
         active = list(states)
         # (state, name, totals row) of every active app; rebuilt, with
@@ -412,9 +427,10 @@ class Machine:
                 active = [r[0] for r in running]
                 pending = [n for n in pending if n not in done_times]
 
-            pkg.deposit(solution.power.socket_w * dt + miss_energy(total_misses))
-            pp0.deposit((solution.power.cores_w + solution.power.llc_w) * dt)
-            wall.advance(dt, solution.power.wall_w)
+            power = solution.power
+            _meter(pkg, pkg_reader, power.socket_w * dt + miss_energy(total_misses))
+            _meter(pp0, pp0_reader, (power.cores_w + power.llc_w) * dt)
+            wall.advance(dt, power.wall_w)
             now += dt
 
             if timeline:
@@ -433,18 +449,28 @@ class Machine:
                     )
                 )
 
-            if controller is not None and self._apply_controller(
-                controller, now, dt, solution, states, totals, noise_rng
-            ):
-                held = None
+            # A held tick after a quiet one, such as the wrap that ended a
+            # stretch, feeds the controller the same sample again: it is
+            # quiet too, and needs no call.
+            quiet = quiet_ok and controller.quiet
+            if controller is not None and not (quiet and holds):
+                if self._apply_controller(
+                    controller, now, dt, solution, states, totals, noise_rng
+                ):
+                    held = None
+                quiet = quiet_ok and controller.quiet
+            if quiet and held is not None:
+                ticks, now = self._quiet_stretch(
+                    now, dt, solution, running, windows,
+                    (pkg, pkg_reader), (pp0, pp0_reader), wall,
+                )
+                reused += ticks
 
             if not active:
                 break
 
         if reused:
             memo.hit(reused)
-        pkg_reader.update()
-        pp0_reader.update()
         outcome.elapsed_s = now
         outcome.socket_energy_j = pkg_reader.energy_j
         outcome.pp0_energy_j = pp0_reader.energy_j
@@ -464,6 +490,73 @@ class Machine:
                 pp0_energy_j=outcome.pp0_energy_j * share[s.name],
             )
         return outcome
+
+    def _quiet_stretch(self, now, dt, solution, running, windows, pkg, pp0, wall):
+        """Run the held ticks that follow a quiet controller tick.
+
+        While the solution holds, each tick feeds the controller the
+        same sample, so a tick that left it unchanged is followed by
+        more such ticks: they need no call, no metrics and no solve. The
+        stretch runs them up to the next event, which is the first tick
+        that would start outside an app's phase window, finish or wrap
+        an app, or start past the runaway guard; the caller's loop then
+        runs that tick. Every per-tick delta is computed once, and the
+        same float additions are repeated in the same order, so the run
+        measures bit for bit what per-tick calls would. ``pkg`` and
+        ``pp0`` are (domain, reader) pairs, polled at most ``_POLL_J``
+        apart. Returns (ticks run, ``now`` after them).
+        """
+        per_app = solution.per_app
+        bounds = []  # (state, lo, hi, progress per tick)
+        deltas = []  # (state, totals row, instructions, misses, accesses, progress)
+        total_misses = 0
+        for (s, lo, hi), (_, name, row) in zip(windows, running):
+            rates = per_app[name]
+            dinstr = rates.rate_ips * dt
+            misses = rates.miss_rate_ps * dt
+            total_misses += misses
+            dprogress = dinstr / s.app.instructions
+            bounds.append((s, lo, hi, dprogress))
+            deltas.append(
+                (s, row, dinstr, misses, rates.access_rate_ps * dt, dprogress)
+            )
+        power = solution.power
+        pkg_j = power.socket_w * dt + self.power_model.miss_energy(total_misses)
+        pp0_j = (power.cores_w + power.llc_w) * dt
+        per_poll = int(_POLL_J / max(pkg_j, pp0_j, _EPS))
+        finish = 1.0 - _EPS
+        ticks = 0
+        while True:
+            # Ticks until the next event, without mutating anything.
+            n = per_poll
+            for s, lo, hi, dprogress in bounds:
+                p, k = s.progress, 0
+                while k < n and lo <= p < hi and p + dprogress < finish:
+                    p += dprogress
+                    k += 1
+                n = k
+            t, k = now, 0
+            while k < n and t <= _MAX_SIM_SECONDS:
+                t += dt
+                k += 1
+            n = k
+            if not n:
+                return ticks, now
+            for s, row, dinstr, misses, accesses, dprogress in deltas:
+                row["instructions"] = _repeat_add(row["instructions"], dinstr, n)
+                row["misses"] = _repeat_add(row["misses"], misses, n)
+                row["accesses"] = _repeat_add(row["accesses"], accesses, n)
+                s.progress = _repeat_add(s.progress, dprogress, n)
+            for (domain, reader), joules in ((pkg, pkg_j), (pp0, pp0_j)):
+                for _ in range(n):
+                    domain.deposit(joules)
+                reader.update()
+            for _ in range(n):
+                wall.advance(dt, power.wall_w)
+            now = t
+            ticks += n
+            if n < per_poll:
+                return ticks, now
 
     def _solve(self, active):
         """Solve the interval for ``active``, through the memo when on.
@@ -563,6 +656,25 @@ class Machine:
         if len(states) == 1:
             return {states[0].name: 1.0}
         return {name: t["instructions"] / total for name, t in totals.items()}
+
+
+def _meter(domain, reader, joules):
+    """Deposit ``joules`` into a RAPL domain and poll its reader, in
+    pieces of at most ``_POLL_J`` so that no counter wrap is lost."""
+    while joules > _POLL_J:
+        domain.deposit(_POLL_J)
+        reader.update()
+        joules -= _POLL_J
+    domain.deposit(joules)
+    reader.update()
+
+
+def _repeat_add(x, d, n):
+    """``x`` after ``n`` in-order float additions of ``d``; no closed
+    form rounds the same way."""
+    for _ in range(n):
+        x += d
+    return x
 
 
 @dataclass

@@ -73,3 +73,63 @@ class TestControllerProperties:
             ctrl.decide(t, mpki)
         times = [a.time_s for a in ctrl.actions]
         assert times == sorted(times)
+
+
+@st.composite
+def phased_apps(draw):
+    """A representative app, shortened to at most ~400 ticks, with 1-4
+    random phases of its own."""
+    import dataclasses
+
+    from repro.workloads import get_application
+    from repro.workloads.base import Phase
+
+    app = get_application(
+        draw(st.sampled_from(["429.mcf", "459.GemsFDTD", "ferret", "dedup"]))
+    )
+    phases = draw(st.lists(
+        st.builds(
+            Phase,
+            weight=st.floats(0.1, 1.0),
+            apki_mult=st.floats(0.3, 3.0),
+            ws_mult=st.floats(0.5, 2.0),
+            amp_mult=st.floats(0.5, 1.5),
+        ),
+        min_size=1,
+        max_size=4,
+    ))
+    instructions = app.instructions * draw(st.floats(0.03, 0.15))
+    return dataclasses.replace(app, phases=tuple(phases), instructions=instructions)
+
+
+class TestQuietStretchProperties:
+    @settings(max_examples=20, deadline=None)
+    @given(
+        fg=phased_apps(),
+        bg=st.sampled_from(["429.mcf", "fop", "batik", "dedup"]),
+        thr1=st.floats(0.005, 0.1),
+        thr2=st.floats(0.005, 0.1),
+        thr3=st.floats(0.01, 0.15),
+        comparison=st.sampled_from(["baseline", "per-step"]),
+    )
+    def test_skipped_ticks_match_per_tick_calls(
+        self, fg, bg, thr1, thr2, thr3, comparison
+    ):
+        """Whatever the phases and thresholds, a memoized run that skips
+        its quiet ticks measures and decides what a run calling the
+        controller on every tick does, bit for bit."""
+        from repro.sim import Machine
+
+        from .._pairs import dynamic_pair, run_bits
+
+        bg_name = bg if bg != fg.name else f"{bg}#2"
+        runs = []
+        for memoize in (True, False):
+            controller = DynamicPartitionController(
+                fg.name, bg_name, thr3=thr3, comparison=comparison,
+                detector=PhaseDetector(thr1=thr1, thr2=thr2),
+            )
+            runs.append(dynamic_pair(Machine(memoize=memoize), fg, bg, controller))
+        (a, ca, calls_on), (b, cb, calls_off) = runs
+        assert run_bits(a, ca) == run_bits(b, cb)
+        assert calls_on <= calls_off
