@@ -441,57 +441,6 @@ def verify_trace_group_replay(backend, group, outcome):
     return checked
 
 
-def verify_trace_policy_replay(backend, tenants, policies=("shared", "fair")):
-    """Cross-check TraceBackend policy runs on a pair against direct
-    mask replay.
-
-    Replays the pair through a hand-built engine with the chosen split's
-    way masks applied — the pre-backend methodology — and requires the
-    policy layer's fg cost and bg rate to match *exactly* (both paths
-    are deterministic, so any drift means the backend translated the
-    split into masks differently). Returns the number of comparisons;
-    raises ValidationError on the first mismatch.
-    """
-    from repro.cache.llc import WayMask
-    from repro.core.policies import run_policy
-    from repro.sim.trace_engine import TraceEngine
-    from repro.util.errors import ValidationError
-
-    llc_ways = backend.capabilities().llc_ways
-    fg, bg = tenants.tenants
-    fg_name, bg_name = tenants.names
-    checked = 0
-    for policy in policies:
-        outcome = run_policy(backend, tenants, policy)
-        engine = TraceEngine(prefetchers_on=False)
-        core_of = engine.hierarchy.core_of_tid
-        engine.hierarchy.set_way_mask(
-            core_of(fg.tid),
-            WayMask.contiguous(outcome.fg_ways, 0, llc_ways),
-        )
-        engine.hierarchy.set_way_mask(
-            core_of(bg.tid),
-            WayMask.contiguous(
-                outcome.bg_ways, llc_ways - outcome.bg_ways, llc_ways
-            ),
-        )
-        stats = engine.run_packed(
-            [fg, bg], total_accesses=backend.total_accesses
-        )
-        direct = (
-            stats[fg_name].avg_latency,
-            stats[bg_name].access_rate_per_kilocycle,
-        )
-        via_policy = (outcome.fg_cost, outcome.bg_rate)
-        if direct != via_policy:
-            raise ValidationError(
-                f"{policy}: policy layer {via_policy} != direct mask "
-                f"replay {direct}"
-            )
-        checked += 2
-    return checked
-
-
 def trace_way_utility(fg_factory=None, bg_factory=None, total_accesses=120_000,
                       domains=2):
     """Per-domain ``hits(ways)`` utility curves from one profiled co-run.

@@ -8,8 +8,8 @@ package supplies the two implementations:
   (``Machine.run_pair``), bit-identical to the pre-refactor policy code;
 - :class:`TraceBackend` — address-level trace replay (one-cell
   ``run_packed_roster`` / ``run_dynamic_roster`` calls over compiled
-  packs), with the biased-split search scored from one profiled way
-  sweep.
+  packs), with a pair's biased-split sweep replayed at every split in
+  one roster call.
 
 ``get_backend(name)`` maps the CLI's ``--backend`` flag to a fresh
 instance.

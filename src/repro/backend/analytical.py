@@ -47,7 +47,6 @@ class AnalyticalBackend(SimBackend):
             llc_ways=self.machine.config.llc_ways,
             fg_cost_unit="s",
             bg_rate_unit="instr/s",
-            sweep_is_measured=True,
             supports_dynamic=True,
             supports_energy=True,
             supports_operating_points=True,

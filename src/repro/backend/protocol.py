@@ -46,17 +46,15 @@ class BackendCapabilities:
 
     ``fg_cost_unit`` / ``bg_rate_unit`` label the measurement axes
     (seconds and instructions/s for the analytical engine; cycles/access
-    and accesses/kilocycle for the trace engine). ``sweep_is_measured``
-    says whether ``sweep()`` entries are full co-run measurements that a
-    policy may return directly (analytical), or profile-derived scores
-    whose chosen split must be re-measured with ``co_run`` (trace).
+    and accesses/kilocycle for the trace engine). On both engines every
+    ``sweep()`` entry is a full co-run measurement, so the biased policy
+    returns its winner as measured.
     """
 
     name: str
     llc_ways: int
     fg_cost_unit: str
     bg_rate_unit: str
-    sweep_is_measured: bool = True
     supports_dynamic: bool = True
     supports_energy: bool = False
     # Whether co_run_grid accepts a per-item platform config (an
@@ -347,10 +345,10 @@ class SimBackend:
         """Score every disjoint split of a pair (:meth:`disjoint_splits`).
 
         Returns ``[(fg_ways, GroupMeasurement)]`` in ascending foreground
-        allocation order. The default measures each split with
-        :meth:`co_run`; backends with a cheaper exact source (the trace
-        engine's single-pass way profile) override this and set
-        ``sweep_is_measured=False`` in their capabilities.
+        allocation order, each entry a measured co-run. The default
+        measures each split with :meth:`co_run`; backends override this
+        only to measure the same splits in one batched call (the
+        analytical grid solve, the trace engine's one roster replay).
         """
         return [
             (split.way_counts[0], self.co_run(tenants, split))

@@ -11,12 +11,15 @@ approximates:
   split's way masks applied (a fresh hierarchy per run, exactly the
   per-mask methodology; :meth:`TraceBackend.masks` builds the masks,
   one distinct core per tenant);
-- a pair's ``sweep`` does NOT re-simulate per split: one profiled co-run
-  (:func:`repro.sim.trace_engine.way_allocation_sweep`, a per-domain
-  UMON) yields exact ``hits(ways)`` curves, and every disjoint split is
-  scored from those curves — foreground cost as misses at its
-  allocation, background rate as hits at the complement. The biased
-  policy then measures only its chosen split;
+- a pair's ``sweep`` replays every disjoint split, all eleven as the
+  cells of one :func:`~repro.sim.trace_engine.run_packed_roster` call,
+  so each entry is a measured co-run and the biased policy returns its
+  winner as measured — the same entries campaign ``sweep`` shards
+  build;
+- ``way_utility`` reads per-tenant ``hits(ways)`` curves from ONE
+  profiled co-run (:func:`~repro.sim.trace_engine.way_allocation_sweep`,
+  a per-domain UMON), for the cluster policy and the utility-scored
+  biased choice of a larger group;
 - ``dynamic`` runs a one-cell
   :func:`~repro.sim.trace_engine.run_dynamic_roster` — epoch-resumable
   replay with flush-free reallocation between control periods.
@@ -46,8 +49,7 @@ class TraceBackend(SimBackend):
 
     def __init__(self, total_accesses=DEFAULT_TOTAL_ACCESSES,
                  epoch_accesses=DEFAULT_EPOCH_ACCESSES,
-                 dynamic_total_accesses=None, measured_sweep=False,
-                 native_threads=None):
+                 dynamic_total_accesses=None, native_threads=None):
         if total_accesses < 1:
             raise ValidationError("total_accesses must be positive")
         self.total_accesses = total_accesses
@@ -55,7 +57,6 @@ class TraceBackend(SimBackend):
         self.dynamic_total_accesses = (
             dynamic_total_accesses or total_accesses
         )
-        self.measured_sweep = measured_sweep
         self.native_threads = native_threads
 
     def capabilities(self):
@@ -66,7 +67,6 @@ class TraceBackend(SimBackend):
             llc_ways=LLC_NUM_WAYS,
             fg_cost_unit="cycles/access",
             bg_rate_unit="accesses/kcycle",
-            sweep_is_measured=self.measured_sweep,
             supports_dynamic=True,
             supports_energy=False,
         )
@@ -130,7 +130,7 @@ class TraceBackend(SimBackend):
 
     def measurement(self, tenants, split, stats):
         """The GroupMeasurement for one finished replay — shared by
-        :meth:`co_run`, the measured sweep, :meth:`dynamic` and the
+        :meth:`co_run`, :meth:`sweep`, :meth:`dynamic` and the
         campaign's roster and cluster shard executors, so all produce
         field-identical records."""
         tenant_stats = [stats[name] for name in tenants.names]
@@ -158,8 +158,8 @@ class TraceBackend(SimBackend):
             out.append((split.way_counts[0], measurement))
         return out
 
-    def _measured_sweep(self, tenants):
-        """Every disjoint split actually replayed, in ONE native call.
+    def sweep(self, tenants):
+        """Every disjoint split of a pair replayed, in ONE native call.
 
         The batched kernel runs all 11 allocations as independent cells
         of a roster — each with its own fresh hierarchy copy and its own
@@ -177,48 +177,6 @@ class TraceBackend(SimBackend):
             threads=self.native_threads,
         )
         return self.sweep_entries(tenants, splits, outcomes)
-
-    def sweep(self, tenants):
-        """Every disjoint split of a pair, scored from ONE profiled co-run.
-
-        The per-domain stack-distance curves are exact under true LRU
-        (what the UMON directories model), so the scores rank splits
-        exactly as per-mask re-simulation of the profiled stream would —
-        without 11 replays. Entries are scores, not measurements
-        (``sweep_is_measured=False``): the policy layer re-measures the
-        split it finally picks with :meth:`co_run`.
-
-        With ``measured_sweep=True`` every split is instead *replayed*
-        through the batched native kernel (one C call for the whole
-        sweep) and the entries are real measurements — see
-        :meth:`_measured_sweep`.
-        """
-        from repro.sim.trace_engine import way_allocation_sweep
-
-        if self.measured_sweep:
-            return self._measured_sweep(tenants)
-
-        fg, bg = tenants.tenants
-        _, curves = way_allocation_sweep(
-            [fg, bg], total_accesses=self.total_accesses
-        )
-        fg_curve = curves[fg.tid // 2]
-        bg_curve = curves[bg.tid // 2]
-        out = []
-        for split in self.disjoint_splits():
-            fg_ways, bg_ways = split.way_counts
-            out.append((
-                fg_ways,
-                GroupMeasurement(
-                    backend="trace",
-                    names=tuple(tenants.names),
-                    split=split,
-                    costs=(float(fg_curve.misses(fg_ways)), None),
-                    rates=(None, float(bg_curve.hits(bg_ways))),
-                    extra={"source": "profile"},
-                ),
-            ))
-        return out
 
     def dynamic_roster_cell(self, tenants, controller=None):
         """The :class:`~repro.sim.trace_engine.DynamicRosterCell`
@@ -272,7 +230,8 @@ class TraceBackend(SimBackend):
 
     def way_utility(self, tenants):
         """Per-tenant way-utility curves from ONE profiled co-run (the
-        same single-pass UMON directories :meth:`sweep` uses)."""
+        single-pass UMON directories of
+        :func:`~repro.sim.trace_engine.way_allocation_sweep`)."""
         from repro.sim.trace_engine import way_allocation_sweep
 
         llc_ways = self.capabilities().llc_ways

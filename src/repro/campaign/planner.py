@@ -162,16 +162,12 @@ def backend_for(cell, threads=None):
 
         geometry = cell.geometry_dict
         controller = cell.controller_dict
-        # measured_sweep: biased cells choose from *replayed* splits
-        # (one batched roster call), so the per-cell reference path and
-        # the sweep-shard path score identical measurements.
         return TraceBackend(
             total_accesses=int(geometry["accesses"]),
             epoch_accesses=int(
                 controller.get("epoch_accesses") or 4_000
             ),
             dynamic_total_accesses=controller.get("total_accesses"),
-            measured_sweep=True,
             native_threads=threads,
         )
     if cell.backend == "analytical":

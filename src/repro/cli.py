@@ -62,7 +62,10 @@ def _build_parser():
         "bg",
         help="background application (or trace kind with --backend trace)",
     )
-    cons.add_argument("--ucp", action="store_true", help="include the UCP baseline")
+    cons.add_argument(
+        "--ucp", action="store_true",
+        help="include the UCP baseline (analytical pair only)",
+    )
     cons.add_argument(
         "--backend",
         default="analytical",
@@ -85,8 +88,9 @@ def _build_parser():
     cons.add_argument(
         "--check",
         action="store_true",
-        help="(trace backend) cross-validate the policy layer's shared/"
-        "fair runs against direct way-mask replay (non-zero on mismatch)",
+        help="(trace backend) replay every fixed-split outcome (shared, "
+        "fair, biased, cluster) with direct way masks and require every "
+        "tenant's cost and rate to match (non-zero on mismatch)",
     )
     cons.add_argument(
         "--accesses", type=int, default=60_000,
@@ -114,7 +118,7 @@ def _build_parser():
 
     dyn = sub.add_parser("dynamic", help="run the dynamic controller")
     dyn.add_argument("fg")
-    dyn.add_argument("bg", nargs="+")
+    dyn.add_argument("bg", nargs="+", help="one or two background applications")
     dyn.add_argument(
         "--actions",
         type=int,
@@ -474,21 +478,14 @@ def _write_runset(outcomes, capabilities, path, out, meta=None):
     out.write(f"run set: {count} records -> {path}\n")
 
 
-def _group_policy_list(args, include_cluster=True):
-    policies = ["shared", "fair", "biased"]
-    if include_cluster:
-        policies.append("cluster")
-    if args.dynamic:
-        policies.append("dynamic")
-    return policies
-
-
 def _consolidate_group(args, out):
-    """``consolidate --tenants``: run the policies over an N-tenant
-    group (fg, bg, and the extra tenants) instead of the pair."""
+    """``consolidate`` over a tenant set: a trace pair, or fg, bg and
+    the ``--tenants`` of an N-tenant group on either backend. Every
+    tenant set runs shared, fair and biased (a group adds cluster, and
+    ``--dynamic`` the controller) and prints one row per policy."""
     from repro.core.policies import run_policy
 
-    names = [args.fg, args.bg] + list(args.tenants)
+    names = [args.fg, args.bg] + list(args.tenants or ())
     if args.backend == "trace":
         from repro.analysis.experiments import trace_group_spec
         from repro.backend import TraceBackend
@@ -514,9 +511,12 @@ def _consolidate_group(args, out):
 
         backend = AnalyticalBackend()
         group = AnalyticalBackend.group_spec(names)
-    outcomes = [
-        run_policy(backend, group, p) for p in _group_policy_list(args)
-    ]
+    policies = ["shared", "fair", "biased"]
+    if len(names) > 2:
+        policies.append("cluster")
+    if args.dynamic:
+        policies.append("dynamic")
+    outcomes = [run_policy(backend, group, p) for p in policies]
     caps = backend.capabilities()
     rows = [
         (
@@ -541,8 +541,6 @@ def _consolidate_group(args, out):
         + "\n"
     )
     if args.check:
-        if args.backend != "trace":
-            raise ValidationError("--check needs --backend trace")
         from repro.analysis.experiments import verify_trace_group_replay
 
         checked = sum(
@@ -555,21 +553,22 @@ def _consolidate_group(args, out):
             f"reference ({checked} comparisons)\n"
         )
     if args.json:
-        _write_runset(
-            outcomes,
-            caps,
-            args.json,
-            out,
-            meta={"source": "consolidate", "tenants": list(group.names)},
-        )
+        meta = {"source": "consolidate", "tenants": list(group.names)}
+        if args.backend == "trace":
+            meta["accesses"] = args.accesses
+        _write_runset(outcomes, caps, args.json, out, meta=meta)
 
 
 def _cmd_consolidate(args, out):
-    if args.tenants:
+    if args.check and args.backend != "trace":
+        raise ValidationError("--check needs --backend trace")
+    if args.ucp and (args.tenants or args.backend != "analytical"):
+        raise ValidationError(
+            "--ucp needs the analytical pair (no --tenants, no "
+            "--backend trace)"
+        )
+    if args.tenants or args.backend == "trace":
         _consolidate_group(args, out)
-        return
-    if args.backend == "trace":
-        _consolidate_trace(args, out)
         return
     from repro.backend import AnalyticalBackend
     from repro.core.policies import run_policy
@@ -616,76 +615,14 @@ def _cmd_consolidate(args, out):
         )
 
 
-def _consolidate_trace(args, out):
-    from repro.analysis.experiments import (
-        trace_group_spec,
-        verify_trace_policy_replay,
-    )
-    from repro.backend import TraceBackend
-    from repro.core.policies import run_policy
-    from repro.workloads.trace import trace_kinds
-
-    kinds = tuple(trace_kinds())
-    for name in (args.fg, args.bg):
-        if name not in kinds:
-            raise ValidationError(
-                f"--backend trace takes synthetic trace kinds {kinds}; "
-                f"got {name!r}"
-            )
-    backend = TraceBackend(total_accesses=args.accesses)
-    pair = trace_group_spec(
-        [args.fg, args.bg],
-        accesses=args.accesses,
-        footprint_mb=args.footprint_mb,
-        alpha=args.alpha,
-        seed=args.seed,
-    )
-    policies = ["shared", "fair", "biased"]
-    if args.dynamic:
-        policies.append("dynamic")
-    outcomes = [run_policy(backend, pair, p) for p in policies]
-    fg_name, bg_name = pair.names
-    rows = [
-        (
-            o.policy,
-            f"{o.fg_ways}/{o.bg_ways}",
-            f"{o.fg_cost:.2f}",
-            f"{o.bg_rate:.2f}",
-        )
-        for o in outcomes
-    ]
-    out.write(
-        format_table(
-            ["policy", "fg/bg ways", "fg cyc/access", "bg acc/kcycle"],
-            rows,
-            title=f"{fg_name} (fg) + {bg_name} (bg) — trace backend",
-        )
-        + "\n"
-    )
-    if args.check:
-        checked = verify_trace_policy_replay(backend, pair)
-        out.write(
-            f"check: policy layer agrees with direct way-mask replay "
-            f"({checked} comparisons)\n"
-        )
-    if args.json:
-        _write_runset(
-            outcomes,
-            backend.capabilities(),
-            args.json,
-            out,
-            meta={
-                "source": "consolidate",
-                "fg": fg_name,
-                "bg": bg_name,
-                "accesses": args.accesses,
-            },
-        )
-
-
 def _cmd_dynamic(args, out):
     from repro.core.dynamic import DynamicPartitionController
 
+    if len(args.bg) > 2:
+        raise ValidationError(
+            f"dynamic takes one or two backgrounds, got {len(args.bg)}: the "
+            "foreground holds cores 0-1, leaving one core per background"
+        )
     machine = Machine()
     fg = get_application(args.fg)
     backgrounds = [get_application(n) for n in args.bg]
@@ -719,10 +656,10 @@ def _cmd_dynamic(args, out):
                 cores=(2 + i,),
                 mask=masks[b.name],
             )
-            for i, b in enumerate(backgrounds[:2])
+            for i, b in enumerate(backgrounds)
         ]
         group = machine.run_group(
-            fg, backgrounds[:2], fg_alloc, bg_allocs, controller=controller
+            fg, backgrounds, fg_alloc, bg_allocs, controller=controller
         )
         pair = group
         bg_rate = group.bg_rate_ips

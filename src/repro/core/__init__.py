@@ -13,9 +13,6 @@
   improvement: the quantities Figs. 9-11 and 13 report.
 - :mod:`repro.core.clustering` — the Section 3.5 single-linkage
   clustering over 19-dimensional feature vectors.
-- :mod:`repro.core.energy_qos` — the coordinated (operating point x
-  way split) minimum-energy search under per-tenant QoS slack (the
-  ROADMAP item after Nejat et al.), grid-solved and memoized.
 """
 
 from repro.core.bandwidth_qos import QosBandwidthDomain, QosContract, apply_qos
@@ -25,7 +22,6 @@ from repro.core.clustering import (
     render_dendrogram,
 )
 from repro.core.dynamic import ControllerAction, DynamicPartitionController
-from repro.core.energy_qos import EnergyQosPick, EnergyQosSearch
 from repro.core.multi_fg import (
     ForegroundRequest,
     MultiFgPlan,
@@ -52,8 +48,6 @@ __all__ = [
     "ClusterResult",
     "ControllerAction",
     "DynamicPartitionController",
-    "EnergyQosPick",
-    "EnergyQosSearch",
     "ForegroundRequest",
     "MultiFgPlan",
     "POLICIES",

@@ -9,7 +9,6 @@ cores per application, Section 5).
 """
 
 from repro.runtime.harness import CoScheduleHarness, paper_pair_allocations
-from repro.runtime.planner import ConsolidationPlan, ConsolidationPlanner
 from repro.runtime.resctrl import ResctrlFilesystem, ResctrlGroup
 from repro.runtime.scheduler import (
     ContentionAwareScheduler,
@@ -21,8 +20,6 @@ from repro.runtime.taskset import PinRegistry, taskset
 
 __all__ = [
     "CoScheduleHarness",
-    "ConsolidationPlan",
-    "ConsolidationPlanner",
     "ContentionAwareScheduler",
     "InterferencePredictor",
     "PairingPrediction",

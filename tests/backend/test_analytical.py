@@ -52,7 +52,6 @@ class TestCapabilities:
         assert caps.llc_ways == machine.config.llc_ways
         assert caps.fg_cost_unit == "s"
         assert caps.bg_rate_unit == "instr/s"
-        assert caps.sweep_is_measured
         assert caps.supports_dynamic
         assert caps.supports_energy
 

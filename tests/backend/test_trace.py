@@ -8,7 +8,7 @@ import os
 
 import pytest
 
-from repro.analysis.experiments import trace_group_spec, verify_trace_policy_replay
+from repro.analysis.experiments import trace_group_spec, verify_trace_group_replay
 from repro.backend import GroupSplit, TraceBackend
 from repro.core.policies import choose_biased_split, policy_biased, run_policy
 from repro.cache.llc import WayMask
@@ -68,7 +68,6 @@ class TestCapabilities:
         assert caps.llc_ways == 12
         assert caps.fg_cost_unit == "cycles/access"
         assert caps.bg_rate_unit == "accesses/kcycle"
-        assert not caps.sweep_is_measured
         assert caps.supports_dynamic
         assert not caps.supports_energy
 
@@ -90,8 +89,15 @@ class TestCoRun:
         assert m.fg_cost == m.raw[spec.names[0]].avg_latency
 
     def test_policies_agree_with_direct_mask_replay(self, backend, spec):
-        # shared and fair, re-run with hand-built way masks: exact match.
-        assert verify_trace_policy_replay(backend, spec) == 4
+        # shared, fair and biased, re-run with hand-built way masks:
+        # both tenants' costs and rates match exactly.
+        checked = sum(
+            verify_trace_group_replay(
+                backend, spec, run_policy(backend, spec, policy)
+            )
+            for policy in ("shared", "fair", "biased")
+        )
+        assert checked == 12
 
     @pytest.mark.parametrize("split", [
         GroupSplit.shared(2, 12), GroupSplit.fair(2, 12), GroupSplit.disjoint(4, 12),
@@ -121,21 +127,8 @@ class TestCoRun:
 
 
 class TestProfiledSweep:
-    def test_sweep_scores_come_from_one_way_profile(self, backend, spec):
-        from repro.sim.trace_engine import way_allocation_sweep
-
-        _, curves = way_allocation_sweep(
-            spec.tenants, total_accesses=ACCESSES
-        )
-        fg_curve = curves[spec.tenants[0].tid // 2]
-        bg_curve = curves[spec.tenants[1].tid // 2]
-        sweep = backend.sweep(spec)
-        assert [w for w, _ in sweep] == list(range(1, 12))
-        for fg_ways, m in sweep:
-            assert m.fg_cost == float(fg_curve.misses(fg_ways))
-            assert m.bg_rate == float(bg_curve.hits(12 - fg_ways))
-            assert m.raw is None
-            assert m.extra["source"] == "profile"
+    """The biased policy over a trace pair's sweep, whose entries are
+    co-runs replayed at every split."""
 
     def test_biased_split_matches_the_manual_rule(self, backend, spec):
         sweep = backend.sweep(spec)
@@ -150,8 +143,8 @@ class TestProfiledSweep:
 
     def test_biased_re_measures_its_chosen_split(self, backend, spec):
         outcome = policy_biased(backend, spec)
-        # The sweep entries are profile scores; the outcome must carry a
-        # real co-run at the chosen split, not a score.
+        # The outcome carries a replayed co-run at the chosen split,
+        # equal to measuring that split on its own.
         assert outcome.measurement.raw is not None
         direct = backend.co_run(
             spec, GroupSplit.disjoint(outcome.fg_ways, 12)

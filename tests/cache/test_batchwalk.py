@@ -688,18 +688,10 @@ class TestMeasuredSweep:
             footprint_mb=0.5, bg_footprint_mb=1.0, seed=3,
         )
 
-    def test_capability_reflects_the_mode(self):
-        from repro.backend import TraceBackend
-
-        assert not TraceBackend().capabilities().sweep_is_measured
-        assert TraceBackend(
-            measured_sweep=True
-        ).capabilities().sweep_is_measured
-
     def test_measured_sweep_equals_per_split_co_run(self, spec):
         from repro.backend import GroupSplit, TraceBackend
 
-        backend = TraceBackend(total_accesses=6_000, measured_sweep=True)
+        backend = TraceBackend(total_accesses=6_000)
         sweep = backend.sweep(spec)
         assert [w for w, _ in sweep] == list(range(1, LLC_NUM_WAYS))
         for fg_ways, measured in sweep:

@@ -90,6 +90,23 @@ class TestConsolidate:
             "biased", "fair", "shared",
         ]
 
+    def test_check_needs_the_trace_backend(self, capsys):
+        code, _ = run_cli("consolidate", "fop", "batik", "--check")
+        assert code == 1
+        assert "--check needs --backend trace" in capsys.readouterr().err
+
+    def test_ucp_rejected_on_the_trace_backend(self, capsys):
+        code, _ = run_cli("consolidate", "zipf", "stream",
+                          "--backend", "trace", "--ucp")
+        assert code == 1
+        assert "--ucp needs the analytical pair" in capsys.readouterr().err
+
+    def test_ucp_rejected_with_tenants(self, capsys):
+        code, _ = run_cli("consolidate", "fop", "batik",
+                          "--tenants", "dedup", "--ucp")
+        assert code == 1
+        assert "--ucp needs the analytical pair" in capsys.readouterr().err
+
 
 class TestDynamic:
     def test_single_background(self):
@@ -101,6 +118,12 @@ class TestDynamic:
         code, text = run_cli("dynamic", "429.mcf", "batik", "dedup")
         assert code == 0
         assert "reallocations" in text
+
+    def test_more_than_two_backgrounds_rejected(self, capsys):
+        code, text = run_cli("dynamic", "429.mcf", "batik", "dedup", "fop")
+        assert code == 1
+        assert text == ""
+        assert "one core per background" in capsys.readouterr().err
 
     def test_actions_truncates_the_trail(self):
         code, text = run_cli("dynamic", "canneal", "streamcluster",
@@ -136,14 +159,49 @@ class TestConsolidateTrace:
         )
         assert code == 0
         assert "trace backend" in text
-        assert "check: policy layer agrees with direct way-mask replay" in text
+        assert ("check: group replay agrees with sequential per-tenant "
+                "reference (12 comparisons)") in text
         runset = load_runset(path)
         assert runset.backend == "trace"
+        assert runset.meta["accesses"] == 12000
         assert sorted(r.policy for r in runset.records) == [
             "biased", "fair", "shared",
         ]
         for record in runset.records:
             assert record.units["fg_cost"] == "cycles/access"
+
+    def test_records_equal_a_one_row_campaign(self, _private_pack_cache,
+                                              tmp_path):
+        # consolidate and a campaign cell of the same pair and geometry
+        # run one policy path, so every record agrees exactly.
+        import json
+
+        from repro.analysis.compare import diff_runsets
+
+        path = tmp_path / "consolidate.json"
+        code, _ = run_cli(
+            "consolidate", "zipf", "stream", "--backend", "trace",
+            "--accesses", "20000", "--json", str(path),
+        )
+        assert code == 0
+        manifest = tmp_path / "one-row.json"
+        manifest.write_text(json.dumps({
+            "name": "one-row",
+            "backends": ["trace"],
+            "policies": ["shared", "fair", "biased"],
+            "pairs": [["zipf", "stream"]],
+            "geometries": [{
+                "accesses": 20000, "footprint_mb": 4.0,
+                "bg_footprint_mb": 8.0, "alpha": 0.9, "seed": 1,
+            }],
+        }))
+        store = tmp_path / "store"
+        code, _ = run_cli("campaign", "run", str(manifest),
+                          "--store", str(store))
+        assert code == 0
+        moved, checked, unmatched = diff_runsets(path, store, tolerance=0)
+        assert (moved, unmatched) == ([], [])
+        assert checked == 12
 
     def test_application_names_rejected_on_the_trace_backend(self):
         code, _ = run_cli("consolidate", "fop", "stream",
