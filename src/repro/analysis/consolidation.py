@@ -8,7 +8,7 @@ background pairs under each policy, caching aggressively because Figs.
 from repro.backend import AnalyticalBackend
 from repro.core.metrics import energy_ratio, slowdown, weighted_speedup
 from repro.core.policies import run_policy
-from repro.exec import run_tasks
+from repro.exec import parallel_map
 from repro.runtime.harness import paper_pair_allocations
 from repro.sim.engine import Machine
 from repro.util.errors import ValidationError
@@ -16,25 +16,6 @@ from repro.workloads.registry import representatives
 
 PAPER_THREADS = 4
 POLICIES = ("shared", "fair", "biased")
-
-
-def _warm_pair_task(machine, item):
-    """Everything the figures need for one (fg, bg) pair.
-
-    Module-level so worker processes can import it; builds a shadow study
-    around the (worker's) machine and returns plain result objects for
-    the driver to merge into its own caches.
-    """
-    reps, fg_id, bg_id, include_once = item
-    study = ConsolidationStudy(machine=machine, reps=reps)
-    out = {
-        "sweep": study.sweep(fg_id, bg_id),
-        "continuous": {p: study.policy(fg_id, bg_id, p) for p in POLICIES},
-        "dynamic": study.dynamic(fg_id, bg_id),
-    }
-    if include_once:
-        out["once"] = {p: study.once(fg_id, bg_id, p) for p in POLICIES}
-    return out
 
 
 class ConsolidationStudy:
@@ -87,11 +68,11 @@ class ConsolidationStudy:
             self.solo_whole(cluster_id)
         once_pairs = set(self.unordered_pairs())
         items = [
-            (self.reps, fg_id, bg_id, (fg_id, bg_id) in once_pairs)
+            (fg_id, bg_id, (fg_id, bg_id) in once_pairs)
             for fg_id, bg_id in self.ordered_pairs()
         ]
-        results = run_tasks(self.machine, _warm_pair_task, items, workers=workers)
-        for (_, fg_id, bg_id, include_once), out in zip(items, results):
+        results = parallel_map(self._warm_pair, items, workers=workers)
+        for (fg_id, bg_id, include_once), out in zip(items, results):
             self._sweeps.setdefault((fg_id, bg_id), out["sweep"])
             for policy, outcome in out["continuous"].items():
                 self._continuous.setdefault((fg_id, bg_id, policy), outcome)
@@ -100,6 +81,20 @@ class ConsolidationStudy:
                 for policy, pair in out["once"].items():
                     self._once.setdefault((fg_id, bg_id, policy), pair)
         return self
+
+    def _warm_pair(self, item):
+        """Everything the figures need for one (fg, bg) pair, computed
+        on this study (a pool worker's fork-inherited copy of it); the
+        caller merges the returned results into its own caches."""
+        fg_id, bg_id, include_once = item
+        out = {
+            "sweep": self.sweep(fg_id, bg_id),
+            "continuous": {p: self.policy(fg_id, bg_id, p) for p in POLICIES},
+            "dynamic": self.dynamic(fg_id, bg_id),
+        }
+        if include_once:
+            out["once"] = {p: self.once(fg_id, bg_id, p) for p in POLICIES}
+        return out
 
     # -- baselines --------------------------------------------------------------
 

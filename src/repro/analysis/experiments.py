@@ -6,11 +6,13 @@ prints as the rows/series the paper reports. Expensive sweeps accept an
 the full suite when REPRO_FULL=1.
 """
 
+import functools
+
 from repro.analysis.characterize import Characterizer
 from repro.analysis.classify import llc_utility_table, scalability_table
 from repro.core.clustering import cluster_applications
 from repro.core.dynamic import DynamicPartitionController
-from repro.exec import run_tasks
+from repro.exec import parallel_map
 from repro.runtime.harness import paper_pair_allocations
 from repro.workloads import all_applications, get_application
 from repro.workloads.registry import REPRESENTATIVES
@@ -121,7 +123,10 @@ def fig06_allocation_space(
                 continue
             for ways in way_counts:
                 cells.append((app.name, threads, ways))
-    results = run_tasks(characterizer.machine, _fig06_cell, cells, workers=workers)
+    results = parallel_map(
+        functools.partial(_fig06_cell, characterizer.machine), cells,
+        workers=workers,
+    )
     out = {app.name: {} for app in apps}
     for (name, threads, ways), result in zip(cells, results):
         out[name][(threads, ways)] = result
@@ -162,9 +167,13 @@ def fig08_pairwise_slowdowns(machine, apps=None, workers=None):
     """Fig. 8: foreground slowdown for every (fg, bg) pair, shared LLC."""
     apps = _resolve(apps)
     names = [app.name for app in apps]
-    solo = dict(zip(names, run_tasks(machine, _fig08_solo, names, workers=workers)))
+    solo = dict(zip(names, parallel_map(
+        functools.partial(_fig08_solo, machine), names, workers=workers
+    )))
     pairs = [(fg, bg) for fg in names for bg in names]
-    fg_runtimes = run_tasks(machine, _fig08_pair, pairs, workers=workers)
+    fg_runtimes = parallel_map(
+        functools.partial(_fig08_pair, machine), pairs, workers=workers
+    )
     return {
         (fg, bg): runtime / solo[fg]
         for (fg, bg), runtime in zip(pairs, fg_runtimes)
@@ -311,8 +320,6 @@ def background_factories(domains):
     """Picklable ``(name, factory, tid, think_cycles)`` rows for the
     background domains of an N-domain co-run (``domains`` includes the
     foreground, so 2 <= domains <= 4 on the four-core hierarchy)."""
-    import functools
-
     from repro.util.errors import ValidationError
     from repro.workloads.trace import make_trace
 
@@ -339,8 +346,6 @@ def trace_kind_factory(kind, length, footprint_mb=4.0, alpha=0.9, seed=1,
     backend, and the bench agree on what ``--trace zipf
     --footprint-mb 4`` means.
     """
-    import functools
-
     from repro.workloads.trace import make_trace
 
     footprint = int(_mb(footprint_mb))
@@ -477,8 +482,7 @@ def trace_way_utility(fg_factory=None, bg_factory=None, total_accesses=120_000,
 
 
 def _verify_domain_cell(item):
-    """One domain's profile-vs-brute-force check (module-level so the
-    process pool can pickle it)."""
+    """One domain's profile-vs-brute-force check."""
     from repro.cache.profile import verify_profile
 
     factory, way_counts = item
@@ -496,7 +500,6 @@ def verify_trace_domains(factories, way_counts=None, workers=None):
     instead of regenerating or shipping the traces. Returns the
     per-domain row lists, in input order; raises on any mismatch.
     """
-    from repro.exec import parallel_map
     from repro.workloads.tracepack import get_pack
 
     factories = list(factories)

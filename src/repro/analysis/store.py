@@ -1,22 +1,14 @@
-"""Versioned on-disk stores for measurement results.
+"""The versioned on-disk run-record store.
 
-Two record kinds live here:
+:class:`RunRecord` / :class:`RunSet` hold the backend-neutral outcome
+of a policy run (policy, backend, split, and the fg-cost/bg-rate
+metrics with their units). ``repro consolidate --json``, the trace
+commands, and ``repro compare`` all speak this schema, so a run
+produced on one backend can be diffed against the other.
 
-- the *characterization store* — the characterizer's memoized solo
-  RunResults, so a later process (or a CI job splitting the benches)
-  starts warm. Only plain measurement data is stored — results are
-  reproducible, so a stale file is merely slower, never wrong (and a
-  version stamp invalidates files from older model versions);
-- the *run-record store* — :class:`RunRecord` / :class:`RunSet`, the
-  backend-neutral outcome of a policy run (policy, backend, split, and
-  the fg-cost/bg-rate metrics with their units). ``repro consolidate
-  --json``, the trace commands, and ``repro compare`` all speak this
-  schema, so a run produced on one backend can be diffed against the
-  other.
-
-Both stores carry a schema-version field, write atomically (temp file +
-``os.replace``), and raise :class:`~repro.util.errors.ValidationError` —
-never a bare ``KeyError``/``TypeError`` — on corrupt files.
+The store carries a schema-version field, writes atomically (temp file
++ ``os.replace``), and raises :class:`~repro.util.errors.ValidationError`
+— never a bare ``KeyError``/``TypeError`` — on corrupt files.
 """
 
 import glob
@@ -25,10 +17,8 @@ import json
 import os
 from dataclasses import dataclass, field
 
-from repro.sim.engine import RunResult
 from repro.util.errors import ValidationError
 
-STORE_VERSION = 1
 RUNSET_VERSION = 1
 
 
@@ -41,95 +31,6 @@ def _atomic_write_json(payload, path):
             json.dumps(payload, separators=(",", ":"), sort_keys=True)
         )
     os.replace(tmp, path)
-
-
-def _key_to_string(key):
-    app, threads, ways, prefetchers_on = key
-    return f"{app}|{threads}|{ways}|{int(prefetchers_on)}"
-
-
-def _key_from_string(text):
-    try:
-        app, threads, ways, prefetchers_on = text.rsplit("|", 3)
-        return (app, int(threads), int(ways), bool(int(prefetchers_on)))
-    except (ValueError, AttributeError) as exc:
-        raise ValidationError(
-            f"malformed characterization key {text!r}: expected "
-            "'app|threads|ways|prefetchers'"
-        ) from exc
-
-
-def _result_to_dict(result):
-    return {
-        "name": result.name,
-        "runtime_s": result.runtime_s,
-        "instructions": result.instructions,
-        "llc_misses": result.llc_misses,
-        "llc_accesses": result.llc_accesses,
-        "socket_energy_j": result.socket_energy_j,
-        "wall_energy_j": result.wall_energy_j,
-        "avg_power_w": result.avg_power_w,
-        "pp0_energy_j": result.pp0_energy_j,
-    }
-
-
-def save_characterizer(characterizer, path, model_version=None):
-    """Write the characterizer's solo-run cache to ``path``."""
-    from repro import __version__
-
-    payload = {
-        "store_version": STORE_VERSION,
-        "model_version": model_version or __version__,
-        "runs": {
-            _key_to_string(key): _result_to_dict(result)
-            for key, result in characterizer._solo_cache.items()
-        },
-    }
-    _atomic_write_json(payload, path)
-    return len(payload["runs"])
-
-
-def load_characterizer(characterizer, path, model_version=None):
-    """Warm a characterizer's cache from ``path``.
-
-    Returns the number of runs loaded; 0 (and no changes) when the file
-    is absent or was written by a different model version.
-    """
-    from repro import __version__
-
-    if not os.path.exists(path):
-        return 0
-    with open(path) as handle:
-        try:
-            payload = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"corrupt characterization store: {exc}") from exc
-    if not isinstance(payload, dict):
-        raise ValidationError(
-            f"corrupt characterization store {path}: not a JSON object"
-        )
-    if payload.get("store_version") != STORE_VERSION:
-        return 0
-    if payload.get("model_version") != (model_version or __version__):
-        return 0
-    runs = payload.get("runs")
-    if not isinstance(runs, dict):
-        raise ValidationError(
-            f"corrupt characterization store {path}: 'runs' is not a mapping"
-        )
-    loaded = 0
-    for key_text, data in runs.items():
-        key = _key_from_string(key_text)
-        try:
-            result = RunResult(**data)
-        except TypeError as exc:
-            raise ValidationError(
-                f"corrupt characterization store {path}: bad run payload "
-                f"for {key_text!r}: {exc}"
-            ) from exc
-        characterizer._solo_cache.setdefault(key, result)
-        loaded += 1
-    return loaded
 
 
 # -- run records: policy outcomes in a backend-neutral schema -----------------

@@ -48,8 +48,6 @@ class AnalyticalBackend(SimBackend):
             fg_cost_unit="s",
             bg_rate_unit="instr/s",
             supports_dynamic=True,
-            supports_energy=True,
-            supports_operating_points=True,
         )
 
     @staticmethod
@@ -129,8 +127,7 @@ class AnalyticalBackend(SimBackend):
     def co_run_grid(self, items):
         """Vectorized batch of co-runs via :mod:`repro.sim.gridsolve`.
 
-        ``items`` are ``(tenants, split)`` pairs or ``(tenants, split,
-        config)`` triples (per-cell operating points). Pair cells whose
+        ``items`` are ``(tenants, split)`` pairs. Pair cells whose
         options the grid solver covers are solved in one vectorized
         call; the rest run through the scalar :meth:`co_run`, and so do
         all cells on a machine whose memory system the grid does not
@@ -142,29 +139,20 @@ class AnalyticalBackend(SimBackend):
         items = list(items)
         grid = self._grid_supported()
         cells = {}
-        for i, item in enumerate(items):
-            tenants, split = item[0], item[1]
-            config = item[2] if len(item) == 3 else None
+        for i, (tenants, split) in enumerate(items):
             options = self._grid_options(tenants.options)
             ways = split.pair_ways() if len(tenants.tenants) == 2 else None
             if not grid or options is None or ways is None:
-                if config is not None:
-                    raise ValidationError(
-                        "per-cell operating points require grid-solvable "
-                        f"pair cells; got {tenants.options!r} on {split}"
-                    )
                 continue
-            cfg = config or self.machine.config
             fg, bg = tenants.tenants
             fg_alloc, bg_alloc = paper_pair_allocations(
-                fg, bg, *ways, cfg.llc_ways
+                fg, bg, *ways, self.machine.config.llc_ways
             )
             cells[i] = GridCell(
                 fg=fg,
                 bg=bg,
                 fg_allocation=fg_alloc,
                 bg_allocation=bg_alloc,
-                config=config,
                 prefetchers_on=options["prefetchers_on"],
             )
         order = sorted(cells)
@@ -176,8 +164,7 @@ class AnalyticalBackend(SimBackend):
         solved = dict(zip(order, pairs))
 
         results = []
-        for i, item in enumerate(items):
-            tenants, split = item[0], item[1]
+        for i, (tenants, split) in enumerate(items):
             pair = solved.get(i)
             if pair is None:
                 results.append(self.co_run(tenants, split))

@@ -56,11 +56,6 @@ class BackendCapabilities:
     fg_cost_unit: str
     bg_rate_unit: str
     supports_dynamic: bool = True
-    supports_energy: bool = False
-    # Whether co_run_grid accepts a per-item platform config (an
-    # operating point) — the joint (frequency x allocation) searches
-    # need this; backends without it only take (tenants, split) items.
-    supports_operating_points: bool = False
 
 
 @dataclass
@@ -358,23 +353,13 @@ class SimBackend:
     def co_run_grid(self, items):
         """Measure a batch of co-run cells; returns ``[GroupMeasurement]``.
 
-        ``items`` is a sequence of ``(tenants, split)`` pairs, optionally
-        ``(tenants, split, config)`` triples naming a per-cell operating
-        point for backends whose capabilities set
-        ``supports_operating_points``. The default walks the batch
-        through :meth:`co_run` one cell at a time; vectorized backends
-        override this with a single batched solve that must return
-        results bit-identical to the sequential walk.
+        ``items`` is a sequence of ``(tenants, split)`` pairs. The
+        default walks the batch through :meth:`co_run` one cell at a
+        time; vectorized backends override this with a single batched
+        solve that must return results bit-identical to the sequential
+        walk.
         """
-        results = []
-        for item in items:
-            if len(item) == 3 and item[2] is not None:
-                raise ValidationError(
-                    f"backend {self.capabilities().name!r} does not support "
-                    "per-cell operating points"
-                )
-            results.append(self.co_run(item[0], item[1]))
-        return results
+        return [self.co_run(tenants, split) for tenants, split in items]
 
     def dynamic(self, tenants, controller=None):
         """Run ``tenants`` under a dynamic controller (by default the

@@ -68,7 +68,6 @@ class TraceBackend(SimBackend):
             fg_cost_unit="cycles/access",
             bg_rate_unit="accesses/kcycle",
             supports_dynamic=True,
-            supports_energy=False,
         )
 
     # -- engine plumbing ----------------------------------------------------

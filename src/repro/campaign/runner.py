@@ -110,9 +110,9 @@ def _group_controller_for(cell, backend, group):
 def run_campaign_cell(cell):
     """Execute ONE cell on a fresh backend; returns its RunRecord.
 
-    This is the sequential per-cell reference path — module-level and
-    picklable, so fallback shards can fan it out over the exec pool —
-    and the ground truth the roster shards must match bit for bit.
+    This is the sequential per-cell reference path, which fallback
+    shards fan out over the exec pool, and the ground truth the roster
+    shards must match bit for bit.
     """
     from repro.core.policies import PolicyOutcome, run_policy
 

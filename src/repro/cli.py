@@ -31,6 +31,11 @@ from repro.util.errors import ReproError, ValidationError
 from repro.util.tables import format_table
 from repro.workloads import all_applications, get_application
 
+# ``consolidate``'s trace workload knobs and their defaults. They have
+# no meaning on the analytical backend, so giving one there is an error.
+_TRACE_KNOBS = {"accesses": 60_000, "footprint_mb": 4.0, "alpha": 0.9,
+                "seed": 1}
+
 
 def _build_parser():
     parser = argparse.ArgumentParser(
@@ -93,18 +98,22 @@ def _build_parser():
         "tenant's cost and rate to match (non-zero on mismatch)",
     )
     cons.add_argument(
-        "--accesses", type=int, default=60_000,
-        help="(trace backend) accesses per workload",
+        "--accesses", type=int, default=None,
+        help="(trace backend) accesses per workload "
+        f"(default {_TRACE_KNOBS['accesses']})",
     )
     cons.add_argument(
-        "--footprint-mb", type=float, default=4.0,
-        help="(trace backend) foreground footprint",
+        "--footprint-mb", type=float, default=None,
+        help="(trace backend) foreground footprint "
+        f"(default {_TRACE_KNOBS['footprint_mb']})",
     )
     cons.add_argument(
-        "--alpha", type=float, default=0.9, help="(trace backend) zipf skew"
+        "--alpha", type=float, default=None,
+        help=f"(trace backend) zipf skew (default {_TRACE_KNOBS['alpha']})",
     )
     cons.add_argument(
-        "--seed", type=int, default=1, help="(trace backend) trace seed"
+        "--seed", type=int, default=None,
+        help=f"(trace backend) trace seed (default {_TRACE_KNOBS['seed']})",
     )
     cons.add_argument(
         "--tenants",
@@ -498,14 +507,13 @@ def _consolidate_group(args, out):
                     f"--backend trace takes synthetic trace kinds {kinds}; "
                     f"got {name!r}"
                 )
-        backend = TraceBackend(total_accesses=args.accesses)
-        group = trace_group_spec(
-            names,
-            accesses=args.accesses,
-            footprint_mb=args.footprint_mb,
-            alpha=args.alpha,
-            seed=args.seed,
-        )
+        knobs = {
+            name: default if getattr(args, name) is None
+            else getattr(args, name)
+            for name, default in _TRACE_KNOBS.items()
+        }
+        backend = TraceBackend(total_accesses=knobs["accesses"])
+        group = trace_group_spec(names, **knobs)
     else:
         from repro.backend import AnalyticalBackend
 
@@ -555,13 +563,19 @@ def _consolidate_group(args, out):
     if args.json:
         meta = {"source": "consolidate", "tenants": list(group.names)}
         if args.backend == "trace":
-            meta["accesses"] = args.accesses
+            meta["accesses"] = backend.total_accesses
         _write_runset(outcomes, caps, args.json, out, meta=meta)
 
 
 def _cmd_consolidate(args, out):
     if args.check and args.backend != "trace":
         raise ValidationError("--check needs --backend trace")
+    knobs = [
+        "--" + name.replace("_", "-")
+        for name in _TRACE_KNOBS if getattr(args, name) is not None
+    ]
+    if knobs and args.backend != "trace":
+        raise ValidationError(f"{', '.join(knobs)} need --backend trace")
     if args.ucp and (args.tenants or args.backend != "analytical"):
         raise ValidationError(
             "--ucp needs the analytical pair (no --tenants, no "

@@ -5,8 +5,10 @@ every cell is an independent simulation of a deterministic engine, so
 running cells on a process pool must (and does) return results that are
 bitwise identical to the serial loop — the only thing parallelism may
 change is wall-clock time. :func:`parallel_map` provides the ordered,
-chunked, fallback-to-serial primitive; :func:`run_tasks` binds it to a
-:class:`~repro.sim.engine.Machine` rebuilt once per worker process.
+chunked, fallback-to-serial primitive. Its fork workers compute on the
+caller's own state (a task over a :class:`~repro.sim.engine.Machine`
+runs on that machine, as inherited at the fork); only items and results
+are pickled.
 """
 
 from repro.exec.pool import (
@@ -14,21 +16,9 @@ from repro.exec.pool import (
     resolve_workers,
     usable_cpus,
 )
-from repro.exec.workers import (
-    MachineSpec,
-    build_machine,
-    machine_spec,
-    run_tasks,
-    worker_machine,
-)
 
 __all__ = [
-    "MachineSpec",
-    "build_machine",
-    "machine_spec",
     "parallel_map",
     "resolve_workers",
-    "run_tasks",
     "usable_cpus",
-    "worker_machine",
 ]

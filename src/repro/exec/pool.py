@@ -2,16 +2,15 @@
 
 The contract is strict determinism: ``parallel_map(fn, items)`` returns
 ``[fn(item) for item in items]`` — same values, same order — no matter
-how many workers run or how the pool schedules chunks. Workers receive
-work through pickling, so ``fn`` must be a module-level function and the
-items picklable; anything else falls back to the serial path rather than
-failing the experiment.
+how many workers run or how the pool schedules chunks.
 
-The pool is fork-only, so workers inherit the parent's process state:
-every trace pack the parent opened (the registry behind
-:func:`repro.workloads.tracepack.get_pack`) is already open in each
-worker, its memmapped pages shared by the OS. Callers open packs before
-mapping; nothing pack-related is shipped.
+The pool is fork-only, and workers compute on the caller's own state:
+they inherit ``fn`` and everything it closes over (a closure, a bound
+method, a ``functools.partial`` over a ``Machine``, with whatever that
+machine carries), and every trace pack the parent opened (the registry
+behind :func:`repro.workloads.tracepack.get_pack`), its memmapped pages
+shared by the OS. Only items and results are pickled; work that cannot
+be falls back to the serial path rather than failing the experiment.
 """
 
 import os
@@ -19,6 +18,10 @@ import os
 from repro.util.errors import ValidationError
 
 _ENV_WORKERS = "REPRO_WORKERS"
+
+# The task of the map in flight. Set before the pool forks its workers,
+# so each worker inherits it instead of unpickling it.
+_TASK = None
 
 
 def resolve_workers(workers=None):
@@ -47,29 +50,19 @@ def resolve_workers(workers=None):
     return workers
 
 
-def _usable_cpus():
-    try:
-        return max(1, len(os.sched_getaffinity(0)))
-    except (AttributeError, OSError):
-        return max(1, os.cpu_count() or 1)
-
-
 def usable_cpus():
     """CPUs this process may actually run on (affinity-aware).
 
     The default sizing input for both process pools and the native batch
     kernel's in-C thread count (``repro.cache.native``).
     """
-    return _usable_cpus()
+    try:
+        return max(1, len(os.sched_getaffinity(0)))
+    except (AttributeError, OSError):
+        return max(1, os.cpu_count() or 1)
 
 
-def _serial_map(fn, items, initializer, initargs):
-    if initializer is not None:
-        initializer(*initargs)
-    return [fn(item) for item in items]
-
-
-def _counted_call(fn, item):
+def _counted_call(item):
     """Run one pool task; return its result and the engine-counter
     delta it left in this worker process, so the parent can merge the
     counts a worker would otherwise keep to itself."""
@@ -77,30 +70,21 @@ def _counted_call(fn, item):
 
     counters = ec.engine_counters()
     before = counters.snapshot()
-    result = fn(item)
+    result = _TASK(item)
     return result, counters.delta(before)
 
 
-def parallel_map(
-    fn,
-    items,
-    workers=None,
-    initializer=None,
-    initargs=(),
-    cap_to_cpus=True,
-):
+def parallel_map(fn, items, workers=None):
     """Map ``fn`` over ``items``, optionally on a process pool.
 
     Results come back in input order. ``workers=1`` (the default) runs
-    serially in-process — including the initializer, so the two paths
-    exercise identical code. Simulation work is CPU-bound, so the pool
-    never oversubscribes: requested workers are capped at the cores the
-    process may actually use (``cap_to_cpus=False`` disables this, for
-    tests that must exercise the pool machinery regardless of host).
-    If the pool cannot be created or fails mid-flight (sandboxes without
-    fork, unpicklable work), the whole map silently re-runs serially:
-    parallelism is a wall-clock optimization, never a correctness
-    dependency.
+    ``fn`` serially in-process on the same state the workers would
+    inherit. Simulation work is CPU-bound, so the pool never
+    oversubscribes: requested workers are capped at the cores the
+    process may actually use. If the pool cannot be created or fails
+    mid-flight (sandboxes without fork, unpicklable items or results),
+    the whole map silently re-runs serially: parallelism is a
+    wall-clock optimization, never a correctness dependency.
 
     Engine counters (:mod:`repro.perf.engine_counters`) that pool tasks
     deposit come back with their results and are added to this
@@ -109,35 +93,31 @@ def parallel_map(
     contributes nothing: its partial counts are dropped before the
     serial rerun counts everything once.
     """
+    global _TASK
     items = list(items)
-    workers = resolve_workers(workers)
-    if cap_to_cpus:
-        workers = min(workers, _usable_cpus())
-    if workers == 1 or len(items) <= 1:
-        return _serial_map(fn, items, initializer, initargs)
+    workers = min(resolve_workers(workers), usable_cpus(), len(items))
+    if workers <= 1:
+        return [fn(item) for item in items]
 
-    workers = min(workers, len(items))
     chunksize = max(1, len(items) // (workers * 4))
+    outer, _TASK = _TASK, fn
     try:
         import concurrent.futures
-        import functools
         import multiprocessing
 
         context = multiprocessing.get_context("fork")
         with concurrent.futures.ProcessPoolExecutor(
-            max_workers=workers,
-            mp_context=context,
-            initializer=initializer,
-            initargs=initargs,
+            max_workers=workers, mp_context=context
         ) as executor:
             outcomes = list(executor.map(
-                functools.partial(_counted_call, fn), items,
-                chunksize=chunksize,
+                _counted_call, items, chunksize=chunksize
             ))
     except (ValidationError, KeyboardInterrupt):
         raise
     except Exception:
-        return _serial_map(fn, items, initializer, initargs)
+        return [fn(item) for item in items]
+    finally:
+        _TASK = outer
     from repro.perf import engine_counters as ec
 
     for _, delta in outcomes:

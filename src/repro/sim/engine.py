@@ -283,28 +283,6 @@ class Machine:
             timeline=outcome.timeline,
         )
 
-    def run_sequential(self, apps, threads=8):
-        """Run applications one after another on the whole machine.
-
-        The baseline of Figs. 10 and 11. Returns (results, total socket
-        energy, total wall energy, total time).
-        """
-        results = []
-        socket = wall = elapsed = 0.0
-        for app in apps:
-            t = threads
-            if app.scalability.single_threaded:
-                t = 1
-            elif app.scalability.pow2_only:
-                while t & (t - 1):
-                    t -= 1
-            result = self.run_solo(app, threads=t, ways=self.config.llc_ways)
-            results.append(result)
-            socket += result.socket_energy_j
-            wall += result.wall_energy_j
-            elapsed += result.runtime_s
-        return results, socket, wall, elapsed
-
     # -- the core loop ----------------------------------------------------------
 
     def _run(

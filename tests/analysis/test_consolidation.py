@@ -99,3 +99,30 @@ class TestStudyBookkeeping:
 
         with pytest.raises(ValidationError):
             study.policy("C9", "C1", "shared")
+
+
+class TestWarm:
+    def test_pooled_warm_equals_a_lazy_serial_study(self, force_pool):
+        """Workers compute on the study they inherited; the caches the
+        parent merges equal what a serial study computes on demand."""
+        from repro.analysis import ConsolidationStudy
+        from repro.workloads.registry import representatives
+
+        reps = {k: v for k, v in representatives().items()
+                if k in ("C1", "C2")}
+        warmed = ConsolidationStudy(reps=reps).warm(workers=2)
+        lazy = ConsolidationStudy(reps=reps)
+        assert len(warmed._sweeps) == 4
+        for fg, bg in lazy.ordered_pairs():
+            assert warmed.sweep(fg, bg) == lazy.sweep(fg, bg)
+            assert warmed.dynamic(fg, bg)[0] == lazy.dynamic(fg, bg)[0]
+            for policy in ("shared", "fair", "biased"):
+                assert warmed.policy(fg, bg, policy) == lazy.policy(
+                    fg, bg, policy
+                )
+        for fg, bg in lazy.unordered_pairs():
+            for policy in ("shared", "fair", "biased"):
+                assert warmed.once(fg, bg, policy) == lazy.once(fg, bg, policy)
+        for cluster_id in lazy.cluster_ids():
+            assert warmed.solo_fg(cluster_id) == lazy.solo_fg(cluster_id)
+            assert warmed.solo_whole(cluster_id) == lazy.solo_whole(cluster_id)

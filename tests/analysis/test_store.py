@@ -1,127 +1,23 @@
-"""Versioned persistence: the characterization store and run sets."""
+"""Versioned persistence: run sets and their shards."""
 
 import json
 import os
 
 import pytest
 
-from repro.analysis import Characterizer
 from repro.analysis.store import (
     RUNSET_VERSION,
     RunRecord,
     RunSet,
     list_runset_shards,
-    load_characterizer,
     load_runset,
     load_runset_dir,
     merge_runsets,
-    save_characterizer,
     save_runset,
     save_runset_shard,
     shard_path,
 )
 from repro.util.errors import ValidationError
-from repro.workloads import get_application
-
-
-@pytest.fixture()
-def warm_characterizer():
-    characterizer = Characterizer()
-    characterizer.solo_runtime(get_application("fop"), 4, 12)
-    characterizer.solo_runtime(get_application("batik"), 4, 6, prefetchers_on=False)
-    return characterizer
-
-
-class TestRoundTrip:
-    def test_save_then_load(self, warm_characterizer, tmp_path):
-        path = tmp_path / "char.json"
-        saved = save_characterizer(warm_characterizer, path)
-        assert saved == 2
-
-        fresh = Characterizer()
-        loaded = load_characterizer(fresh, path)
-        assert loaded == 2
-        original = warm_characterizer.solo_runtime(get_application("fop"), 4, 12)
-        restored = fresh.solo_runtime(get_application("fop"), 4, 12)
-        assert restored.runtime_s == original.runtime_s
-        assert restored.socket_energy_j == original.socket_energy_j
-        assert restored.pp0_energy_j == original.pp0_energy_j
-
-    def test_loaded_cache_prevents_recompute(self, warm_characterizer, tmp_path):
-        path = tmp_path / "char.json"
-        save_characterizer(warm_characterizer, path)
-        fresh = Characterizer()
-        load_characterizer(fresh, path)
-        # The key is present, so solo_runtime returns without simulating.
-        key = ("fop", 4, 12, True)
-        assert key in fresh._solo_cache
-
-    def test_existing_entries_not_overwritten(self, warm_characterizer, tmp_path):
-        path = tmp_path / "char.json"
-        save_characterizer(warm_characterizer, path)
-        fresh = Characterizer()
-        own = fresh.solo_runtime(get_application("fop"), 4, 12)
-        load_characterizer(fresh, path)
-        assert fresh.solo_runtime(get_application("fop"), 4, 12) is own
-
-
-class TestInvalidation:
-    def test_missing_file_loads_nothing(self, tmp_path):
-        assert load_characterizer(Characterizer(), tmp_path / "absent.json") == 0
-
-    def test_version_mismatch_ignored(self, warm_characterizer, tmp_path):
-        path = tmp_path / "char.json"
-        save_characterizer(warm_characterizer, path, model_version="0.9")
-        fresh = Characterizer()
-        assert load_characterizer(fresh, path) == 0
-        assert fresh._solo_cache == {}
-
-    def test_corrupt_file_rejected(self, tmp_path):
-        path = tmp_path / "char.json"
-        path.write_text("{not json")
-        with pytest.raises(ValidationError):
-            load_characterizer(Characterizer(), path)
-
-    def test_store_version_checked(self, warm_characterizer, tmp_path):
-        path = tmp_path / "char.json"
-        save_characterizer(warm_characterizer, path)
-        payload = json.loads(path.read_text())
-        payload["store_version"] = 99
-        path.write_text(json.dumps(payload))
-        assert load_characterizer(Characterizer(), path) == 0
-
-    def test_malformed_key_is_a_validation_error(
-        self, warm_characterizer, tmp_path
-    ):
-        path = tmp_path / "char.json"
-        save_characterizer(warm_characterizer, path)
-        payload = json.loads(path.read_text())
-        runs = payload["runs"]
-        runs["fop-4-12"] = next(iter(runs.values()))
-        path.write_text(json.dumps(payload))
-        with pytest.raises(ValidationError, match="malformed"):
-            load_characterizer(Characterizer(), path)
-
-    def test_bad_run_payload_is_a_validation_error(
-        self, warm_characterizer, tmp_path
-    ):
-        path = tmp_path / "char.json"
-        save_characterizer(warm_characterizer, path)
-        payload = json.loads(path.read_text())
-        key = next(iter(payload["runs"]))
-        payload["runs"][key]["no_such_field"] = 1.0
-        path.write_text(json.dumps(payload))
-        with pytest.raises(ValidationError, match="bad run payload"):
-            load_characterizer(Characterizer(), path)
-
-    def test_runs_must_be_a_mapping(self, warm_characterizer, tmp_path):
-        path = tmp_path / "char.json"
-        save_characterizer(warm_characterizer, path)
-        payload = json.loads(path.read_text())
-        payload["runs"] = [1, 2, 3]
-        path.write_text(json.dumps(payload))
-        with pytest.raises(ValidationError, match="not a mapping"):
-            load_characterizer(Characterizer(), path)
 
 
 def _record(policy="biased", fg="fop", bg="batik", fg_ways=9):

@@ -53,7 +53,6 @@ class TestCapabilities:
         assert caps.fg_cost_unit == "s"
         assert caps.bg_rate_unit == "instr/s"
         assert caps.supports_dynamic
-        assert caps.supports_energy
 
     def test_pair_spec_resolves_names(self):
         spec = AnalyticalBackend.group_spec(["fop", "batik"])
@@ -189,20 +188,3 @@ class TestGridUnderBandwidthQos:
         assert scalar.fg_cost < plain.fg_cost  # the reservation helps
         # Restored: the grid applies again and reproduces the plain run.
         assert backend.co_run_grid([(pair, split)])[0].fg_cost == plain.fg_cost
-
-    def test_operating_points_need_the_grid(self):
-        from repro.sim.engine import Machine
-        from repro.util.errors import ValidationError
-
-        backend = AnalyticalBackend(Machine())
-        pair = AnalyticalBackend.group_spec([self.VICTIM, self.HOG])
-        restore = apply_qos(
-            backend.machine, [QosContract(self.VICTIM, 0.35, True)]
-        )
-        try:
-            with pytest.raises(ValidationError):
-                backend.co_run_grid(
-                    [(pair, GroupSplit.fair(2, 12), backend.machine.config)]
-                )
-        finally:
-            restore()

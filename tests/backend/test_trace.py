@@ -69,7 +69,6 @@ class TestCapabilities:
         assert caps.fg_cost_unit == "cycles/access"
         assert caps.bg_rate_unit == "accesses/kcycle"
         assert caps.supports_dynamic
-        assert not caps.supports_energy
 
     def test_zero_accesses_rejected(self):
         with pytest.raises(ValidationError):

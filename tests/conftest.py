@@ -30,3 +30,12 @@ def study(machine):
 def fresh_machine():
     """A private machine for tests that mutate configuration."""
     return Machine()
+
+
+@pytest.fixture()
+def force_pool(monkeypatch):
+    """Let ``parallel_map`` start up to four workers on any host: it
+    caps workers at the CPUs this process may use."""
+    from repro.exec import pool
+
+    monkeypatch.setattr(pool, "usable_cpus", lambda: 4)

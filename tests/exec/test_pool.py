@@ -1,19 +1,12 @@
-"""The parallel_map / run_tasks execution primitives."""
+"""The parallel_map execution primitive."""
 
+import functools
 import os
 
 import pytest
 
-from repro.exec import (
-    MachineSpec,
-    build_machine,
-    machine_spec,
-    parallel_map,
-    resolve_workers,
-    run_tasks,
-)
+from repro.exec import parallel_map, resolve_workers
 from repro.sim import Machine
-from repro.sim.tuning import EngineTuning
 from repro.util.errors import ValidationError
 from repro.workloads import get_application
 
@@ -29,8 +22,7 @@ def _pool_trace():
 
 
 def _pool_pack(_):
-    """The key of ``_pool_trace``'s pack and the pid that resolved it
-    (module-level: picklable)."""
+    """The key of ``_pool_trace``'s pack and the pid that resolved it."""
     from repro.workloads.tracepack import get_pack
 
     return get_pack(_pool_trace()).key, os.getpid()
@@ -174,7 +166,7 @@ class TestParallelMap:
         items = list(range(20))
         assert parallel_map(_square, items, workers=1) == [x * x for x in items]
 
-    def test_parallel_matches_serial_and_order(self):
+    def test_parallel_matches_serial_and_order(self, force_pool):
         items = list(range(37))  # not a multiple of any chunk size
         serial = parallel_map(_square, items, workers=1)
         parallel = parallel_map(_square, items, workers=4)
@@ -186,10 +178,25 @@ class TestParallelMap:
     def test_empty(self):
         assert parallel_map(_square, [], workers=4) == []
 
-    def test_unpicklable_falls_back_to_serial(self):
+    def test_unpicklable_falls_back_to_serial(self, force_pool):
+        """A result the pool cannot pickle back sends the whole map to
+        the serial path, which returns it unpickled."""
         items = list(range(6))
-        result = parallel_map(lambda x: x + 1, items, workers=4)
-        assert result == [x + 1 for x in items]
+        result = parallel_map(
+            lambda x: (os.getpid(), lambda y: x + y), items, workers=2
+        )
+        assert {pid for pid, _ in result} == {os.getpid()}
+        assert [add(1) for _, add in result] == [x + 1 for x in items]
+
+    def test_closures_run_in_workers(self, force_pool):
+        """The task is inherited by fork, not pickled: a closure over
+        local state runs in worker processes."""
+        offset = 10
+        result = parallel_map(
+            lambda x: (x + offset, os.getpid()), range(8), workers=2
+        )
+        assert [value for value, _ in result] == [x + 10 for x in range(8)]
+        assert os.getpid() not in {pid for _, pid in result}
 
     def test_serial_exceptions_propagate(self):
         with pytest.raises(RuntimeError):
@@ -208,21 +215,18 @@ class TestWorkerCounters:
         return ec
 
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_pool_counts_like_serial(self, fresh_counters, workers):
+    def test_pool_counts_like_serial(self, fresh_counters, force_pool, workers):
         ec = fresh_counters
-        result = parallel_map(
-            _count_profiler_pass, range(6), workers=workers,
-            cap_to_cpus=False,
-        )
+        result = parallel_map(_count_profiler_pass, range(6), workers=workers)
         assert result == [x + 1 for x in range(6)]
         assert ec.engine_counters().read(ec.PROFILER_PASSES) == 6
 
-    def test_failed_pool_counts_only_the_serial_rerun(self, fresh_counters):
+    def test_failed_pool_counts_only_the_serial_rerun(
+        self, fresh_counters, force_pool
+    ):
         ec = fresh_counters
         items = [(os.getpid(), x) for x in range(6)]
-        result = parallel_map(
-            _count_then_fail_in_worker, items, workers=2, cap_to_cpus=False
-        )
+        result = parallel_map(_count_then_fail_in_worker, items, workers=2)
         assert result == list(range(6))
         assert ec.engine_counters().read(ec.PROFILER_PASSES) == 6
 
@@ -230,7 +234,7 @@ class TestWorkerCounters:
 class TestPackSharing:
     @pytest.mark.parametrize("cache", ["stored", "in-memory"])
     def test_workers_inherit_the_parents_packs(
-        self, monkeypatch, tmp_path, cache
+        self, monkeypatch, force_pool, tmp_path, cache
     ):
         """Fork workers find every pack the parent opened already open:
         each task's ``get_pack`` is a hit, and none compiles or is
@@ -250,9 +254,7 @@ class TestPackSharing:
         monkeypatch.setattr(ec, "_counters", CounterSet(ec.ENGINE_EVENTS))
 
         items = list(range(4))
-        result = parallel_map(
-            _pool_pack, items, workers=2, cap_to_cpus=False
-        )
+        result = parallel_map(_pool_pack, items, workers=2)
         assert {key for key, _ in result} == {parent.key}
         assert any(pid != os.getpid() for _, pid in result)
         counters = ec.engine_counters()
@@ -261,45 +263,43 @@ class TestPackSharing:
 
 
 class TestRunTasks:
+    """Tasks over a Machine: ``parallel_map`` over
+    ``functools.partial(fn, machine)`` runs on the caller's machine,
+    serially in-process or as each worker inherited it."""
+
     def test_serial_uses_callers_machine(self):
         machine = Machine()
-        results = run_tasks(machine, _solo_runtime, ["batik", "batik"], workers=1)
+        results = parallel_map(
+            functools.partial(_solo_runtime, machine), ["batik", "batik"],
+            workers=1,
+        )
         assert results[0] == results[1]
         assert machine.memo.entries > 0  # ran in-process on this machine
 
-    def test_workers_match_serial_exactly(self):
+    def test_workers_match_serial_exactly(self, force_pool):
         names = ["batik", "x264", "ferret", "429.mcf"]
-        serial = run_tasks(Machine(), _solo_runtime, names, workers=1)
-        parallel = run_tasks(Machine(), _solo_runtime, names, workers=4)
+        serial = parallel_map(
+            functools.partial(_solo_runtime, Machine()), names, workers=1
+        )
+        parallel = parallel_map(
+            functools.partial(_solo_runtime, Machine()), names, workers=4
+        )
         assert serial == parallel
 
-    def test_spec_round_trip(self):
-        machine = Machine(
-            tuning=EngineTuning(occupancy_tol=0.0),
-            mpki_noise_std=0.1,
-            noise_seed=7,
-            memoize=False,
-        )
-        spec = machine_spec(machine)
-        assert isinstance(spec, MachineSpec)
-        rebuilt = build_machine(spec)
-        assert rebuilt.tuning == machine.tuning
-        assert rebuilt.noise_seed == 7
-        assert rebuilt.mpki_noise_std == 0.1
-        assert not rebuilt.memo.enabled
-
-    def test_noise_seed_stable_across_workers(self):
+    def test_noise_seed_stable_across_workers(self, force_pool):
         """Seeded noise must give the same answers serial and parallel."""
         names = ["batik", "x264", "batik", "x264"]
-        serial = run_tasks(
-            Machine(mpki_noise_std=0.05, noise_seed=11),
-            _solo_runtime,
+        serial = parallel_map(
+            functools.partial(
+                _solo_runtime, Machine(mpki_noise_std=0.05, noise_seed=11)
+            ),
             names,
             workers=1,
         )
-        parallel = run_tasks(
-            Machine(mpki_noise_std=0.05, noise_seed=11),
-            _solo_runtime,
+        parallel = parallel_map(
+            functools.partial(
+                _solo_runtime, Machine(mpki_noise_std=0.05, noise_seed=11)
+            ),
             names,
             workers=2,
         )

@@ -120,17 +120,3 @@ class TestManagedRuns:
         exact = machine.run_pair(fg, bg, fg_alloc, bg_alloc)
         stepped = machine.run_pair(fg, bg, fg_alloc, bg_alloc, step_s=0.1)
         assert stepped.fg.runtime_s == pytest.approx(exact.fg.runtime_s, rel=0.02)
-
-
-class TestSequential:
-    def test_run_sequential_sums_components(self, machine):
-        apps = [get_application("fop"), get_application("batik")]
-        results, socket, wall, elapsed = machine.run_sequential(apps)
-        assert len(results) == 2
-        assert socket == pytest.approx(sum(r.socket_energy_j for r in results))
-        assert elapsed == pytest.approx(sum(r.runtime_s for r in results))
-
-    def test_sequential_respects_thread_restrictions(self, machine):
-        results, *_ = machine.run_sequential([get_application("429.mcf")])
-        # Single-threaded app must still complete.
-        assert results[0].instructions > 0

@@ -6,6 +6,7 @@ that down with exact float equality — no approx anywhere.
 """
 
 from repro.analysis.experiments import fig08_pairwise_slowdowns
+from repro.core.bandwidth_qos import QosContract, apply_qos
 from repro.runtime.harness import paper_pair_allocations
 from repro.sim import Machine
 from repro.sim.tuning import EngineTuning
@@ -91,10 +92,25 @@ class TestMemoEquivalence:
 
 
 class TestParallelEquivalence:
-    def test_fig08_workers_identical(self):
+    def test_fig08_workers_identical(self, force_pool):
         serial = fig08_pairwise_slowdowns(Machine(), apps=APPS, workers=1)
         parallel = fig08_pairwise_slowdowns(Machine(), apps=APPS, workers=4)
         assert serial == parallel  # exact float equality, every cell
+
+    def test_fig08_workers_keep_the_machines_qos(self, force_pool):
+        """Workers compute on the caller's machine as they inherited
+        it, so a bandwidth-QoS domain installed on it reaches every
+        pooled cell."""
+        apps = ("471.omnetpp", "canneal", "streamcluster")
+
+        def slowdowns(workers):
+            machine = Machine()
+            apply_qos(machine, [QosContract("471.omnetpp", 0.3, True)])
+            return fig08_pairwise_slowdowns(machine, apps=apps, workers=workers)
+
+        serial = slowdowns(1)
+        assert slowdowns(2) == serial
+        assert serial != fig08_pairwise_slowdowns(Machine(), apps=apps)
 
 
 class TestFastPathDrift:

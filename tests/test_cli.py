@@ -107,6 +107,15 @@ class TestConsolidate:
         assert code == 1
         assert "--ucp needs the analytical pair" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("tenants", [(), ("--tenants", "dedup")])
+    def test_trace_knobs_need_the_trace_backend(self, capsys, tenants):
+        code, text = run_cli("consolidate", "fop", "batik", *tenants,
+                             "--accesses", "5", "--seed", "9")
+        assert code == 1
+        assert text == ""
+        assert ("--accesses, --seed need --backend trace"
+                in capsys.readouterr().err)
+
 
 class TestDynamic:
     def test_single_background(self):
