@@ -79,25 +79,6 @@ class AnalyticalBackend(SimBackend):
             raw=result,
         )
 
-    def _grid_supported(self):
-        """Whether ``run_pair_grid`` models this machine's memory system.
-
-        The grid solver derives the ring and DRAM domains from the
-        config, so it holds only while the machine's domains are the
-        plain ones built from that config — not, say, after
-        :func:`repro.core.bandwidth_qos.apply_qos` installs a QoS domain.
-        """
-        from repro.cpu.bandwidth import BandwidthDomain
-
-        memory, config = self.machine.memory_system, self.machine.config
-        return all(
-            type(domain) is BandwidthDomain and domain.capacity_bps == capacity
-            for domain, capacity in (
-                (memory.ring, config.ring_bandwidth_bps),
-                (memory.dram, config.dram_bandwidth_bps),
-            )
-        )
-
     def co_run(self, tenants, split):
         """Co-run under per-tenant way masks.
 
@@ -134,10 +115,14 @@ class AnalyticalBackend(SimBackend):
         model. Results are returned in item order and are bit-identical
         to the sequential walk.
         """
-        from repro.sim.gridsolve import GridCell, run_pair_grid
+        from repro.sim.gridsolve import (
+            GridCell,
+            models_memory_system,
+            run_pair_grid,
+        )
 
         items = list(items)
-        grid = self._grid_supported()
+        grid = models_memory_system(self.machine)
         cells = {}
         for i, (tenants, split) in enumerate(items):
             options = self._grid_options(tenants.options)
@@ -176,21 +161,57 @@ class AnalyticalBackend(SimBackend):
     def sweep(self, tenants):
         """All disjoint splits of a pair in one vectorized grid call
         (walked through :meth:`co_run` where the grid does not apply)."""
+        return self.sweeps([tenants])[0]
+
+    def sweeps(self, tenant_sets):
+        """:meth:`sweep` of every pair in ``tenant_sets``, all their
+        splits in ONE :meth:`co_run_grid` call: the campaign's sweep
+        shards score a whole shard of biased cells this way. The grid
+        solves each cell on its own lanes, so every entry equals the
+        per-pair sweep's bit for bit."""
+        tenant_sets = list(tenant_sets)
         splits = self.disjoint_splits()
-        measurements = self.co_run_grid([(tenants, split) for split in splits])
+        measurements = iter(self.co_run_grid(
+            [(tenants, split) for tenants in tenant_sets for split in splits]
+        ))
         return [
-            (split.way_counts[0], m) for split, m in zip(splits, measurements)
+            [(split.way_counts[0], next(measurements)) for split in splits]
+            for _ in tenant_sets
         ]
 
     def dynamic(self, tenants, controller=None):
         """One dynamic-controller co-run (Algorithm 6.2, 100 ms periods).
 
-        A pair runs through ``Machine.run_pair``. Self-pairs are cloned
+        A pair runs as ``Machine.run_pair`` does. Self-pairs are cloned
         under an aliased name by the engine, so the controller is keyed
-        on the aliased background name. Larger groups run through
-        ``Machine.run_group``, the default controller treating tenant 0
-        as the foreground and the rest as peers sharing the complement.
+        on the aliased background name. Larger groups run as
+        ``Machine.run_group`` does, the default controller treating
+        tenant 0 as the foreground and the rest as peers sharing the
+        complement. This is the per-cell reference for
+        :meth:`dynamic_roster`.
         """
+        return self.machine.solve_steps(self.dynamic_steps(tenants, controller))
+
+    @staticmethod
+    def dynamic_roster(cells):
+        """:meth:`dynamic` of every ``(backend, tenants)`` cell, each
+        under its default controller, the runs advanced in lockstep
+        (:func:`~repro.sim.engine.run_lockstep`): each round's memo
+        misses of all pair cells are solved in one vectorized interval
+        solve. Give each cell its own backend, as the campaign does, so
+        each keeps its own machine and memo; the measurements then equal
+        per-cell :meth:`dynamic` runs bit for bit. ``cells`` may be an
+        iterator, so that finished cells' backends are freed early."""
+        from repro.sim.engine import run_lockstep
+
+        return run_lockstep(
+            (backend.machine, backend.dynamic_steps(tenants))
+            for backend, tenants in cells
+        )
+
+    def dynamic_steps(self, tenants, controller=None):
+        """:meth:`dynamic` as a step generator of this backend's machine
+        (``Machine._steps``); returns the measurement."""
         from repro.core.dynamic import DynamicPartitionController
 
         llc_ways = self.machine.config.llc_ways
@@ -214,7 +235,7 @@ class AnalyticalBackend(SimBackend):
             )
             options = dict(tenants.options)
             options.setdefault("bg_continuous", True)
-            pair = self.machine.run_pair(
+            pair = yield from self.machine.pair_steps(
                 fg,
                 bg,
                 fg_alloc.with_mask(masks[names[0]]),
@@ -230,7 +251,7 @@ class AnalyticalBackend(SimBackend):
             tuple(masks[name].bits for name in names), llc_ways
         )
         allocations = self._group_allocations(tenants, split.mask_bits)
-        result = self.machine.run_group(
+        result = yield from self.machine.group_steps(
             tenants.tenants[0], tenants.tenants[1:],
             allocations[0], allocations[1:],
             controller=controller, **self._group_run_options(tenants)

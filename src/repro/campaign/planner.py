@@ -57,23 +57,26 @@ SHARD_KINDS = (
         "grid: {cells} cells in {shards} analytical grid shards "
         "(one vectorized solve each)",
     ),
-    # Trace pair biased (measure every split, then argmax): each cell's
-    # 11-allocation measured sweep joins one batched roster call, and
-    # the winner is chosen from those entries. They are co-run
-    # measurements and replay is deterministic, so nothing re-measures.
+    # Pair biased (measure every split, then argmax): each cell's
+    # 11-allocation sweep joins one batched call (a trace roster, or
+    # one analytical grid solve), and the winner is chosen from those
+    # entries. They are co-run measurements and both backends are
+    # deterministic, so nothing re-measures.
     ShardKind(
         "sweep", 11, 0,
-        "sweep: {cells} biased cells in {shards} measured-sweep shards "
-        "(11 allocations per cell, one native call each)",
+        "sweep: {cells} biased cells in {shards} sweep shards "
+        "(11 allocations per cell, one batched call each)",
     ),
-    # Trace pair dynamic (epoch feedback loop): one
+    # Pair dynamic (the Algorithm 6.2 feedback loop), every cell with
+    # its own controller, advanced together: on traces one
     # :func:`repro.sim.trace_engine.run_dynamic_roster`, one threaded
-    # epoch-batch C call per control period for the whole shard, every
-    # controller stepped host-side between calls.
+    # epoch-batch C call per control period for the whole shard;
+    # analytically one lockstep roster whose memo misses are solved
+    # together, one vectorized interval solve per round.
     ShardKind(
         "dynamic", 1, 0,
         "dynamic: {cells} cells in {shards} dynamic-roster shards "
-        "(one epoch-batched controller roster each)",
+        "(one batched controller roster each)",
     ),
     # Group cluster (LFOC-style): each cell profiles its tenants' way
     # utility (one 12-allocation sweep call), then every planned split
@@ -84,8 +87,7 @@ SHARD_KINDS = (
         "(one batched final replay each)",
     ),
     # The rest, per cell over the exec pool's ``parallel_map``, with a
-    # checkpoint every 8 cells: analytical biased/dynamic (their inner
-    # loop is the scalar engine) and group biased/dynamic (their control
+    # checkpoint every 8 cells: group biased/dynamic (their control
     # loops already run one batched native call per cell).
     ShardKind(
         "fallback", 1, 8,
@@ -96,25 +98,23 @@ SHARD_KINDS = (
 
 def shard_kind_for(cell):
     """The name of the :data:`SHARD_KINDS` entry executing this cell."""
-    if cell.backend == "trace":
-        if cell.tenants:
-            if cell.policy in ("shared", "fair"):
-                return "roster"
-            if cell.policy == "cluster":
-                return "cluster"
-            return "fallback"
-        if cell.policy == "biased":
-            return "sweep"
-        if cell.policy == "dynamic":
-            return "dynamic"
-        if (
-            cell.policy in ("shared", "fair")
-            or static_policy_ways(cell.policy) is not None
-        ):
+    if cell.tenants:
+        if cell.policy in ("shared", "fair"):
             return "roster"
+        if cell.policy == "cluster":
+            return "cluster"
         return "fallback"
-    if cell.backend == "analytical" and cell.policy in ("shared", "fair"):
-        return "grid"
+    if cell.policy == "biased":
+        return "sweep"
+    if cell.policy == "dynamic":
+        return "dynamic"
+    if cell.backend == "analytical":
+        return "grid" if cell.policy in ("shared", "fair") else "fallback"
+    if (
+        cell.policy in ("shared", "fair")
+        or static_policy_ways(cell.policy) is not None
+    ):
+        return "roster"
     return "fallback"
 
 
@@ -323,7 +323,8 @@ class ShardPlan:
     """The execution plan.
 
     ``shards`` lists ``(kind, cells)`` in execution order: kinds in
-    :data:`SHARD_KINDS` order, cells in cell-list order. ``skipped``
+    :data:`SHARD_KINDS` order, then backends in order of first
+    appearance, cells in cell-list order. ``skipped``
     holds cells the store already held (resume hits).
     """
 
@@ -343,16 +344,19 @@ def plan_shards(cells, done_ids=(), shard_size=DEFAULT_SHARD_SIZE):
         raise ValidationError("shard_size must be >= 1")
     done_ids = set(done_ids)
     plan = ShardPlan()
-    by_kind = {kind.name: [] for kind in SHARD_KINDS}
+    # kind -> backend -> cells: a shard never mixes backends.
+    by_kind = {kind.name: {} for kind in SHARD_KINDS}
     for cell in cells:
         if cell.cell_id in done_ids:
             plan.skipped.append(cell)
         else:
-            by_kind[shard_kind_for(cell)].append(cell)
+            kind = by_kind[shard_kind_for(cell)]
+            kind.setdefault(cell.backend, []).append(cell)
     for kind in SHARD_KINDS:
-        todo = by_kind[kind.name]
         size = kind.cells_per_shard(shard_size)
-        plan.shards.extend(
-            (kind.name, todo[i:i + size]) for i in range(0, len(todo), size)
-        )
+        for todo in by_kind[kind.name].values():
+            plan.shards.extend(
+                (kind.name, todo[i:i + size])
+                for i in range(0, len(todo), size)
+            )
     return plan

@@ -207,16 +207,40 @@ def _execute_grid_shard(shard, table, threads, workers):
 
 
 def _execute_sweep_shard(shard, table, threads, workers):
-    """One batched native call for a whole shard of biased cells.
+    """One batched call for a whole shard of biased cells.
 
-    Every cell contributes its 11-allocation measured sweep to one
-    concatenated roster; the winner is then chosen from the measured
-    entries by the ordinary ``policy_biased`` selection rule. Because
-    the entries carry real co-run stats (``raw`` is set), no re-measure
-    replay happens — the records are field-identical to the per-cell
-    reference path, which scores the same measured sweep.
+    Every cell's 11-allocation sweep joins one call: on traces one
+    concatenated roster replay, analytically one
+    :meth:`~repro.backend.analytical.AnalyticalBackend.sweeps` grid
+    solve. The winner is then chosen from each cell's entries by the
+    ordinary ``policy_biased`` selection rule. Because the entries are
+    real co-runs (``raw`` is set), nothing is re-measured, and the
+    records are field-identical to the per-cell reference path, which
+    scores the same sweep.
     """
     from repro.core.policies import policy_biased
+
+    records = []
+    for cell, (backend, tenants, entries) in zip(
+        shard, _sweeps(shard, table, threads)
+    ):
+        outcome = policy_biased(backend, tenants, sweep=entries)
+        records.append(_record(cell, outcome, "sweep"))
+    return records
+
+
+def _sweeps(shard, table, threads):
+    """``(backend, tenants, entries)`` per cell of a one-backend sweep
+    shard."""
+    if shard[0].backend == "analytical":
+        backend = backend_for(shard[0])
+        tenant_sets = [tenants_for(cell) for cell in shard]
+        return [
+            (backend, tenants, entries)
+            for tenants, entries in zip(
+                tenant_sets, backend.sweeps(tenant_sets)
+            )
+        ]
     from repro.sim.trace_engine import run_packed_roster
 
     built = []
@@ -226,7 +250,7 @@ def _execute_sweep_shard(shard, table, threads, workers):
         built.append((tenants, splits, len(cell_rows)))
         rows.extend(cell_rows)
     outcomes = run_packed_roster(table.roster(rows), threads=threads)
-    records = []
+    out = []
     offset = 0
     for cell, (tenants, splits, width) in zip(shard, built):
         backend = table.backend_for(cell, threads)
@@ -234,22 +258,39 @@ def _execute_sweep_shard(shard, table, threads, workers):
             tenants, splits, outcomes[offset:offset + width]
         )
         offset += width
-        outcome = policy_biased(backend, tenants, sweep=entries)
-        records.append(_record(cell, outcome, "sweep"))
-    return records
+        out.append((backend, tenants, entries))
+    return out
 
 
 def _execute_dynamic_shard(shard, table, threads, workers):
-    """One epoch-batched dynamic roster for a whole shard of cells.
+    """One dynamic roster for a whole shard of cells.
 
-    All cells advance one control period per threaded C call; between
-    calls every cell's controller steps host-side in one vectorized
-    pass (see :func:`repro.sim.trace_engine.run_dynamic_roster`). Each
-    cell gets its own fresh controller, so records — including the
-    reallocation timeline length in provenance — are field-identical
-    to the per-cell reference path.
+    On traces, all cells advance one control period per threaded
+    epoch-batch C call, every controller stepping host-side between
+    calls (:func:`repro.sim.trace_engine.run_dynamic_roster`).
+    Analytically, each cell runs on its own machine and the roster
+    advances in lockstep, solving each round's memo misses together
+    (:meth:`repro.backend.analytical.AnalyticalBackend.dynamic_roster`).
+    Each cell gets its own fresh controller, so records — including the
+    reallocation count in provenance — are field-identical to the
+    per-cell reference path.
     """
     from repro.core.policies import PolicyOutcome
+
+    return [
+        _record(cell, PolicyOutcome("dynamic", m), "dynamic")
+        for cell, m in zip(shard, _dynamic_measurements(shard, table, threads))
+    ]
+
+
+def _dynamic_measurements(shard, table, threads):
+    """The dynamic measurement per cell of a one-backend shard."""
+    if shard[0].backend == "analytical":
+        from repro.backend import AnalyticalBackend
+
+        return AnalyticalBackend.dynamic_roster(
+            (backend_for(cell), tenants_for(cell)) for cell in shard
+        )
     from repro.sim.trace_engine import run_dynamic_roster
 
     built = []
@@ -260,13 +301,10 @@ def _execute_dynamic_shard(shard, table, threads, workers):
     results = run_dynamic_roster(
         [roster_cell for _, _, roster_cell in built], threads=threads
     )
-    records = []
-    for cell, (backend, tenants, roster_cell), result in zip(
-        shard, built, results
-    ):
-        m = backend.dynamic_measurement(tenants, roster_cell.controller, result)
-        records.append(_record(cell, PolicyOutcome("dynamic", m), "dynamic"))
-    return records
+    return [
+        backend.dynamic_measurement(tenants, roster_cell.controller, result)
+        for (backend, tenants, roster_cell), result in zip(built, results)
+    ]
 
 
 def _execute_fallback_shard(shard, table, threads, workers):

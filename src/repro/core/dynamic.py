@@ -130,7 +130,7 @@ class DynamicPartitionController:
         # (``_state``) as it found it. Fed the same sample and period
         # again, such a tick repeats itself exactly, which is what lets
         # the engine run a held stretch of ticks without calling back
-        # (``Machine._run``).
+        # (``Machine._steps``).
         self.quiet = False
 
     # -- the control loop ---------------------------------------------------

@@ -22,11 +22,15 @@ class RaplDomain:
         self.name = name
         self._raw_accumulated = 0.0  # exact joules, internal only
 
-    def deposit(self, joules):
-        """Accumulate energy (called by the simulation engine)."""
+    def deposit(self, joules, times=1):
+        """Accumulate energy (called by the simulation engine): ``times``
+        in-order additions of ``joules``, as that many calls would make."""
         if joules < 0:
             raise ValidationError("energy cannot decrease")
-        self._raw_accumulated += joules
+        total = self._raw_accumulated
+        for _ in range(times):
+            total += joules
+        self._raw_accumulated = total
 
     def read_raw(self):
         """The 32-bit wrapped counter value in RAPL units."""

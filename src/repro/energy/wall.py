@@ -30,18 +30,23 @@ class WallMeter:
         self._next_sample_s = sample_period_s
         self._last_power_w = 0.0
 
-    def advance(self, dt_s, power_w):
-        """Account ``power_w`` over the next ``dt_s`` seconds."""
+    def advance(self, dt_s, power_w, times=1):
+        """Account ``power_w`` over the next ``dt_s`` seconds, ``times``
+        over: the same additions and samples as that many calls."""
         if dt_s < 0 or power_w < 0:
             raise ValidationError("time and power must be non-negative")
-        self._energy_j += power_w * dt_s
-        self._now_s += dt_s
+        joules = power_w * dt_s
+        energy, now, next_sample = self._energy_j, self._now_s, self._next_sample_s
+        for _ in range(times):
+            energy += joules
+            now += dt_s
+            while next_sample <= now:
+                self.samples.append(
+                    WallSample(timestamp_s=next_sample, power_w=power_w)
+                )
+                next_sample += self.sample_period_s
+        self._energy_j, self._now_s, self._next_sample_s = energy, now, next_sample
         self._last_power_w = power_w
-        while self._next_sample_s <= self._now_s:
-            self.samples.append(
-                WallSample(timestamp_s=self._next_sample_s, power_w=power_w)
-            )
-            self._next_sample_s += self.sample_period_s
 
     @property
     def energy_j(self):

@@ -137,9 +137,9 @@ class Machine:
             mask=WayMask.contiguous(ways, 0, self.config.llc_ways),
         )
         state = AppState(app=app, allocation=allocation, prefetchers_on=prefetchers_on)
-        outcome = self._run(
+        outcome = self.solve_steps(self._steps(
             [state], continuous=set(), stop_when_done={app.name}, timeline=timeline
-        )
+        ))
         return outcome.results[app.name]
 
     def run_solo_cached(self, app, threads=4, ways=12, prefetchers_on=True):
@@ -155,7 +155,20 @@ class Machine:
             )
         return self.solo_cache[key]
 
-    def run_pair(
+    def run_pair(self, fg, bg, fg_allocation, bg_allocation, **options):
+        """Co-run a foreground and a background application.
+
+        With ``bg_continuous`` (the default) the background restarts
+        until the foreground completes (the paper's responsiveness
+        experiments); otherwise both run exactly once (the energy
+        experiments). A ``controller`` forces stepped execution (default
+        100 ms). ``options`` are :meth:`pair_steps`'s.
+        """
+        return self.solve_steps(
+            self.pair_steps(fg, bg, fg_allocation, bg_allocation, **options)
+        )
+
+    def pair_steps(
         self,
         fg,
         bg,
@@ -167,13 +180,8 @@ class Machine:
         timeline=False,
         prefetchers_on=True,
     ):
-        """Co-run a foreground and a background application.
-
-        With ``bg_continuous`` the background restarts until the
-        foreground completes (the paper's responsiveness experiments);
-        otherwise both run exactly once (the energy experiments).
-        A ``controller`` forces stepped execution (default 100 ms).
-        """
+        """:meth:`run_pair` as a step generator (see :meth:`_steps`);
+        returns the :class:`PairResult`."""
         if fg.name == bg.name:
             # Running an app against a copy of itself (the paper's C1+C1
             # style pairs): alias the background so states stay distinct.
@@ -188,7 +196,7 @@ class Machine:
         stop = {fg.name} if bg_continuous else {fg.name, bg.name}
         if controller is not None and step_s is None:
             step_s = 0.1
-        outcome = self._run(
+        outcome = yield from self._steps(
             [fg_state, bg_state],
             continuous=continuous,
             stop_when_done=stop,
@@ -214,7 +222,21 @@ class Machine:
             pp0_energy_j=outcome.pp0_energy_j,
         )
 
-    def run_group(
+    def run_group(self, fg, backgrounds, fg_allocation, bg_allocations,
+                  **options):
+        """Co-run a foreground with multiple background peers.
+
+        The paper's Section 6.3 extension: background peers are pinned to
+        their own cores but share one LLC partition, inside which they
+        contend for capacity. Peers run continuously until the foreground
+        completes. Duplicate application models are aliased ("#2", ...).
+        ``options`` are :meth:`group_steps`'s.
+        """
+        return self.solve_steps(self.group_steps(
+            fg, backgrounds, fg_allocation, bg_allocations, **options
+        ))
+
+    def group_steps(
         self,
         fg,
         backgrounds,
@@ -224,13 +246,8 @@ class Machine:
         step_s=None,
         timeline=False,
     ):
-        """Co-run a foreground with multiple background peers.
-
-        The paper's Section 6.3 extension: background peers are pinned to
-        their own cores but share one LLC partition, inside which they
-        contend for capacity. Peers run continuously until the foreground
-        completes. Duplicate application models are aliased ("#2", ...).
-        """
+        """:meth:`run_group` as a step generator (see :meth:`_steps`);
+        returns the :class:`GroupResult`."""
         import dataclasses
 
         if not backgrounds:
@@ -262,7 +279,7 @@ class Machine:
         ]
         if controller is not None and step_s is None:
             step_s = 0.1
-        outcome = self._run(
+        outcome = yield from self._steps(
             states,
             continuous={bg.name for bg in bg_list},
             stop_when_done={fg.name},
@@ -285,7 +302,28 @@ class Machine:
 
     # -- the core loop ----------------------------------------------------------
 
-    def _run(
+    def solve_steps(self, steps):
+        """Run a step generator (:meth:`_steps`, or one delegating to
+        it) to its end, solving each interval it yields with
+        ``solve_interval`` on this machine; returns its result.
+        :func:`run_lockstep` drives many at once instead."""
+        try:
+            active = next(steps)
+            while True:
+                active = steps.send(self._solve(active))
+        except StopIteration as stop:
+            return stop.value
+
+    def _solve(self, active):
+        return solve_interval(
+            active,
+            self.config,
+            self.memory_system,
+            self.power_model,
+            tuning=self.tuning,
+        )
+
+    def _steps(
         self,
         states,
         continuous,
@@ -294,6 +332,11 @@ class Machine:
         step_s=None,
         timeline=False,
     ):
+        """The tick loop, as a generator: it yields ``active`` (the
+        running AppStates) whenever it needs an interval solved that
+        the memo does not hold, expects the :class:`IntervalSolution`
+        of exactly ``solve_interval(active, ...)`` on this machine back,
+        and returns the run's ``_Outcome``."""
         outcome = _Outcome()
         pkg = RaplDomain("package")
         pp0 = RaplDomain("pp0")
@@ -361,8 +404,18 @@ class Machine:
             if holds:
                 reused += 1
             else:
-                solution = self._solve(active)
-                if memo is not None and memo.enabled:
+                memoized = memo is not None and memo.enabled
+                solution = key = None
+                if memoized:
+                    key = memo.key_for(
+                        active, self.config, self.tuning, self.memory_system
+                    )
+                    solution = memo.get(key)
+                if solution is None:
+                    solution = yield active
+                    if memoized:
+                        memo.put(key, solution)
+                if memoized:
                     held = (
                         self.config, self.tuning,
                         memory_system.ring, memory_system.dram,
@@ -526,44 +579,13 @@ class Machine:
                 row["accesses"] = _repeat_add(row["accesses"], accesses, n)
                 s.progress = _repeat_add(s.progress, dprogress, n)
             for (domain, reader), joules in ((pkg, pkg_j), (pp0, pp0_j)):
-                for _ in range(n):
-                    domain.deposit(joules)
+                domain.deposit(joules, n)
                 reader.update()
-            for _ in range(n):
-                wall.advance(dt, power.wall_w)
+            wall.advance(dt, power.wall_w, n)
             now = t
             ticks += n
             if n < per_poll:
                 return ticks, now
-
-    def _solve(self, active):
-        """Solve the interval for ``active``, through the memo when on.
-
-        A hit returns the identical solution object a fresh solve would
-        produce, so memoized and unmemoized runs measure bitwise-equal
-        results.
-        """
-        memo = self.memo
-        if memo is None or not memo.enabled:
-            return solve_interval(
-                active,
-                self.config,
-                self.memory_system,
-                self.power_model,
-                tuning=self.tuning,
-            )
-        key = memo.key_for(active, self.config, self.tuning, self.memory_system)
-        solution = memo.get(key)
-        if solution is None:
-            solution = solve_interval(
-                active,
-                self.config,
-                self.memory_system,
-                self.power_model,
-                tuning=self.tuning,
-            )
-            memo.put(key, solution)
-        return solution
 
     def _next_event_dt(self, active, solution, continuous):
         """Time until the next rate-changing event.
@@ -634,6 +656,71 @@ class Machine:
         if len(states) == 1:
             return {states[0].name: 1.0}
         return {name: t["instructions"] / total for name, t in totals.items()}
+
+
+# Fewest grid lanes a lockstep round solves as one vectorized call; a
+# round with fewer pending solves runs them through ``solve_interval``.
+_MIN_GRID_LANES = 6
+
+
+def run_lockstep(runs):
+    """Drive many step generators together; returns their results.
+
+    ``runs`` are ``(machine, steps)`` pairs, ``steps`` a generator of
+    that machine's (:meth:`Machine._steps`, or one delegating to it)
+    and each machine its run's own. A run is dropped as it finishes, so
+    given as an iterator the roster holds only its live runs' machines
+    and memos. Every round gathers what each
+    pending run yielded, solves it, and sends each run its solution. A
+    run whose first request is a pair the grid models is a lane of one
+    :class:`~repro.sim.gridsolve.IntervalGrid`, and the round's lane
+    requests are one vectorized solve; every other request is solved
+    by ``solve_interval`` on its machine. Either way a run receives
+    exactly what :meth:`Machine.solve_steps` would give it, so each
+    result, and each machine's memo counts, equal its own
+    ``solve_steps`` run bit for bit.
+    """
+    from repro.sim.gridsolve import IntervalGrid
+
+    runs = list(runs)
+    results = [None] * len(runs)
+    pending = {}
+    for i, (_, steps) in enumerate(runs):
+        try:
+            pending[i] = next(steps)
+        except StopIteration as stop:
+            results[i] = stop.value
+    tuning = next(
+        (runs[i][0].tuning for i in pending if len(pending[i]) == 2), None
+    )
+    lanes = {}  # run -> its lane of the grid
+    for i, states in pending.items():
+        if IntervalGrid.accepts(runs[i][0], states, tuning):
+            lanes[i] = len(lanes)
+    if lanes:
+        grid = IntervalGrid([(runs[i][0], pending[i]) for i in lanes], tuning)
+    while pending:
+        solutions = {}
+        gridded = [
+            (i, lanes[i]) for i, states in pending.items()
+            if i in lanes and grid.covers(lanes[i], runs[i][0], states)
+        ]
+        if len(gridded) >= _MIN_GRID_LANES:
+            solved = grid.solve(
+                [(lane, runs[i][0]) for i, lane in gridded]
+            )
+            solutions = {i: sol for (i, _), sol in zip(gridded, solved)}
+        for i, states in pending.items():
+            if i not in solutions:
+                solutions[i] = runs[i][0]._solve(states)
+        for i, solution in solutions.items():
+            try:
+                pending[i] = runs[i][1].send(solution)
+            except StopIteration as stop:
+                del pending[i]
+                results[i] = stop.value
+                runs[i] = None  # frees its machine and memo
+    return results
 
 
 def _meter(domain, reader, joules):

@@ -206,6 +206,16 @@ def _resolve_domain(demands, weights, cap):
     return grants, factor
 
 
+# What ``_Grid._solve`` returns per app and cell, in its update order.
+_SOLVED = (
+    "rate", "cpi", "miss_ps", "access_ps", "dram_bytes", "occupancy", "mr",
+)
+
+
+def _popcount(bits):
+    return bin(bits).count("1")
+
+
 # Arrays a solve round reads, all compactable along the cell axis
 # (axis 1 for (2, n)/(2, n, K) arrays, axis 0 for (n,) arrays).
 _VIEW_BASE = (
@@ -471,11 +481,6 @@ class _Grid:
                     app.pf_coverage * thread_decay * corun_decay
                 )
                 self.floor[a, c] = app.mrc.floor
-                self.dmp_add[a, c] = (
-                    app.mrc.direct_mapped_penalty
-                    if alloc.mask.count == 1
-                    else 0.0
-                )
                 # A single-phase continuous background contributes no
                 # events (only the background runs continuously here).
                 self.skip_event[a, c] = a == 1 and not app.has_phases()
@@ -504,35 +509,8 @@ class _Grid:
         self.cap_priv = np.zeros(shape)
         self.cap_sh = np.zeros(C)
         for c in range(C):
-            cfg = configs[c]
-            fg_ways = self.allocs[0][c].mask.ways
-            bg_ways = self.allocs[1][c].mask.ways
-            way_mb = self.way_mb[c]
-            n_fg = n_bg = n_sh = 0
-            for way in range(cfg.llc_ways):
-                in_fg = way in fg_ways
-                in_bg = way in bg_ways
-                if in_fg and in_bg:
-                    n_sh += 1
-                elif in_fg:
-                    n_fg += 1
-                elif in_bg:
-                    n_bg += 1
-            self.cap_priv[0, c] = n_fg * way_mb
-            self.cap_priv[1, c] = n_bg * way_mb
-            self.cap_sh[c] = n_sh * way_mb
-        self.has_priv = self.cap_priv > 0
-        self.has_sh = self.cap_sh > 0
-        # writable = sum of lane capacities the app can write (<=2 terms).
-        self.writable = self.cap_priv + self.cap_sh
-        # Pressure spread factors are constant: cap / writable.
-        with np.errstate(divide="ignore", invalid="ignore"):
-            self.spread_priv = np.where(
-                self.writable > 0, self.cap_priv / self.writable, 0.0
-            )
-            self.spread_sh = np.where(
-                self.writable > 0, self.cap_sh[None, :] / self.writable, 0.0
-            )
+            self._set_masks(c)
+        self._derive_lanes()
 
         # Power slots: (app, slot) -> per-cell core index and the static
         # utilization multiplier 0.65 + 0.35 * (threads_here / 2). The
@@ -573,6 +551,40 @@ class _Grid:
                     self.core_assigned[c, cores[i]] = True
                 if present.any():
                     self.power_slots.append((a, core_idx, mult, present))
+
+    # -- mask-dependent inputs --------------------------------------------
+
+    def _set_masks(self, c):
+        """Cell ``c``'s lane capacities and direct-mapped penalties from
+        its allocations' current masks; :meth:`_derive_lanes` then
+        refreshes what follows from the capacities."""
+        fg_bits = self.allocs[0][c].mask.bits
+        bg_bits = self.allocs[1][c].mask.bits
+        for a in (0, 1):
+            self.dmp_add[a, c] = (
+                self.apps[a][c].mrc.direct_mapped_penalty
+                if self.allocs[a][c].mask.count == 1
+                else 0.0
+            )
+        full = (1 << self.configs[c].llc_ways) - 1
+        way_mb = self.way_mb[c]
+        self.cap_priv[0, c] = _popcount(fg_bits & ~bg_bits & full) * way_mb
+        self.cap_priv[1, c] = _popcount(bg_bits & ~fg_bits & full) * way_mb
+        self.cap_sh[c] = _popcount(fg_bits & bg_bits & full) * way_mb
+
+    def _derive_lanes(self):
+        self.has_priv = self.cap_priv > 0
+        self.has_sh = self.cap_sh > 0
+        # writable = sum of lane capacities the app can write (<=2 terms).
+        self.writable = self.cap_priv + self.cap_sh
+        # Pressure spread factors hold for a solve: cap / writable.
+        with np.errstate(divide="ignore", invalid="ignore"):
+            self.spread_priv = np.where(
+                self.writable > 0, self.cap_priv / self.writable, 0.0
+            )
+            self.spread_sh = np.where(
+                self.writable > 0, self.cap_sh[None, :] / self.writable, 0.0
+            )
 
     # -- phase-dependent inputs -------------------------------------------
 
@@ -616,15 +628,13 @@ class _Grid:
 
         Returns full-width ``(2, C)`` arrays holding each active cell's
         final per-app solution (rate, cpi, miss/access rates, DRAM
-        traffic). Internally the working set holds only unconverged
-        cells, shrinking as cells' damped rounds settle.
+        traffic, occupancy and miss ratio). Internally the working set
+        holds only unconverged cells, shrinking as cells' damped rounds
+        settle.
         """
         t = self.tuning
         C = self.n
-        out = {
-            name: np.zeros((2, C))
-            for name in ("rate", "cpi", "miss_ps", "access_ps", "dram_bytes")
-        }
+        out = {name: np.zeros((2, C)) for name in _SOLVED}
         sel = np.nonzero(step_active)[0]
         if sel.size == 0:
             return out
@@ -712,13 +722,9 @@ class _Grid:
                 rates = rate
                 ring_f = new_ring_f
                 dram_f = new_dram_f
-                for name, new in (
-                    ("rate", rate),
-                    ("cpi", cpi),
-                    ("miss_ps", miss_ps),
-                    ("access_ps", access_ps),
-                    ("dram_bytes", dram_bytes),
-                ):
+                for name, new in zip(_SOLVED, (
+                    rate, cpi, miss_ps, access_ps, dram_bytes, occupancy, mr,
+                )):
                     out[name][:, sel] = new
 
                 keep = np.nonzero(~converged)[0]
@@ -755,8 +761,7 @@ class _Grid:
         total_dram = out["dram_bytes"][0] + out["dram_bytes"][1]
         dram_w = self.dram_static_w + self.dram_w_per_gbps * (total_dram / GB)
         wall_w = self.psu * (socket_w + dram_w) + self.rest_w
-        cores_llc_w = cores_w + self.llc_static_w
-        return socket_w, cores_llc_w, wall_w
+        return socket_w, cores_w, dram_w, wall_w
 
     # -- the event loop ----------------------------------------------------
 
@@ -779,7 +784,8 @@ class _Grid:
                 raise ValidationError("simulation exceeded the runaway guard")
             self._refresh_phases(progress, step)
             out = self._solve(step)
-            socket_w, cores_llc_w, wall_w = self._power(out)
+            socket_w, cores_w, _, wall_w = self._power(out)
+            cores_llc_w = cores_w + self.llc_static_w
 
             with np.errstate(divide="ignore", invalid="ignore"):
                 beyond = np.where(
@@ -896,6 +902,179 @@ class _Grid:
         return results
 
 
+def models_memory_system(machine):
+    """Whether the grid models ``machine``'s memory system.
+
+    The grid derives the ring and DRAM domains from the config, so it
+    holds only while the machine's domains are the plain ones built from
+    that config — not, say, after
+    :func:`repro.core.bandwidth_qos.apply_qos` installs a QoS domain.
+    """
+    from repro.cpu.bandwidth import BandwidthDomain
+
+    memory, config = machine.memory_system, machine.config
+    return all(
+        type(domain) is BandwidthDomain and domain.capacity_bps == capacity
+        for domain, capacity in (
+            (memory.ring, config.ring_bandwidth_bps),
+            (memory.dram, config.dram_bandwidth_bps),
+        )
+    )
+
+
+class IntervalGrid:
+    """``solve_interval`` of many two-app lanes in one vectorized solve.
+
+    A lane is the pair of running
+    :class:`~repro.sim.interval.AppState` (foreground first) of one run
+    on one machine. Its apps, threads, cores, prefetch setting and
+    config are fixed when the grid is built; what a run changes between
+    intervals — progress, and so phases, and way masks — is read again
+    at every :meth:`solve`. The fixed point is ``_Grid._solve`` over the
+    lanes asked for, and each returned
+    :class:`~repro.sim.interval.IntervalSolution` is bit for bit what
+    ``solve_interval`` gives for the lane's states on its machine.
+    """
+
+    def __init__(self, lanes, tuning):
+        """``lanes``: ``[(machine, (fg_state, bg_state))]``; every
+        machine runs ``tuning`` and a memory system the grid models."""
+        self.tuning = tuning
+        self._lanes = []
+        cells = []
+        for machine, (fg, bg) in lanes:
+            fixed = tuple(
+                (s.allocation.threads, s.allocation.cores, s.prefetchers_on)
+                for s in (fg, bg)
+            )
+            self._lanes.append((fg, bg, machine.config, fixed))
+            cells.append(GridCell(
+                fg=fg.app,
+                bg=bg.app,
+                fg_allocation=fg.allocation,
+                bg_allocation=bg.allocation,
+                config=machine.config,
+                prefetchers_on=fg.prefetchers_on,
+            ))
+        self._grid = _Grid(cells, tuning, None)
+        self._progress = np.zeros((2, len(cells)))
+
+    @staticmethod
+    def accepts(machine, states, tuning):
+        """Whether a lane can be built from ``states`` on ``machine``."""
+        return (
+            len(states) == 2
+            and states[0].prefetchers_on == states[1].prefetchers_on
+            and machine.tuning is tuning
+            and machine.power_model.config is machine.config
+            and models_memory_system(machine)
+        )
+
+    def covers(self, lane, machine, states):
+        """Whether ``states`` on ``machine`` are still what ``lane`` was
+        built from (the same states, threads, cores, prefetch setting,
+        config, tuning, power model and memory model)."""
+        fg, bg, config, fixed = self._lanes[lane]
+        return (
+            len(states) == 2
+            and states[0] is fg
+            and states[1] is bg
+            and machine.config is config
+            and machine.power_model.config is config
+            and machine.tuning is self.tuning
+            and fixed == tuple(
+                (s.allocation.threads, s.allocation.cores, s.prefetchers_on)
+                for s in states
+            )
+            and models_memory_system(machine)
+        )
+
+    def solve(self, requests):
+        """``[IntervalSolution]`` for ``[(lane, machine)]``, in order:
+        each lane's states as they stand now, all in one solve."""
+        grid, progress = self._grid, self._progress
+        step = np.zeros(grid.n, dtype=bool)
+        moved = False
+        for lane, _ in requests:
+            fg, bg = self._lanes[lane][:2]
+            if (
+                grid.allocs[0][lane].mask.bits != fg.allocation.mask.bits
+                or grid.allocs[1][lane].mask.bits != bg.allocation.mask.bits
+            ):
+                grid.allocs[0][lane] = fg.allocation
+                grid.allocs[1][lane] = bg.allocation
+                grid._set_masks(lane)
+                moved = True
+            progress[0, lane] = fg.progress
+            progress[1, lane] = bg.progress
+            step[lane] = True
+        if moved:
+            grid._derive_lanes()
+        grid._refresh_phases(progress, step)
+        out = grid._solve(step)
+        idx = [lane for lane, _ in requests]
+        # Python floats per lane, as ``solve_interval`` holds them.
+        cols = {
+            name: values[..., idx].tolist()
+            for name, values in (
+                *out.items(),
+                ("apki", grid.apki),
+                *zip(("socket_w", "cores_w", "dram_w", "wall_w"),
+                     grid._power(out)),
+            )
+        }
+        return [
+            self._solution(cols, j, lane, machine)
+            for j, (lane, machine) in enumerate(requests)
+        ]
+
+    def _solution(self, cols, j, lane, machine):
+        """The IntervalSolution of column ``j`` of ``cols``, assembled as
+        ``solve_interval`` assembles its last round."""
+        from repro.energy.model import PowerBreakdown
+        from repro.sim.interval import AppRates, IntervalSolution
+
+        config = machine.config
+        per_app = {}
+        llc_traffic = {}
+        dram_demand = {}
+        for a, s in enumerate(self._lanes[lane][:2]):
+            app = s.app
+            cpi = cols["cpi"][a][j]
+            apki = cols["apki"][a][j]
+            access_ps = cols["access_ps"][a][j]
+            dram_bytes = cols["dram_bytes"][a][j]
+            llc_traffic[s.name] = llc_bytes = access_ps * config.line_size
+            dram_demand[s.name] = dram_bytes / app.dram_efficiency
+            per_app[s.name] = AppRates(
+                name=s.name,
+                rate_ips=cols["rate"][a][j],
+                cpi=cpi,
+                apki=apki,
+                mpki=apki * cols["mr"][a][j],
+                miss_rate_ps=cols["miss_ps"][a][j],
+                access_rate_ps=access_ps,
+                occupancy_mb=cols["occupancy"][a][j],
+                dram_bytes_ps=dram_bytes,
+                llc_bytes_ps=llc_bytes,
+                core_utilization=min(1.0, app.base_cpi / cpi),
+                speedup=app.speedup(s.allocation.threads),
+            )
+        memory = machine.memory_system
+        return IntervalSolution(
+            per_app=per_app,
+            dram_utilization=memory.dram.utilization(dram_demand),
+            ring_utilization=memory.ring.utilization(llc_traffic),
+            power=PowerBreakdown(
+                socket_w=cols["socket_w"][j],
+                cores_w=cols["cores_w"][j],
+                llc_w=config.llc_static_w,
+                dram_w=cols["dram_w"][j],
+                wall_w=cols["wall_w"][j],
+            ),
+        )
+
+
 def run_pair_grid(cells, tuning=None, config=None):
     """Solve every :class:`GridCell` in one vectorized batch.
 
@@ -918,4 +1097,4 @@ def run_pair_grid(cells, tuning=None, config=None):
     return grid.run()
 
 
-__all__ = ["GridCell", "run_pair_grid"]
+__all__ = ["GridCell", "IntervalGrid", "models_memory_system", "run_pair_grid"]

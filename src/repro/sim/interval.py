@@ -243,19 +243,23 @@ def solve_interval(states, config, memory_system, power_model, tuning=None):
         if converged:
             break
 
-    # -- power for this operating point -----------------------------------
+    solution.power = interval_power(states, solution.per_app, config, power_model)
+    return solution
+
+
+def interval_power(states, per_app, config, power_model):
+    """The power breakdown of a solved interval's ``per_app`` rates."""
     # While any work runs, every core stays powered (Sandy Bridge client
     # parts cannot gate individual cores under load) — idle cores burn
     # static power. This is what makes consolidation save energy over
     # sequential execution (Section 5.3).
     core_utils = {core: 0.0 for core in range(config.num_cores)}
     for s in states:
-        util = solution.per_app[s.name].core_utilization
+        util = per_app[s.name].core_utilization
         threads = s.allocation.threads
         for i, core in enumerate(s.allocation.cores):
             # The last core may run only one of its two hyperthreads.
             threads_here = 2 if (i + 1) * 2 <= threads else max(1, threads - 2 * i)
             core_utils[core] = min(1.0, util * (0.65 + 0.35 * (threads_here / 2)))
-    total_dram = sum(r.dram_bytes_ps for r in solution.per_app.values())
-    solution.power = power_model.breakdown(core_utils, dram_traffic_bps=total_dram)
-    return solution
+    total_dram = sum(r.dram_bytes_ps for r in per_app.values())
+    return power_model.breakdown(core_utils, dram_traffic_bps=total_dram)

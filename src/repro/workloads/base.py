@@ -104,6 +104,9 @@ class MissRatioCurve:
         self.floor = floor
         self.components = tuple((float(a), float(s)) for a, s in components)
         self.direct_mapped_penalty = direct_mapped_penalty
+        # (epsilon, ws_mult, amp_mult) -> working_set_mb; a curve is never
+        # changed after construction.
+        self._working_sets = {}
 
     def value(self, capacity_mb, ways=None, ws_mult=1.0, amp_mult=1.0):
         """Miss ratio of LLC accesses at ``capacity_mb`` of usable LLC."""
@@ -126,8 +129,17 @@ class MissRatioCurve:
         """Smallest capacity within ``epsilon`` of the 6 MB miss ratio.
 
         Used by the occupancy model to cap how much shared cache an
-        application will actually hold on to.
+        application will actually hold on to. The scan runs once per
+        ``(epsilon, ws_mult, amp_mult)``; later calls read its result.
         """
+        key = (epsilon, ws_mult, amp_mult)
+        found = self._working_sets.get(key)
+        if found is None:
+            found = self._working_sets[key] = self._scan_working_set(*key)
+        return found
+
+    def _scan_working_set(self, epsilon, ws_mult, amp_mult):
+        """:meth:`working_set_mb` by its 0.125 MB capacity scan."""
         target = self.value(MAX_LLC_MB, ws_mult=ws_mult, amp_mult=amp_mult)
         span = self.span(ws_mult=ws_mult, amp_mult=amp_mult)
         if span <= 1e-9:

@@ -10,6 +10,8 @@ checkpointing as every other shard kind.
 import io
 import json
 
+import pytest
+
 from repro.analysis.store import list_runset_shards, load_runset
 from repro.campaign import (
     expand_manifest,
@@ -48,20 +50,25 @@ class TestPlanning:
         cells = expand_manifest(analytical_manifest())
         assert all(shard_kind_for(cell) == "grid" for cell in cells)
 
-    def test_analytical_feedback_policies_fall_back(self):
+    def test_analytical_feedback_policies_batch_by_kind(self):
+        # biased cells join sweep shards (one grid call per shard),
+        # dynamic cells lockstep rosters: no analytical cell falls back.
         cells = expand_manifest(
             analytical_manifest(policies=["biased", "dynamic"])
         )
-        assert all(shard_kind_for(cell) == "fallback" for cell in cells)
+        assert [shard_kind_for(cell) for cell in cells] == [
+            "sweep", "sweep", "dynamic", "dynamic"
+        ]
 
     def test_plan_routes_analytical_to_grid_shards(self):
         cells = expand_manifest(
             analytical_manifest(policies=["shared", "fair", "biased"])
         )
         plan = plan_shards(cells, shard_size=3)
-        # 4 grid cells at shard_size=3; no trace cells at all.
+        # 4 grid cells at shard_size=3, and one 11-split biased cell per
+        # sweep shard; no trace cells at all.
         assert [(kind, len(shard)) for kind, shard in plan.shards] == [
-            ("grid", 3), ("grid", 1), ("fallback", 2)
+            ("grid", 3), ("grid", 1), ("sweep", 1), ("sweep", 1)
         ]
 
     def test_mixed_backends_split_by_shard_kind(self):
@@ -127,6 +134,48 @@ class TestExecution:
         assert delta.get(ec.GRID_CELLS, 0) == 4
 
 
+class TestFeedbackShards:
+    """Analytical biased cells in sweep shards (one grid call per
+    shard) and dynamic cells in lockstep rosters record exactly what the
+    per-cell reference path records."""
+
+    PAIRS = [
+        ["canneal", "streamcluster"], ["blackscholes", "canneal"],
+        ["459.GemsFDTD", "ferret"], ["fop", "fop"], ["x264", "429.mcf"],
+        ["429.mcf", "streamcluster"], ["batik", "x264"],
+    ]
+
+    @pytest.mark.parametrize("shard_size", [1, 64])
+    def test_records_equal_per_cell_reference(self, tmp_path, shard_size):
+        manifest = analytical_manifest(
+            policies=["biased", "dynamic"], pairs=self.PAIRS
+        )
+        before = ec.engine_counters().snapshot()
+        result = run_campaign(
+            manifest, str(tmp_path / "store"), shard_size=shard_size
+        )
+        delta = ec.engine_counters().delta(before)
+        cells = expand_manifest(manifest)
+        assert result.complete
+        sweep_shards = -(-len(self.PAIRS) // max(1, shard_size // 11))
+        dynamic_shards = -(-len(self.PAIRS) // shard_size)
+        assert result.shards_by_kind == {
+            "sweep": sweep_shards, "dynamic": dynamic_shards
+        }
+        assert delta.get(ec.GRID_CALLS, 0) == sweep_shards
+        for cell in cells:
+            reference = run_campaign_cell(cell)
+            record = result.records[cell.cell_id]
+            assert record.metrics == reference.metrics
+            assert record.fg_ways == reference.fg_ways
+            expected = dict(reference.provenance)
+            expected["source"] = {"biased": "sweep", "dynamic": "dynamic"}[
+                cell.policy
+            ]
+            assert record.provenance == expected
+        assert verify_campaign(manifest, str(tmp_path / "store")) == len(cells)
+
+
 class TestCli:
     def write_manifest(self, tmp_path, **overrides):
         data = {
@@ -163,14 +212,14 @@ class TestCli:
         assert "0 cells run, 2 skipped" in text
 
     def test_fallback_shards_checkpoint_every_eight_cells(self, tmp_path):
+        # Every analytical cell batches now; group biased cells on the
+        # trace backend still run per cell.
         manifest = self.write_manifest(
-            tmp_path, policies=["biased"],
-            pairs=[
-                ["canneal", "streamcluster"], ["blackscholes", "canneal"],
-                ["x264", "429.mcf"], ["fop", "batik"], ["canneal", "fop"],
-                ["batik", "x264"], ["streamcluster", "fop"],
-                ["429.mcf", "canneal"], ["x264", "batik"],
-            ],
+            tmp_path, backends=["trace"], policies=["biased"], pairs=[],
+            tenants=[["zipf", "stream"], ["stride", "chase"],
+                     ["chase", "zipf"]],
+            geometries=[{"accesses": 1000, "seed": seed}
+                        for seed in (1, 2, 3)],
         )
         code, text = run_cli("campaign", "plan", manifest, "--dry-run")
         assert code == 0

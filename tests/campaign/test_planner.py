@@ -46,12 +46,12 @@ class TestBatchability:
         )
         assert all(shard_kind_for(c) == "grid" for c in cells)
 
-    def test_analytical_search_policies_are_not(self):
+    def test_analytical_search_policies_batch_by_kind(self):
         cells = cells_for(
             backends=["analytical"], policies=["biased", "dynamic"],
             pairs=[["fop", "batik"]],
         )
-        assert all(shard_kind_for(c) == "fallback" for c in cells)
+        assert [shard_kind_for(c) for c in cells] == ["sweep", "dynamic"]
 
 
 class TestSplits:

@@ -111,12 +111,14 @@ class TestExecution:
         assert verify_campaign(manifest, str(store)) == 2
 
     def test_fallback_cells_run_through_the_pool(self, tmp_path):
+        # A group biased cell: every analytical cell batches now.
         manifest = manifest_from_dict(
             {
                 "name": "fallback",
-                "backends": ["analytical"],
+                "backends": ["trace"],
                 "policies": ["biased"],
-                "pairs": [["fop", "batik"]],
+                "tenants": [["zipf", "stream", "chase"]],
+                "geometries": [{"accesses": ACCESSES}],
             }
         )
         store = tmp_path / "store"
@@ -618,11 +620,18 @@ class TestShardKinds:
         manifest, cells = self._cells()
         plan = plan_shards(cells)
         kinds = [kind for kind, _ in plan.shards]
+        # A shard holds one backend: trace, then analytical sweep and
+        # dynamic shards.
         assert kinds == [
-            "roster", "grid", "sweep", "dynamic", "cluster", "fallback"
+            "roster", "grid", "sweep", "sweep", "dynamic", "dynamic",
+            "cluster", "fallback",
         ]
-        assert kinds == [kind.name for kind in SHARD_KINDS]
-        assert kinds == list(runner_mod._EXECUTORS)
+        assert [
+            {cell.backend for cell in shard} for _, shard in plan.shards
+        ] == [{"trace"}, {"analytical"}, {"trace"}, {"analytical"},
+              {"trace"}, {"analytical"}, {"trace"}, {"trace"}]
+        assert list(dict.fromkeys(kinds)) == [k.name for k in SHARD_KINDS]
+        assert list(dict.fromkeys(kinds)) == list(runner_mod._EXECUTORS)
         store = tmp_path / "store"
         result = run_campaign(manifest, str(store), cells=cells, workers=1)
         assert result.complete and result.cells_run == len(cells)

@@ -1,7 +1,7 @@
 """Golden outputs of the scalar engine, pinned bit for bit.
 
 The memo-on/off and grid-vs-scalar equivalence tests compare two paths
-that both go through ``Machine._run``, so a change to the tick loop that
+that both go through ``Machine._steps``, so a change to the tick loop that
 moved every path together would pass them. These cases pin the engine's
 own outputs instead: every ``RunResult`` field, the pair or group totals,
 the timeline, the controller's actions and the memo's hit and miss

@@ -42,9 +42,10 @@ def _count_deposits(monkeypatch):
     deposited = {"package": 0.0, "pp0": 0.0}
     deposit = RaplDomain.deposit
 
-    def counted(self, joules):
-        deposited[self.name] += joules
-        deposit(self, joules)
+    def counted(self, joules, times=1):
+        for _ in range(times):
+            deposited[self.name] += joules
+        deposit(self, joules, times)
 
     monkeypatch.setattr(RaplDomain, "deposit", counted)
     return deposited
@@ -138,6 +139,51 @@ class TestQuietStretch:
         assert calls < _ticks(pair) / 10
         assert abs(pair.socket_energy_j - deposited["package"]) <= RAPL_ENERGY_UNIT_J
         assert abs(pair.pp0_energy_j - deposited["pp0"]) <= RAPL_ENERGY_UNIT_J
+
+
+class TestFoldedMeters:
+    """A quiet stretch advances each meter once for all its ticks,
+    with the same float additions as per-tick calls."""
+
+    @staticmethod
+    def _meters(monkeypatch):
+        """Every WallMeter and RaplDomain a run builds."""
+        from repro.energy.wall import WallMeter
+
+        built = []
+        for cls in (WallMeter, RaplDomain):
+            init = cls.__init__
+
+            def recording(self, *args, _init=init, **kwargs):
+                _init(self, *args, **kwargs)
+                built.append(self)
+
+            monkeypatch.setattr(cls, "__init__", recording)
+        return built
+
+    @pytest.mark.parametrize("scale", [1, 10])
+    def test_meters_equal_per_tick_reference(self, monkeypatch, scale):
+        """Wall samples, energies and raw RAPL accumulators equal the
+        memo-off run's bit for bit; at 10x ``ferret`` the package
+        counter wraps inside quiet stretches."""
+        meters = self._meters(monkeypatch)
+        fg = get_application("ferret")
+        fg = dataclasses.replace(fg, instructions=fg.instructions * scale)
+        runs = []
+        for memoize in (True, False):
+            del meters[:]
+            pair, controller, calls = dynamic_pair(
+                Machine(memoize=memoize), fg, "fop"
+            )
+            runs.append((run_bits(pair, controller), calls,
+                         [repr(vars(m)) for m in meters]))
+        (on, calls_on, meters_on), (off, calls_off, meters_off) = runs
+        assert on == off
+        assert meters_on == meters_off
+        assert calls_on < calls_off / 10
+        assert len(meters_on) == 3  # package, pp0, wall
+        if scale == 10:
+            assert pair.socket_energy_j > 65536
 
 
 class TestPerTickFallbacks:

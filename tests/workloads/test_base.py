@@ -95,6 +95,22 @@ class TestMissRatioCurve:
         mrc = MissRatioCurve(0.3, [])
         assert mrc.working_set_mb() == 0.5
 
+    def test_cached_working_set_equals_the_scan(self):
+        """Every registry app and phase, both the first call (which
+        scans) and the cached one, equal a fresh scan."""
+        from repro.workloads import get_application
+        from repro.workloads.registry import all_application_names
+
+        for name in all_application_names():
+            app = get_application(name)
+            for phase in app.phases:
+                for epsilon in (0.02, 0.1):
+                    scan = app.mrc._scan_working_set(
+                        epsilon, phase.ws_mult, phase.amp_mult
+                    )
+                    for _ in range(2):
+                        assert app.working_set_mb(phase, epsilon) == scan
+
     def test_phase_multipliers_shift_curve(self):
         mrc = self.make()
         assert mrc.value(2.0, ws_mult=2.0) > mrc.value(2.0, ws_mult=1.0)
