@@ -1,13 +1,16 @@
-"""The interval-engine backend: policies over ``Machine.run_pair``.
+"""The interval-engine backend: policies over ``Machine`` step generators.
 
 Wraps :class:`repro.sim.engine.Machine` (and its IntervalMemo and shared
 solo cache) behind :class:`~repro.backend.protocol.SimBackend`. A pair
 on a pair-shaped split maps exactly to what the pre-backend policy code
 did — the same ``paper_pair_allocations`` masks, the same ``run_pair``
-calls (or their vectorized ``run_pair_grid`` twin) in the same order —
-so policy outcomes through this backend are bit-identical to the seed
-implementation. Every other tenant set and split runs through
-``Machine.run_group``.
+runs in the same order — so policy outcomes through this backend are
+bit-identical to the seed implementation. Every other tenant set and
+split runs through ``Machine.run_group``. Each co-run is a step
+generator of the machine (:meth:`AnalyticalBackend.co_run_steps`,
+:meth:`AnalyticalBackend.dynamic_steps`): one call drives it with
+``solve_steps``, and a batch drives many in lockstep, solving each
+round's memo misses in one vectorized interval solve.
 """
 
 from repro.backend.protocol import (
@@ -50,23 +53,6 @@ class AnalyticalBackend(SimBackend):
             supports_dynamic=True,
         )
 
-    @staticmethod
-    def _grid_options(options):
-        """The grid solver's supported option subset, or None.
-
-        ``run_pair_grid`` covers the continuous-background, uncontrolled
-        steady-state case (what sweeps and campaigns run). Anything else
-        — a finite background, the dynamic controller, timelines, or
-        custom step sizes — falls back to the scalar engine.
-        """
-        known = {"bg_continuous": True, "prefetchers_on": True}
-        merged = dict(known, **options)
-        if set(merged) != set(known) or merged["bg_continuous"] is not True:
-            return None
-        if not isinstance(merged["prefetchers_on"], bool):
-            return None
-        return merged
-
     def solo(self, app, threads=None):
         """The app alone in the paper's co-run slot, via the solo cache."""
         if threads is None:
@@ -87,10 +73,15 @@ class AnalyticalBackend(SimBackend):
         else runs through ``Machine.run_group``, the scalar N-tenant
         interval solve.
         """
+        return self.machine.solve_steps(self.co_run_steps(tenants, split))
+
+    def co_run_steps(self, tenants, split):
+        """:meth:`co_run` as a step generator of this backend's machine
+        (``Machine._steps``); returns the measurement."""
         ways = split.pair_ways() if len(tenants.tenants) == 2 else None
         if ways is None:
             allocations = self._group_allocations(tenants, split.mask_bits)
-            result = self.machine.run_group(
+            result = yield from self.machine.group_steps(
                 tenants.tenants[0], tenants.tenants[1:],
                 allocations[0], allocations[1:],
                 **self._group_run_options(tenants),
@@ -100,63 +91,24 @@ class AnalyticalBackend(SimBackend):
         fg_alloc, bg_alloc = paper_pair_allocations(
             fg, bg, *ways, self.machine.config.llc_ways
         )
-        pair = self.machine.run_pair(
+        pair = yield from self.machine.pair_steps(
             fg, bg, fg_alloc, bg_alloc, **tenants.options
         )
         return pair_measurement((fg.name, bg.name), split, pair)
 
     def co_run_grid(self, items):
-        """Vectorized batch of co-runs via :mod:`repro.sim.gridsolve`.
+        """:meth:`co_run` of every ``(tenants, split)`` item, the runs
+        advanced in lockstep on this backend's machine
+        (:func:`~repro.sim.gridsolve.run_pair_grid`): each round's memo
+        misses of the pair runs are one vectorized interval solve.
+        Results are in item order and equal per-item :meth:`co_run`
+        calls bit for bit."""
+        from repro.sim.gridsolve import run_pair_grid
 
-        ``items`` are ``(tenants, split)`` pairs. Pair cells whose
-        options the grid solver covers are solved in one vectorized
-        call; the rest run through the scalar :meth:`co_run`, and so do
-        all cells on a machine whose memory system the grid does not
-        model. Results are returned in item order and are bit-identical
-        to the sequential walk.
-        """
-        from repro.sim.gridsolve import (
-            GridCell,
-            models_memory_system,
-            run_pair_grid,
+        return run_pair_grid(
+            (self.machine, self.co_run_steps(tenants, split))
+            for tenants, split in items
         )
-
-        items = list(items)
-        grid = models_memory_system(self.machine)
-        cells = {}
-        for i, (tenants, split) in enumerate(items):
-            options = self._grid_options(tenants.options)
-            ways = split.pair_ways() if len(tenants.tenants) == 2 else None
-            if not grid or options is None or ways is None:
-                continue
-            fg, bg = tenants.tenants
-            fg_alloc, bg_alloc = paper_pair_allocations(
-                fg, bg, *ways, self.machine.config.llc_ways
-            )
-            cells[i] = GridCell(
-                fg=fg,
-                bg=bg,
-                fg_allocation=fg_alloc,
-                bg_allocation=bg_alloc,
-                prefetchers_on=options["prefetchers_on"],
-            )
-        order = sorted(cells)
-        pairs = run_pair_grid(
-            [cells[i] for i in order],
-            tuning=self.machine.tuning,
-            config=self.machine.config,
-        )
-        solved = dict(zip(order, pairs))
-
-        results = []
-        for i, (tenants, split) in enumerate(items):
-            pair = solved.get(i)
-            if pair is None:
-                results.append(self.co_run(tenants, split))
-                continue
-            names = tuple(t.name for t in tenants.tenants)
-            results.append(pair_measurement(names, split, pair))
-        return results
 
     def sweep(self, tenants):
         """All disjoint splits of a pair in one vectorized grid call

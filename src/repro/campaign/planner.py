@@ -49,9 +49,9 @@ SHARD_KINDS = (
         "batchable: {cells} cells in {shards} roster shards "
         "(one native call each)",
     ),
-    # Analytical shared/fair: ONE vectorized
+    # Analytical shared/fair: ONE
     # :meth:`repro.backend.analytical.AnalyticalBackend.co_run_grid`
-    # solve per shard.
+    # lockstep batch per shard, its rounds solved vectorized.
     ShardKind(
         "grid", 1, 0,
         "grid: {cells} cells in {shards} analytical grid shards "
@@ -59,9 +59,9 @@ SHARD_KINDS = (
     ),
     # Pair biased (measure every split, then argmax): each cell's
     # 11-allocation sweep joins one batched call (a trace roster, or
-    # one analytical grid solve), and the winner is chosen from those
-    # entries. They are co-run measurements and both backends are
-    # deterministic, so nothing re-measures.
+    # one analytical ``co_run_grid`` batch), and the winner is chosen
+    # from those entries. They are co-run measurements and both
+    # backends are deterministic, so nothing re-measures.
     ShardKind(
         "sweep", 11, 0,
         "sweep: {cells} biased cells in {shards} sweep shards "

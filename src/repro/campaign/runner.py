@@ -186,7 +186,7 @@ def _execute_cluster_shard(shard, table, threads, workers):
 
 
 def _execute_grid_shard(shard, table, threads, workers):
-    """One vectorized analytical solve for a whole shard of cells.
+    """One analytical ``co_run_grid`` batch for a whole shard of cells.
 
     Builds the same ``(tenants, split)`` items the per-cell reference
     path would measure one at a time and hands them to

@@ -2,7 +2,7 @@
 
 Reproduces the paper's three instruments (Section 2.2): on-chip RAPL
 counters for socket and core+cache power at 1/2^16 J resolution and ~1 ms
-update granularity, and a FitPC wall-socket multimeter sampling at 1 s.
+update granularity, and a FitPC wall-socket multimeter.
 """
 
 from repro.energy.model import PowerBreakdown, PowerModel

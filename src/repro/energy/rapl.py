@@ -8,6 +8,7 @@ would be against hardware.
 """
 
 from repro.util.errors import ValidationError
+from repro.util.floats import repeat_add
 
 RAPL_ENERGY_UNIT_J = 1.0 / (1 << 16)
 _COUNTER_BITS = 32
@@ -27,10 +28,7 @@ class RaplDomain:
         in-order additions of ``joules``, as that many calls would make."""
         if joules < 0:
             raise ValidationError("energy cannot decrease")
-        total = self._raw_accumulated
-        for _ in range(times):
-            total += joules
-        self._raw_accumulated = total
+        self._raw_accumulated = repeat_add(self._raw_accumulated, joules, times)
 
     def read_raw(self):
         """The 32-bit wrapped counter value in RAPL units."""

@@ -9,6 +9,8 @@ period.
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro.cpu.bandwidth import MemorySystem
 from repro.cpu.config import SandyBridgeConfig
 from repro.energy.model import PowerModel
@@ -24,6 +26,8 @@ _MAX_SIM_SECONDS = 50_000.0
 # Most energy deposited between two RAPL polls: half a counter wrap, so
 # no wrap goes unseen (``RaplCounter.update``).
 _POLL_J = RAPL_WRAP_J / 2
+# Most ticks one pass of a quiet stretch sums at a time.
+_STRETCH_TICKS = 4096
 
 
 @dataclass
@@ -375,11 +379,12 @@ class Machine:
         by_name = dict(zip(names, states))
         miss_energy = self.power_model.miss_energy
         memo, memory_system = self.memo, self.memory_system
-        # With the memo on, the last solution holds until an event that can
-        # change its memo key: an app leaving its phase's progress window,
-        # a mask write, a finish, or a swapped config, tuning or
-        # arbitration domain. Each held tick counts as the memo hit a
-        # rebuilt key would have been.
+        # With the memo on, a stepped run's last solution holds until an
+        # event that can change its memo key: an app leaving its phase's
+        # progress window, a mask write, a finish, or a swapped config,
+        # tuning or arbitration domain. Each held tick counts as the memo
+        # hit a rebuilt key would have been. An event-driven run ends
+        # every step at such an event, so it holds nothing.
         held = None  # (config, tuning, ring, dram) at the last solve
         windows = ()  # (state, lo, hi) per active app at the last solve
         reused = 0
@@ -415,7 +420,7 @@ class Machine:
                     solution = yield active
                     if memoized:
                         memo.put(key, solution)
-                if memoized:
+                if memoized and step_s is not None:
                     held = (
                         self.config, self.tuning,
                         memory_system.ring, memory_system.dram,
@@ -428,7 +433,7 @@ class Machine:
             if step_s is not None:
                 dt = step_s
             else:
-                dt = self._next_event_dt(active, solution, continuous)
+                dt = self._next_event_dt(running, solution, continuous)
             dt = max(dt, 1e-6)
 
             # Misses add up from 0 in ``states`` order, as they always
@@ -531,15 +536,18 @@ class Machine:
         stretch runs them up to the next event, which is the first tick
         that would start outside an app's phase window, finish or wrap
         an app, or start past the runaway guard; the caller's loop then
-        runs that tick. Every per-tick delta is computed once, and the
-        same float additions are repeated in the same order, so the run
-        measures bit for bit what per-tick calls would. ``pkg`` and
-        ``pp0`` are (domain, reader) pairs, polled at most ``_POLL_J``
-        apart. Returns (ticks run, ``now`` after them).
+        runs that tick. Every per-tick delta is computed once, and each
+        running total is taken by ``np.add.accumulate``, which repeats
+        the same float additions in the same order, so the run measures
+        bit for bit what per-tick calls would. ``pkg`` and ``pp0`` are
+        (domain, reader) pairs, polled at most ``_POLL_J`` apart.
+        Returns (ticks run, ``now`` after them).
         """
         per_app = solution.per_app
-        bounds = []  # (state, lo, hi, progress per tick)
-        deltas = []  # (state, totals row, instructions, misses, accesses, progress)
+        # Row 0 is the clock, then (progress, instructions, misses,
+        # accesses) per app: their values now, and their per-tick deltas.
+        starts, deltas = [now], [dt]
+        bounds, totals = [], []  # (lo, hi, progress per tick), (state, row)
         total_misses = 0
         for (s, lo, hi), (_, name, row) in zip(windows, running):
             rates = per_app[name]
@@ -547,47 +555,57 @@ class Machine:
             misses = rates.miss_rate_ps * dt
             total_misses += misses
             dprogress = dinstr / s.app.instructions
-            bounds.append((s, lo, hi, dprogress))
-            deltas.append(
-                (s, row, dinstr, misses, rates.access_rate_ps * dt, dprogress)
-            )
+            starts += [
+                s.progress, row["instructions"], row["misses"], row["accesses"]
+            ]
+            deltas += [dprogress, dinstr, misses, rates.access_rate_ps * dt]
+            bounds.append((lo, hi, dprogress))
+            totals.append((s, row))
         power = solution.power
         pkg_j = power.socket_w * dt + self.power_model.miss_energy(total_misses)
         pp0_j = (power.cores_w + power.llc_w) * dt
-        per_poll = int(_POLL_J / max(pkg_j, pp0_j, _EPS))
+        per_poll = min(int(_POLL_J / max(pkg_j, pp0_j, _EPS)), _STRETCH_TICKS)
+        deltas = np.array(deltas)[:, None]
+        lo, hi, dprogress = np.array(bounds).T[:, :, None]
         finish = 1.0 - _EPS
         ticks = 0
         while True:
-            # Ticks until the next event, without mutating anything.
-            n = per_poll
-            for s, lo, hi, dprogress in bounds:
-                p, k = s.progress, 0
-                while k < n and lo <= p < hi and p + dprogress < finish:
-                    p += dprogress
-                    k += 1
-                n = k
-            t, k = now, 0
-            while k < n and t <= _MAX_SIM_SECONDS:
-                t += dt
-                k += 1
-            n = k
+            # Ticks to the next event, estimated: the sums find the exact
+            # tick, and an estimate that falls short only adds a pass.
+            ahead = (_MAX_SIM_SECONDS - now) / dt
+            for p, (_, h, d) in zip(starts[1::4], bounds):
+                if d > 0:
+                    ahead = min(ahead, (min(h, finish - d) - p) / d)
+            width = min(per_poll, max(int(ahead), 0) + 2)
+            # Column k: every total after k more ticks.
+            sums = np.empty((len(starts), width + 1))
+            sums[:, :1] = np.array(starts)[:, None]
+            sums[:, 1:] = deltas
+            sums = np.add.accumulate(sums, axis=1)
+            # The ticks that start inside every app's phase window, short
+            # of its finish, and inside the runaway guard.
+            progress = sums[1::4, :-1]
+            runs = (
+                (lo <= progress) & (progress < hi)
+                & (progress + dprogress < finish)
+            ).all(axis=0) & (sums[0, :-1] <= _MAX_SIM_SECONDS)
+            n = width if runs.all() else int(runs.argmin())
             if not n:
                 return ticks, now
-            for s, row, dinstr, misses, accesses, dprogress in deltas:
-                row["instructions"] = _repeat_add(row["instructions"], dinstr, n)
-                row["misses"] = _repeat_add(row["misses"], misses, n)
-                row["accesses"] = _repeat_add(row["accesses"], accesses, n)
-                s.progress = _repeat_add(s.progress, dprogress, n)
+            starts = sums[:, n].tolist()
+            now = starts[0]
+            for i, (s, row) in enumerate(totals):
+                (s.progress, row["instructions"], row["misses"],
+                 row["accesses"]) = starts[1 + 4 * i: 5 + 4 * i]
             for (domain, reader), joules in ((pkg, pkg_j), (pp0, pp0_j)):
                 domain.deposit(joules, n)
                 reader.update()
             wall.advance(dt, power.wall_w, n)
-            now = t
             ticks += n
-            if n < per_poll:
+            if n < width:
                 return ticks, now
 
-    def _next_event_dt(self, active, solution, continuous):
+    def _next_event_dt(self, running, solution, continuous):
         """Time until the next rate-changing event.
 
         Events are phase boundaries and completions of finite apps. A
@@ -596,17 +614,21 @@ class Machine:
         long foregrounds over short background loops cheap to simulate.
         """
         dt = float("inf")
-        for s in active:
-            rate = solution.per_app[s.name].rate_ips
+        per_app = solution.per_app
+        for s, name, _ in running:
+            rate = per_app[name].rate_ips
             if rate <= 0:
                 continue
-            if s.name in continuous and not s.app.has_phases():
-                continue
             boundaries = s.boundaries
-            next_frac = next(
-                (b for b in boundaries if b > s.progress + _EPS), 1.0
-            )
-            dinstr = (next_frac - s.progress) * s.app.instructions
+            if name in continuous and len(boundaries) == 1:
+                continue
+            progress = s.progress
+            for next_frac in boundaries:
+                if next_frac > progress + _EPS:
+                    break
+            else:
+                next_frac = 1.0
+            dinstr = (next_frac - progress) * s.app.instructions
             dt = min(dt, dinstr / rate)
         if dt == float("inf"):
             raise ValidationError("no runnable application made progress")
@@ -667,18 +689,20 @@ def run_lockstep(runs):
     """Drive many step generators together; returns their results.
 
     ``runs`` are ``(machine, steps)`` pairs, ``steps`` a generator of
-    that machine's (:meth:`Machine._steps`, or one delegating to it)
-    and each machine its run's own. A run is dropped as it finishes, so
-    given as an iterator the roster holds only its live runs' machines
-    and memos. Every round gathers what each
-    pending run yielded, solves it, and sends each run its solution. A
-    run whose first request is a pair the grid models is a lane of one
-    :class:`~repro.sim.gridsolve.IntervalGrid`, and the round's lane
-    requests are one vectorized solve; every other request is solved
-    by ``solve_interval`` on its machine. Either way a run receives
-    exactly what :meth:`Machine.solve_steps` would give it, so each
-    result, and each machine's memo counts, equal its own
-    ``solve_steps`` run bit for bit.
+    that machine's (:meth:`Machine._steps`, or one delegating to it).
+    A run is dropped as it finishes, so given as an iterator the roster
+    holds only its live runs' machines and memos. Every round gathers
+    what each pending run yielded, solves it, and sends each run its
+    solution. A run whose first request is a pair the grid models is a
+    lane of one :class:`~repro.sim.gridsolve.IntervalGrid`, and the
+    round's lane requests are one vectorized solve; every other request
+    is solved by ``solve_interval`` on its machine. Either way a run
+    receives exactly what :meth:`Machine.solve_steps` would give it, so
+    each result equals its own ``solve_steps`` run bit for bit. So do
+    the memo counts of a machine that runs only one of the runs; runs
+    that share a machine share its memo, and a lookup that a
+    sequential walk would have answered from an earlier run's solve may
+    then miss.
     """
     from repro.sim.gridsolve import IntervalGrid
 
@@ -706,9 +730,7 @@ def run_lockstep(runs):
             if i in lanes and grid.covers(lanes[i], runs[i][0], states)
         ]
         if len(gridded) >= _MIN_GRID_LANES:
-            solved = grid.solve(
-                [(lane, runs[i][0]) for i, lane in gridded]
-            )
+            solved = grid.solve([lane for _, lane in gridded])
             solutions = {i: sol for (i, _), sol in zip(gridded, solved)}
         for i, states in pending.items():
             if i not in solutions:
@@ -732,14 +754,6 @@ def _meter(domain, reader, joules):
         joules -= _POLL_J
     domain.deposit(joules)
     reader.update()
-
-
-def _repeat_add(x, d, n):
-    """``x`` after ``n`` in-order float additions of ``d``; no closed
-    form rounds the same way."""
-    for _ in range(n):
-        x += d
-    return x
 
 
 @dataclass

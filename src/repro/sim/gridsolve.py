@@ -1,13 +1,16 @@
-"""Vectorized batch evaluation of the interval fixed point.
+"""Vectorized evaluation of the interval fixed point.
 
-``run_pair_grid`` solves a whole grid of foreground/background cells —
-(fg app x bg app x way split x operating point) — in one call, with the
-cell axis vectorized under NumPy. Every stage of the scalar pipeline is
-expressed as array ops over that axis: the occupancy pressure
-competition (:mod:`repro.sim.occupancy`), the rate/bandwidth/latency
-damped rounds (:mod:`repro.sim.interval`), the event loop and energy
-meters (:mod:`repro.sim.engine`), and the power breakdown
-(:mod:`repro.energy.model`).
+:class:`IntervalGrid` solves ``solve_interval`` for many two-app *lanes*
+— the running foreground/background pair of one run on one machine — in
+one call, with the lane axis vectorized under NumPy. Every stage of the
+scalar solve is expressed as array ops over that axis: the occupancy
+pressure competition (:mod:`repro.sim.occupancy`), the
+rate/bandwidth/latency damped rounds (:mod:`repro.sim.interval`), and
+the power breakdown (:mod:`repro.energy.model`). The event loop and the
+energy meters are not here: every analytical run ticks through
+``Machine._steps``, and :func:`repro.sim.engine.run_lockstep` hands a
+round's memo misses to one :meth:`IntervalGrid.solve`.
+:func:`run_pair_grid` is that lockstep for a batch of static co-runs.
 
 The contract is the same one every prior speedup in this repo honors:
 **bit-identical results**. Each scalar expression is replicated with the
@@ -22,52 +25,29 @@ deserve a note:
   last ulp on some hosts (:func:`_exp`, :func:`_pow`);
 - both occupancy schedules are vectorized — the fixed 40-iteration
   ``tol=0`` replay *and* the ``tol>0`` fast paths (single-writer closed
-  form, pinned private regions, warm starts, per-cell early exit, and
-  the every-4th-round geometric acceleration) — so grid results match
-  the scalar engine under any tuning, not just ``occupancy_tol=0``;
-- converged cells are *compacted out* of the working set each round
+  form, pinned private regions, warm starts, per-lane early exit, and
+  the every-4th-round geometric acceleration) — so grid solutions match
+  the scalar solve under any tuning, not just ``occupancy_tol=0``;
+- converged lanes are *compacted out* of the working set each round
   (:class:`_View`): fancy-index gathers copy values bit-for-bit and
-  every solver op is elementwise along the cell axis, so shrinking the
+  every solver op is elementwise along the lane axis, so shrinking the
   arrays changes which lanes are computed, never their bits.
-
-Cells that would individually raise (runaway guard, no runnable app)
-raise for the whole grid, mirroring a sequential loop that stops at the
-first failing cell.
 """
 
-import dataclasses
 import math
 
 import numpy as np
 
-from repro.energy.rapl import RAPL_ENERGY_UNIT_J
+from repro.cpu.bandwidth import BandwidthDomain
+from repro.energy.model import PowerBreakdown
 from repro.perf import engine_counters as perf
-from repro.sim.engine import _EPS, _MAX_SIM_SECONDS, PairResult, RunResult
+from repro.sim.engine import run_lockstep
+from repro.sim.interval import AppRates, IntervalSolution
 from repro.sim.occupancy import _DAMPING, _ITERATIONS
-from repro.sim.tuning import DEFAULT_TUNING
-from repro.util.errors import SchedulingError, ValidationError
 from repro.util.units import GB
 
 # Exponent constants written exactly as the scalar sites spell them.
 _CBRT = 1.0 / 3.0
-_RAPL_WRAP = 1 << 32
-
-
-@dataclasses.dataclass(frozen=True)
-class GridCell:
-    """One (pair, allocation, operating point) cell of a batch.
-
-    ``config`` overrides the grid-level platform config for this cell
-    (an operating point: a different frequency, latency set, or power
-    envelope); ``None`` means the shared default.
-    """
-
-    fg: object  # ApplicationModel
-    bg: object  # ApplicationModel
-    fg_allocation: object  # Allocation
-    bg_allocation: object  # Allocation
-    config: object = None  # SandyBridgeConfig | None
-    prefetchers_on: bool = True
 
 
 def _exp(values):
@@ -93,13 +73,6 @@ def _pow(values, exponent):
         count=flat.size,
     )
     return out.reshape(values.shape)
-
-
-def _alias_pair(fg, bg):
-    """The engine's self-pair aliasing, verbatim."""
-    if fg.name == bg.name:
-        bg = dataclasses.replace(bg, name=f"{bg.name}#2", phases=bg.phases)
-    return fg, bg
 
 
 def _water_fill_single(cap, w, lim):
@@ -206,7 +179,7 @@ def _resolve_domain(demands, weights, cap):
     return grants, factor
 
 
-# What ``_Grid._solve`` returns per app and cell, in its update order.
+# What ``_Grid._solve`` returns per app and lane, in its update order.
 _SOLVED = (
     "rate", "cpi", "miss_ps", "access_ps", "dram_bytes", "occupancy", "mr",
 )
@@ -216,7 +189,7 @@ def _popcount(bits):
     return bin(bits).count("1")
 
 
-# Arrays a solve round reads, all compactable along the cell axis
+# Arrays a solve round reads, all compactable along the lane axis
 # (axis 1 for (2, n)/(2, n, K) arrays, axis 0 for (n,) arrays).
 _VIEW_BASE = (
     "apki", "sf", "base_cpi", "mlp", "arb_w", "wb1", "dram_eff",
@@ -229,10 +202,10 @@ _VIEW_DERIVED = ("lim_priv", "lim_sh", "pw_c")
 
 
 class _View:
-    """A compacted slice of the grid: only still-active cells.
+    """A compacted slice of the grid: only still-active lanes.
 
     Fancy-index gathers copy values bit-for-bit, and every solver op is
-    elementwise along the cell axis, so dropping converged cells from
+    elementwise along the lane axis, so dropping converged lanes from
     the working set changes which lanes are computed, never their bits.
     This is what keeps heterogeneous grids cheap: a straggler pair that
     needs 25 damped rounds no longer drags the whole grid's arrays
@@ -320,7 +293,7 @@ class _View:
         """``tol>0``: closed-form private lanes + iterated shared lane.
 
         ``warm`` carries the shared-lane shares across rate rounds (the
-        scalar warm start); per-cell early exit and the every-4th-round
+        scalar warm start); per-lane early exit and the every-4th-round
         geometric acceleration replicate ``solve_occupancy``.
         """
         tol = self.tuning.occupancy_tol
@@ -369,150 +342,133 @@ class _View:
 
 
 class _Grid:
-    """All per-cell static state plus the vectorized solve loops.
+    """All per-lane static state plus the vectorized solve loops.
 
     Layout: every per-app quantity is a ``(2, C)`` float64 array (axis 0
-    is fg/bg, axis 1 the cell axis); per-cell quantities are ``(C,)``.
-    The LLC decomposes into at most three non-empty-writer *lanes* per
-    cell — fg-private, bg-private, and the shared {fg, bg} region — the
-    only writer sets two contiguous masks can produce. Empty-writer
-    regions hold no shares and contribute no occupancy in the scalar
-    solver, so dropping them is exact.
+    is fg/bg, axis 1 the lane axis); per-lane quantities are ``(C,)``.
+    The LLC decomposes into at most three non-empty-writer *regions* per
+    lane — fg-private, bg-private, and the shared {fg, bg} region — the
+    only writer sets two masks can produce. Empty-writer regions hold no
+    shares and contribute no occupancy in the scalar solver, so dropping
+    them is exact.
     """
 
-    def __init__(self, cells, tuning, default_config):
+    def __init__(self, lanes, tuning):
+        """``lanes``: ``[(config, (fg_state, bg_state))]``."""
         self.tuning = tuning
-        self.n = len(cells)
+        self.n = len(lanes)
         C = self.n
-        self.apps = [[None] * C, [None] * C]
-        self.allocs = [[None] * C, [None] * C]
-        configs = []
-        for c, cell in enumerate(cells):
-            fg, bg = _alias_pair(cell.fg, cell.bg)
-            if cell.fg_allocation.overlaps_cores(cell.bg_allocation):
-                raise SchedulingError(
-                    "co-scheduled applications must use disjoint cores"
-                )
-            self.apps[0][c], self.apps[1][c] = fg, bg
-            self.allocs[0][c] = cell.fg_allocation
-            self.allocs[1][c] = cell.bg_allocation
-            configs.append(cell.config or default_config)
+        configs = [config for config, _ in lanes]
         self.configs = configs
+        states = [pair for _, pair in lanes]
+        self.apps = [[s[a].app for s in states] for a in range(2)]
+        self.allocs = [[s[a].allocation for s in states] for a in range(2)]
 
-        def per_cell(fn):
-            return np.array([fn(cfg) for cfg in configs], dtype=np.float64)
-
-        self.freq = per_cell(lambda g: g.frequency_hz)
-        self.llc_lat_cyc = per_cell(lambda g: g.llc_latency_cycles)
-        self.dram_lat_cyc = per_cell(lambda g: g.dram_latency_cycles)
-        self.line_size = per_cell(lambda g: g.line_size)
-        self.ring_cap = per_cell(lambda g: g.ring_bandwidth_bps)
-        self.dram_cap = per_cell(lambda g: g.dram_bandwidth_bps)
-        self.way_mb = per_cell(lambda g: g.way_bytes / (1 << 20))
-        self.uncore_plus_llc = per_cell(
-            lambda g: g.uncore_static_w + g.llc_static_w
-        )
-        self.llc_static_w = per_cell(lambda g: g.llc_static_w)
-        self.core_static_w = per_cell(lambda g: g.core_static_w)
-        self.core_dyn_w = per_cell(lambda g: g.core_dynamic_max_w)
-        self.dram_static_w = per_cell(lambda g: g.dram_static_w)
-        self.dram_w_per_gbps = per_cell(lambda g: g.dram_w_per_gbps)
-        self.psu = per_cell(lambda g: g.psu_overhead)
-        self.rest_w = per_cell(lambda g: g.system_rest_w)
-        self.dram_epm = per_cell(lambda g: g.dram_energy_per_miss_j)
+        # Per-lane config constants: a row per distinct config.
+        distinct = {id(config): config for config in configs}
+        row = {key: i for i, key in enumerate(distinct)}
+        (
+            self.llc_lat_cyc,
+            self.dram_lat_cyc,
+            self.line_size,
+            self.ring_cap,
+            self.dram_cap,
+            self.uncore_plus_llc,
+            self.core_static_w,
+            self.core_dyn_w,
+            self.dram_static_w,
+            self.dram_w_per_gbps,
+            self.psu,
+            self.rest_w,
+        ) = np.array([
+            (
+                g.llc_latency_cycles, g.dram_latency_cycles, g.line_size,
+                g.ring_bandwidth_bps, g.dram_bandwidth_bps,
+                g.uncore_static_w + g.llc_static_w, g.core_static_w,
+                g.core_dynamic_max_w, g.dram_static_w, g.dram_w_per_gbps,
+                g.psu_overhead, g.system_rest_w,
+            )
+            for g in distinct.values()
+        ], dtype=float)[[row[id(config)] for config in configs]].T.copy()
         self.num_cores = np.array(
             [g.num_cores for g in configs], dtype=np.int64
         )
-        self.max_cores = int(self.num_cores.max()) if C else 0
+        self.max_cores = int(self.num_cores.max())
 
-        # Per-cell-app scalars (all static for the whole run).
+        # Per-lane-app scalars, static for the whole run: one row of
+        # Python floats per app of each lane, laid out as arrays at once.
+        self.speedup = [
+            [s[a].app.speedup(s[a].allocation.threads) for s in states]
+            for a in range(2)
+        ]
+        corun_decay = max(0.0, 1.0 - tuning.pf_interference * (2 - 1))
         shape = (2, C)
-        self.base_cpi = np.zeros(shape)
-        self.mlp = np.zeros(shape)
-        self.arb_w = np.zeros(shape)
-        self.sf = np.zeros(shape)  # speedup * freq, folded as Python floats
-        self.rate0 = np.zeros(shape)
-        self.instructions = np.zeros(shape)
-        self.wb1 = np.zeros(shape)  # 1.0 + wb_fraction
-        self.dram_eff = np.zeros(shape)
-        self.pressure_weight = np.zeros(shape)
-        self.pf_pollution = np.zeros(shape)
-        self.pf_static = np.zeros(shape)  # (coverage*thread_decay)*corun
-        self.pf_on = np.zeros(shape, dtype=bool)
-        self.pf_enabled = np.zeros(shape, dtype=bool)
-        self.floor = np.zeros(shape)
-        self.dmp_add = np.zeros(shape)  # direct-mapped penalty or 0.0
-        self.skip_event = np.zeros(shape, dtype=bool)
-        phase_counts = []
-        comp_counts = []
+        rows = []
         for a in range(2):
-            for c in range(C):
-                app = self.apps[a][c]
-                alloc = self.allocs[a][c]
-                cfg = configs[c]
-                threads = alloc.threads
-                speedup = app.speedup(threads)
-                freq = cfg.frequency_hz
-                self.base_cpi[a, c] = app.base_cpi
-                self.mlp[a, c] = app.mlp
-                self.arb_w[a, c] = app.mlp ** 0.5
-                self.sf[a, c] = speedup * freq
-                self.rate0[a, c] = speedup * freq / app.base_cpi
-                self.instructions[a, c] = app.instructions
-                self.wb1[a, c] = 1.0 + app.wb_fraction
-                self.dram_eff[a, c] = app.dram_efficiency
-                self.pressure_weight[a, c] = app.cache_pressure
-                self.pf_pollution[a, c] = app.pf_pollution
-                cell = cells[c]
-                self.pf_enabled[a, c] = cell.prefetchers_on
-                self.pf_on[a, c] = (
-                    cell.prefetchers_on and app.pf_coverage > 0
-                )
+            for c, (pair, config) in enumerate(zip(states, configs)):
+                state = pair[a]
+                app = state.app
+                threads = state.allocation.threads
+                sf = self.speedup[a][c] * config.frequency_hz
                 pf_threads = (
                     1 if app.scalability.single_threaded else threads
                 )
                 thread_decay = 1.0 / (
                     1.0 + tuning.pf_thread_decay * (pf_threads - 1)
                 )
-                corun_decay = max(
-                    0.0, 1.0 - tuning.pf_interference * (2 - 1)
-                )
-                self.pf_static[a, c] = (
-                    app.pf_coverage * thread_decay * corun_decay
-                )
-                self.floor[a, c] = app.mrc.floor
-                # A single-phase continuous background contributes no
-                # events (only the background runs continuously here).
-                self.skip_event[a, c] = a == 1 and not app.has_phases()
-                phase_counts.append(len(app.phases))
-                comp_counts.append(len(app.mrc.components))
-
-        # Phase boundaries, +inf padded so min-over-axis skips the pad.
-        B = max(phase_counts) if phase_counts else 1
-        self.bnd = np.full((2, C, B), np.inf)
-        for a in range(2):
-            for c in range(C):
-                bounds = self.apps[a][c].phase_boundaries()
-                self.bnd[a, c, : len(bounds)] = bounds
+                rows.append((
+                    app.base_cpi,
+                    app.mlp,
+                    app.mlp ** 0.5,
+                    sf,
+                    sf / app.base_cpi,
+                    1.0 + app.wb_fraction,
+                    app.dram_efficiency,
+                    app.cache_pressure,
+                    app.pf_pollution,
+                    app.pf_coverage * thread_decay * corun_decay,
+                    app.mrc.floor,
+                    state.prefetchers_on,
+                    state.prefetchers_on and app.pf_coverage > 0,
+                ))
+        (
+            self.base_cpi,
+            self.mlp,
+            self.arb_w,  # arbitration weight, mlp ** 0.5
+            self.sf,  # speedup * freq, folded as Python floats
+            self.rate0,
+            self.wb1,  # 1.0 + wb_fraction
+            self.dram_eff,
+            self.pressure_weight,
+            self.pf_pollution,
+            self.pf_static,  # (coverage * thread_decay) * corun_decay
+            self.floor,
+            pf_enabled,
+            pf_on,
+        ) = np.array(rows, dtype=float).reshape(2, C, -1).transpose(2, 0, 1).copy()
+        self.pf_enabled = pf_enabled.astype(bool)
+        self.pf_on = pf_on.astype(bool)
+        self.dmp_add = np.zeros(shape)  # direct-mapped penalty or 0.0
+        comp_counts = [
+            len(app.mrc.components) for apps in self.apps for app in apps
+        ]
 
         # Miss-ratio components, padded with (aa=0, sw=1): the fold adds
         # an exact ``mr + 0.0 * exp(...)`` no-op per pad slot.
-        self.K = max(comp_counts) if comp_counts else 1
+        self.K = max(comp_counts)
         self.aa = np.zeros((2, C, self.K))
         self.sw = np.ones((2, C, self.K))
         self.apki = np.zeros(shape)
         self.ws = np.zeros(shape)
-        self._phase_idx = np.full(shape, -1, dtype=np.int64)
+        self._phase_idx = [[-1] * C, [-1] * C]
         self._phase_memo = {}
 
-        # LLC lanes: private fg / private bg / shared, per cell.
+        # LLC regions: private fg / private bg / shared, per lane.
         self.cap_priv = np.zeros(shape)
         self.cap_sh = np.zeros(C)
-        for c in range(C):
-            self._set_masks(c)
-        self._derive_lanes()
+        self._set_masks(list(range(C)))
 
-        # Power slots: (app, slot) -> per-cell core index and the static
+        # Power slots: (app, slot) -> per-lane core index and the static
         # utilization multiplier 0.65 + 0.35 * (threads_here / 2). The
         # scalar fold sums over {0..num_cores-1} union allocation cores,
         # so track assigned cores too.
@@ -534,9 +490,7 @@ class _Grid:
         self.core_assigned = np.zeros((C, self.max_cores), dtype=bool)
         for a in range(2):
             for i in range(max_slots):
-                core_idx = np.zeros(C, dtype=np.int64)
-                mult = np.zeros(C)
-                present = np.zeros(C, dtype=bool)
+                core_idx, mult, present = [0] * C, [0.0] * C, [False] * C
                 for c in range(C):
                     cores = self.allocs[a][c].cores
                     if i >= len(cores):
@@ -549,33 +503,41 @@ class _Grid:
                     mult[c] = 0.65 + 0.35 * (threads_here / 2)
                     present[c] = True
                     self.core_assigned[c, cores[i]] = True
-                if present.any():
-                    self.power_slots.append((a, core_idx, mult, present))
+                if any(present):
+                    self.power_slots.append((
+                        a,
+                        np.array(core_idx, dtype=np.int64),
+                        np.array(mult),
+                        np.array(present),
+                    ))
 
     # -- mask-dependent inputs --------------------------------------------
 
-    def _set_masks(self, c):
-        """Cell ``c``'s lane capacities and direct-mapped penalties from
-        its allocations' current masks; :meth:`_derive_lanes` then
-        refreshes what follows from the capacities."""
-        fg_bits = self.allocs[0][c].mask.bits
-        bg_bits = self.allocs[1][c].mask.bits
-        for a in (0, 1):
-            self.dmp_add[a, c] = (
-                self.apps[a][c].mrc.direct_mapped_penalty
-                if self.allocs[a][c].mask.count == 1
-                else 0.0
-            )
-        full = (1 << self.configs[c].llc_ways) - 1
-        way_mb = self.way_mb[c]
-        self.cap_priv[0, c] = _popcount(fg_bits & ~bg_bits & full) * way_mb
-        self.cap_priv[1, c] = _popcount(bg_bits & ~fg_bits & full) * way_mb
-        self.cap_sh[c] = _popcount(fg_bits & bg_bits & full) * way_mb
-
-    def _derive_lanes(self):
+    def _set_masks(self, lanes):
+        """The region capacities and direct-mapped penalties of
+        ``lanes`` from their allocations' current masks, and what
+        follows from the capacities."""
+        dmp, priv, shared = [], [], []
+        for c in lanes:
+            masks = self.allocs[0][c].mask, self.allocs[1][c].mask
+            dmp.append([
+                app[c].mrc.direct_mapped_penalty if mask.count == 1 else 0.0
+                for app, mask in zip(self.apps, masks)
+            ])
+            fg, bg = (mask.bits for mask in masks)
+            full = (1 << self.configs[c].llc_ways) - 1
+            way_mb = self.configs[c].way_bytes / (1 << 20)
+            priv.append([
+                _popcount(fg & ~bg & full) * way_mb,
+                _popcount(bg & ~fg & full) * way_mb,
+            ])
+            shared.append(_popcount(fg & bg & full) * way_mb)
+        self.dmp_add[:, lanes] = np.array(dmp).T
+        self.cap_priv[:, lanes] = np.array(priv).T
+        self.cap_sh[lanes] = shared
         self.has_priv = self.cap_priv > 0
         self.has_sh = self.cap_sh > 0
-        # writable = sum of lane capacities the app can write (<=2 terms).
+        # writable = sum of region capacities the app can write (<=2 terms).
         self.writable = self.cap_priv + self.cap_sh
         # Pressure spread factors hold for a solve: cap / writable.
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -588,48 +550,46 @@ class _Grid:
 
     # -- phase-dependent inputs -------------------------------------------
 
-    def _refresh_phases(self, progress, active):
-        """Regather apki / working set / curve params where phases moved."""
-        for c in np.nonzero(active)[0]:
-            for a in range(2):
-                app = self.apps[a][c]
-                idx = app.phase_index_at(float(progress[a, c]))
-                if idx == self._phase_idx[a, c]:
-                    continue
-                self._phase_idx[a, c] = idx
-                threads = self.allocs[a][c].threads
-                key = (id(app), idx, threads)
-                params = self._phase_memo.get(key)
-                if params is None:
-                    phase = app.phases[idx]
-                    aa = [amp * phase.amp_mult for amp, _ in app.mrc.components]
-                    sw = [
-                        scale * phase.ws_mult for _, scale in app.mrc.components
-                    ]
-                    params = (
-                        app.apki(phase, threads),
-                        app.working_set_mb(phase),
-                        aa,
-                        sw,
-                    )
-                    self._phase_memo[key] = params
-                apki, ws, aa, sw = params
-                self.apki[a, c] = apki
-                self.ws[a, c] = ws
-                self.aa[a, c, : len(aa)] = aa
-                self.aa[a, c, len(aa):] = 0.0
-                self.sw[a, c, : len(sw)] = sw
-                self.sw[a, c, len(sw):] = 1.0
+    def _set_phases(self, c, progresses):
+        """Lane ``c``'s apki / working set / curve params at its apps'
+        ``progresses``, regathered where a phase moved."""
+        for a, progress in enumerate(progresses):
+            app = self.apps[a][c]
+            idx = app.phase_index_at(progress)
+            if idx == self._phase_idx[a][c]:
+                continue
+            self._phase_idx[a][c] = idx
+            threads = self.allocs[a][c].threads
+            key = (id(app), idx, threads)
+            params = self._phase_memo.get(key)
+            if params is None:
+                phase = app.phases[idx]
+                aa = [amp * phase.amp_mult for amp, _ in app.mrc.components]
+                sw = [scale * phase.ws_mult for _, scale in app.mrc.components]
+                params = (
+                    app.apki(phase, threads),
+                    app.working_set_mb(phase),
+                    aa,
+                    sw,
+                )
+                self._phase_memo[key] = params
+            apki, ws, aa, sw = params
+            self.apki[a, c] = apki
+            self.ws[a, c] = ws
+            self.aa[a, c, : len(aa)] = aa
+            self.aa[a, c, len(aa):] = 0.0
+            self.sw[a, c, : len(sw)] = sw
+            self.sw[a, c, len(sw):] = 1.0
 
     # -- the interval fixed point -----------------------------------------
 
     def _solve(self, step_active):
-        """``solve_interval`` over the cell axis.
+        """``solve_interval`` over the lane axis.
 
-        Returns full-width ``(2, C)`` arrays holding each active cell's
+        Returns full-width ``(2, C)`` arrays holding each active lane's
         final per-app solution (rate, cpi, miss/access rates, DRAM
         traffic, occupancy and miss ratio). Internally the working set
-        holds only unconverged cells, shrinking as cells' damped rounds
+        holds only unconverged lanes, shrinking as lanes' damped rounds
         settle.
         """
         t = self.tuning
@@ -747,11 +707,11 @@ class _Grid:
         with np.errstate(divide="ignore", invalid="ignore"):
             util = np.minimum(1.0, self.base_cpi / out["cpi"])
         core_utils = np.zeros((C, self.max_cores))
-        cell_idx = np.arange(C)
+        lane_idx = np.arange(C)
         for a, core_idx, mult, present in self.power_slots:
             vals = np.minimum(1.0, util[a] * mult)
             sel = np.nonzero(present)[0]
-            core_utils[cell_idx[sel], core_idx[sel]] = vals[sel]
+            core_utils[lane_idx[sel], core_idx[sel]] = vals[sel]
         cores_w = np.zeros(C)
         for core in range(self.max_cores):
             in_fold = (core < self.num_cores) | self.core_assigned[:, core]
@@ -763,162 +723,12 @@ class _Grid:
         wall_w = self.psu * (socket_w + dram_w) + self.rest_w
         return socket_w, cores_w, dram_w, wall_w
 
-    # -- the event loop ----------------------------------------------------
 
-    def run(self):
-        C = self.n
-        now = np.zeros(C)
-        progress = np.zeros((2, C))
-        instr_tot = np.zeros((2, C))
-        miss_tot = np.zeros((2, C))
-        acc_tot = np.zeros((2, C))
-        pkg_acc = np.zeros(C)
-        pp0_acc = np.zeros(C)
-        wall_e = np.zeros(C)
-        fg_done_time = np.zeros(C)
-        done = np.zeros(C, dtype=bool)
-
-        while not done.all():
-            step = ~done
-            if np.any(now[step] > _MAX_SIM_SECONDS):
-                raise ValidationError("simulation exceeded the runaway guard")
-            self._refresh_phases(progress, step)
-            out = self._solve(step)
-            socket_w, cores_w, _, wall_w = self._power(out)
-            cores_llc_w = cores_w + self.llc_static_w
-
-            with np.errstate(divide="ignore", invalid="ignore"):
-                beyond = np.where(
-                    self.bnd > (progress + _EPS)[..., None], self.bnd, np.inf
-                )
-                next_frac = beyond.min(axis=2)
-                next_frac = np.where(np.isfinite(next_frac), next_frac, 1.0)
-                cand = (next_frac - progress) * self.instructions / out["rate"]
-            cand = np.where((out["rate"] <= 0) | self.skip_event, np.inf, cand)
-            dt = np.minimum(cand[0], cand[1])
-            if np.any(np.isinf(dt[step])):
-                raise ValidationError("no runnable application made progress")
-            dt = dt * (1.0 + 1e-9) + 1e-9
-            dt = np.maximum(dt, 1e-6)
-            # Finished cells advance by zero; their commits are masked
-            # anyway, but a zero dt keeps inf/NaN out of the arithmetic.
-            dt = np.where(step, dt, 0.0)
-
-            dinstr = out["rate"] * dt[None, :]
-            mask2 = step[None, :]
-            instr_tot = np.where(mask2, instr_tot + dinstr, instr_tot)
-            miss_tot = np.where(
-                mask2, miss_tot + out["miss_ps"] * dt[None, :], miss_tot
-            )
-            acc_tot = np.where(
-                mask2, acc_tot + out["access_ps"] * dt[None, :], acc_tot
-            )
-            new_progress = progress + dinstr / self.instructions
-
-            fg_done_now = step & (new_progress[0] >= 1.0 - _EPS)
-            fg_done_time = np.where(fg_done_now, now + dt, fg_done_time)
-
-            bgp = new_progress[1]
-            wrap = step & (bgp >= 1.0 - _EPS)
-            wraps = np.maximum(1.0, np.trunc(bgp + _EPS))
-            bgp = np.where(wrap, np.maximum(0.0, bgp - wraps), bgp)
-            progress = np.where(
-                mask2, np.stack([new_progress[0], bgp]), progress
-            )
-
-            total_misses = out["miss_ps"][0] * dt + out["miss_ps"][1] * dt
-            pkg_acc = np.where(
-                step,
-                pkg_acc + (socket_w * dt + total_misses * self.dram_epm),
-                pkg_acc,
-            )
-            pp0_acc = np.where(step, pp0_acc + cores_llc_w * dt, pp0_acc)
-            wall_e = np.where(step, wall_e + wall_w * dt, wall_e)
-            now = np.where(step, now + dt, now)
-            done = done | fg_done_now
-
-        return self._finalize(
-            now, instr_tot, miss_tot, acc_tot, pkg_acc, pp0_acc, wall_e,
-            fg_done_time,
-        )
-
-    def _finalize(self, now, instr_tot, miss_tot, acc_tot, pkg_acc,
-                  pp0_acc, wall_e, fg_done_time):
-        """RAPL truncation, energy shares, and PairResult assembly."""
-        # RaplDomain.read_raw: int(acc / unit) % 2**32, read once at end.
-        pkg_units = (
-            np.trunc(pkg_acc / RAPL_ENERGY_UNIT_J).astype(np.int64)
-            % _RAPL_WRAP
-        )
-        pp0_units = (
-            np.trunc(pp0_acc / RAPL_ENERGY_UNIT_J).astype(np.int64)
-            % _RAPL_WRAP
-        )
-        socket_j = pkg_units.astype(np.float64) * RAPL_ENERGY_UNIT_J
-        pp0_j = pp0_units.astype(np.float64) * RAPL_ENERGY_UNIT_J
-
-        results = []
-        for c in range(self.n):
-            totals = (float(instr_tot[0, c]), float(instr_tot[1, c]))
-            total = sum(totals) or 1.0
-            share = (totals[0] / total, totals[1] / total)
-            avg_power = (
-                float(wall_e[c]) / float(now[c]) if float(now[c]) else 0.0
-            )
-            runtimes = (float(fg_done_time[c]), float(now[c]))
-            runs = []
-            for a in range(2):
-                runs.append(
-                    RunResult(
-                        name=self.apps[a][c].name,
-                        runtime_s=runtimes[a],
-                        instructions=totals[a],
-                        llc_misses=float(miss_tot[a, c]),
-                        llc_accesses=float(acc_tot[a, c]),
-                        socket_energy_j=float(socket_j[c]) * share[a],
-                        wall_energy_j=float(wall_e[c]) * share[a],
-                        avg_power_w=avg_power,
-                        pp0_energy_j=float(pp0_j[c]) * share[a],
-                    )
-                )
-            fg_result, bg_result = runs
-            bg_rate = (
-                bg_result.instructions / fg_result.runtime_s
-                if fg_result.runtime_s > 0
-                else bg_result.ips
-            )
-            results.append(
-                PairResult(
-                    fg=fg_result,
-                    bg=bg_result,
-                    makespan_s=float(now[c]),
-                    socket_energy_j=float(socket_j[c]),
-                    wall_energy_j=float(wall_e[c]),
-                    bg_rate_ips=bg_rate,
-                    timeline=[],
-                    pp0_energy_j=float(pp0_j[c]),
-                )
-            )
-        return results
-
-
-def models_memory_system(machine):
-    """Whether the grid models ``machine``'s memory system.
-
-    The grid derives the ring and DRAM domains from the config, so it
-    holds only while the machine's domains are the plain ones built from
-    that config — not, say, after
-    :func:`repro.core.bandwidth_qos.apply_qos` installs a QoS domain.
-    """
-    from repro.cpu.bandwidth import BandwidthDomain
-
-    memory, config = machine.memory_system, machine.config
-    return all(
-        type(domain) is BandwidthDomain and domain.capacity_bps == capacity
-        for domain, capacity in (
-            (memory.ring, config.ring_bandwidth_bps),
-            (memory.dram, config.dram_bandwidth_bps),
-        )
+def _fixed(fg, bg):
+    """What a lane holds fixed of its two states."""
+    return (
+        fg.allocation.threads, fg.allocation.cores, fg.prefetchers_on,
+        bg.allocation.threads, bg.allocation.cores, bg.prefetchers_on,
     )
 
 
@@ -927,54 +737,69 @@ class IntervalGrid:
 
     A lane is the pair of running
     :class:`~repro.sim.interval.AppState` (foreground first) of one run
-    on one machine. Its apps, threads, cores, prefetch setting and
-    config are fixed when the grid is built; what a run changes between
-    intervals — progress, and so phases, and way masks — is read again
-    at every :meth:`solve`. The fixed point is ``_Grid._solve`` over the
-    lanes asked for, and each returned
+    on one machine. Its apps, threads, cores, prefetch setting, config
+    and memory system are fixed when the grid is built; what a run
+    changes between intervals — progress, and so phases, and way masks
+    — is read again at every :meth:`solve`. The fixed point is
+    ``_Grid._solve`` over the lanes asked for, and each returned
     :class:`~repro.sim.interval.IntervalSolution` is bit for bit what
     ``solve_interval`` gives for the lane's states on its machine.
     """
 
     def __init__(self, lanes, tuning):
-        """``lanes``: ``[(machine, (fg_state, bg_state))]``; every
-        machine runs ``tuning`` and a memory system the grid models."""
+        """``lanes``: ``[(machine, (fg_state, bg_state))]``, each one
+        that :meth:`accepts` takes."""
         self.tuning = tuning
-        self._lanes = []
-        cells = []
-        for machine, (fg, bg) in lanes:
-            fixed = tuple(
-                (s.allocation.threads, s.allocation.cores, s.prefetchers_on)
-                for s in (fg, bg)
+        self._lanes = [
+            (
+                fg, bg, machine.config, machine.memory_system.ring,
+                machine.memory_system.dram, _fixed(fg, bg),
             )
-            self._lanes.append((fg, bg, machine.config, fixed))
-            cells.append(GridCell(
-                fg=fg.app,
-                bg=bg.app,
-                fg_allocation=fg.allocation,
-                bg_allocation=bg.allocation,
-                config=machine.config,
-                prefetchers_on=fg.prefetchers_on,
-            ))
-        self._grid = _Grid(cells, tuning, None)
-        self._progress = np.zeros((2, len(cells)))
+            for machine, (fg, bg) in lanes
+        ]
+        self._grid = _Grid(
+            [(machine.config, states) for machine, states in lanes], tuning
+        )
+        # What each lane's solutions repeat: app names, speedups, and the
+        # LLC's static power.
+        self._constants = [
+            ((fg.name, bg.name), speedups, config.llc_static_w)
+            for (fg, bg, config, *_), speedups in zip(
+                self._lanes, zip(*self._grid.speedup)
+            )
+        ]
 
     @staticmethod
     def accepts(machine, states, tuning):
-        """Whether a lane can be built from ``states`` on ``machine``."""
+        """Whether a lane can be built from ``states`` on ``machine``.
+
+        The grid derives the ring and DRAM domains from the config, so
+        the machine's domains must be the plain ones built from that
+        config — not, say, the QoS domain
+        :func:`repro.core.bandwidth_qos.apply_qos` installs.
+        """
+        memory, config = machine.memory_system, machine.config
         return (
             len(states) == 2
             and states[0].prefetchers_on == states[1].prefetchers_on
             and machine.tuning is tuning
-            and machine.power_model.config is machine.config
-            and models_memory_system(machine)
+            and machine.power_model.config is config
+            and all(
+                type(domain) is BandwidthDomain
+                and domain.capacity_bps == capacity
+                for domain, capacity in (
+                    (memory.ring, config.ring_bandwidth_bps),
+                    (memory.dram, config.dram_bandwidth_bps),
+                )
+            )
         )
 
     def covers(self, lane, machine, states):
         """Whether ``states`` on ``machine`` are still what ``lane`` was
         built from (the same states, threads, cores, prefetch setting,
-        config, tuning, power model and memory model)."""
-        fg, bg, config, fixed = self._lanes[lane]
+        config, tuning, power model and memory domains)."""
+        fg, bg, config, ring, dram, fixed = self._lanes[lane]
+        memory = machine.memory_system
         return (
             len(states) == 2
             and states[0] is fg
@@ -982,20 +807,17 @@ class IntervalGrid:
             and machine.config is config
             and machine.power_model.config is config
             and machine.tuning is self.tuning
-            and fixed == tuple(
-                (s.allocation.threads, s.allocation.cores, s.prefetchers_on)
-                for s in states
-            )
-            and models_memory_system(machine)
+            and memory.ring is ring
+            and memory.dram is dram
+            and fixed == _fixed(fg, bg)
         )
 
-    def solve(self, requests):
-        """``[IntervalSolution]`` for ``[(lane, machine)]``, in order:
-        each lane's states as they stand now, all in one solve."""
-        grid, progress = self._grid, self._progress
-        step = np.zeros(grid.n, dtype=bool)
-        moved = False
-        for lane, _ in requests:
+    def solve(self, lanes):
+        """``[IntervalSolution]`` for ``lanes``, in order: each lane's
+        states as they stand now, all in one solve."""
+        grid = self._grid
+        moved = []
+        for lane in lanes:
             fg, bg = self._lanes[lane][:2]
             if (
                 grid.allocs[0][lane].mask.bits != fg.allocation.mask.bits
@@ -1003,98 +825,66 @@ class IntervalGrid:
             ):
                 grid.allocs[0][lane] = fg.allocation
                 grid.allocs[1][lane] = bg.allocation
-                grid._set_masks(lane)
-                moved = True
-            progress[0, lane] = fg.progress
-            progress[1, lane] = bg.progress
-            step[lane] = True
+                moved.append(lane)
+            grid._set_phases(lane, (fg.progress, bg.progress))
         if moved:
-            grid._derive_lanes()
-        grid._refresh_phases(progress, step)
+            grid._set_masks(moved)
+        step = np.zeros(grid.n, dtype=bool)
+        step[lanes] = True
         out = grid._solve(step)
-        idx = [lane for lane, _ in requests]
-        # Python floats per lane, as ``solve_interval`` holds them.
-        cols = {
-            name: values[..., idx].tolist()
-            for name, values in (
-                *out.items(),
-                ("apki", grid.apki),
-                *zip(("socket_w", "cores_w", "dram_w", "wall_w"),
-                     grid._power(out)),
-            )
-        }
-        return [
-            self._solution(cols, j, lane, machine)
-            for j, (lane, machine) in enumerate(requests)
-        ]
-
-    def _solution(self, cols, j, lane, machine):
-        """The IntervalSolution of column ``j`` of ``cols``, assembled as
-        ``solve_interval`` assembles its last round."""
-        from repro.energy.model import PowerBreakdown
-        from repro.sim.interval import AppRates, IntervalSolution
-
-        config = machine.config
-        per_app = {}
-        llc_traffic = {}
-        dram_demand = {}
-        for a, s in enumerate(self._lanes[lane][:2]):
-            app = s.app
-            cpi = cols["cpi"][a][j]
-            apki = cols["apki"][a][j]
-            access_ps = cols["access_ps"][a][j]
-            dram_bytes = cols["dram_bytes"][a][j]
-            llc_traffic[s.name] = llc_bytes = access_ps * config.line_size
-            dram_demand[s.name] = dram_bytes / app.dram_efficiency
-            per_app[s.name] = AppRates(
-                name=s.name,
-                rate_ips=cols["rate"][a][j],
-                cpi=cpi,
-                apki=apki,
-                mpki=apki * cols["mr"][a][j],
-                miss_rate_ps=cols["miss_ps"][a][j],
-                access_rate_ps=access_ps,
-                occupancy_mb=cols["occupancy"][a][j],
-                dram_bytes_ps=dram_bytes,
-                llc_bytes_ps=llc_bytes,
-                core_utilization=min(1.0, app.base_cpi / cpi),
-                speedup=app.speedup(s.allocation.threads),
-            )
-        memory = machine.memory_system
-        return IntervalSolution(
-            per_app=per_app,
-            dram_utilization=memory.dram.utilization(dram_demand),
-            ring_utilization=memory.ring.utilization(llc_traffic),
-            power=PowerBreakdown(
-                socket_w=cols["socket_w"][j],
-                cores_w=cols["cores_w"][j],
-                llc_w=config.llc_static_w,
-                dram_w=cols["dram_w"][j],
-                wall_w=cols["wall_w"][j],
-            ),
+        # The rest of ``solve_interval``'s last round, as it computes it:
+        # traffic per app, and each domain's utilization of its sum.
+        llc_bytes = out["access_ps"] * grid.line_size
+        dram_demand = out["dram_bytes"] / grid.dram_eff
+        utilization = (
+            np.minimum((dram_demand[0] + dram_demand[1]) / grid.dram_cap, 1.0),
+            np.minimum((llc_bytes[0] + llc_bytes[1]) / grid.ring_cap, 1.0),
         )
+        with np.errstate(divide="ignore", invalid="ignore"):
+            # ``min(1.0, base_cpi / cpi)``: fmin, as ``min``, keeps 1.0
+            # against a NaN.
+            core_util = np.fmin(1.0, grid.base_cpi / out["cpi"])
+        # Python floats per lane, as ``solve_interval`` holds them: per
+        # app in AppRates field order, then the lane's utilizations and
+        # power.
+        per_app = np.stack((
+            out["rate"], out["cpi"], grid.apki, grid.apki * out["mr"],
+            out["miss_ps"], out["access_ps"], out["occupancy"],
+            out["dram_bytes"], llc_bytes, core_util,
+        ))[:, :, lanes].transpose(2, 1, 0).tolist()
+        per_lane = np.stack(
+            (*utilization, *grid._power(out))
+        )[:, lanes].T.tolist()
+        solutions = []
+        for lane, apps, values in zip(lanes, per_app, per_lane):
+            names, speedups, llc_w = self._constants[lane]
+            dram_util, ring_util, socket_w, cores_w, dram_w, wall_w = values
+            solutions.append(IntervalSolution(
+                {
+                    name: AppRates(name, *rates, speedup)
+                    for name, rates, speedup in zip(names, apps, speedups)
+                },
+                dram_util,
+                ring_util,
+                PowerBreakdown(socket_w, cores_w, llc_w, dram_w, wall_w),
+            ))
+        return solutions
 
 
-def run_pair_grid(cells, tuning=None, config=None):
-    """Solve every :class:`GridCell` in one vectorized batch.
+def run_pair_grid(runs):
+    """Drive a batch of static co-runs in lockstep; returns their results.
 
-    Returns ``[PairResult]`` in cell order, bit-identical to calling
-    ``Machine.run_pair`` per cell with the same tuning and configs
-    (``bg_continuous=True``, no controller, no timeline). Raises the
-    same errors a sequential loop would raise at its first failing cell.
+    ``runs`` are ``(machine, steps)`` pairs, as
+    :func:`~repro.sim.engine.run_lockstep` takes them: each round's memo
+    misses of the pair lanes are one :meth:`IntervalGrid.solve`, so each
+    result equals its own ``Machine.solve_steps`` run bit for bit.
+    Counts one grid call per batch and one grid cell per run.
     """
-    cells = list(cells)
-    if not cells:
-        return []
-    tuning = tuning or DEFAULT_TUNING
-    if config is None:
-        from repro.cpu.config import SandyBridgeConfig
-
-        config = SandyBridgeConfig()
-    grid = _Grid(cells, tuning, config)
-    perf.add(perf.GRID_CALLS)
-    perf.add(perf.GRID_CELLS, len(cells))
-    return grid.run()
+    runs = list(runs)
+    if runs:
+        perf.add(perf.GRID_CALLS)
+        perf.add(perf.GRID_CELLS, len(runs))
+    return run_lockstep(runs)
 
 
-__all__ = ["GridCell", "IntervalGrid", "models_memory_system", "run_pair_grid"]
+__all__ = ["IntervalGrid", "run_pair_grid"]

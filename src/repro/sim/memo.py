@@ -9,10 +9,10 @@ to earlier signatures as the controller moves a mask back and forth, so
 caching the solved :class:`IntervalSolution` removes most of the
 engine's work on exactly the runs that are slow. Between events that
 can change the signature (a phase change, a mask write, a finish, a
-swapped config, tuning or arbitration domain), ``Machine._steps`` holds
-its last solution without building a key at all, and counts each held
-tick as a hit (:meth:`IntervalMemo.hit`), so hits and misses are what a
-key lookup on every tick would have counted.
+swapped config, tuning or arbitration domain), a stepped run of
+``Machine._steps`` holds its last solution without building a key at
+all, and counts each held tick as a hit (:meth:`IntervalMemo.hit`), so
+hits and misses are what a key lookup on every tick would have counted.
 
 Correctness notes:
 

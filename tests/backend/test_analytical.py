@@ -5,6 +5,8 @@ same ``paper_pair_allocations`` + ``run_pair`` calls the pre-backend
 policy code made, so there is nothing to be approximately equal about.
 """
 
+import dataclasses
+
 import pytest
 
 from repro.backend import AnalyticalBackend, GroupSplit
@@ -159,6 +161,25 @@ class TestSelfPairNames:
         assert (outcome.fg_name, outcome.bg_name) == ("fop", "fop#2")
 
 
+class TestGridMeters:
+    """``co_run_grid`` runs read the machine's meters as ``co_run`` does."""
+
+    def test_rapl_wraps_are_counted(self):
+        """An 8x-length ``429.mcf`` deposits more than one 65,536 J
+        RAPL wrap before its foreground finishes; the batch must count
+        every wrap, as ``co_run`` does."""
+        from repro.sim.engine import Machine
+
+        mcf = get_application("429.mcf")
+        mcf = dataclasses.replace(mcf, instructions=mcf.instructions * 8)
+        pair = AnalyticalBackend.group_spec([mcf, get_application("fop")])
+        split = GroupSplit.pair(6, 6, 12)
+        (grid,) = AnalyticalBackend(Machine()).co_run_grid([(pair, split)])
+        scalar = AnalyticalBackend(Machine()).co_run(pair, split)
+        assert scalar.raw.socket_energy_j > 65536
+        assert repr(grid) == repr(scalar)
+
+
 class TestGridUnderBandwidthQos:
     """The grid solver models the config's plain DRAM and ring domains,
     so a machine with a QoS domain installed walks the scalar engine."""
@@ -188,3 +209,50 @@ class TestGridUnderBandwidthQos:
         assert scalar.fg_cost < plain.fg_cost  # the reservation helps
         # Restored: the grid applies again and reproduces the plain run.
         assert backend.co_run_grid([(pair, split)])[0].fg_cost == plain.fg_cost
+
+    @pytest.mark.parametrize("qos", [False, True], ids=["stock", "qos"])
+    def test_mixed_batch_equals_per_item_co_run(self, monkeypatch, qos):
+        """One batch of every item kind — a pair-shaped split, its
+        mirror (the ``run_group`` path), a 3-tenant group, a finite
+        background and a timeline — equals per-item ``co_run`` calls
+        bit for bit, on a stock machine (its two-app runs solved in
+        grid rounds) and under a QoS contract (every interval solved
+        per run)."""
+        from repro.sim.engine import Machine
+        from repro.sim.gridsolve import IntervalGrid
+
+        rounds = []
+        solve = IntervalGrid.solve
+        monkeypatch.setattr(
+            IntervalGrid, "solve",
+            lambda grid, lanes: rounds.append(len(lanes)) or solve(grid, lanes),
+        )
+
+        def backend():
+            backend = AnalyticalBackend(Machine())
+            if qos:
+                apply_qos(
+                    backend.machine, [QosContract(self.VICTIM, 0.35, True)]
+                )
+            return backend
+
+        pair = AnalyticalBackend.group_spec([self.VICTIM, self.HOG])
+        phased = ["429.mcf", "canneal"]
+        items = [
+            (pair, GroupSplit.pair(4, 8, 12)),
+            (pair, GroupSplit((0xFF0, 0x00F), 12)),
+            (AnalyticalBackend.group_spec(["canneal", "fop", "batik"]),
+             GroupSplit.fair(3, 12)),
+            (AnalyticalBackend.group_spec(phased, bg_continuous=False),
+             GroupSplit.pair(6, 6, 12)),
+            (AnalyticalBackend.group_spec(phased, timeline=True),
+             GroupSplit.pair(9, 3, 12)),
+        ]
+        # Enough copies of the batch for its rounds to be grid rounds.
+        items = items * 2
+        grid = backend().co_run_grid(items)
+        reference = backend()
+        assert [repr(m) for m in grid] == [
+            repr(reference.co_run(tenants, split)) for tenants, split in items
+        ]
+        assert bool(rounds) is not qos

@@ -24,20 +24,3 @@ class TestIntegration:
         with pytest.raises(ValidationError):
             meter.advance(1.0, -10.0)
 
-
-class TestSampling:
-    def test_one_hertz_samples(self):
-        meter = WallMeter(sample_period_s=1.0)
-        meter.advance(3.5, 80.0)
-        assert [s.timestamp_s for s in meter.samples] == [1.0, 2.0, 3.0]
-        assert all(s.power_w == 80.0 for s in meter.samples)
-
-    def test_samples_across_small_steps(self):
-        meter = WallMeter(sample_period_s=1.0)
-        for _ in range(25):
-            meter.advance(0.1, 60.0)
-        assert len(meter.samples) == 2
-
-    def test_sample_period_validation(self):
-        with pytest.raises(ValidationError):
-            WallMeter(sample_period_s=0)

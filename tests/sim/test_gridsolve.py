@@ -1,9 +1,12 @@
-"""Bit-equality of the vectorized grid solver against the scalar engine.
+"""Bit-equality of lockstep static co-runs against the scalar engine.
 
-Every test compares ``run_pair_grid`` against per-cell
-``Machine.run_pair`` with ``==`` on floats — the grid's contract is
-bit-identity, not closeness, at *any* tuning (both occupancy schedules
-are vectorized).
+Every test compares ``run_pair_grid`` — ``Machine.pair_steps`` runs
+driven in lockstep, each round's solves one vectorized
+``IntervalGrid.solve`` — against per-cell ``Machine.run_pair`` with
+``==`` on floats. The grid's contract is bit-identity, not closeness, at
+*any* tuning (both occupancy schedules are vectorized). Memos are off
+and every round is a grid round, so every interval of every cell is a
+grid solve.
 """
 
 import pytest
@@ -13,10 +16,11 @@ from hypothesis import strategies as st
 from repro.cpu.config import SandyBridgeConfig
 from repro.perf import engine_counters as perf
 from repro.runtime.harness import paper_pair_allocations
+from repro.sim import engine as engine_mod
 from repro.sim.engine import Machine
-from repro.sim.gridsolve import GridCell, run_pair_grid
+from repro.sim.gridsolve import IntervalGrid, run_pair_grid
 from repro.sim.tuning import EngineTuning
-from repro.util.errors import SchedulingError, ValidationError
+from repro.util.errors import SchedulingError
 from repro.workloads import get_application
 
 TOL0 = EngineTuning(occupancy_tol=0.0)
@@ -41,7 +45,24 @@ RUN_FIELDS = (
 )
 
 
+@pytest.fixture(autouse=True)
+def every_round_on_the_grid(monkeypatch):
+    """Lane counts of the grid solves; rounds of any width are grid
+    rounds."""
+    monkeypatch.setattr(engine_mod, "_MIN_GRID_LANES", 1)
+    rounds = []
+    solve = IntervalGrid.solve
+
+    def counted(self, requests):
+        rounds.append(len(requests))
+        return solve(self, requests)
+
+    monkeypatch.setattr(IntervalGrid, "solve", counted)
+    return rounds
+
+
 def make_cells(pairs, splits, configs):
+    """``(config, fg, bg, fg_allocation, bg_allocation)`` per cell."""
     cells = []
     for config in configs:
         for fg_name, bg_name in pairs:
@@ -51,29 +72,30 @@ def make_cells(pairs, splits, configs):
                 fg_alloc, bg_alloc = paper_pair_allocations(
                     fg, bg, fg_ways, 12 - fg_ways, 12
                 )
-                cells.append(
-                    GridCell(fg, bg, fg_alloc, bg_alloc, config=config)
-                )
+                cells.append((config, fg, bg, fg_alloc, bg_alloc))
     return cells
 
 
 def scalar_reference(cells, tuning):
+    """Per-cell ``run_pair``, one memo-less machine per config."""
     machines = {}
     results = []
-    for cell in cells:
-        key = id(cell.config)
-        machine = machines.get(key)
+    for config, *pair in cells:
+        machine = machines.get(id(config))
         if machine is None:
-            machine = Machine(
-                config=cell.config, tuning=tuning, memoize=False
-            )
-            machines[key] = machine
-        results.append(
-            machine.run_pair(
-                cell.fg, cell.bg, cell.fg_allocation, cell.bg_allocation
-            )
-        )
+            machine = Machine(config=config, tuning=tuning, memoize=False)
+            machines[id(config)] = machine
+        results.append(machine.run_pair(*pair))
     return results
+
+
+def grid(cells, tuning):
+    """The cells in one lockstep batch, each on its own machine."""
+    runs = []
+    for config, *pair in cells:
+        machine = Machine(config=config, tuning=tuning, memoize=False)
+        runs.append((machine, machine.pair_steps(*pair)))
+    return run_pair_grid(runs)
 
 
 def assert_identical(scalar, grid):
@@ -93,7 +115,8 @@ def assert_identical(scalar, grid):
 class TestGridBitEquality:
     @pytest.mark.parametrize("tuning", [TOL0, EngineTuning()],
                              ids=["tol0", "default"])
-    def test_lockstep_with_scalar_engine(self, tuning):
+    def test_lockstep_with_scalar_engine(self, tuning,
+                                         every_round_on_the_grid):
         base = SandyBridgeConfig()
         cells = make_cells(
             [("canneal", "streamcluster"), ("x264", "blackscholes"),
@@ -101,25 +124,23 @@ class TestGridBitEquality:
             splits=(1, 4, 6, 11),
             configs=(base, base.at_frequency(2.0e9)),
         )
-        assert_identical(
-            scalar_reference(cells, tuning),
-            run_pair_grid(cells, tuning=tuning),
-        )
+        assert_identical(scalar_reference(cells, tuning), grid(cells, tuning))
+        assert max(every_round_on_the_grid) == len(cells)
 
     def test_self_pair_aliases_background(self):
         cells = make_cells([("canneal", "canneal")], (6,), (None,))
-        (grid,) = run_pair_grid(cells, tuning=TOL0)
-        assert grid.bg.name == "canneal#2"
+        (result,) = grid(cells, TOL0)
+        assert result.bg.name == "canneal#2"
         (scalar,) = scalar_reference(cells, TOL0)
-        assert_identical([scalar], [grid])
+        assert_identical([scalar], [result])
 
     def test_mixed_operating_points_in_one_grid(self):
-        """Cells with config=None and explicit configs coexist."""
+        """Machines at the default and at another config in one batch."""
         base = SandyBridgeConfig()
         cells = make_cells(
             [("canneal", "streamcluster")], (3,), (None, base.at_frequency(2.7e9))
         )
-        results = run_pair_grid(cells, tuning=TOL0)
+        results = grid(cells, TOL0)
         assert results[0].makespan_s != results[1].makespan_s
         assert_identical(scalar_reference(cells, TOL0), results)
 
@@ -128,11 +149,10 @@ class TestGridBitEquality:
         fg = get_application("canneal")
         bg = get_application("streamcluster")
         fg_alloc, bg_alloc = paper_pair_allocations(fg, bg, 12, 12, 12)
-        cells = [GridCell(fg, bg, fg_alloc, bg_alloc)]
+        cells = [(None, fg, bg, fg_alloc, bg_alloc)]
         for tuning in (TOL0, EngineTuning()):
             assert_identical(
-                scalar_reference(cells, tuning),
-                run_pair_grid(cells, tuning=tuning),
+                scalar_reference(cells, tuning), grid(cells, tuning)
             )
 
 
@@ -145,12 +165,12 @@ class TestGridEdges:
         bg = get_application("streamcluster")
         fg_alloc, _ = paper_pair_allocations(fg, bg, 6, 6, 12)
         with pytest.raises(SchedulingError):
-            run_pair_grid([GridCell(fg, bg, fg_alloc, fg_alloc)])
+            grid([(None, fg, bg, fg_alloc, fg_alloc)], TOL0)
 
     def test_counters_count_cells_and_calls(self):
         cells = make_cells([("canneal", "streamcluster")], (2, 9), (None,))
         before = perf.engine_counters().snapshot()
-        run_pair_grid(cells, tuning=TOL0)
+        grid(cells, TOL0)
         after = perf.engine_counters().snapshot()
         assert after[perf.GRID_CALLS] - before.get(perf.GRID_CALLS, 0) == 1
         assert after[perf.GRID_CELLS] - before.get(perf.GRID_CELLS, 0) == 2
@@ -182,7 +202,4 @@ class TestGridHypothesis:
         cells = make_cells(
             [pair], fg_ways, [base.at_frequency(f) for f in freqs]
         )
-        assert_identical(
-            scalar_reference(cells, tuning),
-            run_pair_grid(cells, tuning=tuning),
-        )
+        assert_identical(scalar_reference(cells, tuning), grid(cells, tuning))

@@ -163,7 +163,7 @@ class TestFoldedMeters:
 
     @pytest.mark.parametrize("scale", [1, 10])
     def test_meters_equal_per_tick_reference(self, monkeypatch, scale):
-        """Wall samples, energies and raw RAPL accumulators equal the
+        """Wall energies and clocks and raw RAPL accumulators equal the
         memo-off run's bit for bit; at 10x ``ferret`` the package
         counter wraps inside quiet stretches."""
         meters = self._meters(monkeypatch)
